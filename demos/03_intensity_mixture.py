@@ -11,6 +11,7 @@ import numpy as np
 
 from lgequant import (
     build_relative_probability,
+    contour_masks,
     default_wedge_config,
     find_threshold,
     fit_mixture,
@@ -23,7 +24,7 @@ from lgequant import (
 
 dataset, truth = generate(default_wedge_config(seed=5, noise_sigma=0.08))
 stack = np.stack([s.pixels for s in dataset.sa_slices])
-samples = lv_voxels(stack, truth.contours)
+samples = lv_voxels(stack, contour_masks(truth.contours, stack.shape))
 print(f"LV voxels: {samples.size}, intensity range "
       f"[{samples.min():.0f}, {samples.max():.0f}] (scanner units)")
 

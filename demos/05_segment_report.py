@@ -16,6 +16,7 @@ from lgequant import (
     Labeling,
     assign_levels,
     assign_segments,
+    contour_masks,
     default_wedge_config,
     generate,
     myocardium_volume,
@@ -25,7 +26,8 @@ from lgequant.plots import bullseye_svg
 
 dataset, truth = generate(default_wedge_config(seed=3, noise_sigma=0.0))
 stack = np.stack([s.pixels for s in dataset.sa_slices])
-volume = myocardium_volume(dataset, truth.contours, stack=stack / stack.max())
+volume = myocardium_volume(dataset, contour_masks(truth.contours, stack.shape),
+                           stack=stack / stack.max())
 
 levels = assign_levels(len(dataset.sa_slices))
 print("slice levels base->apex:", levels)

@@ -43,6 +43,7 @@ from .postprocess import (
     remove_small_components,
     run_postprocessing,
 )
+from .raster import contour_masks
 from .realign import (
     AlignmentProblem,
     AlignmentResult,
@@ -79,7 +80,7 @@ __all__ = [
     "default_wedge_config", "generate", "PipelineConfig", "PipelineStageError",
     "myocardium_volume", "run_pipeline", "PostprocessConfig", "include_mvo",
     "recover_partial_volume", "remove_boundary_false_positives",
-    "remove_small_components", "run_postprocessing", "AlignmentProblem",
+    "remove_small_components", "run_postprocessing", "contour_masks", "AlignmentProblem",
     "AlignmentResult", "contiguous_cost", "intersecting_cost",
     "mean_squared_difference", "optimize", "total_cost", "zscore_normalize",
     "RelativeProbability", "RicianMixtureParams", "build_relative_probability",

@@ -1,4 +1,8 @@
-"""Command-line driver: stage subcommands plus the full pipeline."""
+"""Command-line driver: stage subcommands plus the full pipeline.
+
+Each stage subcommand loads its inputs from files, calls the same stage
+function as ``run_pipeline`` and saves what that function returns.
+"""
 
 from __future__ import annotations
 
@@ -9,15 +13,25 @@ from pathlib import Path
 import numpy as np
 
 from . import io as lio
-from .aha import AhaConfig, assign_segments, quantify
+from .aha import assign_segments, quantify  # noqa: F401  (patched by benchmarks/tracing.py)
 from .errors import LgeQuantError
-from .graphcut import GraphCutConfig, Labeling, MyocardiumVolume, classify
+from .graphcut import Labeling, MyocardiumVolume
+from .graphcut import classify  # noqa: F401  (patched by benchmarks/tracing.py)
 from .metrics import bland_altman, dice
-from .normalize import iterate_normalization
+from .normalize import iterate_normalization  # noqa: F401  (patched by benchmarks/tracing.py)
 from .phantom import PhantomConfig, default_wedge_config, generate
-from .pipeline import PipelineConfig, PipelineStageError, run_pipeline
+from .pipeline import (
+    PipelineConfig,
+    PipelineStageError,
+    classify_stage,
+    normalize_stage,
+    postprocess_stage,
+    quantify_stage,
+    realign_stage,
+    run_pipeline,
+)
 from .plots import bland_altman_csv, bland_altman_svg, bullseye_svg
-from .realign import AlignmentProblem, optimize
+from .raster import contour_masks
 from .rician import RicianMixtureParams
 
 
@@ -80,26 +94,14 @@ def cmd_phantom(args) -> int:
 
 def cmd_realign(args) -> int:
     config = _pipeline_config(args)
-    dataset = lio.load_dataset(args.data)
-    from .geometry import full_image_roi
-
-    rois = [r if r is not None else full_image_roi(s.pose)
-            for r, s in zip(dataset.sa_rois, dataset.sa_slices)]
-    problem = AlignmentProblem(dataset.sa_slices, dataset.la_slices, rois, gamma=config.gamma)
-    result = optimize(problem, max_sweeps=config.realign_max_sweeps)
-    realigned = dataset.with_ipps(result.corrected_ipps)
+    realigned, section = realign_stage(lio.load_dataset(args.data), config)
     out = Path(args.out)
     lio.save_dataset(realigned, out, name="realigned")
-    lio.write_report({
-        "initial_cost": result.initial_cost,
-        "final_cost": result.final_cost,
-        "sweeps": result.iterations,
-        "converged": result.converged,
-        "translations_mm": [[float(v) for v in row]
-                            for row in result.diagnostics["translations_mm"]],
-        "degenerate_pairs": result.diagnostics["degenerate_pairs"],
-    }, out / "realign_report.json")
-    print(f"realign: cost {result.initial_cost:.6g} -> {result.final_cost:.6g}")
+    lio.write_report(section, out / "realign_report.json")
+    if config.skip_realign:
+        print("realign: skipped")
+    else:
+        print(f"realign: cost {section['initial_cost']:.6g} -> {section['final_cost']:.6g}")
     return 0
 
 
@@ -107,35 +109,11 @@ def cmd_normalize(args) -> int:
     config = _pipeline_config(args)
     dataset = lio.load_dataset(args.data)
     contours = lio.load_contours(args.contours)
-    stack = np.stack([s.pixels for s in dataset.sa_slices])
-    norm = iterate_normalization(
-        stack, contours, epsilon=config.epsilon,
-        max_iter=config.max_iter, n_bins=config.n_bins,
-    )
+    (norm, _), section = normalize_stage(dataset, contours, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    spacing = (dataset.sa_slices[0].pose.ps_row,
-               dataset.sa_slices[0].pose.ps_col,
-               dataset.slice_spacing_mm)
-    lio.save_volume_f32(norm.stack, spacing, out / "normalized")
-    p = norm.params
-    lio.write_report({
-        "iterations": norm.iterations,
-        "converged": norm.converged,
-        "reference_slice": norm.reference_index,
-        "factors_per_iteration": [[float(f) for f in fs]
-                                  for fs in norm.factors_per_iteration],
-        "rescale": [norm.rescale_lo, norm.rescale_hi],
-        "mixture": None if p is None else {
-            "alpha_r": p.alpha_r, "sigma_r": p.sigma_r, "a": p.a,
-            "alpha_g": p.alpha_g, "sigma_g": p.sigma_g, "mu": p.mu,
-            "i_thrh": p.i_thrh,
-        },
-        "relative_probability": None if norm.curve is None else {
-            "bin_centers": [float(x) for x in norm.curve[0]],
-            "values": [float(v) for v in norm.curve[1]],
-        },
-    }, out / "normalize_report.json")
+    lio.save_volume_f32(norm.stack, dataset.voxel_spacing_mm, out / "normalized")
+    lio.write_report(section, out / "normalize_report.json")
     print(f"normalize: {norm.iterations} iterations, converged={norm.converged}")
     return 0
 
@@ -154,32 +132,22 @@ def _params_from_report(path) -> RicianMixtureParams:
 
 
 def cmd_classify(args) -> int:
+    """Graph-cut classification followed by post-processing."""
     config = _pipeline_config(args)
-    volume_arr, spacing = lio.load_volume_f32(args.normalized)
+    intensity, spacing = lio.load_volume_f32(args.normalized)
     contours = lio.load_contours(args.contours)
     params = _params_from_report(args.params)
-    from .raster import polygon_mask
-
-    n, rows, cols = volume_arr.shape
-    mask = np.zeros(volume_arr.shape, dtype=bool)
-    for k in range(n):
-        mask[k] = polygon_mask(contours.epi[k], rows, cols) & ~polygon_mask(
-            contours.endo[k], rows, cols
-        )
-    volume = MyocardiumVolume(volume_arr, mask, spacing)
-    labeling = classify(volume, params,
-                        GraphCutConfig(lambda_=config.lambda_, sigma=config.graph_sigma))
-    from .postprocess import run_postprocessing
-
-    labeling, audit = run_postprocessing(labeling, volume, contours, params,
-                                         config.postprocess())
+    masks = contour_masks(contours, intensity.shape)
+    volume = MyocardiumVolume(intensity, masks.myocardium, spacing)
+    raw_labeling, _ = classify_stage(volume, params, config)
+    labeling, section = postprocess_stage(raw_labeling, volume, masks, params, config)
+    infarct_voxels = int(labeling.infarct_mask().sum())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lio.save_labeling(labeling.labels, labeling.mask, spacing, out / "labeling")
-    lio.write_report({"audit": audit,
-                      "infarct_voxels": int(labeling.infarct_mask().sum())},
+    lio.write_report({**section, "infarct_voxels": infarct_voxels},
                      out / "classify_report.json")
-    print(f"classify: {int(labeling.infarct_mask().sum())} infarct voxels")
+    print(f"classify: {infarct_voxels} infarct voxels")
     return 0
 
 
@@ -187,22 +155,13 @@ def cmd_quantify(args) -> int:
     config = _pipeline_config(args)
     labels, mask, spacing = lio.load_labeling(args.labeling)
     volume = MyocardiumVolume(np.zeros(mask.shape), mask, spacing)
-    labeling = Labeling(labels=labels, mask=mask)
-    segments = assign_segments(volume, AhaConfig(config.reference_angle_deg))
-    report = quantify(labeling, volume, segments)
+    quant, section = quantify_stage(Labeling(labels=labels, mask=mask), volume, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lio.write_report({
-        "volumetric_percent": report.volumetric_percent,
-        "segment_percent": [float(v) for v in report.segment_percent],
-        "segment_infarct_voxels": [int(v) for v in report.segment_infarct_voxels],
-        "segment_myocardium_voxels": [int(v) for v in report.segment_myocardium_voxels],
-        "total_infarct_voxels": report.total_infarct_voxels,
-        "total_myocardium_voxels": report.total_myocardium_voxels,
-    }, out / "quant_report.json")
-    bullseye_svg(report.segment_percent, out / "bullseye.svg",
+    lio.write_report(section, out / "quant_report.json")
+    bullseye_svg(quant.segment_percent, out / "bullseye.svg",
                  reference_angle_deg=config.reference_angle_deg)
-    print(f"quantify: volumetric I/M% = {report.volumetric_percent:.2f}")
+    print(f"quantify: volumetric I/M% = {quant.volumetric_percent:.2f}")
     return 0
 
 
@@ -270,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--contours", required=True)
     p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("classify", help="graph-cut infarct classification")
+    p = sub.add_parser("classify", help="graph-cut infarct classification and post-processing")
     _add_common(p)
     p.add_argument("--normalized", required=True, help="normalized volume header JSON")
     p.add_argument("--params", required=True, help="normalize_report.json with the mixture")

@@ -44,12 +44,11 @@ class ContourSet:
 
 @dataclass
 class LgeDataset:
-    """One LGE study: ordered SA stack, LA views, ROIs, contours, spacing."""
+    """One LGE study: ordered SA stack, LA views, ROIs, spacing."""
 
     sa_slices: list                     # SliceImage, base -> apex
     la_slices: list                     # SliceImage
     sa_rois: list                       # Roi or None per SA slice
-    contours: ContourSet | None = None
     la_roles: list = field(default_factory=list)   # "LA4C"/"LA2C" per LA slice
     slice_thickness_mm: float = 7.0
     gap_mm: float = 3.0
@@ -74,6 +73,12 @@ class LgeDataset:
         return self.slice_thickness_mm + self.gap_mm
 
     @property
+    def voxel_spacing_mm(self) -> tuple:
+        """(row, col, through-plane) spacing of the SA stack as a volume."""
+        first = self.sa_slices[0].pose
+        return (first.ps_row, first.ps_col, self.slice_spacing_mm)
+
+    @property
     def all_slices(self) -> list:
         return list(self.sa_slices) + list(self.la_slices)
 
@@ -90,6 +95,6 @@ class LgeDataset:
         ]
         return LgeDataset(
             sa_slices=sa, la_slices=la, sa_rois=list(self.sa_rois),
-            contours=self.contours, la_roles=list(self.la_roles),
+            la_roles=list(self.la_roles),
             slice_thickness_mm=self.slice_thickness_mm, gap_mm=self.gap_mm,
         )

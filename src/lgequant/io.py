@@ -39,6 +39,29 @@ def _read_json(path: Path) -> dict:
         raise DatasetFormatError(f"malformed JSON in {path}: {exc}") from exc
 
 
+def _field(header: dict, key: str, path):
+    """One required header entry; a missing key is a format error."""
+    try:
+        return header[key]
+    except (KeyError, TypeError):
+        raise DatasetFormatError(f"{path}: header has no {key!r} entry") from None
+
+
+def _read_raw(header_path, header: dict, file_key: str, dims_key: str, dtype) -> np.ndarray:
+    """The raw file a header names under ``file_key``, shaped to its ``dims_key``."""
+    try:
+        dims = tuple(int(d) for d in _field(header, dims_key, header_path))
+    except (TypeError, ValueError):
+        raise DatasetFormatError(f"{header_path}: malformed {dims_key!r}") from None
+    raw = Path(header_path).parent / str(_field(header, file_key, header_path))
+    if not raw.is_file():
+        raise PixelFileError(f"raw file missing: {raw}")
+    data = np.fromfile(raw, dtype=dtype)
+    if data.size != int(np.prod(dims)):
+        raise PixelFileError(f"{raw}: size does not match dims {dims}")
+    return data.reshape(dims)
+
+
 def write_pixels_u16(pixels: np.ndarray, path: Path):
     """Raw little-endian uint16, row-major, no header."""
     arr = np.asarray(pixels)
@@ -208,14 +231,8 @@ def save_volume_f32(volume: np.ndarray, spacing_mm, path_base) -> Path:
 
 def load_volume_f32(header_path) -> tuple:
     header = _read_json(header_path)
-    dims = tuple(header["dims"])
-    raw = Path(header_path).parent / header["raw_file"]
-    if not raw.exists():
-        raise PixelFileError(f"raw volume missing: {raw}")
-    data = np.fromfile(raw, dtype="<f4")
-    if data.size != int(np.prod(dims)):
-        raise PixelFileError(f"{raw}: size does not match dims {dims}")
-    return data.reshape(dims).astype(float), tuple(header["spacing_mm"])
+    data = _read_raw(header_path, header, "raw_file", "dims", "<f4")
+    return data.astype(float), tuple(_field(header, "spacing_mm", header_path))
 
 
 def save_labeling(labels: np.ndarray, mask: np.ndarray, spacing_mm, path_base) -> Path:
@@ -238,17 +255,9 @@ def save_labeling(labels: np.ndarray, mask: np.ndarray, spacing_mm, path_base) -
 
 def load_labeling(header_path) -> tuple:
     header = _read_json(header_path)
-    dims = tuple(header["dims"])
-    base = Path(header_path).parent
-    labels = np.fromfile(base / header["labels_file"], dtype=np.uint8)
-    mask = np.fromfile(base / header["mask_file"], dtype=np.uint8)
-    if labels.size != np.prod(dims) or mask.size != np.prod(dims):
-        raise PixelFileError("labeling raw size does not match dims")
-    return (
-        labels.reshape(dims),
-        mask.reshape(dims).astype(bool),
-        tuple(header["spacing_mm"]),
-    )
+    labels = _read_raw(header_path, header, "labels_file", "dims", np.uint8)
+    mask = _read_raw(header_path, header, "mask_file", "dims", np.uint8)
+    return labels, mask.astype(bool), tuple(_field(header, "spacing_mm", header_path))
 
 
 def save_truth(truth, out_dir, name: str = "truth") -> Path:
@@ -271,13 +280,11 @@ def save_truth(truth, out_dir, name: str = "truth") -> Path:
 
 def load_truth(path) -> dict:
     payload = _read_json(path)
-    dims = tuple(payload["infarct_dims"])
-    raw = Path(path).parent / payload["infarct_file"]
-    mask = np.fromfile(raw, dtype=np.uint8).reshape(dims).astype(bool)
+    mask = _read_raw(path, payload, "infarct_file", "infarct_dims", np.uint8)
     return {
-        "true_ipps": np.asarray(payload["true_ipps"], dtype=float),
-        "gains": np.asarray(payload["gains"], dtype=float),
-        "infarct_mask": mask,
+        "true_ipps": np.asarray(_field(payload, "true_ipps", path), dtype=float),
+        "gains": np.asarray(_field(payload, "gains", path), dtype=float),
+        "infarct_mask": mask.astype(bool),
     }
 
 

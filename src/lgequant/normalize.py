@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import ContourSet
 from .errors import ContourError, FitError, NormalizationError, ThresholdError
-from .raster import polygon_mask
+from .raster import ContourMasks, polygon_mask
 from .realign import middle_slice_index
 from .rician import (
     DEFAULT_BINS,
@@ -45,36 +44,20 @@ class NormalizationResult:
     reference_index: int = 0
 
 
-def _stack_array(stack) -> np.ndarray:
+def _stack_array(stack, masks: ContourMasks) -> np.ndarray:
     arr = np.asarray(stack, dtype=float)
     if arr.ndim != 3:
         raise ValueError("stack must be (n_slices, rows, cols)")
+    if masks.epi.shape != arr.shape:
+        raise ContourError(
+            f"contour masks of shape {masks.epi.shape} do not match the stack {arr.shape}"
+        )
     return arr
 
 
-def _region_masks(contours: ContourSet, n_slices: int, rows: int, cols: int):
-    if len(contours) != n_slices:
-        raise ContourError(
-            f"contours cover {len(contours)} slices but the stack has {n_slices}"
-        )
-    endo_masks, epi_masks = [], []
-    for k in range(n_slices):
-        epi_m = polygon_mask(contours.epi[k], rows, cols)
-        endo_m = polygon_mask(contours.endo[k], rows, cols)
-        if not epi_m.any():
-            raise ContourError(f"slice {k}: epicardial polygon encloses no pixels")
-        if not endo_m.any():
-            raise ContourError(f"slice {k}: endocardial polygon encloses no pixels")
-        endo_masks.append(endo_m)
-        epi_masks.append(epi_m)
-    return endo_masks, epi_masks
-
-
-def lv_voxels(stack, contours: ContourSet) -> np.ndarray:
+def lv_voxels(stack, masks: ContourMasks) -> np.ndarray:
     """All intensities inside the epicardial contours, every slice concatenated."""
-    arr = _stack_array(stack)
-    _, epi_masks = _region_masks(contours, arr.shape[0], arr.shape[1], arr.shape[2])
-    return np.concatenate([arr[k][epi_masks[k]] for k in range(arr.shape[0])])
+    return _stack_array(stack, masks)[masks.epi]
 
 
 def bp_pixels(slice_pixels, endo_polygon, i_thrh: float) -> np.ndarray:
@@ -92,7 +75,7 @@ def bp_pixels(slice_pixels, endo_polygon, i_thrh: float) -> np.ndarray:
 
 def iterate_normalization(
     stack,
-    contours: ContourSet,
+    masks: ContourMasks,
     epsilon: float = DEFAULT_EPSILON,
     max_iter: int = DEFAULT_MAX_ITER,
     n_bins: int = DEFAULT_BINS,
@@ -110,9 +93,8 @@ def iterate_normalization(
         raise ValueError("epsilon must be positive")
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    work = _stack_array(stack).copy()
-    n_slices, rows, cols = work.shape
-    endo_masks, epi_masks = _region_masks(contours, n_slices, rows, cols)
+    work = _stack_array(stack, masks).copy()
+    n_slices = work.shape[0]
     ref = middle_slice_index(n_slices)
 
     factors_hist = []
@@ -122,7 +104,7 @@ def iterate_normalization(
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        lv = np.concatenate([work[k][epi_masks[k]] for k in range(n_slices)])
+        lv = work[masks.epi]
         try:
             rp = build_relative_probability(lv, n_bins=n_bins)
             last_rp = rp
@@ -133,7 +115,7 @@ def iterate_normalization(
 
         bp_means = np.empty(n_slices)
         for k in range(n_slices):
-            bp = endo_masks[k] & (work[k] >= i_thrh)
+            bp = masks.endo[k] & (work[k] >= i_thrh)
             if not bp.any():
                 raise NormalizationError(
                     f"slice {k}: no blood-pool pixels above the threshold"

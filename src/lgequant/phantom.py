@@ -430,7 +430,7 @@ def generate(cfg: PhantomConfig) -> tuple[LgeDataset, PhantomTruth]:
 
     contours = ContourSet(endo=endo_polys, epi=epi_polys)
     dataset = LgeDataset(
-        sa_slices=sa_slices, la_slices=la_slices, sa_rois=rois, contours=contours,
+        sa_slices=sa_slices, la_slices=la_slices, sa_rois=rois,
         la_roles=list(cfg.la_views),
         slice_thickness_mm=cfg.slice_thickness_mm, gap_mm=cfg.gap_mm,
     )

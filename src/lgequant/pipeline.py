@@ -1,8 +1,14 @@
-"""End-to-end quantification driver: realign, normalize, classify, report."""
+"""End-to-end quantification driver: realign, normalize, classify, report.
+
+Each stage is one function ``(inputs, config) -> (artifact, report_section)``.
+``run_pipeline`` chains them and the CLI subcommands call them one at a time,
+so a stage computes and reports the same thing whichever way it runs.
+"""
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -12,13 +18,15 @@ from . import io as lio
 from .aha import AhaConfig, assign_segments, quantify
 from .dataset import ContourSet, LgeDataset
 from .errors import LgeQuantError
-from .graphcut import GraphCutConfig, MyocardiumVolume, classify
+from .graphcut import GraphCutConfig, Labeling, MyocardiumVolume, classify
 from .metrics import dice
 from .normalize import iterate_normalization
 from .plots import bullseye_svg
 from .postprocess import PostprocessConfig, run_postprocessing
-from .raster import polygon_mask
+from .raster import ContourMasks, contour_masks
+from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.py)
 from .realign import AlignmentProblem, optimize
+from .rician import RicianMixtureParams
 
 
 @dataclass
@@ -69,25 +77,115 @@ class PipelineStageError(LgeQuantError):
         self.cause = cause
 
 
-def myocardium_volume(dataset: LgeDataset, contours: ContourSet, stack=None) -> MyocardiumVolume:
-    """Masked myocardium grid from the contours and the (normalized) stack."""
-    first = dataset.sa_slices[0].pose
-    rows, cols = first.rows, first.cols
+@contextmanager
+def _stage(name: str):
+    """Report a package error raised inside the block as a failure of ``name``."""
+    try:
+        yield
+    except PipelineStageError:
+        raise
+    except LgeQuantError as exc:
+        raise PipelineStageError(name, exc) from exc
+
+
+def myocardium_volume(dataset: LgeDataset, masks: ContourMasks, stack=None) -> MyocardiumVolume:
+    """Masked myocardium grid from the contour masks and the (normalized) stack."""
     if stack is None:
         stack = np.stack([s.pixels for s in dataset.sa_slices])
-    n = len(dataset.sa_slices)
-    if len(contours) != n:
-        raise LgeQuantError("contours do not cover every SA slice")
-    mask = np.zeros((n, rows, cols), dtype=bool)
-    for k in range(n):
-        epi = polygon_mask(contours.epi[k], rows, cols)
-        endo = polygon_mask(contours.endo[k], rows, cols)
-        mask[k] = epi & ~endo
     return MyocardiumVolume(
         intensity=np.asarray(stack, dtype=float),
-        mask=mask,
-        spacing_mm=(first.ps_row, first.ps_col, dataset.slice_spacing_mm),
+        mask=masks.myocardium,
+        spacing_mm=dataset.voxel_spacing_mm,
     )
+
+
+def realign_stage(dataset: LgeDataset, config: PipelineConfig) -> tuple:
+    """Correct slice misalignment; returns (realigned dataset, report section)."""
+    if config.skip_realign:
+        return dataset, {"skipped": True}
+    problem = AlignmentProblem(dataset.sa_slices, dataset.la_slices, dataset.sa_rois,
+                               gamma=config.gamma)
+    result = optimize(problem, max_sweeps=config.realign_max_sweeps)
+    return dataset.with_ipps(result.corrected_ipps), {
+        "initial_cost": result.initial_cost,
+        "final_cost": result.final_cost,
+        "sweeps": result.iterations,
+        "converged": result.converged,
+        "translations_mm": [
+            [float(v) for v in row] for row in result.diagnostics["translations_mm"]
+        ],
+        "degenerate_pairs": result.diagnostics["degenerate_pairs"],
+    }
+
+
+def normalize_stage(dataset: LgeDataset, contours: ContourSet, config: PipelineConfig) -> tuple:
+    """Rasterize the contours and normalize the SA stack.
+
+    Returns ((NormalizationResult, ContourMasks), report section). The masks
+    are the run's only rasterization of the contours; later stages reuse them.
+    """
+    stack = np.stack([s.pixels for s in dataset.sa_slices])
+    masks = contour_masks(contours, stack.shape)
+    norm = iterate_normalization(
+        stack, masks, epsilon=config.epsilon,
+        max_iter=config.max_iter, n_bins=config.n_bins,
+    )
+    p = norm.params
+    if p is None:
+        raise LgeQuantError("normalization produced no mixture parameters")
+    return (norm, masks), {
+        "iterations": norm.iterations,
+        "converged": norm.converged,
+        "reference_slice": norm.reference_index,
+        "factors_per_iteration": [
+            [float(f) for f in fs] for fs in norm.factors_per_iteration
+        ],
+        "rescale": [norm.rescale_lo, norm.rescale_hi],
+        "mixture": {
+            "alpha_r": p.alpha_r, "sigma_r": p.sigma_r, "a": p.a,
+            "alpha_g": p.alpha_g, "sigma_g": p.sigma_g, "mu": p.mu,
+            "i_thrh": p.i_thrh,
+        },
+        "relative_probability": {
+            "bin_centers": [float(x) for x in norm.curve[0]],
+            "values": [float(v) for v in norm.curve[1]],
+        },
+    }
+
+
+def classify_stage(volume: MyocardiumVolume, params: RicianMixtureParams,
+                   config: PipelineConfig) -> tuple:
+    """Graph-cut classification; returns (raw labeling, report section)."""
+    gc_config = GraphCutConfig(lambda_=config.lambda_, sigma=config.graph_sigma)
+    labeling = classify(volume, params, gc_config)
+    return labeling, {
+        "sigma": gc_config.resolved_sigma(params),
+        "lambda": config.lambda_,
+        "raw_infarct_voxels": int(labeling.infarct_mask().sum()),
+    }
+
+
+def postprocess_stage(labeling: Labeling, volume: MyocardiumVolume, masks: ContourMasks,
+                      params: RicianMixtureParams, config: PipelineConfig) -> tuple:
+    """The four cleanup rules; returns (final labeling, report section)."""
+    labeling, audit = run_postprocessing(labeling, volume, masks, params,
+                                         config.postprocess())
+    return labeling, {"audit": audit}
+
+
+def quantify_stage(labeling: Labeling, volume: MyocardiumVolume,
+                   config: PipelineConfig) -> tuple:
+    """AHA 16-segment quantification; returns (QuantReport, report section)."""
+    segments = assign_segments(volume, AhaConfig(config.reference_angle_deg))
+    quant = quantify(labeling, volume, segments)
+    return quant, {
+        "volumetric_percent": quant.volumetric_percent,
+        "segment_percent": [float(v) for v in quant.segment_percent],
+        "segment_infarct_voxels": [int(v) for v in quant.segment_infarct_voxels],
+        "segment_myocardium_voxels": [int(v) for v in quant.segment_myocardium_voxels],
+        "total_infarct_voxels": quant.total_infarct_voxels,
+        "total_myocardium_voxels": quant.total_myocardium_voxels,
+    }
 
 
 def run_pipeline(
@@ -109,125 +207,38 @@ def run_pipeline(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     report: dict = {"config": config.to_dict(), "stages": {}}
+    stages = report["stages"]
 
-    # --- realign ---------------------------------------------------------
-    try:
-        if config.skip_realign:
-            realigned = dataset
-            report["stages"]["realign"] = {"skipped": True}
-        else:
-            problem = AlignmentProblem(
-                sa_slices=dataset.sa_slices, la_slices=dataset.la_slices,
-                sa_rois=[r if r is not None else _full_roi(s) for r, s in
-                         zip(dataset.sa_rois, dataset.sa_slices)],
-                gamma=config.gamma,
-            )
-            result = optimize(problem, max_sweeps=config.realign_max_sweeps)
-            realigned = dataset.with_ipps(result.corrected_ipps)
-            report["stages"]["realign"] = {
-                "initial_cost": result.initial_cost,
-                "final_cost": result.final_cost,
-                "sweeps": result.iterations,
-                "converged": result.converged,
-                "translations_mm": [
-                    [float(v) for v in row]
-                    for row in result.diagnostics["translations_mm"]
-                ],
-                "degenerate_pairs": result.diagnostics["degenerate_pairs"],
-            }
+    with _stage("realign"):
+        realigned, stages["realign"] = realign_stage(dataset, config)
         if out is not None:
             lio.save_dataset(realigned, out / "realigned", name="realigned")
-    except LgeQuantError as exc:
-        raise PipelineStageError("realign", exc) from exc
 
-    # --- normalize -------------------------------------------------------
-    try:
-        stack = np.stack([s.pixels for s in realigned.sa_slices])
-        norm = iterate_normalization(
-            stack, contours, epsilon=config.epsilon,
-            max_iter=config.max_iter, n_bins=config.n_bins,
-        )
-        report["stages"]["normalize"] = {
-            "iterations": norm.iterations,
-            "converged": norm.converged,
-            "reference_slice": norm.reference_index,
-            "factors_per_iteration": [
-                [float(f) for f in fs] for fs in norm.factors_per_iteration
-            ],
-            "rescale": [norm.rescale_lo, norm.rescale_hi],
-            "mixture": None if norm.params is None else {
-                "alpha_r": norm.params.alpha_r, "sigma_r": norm.params.sigma_r,
-                "a": norm.params.a, "alpha_g": norm.params.alpha_g,
-                "sigma_g": norm.params.sigma_g, "mu": norm.params.mu,
-                "i_thrh": norm.params.i_thrh,
-            },
-            "relative_probability": None if norm.curve is None else {
-                "bin_centers": [float(x) for x in norm.curve[0]],
-                "values": [float(v) for v in norm.curve[1]],
-            },
-        }
-        if norm.params is None:
-            raise LgeQuantError("normalization produced no mixture parameters")
+    with _stage("normalize"):
+        (norm, masks), stages["normalize"] = normalize_stage(realigned, contours, config)
         if out is not None:
-            lio.save_volume_f32(
-                norm.stack,
-                (realigned.sa_slices[0].pose.ps_row,
-                 realigned.sa_slices[0].pose.ps_col,
-                 realigned.slice_spacing_mm),
-                out / "normalized",
-            )
-    except LgeQuantError as exc:
-        if isinstance(exc, PipelineStageError):
-            raise
-        raise PipelineStageError("normalize", exc) from exc
+            lio.save_volume_f32(norm.stack, realigned.voxel_spacing_mm, out / "normalized")
 
-    # --- classify --------------------------------------------------------
-    try:
-        volume = myocardium_volume(realigned, contours, stack=norm.stack)
-        gc_config = GraphCutConfig(lambda_=config.lambda_, sigma=config.graph_sigma)
-        raw_labeling = classify(volume, norm.params, gc_config)
-        report["stages"]["classify"] = {
-            "sigma": gc_config.resolved_sigma(norm.params),
-            "lambda": config.lambda_,
-            "raw_infarct_voxels": int(raw_labeling.infarct_mask().sum()),
-        }
-    except LgeQuantError as exc:
-        raise PipelineStageError("classify", exc) from exc
+    with _stage("classify"):
+        volume = myocardium_volume(realigned, masks, stack=norm.stack)
+        raw_labeling, stages["classify"] = classify_stage(volume, norm.params, config)
 
-    # --- postprocess -----------------------------------------------------
-    try:
-        labeling, audit = run_postprocessing(
-            raw_labeling, volume, contours, norm.params, config.postprocess()
+    with _stage("postprocess"):
+        labeling, stages["postprocess"] = postprocess_stage(
+            raw_labeling, volume, masks, norm.params, config
         )
-        report["stages"]["postprocess"] = {"audit": audit}
         if out is not None:
             lio.save_labeling(
                 labeling.labels, labeling.mask, volume.spacing_mm, out / "labeling"
             )
-    except LgeQuantError as exc:
-        raise PipelineStageError("postprocess", exc) from exc
 
-    # --- quantify --------------------------------------------------------
-    try:
-        segments = assign_segments(volume, AhaConfig(config.reference_angle_deg))
-        quant = quantify(labeling, volume, segments)
-        report["stages"]["quantify"] = {
-            "volumetric_percent": quant.volumetric_percent,
-            "segment_percent": [float(v) for v in quant.segment_percent],
-            "segment_infarct_voxels": [int(v) for v in quant.segment_infarct_voxels],
-            "segment_myocardium_voxels": [
-                int(v) for v in quant.segment_myocardium_voxels
-            ],
-            "total_infarct_voxels": quant.total_infarct_voxels,
-            "total_myocardium_voxels": quant.total_myocardium_voxels,
-        }
+    with _stage("quantify"):
+        quant, stages["quantify"] = quantify_stage(labeling, volume, config)
         if out is not None:
             bullseye_svg(
                 quant.segment_percent, out / "bullseye.svg",
                 reference_angle_deg=config.reference_angle_deg,
             )
-    except LgeQuantError as exc:
-        raise PipelineStageError("quantify", exc) from exc
 
     # --- reference comparison ---------------------------------------------
     if truth is not None and "infarct_mask" in truth:
@@ -243,9 +254,3 @@ def run_pipeline(
     if out is not None:
         lio.write_report(report, out / "report.json")
     return report
-
-
-def _full_roi(slice_image):
-    from .geometry import full_image_roi
-
-    return full_image_roi(slice_image.pose)

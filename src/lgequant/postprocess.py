@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .dataset import ContourSet
 from .graphcut import Labeling, MyocardiumVolume
-from .raster import polygon_mask
+from .raster import ContourMasks
+from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.py)
 from .rician import RicianMixtureParams
 
 SIX_CONNECTED = ndimage.generate_binary_structure(3, 1)
@@ -44,17 +44,8 @@ def _inplane_depth(mask: np.ndarray) -> np.ndarray:
     return depth
 
 
-def _cavity_mask(contours: ContourSet, shape) -> np.ndarray:
-    n, rows, cols = shape
-    cavity = np.zeros(shape, dtype=bool)
-    for k in range(min(n, len(contours))):
-        cavity[k] = polygon_mask(contours.endo[k], rows, cols)
-    return cavity
-
-
 def remove_boundary_false_positives(
     labeling: Labeling,
-    contours: ContourSet,
     volume: MyocardiumVolume,
     config: PostprocessConfig | None = None,
 ) -> Labeling:
@@ -117,7 +108,7 @@ def recover_partial_volume(
 
 def include_mvo(
     labeling: Labeling,
-    contours: ContourSet,
+    masks: ContourMasks,
     volume: MyocardiumVolume,
     config: PostprocessConfig | None = None,
 ) -> Labeling:
@@ -126,7 +117,7 @@ def include_mvo(
     infarct = labeling.infarct_mask()
     if not infarct.any():
         return labeling
-    cavity = _cavity_mask(contours, volume.mask.shape)
+    cavity = masks.endo
     normal = volume.mask & ~infarct
     comp, n_comp = ndimage.label(normal, SIX_CONNECTED)
     out = infarct.copy()
@@ -149,7 +140,7 @@ def include_mvo(
 def run_postprocessing(
     labeling: Labeling,
     volume: MyocardiumVolume,
-    contours: ContourSet,
+    masks: ContourMasks,
     params: RicianMixtureParams,
     config: PostprocessConfig | None = None,
 ) -> tuple:
@@ -168,13 +159,13 @@ def run_postprocessing(
 
     steps = (
         ("boundary_false_positives",
-         lambda lab: remove_boundary_false_positives(lab, contours, volume, config)),
+         lambda lab: remove_boundary_false_positives(lab, volume, config)),
         ("small_components",
          lambda lab: remove_small_components(lab, config.min_volume_mm3, volume)),
         ("partial_volume_recovery",
          lambda lab: recover_partial_volume(lab, volume, params)),
         ("mvo_inclusion",
-         lambda lab: include_mvo(lab, contours, volume, config)),
+         lambda lab: include_mvo(lab, masks, volume, config)),
     )
     current = labeling
     for name, step in steps:

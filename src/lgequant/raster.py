@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import ContourError
@@ -36,6 +38,41 @@ def polygon_mask(polygon, rows: int, cols: int) -> np.ndarray:
         c_cross = c1 + (rr - r1) * (c2 - c1) / (r2 - r1)
     crossings = straddles & (cc < c_cross)
     return (crossings.sum(axis=-1) % 2).astype(bool)
+
+
+class ContourMasks(NamedTuple):
+    """A contour set rasterized once: (n_slices, rows, cols) boolean regions."""
+
+    endo: np.ndarray
+    epi: np.ndarray
+
+    @property
+    def myocardium(self) -> np.ndarray:
+        return self.epi & ~self.endo
+
+
+def contour_masks(contours, shape) -> ContourMasks:
+    """Rasterize every slice's endo and epi polygon of a ContourSet.
+
+    ``shape`` is the (n_slices, rows, cols) of the stack the contours were
+    drawn on; the contours must cover exactly its slices and no polygon may
+    enclose zero pixel centers.
+    """
+    n_slices, rows, cols = shape
+    if len(contours) != n_slices:
+        raise ContourError(
+            f"contours cover {len(contours)} slices but the stack has {n_slices}"
+        )
+    endo = np.zeros(shape, dtype=bool)
+    epi = np.zeros(shape, dtype=bool)
+    for k in range(n_slices):
+        epi[k] = polygon_mask(contours.epi[k], rows, cols)
+        endo[k] = polygon_mask(contours.endo[k], rows, cols)
+        if not epi[k].any():
+            raise ContourError(f"slice {k}: epicardial polygon encloses no pixels")
+        if not endo[k].any():
+            raise ContourError(f"slice {k}: endocardial polygon encloses no pixels")
+    return ContourMasks(endo=endo, epi=epi)
 
 
 def point_in_polygon(polygon, r: float, c: float) -> bool:

@@ -126,7 +126,10 @@ def contiguous_cost(a: SliceImage, roi_a: Roi, b: SliceImage, roi_b: Roi) -> flo
 
 @dataclass
 class AlignmentProblem:
-    """SA stack plus LA views with per-SA-slice ROIs and the contiguous weight."""
+    """SA stack plus LA views with per-SA-slice ROIs and the contiguous weight.
+
+    A ``None`` ROI stands for the whole image of its slice.
+    """
 
     sa_slices: list
     la_slices: list
@@ -138,6 +141,8 @@ class AlignmentProblem:
             raise ValueError("need at least one SA slice")
         if len(self.sa_rois) != len(self.sa_slices):
             raise ValueError("one ROI per SA slice required")
+        self.sa_rois = [roi if roi is not None else full_image_roi(s.pose)
+                        for roi, s in zip(self.sa_rois, self.sa_slices)]
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
 

@@ -15,6 +15,7 @@ from lgequant.metrics import bland_altman, dice
 from lgequant.normalize import iterate_normalization
 from lgequant.phantom import PhantomConfig, default_wedge_config, generate
 from lgequant.pipeline import PipelineConfig, run_pipeline
+from lgequant.raster import contour_masks
 from lgequant.realign import AlignmentProblem, optimize, total_cost
 from lgequant.rician import (
     RelativeProbability,
@@ -170,9 +171,10 @@ class TestCriterion5Normalization:
         cfg = PhantomConfig(seed=15, noise_sigma=0.05, gains=gains)
         ds, truth = generate(cfg)
         stack = np.stack([s.pixels for s in ds.sa_slices])
-        first = iterate_normalization(stack, truth.contours)
+        first = iterate_normalization(stack, contour_masks(truth.contours, stack.shape))
         within = bool(np.max(np.abs(first.factors_per_iteration[-1] - 1.0)) < 0.01)
-        second = iterate_normalization(first.stack, truth.contours)
+        second = iterate_normalization(first.stack,
+                                       contour_masks(truth.contours, first.stack.shape))
         ok = first.converged and first.iterations <= 20 and within and second.iterations == 1
         report_line(
             "5 normalization", ok,
@@ -248,7 +250,8 @@ class TestCriterion7MetricsExactness:
             cfg = default_wedge_config(seed=seed, noise_sigma=0.06)
             ds, truth = generate(cfg)
             stack = np.stack([s.pixels for s in ds.sa_slices])
-            volume = myocardium_volume(ds, truth.contours, stack=stack / stack.max())
+            volume = myocardium_volume(ds, contour_masks(truth.contours, stack.shape),
+                                       stack=stack / stack.max())
             labels = (truth.infarct_mask & volume.mask).astype(np.uint8)
             labeling = Labeling(labels, volume.mask)
             segments = assign_segments(volume, AhaConfig())

@@ -8,6 +8,7 @@ from lgequant import io as lio
 from lgequant.cli import main
 from lgequant.errors import ContourError, OrientationError, PixelFileError
 from lgequant.phantom import PhantomConfig, default_wedge_config, generate
+from lgequant.pipeline import PipelineConfig, run_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,25 @@ class TestVolumeAndLabelingIo:
         assert spacing == (1.0, 1.0, 5.0)
 
 
+class TestTypedLoaderErrors:
+    def test_load_truth_without_its_raw_file(self, phantom_dir, tmp_path):
+        (tmp_path / "truth.json").write_text((phantom_dir / "truth.json").read_text())
+        with pytest.raises(PixelFileError):
+            lio.load_truth(tmp_path / "truth.json")
+
+    def test_metrics_with_truth_sidecar_as_reference(self, phantom_dir, tmp_path, capsys):
+        mask = lio.load_truth(phantom_dir / "truth.json")["infarct_mask"]
+        auto = lio.save_labeling(mask.astype(np.uint8), np.ones_like(mask),
+                                 (1.0, 1.0, 10.0), tmp_path / "auto")
+        code = main([
+            "metrics", "--auto", str(auto), "--ref", str(phantom_dir / "truth.json"),
+            "--out", str(tmp_path / "met"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+
 class TestCliStages:
     def test_stage_isolation_chain(self, tmp_path):
         base = tmp_path / "case"
@@ -188,3 +208,41 @@ class TestCliStages:
         assert "normalize" in err
         # the completed realign stage's outputs are preserved
         assert (base / "run" / "realigned" / "realigned.json").exists()
+
+    def test_classify_with_short_contours_is_an_error(self, phantom_dir, tmp_path, capsys):
+        assert main([
+            "normalize", "--data", str(phantom_dir / "dataset.json"),
+            "--contours", str(phantom_dir / "contours.json"), "--out", str(tmp_path / "norm"),
+        ]) == 0
+        payload = json.loads((phantom_dir / "contours.json").read_text())
+        payload["slices"] = payload["slices"][:3]
+        (tmp_path / "short.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main([
+            "classify", "--normalized", str(tmp_path / "norm" / "normalized.json"),
+            "--params", str(tmp_path / "norm" / "normalize_report.json"),
+            "--contours", str(tmp_path / "short.json"), "--out", str(tmp_path / "cls"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+
+class TestStageAgreement:
+    def test_cli_stages_report_what_run_pipeline_reports(self, phantom_dir, tmp_path):
+        dataset = lio.load_dataset(phantom_dir / "dataset.json")
+        contours = lio.load_contours(phantom_dir / "contours.json")
+        report = run_pipeline(dataset, contours, PipelineConfig(skip_realign=True),
+                              out_dir=tmp_path / "run")
+        assert main([
+            "normalize", "--data", str(phantom_dir / "dataset.json"),
+            "--contours", str(phantom_dir / "contours.json"), "--out", str(tmp_path / "norm"),
+        ]) == 0
+        assert main([
+            "quantify", "--labeling", str(tmp_path / "run" / "labeling.json"),
+            "--out", str(tmp_path / "quant"),
+        ]) == 0
+        normalize = json.loads((tmp_path / "norm" / "normalize_report.json").read_text())
+        quant = json.loads((tmp_path / "quant" / "quant_report.json").read_text())
+        assert normalize == report["stages"]["normalize"]
+        assert quant == report["stages"]["quantify"]

@@ -5,7 +5,7 @@ from lgequant.dataset import ContourSet
 from lgequant.errors import ContourError, NormalizationError
 from lgequant.normalize import bp_pixels, iterate_normalization, lv_voxels
 from lgequant.phantom import PhantomConfig, generate
-from lgequant.raster import circle_polygon
+from lgequant.raster import circle_polygon, contour_masks
 
 
 def square(lo, hi):
@@ -43,19 +43,20 @@ class TestLvVoxels:
         epi = [square(2.5, 5.5)] * 3            # encloses 3x3 pixel centers
         endo = [square(3.2, 4.8)] * 3
         contours = ContourSet(endo=endo, epi=epi)
-        assert lv_voxels(stack, contours).size == 27
+        assert lv_voxels(stack, contour_masks(contours, stack.shape)).size == 27
 
     def test_missing_contour_rejected(self):
         stack = np.zeros((3, 10, 10))
         contours = ContourSet(endo=[square(3.2, 4.8)] * 2, epi=[square(2.5, 5.5)] * 2)
         with pytest.raises(ContourError):
-            lv_voxels(stack, contours)
+            lv_voxels(stack, contour_masks(contours, stack.shape))
 
     def test_degenerate_polygon_rejected(self):
         stack = np.zeros((1, 10, 10))
         flat = np.array([[2.0, 2.0], [2.0, 2.0], [2.0, 2.0]])
         with pytest.raises(ContourError):
-            lv_voxels(stack, ContourSet(endo=[flat], epi=[square(2.5, 5.5)]))
+            lv_voxels(stack, contour_masks(ContourSet(endo=[flat], epi=[square(2.5, 5.5)]),
+                                         stack.shape))
 
     def test_circle_matches_brute_force(self):
         poly = circle_polygon(31.5, 31.5, 10.0, n_vertices=128)
@@ -90,7 +91,7 @@ class TestBpPixels:
 class TestIterateNormalization:
     def test_consistent_stack_converges_first_iteration(self):
         stack, contours, _ = phantom_stack(noise=0.0)
-        result = iterate_normalization(stack, contours)
+        result = iterate_normalization(stack, contour_masks(contours, stack.shape))
         assert result.converged
         assert result.iterations == 1
         assert np.max(np.abs(result.factors_per_iteration[0] - 1.0)) < 0.01
@@ -98,7 +99,7 @@ class TestIterateNormalization:
     def test_known_gains_recovered(self):
         gains = [0.8, 0.9, 1.0, 1.1, 1.2, 1.05]
         stack, contours, _ = phantom_stack(gains=gains)
-        result = iterate_normalization(stack, contours)
+        result = iterate_normalization(stack, contour_masks(contours, stack.shape))
         assert result.converged
         # after convergence the per-slice BP means agree within 1 percent
         last = result.factors_per_iteration[-1]
@@ -106,7 +107,7 @@ class TestIterateNormalization:
 
     def test_zero_iterations_rescales_only(self):
         stack, contours, _ = phantom_stack()
-        result = iterate_normalization(stack, contours, max_iter=0)
+        result = iterate_normalization(stack, contour_masks(contours, stack.shape), max_iter=0)
         assert result.iterations == 0
         assert not result.converged
         assert result.params is None
@@ -114,27 +115,28 @@ class TestIterateNormalization:
 
     def test_output_range_and_extremes(self):
         stack, contours, _ = phantom_stack(gains=[1.1, 0.9, 1.0, 1.2, 0.8, 1.0])
-        result = iterate_normalization(stack, contours)
+        result = iterate_normalization(stack, contour_masks(contours, stack.shape))
         assert result.stack.min() == 0.0
         assert result.stack.max() == 1.0
 
     def test_idempotent_on_converged_output(self):
         stack, contours, _ = phantom_stack(gains=[0.85, 0.95, 1.0, 1.1, 1.15, 1.0])
-        first = iterate_normalization(stack, contours)
-        second = iterate_normalization(first.stack, contours)
+        first = iterate_normalization(stack, contour_masks(contours, stack.shape))
+        second = iterate_normalization(first.stack, contour_masks(contours, first.stack.shape))
         assert second.iterations == 1
         assert np.max(np.abs(second.factors_per_iteration[0] - 1.0)) < 0.01
 
     def test_scale_equivariance(self):
         stack, contours, _ = phantom_stack(gains=[0.9, 1.0, 1.1, 1.0, 0.95, 1.05])
-        r1 = iterate_normalization(stack, contours)
-        r2 = iterate_normalization(stack * 7.3, contours)
+        r1 = iterate_normalization(stack, contour_masks(contours, stack.shape))
+        r2 = iterate_normalization(stack * 7.3, contour_masks(contours, stack.shape))
         assert np.allclose(r1.stack, r2.stack, atol=1e-9)
 
     def test_spread_non_increasing(self):
         gains = [0.8, 0.9, 1.0, 1.1, 1.2, 1.0]
         stack, contours, _ = phantom_stack(gains=gains)
-        result = iterate_normalization(stack, contours, epsilon=1e-3, max_iter=6)
+        result = iterate_normalization(stack, contour_masks(contours, stack.shape),
+                                       epsilon=1e-3, max_iter=6)
         spreads = [float(np.max(f) / np.min(f)) for f in result.factors_per_iteration]
         # strictly decreasing while converging; small wobble allowed once the
         # factors sit at the fit-noise floor
@@ -144,13 +146,13 @@ class TestIterateNormalization:
 
     def test_reference_factor_is_one(self):
         stack, contours, _ = phantom_stack(gains=[0.8, 0.9, 1.0, 1.1, 1.2, 1.0])
-        result = iterate_normalization(stack, contours)
+        result = iterate_normalization(stack, contour_masks(contours, stack.shape))
         for f in result.factors_per_iteration:
             assert f[result.reference_index] == 1.0
 
     def test_final_params_in_rescaled_units(self):
         stack, contours, _ = phantom_stack()
-        result = iterate_normalization(stack, contours)
+        result = iterate_normalization(stack, contour_masks(contours, stack.shape))
         p = result.params
         assert p is not None and p.i_thrh is not None
         assert 0.0 < p.rayleigh_mode < p.i_thrh < p.mu < 1.0

@@ -11,7 +11,7 @@ from lgequant.postprocess import (
     remove_small_components,
     run_postprocessing,
 )
-from lgequant.raster import circle_polygon, polygon_mask
+from lgequant.raster import circle_polygon, contour_masks, polygon_mask
 from lgequant.rician import RicianMixtureParams
 
 SPACING = (1.5, 1.5, 10.0)
@@ -58,7 +58,7 @@ class TestBoundaryFalsePositives:
         infarct[1] = rim2d
         vol = MyocardiumVolume(intensity, mask, SPACING)
         lab = Labeling(infarct.astype(np.uint8), mask)
-        out = remove_boundary_false_positives(lab, contours, vol)
+        out = remove_boundary_false_positives(lab, vol)
         assert not out.infarct_mask().any()
 
     def test_thick_transmural_wedge_kept(self):
@@ -66,7 +66,7 @@ class TestBoundaryFalsePositives:
         infarct = wedge_mask(mask, endo_m)
         vol = MyocardiumVolume(intensity, mask, SPACING)
         lab = Labeling(infarct.astype(np.uint8), mask)
-        out = remove_boundary_false_positives(lab, contours, vol)
+        out = remove_boundary_false_positives(lab, vol)
         assert np.array_equal(out.infarct_mask(), infarct)
 
     def test_rim_removed_wedge_kept_together(self):
@@ -80,7 +80,7 @@ class TestBoundaryFalsePositives:
         infarct[2] |= rim2d & ~wedge_mask(mask, endo_m)[2]
         vol = MyocardiumVolume(intensity, mask, SPACING)
         lab = Labeling(infarct.astype(np.uint8), mask)
-        out = remove_boundary_false_positives(lab, contours, vol)
+        out = remove_boundary_false_positives(lab, vol)
         got = out.infarct_mask()
         assert np.array_equal(got[0], wedge[0])
         assert np.array_equal(got[1], wedge[1])
@@ -185,7 +185,7 @@ class TestMvoInclusion:
 
     def test_enclosed_pocket_recovered(self):
         lab, contours, vol, pocket, wedge = self.setup_wedge_with_pocket()
-        out = include_mvo(lab, contours, vol)
+        out = include_mvo(lab, contour_masks(contours, vol.mask.shape), vol)
         got = out.infarct_mask()
         assert got[pocket].all()
         assert np.array_equal(got, wedge)
@@ -196,7 +196,7 @@ class TestMvoInclusion:
         infarct = wedge.copy()
         vol = MyocardiumVolume(intensity, mask, SPACING)
         lab = Labeling(infarct.astype(np.uint8), mask)
-        out = include_mvo(lab, contours, vol)
+        out = include_mvo(lab, contour_masks(contours, vol.mask.shape), vol)
         # the big normal component borders mostly normal/background: unchanged
         assert np.array_equal(out.infarct_mask(), wedge)
 
@@ -205,12 +205,13 @@ class TestPipelineOrder:
     def test_chain_idempotent(self):
         lab, contours, vol, pocket, wedge = TestMvoInclusion().setup_wedge_with_pocket()
         params = make_params()
-        once, audit = run_postprocessing(lab, vol, contours, params)
-        twice, _ = run_postprocessing(once, vol, contours, params)
+        once, audit = run_postprocessing(lab, vol, contour_masks(contours, vol.mask.shape), params)
+        twice, _ = run_postprocessing(once, vol, contour_masks(contours, vol.mask.shape), params)
         assert np.array_equal(once.infarct_mask(), twice.infarct_mask())
         assert len(audit) == 4
 
     def test_mask_closure(self):
         lab, contours, vol, _, _ = TestMvoInclusion().setup_wedge_with_pocket()
-        out, _ = run_postprocessing(lab, vol, contours, make_params())
+        out, _ = run_postprocessing(lab, vol, contour_masks(contours, vol.mask.shape),
+                                    make_params())
         assert not np.any(out.infarct_mask() & ~vol.mask)

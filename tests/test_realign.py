@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lgequant.errors import DegenerateInputError
-from lgequant.geometry import Roi, SliceImage, SlicePose, pixel_to_patient
+from lgequant.geometry import Roi, SliceImage, SlicePose, full_image_roi, pixel_to_patient
 from lgequant.realign import (
     AlignmentProblem,
     cost_breakdown,
@@ -197,6 +197,12 @@ class TestTotalCost:
             v = rng.uniform(-8, 8, size=3)
             moved = total_cost(problem, ipps + v)
             assert abs(moved - base) < 1e-9 * max(base, 1e-12)
+
+    def test_none_roi_means_full_image(self):
+        problem = build_problem()
+        sa, la = problem.sa_slices, problem.la_slices
+        explicit = AlignmentProblem(sa, la, [full_image_roi(s.pose) for s in sa])
+        assert total_cost(AlignmentProblem(sa, la, [None] * len(sa))) == total_cost(explicit)
 
 
 class TestOptimize:
