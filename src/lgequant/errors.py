@@ -5,6 +5,10 @@ class LgeQuantError(Exception):
     """Base class for all package errors."""
 
 
+class ParameterError(LgeQuantError, ValueError):
+    """A parameter is out of its valid range (NaN, infinite, negative, ...)."""
+
+
 class GeometryError(LgeQuantError):
     """Invalid geometric input (line not in plane, slices not near-parallel, ...)."""
 

@@ -13,7 +13,7 @@ fractional; pixel (r, c) sits at ``ipp + r*ps_row*iop_row + c*ps_col*iop_col``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,6 +35,7 @@ class SlicePose:
     ps_col: float          # mm per column step
     rows: int
     cols: int
+    normal: np.ndarray = field(init=False, repr=False, compare=False)  # iop_row x iop_col, read-only
 
     def __post_init__(self):
         object.__setattr__(self, "ipp", np.asarray(self.ipp, dtype=float).reshape(3))
@@ -48,11 +49,9 @@ class SlicePose:
             raise GeometryError("pixel spacing must be positive")
         if self.rows < 1 or self.cols < 1:
             raise GeometryError("slice dimensions must be positive")
-
-    @property
-    def normal(self) -> np.ndarray:
-        """Unit plane normal, iop_row x iop_col."""
-        return np.cross(self.iop_row, self.iop_col)
+        normal = np.cross(self.iop_row, self.iop_col)
+        normal.setflags(write=False)
+        object.__setattr__(self, "normal", normal)
 
     def translated(self, delta) -> "SlicePose":
         """Pose with the origin shifted by ``delta`` (mm)."""
@@ -215,9 +214,12 @@ def clip_line_to_roi(slice_img: SliceImage, roi: Roi, line: Line3):
     _check_in_plane(pose, line)
     if roi.row_max >= pose.rows or roi.col_max >= pose.cols:
         raise GeometryError("ROI exceeds image bounds")
-    r0, dr, c0, dc = _line_in_pixel_coords(pose, line)
-    interval = (-np.inf, np.inf)
-    interval = _clip_axis(r0, dr, roi.row_min, roi.row_max, interval)
+    return clip_pixel_line(*_line_in_pixel_coords(pose, line), roi)
+
+
+def clip_pixel_line(r0: float, dr: float, c0: float, dc: float, roi: Roi):
+    """Interval of t with pixel (r0 + t*dr, c0 + t*dc) inside the ROI, or None."""
+    interval = _clip_axis(r0, dr, roi.row_min, roi.row_max, (-np.inf, np.inf))
     if interval is None:
         return None
     interval = _clip_axis(c0, dc, roi.col_min, roi.col_max, interval)
@@ -242,19 +244,24 @@ def bilinear_sample(pixels: np.ndarray, r, c):
     rows, cols = pixels.shape
     eps = 1e-9
     valid = (r >= -eps) & (r <= rows - 1 + eps) & (c >= -eps) & (c <= cols - 1 + eps)
-    rc = np.clip(r, 0.0, rows - 1.0)
-    cc = np.clip(c, 0.0, cols - 1.0)
-    r1 = np.minimum(np.floor(rc).astype(int), rows - 2) if rows > 1 else np.zeros_like(rc, dtype=int)
-    c1 = np.minimum(np.floor(cc).astype(int), cols - 2) if cols > 1 else np.zeros_like(cc, dtype=int)
-    r2 = np.minimum(r1 + 1, rows - 1)
-    c2 = np.minimum(c1 + 1, cols - 1)
+    rc = np.minimum(np.maximum(r, 0.0), rows - 1.0)
+    cc = np.minimum(np.maximum(c, 0.0), cols - 1.0)
+    # rc, cc >= 0, so truncation is floor; (r1, c1) is the top-left neighbour.
+    r1 = np.minimum(rc.astype(np.intp), max(rows - 2, 0))
+    c1 = np.minimum(cc.astype(np.intp), max(cols - 2, 0))
     fr = rc - r1
     fc = cc - c1
+    gr = 1 - fr
+    gc = 1 - fc
+    flat = pixels.ravel()
+    top = r1 * cols + c1
+    bottom = top + cols if rows > 1 else top
+    right = 1 if cols > 1 else 0
     vals = (
-        pixels[r1, c1] * (1 - fr) * (1 - fc)
-        + pixels[r2, c1] * fr * (1 - fc)
-        + pixels[r1, c2] * (1 - fr) * fc
-        + pixels[r2, c2] * fr * fc
+        flat.take(top) * gr * gc
+        + flat.take(bottom) * fr * gc
+        + flat.take(top + right) * gr * fc
+        + flat.take(bottom + right) * fr * fc
     )
     return np.where(valid, vals, 0.0), valid
 

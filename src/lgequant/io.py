@@ -135,8 +135,20 @@ def load_dataset(manifest_path) -> LgeDataset:
     base = manifest_path.parent
     sa, la, rois, roles = [], [], [], []
     for entry in manifest.get("slices", []):
-        iop_row = np.asarray(entry["iop_row"], dtype=float)
-        iop_col = np.asarray(entry["iop_col"], dtype=float)
+        def get(key):
+            return _field(entry, key, manifest_path)
+
+        try:
+            iop_row = np.asarray(get("iop_row"), dtype=float).reshape(3)
+            iop_col = np.asarray(get("iop_col"), dtype=float).reshape(3)
+            ipp = np.asarray(get("ipp"), dtype=float).reshape(3)
+            ps_row, ps_col = float(get("ps")[0]), float(get("ps")[1])
+            rows, cols = int(get("rows")), int(get("cols"))
+            roi = entry.get("roi")
+            roi = None if roi is None else Roi(*roi)
+        except (TypeError, ValueError, IndexError, KeyError) as exc:
+            raise DatasetFormatError(
+                f"{manifest_path}: malformed slice entry: {exc!r}") from None
         if (
             abs(np.linalg.norm(iop_row) - 1) > 1e-6
             or abs(np.linalg.norm(iop_col) - 1) > 1e-6
@@ -146,20 +158,16 @@ def load_dataset(manifest_path) -> LgeDataset:
                 f"slice {entry.get('role')}/{entry.get('index')}: "
                 "orientation vectors are not orthonormal"
             )
-        pose = SlicePose(
-            ipp=np.asarray(entry["ipp"], dtype=float),
-            iop_row=iop_row, iop_col=iop_col,
-            ps_row=float(entry["ps"][0]), ps_col=float(entry["ps"][1]),
-            rows=int(entry["rows"]), cols=int(entry["cols"]),
-        )
-        pixels = read_pixels_u16(base / entry["pixel_file"], pose.rows, pose.cols)
+        pose = SlicePose(ipp=ipp, iop_row=iop_row, iop_col=iop_col,
+                         ps_row=ps_row, ps_col=ps_col, rows=rows, cols=cols)
+        pixels = read_pixels_u16(base / str(get("pixel_file")), pose.rows, pose.cols)
         image = SliceImage(pose=pose, pixels=pixels)
-        if entry["role"] == "SA":
-            sa.append((entry["index"], image))
-            roi = entry.get("roi")
-            rois.append((entry["index"], None if roi is None else Roi(*roi)))
+        role, index = get("role"), get("index")
+        if role == "SA":
+            sa.append((index, image))
+            rois.append((index, roi))
         else:
-            la.append((entry["index"], image, entry["role"]))
+            la.append((index, image, role))
     if not sa:
         raise DatasetFormatError("manifest lists no SA slices")
     sa.sort(key=lambda t: t[0])

@@ -12,22 +12,33 @@ intensity scaling does not bias the alignment.
 
 from __future__ import annotations
 
+import logging
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, GeometryError, ParameterError
 from .geometry import (
+    IN_PLANE_TOL,
+    NEAR_PARALLEL_DEG,
+    PARALLEL_TOL,
     Roi,
     SliceImage,
+    _angle_between_deg,
+    bilinear_sample,
     clip_line_to_roi,
+    clip_pixel_line,
     contiguous_regions,
     full_image_roi,
     plane_intersection,
     sample_line_values,
     sample_positions,
 )
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_GAMMA = 0.01
 TRANSLATION_BOUND_MM = 20.0
@@ -41,15 +52,20 @@ def middle_slice_index(n: int) -> int:
 
 
 def zscore_normalize(values: np.ndarray) -> np.ndarray:
-    """Shift/scale to zero mean and unit population standard deviation."""
+    """Shift/scale to zero mean and unit population standard deviation.
+
+    The sums are the ones ``ndarray.mean`` and ``ndarray.std`` reduce, so the
+    result equals ``(values - values.mean()) / values.std()`` bit for bit.
+    """
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise DegenerateInputError("need at least 2 values to z-normalize")
-    mean = values.mean()
-    std = values.std()
+    mean = np.add.reduce(values, axis=None) / values.size
+    dev = values - mean
+    std = np.sqrt(np.add.reduce(dev * dev, axis=None) / values.size)
     if std < 1e-9 * max(1.0, abs(mean)):
         raise DegenerateInputError("constant input has no spread to normalize")
-    return (values - mean) / std
+    return dev / std
 
 
 def mean_squared_difference(a: np.ndarray, b: np.ndarray) -> float:
@@ -57,19 +73,31 @@ def mean_squared_difference(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
+    diff = a - b
+    return float(np.add.reduce(diff * diff, axis=None) / diff.size)
 
 
-def _intersecting_term(a: SliceImage, b: SliceImage, roi: Roi | None):
-    """Cost of one intersecting pair; (cost, degeneracy reason or None).
+def _compare(vals_a, vals_b, ok, too_few: str, constant: str):
+    """(MSD of the z-normalized valid samples, degeneracy reason or None)."""
+    if int(ok.sum()) < 2:
+        return 0.0, too_few
+    try:
+        za = zscore_normalize(vals_a[ok])
+        zb = zscore_normalize(vals_b[ok])
+    except DegenerateInputError:
+        return 0.0, constant
+    return mean_squared_difference(za, zb), None
 
-    ``roi`` restricts sampling on slice ``a`` (the SA member of an SA-LA
-    pair); LA-LA pairs pass None and use the full overlap of both images.
+
+def _intersecting_term(a: SliceImage, b: SliceImage, roi: Roi):
+    """Cost of one intersecting pair from the geometry primitives; (cost, reason).
+
+    ``roi`` restricts sampling on slice ``a``; slice ``b`` uses its full image.
     """
     line = plane_intersection(a.pose, b.pose)
     if line is None:
         return 0.0, "parallel-planes"
-    int_a = clip_line_to_roi(a, roi if roi is not None else full_image_roi(a.pose), line)
+    int_a = clip_line_to_roi(a, roi, line)
     int_b = clip_line_to_roi(b, full_image_roi(b.pose), line)
     if int_a is None or int_b is None:
         return 0.0, "no-overlap"
@@ -83,45 +111,214 @@ def _intersecting_term(a: SliceImage, b: SliceImage, roi: Roi | None):
         return 0.0, "too-few-samples"
     vals_a, ok_a = sample_line_values(a, line, ts)
     vals_b, ok_b = sample_line_values(b, line, ts)
-    ok = ok_a & ok_b
-    if int(ok.sum()) < 2:
-        return 0.0, "too-few-samples"
-    try:
-        za = zscore_normalize(vals_a[ok])
-        zb = zscore_normalize(vals_b[ok])
-    except DegenerateInputError:
-        return 0.0, "constant-segment"
-    return mean_squared_difference(za, zb), None
+    return _compare(vals_a, vals_b, ok_a & ok_b, "too-few-samples", "constant-segment")
 
 
 def _contiguous_term(a: SliceImage, roi_a: Roi, b: SliceImage, roi_b: Roi):
-    """Cost of one adjacent SA pair; (cost, degeneracy reason or None)."""
+    """Cost of one adjacent SA pair from the geometry primitives; (cost, reason)."""
     ra, rb = contiguous_regions(a, roi_a, b, roi_b)
     ok = np.isfinite(ra.values) & np.isfinite(rb.values)
-    if int(ok.sum()) < 2:
-        return 0.0, "no-overlap"
-    try:
-        za = zscore_normalize(ra.values[ok])
-        zb = zscore_normalize(rb.values[ok])
-    except DegenerateInputError:
-        return 0.0, "constant-region"
-    return mean_squared_difference(za, zb), None
+    return _compare(ra.values, rb.values, ok, "no-overlap", "constant-region")
+
+
+class _LineSide:
+    """One slice of an intersecting pair: its frame, ROI and the line's pixel slopes."""
+
+    def __init__(self, img: SliceImage, roi: Roi, direction: np.ndarray):
+        pose = img.pose
+        if abs(float(pose.normal @ direction)) > 1e-9:
+            raise GeometryError("line direction is not parallel to the slice plane")
+        if roi.row_max >= pose.rows or roi.col_max >= pose.cols:
+            raise GeometryError("ROI exceeds image bounds")
+        self.pose, self.roi, self.pixels = pose, roi, img.pixels
+        self.dr = float(direction @ pose.iop_row) / pose.ps_row
+        self.dc = float(direction @ pose.iop_col) / pose.ps_col
+
+    def clip(self, point: np.ndarray, ipp: np.ndarray):
+        """(r0, c0, t interval inside the ROI or None) of the line through ``point``."""
+        pose = self.pose
+        d = point - ipp
+        dist = abs(float(pose.normal @ d))
+        if dist > IN_PLANE_TOL:
+            raise GeometryError(f"line point is {dist:.3g} mm off the slice plane")
+        r0 = float(d @ pose.iop_row / pose.ps_row)
+        c0 = float(d @ pose.iop_col / pose.ps_col)
+        return r0, c0, clip_pixel_line(r0, self.dr, c0, self.dc, self.roi)
+
+
+class _LineTerm:
+    """Intersecting-profile term of slices ``i`` and ``j``, compiled for translation.
+
+    Normals, line direction, pixel slopes, sampling step and ROI checks do
+    not change when the slices only translate, so they are computed once.
+    A trial supplies the origins and repeats the arithmetic of
+    ``plane_intersection``, ``clip_line_to_roi`` and ``sample_line_values``
+    on them in the same order, so its cost is bit-identical to
+    ``_intersecting_term``'s.
+    """
+
+    kind = "int"
+
+    def __init__(self, i: int, j: int, a: SliceImage, b: SliceImage, roi: Roi):
+        self.i, self.j, self.roi = i, j, roi
+        n_a, n_b = a.pose.normal, b.pose.normal
+        d = np.cross(n_a, n_b)
+        norm_d = np.linalg.norm(d)
+        self.parallel = bool(norm_d < PARALLEL_TOL)
+        if self.parallel:
+            return
+        self.n_a, self.n_b = n_a, n_b
+        self.cross_b, self.cross_a = np.cross(n_b, d), np.cross(d, n_a)
+        self.norm_d2 = norm_d * norm_d
+        direction = d / norm_d
+        self.a = _LineSide(a, roi, direction)
+        self.b = _LineSide(b, full_image_roi(b.pose), direction)
+        self.step = min(a.pose.ps_row, a.pose.ps_col, b.pose.ps_row, b.pose.ps_col)
+
+    def costs(self, trials) -> list:
+        """(cost, reason) at each trial; all trials share one bilinear gather."""
+        if self.parallel:
+            return [(0.0, "parallel-planes")] * len(trials)
+        out: list = [None] * len(trials)
+        sampled, origins, ts_parts = [], [], []
+        for k, ipps in enumerate(trials):
+            ipp_a, ipp_b = ipps[self.i], ipps[self.j]
+            h_a = float(self.n_a @ ipp_a)
+            h_b = float(self.n_b @ ipp_b)
+            point = (h_a * self.cross_b + h_b * self.cross_a) / self.norm_d2
+            r0_a, c0_a, int_a = self.a.clip(point, ipp_a)
+            r0_b, c0_b, int_b = self.b.clip(point, ipp_b)
+            if int_a is None or int_b is None:
+                out[k] = (0.0, "no-overlap")
+                continue
+            t_lo = max(int_a[0], int_b[0])
+            t_hi = min(int_a[1], int_b[1])
+            if t_hi <= t_lo:
+                out[k] = (0.0, "no-overlap")
+                continue
+            ts = sample_positions((t_lo, t_hi), self.step)
+            if ts.size < 2:
+                out[k] = (0.0, "too-few-samples")
+                continue
+            sampled.append((k, ts.size))
+            origins.append((r0_a, c0_a, r0_b, c0_b))
+            ts_parts.append(ts)
+        if not sampled:
+            return out
+        # Sample pixel (x0 + t*dx) of every trial at once.
+        ts = np.concatenate(ts_parts)
+        x0s = np.repeat(np.array(origins), [n for _, n in sampled], axis=0)
+        vals_a, ok_a = bilinear_sample(self.a.pixels, x0s[:, 0] + ts * self.a.dr,
+                                       x0s[:, 1] + ts * self.a.dc)
+        vals_b, ok_b = bilinear_sample(self.b.pixels, x0s[:, 2] + ts * self.b.dr,
+                                       x0s[:, 3] + ts * self.b.dc)
+        ok = ok_a & ok_b
+        start = 0
+        for k, n in sampled:
+            part = slice(start, start + n)
+            out[k] = _compare(vals_a[part], vals_b[part], ok[part],
+                              "too-few-samples", "constant-segment")
+            start += n
+        return out
+
+
+class _RegionSide:
+    """One slice of a contiguous pair: ROI-corner offsets and its signed normal."""
+
+    def __init__(self, img: SliceImage, roi: Roi, n: np.ndarray):
+        pose = img.pose
+        rr = np.array([roi.row_min, roi.row_min, roi.row_max, roi.row_max], dtype=float)
+        cc = np.array([roi.col_min, roi.col_max, roi.col_min, roi.col_max], dtype=float)
+        self.corner_r = np.multiply.outer(rr * pose.ps_row, pose.iop_row)
+        self.corner_c = np.multiply.outer(cc * pose.ps_col, pose.iop_col)
+        n_s = pose.normal
+        if float(n_s @ n) < 0:
+            n_s = -n_s
+        self.n_s, self.n_s_dot_n = n_s, float(n_s @ n)
+        self.pose, self.pixels, self.n = pose, img.pixels, n
+
+    def sample(self, grid_mid: np.ndarray, ipp: np.ndarray) -> np.ndarray:
+        """Slice values at the mid-plane grid projected along n; NaN outside."""
+        pose = self.pose
+        h_s = float(self.n_s @ ipp)
+        t = (h_s - grid_mid @ self.n_s) / self.n_s_dot_n
+        d = np.empty_like(grid_mid)
+        for k in range(3):
+            d[..., k] = grid_mid[..., k] + t * self.n[k] - ipp[k]
+        r = d @ pose.iop_row / pose.ps_row
+        c = d @ pose.iop_col / pose.ps_col
+        vals, valid = bilinear_sample(self.pixels, r, c)
+        return np.where(valid, vals, np.nan)
+
+
+class _RegionTerm:
+    """Contiguous-region term of adjacent SA slices ``i`` and ``j``, compiled.
+
+    The mid-plane normal and in-plane axes, each slice's signed normal, the
+    ROI-corner offsets and the near-parallel check are fixed under
+    translation. A trial repeats the rest of ``contiguous_regions`` in the
+    same order, so its cost is bit-identical to ``_contiguous_term``'s.
+    """
+
+    kind = "cnt"
+
+    def __init__(self, i: int, j: int, a: SliceImage, roi_a: Roi, b: SliceImage, roi_b: Roi):
+        self.i, self.j, self.rois = i, j, (roi_a, roi_b)
+        n_a, n_b = a.pose.normal, b.pose.normal
+        angle = _angle_between_deg(n_a, n_b)
+        if angle > NEAR_PARALLEL_DEG:
+            raise GeometryError(f"slices are {angle:.2f} deg from parallel; not an adjacent SA pair")
+        n = n_a + (n_b if float(n_a @ n_b) >= 0 else -n_b)
+        n = n / np.linalg.norm(n)
+        u_axis = a.pose.iop_row - float(a.pose.iop_row @ n) * n
+        self.u_axis = u_axis / np.linalg.norm(u_axis)
+        self.v_axis = np.cross(n, self.u_axis)
+        self.n = n
+        self.a, self.b = _RegionSide(a, roi_a, n), _RegionSide(b, roi_b, n)
+        self.step = min(a.pose.ps_row, a.pose.ps_col, b.pose.ps_row, b.pose.ps_col)
+
+    def costs(self, trials) -> list:
+        """(cost, reason) at each trial, one trial at a time to bound memory."""
+        return [self._cost(ipps[self.i], ipps[self.j]) for ipps in trials]
+
+    def _cost(self, ipp_a: np.ndarray, ipp_b: np.ndarray):
+        a, b, n, step = self.a, self.b, self.n, self.step
+        corners = np.vstack([ipp_a + a.corner_r + a.corner_c, ipp_b + b.corner_r + b.corner_c])
+        u = corners @ self.u_axis
+        v = corners @ self.v_axis
+        u_lo, u_hi = float(u.min()), float(u.max())
+        v_lo, v_hi = float(v.min()), float(v.max())
+        h_mid = 0.5 * float(n @ ipp_a + n @ ipp_b)
+        nu = int(np.floor((u_hi - u_lo) / step + 1e-9)) + 1
+        nv = int(np.floor((v_hi - v_lo) / step + 1e-9)) + 1
+        uu = u_lo + step * np.arange(nu)
+        vv = v_lo + step * np.arange(nv)
+        # Built one coordinate plane at a time: a broadcast over a trailing
+        # axis of 3 is far slower than these (nu, nv) operations, and every
+        # element gets the same arithmetic either way.
+        grid_mid = np.empty((nu, nv, 3))
+        offset = h_mid * n
+        for k in range(3):
+            grid_mid[..., k] = uu[:, None] * self.u_axis[k] + vv * self.v_axis[k] + offset[k]
+        ra = a.sample(grid_mid, ipp_a)
+        rb = b.sample(grid_mid, ipp_b)
+        ok = np.isfinite(ra) & np.isfinite(rb)
+        return _compare(ra, rb, ok, "no-overlap", "constant-region")
 
 
 def intersecting_cost(a: SliceImage, b: SliceImage, roi: Roi | None = None) -> float:
     """Dissimilarity of z-normalized profiles along the slices' intersection.
 
-    Degenerate pairs (parallel planes, no overlap, constant profile)
-    contribute 0.
+    ``roi`` restricts sampling on slice ``a`` (the SA member of an SA-LA
+    pair); None uses the full overlap of both images. Degenerate pairs
+    (parallel planes, no overlap, constant profile) contribute 0.
     """
-    cost, _ = _intersecting_term(a, b, roi)
-    return cost
+    return _intersecting_term(a, b, roi if roi is not None else full_image_roi(a.pose))[0]
 
 
 def contiguous_cost(a: SliceImage, roi_a: Roi, b: SliceImage, roi_b: Roi) -> float:
     """Dissimilarity of z-normalized paired regions of adjacent SA slices."""
-    cost, _ = _contiguous_term(a, roi_a, b, roi_b)
-    return cost
+    return _contiguous_term(a, roi_a, b, roi_b)[0]
 
 
 @dataclass
@@ -138,13 +335,15 @@ class AlignmentProblem:
 
     def __post_init__(self):
         if len(self.sa_slices) < 1:
-            raise ValueError("need at least one SA slice")
+            raise ParameterError("need at least one SA slice")
         if len(self.sa_rois) != len(self.sa_slices):
-            raise ValueError("one ROI per SA slice required")
+            raise ParameterError("one ROI per SA slice required")
         self.sa_rois = [roi if roi is not None else full_image_roi(s.pose)
                         for roi, s in zip(self.sa_rois, self.sa_slices)]
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        gamma = self.gamma
+        if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real) \
+                or not math.isfinite(gamma) or gamma < 0:
+            raise ParameterError(f"gamma must be a finite non-negative number, got {gamma!r}")
 
     @property
     def slices(self) -> list:
@@ -161,35 +360,78 @@ class AlignmentResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _build_terms(problem: AlignmentProblem):
-    """Term list: ('int', i, j, roi) and ('cnt', i, j, roi_i, roi_j).
+class CompiledProblem:
+    """The cost terms of an AlignmentProblem, compiled once for translation.
 
-    Indices are into problem.slices (SA block first). SA-SA pairs are never
-    intersected; each intersecting pair and each adjacency is counted once.
+    Terms index ``problem.slices`` (SA block first): every SA-LA and LA-LA
+    intersecting pair, then every adjacent SA pair; SA-SA pairs are never
+    intersected and each pair is counted once. Compiling raises
+    GeometryError for an ROI past its image or a non-parallel SA pair.
     """
-    m = len(problem.sa_slices)
-    n = len(problem.la_slices)
-    terms = []
-    for k in range(m):
-        for j in range(n):
-            terms.append(("int", k, m + j, problem.sa_rois[k]))
-    for j in range(n - 1):
-        for j2 in range(j + 1, n):
-            terms.append(("int", m + j, m + j2, None))
-    for k in range(m - 1):
-        terms.append(("cnt", k, k + 1, problem.sa_rois[k], problem.sa_rois[k + 1]))
-    return terms
 
+    def __init__(self, problem: AlignmentProblem):
+        slices, rois = problem.slices, problem.sa_rois
+        m, n = len(problem.sa_slices), len(problem.la_slices)
+        terms: list = []
+        for k in range(m):
+            for j in range(m, m + n):
+                terms.append(_LineTerm(k, j, slices[k], slices[j], rois[k]))
+        for j in range(m, m + n - 1):
+            for j2 in range(j + 1, m + n):
+                terms.append(_LineTerm(j, j2, slices[j], slices[j2], full_image_roi(slices[j].pose)))
+        for k in range(m - 1):
+            terms.append(_RegionTerm(k, k + 1, slices[k], rois[k], slices[k + 1], rois[k + 1]))
+        self.terms = terms
+        self.gamma = problem.gamma
+        self.origins = [s.pose.ipp for s in slices]
 
-def _eval_term(term, slices, gamma):
-    """(weighted cost, reason) of one term against the current slice list."""
-    if term[0] == "int":
-        _, i, j, roi = term
-        cost, reason = _intersecting_term(slices[i], slices[j], roi)
-        return cost, reason
-    _, i, j, roi_i, roi_j = term
-    cost, reason = _contiguous_term(slices[i], roi_i, slices[j], roi_j)
-    return gamma * cost, reason
+    def positions(self, ipp_all=None) -> list:
+        """Per-slice origins: the recorded ones, or ``ipp_all`` reached by translation."""
+        if ipp_all is None:
+            return list(self.origins)
+        ipp_all = np.asarray(ipp_all, dtype=float)
+        if ipp_all.shape != (len(self.origins), 3):
+            raise ValueError("ipp_all must provide one 3-vector per slice")
+        return [o + (ipp_all[i] - o) for i, o in enumerate(self.origins)]
+
+    def evaluate(self, trials, term_ids) -> list:
+        """Weighted (cost, degeneracy reason) of each term at each trial.
+
+        A trial is a sequence of per-slice origins; ``out[m][k]`` is term
+        ``term_ids[m]`` at ``trials[k]``. Contiguous costs carry gamma.
+        """
+        out = []
+        for ti in term_ids:
+            term = self.terms[ti]
+            costs = term.costs(trials)
+            if term.kind == "cnt":
+                costs = [(self.gamma * cost, reason) for cost, reason in costs]
+            out.append(costs)
+        return out
+
+    def check(self, slices, records) -> None:
+        """Raise RuntimeError unless ``records``, a breakdown at the origins of
+        ``slices``, equal each term's definition from the geometry primitives.
+        """
+        for t, r in zip(self.terms, records):
+            if t.kind == "int":
+                cost, reason = _intersecting_term(slices[t.i], slices[t.j], t.roi)
+            else:
+                cost, reason = _contiguous_term(slices[t.i], t.rois[0], slices[t.j], t.rois[1])
+                cost = self.gamma * cost
+            if reason != r["degenerate"] or not np.array_equal(cost, r["cost"], equal_nan=True):
+                raise RuntimeError(
+                    f"compiled {t.kind} term {t.i}-{t.j} gives ({r['cost']!r}, "
+                    f"{r['degenerate']!r}); its definition gives ({cost!r}, {reason!r})"
+                )
+
+    def breakdown(self, ipps) -> list:
+        """Per-term records at one set of origins: kind, slice indices, cost, degeneracy."""
+        ids = range(len(self.terms))
+        return [
+            {"kind": t.kind, "slices": [int(t.i), int(t.j)], "cost": cost, "degenerate": reason}
+            for t, [(cost, reason)] in zip(self.terms, self.evaluate([ipps], ids))
+        ]
 
 
 def total_cost(problem: AlignmentProblem, ipp_all=None) -> float:
@@ -198,31 +440,14 @@ def total_cost(problem: AlignmentProblem, ipp_all=None) -> float:
     Sums every SA-LA and LA-LA intersecting cost plus gamma times every
     adjacent-SA contiguous cost; each pair counted once.
     """
-    slices = problem.slices
-    if ipp_all is not None:
-        ipp_all = np.asarray(ipp_all, dtype=float)
-        if ipp_all.shape != (len(slices), 3):
-            raise ValueError("ipp_all must provide one 3-vector per slice")
-        slices = [
-            s.translated(ipp_all[i] - s.pose.ipp) for i, s in enumerate(slices)
-        ]
-    terms = _build_terms(problem)
-    return float(sum(_eval_term(t, slices, problem.gamma)[0] for t in terms))
+    compiled = CompiledProblem(problem)
+    return float(sum(r["cost"] for r in compiled.breakdown(compiled.positions(ipp_all))))
 
 
 def cost_breakdown(problem: AlignmentProblem, ipp_all=None) -> list:
     """Per-term records: dicts with kind, slice indices, cost, degeneracy."""
-    slices = problem.slices
-    if ipp_all is not None:
-        ipp_all = np.asarray(ipp_all, dtype=float)
-        slices = [s.translated(ipp_all[i] - s.pose.ipp) for i, s in enumerate(slices)]
-    records = []
-    for t in _build_terms(problem):
-        cost, reason = _eval_term(t, slices, problem.gamma)
-        records.append(
-            {"kind": t[0], "slices": [int(t[1]), int(t[2])], "cost": cost, "degenerate": reason}
-        )
-    return records
+    compiled = CompiledProblem(problem)
+    return compiled.breakdown(compiled.positions(ipp_all))
 
 
 def optimize(
@@ -241,32 +466,30 @@ def optimize(
     n_slices = len(slices)
     if n_slices < 2:
         raise DegenerateInputError("alignment needs at least 2 slices")
-    terms = _build_terms(problem)
+    compiled = CompiledProblem(problem)
+    terms = compiled.terms
     if not terms:
         raise DegenerateInputError("no cost terms to minimize")
 
     anchor = middle_slice_index(len(problem.sa_slices))
-    orig_ipps = [s.pose.ipp.copy() for s in slices]
+    origins = compiled.origins
     deltas = [np.zeros(3) for _ in range(n_slices)]
-    current = list(slices)
+    current = list(origins)     # per-slice origins at the accepted translations
 
-    term_costs = np.zeros(len(terms))
-    term_reasons: list = [None] * len(terms)
-    for ti, t in enumerate(terms):
-        term_costs[ti], term_reasons[ti] = _eval_term(t, current, problem.gamma)
+    initial_breakdown = compiled.breakdown(current)
+    # The search trusts the compiled terms for thousands of evaluations, so
+    # they must first reproduce the primitives' costs at the start, bit for bit.
+    compiled.check(slices, initial_breakdown)
+    term_costs = np.array([r["cost"] for r in initial_breakdown])
+    term_reasons = [r["degenerate"] for r in initial_breakdown]
     if all(r is not None for r in term_reasons):
         raise DegenerateInputError("every cost term is degenerate; nothing to align")
     initial_cost = float(term_costs.sum())
-    initial_breakdown = [
-        {"kind": t[0], "slices": [int(t[1]), int(t[2])], "cost": float(term_costs[ti]),
-         "degenerate": term_reasons[ti]}
-        for ti, t in enumerate(terms)
-    ]
 
     touched = [[] for _ in range(n_slices)]
     for ti, t in enumerate(terms):
-        touched[t[1]].append(ti)
-        touched[t[2]].append(ti)
+        touched[t.i].append(ti)
+        touched[t.j].append(ti)
 
     # A term that was live at the start must not be pushed into degeneracy
     # (losing overlap would zero its cost and reward runaway moves).
@@ -275,44 +498,63 @@ def optimize(
     bounds = [(-bound_mm, bound_mm)] * 3
 
     accepted_moves: list = []
+    evaluations = {"prescan": 0, "simplex": 0, "regauge": 0}
+
+    def objective(trials, term_ids, phase: str) -> list:
+        """Summed cost of ``term_ids`` at each trial; INFEASIBLE once a live term degenerates."""
+        evaluations[phase] += len(trials)
+        values = [0.0] * len(trials)
+        pending = list(range(len(trials)))
+        for ti in term_ids:
+            if not pending:
+                break
+            [costs] = compiled.evaluate([trials[k] for k in pending], [ti])
+            still = []
+            for k, (cost, reason) in zip(pending, costs):
+                if reason is not None and live[ti]:
+                    values[k] = INFEASIBLE
+                else:
+                    values[k] += cost
+                    still.append(k)
+            pending = still
+        return values
+
+    def refresh(term_ids):
+        """Re-evaluate ``term_ids`` at the accepted translations."""
+        for ti, [(cost, reason)] in zip(term_ids, compiled.evaluate([current], term_ids)):
+            term_costs[ti], term_reasons[ti] = cost, reason
 
     def search(i: int, term_ids, h: float, prescan: bool, require_prescan_move: bool = False):
         """One bounded simplex search of slice i over the given terms."""
 
+        def trial(d) -> list:
+            ipps = list(current)
+            ipps[i] = origins[i] + np.asarray(d, dtype=float).reshape(3)
+            return ipps
+
         def obj(d):
-            trial = current[i]
-            current[i] = slices[i].translated(d)
-            try:
-                acc = 0.0
-                for ti in term_ids:
-                    cost, reason = _eval_term(terms[ti], current, problem.gamma)
-                    if reason is not None and live[ti]:
-                        return INFEASIBLE
-                    acc += cost
-                return acc
-            finally:
-                current[i] = trial
+            return objective([trial(d)], term_ids, "simplex")[0]
 
         x0 = np.clip(deltas[i], -bound_mm + 1e-9, bound_mm - 1e-9)
         if prescan:
             # Coarse scan in the slice frame seeds the simplex search past
-            # local minima of the interpolated profiles.
+            # local minima of the interpolated profiles. All candidates are
+            # scored in one batch; the first strictly better one wins.
             pose = slices[i].pose
             frame = (pose.iop_row, pose.iop_col, pose.normal)
-            f0 = obj(x0)
-            best_f, best_x = f0, x0
-            for amt_n in (-10.0, -5.0, 0.0, 5.0, 10.0):
-                for amt_r in (-4.0, -2.0, 0.0, 2.0, 4.0):
-                    for amt_c in (-4.0, -2.0, 0.0, 2.0, 4.0):
-                        if amt_r == amt_c == amt_n == 0.0:
-                            continue
-                        cand = np.clip(
-                            x0 + amt_r * frame[0] + amt_c * frame[1] + amt_n * frame[2],
-                            -bound_mm, bound_mm,
-                        )
-                        f = obj(cand)
-                        if f < best_f:
-                            best_f, best_x = f, cand
+            cands = [x0] + [
+                np.clip(x0 + amt_r * frame[0] + amt_c * frame[1] + amt_n * frame[2],
+                        -bound_mm, bound_mm)
+                for amt_n in (-10.0, -5.0, 0.0, 5.0, 10.0)
+                for amt_r in (-4.0, -2.0, 0.0, 2.0, 4.0)
+                for amt_c in (-4.0, -2.0, 0.0, 2.0, 4.0)
+                if not amt_r == amt_c == amt_n == 0.0
+            ]
+            values = objective([trial(c) for c in cands], term_ids, "prescan")
+            best_f, best_x = values[0], x0
+            for f, cand in zip(values[1:], cands[1:]):
+                if f < best_f:
+                    best_f, best_x = f, cand
             if require_prescan_move and best_x is x0:
                 # Current position already wins the coarse grid: leave the
                 # fine placement to the full-objective sweeps, where the
@@ -338,15 +580,12 @@ def optimize(
                 "relative_gain": float((here - res.fun) / max(here, 1e-300)),
             })
             deltas[i] = np.asarray(res.x, dtype=float)
-            current[i] = slices[i].translated(deltas[i])
-            for ti in touched[i]:
-                term_costs[ti], term_reasons[ti] = _eval_term(
-                    terms[ti], current, problem.gamma
-                )
+            current[i] = origins[i] + deltas[i]
+            refresh(touched[i])
 
     def other_end(ti: int, i: int) -> int:
         t = terms[ti]
-        return t[2] if t[1] == i else t[1]
+        return t.j if t.i == i else t.i
 
     def regauge():
         """Shift all non-anchor slices by a common vector to satisfy the anchor.
@@ -359,26 +598,19 @@ def optimize(
         if not anchor_terms:
             return
 
+        def trial(v) -> list:
+            return [current[i] if i == anchor else origins[i] + (deltas[i] + v)
+                    for i in range(n_slices)]
+
         def gauge_obj(v):
-            saved = list(current)
-            for i in range(n_slices):
-                if i != anchor:
-                    current[i] = slices[i].translated(deltas[i] + v)
-            try:
-                acc = 0.0
-                for ti in anchor_terms:
-                    cost, reason = _eval_term(terms[ti], current, problem.gamma)
-                    if reason is not None and live[ti]:
-                        return INFEASIBLE
-                    acc += cost
-                return acc
-            finally:
-                current[:] = saved
+            return objective([trial(v)], anchor_terms, "regauge")[0]
 
         normal = slices[anchor].pose.normal
-        best_f, best_v = gauge_obj(np.zeros(3)), np.zeros(3)
-        for amt in (-6.0, -3.0, 3.0, 6.0):
-            f = gauge_obj(amt * normal)
+        amts = (-6.0, -3.0, 3.0, 6.0)
+        values = objective([trial(np.zeros(3))] + [trial(amt * normal) for amt in amts],
+                           anchor_terms, "regauge")
+        best_f, best_v = values[0], np.zeros(3)
+        for f, amt in zip(values[1:], amts):
             if f < best_f:
                 best_f, best_v = f, amt * normal
         simplex = np.vstack([best_v, best_v + 1.5 * np.eye(3)])
@@ -403,11 +635,8 @@ def optimize(
             for i in range(n_slices):
                 if i != anchor:
                     deltas[i] = deltas[i] + v
-                    current[i] = slices[i].translated(deltas[i])
-            for ti in range(len(terms)):
-                term_costs[ti], term_reasons[ti] = _eval_term(
-                    terms[ti], current, problem.gamma
-                )
+                    current[i] = origins[i] + deltas[i]
+            refresh(range(len(terms)))
 
     # Initialization pass: grow the anchored frame outward so the consensus
     # forms around the frozen slice instead of around the displaced views.
@@ -441,21 +670,24 @@ def optimize(
         prev_total = new_total
 
     final_cost = float(term_costs.sum())
-    corrected = np.array([orig_ipps[i] + deltas[i] for i in range(n_slices)])
+    corrected = np.array([origins[i] + deltas[i] for i in range(n_slices)])
+    logger.info("realign: %d prescan, %d simplex and %d regauge cost evaluations",
+                evaluations["prescan"], evaluations["simplex"], evaluations["regauge"])
     diagnostics = {
         "anchor_slice": int(anchor),
         "translations_mm": np.array(deltas),
         "terms_before": initial_breakdown,
         "terms_after": [
-            {"kind": t[0], "slices": [int(t[1]), int(t[2])], "cost": float(term_costs[ti]),
+            {"kind": t.kind, "slices": [int(t.i), int(t.j)], "cost": float(term_costs[ti]),
              "degenerate": term_reasons[ti]}
             for ti, t in enumerate(terms)
         ],
         "degenerate_pairs": [
-            [int(t[1]), int(t[2])]
+            [int(t.i), int(t.j)]
             for ti, t in enumerate(terms) if term_reasons[ti] is not None
         ],
         "accepted_moves": accepted_moves,
+        "cost_evaluations": evaluations,
     }
     return AlignmentResult(
         corrected_ipps=corrected,

@@ -7,6 +7,7 @@ from lgequant.geometry import (
     Roi,
     SliceImage,
     SlicePose,
+    bilinear_sample,
     clip_line_to_roi,
     contiguous_regions,
     full_image_roi,
@@ -246,3 +247,63 @@ class TestPoseValidation:
                 ipp=np.zeros(3), iop_row=np.array([1.0, 0, 0]), iop_col=v,
                 ps_row=1.0, ps_col=1.0, rows=4, cols=4,
             )
+
+
+class TestPoseNormal:
+    def test_normal_is_cross_product_and_survives_translation(self):
+        pose = random_pose(np.random.default_rng(4))
+        assert np.array_equal(pose.normal, np.cross(pose.iop_row, pose.iop_col))
+        moved = pose.translated([1.0, -2.0, 3.0])
+        assert np.array_equal(moved.normal, pose.normal)
+        assert np.array_equal(moved.ipp, pose.ipp + np.array([1.0, -2.0, 3.0]))
+
+    def test_normal_is_read_only(self):
+        with pytest.raises(ValueError):
+            identity_pose().normal[0] = 1.0
+
+
+def _reference_bilinear(pixels, r, c):
+    """Bilinear interpolation written with floor, clip and 2-D fancy indexing."""
+    rows, cols = pixels.shape
+    eps = 1e-9
+    valid = (r >= -eps) & (r <= rows - 1 + eps) & (c >= -eps) & (c <= cols - 1 + eps)
+    rc = np.clip(r, 0.0, rows - 1.0)
+    cc = np.clip(c, 0.0, cols - 1.0)
+    r1 = np.minimum(np.floor(rc).astype(int), rows - 2) if rows > 1 else np.zeros_like(rc, dtype=int)
+    c1 = np.minimum(np.floor(cc).astype(int), cols - 2) if cols > 1 else np.zeros_like(cc, dtype=int)
+    r2 = np.minimum(r1 + 1, rows - 1)
+    c2 = np.minimum(c1 + 1, cols - 1)
+    fr = rc - r1
+    fc = cc - c1
+    vals = (
+        pixels[r1, c1] * (1 - fr) * (1 - fc)
+        + pixels[r2, c1] * fr * (1 - fc)
+        + pixels[r1, c2] * (1 - fr) * fc
+        + pixels[r2, c2] * fr * fc
+    )
+    return np.where(valid, vals, 0.0), valid
+
+
+class TestBilinearSample:
+    def test_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for trial in range(300):
+            rows, cols = (int(v) for v in rng.integers(1, 40, size=2))
+            pixels = rng.normal(size=(rows, cols)) * 100.0
+            shape = (int(rng.integers(1, 200)),) if trial % 2 else (7, 9)
+            r = rng.uniform(-2.0, rows + 1.0, size=shape)
+            c = rng.uniform(-2.0, cols + 1.0, size=shape)
+            if trial % 3 == 0:       # pixel centres, the last row and half pixels
+                r = np.round(r)
+                c = np.round(2.0 * c) / 2.0
+                r.flat[0] = rows - 1
+            vals, valid = bilinear_sample(pixels, r, c)
+            ref_vals, ref_valid = _reference_bilinear(pixels, r, c)
+            assert np.array_equal(valid, ref_valid)
+            assert np.array_equal(vals, ref_vals)
+
+    def test_invalid_samples_read_zero(self):
+        pixels = np.arange(12.0).reshape(3, 4)
+        vals, valid = bilinear_sample(pixels, np.array([1.0, -1.0]), np.array([1.5, 0.0]))
+        assert valid.tolist() == [True, False]
+        assert vals.tolist() == [5.5, 0.0]

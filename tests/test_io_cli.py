@@ -6,7 +6,7 @@ import pytest
 
 from lgequant import io as lio
 from lgequant.cli import main
-from lgequant.errors import ContourError, OrientationError, PixelFileError
+from lgequant.errors import ContourError, DatasetFormatError, OrientationError, PixelFileError
 from lgequant.phantom import PhantomConfig, default_wedge_config, generate
 from lgequant.pipeline import PipelineConfig, run_pipeline
 
@@ -118,6 +118,29 @@ class TestTypedLoaderErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["ipp", "iop_row", "ps", "rows", "pixel_file", "role", "index"])
+    def test_realign_with_a_slice_key_missing(self, phantom_dir, tmp_path, capsys, key):
+        manifest = json.loads((phantom_dir / "dataset.json").read_text())
+        del manifest["slices"][0][key]
+        for entry in manifest["slices"]:
+            if "pixel_file" in entry:
+                entry["pixel_file"] = str(phantom_dir / entry["pixel_file"])
+        (tmp_path / "dataset.json").write_text(json.dumps(manifest))
+        code = main(["realign", "--data", str(tmp_path / "dataset.json"),
+                     "--out", str(tmp_path / "re")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and repr(key) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("ipp", [0.0, 1.0]), ("ps", "1.25"),
+                                            ("rows", "many"), ("roi", [1, 2])])
+    def test_load_dataset_with_a_malformed_slice_value(self, phantom_dir, tmp_path, key, value):
+        manifest = json.loads((phantom_dir / "dataset.json").read_text())
+        manifest["slices"][0][key] = value
+        (tmp_path / "dataset.json").write_text(json.dumps(manifest))
+        with pytest.raises(DatasetFormatError, match="malformed slice entry"):
+            lio.load_dataset(tmp_path / "dataset.json")
 
 
 class TestCliStages:

@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
 from lgequant import io as lio
+from lgequant.errors import ParameterError
 from lgequant.phantom import PhantomConfig, InfarctWedge, MvoPocket, default_wedge_config, generate
-from lgequant.pipeline import PipelineConfig, run_pipeline
+from lgequant.pipeline import PipelineConfig, PipelineStageError, run_pipeline
 
 
 class TestNoiselessExactness:
@@ -43,3 +45,13 @@ class TestReportContents:
         assert mvo["voxels_after"] > mvo["voxels_before"]
         assert len(mvo["added_components"]) >= 1
         assert mvo["added_components"][0]["volume_mm3"] > 0
+
+
+class TestRealignStageErrors:
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -1.0])
+    def test_bad_gamma_is_a_realign_stage_error(self, gamma):
+        ds, truth = generate(PhantomConfig(seed=1, noise_sigma=0.05))
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(ds, truth.contours, PipelineConfig(gamma=gamma))
+        assert info.value.stage == "realign"
+        assert isinstance(info.value.cause, ParameterError)

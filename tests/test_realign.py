@@ -1,10 +1,24 @@
+import logging
+
 import numpy as np
 import pytest
 
-from lgequant.errors import DegenerateInputError
-from lgequant.geometry import Roi, SliceImage, SlicePose, full_image_roi, pixel_to_patient
+from lgequant.errors import DegenerateInputError, GeometryError, LgeQuantError, ParameterError
+from lgequant.geometry import (
+    Roi,
+    SliceImage,
+    SlicePose,
+    clip_line_to_roi,
+    contiguous_regions,
+    full_image_roi,
+    pixel_to_patient,
+    plane_intersection,
+    sample_line_values,
+    sample_positions,
+)
 from lgequant.realign import (
     AlignmentProblem,
+    CompiledProblem,
     cost_breakdown,
     contiguous_cost,
     intersecting_cost,
@@ -74,6 +88,16 @@ class TestZscore:
     def test_constant_rejected(self):
         with pytest.raises(DegenerateInputError):
             zscore_normalize(np.array([5.0, 5.0, 5.0]))
+
+    def test_equals_mean_and_std_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 7, 8, 9, 60, 127, 128, 129, 300, 3000):
+            v = rng.normal(rng.uniform(-50.0, 50.0), rng.uniform(0.01, 20.0), size=n)
+            assert np.array_equal(zscore_normalize(v), (v - v.mean()) / v.std())
+            w = rng.normal(size=n)
+            assert mean_squared_difference(v, w) == float(np.mean((v - w) ** 2))
+        grid = rng.normal(3.0, 2.0, size=(7, 5))
+        assert np.array_equal(zscore_normalize(grid), (grid - grid.mean()) / grid.std())
 
 
 class TestMeanSquaredDifference:
@@ -247,3 +271,213 @@ class TestOptimize:
         problem = AlignmentProblem(sa_slices=sa, la_slices=la, sa_rois=[Roi(6, 25, 6, 25)] * 3)
         with pytest.raises(DegenerateInputError):
             optimize(problem)
+
+
+class TestGammaValidation:
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -0.5, "0.01"])
+    def test_rejected(self, gamma):
+        with pytest.raises(ParameterError) as info:
+            build_problem(gamma=gamma)
+        assert isinstance(info.value, ValueError)
+        assert isinstance(info.value, LgeQuantError)
+
+    def test_zero_accepted(self):
+        assert build_problem(gamma=0).gamma == 0
+
+
+# --- exact oracle: the costs as the public geometry primitives give them ---
+
+def _reference_compare(vals_a, vals_b, ok, too_few, constant):
+    """z-score and mean squared difference written out with mean()/std()."""
+    if int(ok.sum()) < 2:
+        return 0.0, too_few
+    zs = []
+    for v in (vals_a[ok], vals_b[ok]):
+        mean, std = v.mean(), v.std()
+        if std < 1e-9 * max(1.0, abs(mean)):
+            return 0.0, constant
+        zs.append((v - mean) / std)
+    return float(np.mean((zs[0] - zs[1]) ** 2)), None
+
+
+def _reference_intersecting(a, b, roi):
+    line = plane_intersection(a.pose, b.pose)
+    if line is None:
+        return 0.0, "parallel-planes"
+    int_a = clip_line_to_roi(a, roi, line)
+    int_b = clip_line_to_roi(b, full_image_roi(b.pose), line)
+    if int_a is None or int_b is None:
+        return 0.0, "no-overlap"
+    t_lo, t_hi = max(int_a[0], int_b[0]), min(int_a[1], int_b[1])
+    if t_hi <= t_lo:
+        return 0.0, "no-overlap"
+    step = min(a.pose.ps_row, a.pose.ps_col, b.pose.ps_row, b.pose.ps_col)
+    ts = sample_positions((t_lo, t_hi), step)
+    if ts.size < 2:
+        return 0.0, "too-few-samples"
+    vals_a, ok_a = sample_line_values(a, line, ts)
+    vals_b, ok_b = sample_line_values(b, line, ts)
+    return _reference_compare(vals_a, vals_b, ok_a & ok_b, "too-few-samples", "constant-segment")
+
+
+def _reference_contiguous(a, roi_a, b, roi_b):
+    ra, rb = contiguous_regions(a, roi_a, b, roi_b)
+    ok = np.isfinite(ra.values) & np.isfinite(rb.values)
+    return _reference_compare(ra.values, rb.values, ok, "no-overlap", "constant-region")
+
+
+def _reference_terms(problem, slices):
+    """(cost, reason) of every term in CompiledProblem order, from the primitives."""
+    m, n = len(problem.sa_slices), len(problem.la_slices)
+    rois = problem.sa_rois
+    out = [_reference_intersecting(slices[k], slices[m + j], rois[k])
+           for k in range(m) for j in range(n)]
+    out += [_reference_intersecting(slices[j], slices[j2], full_image_roi(slices[j].pose))
+            for j in range(m, m + n - 1) for j2 in range(j + 1, m + n)]
+    for k in range(m - 1):
+        cost, reason = _reference_contiguous(slices[k], rois[k], slices[k + 1], rois[k + 1])
+        out.append((problem.gamma * cost, reason))
+    return out
+
+
+def _rotated(v, axis, angle):
+    """``v`` rotated by ``angle`` radians about the unit ``axis`` (Rodrigues)."""
+    return (v * np.cos(angle) + np.cross(axis, v) * np.sin(angle)
+            + axis * (axis @ v) * (1.0 - np.cos(angle)))
+
+
+def oblique_problem():
+    """Tilted SA stack (neighbours up to 0.6 deg apart) and two oblique LA views.
+
+    No direction cosine is 0 or 1, so every product and sum of the pose
+    algebra rounds; the phantom's axis-aligned poses would hide a reordering.
+    """
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    row, col = q[:, 0], q[:, 1]
+    normal = np.cross(row, col)
+    centre = np.array([1.7, -2.3, 24.1])
+    sa = []
+    for k in range(4):
+        axis = rng.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        r_k, c_k = (_rotated(v, axis, np.radians(0.3) * (k % 2)) for v in (row, col))
+        ipp = centre - 22.0 * r_k - 24.0 * c_k + (10.0 * k - 15.0) * normal
+        sa.append(sample_slice(SlicePose(ipp, r_k, c_k, 1.5, 1.4, 32, 34), curved_field))
+    la = []
+    for angle in (0.4, 2.1):
+        in_plane = np.cos(angle) * row + np.sin(angle) * col
+        ipp = centre - 31.0 * normal - 23.0 * in_plane
+        la.append(sample_slice(SlicePose(ipp, normal, in_plane, 1.3, 1.2, 50, 36), curved_field))
+    return AlignmentProblem(sa, la, [Roi(5, 26, 6, 27), Roi(4, 25, 7, 28), None, Roi(6, 27, 5, 26)])
+
+
+def wedge_problem():
+    from lgequant.phantom import default_wedge_config, generate
+
+    ds, _ = generate(default_wedge_config(seed=5, noise_sigma=0.08))
+    return AlignmentProblem(ds.sa_slices, ds.la_slices, ds.sa_rois)
+
+
+@pytest.fixture(scope="module", params=["wedge", "oblique"])
+def problem(request):
+    return wedge_problem() if request.param == "wedge" else oblique_problem()
+
+
+class TestCompiledEvaluatorOracle:
+    def test_costs_equal_primitives_bit_for_bit(self, problem):
+        compiled = CompiledProblem(problem)
+        ids = range(len(compiled.terms))
+        rng = np.random.default_rng(7)
+        reasons = set()
+        for trial in range(20):
+            span = 6.0 if trial < 15 else 25.0     # the last few lose overlap
+            deltas = rng.uniform(-span, span, size=(len(problem.slices), 3))
+            moved = [s.translated(d) for s, d in zip(problem.slices, deltas)]
+            positions = [s.pose.ipp + d for s, d in zip(problem.slices, deltas)]
+            got = [costs[0] for costs in compiled.evaluate([positions], ids)]
+            assert got == _reference_terms(problem, moved)
+            reasons.update(reason for _, reason in got)
+        assert None in reasons and "no-overlap" in reasons
+
+    def test_public_costs_match_compiled_terms(self, problem):
+        records = cost_breakdown(problem)
+        reference = _reference_terms(problem, problem.slices)
+        assert [(r["cost"], r["degenerate"]) for r in records] == reference
+        assert total_cost(problem) == float(sum(c for c, _ in reference))
+
+    def test_batched_prescan_equals_one_at_a_time(self, problem):
+        compiled = CompiledProblem(problem)
+        base = compiled.positions()
+        rng = np.random.default_rng(11)
+        for i in (0, len(problem.sa_slices)):    # an SA and an LA slice
+            ids = [ti for ti, t in enumerate(compiled.terms) if i in (t.i, t.j)]
+            trials = []
+            for d in rng.uniform(-10.0, 10.0, size=(124, 3)):
+                trial = list(base)
+                trial[i] = base[i] + d
+                trials.append(trial)
+            batched = compiled.evaluate(trials, ids)
+            for k, trial in enumerate(trials):
+                single = compiled.evaluate([trial], ids)
+                assert [costs[k] for costs in batched] == [costs[0] for costs in single]
+
+
+class TestCompileChecks:
+    def test_roi_past_the_image(self):
+        problem = build_problem()
+        problem.sa_rois[0] = Roi(6, 32, 6, 25)      # SA images have 32 rows
+        with pytest.raises(GeometryError, match="ROI exceeds image bounds"):
+            total_cost(problem)
+
+    def test_tilted_sa_neighbour(self):
+        problem = build_problem()
+        pose = problem.sa_slices[1].pose
+        axis = np.array([1.0, 0.0, 0.0])
+        tilted = SlicePose(pose.ipp, _rotated(pose.iop_row, axis, np.radians(3.0)),
+                           _rotated(pose.iop_col, axis, np.radians(3.0)),
+                           pose.ps_row, pose.ps_col, pose.rows, pose.cols)
+        problem.sa_slices[1] = SliceImage(tilted, problem.sa_slices[1].pixels)
+        with pytest.raises(GeometryError, match="from parallel"):
+            optimize(problem)
+
+
+class TestStartCheck:
+    def test_optimize_calls_each_primitive_once_per_term(self, monkeypatch):
+        import lgequant.realign as realign
+
+        calls = {}
+        for name in ("plane_intersection", "sample_line_values", "contiguous_regions"):
+            def counted(*args, _fn=getattr(realign, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(realign, name, counted)
+        problem = build_problem()
+        compiled = CompiledProblem(problem)
+        live_int = [r for r in compiled.breakdown(compiled.positions())
+                    if r["kind"] == "int" and r["degenerate"] is None]
+        n_cnt = sum(t.kind == "cnt" for t in compiled.terms)
+        optimize(problem, max_sweeps=1)
+        assert calls == {"plane_intersection": len(compiled.terms) - n_cnt,
+                         "sample_line_values": 2 * len(live_int),
+                         "contiguous_regions": n_cnt}
+
+    def test_compiled_cost_off_its_definition_raises(self, monkeypatch):
+        import lgequant.realign as realign
+
+        monkeypatch.setattr(realign, "_contiguous_term", lambda *args: (1.0, None))
+        with pytest.raises(RuntimeError, match="its definition gives"):
+            optimize(build_problem(), max_sweeps=1)
+
+
+class TestCostEvaluations:
+    def test_counts_repeat_and_are_logged(self, caplog):
+        problem = build_problem()
+        with caplog.at_level(logging.INFO, logger="lgequant.realign"):
+            first = optimize(problem, max_sweeps=1)
+        second = optimize(problem, max_sweeps=1)
+        counts = first.diagnostics["cost_evaluations"]
+        assert set(counts) == {"prescan", "simplex", "regauge"}
+        assert counts["prescan"] > 0 and counts["simplex"] > 0
+        assert counts == second.diagnostics["cost_evaluations"]
+        assert any("cost evaluations" in r.getMessage() for r in caplog.records)
