@@ -5,22 +5,7 @@ infarct classification, rule-based post-processing, and AHA 16-segment
 reporting, validated against synthetic phantoms with known ground truth.
 """
 
-from .aha import AhaConfig, QuantReport, SegmentModel, assign_levels, assign_segments, quantify
-from .dataset import ContourSet, LgeDataset
-from .geometry import (
-    Line3,
-    Roi,
-    SampledRegion,
-    SampledSegment,
-    SliceImage,
-    SlicePose,
-    clip_line_to_roi,
-    contiguous_regions,
-    patient_to_pixel,
-    pixel_to_patient,
-    plane_intersection,
-    sample_segment,
-)
+from .aha import AhaConfig, assign_levels, assign_segments, quantify
 from .graphcut import (
     GraphCutConfig,
     Labeling,
@@ -31,31 +16,12 @@ from .graphcut import (
     energy,
     interaction_potential,
 )
-from .metrics import BlandAltmanStats, bland_altman, dice
-from .normalize import NormalizationResult, bp_pixels, iterate_normalization, lv_voxels
-from .phantom import InfarctWedge, MvoPocket, PhantomConfig, PhantomTruth, default_wedge_config, generate
-from .pipeline import PipelineConfig, PipelineStageError, myocardium_volume, run_pipeline
-from .postprocess import (
-    PostprocessConfig,
-    include_mvo,
-    recover_partial_volume,
-    remove_boundary_false_positives,
-    remove_small_components,
-    run_postprocessing,
-)
+from .normalize import lv_voxels
+from .phantom import PhantomConfig, default_wedge_config, generate
+from .pipeline import PipelineConfig, myocardium_volume, run_pipeline
 from .raster import contour_masks
-from .realign import (
-    AlignmentProblem,
-    AlignmentResult,
-    contiguous_cost,
-    intersecting_cost,
-    mean_squared_difference,
-    optimize,
-    total_cost,
-    zscore_normalize,
-)
+from .realign import AlignmentProblem, optimize, total_cost
 from .rician import (
-    RelativeProbability,
     RicianMixtureParams,
     build_relative_probability,
     find_threshold,
@@ -67,22 +33,17 @@ from .rician import (
 
 __version__ = "0.1.0"
 
+# The names the demos and the README import from the top-level package; every
+# other name is imported from its module (``lgequant.geometry``, ...).
 __all__ = [
-    "AhaConfig", "QuantReport", "SegmentModel", "assign_levels", "assign_segments",
-    "quantify", "ContourSet", "LgeDataset", "Line3", "Roi", "SampledRegion",
-    "SampledSegment", "SliceImage", "SlicePose", "clip_line_to_roi",
-    "contiguous_regions", "patient_to_pixel", "pixel_to_patient",
-    "plane_intersection", "sample_segment", "GraphCutConfig", "Labeling",
-    "MyocardiumVolume", "classify", "data_cost_infarct", "data_cost_normal",
-    "energy", "interaction_potential", "BlandAltmanStats", "bland_altman", "dice",
-    "NormalizationResult", "bp_pixels", "iterate_normalization", "lv_voxels",
-    "InfarctWedge", "MvoPocket", "PhantomConfig", "PhantomTruth",
-    "default_wedge_config", "generate", "PipelineConfig", "PipelineStageError",
-    "myocardium_volume", "run_pipeline", "PostprocessConfig", "include_mvo",
-    "recover_partial_volume", "remove_boundary_false_positives",
-    "remove_small_components", "run_postprocessing", "contour_masks", "AlignmentProblem",
-    "AlignmentResult", "contiguous_cost", "intersecting_cost",
-    "mean_squared_difference", "optimize", "total_cost", "zscore_normalize",
-    "RelativeProbability", "RicianMixtureParams", "build_relative_probability",
-    "find_threshold", "fit_mixture", "gaussian_term", "mixture", "rayleigh_shifted",
+    "AhaConfig", "assign_levels", "assign_segments", "quantify",
+    "GraphCutConfig", "Labeling", "MyocardiumVolume", "classify", "data_cost_infarct",
+    "data_cost_normal", "energy", "interaction_potential",
+    "lv_voxels",
+    "PhantomConfig", "default_wedge_config", "generate",
+    "PipelineConfig", "myocardium_volume", "run_pipeline",
+    "contour_masks",
+    "AlignmentProblem", "optimize", "total_cost",
+    "RicianMixtureParams", "build_relative_probability", "find_threshold", "fit_mixture",
+    "gaussian_term", "mixture", "rayleigh_shifted",
 ]

@@ -88,13 +88,10 @@ def quantify(labeling: Labeling, volume: MyocardiumVolume, segments: SegmentMode
     if labeling.mask.shape != volume.mask.shape:
         raise ValueError("labeling and volume shapes differ")
     infarct = labeling.infarct_mask()
-    seg = segments.segment_ids
-    myo_counts = np.zeros(16, dtype=np.int64)
-    inf_counts = np.zeros(16, dtype=np.int64)
-    for s in range(1, 17):
-        in_seg = seg == s
-        myo_counts[s - 1] = int(np.sum(in_seg & volume.mask))
-        inf_counts[s - 1] = int(np.sum(in_seg & infarct))
+    # Ids outside 1..16 clip into the dropped bins 0 and 17.
+    seg = np.clip(segments.segment_ids, 0, 17)
+    myo_counts = np.bincount(seg[volume.mask], minlength=18)[1:17]
+    inf_counts = np.bincount(seg[infarct], minlength=18)[1:17]
     total_myo = int(volume.mask.sum())
     total_inf = int(infarct.sum())
     with np.errstate(invalid="ignore", divide="ignore"):

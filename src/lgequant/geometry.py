@@ -111,14 +111,6 @@ class Line3:
 
 
 @dataclass(frozen=True)
-class SampledSegment:
-    """Intensities sampled along a line at a fixed physical step."""
-
-    values: np.ndarray
-    step_mm: float
-
-
-@dataclass(frozen=True)
 class SampledRegion:
     """Intensities sampled on a rectangular in-plane grid.
 
@@ -282,21 +274,6 @@ def sample_positions(interval, step_mm: float) -> np.ndarray:
         raise GeometryError("empty sampling interval")
     n = int(np.floor((t_hi - t_lo) / step_mm + 1e-9)) + 1
     return t_lo + step_mm * np.arange(n)
-
-
-def sample_segment(slice_img: SliceImage, line: Line3, interval, step_mm: float) -> SampledSegment:
-    """Sample the slice along an in-plane line with linear interpolation.
-
-    Out-of-image sample positions are dropped; at least 2 valid samples are
-    required.
-    """
-    _check_in_plane(slice_img.pose, line)
-    ts = sample_positions(interval, step_mm)
-    values, valid = sample_line_values(slice_img, line, ts)
-    values = values[valid]
-    if values.size < 2:
-        raise GeometryError("fewer than 2 valid samples along the line")
-    return SampledSegment(values=values, step_mm=float(step_mm))
 
 
 def _angle_between_deg(u: np.ndarray, v: np.ndarray) -> float:

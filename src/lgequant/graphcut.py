@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMaskError
+from .errors import EmptyMaskError, ParameterError
 from .maxflow import MaxFlowGraph
 from .rician import RicianMixtureParams
 
@@ -74,10 +74,10 @@ class GraphCutConfig:
     sigma: float | None = None   # None -> mu - (sigma_r - a) from the fit
 
     def __post_init__(self):
-        if self.lambda_ <= 0:
-            raise ValueError("lambda must be positive")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not self.lambda_ > 0:
+            raise ParameterError("lambda must be positive")
+        if self.sigma is not None and not self.sigma > 0:
+            raise ParameterError("sigma must be positive")
 
     def resolved_sigma(self, params: RicianMixtureParams) -> float:
         if self.sigma is not None:

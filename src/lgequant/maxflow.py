@@ -40,12 +40,6 @@ class MaxFlowGraph:
         self._to.append(u)
         self._cap.append(float(rev_cap))
 
-    def add_terminal(self, v: int, cap_from_source: float, cap_to_sink: float):
-        if cap_from_source > 0:
-            self.add_edge(self.source, v, cap_from_source)
-        if cap_to_sink > 0:
-            self.add_edge(v, self.sink, cap_to_sink)
-
     def solve(self) -> tuple:
         """Run max flow; returns (flow_value, source_side bool array of nodes)."""
         to, cap, adj = self._to, self._cap, self._adj

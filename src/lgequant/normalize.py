@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContourError, FitError, NormalizationError, ThresholdError
+from .errors import ContourError, FitError, NormalizationError, ParameterError, ThresholdError
 from .raster import ContourMasks, polygon_mask
 from .realign import middle_slice_index
 from .rician import (
@@ -89,10 +89,10 @@ def iterate_normalization(
     jointly min-max rescaled to [0, 1] and the last fitted parameters are
     returned in the rescaled units.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:
+        raise ParameterError("epsilon must be positive")
     if max_iter < 0:
-        raise ValueError("max_iter must be non-negative")
+        raise ParameterError("max_iter must be non-negative")
     work = _stack_array(stack, masks).copy()
     n_slices = work.shape[0]
     ref = middle_slice_index(n_slices)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .errors import ParameterError
 from .graphcut import Labeling, MyocardiumVolume
 from .raster import ContourMasks
 from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.py)
@@ -34,6 +35,23 @@ class PostprocessConfig:
 def _voxel_volume_mm3(volume: MyocardiumVolume) -> float:
     d_row, d_col, d_thr = volume.spacing_mm
     return float(d_row * d_col * d_thr)
+
+
+def _grown_boxes(comp: np.ndarray, labels) -> list:
+    """``(label, box)`` per label: its ``find_objects`` box grown by one voxel, clipped.
+
+    The box holds the component's 6-neighbourhood and the nearest voxel outside
+    it along every axis, so a dilation or in-plane distance transform of the
+    component computed in the box equals the full-volume one.
+    """
+    if len(labels) == 0:
+        return []
+    boxes = ndimage.find_objects(comp, max(labels))
+    return [
+        (ci, tuple(slice(max(sl.start - 1, 0), min(sl.stop + 1, n))
+                   for sl, n in zip(boxes[ci - 1], comp.shape)))
+        for ci in labels
+    ]
 
 
 def _inplane_depth(mask: np.ndarray) -> np.ndarray:
@@ -57,15 +75,13 @@ def remove_boundary_false_positives(
     depth = _inplane_depth(volume.mask)
     near_boundary = depth <= 2   # the edge layer itself plus one voxel inward
     comp, n_comp = ndimage.label(infarct, SIX_CONNECTED)
+    in_comp = comp[infarct]
+    frac = np.bincount(in_comp, weights=near_boundary[infarct])[1:] / np.bincount(in_comp)[1:]
     out = infarct.copy()
-    for ci in range(1, n_comp + 1):
-        cmask = comp == ci
-        frac = float(near_boundary[cmask].mean())
-        if frac < config.boundary_fraction:
-            continue
-        inner = _inplane_depth(cmask)
-        if int(inner.max()) <= config.max_rim_thickness_vox:
-            out[cmask] = False
+    for ci, box in _grown_boxes(comp, np.flatnonzero(~(frac < config.boundary_fraction)) + 1):
+        cmask = comp[box] == ci
+        if int(_inplane_depth(cmask).max()) <= config.max_rim_thickness_vox:
+            out[box][cmask] = False
     return Labeling(labels=out.astype(np.uint8), mask=labeling.mask)
 
 
@@ -73,19 +89,15 @@ def remove_small_components(
     labeling: Labeling, min_volume_mm3: float, volume: MyocardiumVolume
 ) -> Labeling:
     """Relabel infarct components smaller than the physical volume threshold."""
-    if min_volume_mm3 < 0:
-        raise ValueError("min_volume_mm3 must be non-negative")
+    if not min_volume_mm3 >= 0:
+        raise ParameterError("min_volume_mm3 must be non-negative")
     infarct = labeling.infarct_mask()
     if not infarct.any() or min_volume_mm3 == 0:
         return labeling
-    vox = _voxel_volume_mm3(volume)
-    comp, n_comp = ndimage.label(infarct, SIX_CONNECTED)
-    sizes = ndimage.sum_labels(np.ones_like(comp), comp, index=np.arange(1, n_comp + 1))
-    out = infarct.copy()
-    for ci, n_vox in enumerate(sizes, start=1):
-        if n_vox * vox < min_volume_mm3:
-            out[comp == ci] = False
-    return Labeling(labels=out.astype(np.uint8), mask=labeling.mask)
+    comp, _ = ndimage.label(infarct, SIX_CONNECTED)
+    small = np.bincount(comp[infarct]) * _voxel_volume_mm3(volume) < min_volume_mm3
+    small[0] = False
+    return Labeling(labels=(infarct & ~small[comp]).astype(np.uint8), mask=labeling.mask)
 
 
 def recover_partial_volume(
@@ -121,19 +133,19 @@ def include_mvo(
     normal = volume.mask & ~infarct
     comp, n_comp = ndimage.label(normal, SIX_CONNECTED)
     out = infarct.copy()
-    for ci in range(1, n_comp + 1):
-        cmask = comp == ci
+    for ci, box in _grown_boxes(comp, range(1, n_comp + 1)):
+        cmask = comp[box] == ci
         ring = ndimage.binary_dilation(cmask, SIX_CONNECTED) & ~cmask
-        touches_endo = bool(np.any(ring & cavity))
+        touches_endo = bool(np.any(ring & cavity[box]))
         if not touches_endo:
             continue
-        non_cavity_ring = ring & ~cavity
+        non_cavity_ring = ring & ~cavity[box]
         total = int(non_cavity_ring.sum())
         if total == 0:
             continue
-        n_inf = int((non_cavity_ring & infarct).sum())
+        n_inf = int((non_cavity_ring & infarct[box]).sum())
         if n_inf >= config.mvo_enclosure_fraction * total:
-            out[cmask] = True
+            out[box][cmask] = True
     return Labeling(labels=out.astype(np.uint8), mask=labeling.mask)
 
 
@@ -150,11 +162,12 @@ def run_postprocessing(
     vox_mm3 = _voxel_volume_mm3(volume)
 
     def component_sizes(mask: np.ndarray) -> list:
-        comp, n = ndimage.label(mask, SIX_CONNECTED)
-        sizes = ndimage.sum_labels(np.ones_like(comp), comp, np.arange(1, n + 1))
+        if not mask.any():
+            return []
+        comp, _ = ndimage.label(mask, SIX_CONNECTED)
         return [
             {"voxels": int(s), "volume_mm3": float(s) * vox_mm3}
-            for s in np.sort(np.asarray(sizes))[::-1]
+            for s in np.sort(np.bincount(comp[mask])[1:])[::-1]
         ]
 
     steps = (

@@ -9,14 +9,8 @@ import numpy as np
 from .errors import ContourError
 
 
-def polygon_mask(polygon, rows: int, cols: int) -> np.ndarray:
-    """Boolean mask of pixel centers strictly inside a closed polygon.
-
-    ``polygon`` is a (V, 2) array of (row, col) vertices; the closing edge
-    from the last vertex back to the first is implied. Uses the even-odd
-    (crossing number) rule with a ray along +col, which classifies
-    edge-touching centers deterministically.
-    """
+def _edges(polygon):
+    """Validated (r1, c1, r2, c2) edge arrays of a closed polygon, zero-length edges dropped."""
     poly = np.asarray(polygon, dtype=float)
     if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
         raise ContourError("polygon must be a (V, 2) array with V >= 3")
@@ -26,18 +20,44 @@ def polygon_mask(polygon, rows: int, cols: int) -> np.ndarray:
     c1 = poly[:, 1]
     r2 = np.roll(r1, -1)
     c2 = np.roll(c1, -1)
-    keep = (r1 != r2) | (c1 != c2)   # drop zero-length edges
-    r1, c1, r2, c2 = r1[keep], c1[keep], r2[keep], c2[keep]
-    if r1.size < 3:
+    keep = (r1 != r2) | (c1 != c2)
+    if np.count_nonzero(keep) < 3:
         raise ContourError("polygon is degenerate")
+    return r1[keep], c1[keep], r2[keep], c2[keep]
 
-    rr = np.arange(rows, dtype=float)[:, None, None]
-    cc = np.arange(cols, dtype=float)[None, :, None]
-    straddles = (r1[None, None, :] > rr) != (r2[None, None, :] > rr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c_cross = c1 + (rr - r1) * (c2 - c1) / (r2 - r1)
-    crossings = straddles & (cc < c_cross)
-    return (crossings.sum(axis=-1) % 2).astype(bool)
+
+def _inside_on_row(edges, r: float, cols) -> np.ndarray:
+    """Even-odd rule along row ``r``: which of the columns ``cols`` lie inside.
+
+    The columns where the edges cross the row are computed once and sorted.
+    An edge crosses when exactly one endpoint lies below ``r`` (row index
+    greater than ``r``), so a vertex on the row counts once and a horizontal
+    edge never. A column is inside when an odd number of crossings lie
+    strictly right of it (ray along +col).
+    """
+    r1, c1, r2, c2 = edges
+    s = (r1 > r) != (r2 > r)
+    crossings = np.sort(c1[s] + (r - r1[s]) * (c2[s] - c1[s]) / (r2[s] - r1[s]))
+    return (crossings.size - np.searchsorted(crossings, cols, side="right")) % 2 == 1
+
+
+def polygon_mask(polygon, rows: int, cols: int) -> np.ndarray:
+    """Boolean mask of pixel centers strictly inside a closed polygon.
+
+    ``polygon`` is a (V, 2) array of (row, col) vertices; the closing edge
+    from the last vertex back to the first is implied. Each row is filled by
+    the even-odd rule of :func:`_inside_on_row`, which classifies
+    edge-touching centers deterministically.
+    """
+    edges = _edges(polygon)
+    cc = np.arange(cols, dtype=float)
+    mask = np.zeros((rows, cols), dtype=bool)
+    # Only rows in [min vertex row, max vertex row) can have crossings.
+    first = max(int(np.ceil(edges[0].min())), 0)
+    stop = min(int(np.ceil(edges[0].max())), rows)
+    for r in range(first, stop):
+        mask[r] = _inside_on_row(edges, float(r), cc)
+    return mask
 
 
 class ContourMasks(NamedTuple):
@@ -77,17 +97,7 @@ def contour_masks(contours, shape) -> ContourMasks:
 
 def point_in_polygon(polygon, r: float, c: float) -> bool:
     """Even-odd test for a single point; same rule as :func:`polygon_mask`."""
-    poly = np.asarray(polygon, dtype=float)
-    inside = False
-    n = poly.shape[0]
-    for i in range(n):
-        r1, c1 = poly[i]
-        r2, c2 = poly[(i + 1) % n]
-        if (r1 > r) != (r2 > r):
-            c_cross = c1 + (r - r1) * (c2 - c1) / (r2 - r1)
-            if c < c_cross:
-                inside = not inside
-    return inside
+    return bool(_inside_on_row(_edges(polygon), float(r), float(c)))
 
 
 def circle_polygon(center_row: float, center_col: float, radius_px: float, n_vertices: int = 256) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lgequant.aha import AhaConfig, assign_levels, assign_segments, quantify
+from lgequant.aha import AhaConfig, SegmentModel, assign_levels, assign_segments, quantify
 from lgequant.errors import EmptyMaskError
 from lgequant.graphcut import Labeling, MyocardiumVolume
 from lgequant.raster import circle_polygon, polygon_mask
@@ -145,3 +145,22 @@ class TestQuantify:
         others = np.delete(report.segment_percent, 12)
         assert seg13 > 95.0
         assert np.all(others < 5.0)
+
+    def test_counts_match_per_segment_loop(self):
+        """Two bincounts equal the per-segment full-volume scans, stray ids included."""
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            shape = (3, 9, 10)
+            vol = MyocardiumVolume(np.zeros(shape), rng.random(shape) < 0.7, SPACING)
+            lab_mask = rng.random(shape) < 0.8
+            lab = Labeling((lab_mask & (rng.random(shape) < 0.4)).astype(np.uint8), lab_mask)
+            ids = rng.integers(-2, 19, size=shape).astype(np.int16)
+            report = quantify(lab, vol, SegmentModel(ids, assign_levels(3), 0.0))
+            infarct = lab.infarct_mask()
+            myo = np.array([np.sum((ids == s) & vol.mask) for s in range(1, 17)])
+            inf = np.array([np.sum((ids == s) & infarct) for s in range(1, 17)])
+            with np.errstate(invalid="ignore", divide="ignore"):
+                pct = np.where(myo > 0, 100.0 * inf / np.maximum(myo, 1), 0.0)
+            assert np.array_equal(report.segment_myocardium_voxels, myo)
+            assert np.array_equal(report.segment_infarct_voxels, inf)
+            assert np.array_equal(report.segment_percent, pct)

@@ -250,6 +250,22 @@ class TestCliStages:
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
 
+    def test_classify_with_zero_lambda_is_an_error(self, phantom_dir, tmp_path, capsys):
+        assert main([
+            "normalize", "--data", str(phantom_dir / "dataset.json"),
+            "--contours", str(phantom_dir / "contours.json"), "--out", str(tmp_path / "norm"),
+        ]) == 0
+        capsys.readouterr()
+        code = main([
+            "classify", "--normalized", str(tmp_path / "norm" / "normalized.json"),
+            "--params", str(tmp_path / "norm" / "normalize_report.json"),
+            "--contours", str(phantom_dir / "contours.json"), "--out", str(tmp_path / "cls"),
+            "--lambda", "0",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: lambda must be positive" in err and "Traceback" not in err
+
 
 class TestStageAgreement:
     def test_cli_stages_report_what_run_pipeline_reports(self, phantom_dir, tmp_path):

@@ -55,3 +55,28 @@ class TestRealignStageErrors:
             run_pipeline(ds, truth.contours, PipelineConfig(gamma=gamma))
         assert info.value.stage == "realign"
         assert isinstance(info.value.cause, ParameterError)
+
+
+@pytest.fixture(scope="module")
+def small_study():
+    return generate(PhantomConfig(seed=1, noise_sigma=0.05))
+
+
+class TestConfigStageErrors:
+    @pytest.mark.parametrize("field, value, stage", [
+        ("max_iter", -3, "normalize"),
+        ("epsilon", 0.0, "normalize"),
+        ("epsilon", float("nan"), "normalize"),
+        ("lambda_", 0.0, "classify"),
+        ("lambda_", float("nan"), "classify"),
+        ("graph_sigma", 0.0, "classify"),
+        ("min_volume_mm3", -1.0, "postprocess"),
+        ("min_volume_mm3", float("nan"), "postprocess"),
+    ])
+    def test_out_of_range_value_is_a_stage_error(self, small_study, field, value, stage):
+        ds, truth = small_study
+        config = PipelineConfig(skip_realign=True, **{field: value})
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(ds, truth.contours, config)
+        assert info.value.stage == stage
+        assert isinstance(info.value.cause, ParameterError)

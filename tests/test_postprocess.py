@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from lgequant.dataset import ContourSet
 from lgequant.graphcut import Labeling, MyocardiumVolume
@@ -11,10 +12,11 @@ from lgequant.postprocess import (
     remove_small_components,
     run_postprocessing,
 )
-from lgequant.raster import circle_polygon, contour_masks, polygon_mask
+from lgequant.raster import ContourMasks, circle_polygon, contour_masks, polygon_mask
 from lgequant.rician import RicianMixtureParams
 
 SPACING = (1.5, 1.5, 10.0)
+SIX = ndimage.generate_binary_structure(3, 1)
 
 
 def annulus_setup(n_slices=3, rows=40, cols=40, r_endo=6.0, r_epi=13.0):
@@ -215,3 +217,147 @@ class TestPipelineOrder:
         out, _ = run_postprocessing(lab, vol, contour_masks(contours, vol.mask.shape),
                                     make_params())
         assert not np.any(out.infarct_mask() & ~vol.mask)
+
+
+# --- Per-component reference loops ------------------------------------------
+# The direct reading of each rule, one full-volume scan per component. The
+# rules label once and count with bincount inside find_objects boxes; both
+# must agree exactly.
+
+def voxel_mm3(volume):
+    d_row, d_col, d_thr = volume.spacing_mm
+    return float(d_row * d_col * d_thr)
+
+
+def ref_depth(mask):
+    return np.stack([ndimage.distance_transform_cdt(m, metric="taxicab") for m in mask])
+
+
+def ref_boundary(labeling, volume, config):
+    infarct = labeling.infarct_mask()
+    if not infarct.any():
+        return labeling
+    near_boundary = ref_depth(volume.mask) <= 2
+    comp, n_comp = ndimage.label(infarct, SIX)
+    out = infarct.copy()
+    for ci in range(1, n_comp + 1):
+        cmask = comp == ci
+        if float(near_boundary[cmask].mean()) < config.boundary_fraction:
+            continue
+        if int(ref_depth(cmask).max()) <= config.max_rim_thickness_vox:
+            out[cmask] = False
+    return Labeling(out.astype(np.uint8), labeling.mask)
+
+
+def ref_small(labeling, min_volume_mm3, volume):
+    infarct = labeling.infarct_mask()
+    if not infarct.any() or min_volume_mm3 == 0:
+        return labeling
+    vox = voxel_mm3(volume)
+    comp, n_comp = ndimage.label(infarct, SIX)
+    sizes = ndimage.sum_labels(np.ones_like(comp), comp, index=np.arange(1, n_comp + 1))
+    out = infarct.copy()
+    for ci, n_vox in enumerate(sizes, start=1):
+        if n_vox * vox < min_volume_mm3:
+            out[comp == ci] = False
+    return Labeling(out.astype(np.uint8), labeling.mask)
+
+
+def ref_mvo(labeling, masks, volume, config):
+    infarct = labeling.infarct_mask()
+    if not infarct.any():
+        return labeling
+    cavity = masks.endo
+    comp, n_comp = ndimage.label(volume.mask & ~infarct, SIX)
+    out = infarct.copy()
+    for ci in range(1, n_comp + 1):
+        cmask = comp == ci
+        ring = ndimage.binary_dilation(cmask, SIX) & ~cmask
+        if not np.any(ring & cavity):
+            continue
+        non_cavity_ring = ring & ~cavity
+        total = int(non_cavity_ring.sum())
+        if total and int((non_cavity_ring & infarct).sum()) >= config.mvo_enclosure_fraction * total:
+            out[cmask] = True
+    return Labeling(out.astype(np.uint8), labeling.mask)
+
+
+def ref_component_sizes(mask, vox_mm3):
+    comp, n = ndimage.label(mask, SIX)
+    sizes = ndimage.sum_labels(np.ones_like(comp), comp, np.arange(1, n + 1))
+    return [{"voxels": int(s), "volume_mm3": float(s) * vox_mm3}
+            for s in np.sort(np.asarray(sizes))[::-1]]
+
+
+def random_case(seed, shape=(4, 13, 11)):
+    """Random myocardium, infarct and cavity; components reach all six faces."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random(shape) < 0.85
+    infarct = mask & (ndimage.uniform_filter(rng.random(shape), 2) < rng.uniform(0.35, 0.6))
+    for face in (np.s_[0], np.s_[-1], np.s_[:, 0], np.s_[:, -1], np.s_[:, :, 0], np.s_[:, :, -1]):
+        assert infarct[face].any()
+    cavity = ~mask & (rng.random(shape) < 0.5)
+    volume = MyocardiumVolume(rng.random(shape), mask, (1.5, 1.25, 8.0))
+    masks = ContourMasks(endo=cavity, epi=mask | cavity)
+    return Labeling(infarct.astype(np.uint8), mask), volume, masks
+
+
+class TestLabelOnceOracle:
+    SEEDS = range(40)
+
+    def test_boundary_rule_matches_per_component_loop(self):
+        removed = kept = 0
+        for seed in self.SEEDS:
+            lab, vol, _ = random_case(seed)
+            for config in (PostprocessConfig(boundary_fraction=0.6, max_rim_thickness_vox=1),
+                           PostprocessConfig(boundary_fraction=0.9, max_rim_thickness_vox=2)):
+                got = remove_boundary_false_positives(lab, vol, config).infarct_mask()
+                want = ref_boundary(lab, vol, config).infarct_mask()
+                assert np.array_equal(got, want)
+                removed += int((lab.infarct_mask() & ~got).any())
+                kept += int(got.any())
+        assert removed and kept
+
+    def test_small_component_rule_matches_per_component_loop(self):
+        for seed in self.SEEDS:
+            lab, vol, _ = random_case(seed)
+            for threshold in (0.0, 15.0, 100.0, 400.0):
+                got = remove_small_components(lab, threshold, vol)
+                want = ref_small(lab, threshold, vol)
+                assert np.array_equal(got.labels, want.labels)
+
+    def test_mvo_rule_matches_per_component_loop(self):
+        added = 0
+        for seed in self.SEEDS:
+            lab, vol, masks = random_case(seed)
+            for fraction in (0.3, 0.8):
+                config = PostprocessConfig(mvo_enclosure_fraction=fraction)
+                got = include_mvo(lab, masks, vol, config).infarct_mask()
+                want = ref_mvo(lab, masks, vol, config).infarct_mask()
+                assert np.array_equal(got, want)
+                added += int((got & ~lab.infarct_mask()).any())
+        assert added
+
+    def test_audit_matches_per_component_loop(self):
+        params = make_params()
+        config = PostprocessConfig(boundary_fraction=0.6, min_volume_mm3=40.0,
+                                   mvo_enclosure_fraction=0.5)
+        listed = 0
+        for seed in self.SEEDS:
+            lab, vol, masks = random_case(seed)
+            got, audit = run_postprocessing(lab, vol, masks, params, config)
+            vox = voxel_mm3(vol)
+            steps = (lambda x: ref_boundary(x, vol, config),
+                     lambda x: ref_small(x, config.min_volume_mm3, vol),
+                     lambda x: recover_partial_volume(x, vol, params),
+                     lambda x: ref_mvo(x, masks, vol, config))
+            current = lab
+            for entry, step in zip(audit, steps, strict=True):
+                before = current.infarct_mask()
+                current = step(current)
+                after = current.infarct_mask()
+                assert entry["removed_components"] == ref_component_sizes(before & ~after, vox)
+                assert entry["added_components"] == ref_component_sizes(after & ~before, vox)
+                listed += len(entry["removed_components"]) + len(entry["added_components"])
+            assert np.array_equal(got.labels, current.labels)
+        assert listed
