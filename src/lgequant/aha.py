@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMaskError
+from .errors import EmptyMaskError, ParameterError
 from .graphcut import Labeling, MyocardiumVolume
 
 LEVELS = ("basal", "mid", "apical")
@@ -24,6 +24,10 @@ class AhaConfig:
     # Angle 0 points toward decreasing row index ("image up"); angles grow
     # toward increasing column index.
     reference_angle_deg: float = 0.0
+
+    def __post_init__(self):
+        if not -np.inf < self.reference_angle_deg < np.inf:
+            raise ParameterError("reference angle must be finite")
 
 
 @dataclass

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import io as lio
 from .aha import assign_segments, quantify  # noqa: F401  (patched by benchmarks/tracing.py)
-from .errors import LgeQuantError
+from .errors import DatasetFormatError, LgeQuantError
 from .graphcut import Labeling, MyocardiumVolume
 from .graphcut import classify  # noqa: F401  (patched by benchmarks/tracing.py)
 from .metrics import bland_altman, dice
@@ -22,7 +22,6 @@ from .normalize import iterate_normalization  # noqa: F401  (patched by benchmar
 from .phantom import PhantomConfig, default_wedge_config, generate
 from .pipeline import (
     PipelineConfig,
-    PipelineStageError,
     classify_stage,
     normalize_stage,
     postprocess_stage,
@@ -119,14 +118,13 @@ def cmd_normalize(args) -> int:
 
 
 def _params_from_report(path) -> RicianMixtureParams:
-    report = lio.read_report(path)
-    mix = report.get("mixture")
+    mix = lio._field(lio.read_report(path), "mixture", path)
     if not mix:
         raise LgeQuantError(f"{path} carries no mixture parameters")
-    params = RicianMixtureParams(
-        alpha_r=mix["alpha_r"], sigma_r=mix["sigma_r"], a=mix["a"],
-        alpha_g=mix["alpha_g"], sigma_g=mix["sigma_g"], mu=mix["mu"],
-    )
+    params = RicianMixtureParams(**{
+        key: lio._field(mix, key, path)
+        for key in ("alpha_r", "sigma_r", "a", "alpha_g", "sigma_g", "mu")
+    })
     params.i_thrh = mix.get("i_thrh")
     return params
 
@@ -174,7 +172,10 @@ def cmd_metrics(args) -> int:
         ref_labels, ref_mask, _ = lio.load_labeling(args.ref)
         payload["dice"] = dice(auto_labels == 1, ref_labels == 1)
     if args.pairs:
-        pairs = np.loadtxt(args.pairs, delimiter=",", skiprows=1).reshape(-1, 2)
+        try:
+            pairs = np.loadtxt(args.pairs, delimiter=",", skiprows=1, ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise DatasetFormatError(f"{args.pairs}: unreadable pairs CSV: {exc}") from None
         stats = bland_altman(pairs)
         payload["bland_altman"] = {
             "mean_diff": stats.mean_diff, "sd_diff": stats.sd_diff,
@@ -261,9 +262,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PipelineStageError as exc:
-        print(f"error {exc}", file=sys.stderr)
-        return 1
     except LgeQuantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -74,17 +74,17 @@ class GraphCutConfig:
     sigma: float | None = None   # None -> mu - (sigma_r - a) from the fit
 
     def __post_init__(self):
-        if not self.lambda_ > 0:
-            raise ParameterError("lambda must be positive")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ParameterError("sigma must be positive")
+        if not 0 < self.lambda_ < np.inf:
+            raise ParameterError("lambda must be positive and finite")
+        if self.sigma is not None and not 0 < self.sigma < np.inf:
+            raise ParameterError("sigma must be positive and finite")
 
     def resolved_sigma(self, params: RicianMixtureParams) -> float:
         if self.sigma is not None:
             return self.sigma
         sigma = params.mu - params.rayleigh_mode
         if sigma <= 0:
-            raise ValueError("component modes do not straddle a positive range")
+            raise ParameterError("component modes do not straddle a positive range")
         return sigma
 
 
@@ -121,25 +121,31 @@ def interaction_potential(i_p, i_q, sigma: float, w_dist: float = 1.0):
     return out if out.ndim else float(out)
 
 
-def _neighbor_pairs(volume: MyocardiumVolume):
-    """Index pairs of 6-connected masked voxels with their distance weights.
+def _network(volume: MyocardiumVolume, params: RicianMixtureParams, config: GraphCutConfig):
+    """The MRF over the masked voxels as arrays: ``(d0, d1, p, q, caps)``.
 
-    Yields (flat_p, flat_q, w_dist) arrays per axis; weights normalize the
-    in-plane row spacing to 1 so through-plane links are down-weighted by
-    their larger physical distance.
+    ``d0``/``d1`` are each masked voxel's costs of labels 0/1, in mask (flat)
+    order, which is also the node numbering. ``p``/``q`` are the node ids of
+    every 6-connected pair, through-plane pairs first, then row, then column
+    pairs, each in flat order; ``caps`` is the penalty the pair pays when its
+    labels differ. Distance weights normalize the in-plane row spacing to 1,
+    so through-plane links are down-weighted by their larger distance.
     """
+    sigma = config.resolved_sigma(params)
     mask = volume.mask
-    flat = np.arange(mask.size).reshape(mask.shape)
+    vals = volume.intensity[mask]
+    node = np.full(mask.shape, -1, dtype=np.int64)
+    node[mask] = np.arange(vals.size)
     d_row, d_col, d_thr = volume.spacing_mm
+    links = []
     for axis, dist in ((0, d_thr), (1, d_row), (2, d_col)):
-        sl_a = [slice(None)] * 3
-        sl_b = [slice(None)] * 3
-        sl_a[axis] = slice(None, -1)
-        sl_b[axis] = slice(1, None)
-        both = mask[tuple(sl_a)] & mask[tuple(sl_b)]
-        p = flat[tuple(sl_a)][both]
-        q = flat[tuple(sl_b)][both]
-        yield p, q, d_row / dist
+        a = node[(slice(None),) * axis + (slice(None, -1),)]
+        b = node[(slice(None),) * axis + (slice(1, None),)]
+        both = (a >= 0) & (b >= 0)
+        p, q = a[both], b[both]
+        links.append((p, q, interaction_potential(vals[p], vals[q], sigma, d_row / dist)))
+    p, q, caps = (np.concatenate(arrays) for arrays in zip(*links))
+    return data_cost_normal(vals, params), data_cost_infarct(vals, params), p, q, caps
 
 
 def energy(
@@ -150,21 +156,10 @@ def energy(
 ) -> float:
     """Total labeling energy: weighted data costs plus boundary penalties."""
     config = config or GraphCutConfig()
-    sigma = config.resolved_sigma(params)
-    mask = volume.mask
-    vals = volume.intensity[mask]
-    lab = labeling.labels[mask]
-    d1 = data_cost_infarct(vals, params)
-    d0 = data_cost_normal(vals, params)
-    total = config.lambda_ * float(np.sum(np.where(lab == 1, d1, d0)))
-    intens = volume.intensity.ravel()
-    labels_flat = labeling.labels.ravel()
-    for p, q, w in _neighbor_pairs(volume):
-        differ = labels_flat[p] != labels_flat[q]
-        if np.any(differ):
-            v = interaction_potential(intens[p[differ]], intens[q[differ]], sigma, w)
-            total += float(np.sum(v))
-    return total
+    d0, d1, p, q, caps = _network(volume, params, config)
+    lab = labeling.labels[volume.mask]
+    data = config.lambda_ * float(np.sum(np.where(lab == 1, d1, d0)))
+    return data + float(caps[lab[p] != lab[q]].sum())
 
 
 def classify(
@@ -177,37 +172,29 @@ def classify(
     Ties are broken toward label 0 (the minimal source side of the cut).
     """
     config = config or GraphCutConfig()
-    sigma = config.resolved_sigma(params)
     mask = volume.mask
     n = int(mask.sum())
     if n == 0:
         raise EmptyMaskError("myocardium mask is empty")
+    d0, d1, p, q, caps = _network(volume, params, config)
 
-    node_of = np.full(mask.size, -1, dtype=np.int64)
-    node_of[np.flatnonzero(mask.ravel())] = np.arange(n)
-    vals = volume.intensity[mask]
-    d1 = np.atleast_1d(data_cost_infarct(vals, params))
-    d0 = np.atleast_1d(data_cost_normal(vals, params))
-
-    graph = MaxFlowGraph(n)
     # Reduced terminal links: only the cost difference matters for the cut.
+    # Arcs go in node order, source links for net > 0 and sink links for
+    # net < 0, then the live n-links in pair order. The solve's float rounding
+    # depends on this order (README, design decisions), so it stays fixed.
+    source, sink = n, n + 1   # MaxFlowGraph's terminal ids
     net = config.lambda_ * (d0 - d1)
-    for node in range(n):
-        if net[node] > 0:
-            graph.add_edge(graph.source, node, float(net[node]))
-        elif net[node] < 0:
-            graph.add_edge(node, graph.sink, float(-net[node]))
-
-    intens = volume.intensity.ravel()
-    for p, q, w in _neighbor_pairs(volume):
-        if p.size == 0:
-            continue
-        caps = np.atleast_1d(interaction_potential(intens[p], intens[q], sigma, w))
-        for a, b, c in zip(node_of[p], node_of[q], caps):
-            if c > 0:
-                graph.add_edge(int(a), int(b), float(c), float(c))
-
+    t = np.flatnonzero(net)
+    to_sink = net[t] < 0
+    live = caps > 0
+    graph = MaxFlowGraph(
+        n,
+        tails=np.concatenate([np.where(to_sink, t, source), p[live]]),
+        heads=np.concatenate([np.where(to_sink, sink, t), q[live]]),
+        caps=np.concatenate([np.abs(net[t]), caps[live]]),
+        rev_caps=np.concatenate([np.zeros(t.size), caps[live]]),
+    )
     _, source_side = graph.solve()
     labels = np.zeros(mask.shape, dtype=np.uint8)
-    labels.ravel()[np.flatnonzero(mask.ravel())[source_side]] = 1
+    labels[mask] = source_side
     return Labeling(labels=labels, mask=mask)

@@ -13,32 +13,36 @@ from collections import deque
 
 import numpy as np
 
+from .errors import DegenerateInputError, ParameterError
+
 FREE, SOURCE_TREE, SINK_TREE = 0, 1, 2
 
 
 class MaxFlowGraph:
     """Directed flow network with paired reverse arcs and two terminals."""
 
-    def __init__(self, n_nodes: int):
+    def __init__(self, n_nodes: int, tails, heads, caps, rev_caps):
+        """Edge k is arc 2k ``tails[k] -> heads[k]`` with capacity ``caps[k]``
+        paired with arc 2k+1 back with ``rev_caps[k]``. Nodes are numbered
+        0..n_nodes-1; ``n_nodes`` is the source and ``n_nodes + 1`` the sink.
+        Each node lists its arcs in arc-id order.
+        """
         if n_nodes < 1:
-            raise ValueError("graph needs at least one node")
+            raise ParameterError("graph needs at least one node")
         self.n = n_nodes
         self.source = n_nodes
         self.sink = n_nodes + 1
-        self._to: list = []
-        self._cap: list = []
-        self._adj: list = [[] for _ in range(n_nodes + 2)]
-
-    def add_edge(self, u: int, v: int, cap: float, rev_cap: float = 0.0):
-        """Arc u->v with capacity ``cap`` plus the paired arc v->u."""
-        if cap < 0 or rev_cap < 0:
-            raise ValueError("capacities must be non-negative")
-        self._adj[u].append(len(self._to))
-        self._to.append(v)
-        self._cap.append(float(cap))
-        self._adj[v].append(len(self._to))
-        self._to.append(u)
-        self._cap.append(float(rev_cap))
+        owner = np.stack([tails, heads], axis=1).ravel().astype(np.int64)
+        if owner.size and not (owner.min() >= 0 and owner.max() <= self.sink):
+            raise ParameterError("arc endpoint outside the graph")
+        cap = np.stack([caps, rev_caps], axis=1).ravel().astype(float)
+        if not np.all((cap >= 0) & (cap < np.inf)):
+            raise ParameterError("capacities must be finite and non-negative")
+        self._to: list = np.stack([heads, tails], axis=1).ravel().tolist()
+        self._cap: list = cap.tolist()
+        order = np.argsort(owner, kind="stable").tolist()
+        bounds = np.cumsum(np.bincount(owner, minlength=self.sink + 1)).tolist()
+        self._adj: list = [order[lo:hi] for lo, hi in zip([0] + bounds, bounds)]
 
     def solve(self) -> tuple:
         """Run max flow; returns (flow_value, source_side bool array of nodes)."""
@@ -186,7 +190,7 @@ class MaxFlowGraph:
             adopt()
             guard -= 1
             if guard <= 0:
-                raise RuntimeError("max-flow did not terminate; capacities degenerate")
+                raise DegenerateInputError("max-flow did not terminate; capacities degenerate")
 
         source_side = np.zeros(self.n, dtype=bool)
         seen = bytearray(n_total)

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
+
 
 @dataclass(frozen=True)
 class BlandAltmanStats:
@@ -20,7 +22,7 @@ def dice(a, b) -> float:
     a = np.asarray(a, dtype=bool)
     b = np.asarray(b, dtype=bool)
     if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+        raise ParameterError(f"shape mismatch: {a.shape} vs {b.shape}")
     na = int(a.sum())
     nb = int(b.sum())
     if na + nb == 0:
@@ -36,9 +38,9 @@ def bland_altman(pairs) -> BlandAltmanStats:
     """
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("pairs must be a sequence of (automatic, manual) values")
+        raise ParameterError("pairs must be a sequence of (automatic, manual) values")
     if arr.shape[0] < 2:
-        raise ValueError("need at least 2 pairs")
+        raise ParameterError("need at least 2 pairs")
     diffs = arr[:, 0] - arr[:, 1]
     mean = float(diffs.mean())
     sd = float(diffs.std(ddof=1))

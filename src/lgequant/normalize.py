@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContourError, FitError, NormalizationError, ParameterError, ThresholdError
-from .raster import ContourMasks, polygon_mask
+from .raster import ContourMasks
+from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.py)
 from .realign import middle_slice_index
 from .rician import (
     DEFAULT_BINS,
@@ -58,19 +59,6 @@ def _stack_array(stack, masks: ContourMasks) -> np.ndarray:
 def lv_voxels(stack, masks: ContourMasks) -> np.ndarray:
     """All intensities inside the epicardial contours, every slice concatenated."""
     return _stack_array(stack, masks)[masks.epi]
-
-
-def bp_pixels(slice_pixels, endo_polygon, i_thrh: float) -> np.ndarray:
-    """Boolean mask of blood-pool pixels: inside endo and at least i_thrh.
-
-    Pixels below the threshold are treated as papillary muscle and excluded.
-    """
-    pixels = np.asarray(slice_pixels, dtype=float)
-    mask = polygon_mask(endo_polygon, pixels.shape[0], pixels.shape[1])
-    mask &= pixels >= i_thrh
-    if not mask.any():
-        raise NormalizationError("no blood-pool pixels at or above the threshold")
-    return mask
 
 
 def iterate_normalization(

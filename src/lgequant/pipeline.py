@@ -7,7 +7,6 @@ so a stage computes and reports the same thing whichever way it runs.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -49,7 +48,9 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
-        payload = json.loads(Path(path).read_text())
+        payload = lio._read_json(path)
+        if not isinstance(payload, dict):
+            raise LgeQuantError(f"{path}: config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(payload) - known
         if unknown:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, least_squares
 
-from .errors import FitError, ThresholdError
+from .errors import FitError, ParameterError, ThresholdError
 
 DEFAULT_BINS = 64
 
@@ -36,9 +36,9 @@ class RicianMixtureParams:
 
     def __post_init__(self):
         if self.alpha_r < 0 or self.alpha_g < 0:
-            raise ValueError("amplitudes must be non-negative")
+            raise ParameterError("amplitudes must be non-negative")
         if self.sigma_r <= 0 or self.sigma_g <= 0:
-            raise ValueError("scale parameters must be positive")
+            raise ParameterError("scale parameters must be positive")
 
     @property
     def rayleigh_mode(self) -> float:

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lgequant.errors import EmptyMaskError
+from lgequant.errors import EmptyMaskError, ParameterError
 from lgequant.graphcut import (
     GraphCutConfig,
     Labeling,
@@ -14,6 +14,9 @@ from lgequant.graphcut import (
     energy,
     interaction_potential,
 )
+from lgequant.maxflow import MaxFlowGraph
+from lgequant.phantom import default_wedge_config, generate
+from lgequant.pipeline import PipelineConfig, myocardium_volume, normalize_stage
 from lgequant.rician import RicianMixtureParams, find_threshold, gaussian_term, rayleigh_shifted
 
 
@@ -217,6 +220,100 @@ class TestClassify:
             classify(vol, make_params())
 
 
+@pytest.fixture(scope="module")
+def phantom_volume():
+    """A 96x96x6 wedge phantom's normalized myocardium (2,680 voxels) and its fit."""
+    ds, truth = generate(default_wedge_config(seed=1, noise_sigma=0.08))
+    (norm, masks), _ = normalize_stage(ds, truth.contours, PipelineConfig(skip_realign=True))
+    return myocardium_volume(ds, masks, stack=norm.stack), norm.params
+
+
+def solved_graphs(monkeypatch):
+    """Record every solved MaxFlowGraph's arcs, as built, and its solve result.
+
+    Each entry is ``((n, to, cap), (flow, source_side))``; ``solve`` turns
+    ``cap`` into residuals, so it is copied first.
+    """
+    solved = []
+    solve = MaxFlowGraph.solve
+
+    def spy(graph):
+        built = (graph.n, list(graph._to), list(graph._cap))
+        result = solve(graph)
+        solved.append((built, result))
+        return result
+
+    monkeypatch.setattr(MaxFlowGraph, "solve", spy)
+    return solved
+
+
+def per_voxel_arcs(volume, params, config):
+    """The arcs classify built one add_edge call at a time, in that order.
+
+    Returns (to, cap) lists: a t-link per voxel with a nonzero net cost, in
+    voxel order, then a symmetric n-link per 6-neighbour pair with a positive
+    penalty, through-plane pairs first, then row and column pairs.
+    """
+    mask = volume.mask
+    coords = [tuple(c) for c in np.argwhere(mask)]
+    n = len(coords)
+    index = {c: i for i, c in enumerate(coords)}
+    to, cap = [], []
+
+    def add(u, v, c, r):
+        to.extend([v, u])
+        cap.extend([float(c), float(r)])
+
+    for i, c in enumerate(coords):
+        v = volume.intensity[c]
+        net = config.lambda_ * (data_cost_normal(v, params) - data_cost_infarct(v, params))
+        if net > 0:
+            add(n, i, net, 0.0)
+        elif net < 0:
+            add(i, n + 1, -net, 0.0)
+    sigma = config.resolved_sigma(params)
+    d_row, d_col, d_thr = volume.spacing_mm
+    for step, dist in (((1, 0, 0), d_thr), ((0, 1, 0), d_row), ((0, 0, 1), d_col)):
+        for c in coords:
+            nb = tuple(np.add(c, step))
+            if nb in index:
+                w = interaction_potential(volume.intensity[c], volume.intensity[nb],
+                                          sigma, d_row / dist)
+                if w > 0:
+                    add(index[c], index[nb], w, w)
+    return to, cap
+
+
+class TestNetwork:
+    def test_arcs_in_per_voxel_order(self, monkeypatch, phantom_volume):
+        volume, params = phantom_volume
+        solved = solved_graphs(monkeypatch)
+        config = GraphCutConfig()
+        classify(volume, params, config)
+        ((n, graph_to, graph_cap), _), = solved
+        to, cap = per_voxel_arcs(volume, params, config)
+        assert n == int(volume.mask.sum())
+        assert graph_to == to
+        assert np.allclose(graph_cap, cap, rtol=1e-12, atol=0)   # scalar vs vector exp
+
+    def test_cut_certificate_on_phantom(self, monkeypatch, phantom_volume):
+        # The cut costs E(labels) - lambda * sum(min(d0, d1)); max-flow equal
+        # to that cut's value proves the cut, and so the labeling, minimal.
+        volume, params = phantom_volume
+        solved = solved_graphs(monkeypatch)
+        for lambda_ in (0.5, 1.0, 2.0):
+            config = GraphCutConfig(lambda_=lambda_)
+            labeling = classify(volume, params, config)
+            (_, (flow, _)), = solved
+            solved.clear()
+            vals = volume.intensity[volume.mask]
+            floor = lambda_ * np.minimum(data_cost_normal(vals, params),
+                                         data_cost_infarct(vals, params)).sum()
+            assert flow > 1.0 and 0 < labeling.infarct_mask().sum() < vals.size
+            assert np.isclose(flow + floor, energy(volume, labeling, params, config),
+                              rtol=1e-9, atol=0)
+
+
 class TestConfigDefaults:
     def test_lambda_default_is_one(self):
         assert GraphCutConfig().lambda_ == 1.0
@@ -237,3 +334,19 @@ class TestLabelingType:
         labels[0, 1, 1] = 1
         with pytest.raises(ValueError):
             Labeling(labels=labels, mask=mask)
+
+
+class TestConfigRejects:
+    @pytest.mark.parametrize("kw", [
+        {"lambda_": float("inf")}, {"lambda_": float("nan")}, {"lambda_": -1.0},
+        {"sigma": float("inf")}, {"sigma": float("nan")}, {"sigma": 0.0},
+    ])
+    def test_non_finite_or_non_positive(self, kw):
+        with pytest.raises(ParameterError):
+            GraphCutConfig(**kw)
+
+    def test_modes_that_do_not_straddle(self):
+        p = make_params()
+        p.mu = p.rayleigh_mode - 0.1
+        with pytest.raises(ParameterError):
+            GraphCutConfig().resolved_sigma(p)

@@ -285,3 +285,86 @@ class TestStageAgreement:
         quant = json.loads((tmp_path / "quant" / "quant_report.json").read_text())
         assert normalize == report["stages"]["normalize"]
         assert quant == report["stages"]["quantify"]
+
+
+def assert_cli_error(capsys, argv, fragment):
+    """The command exits 1 with an ``error:`` line naming ``fragment``."""
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def normalized_dir(phantom_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("norm")
+    assert main(["normalize", "--data", str(phantom_dir / "dataset.json"),
+                 "--contours", str(phantom_dir / "contours.json"), "--out", str(out)]) == 0
+    return out
+
+
+class TestCliInputErrors:
+    @pytest.mark.parametrize("edit, fragment", [
+        (lambda mix: mix.pop("mu"), "'mu'"),
+        (lambda mix: mix.update(sigma_r=-0.1), "scale parameters must be positive"),
+        (lambda mix: mix.update(mu=mix["sigma_r"] - mix["a"] - 0.1), "do not straddle"),
+    ], ids=["no_mu", "negative_sigma_r", "mu_below_rayleigh_mode"])
+    def test_classify_with_bad_params(self, phantom_dir, normalized_dir, tmp_path, capsys,
+                                      edit, fragment):
+        report = json.loads((normalized_dir / "normalize_report.json").read_text())
+        edit(report["mixture"])
+        (tmp_path / "params.json").write_text(json.dumps(report))
+        assert_cli_error(capsys, [
+            "classify", "--normalized", normalized_dir / "normalized.json",
+            "--params", tmp_path / "params.json",
+            "--contours", phantom_dir / "contours.json", "--out", tmp_path / "cls",
+        ], fragment)
+
+    @pytest.mark.parametrize("text, fragment", [(None, "file not found"),
+                                                ("{not json", "malformed JSON"),
+                                                ("[1, 2]", "must be a JSON object")],
+                             ids=["missing", "malformed", "not_an_object"])
+    def test_pipeline_with_bad_config_file(self, phantom_dir, tmp_path, capsys, text, fragment):
+        config = tmp_path / "config.json"
+        if text is not None:
+            config.write_text(text)
+        assert_cli_error(capsys, [
+            "pipeline", "--data", phantom_dir / "dataset.json",
+            "--contours", phantom_dir / "contours.json", "--config", config,
+            "--out", tmp_path / "run",
+        ], fragment)
+
+    def test_metrics_with_labelings_of_different_shapes(self, tmp_path, capsys):
+        a = lio.save_labeling(np.zeros((2, 4, 4), np.uint8), np.ones((2, 4, 4), bool),
+                              (1.0, 1.0, 5.0), tmp_path / "a")
+        b = lio.save_labeling(np.zeros((2, 4, 5), np.uint8), np.ones((2, 4, 5), bool),
+                              (1.0, 1.0, 5.0), tmp_path / "b")
+        assert_cli_error(capsys, ["metrics", "--auto", a, "--ref", b, "--out", tmp_path / "m"],
+                         "shape mismatch")
+
+    @pytest.mark.parametrize("text, fragment", [
+        ("auto,manual\n1.0,2.0\n3.0\n", "unreadable pairs CSV"),
+        ("auto,manual\n1.0,2.0,3.0\n4.0,5.0,6.0\n", "(automatic, manual)"),
+        ("auto,manual\n1.0,2.0\n", "at least 2 pairs"),
+    ], ids=["ragged", "three_columns", "single_pair"])
+    def test_metrics_with_bad_pairs(self, tmp_path, capsys, text, fragment):
+        (tmp_path / "pairs.csv").write_text(text)
+        assert_cli_error(capsys, ["metrics", "--pairs", tmp_path / "pairs.csv",
+                                  "--out", tmp_path / "m"], fragment)
+
+    @pytest.mark.parametrize("value, fragment", [
+        ("0", "error: [classify] lambda must be positive"),
+        ("inf", "error: [classify] lambda must be positive and finite"),
+    ])
+    def test_pipeline_with_bad_lambda(self, phantom_dir, tmp_path, capsys, value, fragment):
+        assert_cli_error(capsys, [
+            "pipeline", "--data", phantom_dir / "dataset.json",
+            "--contours", phantom_dir / "contours.json", "--out", tmp_path / "run",
+            "--skip-realign", "--lambda", value,
+        ], fragment)
+
+    def test_quantify_with_nan_reference_angle(self, tmp_path, capsys):
+        labeling = lio.save_labeling(np.zeros((3, 6, 6), np.uint8), np.ones((3, 6, 6), bool),
+                                     (1.0, 1.0, 5.0), tmp_path / "lab")
+        assert_cli_error(capsys, ["quantify", "--labeling", labeling, "--out", tmp_path / "q",
+                                  "--reference-angle", "nan"], "reference angle must be finite")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from lgequant.dataset import ContourSet
-from lgequant.errors import ContourError, NormalizationError
-from lgequant.normalize import bp_pixels, iterate_normalization, lv_voxels
+from lgequant.errors import ContourError
+from lgequant.normalize import iterate_normalization, lv_voxels
 from lgequant.phantom import PhantomConfig, generate
 from lgequant.raster import circle_polygon, contour_masks
 
@@ -66,26 +66,6 @@ class TestLvVoxels:
         slow = brute_force_inside(poly, 64, 64)
         assert np.array_equal(fast, slow)
         assert fast.sum() == slow.sum() > 280
-
-
-class TestBpPixels:
-    def test_all_bright_full_interior(self):
-        pixels = np.full((10, 10), 5.0)
-        endo = square(2.5, 6.5)
-        mask = bp_pixels(pixels, endo, i_thrh=1.0)
-        assert mask.sum() == 16   # 4x4 interior centers
-
-    def test_dark_blob_excluded(self):
-        pixels = np.full((10, 10), 5.0)
-        pixels[4:6, 4:6] = 0.5    # papillary-like blob
-        endo = square(2.5, 6.5)
-        mask = bp_pixels(pixels, endo, i_thrh=1.0)
-        assert mask.sum() == 16 - 4
-
-    def test_threshold_above_everything_rejected(self):
-        pixels = np.ones((10, 10))
-        with pytest.raises(NormalizationError):
-            bp_pixels(pixels, square(2.5, 6.5), i_thrh=2.0)
 
 
 class TestIterateNormalization:

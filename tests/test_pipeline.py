@@ -69,7 +69,11 @@ class TestConfigStageErrors:
         ("epsilon", float("nan"), "normalize"),
         ("lambda_", 0.0, "classify"),
         ("lambda_", float("nan"), "classify"),
+        ("lambda_", float("inf"), "classify"),
         ("graph_sigma", 0.0, "classify"),
+        ("graph_sigma", float("inf"), "classify"),
+        ("reference_angle_deg", float("nan"), "quantify"),
+        ("reference_angle_deg", float("inf"), "quantify"),
         ("min_volume_mm3", -1.0, "postprocess"),
         ("min_volume_mm3", float("nan"), "postprocess"),
     ])

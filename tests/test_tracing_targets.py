@@ -50,3 +50,42 @@ def test_traced_optimize_records_each_geometry_layer():
     names = {span[0] for span in tracer.spans}
     assert names >= {"geometry.plane_intersection", "geometry.sample_line_values",
                      "geometry.contiguous_regions"}
+
+
+def test_traced_classify_counts_nodes_and_arcs():
+    import numpy as np
+
+    from lgequant.graphcut import (GraphCutConfig, MyocardiumVolume, classify,
+                                   data_cost_infarct, data_cost_normal, interaction_potential)
+    from lgequant.rician import RicianMixtureParams
+
+    rng = np.random.default_rng(8)
+    mask = rng.random((4, 12, 12)) < 0.7
+    intensity = rng.uniform(0.0, 1.0, size=mask.shape)
+    volume = MyocardiumVolume(intensity, mask, (1.25, 1.25, 8.0))
+    params = RicianMixtureParams(alpha_r=0.12, sigma_r=0.10, a=-0.15,
+                                 alpha_g=0.09, sigma_g=0.08, mu=0.75)
+    config = GraphCutConfig(sigma=0.02)               # many links underflow to 0
+    vals = intensity[mask]
+    t_links = np.count_nonzero(data_cost_normal(vals, params) != data_cost_infarct(vals, params))
+    n_pairs = n_links = 0
+    for axis, dist in ((0, 8.0), (1, 1.25), (2, 1.25)):
+        m, i = np.moveaxis(mask, axis, 0), np.moveaxis(intensity, axis, 0)
+        both = m[:-1] & m[1:]
+        caps = interaction_potential(i[:-1][both], i[1:][both], 0.02, 1.25 / dist)
+        n_pairs += caps.size
+        n_links += np.count_nonzero(caps)
+    assert 0 < n_links < n_pairs
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.study = 0
+    tracer.install()
+    try:
+        classify(volume, params, config)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.study_metrics(0)
+    assert metrics["maxflow.solve.calls"] == 1
+    assert metrics["maxflow.nodes"] == mask.sum()
+    assert metrics["maxflow.arcs"] == t_links + n_links
