@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,41 +35,24 @@ from .raster import contour_masks
 from .rician import RicianMixtureParams
 
 
+# PipelineConfig field -> (flag, type) of its command-line override.
+_OVERRIDES = {
+    "gamma": ("--gamma", float),
+    "skip_realign": ("--skip-realign", bool),
+    "epsilon": ("--epsilon", float),
+    "max_iter": ("--max-iter", int),
+    "n_bins": ("--bins", int),
+    "lambda_": ("--lambda", float),
+    "min_volume_mm3": ("--min-volume-mm3", float),
+    "reference_angle_deg": ("--reference-angle", float),
+}
+
+
 def _pipeline_config(args) -> PipelineConfig:
-    config = (
-        PipelineConfig.from_json(args.config)
-        if getattr(args, "config", None)
-        else PipelineConfig()
-    )
-    overrides = {
-        "gamma": "gamma",
-        "lambda_": "lambda_",
-        "epsilon": "epsilon",
-        "max_iter": "max_iter",
-        "n_bins": "bins",
-        "min_volume_mm3": "min_volume_mm3",
-        "reference_angle_deg": "reference_angle",
-        "skip_realign": "skip_realign",
-    }
-    for field_name, arg_name in overrides.items():
-        value = getattr(args, arg_name, None)
-        if value is not None and value is not False:
-            setattr(config, field_name, value)
-    return config
-
-
-def _add_common(parser):
-    parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--config", help="pipeline config JSON")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--lambda", dest="lambda_", type=float, default=None)
-    parser.add_argument("--epsilon", type=float, default=None)
-    parser.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-    parser.add_argument("--bins", type=int, default=None)
-    parser.add_argument("--min-volume-mm3", dest="min_volume_mm3", type=float, default=None)
-    parser.add_argument("--reference-angle", dest="reference_angle", type=float, default=None)
-    parser.add_argument("--skip-realign", dest="skip_realign", action="store_true", default=False)
+    config = PipelineConfig.from_json(args.config) if args.config else PipelineConfig()
+    return replace(config, **{
+        name: getattr(args, name) for name in _OVERRIDES if getattr(args, name, None) is not None
+    })
 
 
 def cmd_phantom(args) -> int:
@@ -212,49 +196,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("phantom", help="generate a synthetic dataset with ground truth")
-    _add_common(p)
+    def command(name: str, func, help: str, *fields):
+        """A subcommand with ``--out``; with ``fields``, also ``--config`` and their overrides."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", required=True, help="output directory")
+        if fields:
+            p.add_argument("--config", help="pipeline config JSON")
+        for field in fields:
+            flag, kind = _OVERRIDES[field]
+            if kind is bool:
+                p.add_argument(flag, dest=field, action="store_true", default=None)
+            else:
+                p.add_argument(flag, dest=field, type=kind, default=None)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("phantom", cmd_phantom, "generate a synthetic dataset with ground truth")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--preset", choices=("clean", "wedge"), default="wedge")
     p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.08)
     p.add_argument("--max-shift-mm", dest="max_shift_mm", type=float, default=0.0)
-    p.set_defaults(func=cmd_phantom)
 
-    p = sub.add_parser("realign", help="correct slice misalignment")
-    _add_common(p)
+    p = command("realign", cmd_realign, "correct slice misalignment", "gamma", "skip_realign")
     p.add_argument("--data", required=True, help="dataset manifest JSON")
-    p.set_defaults(func=cmd_realign)
 
-    p = sub.add_parser("normalize", help="normalize SA intensities")
-    _add_common(p)
+    p = command("normalize", cmd_normalize, "normalize SA intensities",
+                "epsilon", "max_iter", "n_bins")
     p.add_argument("--data", required=True)
     p.add_argument("--contours", required=True)
-    p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("classify", help="graph-cut infarct classification and post-processing")
-    _add_common(p)
+    p = command("classify", cmd_classify, "graph-cut infarct classification and post-processing",
+                "lambda_", "min_volume_mm3")
     p.add_argument("--normalized", required=True, help="normalized volume header JSON")
     p.add_argument("--params", required=True, help="normalize_report.json with the mixture")
     p.add_argument("--contours", required=True)
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("quantify", help="AHA 16-segment report")
-    _add_common(p)
+    p = command("quantify", cmd_quantify, "AHA 16-segment report", "reference_angle_deg")
     p.add_argument("--labeling", required=True, help="labeling header JSON")
-    p.set_defaults(func=cmd_quantify)
 
-    p = sub.add_parser("metrics", help="Dice / Bland-Altman agreement")
-    _add_common(p)
+    p = command("metrics", cmd_metrics, "Dice / Bland-Altman agreement")
     p.add_argument("--auto", help="automatic labeling header JSON")
     p.add_argument("--ref", help="reference labeling header JSON")
     p.add_argument("--pairs", help="CSV of automatic,manual value pairs")
-    p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("pipeline", help="full quantification pipeline")
-    _add_common(p)
+    p = command("pipeline", cmd_pipeline, "full quantification pipeline", *_OVERRIDES)
     p.add_argument("--data", required=True)
     p.add_argument("--contours", required=True)
     p.add_argument("--truth", help="phantom truth sidecar JSON")
-    p.set_defaults(func=cmd_pipeline)
     return parser
 
 

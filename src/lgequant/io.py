@@ -14,12 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import ContourSet, LgeDataset
-from .errors import (
-    ContourError,
-    DatasetFormatError,
-    OrientationError,
-    PixelFileError,
-)
+from .errors import DatasetFormatError, OrientationError, PixelFileError
 from .geometry import Roi, SliceImage, SlicePose
 
 MANIFEST_VERSION = 1
@@ -31,12 +26,16 @@ def _write_json(payload: dict, path: Path):
 
 
 def _read_json(path: Path) -> dict:
+    """The JSON object stored at ``path``; anything else is a format error."""
     try:
-        return json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise DatasetFormatError(f"file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DatasetFormatError(f"{path}: must be a JSON object")
+    return payload
 
 
 def _field(header: dict, key: str, path):
@@ -128,13 +127,17 @@ def load_dataset(manifest_path) -> LgeDataset:
     """Read a dataset manifest; validates orientation and pixel dimensions."""
     manifest_path = Path(manifest_path)
     manifest = _read_json(manifest_path)
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise DatasetFormatError(
-            f"unsupported manifest version {manifest.get('version')!r}"
-        )
+    version = _field(manifest, "version", manifest_path)
+    if version != MANIFEST_VERSION:
+        raise DatasetFormatError(f"unsupported manifest version {version!r}")
+    try:
+        thickness_mm = float(_field(manifest, "slice_thickness_mm", manifest_path))
+        gap_mm = float(_field(manifest, "gap_mm", manifest_path))
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"{manifest_path}: malformed slice spacing: {exc}") from None
     base = manifest_path.parent
-    sa, la, rois, roles = [], [], [], []
-    for entry in manifest.get("slices", []):
+    sa, la, rois = [], [], []
+    for entry in _field(manifest, "slices", manifest_path):
         def get(key):
             return _field(entry, key, manifest_path)
 
@@ -181,8 +184,8 @@ def load_dataset(manifest_path) -> LgeDataset:
         la_slices=[img for _, img, _ in la],
         sa_rois=[r for _, r in rois],
         la_roles=[role for _, _, role in la],
-        slice_thickness_mm=float(manifest["slice_thickness_mm"]),
-        gap_mm=float(manifest["gap_mm"]),
+        slice_thickness_mm=thickness_mm,
+        gap_mm=gap_mm,
     )
 
 
@@ -204,19 +207,11 @@ def save_contours(contours: ContourSet, path) -> Path:
 
 
 def load_contours(path) -> ContourSet:
-    payload = _read_json(path)
-    slices = sorted(payload.get("slices", []), key=lambda s: s["index"])
-    endo, epi = [], []
-    for entry in slices:
-        for key in ("endo", "epi"):
-            poly = np.asarray(entry.get(key, []), dtype=float)
-            if poly.ndim != 2 or poly.shape[0] < 3 or poly.shape[1] != 2:
-                raise ContourError(
-                    f"slice {entry.get('index')}: malformed {key} polygon"
-                )
-        endo.append(np.asarray(entry["endo"], dtype=float))
-        epi.append(np.asarray(entry["epi"], dtype=float))
-    return ContourSet(endo=endo, epi=epi)
+    """Read a contours file; ``ContourSet`` checks each polygon's shape."""
+    slices = sorted(_field(_read_json(path), "slices", path),
+                    key=lambda entry: _field(entry, "index", path))
+    return ContourSet(endo=[_field(entry, "endo", path) for entry in slices],
+                      epi=[_field(entry, "epi", path) for entry in slices])
 
 
 def save_volume_f32(volume: np.ndarray, spacing_mm, path_base) -> Path:

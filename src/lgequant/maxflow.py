@@ -192,7 +192,6 @@ class MaxFlowGraph:
             if guard <= 0:
                 raise DegenerateInputError("max-flow did not terminate; capacities degenerate")
 
-        source_side = np.zeros(self.n, dtype=bool)
         seen = bytearray(n_total)
         seen[s] = 1
         queue = deque([s])
@@ -203,6 +202,4 @@ class MaxFlowGraph:
                 if cap[arc] > 0.0 and not seen[v]:
                     seen[v] = 1
                     queue.append(v)
-        for v in range(self.n):
-            source_side[v] = bool(seen[v])
-        return flow, source_side
+        return flow, np.frombuffer(seen, dtype=bool, count=self.n).copy()

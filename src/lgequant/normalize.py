@@ -123,8 +123,6 @@ def iterate_normalization(
         raise NormalizationError("stack has zero intensity range")
     work = (work - lo) / (hi - lo)
     final_params = params.rescaled(lo, hi) if params is not None else None
-    if final_params is not None and final_params.i_thrh is None:
-        find_threshold(final_params)
     curve = None
     if last_rp is not None:
         curve = ((last_rp.bin_centers - lo) / (hi - lo), last_rp.values.copy())

@@ -28,6 +28,15 @@ from .realign import AlignmentProblem, optimize
 from .rician import RicianMixtureParams
 
 
+# The JSON values each PipelineConfig field annotation accepts.
+_JSON_TYPES = {
+    "float": (int, float),
+    "float | None": (int, float, type(None)),
+    "int": (int,),
+    "bool": (bool,),
+}
+
+
 @dataclass
 class PipelineConfig:
     """Every tunable of the pipeline, with its default."""
@@ -48,13 +57,17 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
+        """Config from a JSON object of field values; a key or type mismatch is an error."""
         payload = lio._read_json(path)
-        if not isinstance(payload, dict):
-            raise LgeQuantError(f"{path}: config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
+        fields = cls.__dataclass_fields__
+        unknown = set(payload) - set(fields)
         if unknown:
             raise LgeQuantError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in payload.items():
+            accepted = _JSON_TYPES[fields[key].type]
+            if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+                raise LgeQuantError(f"{path}: config {key!r} must be {fields[key].type}, "
+                                    f"got {value!r}")
         return cls(**payload)
 
     def to_dict(self) -> dict:

@@ -31,6 +31,13 @@ class PostprocessConfig:
     min_volume_mm3: float = 100.0
     mvo_enclosure_fraction: float = 0.8
 
+    def __post_init__(self):
+        for name in ("boundary_fraction", "mvo_enclosure_fraction"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ParameterError(f"{name} must lie in [0, 1]")
+        if not self.max_rim_thickness_vox >= 0:
+            raise ParameterError("max_rim_thickness_vox must be non-negative")
+
 
 def _voxel_volume_mm3(volume: MyocardiumVolume) -> float:
     d_row, d_col, d_thr = volume.spacing_mm

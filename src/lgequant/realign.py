@@ -44,6 +44,8 @@ DEFAULT_GAMMA = 0.01
 TRANSLATION_BOUND_MM = 20.0
 MAX_SWEEPS = 50
 REL_TOL = 1e-6
+# Nelder-Mead settings of every simplex search the optimizer runs.
+_NELDER_MEAD_OPTIONS = {"xatol": 1e-3, "fatol": 1e-12, "maxiter": 130, "maxfev": 170}
 
 
 def middle_slice_index(n: int) -> int:
@@ -450,18 +452,16 @@ def cost_breakdown(problem: AlignmentProblem, ipp_all=None) -> list:
     return compiled.breakdown(compiled.positions(ipp_all))
 
 
-def optimize(
-    problem: AlignmentProblem,
-    max_sweeps: int = MAX_SWEEPS,
-    rel_tol: float = REL_TOL,
-    bound_mm: float = TRANSLATION_BOUND_MM,
-) -> AlignmentResult:
+def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> AlignmentResult:
     """Minimize the total cost over per-slice translations.
 
     Block-coordinate descent: each sweep runs a bounded Nelder-Mead search
     over the 3 translation components of every slice in turn. The middle SA
     slice keeps its original origin to fix the common-translation gauge.
     """
+    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, numbers.Integral) \
+            or max_sweeps < 0:
+        raise ParameterError(f"max_sweeps must be a non-negative integer, got {max_sweeps!r}")
     slices = problem.slices
     n_slices = len(slices)
     if n_slices < 2:
@@ -495,7 +495,7 @@ def optimize(
     # (losing overlap would zero its cost and reward runaway moves).
     live = [r is None for r in term_reasons]
     INFEASIBLE = 1e12
-    bounds = [(-bound_mm, bound_mm)] * 3
+    bound = TRANSLATION_BOUND_MM
 
     accepted_moves: list = []
     evaluations = {"prescan": 0, "simplex": 0, "regauge": 0}
@@ -524,6 +524,35 @@ def optimize(
         for ti, [(cost, reason)] in zip(term_ids, compiled.evaluate([current], term_ids)):
             term_costs[ti], term_reasons[ti] = cost, reason
 
+    def cheapest(starts, trial, term_ids, phase: str) -> int:
+        """Index of the first strictly cheapest of ``starts``, all scored in one batch."""
+        values = objective([trial(x) for x in starts], term_ids, phase)
+        return min(range(len(values)), key=values.__getitem__)
+
+    def nelder_mead(trial, term_ids, phase: str, x0, simplex, bounds=None):
+        """(minimizer, its cost) of one Nelder-Mead search from ``simplex``."""
+        res = minimize(lambda x: objective([trial(x)], term_ids, phase)[0], x0,
+                       method="Nelder-Mead", bounds=bounds,
+                       options={"initial_simplex": simplex, **_NELDER_MEAD_OPTIONS})
+        return np.asarray(res.x, dtype=float), res.fun
+
+    def accept(who, term_ids, fun, step) -> bool:
+        """Whether a move by ``step`` that brings ``term_ids`` to ``fun`` is taken.
+
+        A move must lower the cost meaningfully: hair-thin dips are
+        interpolation noise and accepting them makes slices wander, so a
+        sub-half-pixel move must earn a substantially better cost. A taken
+        move is recorded under ``who``.
+        """
+        here = float(sum(term_costs[ti] for ti in term_ids))
+        dist = float(np.linalg.norm(step))
+        min_gain = 3e-2 if dist < 0.5 else 1e-4
+        if not (fun < here - min_gain * max(here, 1e-12) and fun < INFEASIBLE):
+            return False
+        accepted_moves.append({"slice": who, "dist_mm": dist,
+                               "relative_gain": float((here - fun) / max(here, 1e-300))})
+        return True
+
     def search(i: int, term_ids, h: float, prescan: bool, require_prescan_move: bool = False):
         """One bounded simplex search of slice i over the given terms."""
 
@@ -532,54 +561,30 @@ def optimize(
             ipps[i] = origins[i] + np.asarray(d, dtype=float).reshape(3)
             return ipps
 
-        def obj(d):
-            return objective([trial(d)], term_ids, "simplex")[0]
-
-        x0 = np.clip(deltas[i], -bound_mm + 1e-9, bound_mm - 1e-9)
+        x0 = np.clip(deltas[i], -bound + 1e-9, bound - 1e-9)
         if prescan:
             # Coarse scan in the slice frame seeds the simplex search past
-            # local minima of the interpolated profiles. All candidates are
-            # scored in one batch; the first strictly better one wins.
+            # local minima of the interpolated profiles.
             pose = slices[i].pose
-            frame = (pose.iop_row, pose.iop_col, pose.normal)
-            cands = [x0] + [
-                np.clip(x0 + amt_r * frame[0] + amt_c * frame[1] + amt_n * frame[2],
-                        -bound_mm, bound_mm)
+            starts = [x0] + [
+                np.clip(x0 + amt_r * pose.iop_row + amt_c * pose.iop_col + amt_n * pose.normal,
+                        -bound, bound)
                 for amt_n in (-10.0, -5.0, 0.0, 5.0, 10.0)
                 for amt_r in (-4.0, -2.0, 0.0, 2.0, 4.0)
                 for amt_c in (-4.0, -2.0, 0.0, 2.0, 4.0)
                 if not amt_r == amt_c == amt_n == 0.0
             ]
-            values = objective([trial(c) for c in cands], term_ids, "prescan")
-            best_f, best_x = values[0], x0
-            for f, cand in zip(values[1:], cands[1:]):
-                if f < best_f:
-                    best_f, best_x = f, cand
-            if require_prescan_move and best_x is x0:
+            best = cheapest(starts, trial, term_ids, "prescan")
+            if require_prescan_move and best == 0:
                 # Current position already wins the coarse grid: leave the
                 # fine placement to the full-objective sweeps, where the
                 # interpolation bias of individual terms averages out.
                 return
-            x0 = best_x
-        simplex = np.clip(np.vstack([x0, x0 + h * np.eye(3)]), -bound_mm, bound_mm)
-        res = minimize(
-            obj, x0, method="Nelder-Mead", bounds=bounds,
-            options={"initial_simplex": simplex, "xatol": 1e-3, "fatol": 1e-12,
-                     "maxiter": 130, "maxfev": 170},
-        )
-        here = float(sum(term_costs[ti] for ti in term_ids))
-        # Require a meaningful improvement; hair-thin dips are interpolation
-        # noise and accepting them makes slices wander. Sub-half-pixel
-        # adjustments must earn a substantially better cost.
-        step_norm = float(np.linalg.norm(np.asarray(res.x) - deltas[i]))
-        min_gain = 3e-2 if step_norm < 0.5 else 1e-4
-        if res.fun < here - min_gain * max(here, 1e-12) and res.fun < INFEASIBLE:
-            step = np.asarray(res.x, dtype=float) - deltas[i]
-            accepted_moves.append({
-                "slice": int(i), "dist_mm": float(np.linalg.norm(step)),
-                "relative_gain": float((here - res.fun) / max(here, 1e-300)),
-            })
-            deltas[i] = np.asarray(res.x, dtype=float)
+            x0 = starts[best]
+        simplex = np.clip(np.vstack([x0, x0 + h * np.eye(3)]), -bound, bound)
+        x, fun = nelder_mead(trial, term_ids, "simplex", x0, simplex, [(-bound, bound)] * 3)
+        if accept(int(i), term_ids, fun, x - deltas[i]):
+            deltas[i] = x
             current[i] = origins[i] + deltas[i]
             refresh(touched[i])
 
@@ -602,36 +607,13 @@ def optimize(
             return [current[i] if i == anchor else origins[i] + (deltas[i] + v)
                     for i in range(n_slices)]
 
-        def gauge_obj(v):
-            return objective([trial(v)], anchor_terms, "regauge")[0]
-
         normal = slices[anchor].pose.normal
-        amts = (-6.0, -3.0, 3.0, 6.0)
-        values = objective([trial(np.zeros(3))] + [trial(amt * normal) for amt in amts],
-                           anchor_terms, "regauge")
-        best_f, best_v = values[0], np.zeros(3)
-        for f, amt in zip(values[1:], amts):
-            if f < best_f:
-                best_f, best_v = f, amt * normal
-        simplex = np.vstack([best_v, best_v + 1.5 * np.eye(3)])
-        res = minimize(
-            gauge_obj, best_v, method="Nelder-Mead",
-            options={"initial_simplex": simplex, "xatol": 1e-3, "fatol": 1e-12,
-                     "maxiter": 130, "maxfev": 170},
-        )
-        here = float(sum(term_costs[ti] for ti in anchor_terms))
-        v = np.asarray(res.x, dtype=float)
-        moved = [np.abs(deltas[i] + v).max() for i in range(n_slices) if i != anchor]
-        min_gain = 3e-2 if float(np.linalg.norm(v)) < 0.5 else 1e-4
-        if (
-            res.fun < here - min_gain * max(here, 1e-12)
-            and res.fun < INFEASIBLE
-            and max(moved) <= bound_mm
-        ):
-            accepted_moves.append({
-                "slice": "gauge", "dist_mm": float(np.linalg.norm(v)),
-                "relative_gain": float((here - res.fun) / max(here, 1e-300)),
-            })
+        starts = [np.zeros(3)] + [amt * normal for amt in (-6.0, -3.0, 3.0, 6.0)]
+        v0 = starts[cheapest(starts, trial, anchor_terms, "regauge")]
+        v, fun = nelder_mead(trial, anchor_terms, "regauge", v0,
+                             np.vstack([v0, v0 + 1.5 * np.eye(3)]))
+        moved = max(np.abs(deltas[i] + v).max() for i in range(n_slices) if i != anchor)
+        if moved <= bound and accept("gauge", anchor_terms, fun, v):
             for i in range(n_slices):
                 if i != anchor:
                     deltas[i] = deltas[i] + v
@@ -663,37 +645,27 @@ def optimize(
             search(i, touched[i], h=h, prescan=(sweep <= 2))
         regauge()
         new_total = float(term_costs.sum())
-        if prev_total - new_total < rel_tol * max(prev_total, 1e-300):
+        if prev_total - new_total < REL_TOL * max(prev_total, 1e-300):
             prev_total = min(prev_total, new_total)
             converged = True
             break
         prev_total = new_total
 
-    final_cost = float(term_costs.sum())
-    corrected = np.array([origins[i] + deltas[i] for i in range(n_slices)])
     logger.info("realign: %d prescan, %d simplex and %d regauge cost evaluations",
                 evaluations["prescan"], evaluations["simplex"], evaluations["regauge"])
-    diagnostics = {
-        "anchor_slice": int(anchor),
-        "translations_mm": np.array(deltas),
-        "terms_before": initial_breakdown,
-        "terms_after": [
-            {"kind": t.kind, "slices": [int(t.i), int(t.j)], "cost": float(term_costs[ti]),
-             "degenerate": term_reasons[ti]}
-            for ti, t in enumerate(terms)
-        ],
-        "degenerate_pairs": [
-            [int(t.i), int(t.j)]
-            for ti, t in enumerate(terms) if term_reasons[ti] is not None
-        ],
-        "accepted_moves": accepted_moves,
-        "cost_evaluations": evaluations,
-    }
     return AlignmentResult(
-        corrected_ipps=corrected,
+        corrected_ipps=np.array([origins[i] + deltas[i] for i in range(n_slices)]),
         initial_cost=initial_cost,
-        final_cost=final_cost,
+        final_cost=float(term_costs.sum()),
         iterations=sweeps,
         converged=converged,
-        diagnostics=diagnostics,
+        diagnostics={
+            "translations_mm": np.array(deltas),
+            "degenerate_pairs": [
+                [int(t.i), int(t.j)]
+                for ti, t in enumerate(terms) if term_reasons[ti] is not None
+            ],
+            "accepted_moves": accepted_moves,
+            "cost_evaluations": evaluations,
+        },
     )

@@ -35,6 +35,9 @@ class RicianMixtureParams:
     fit_residual: float | None = None
 
     def __post_init__(self):
+        fields = (self.alpha_r, self.sigma_r, self.a, self.alpha_g, self.sigma_g, self.mu)
+        if not all(np.isfinite(fields)):
+            raise ParameterError("mixture parameters must be finite")
         if self.alpha_r < 0 or self.alpha_g < 0:
             raise ParameterError("amplitudes must be non-negative")
         if self.sigma_r <= 0 or self.sigma_g <= 0:

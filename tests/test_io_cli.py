@@ -143,6 +143,51 @@ class TestTypedLoaderErrors:
             lio.load_dataset(tmp_path / "dataset.json")
 
 
+def _edit_contours(payload):
+    del payload["slices"][0]["index"]
+
+
+def _edit_thickness(manifest):
+    del manifest["slice_thickness_mm"]
+
+
+def _edit_gap(manifest):
+    manifest["gap_mm"] = "abc"
+
+
+class TestLoaderProbes:
+    """Malformed contours and manifests end in an ``error:`` line, not a traceback."""
+
+    @pytest.mark.parametrize("edit, fragment", [
+        (_edit_contours, "'index'"),
+        (lambda payload: [1, 2], "must be a JSON object"),
+    ], ids=["slice_without_index", "not_an_object"])
+    def test_normalize_with_bad_contours(self, phantom_dir, tmp_path, capsys, edit, fragment):
+        payload = json.loads((phantom_dir / "contours.json").read_text())
+        payload = edit(payload) or payload
+        (tmp_path / "contours.json").write_text(json.dumps(payload))
+        assert_cli_error(capsys, [
+            "normalize", "--data", phantom_dir / "dataset.json",
+            "--contours", tmp_path / "contours.json", "--out", tmp_path / "norm",
+        ], fragment)
+
+    @pytest.mark.parametrize("edit, fragment", [
+        (_edit_thickness, "'slice_thickness_mm'"),
+        (_edit_gap, "malformed slice spacing"),
+        (lambda manifest: [1], "must be a JSON object"),
+    ], ids=["no_slice_thickness", "non_numeric_gap", "not_an_object"])
+    def test_normalize_with_bad_manifest(self, phantom_dir, tmp_path, capsys, edit, fragment):
+        manifest = json.loads((phantom_dir / "dataset.json").read_text())
+        for entry in manifest["slices"]:
+            entry["pixel_file"] = str(phantom_dir / entry["pixel_file"])
+        manifest = edit(manifest) or manifest
+        (tmp_path / "dataset.json").write_text(json.dumps(manifest))
+        assert_cli_error(capsys, [
+            "normalize", "--data", tmp_path / "dataset.json",
+            "--contours", phantom_dir / "contours.json", "--out", tmp_path / "norm",
+        ], fragment)
+
+
 class TestCliStages:
     def test_stage_isolation_chain(self, tmp_path):
         base = tmp_path / "case"
@@ -308,7 +353,8 @@ class TestCliInputErrors:
         (lambda mix: mix.pop("mu"), "'mu'"),
         (lambda mix: mix.update(sigma_r=-0.1), "scale parameters must be positive"),
         (lambda mix: mix.update(mu=mix["sigma_r"] - mix["a"] - 0.1), "do not straddle"),
-    ], ids=["no_mu", "negative_sigma_r", "mu_below_rayleigh_mode"])
+        (lambda mix: mix.update(mu=float("nan")), "mixture parameters must be finite"),
+    ], ids=["no_mu", "negative_sigma_r", "mu_below_rayleigh_mode", "nan_mu"])
     def test_classify_with_bad_params(self, phantom_dir, normalized_dir, tmp_path, capsys,
                                       edit, fragment):
         report = json.loads((normalized_dir / "normalize_report.json").read_text())
@@ -322,8 +368,13 @@ class TestCliInputErrors:
 
     @pytest.mark.parametrize("text, fragment", [(None, "file not found"),
                                                 ("{not json", "malformed JSON"),
-                                                ("[1, 2]", "must be a JSON object")],
-                             ids=["missing", "malformed", "not_an_object"])
+                                                ("[1, 2]", "must be a JSON object"),
+                                                ('{"lambda_": "1"}', "'lambda_' must be float"),
+                                                ('{"skip_realign": "no"}',
+                                                 "'skip_realign' must be bool"),
+                                                ('{"max_iter": 2.5}', "'max_iter' must be int")],
+                             ids=["missing", "malformed", "not_an_object", "string_lambda",
+                                  "string_skip_realign", "float_max_iter"])
     def test_pipeline_with_bad_config_file(self, phantom_dir, tmp_path, capsys, text, fragment):
         config = tmp_path / "config.json"
         if text is not None:
@@ -368,3 +419,31 @@ class TestCliInputErrors:
                                      (1.0, 1.0, 5.0), tmp_path / "lab")
         assert_cli_error(capsys, ["quantify", "--labeling", labeling, "--out", tmp_path / "q",
                                   "--reference-angle", "nan"], "reference angle must be finite")
+
+
+class TestCliFlags:
+    """Each subcommand takes ``--config`` and only the overrides its stages read."""
+
+    @pytest.mark.parametrize("argv", [
+        ["phantom", "--config", "x.json"],
+        ["phantom", "--lambda", "1"],
+        ["metrics", "--epsilon", "1"],
+        ["quantify", "--labeling", "lab.json", "--lambda", "5"],
+        ["realign", "--data", "d.json", "--bins", "8"],
+        ["normalize", "--data", "d.json", "--contours", "c.json", "--gamma", "1"],
+        ["classify", "--normalized", "n.json", "--params", "p.json", "--contours", "c.json",
+         "--reference-angle", "10"],
+        ["quantify", "--labeling", "lab.json", "--seed", "3"],
+    ], ids=lambda argv: "_".join(a.lstrip("-") for a in (argv[0], argv[-2])))
+    def test_flag_a_subcommand_does_not_read_is_rejected(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+    def test_bins_reaches_normalize(self, phantom_dir, tmp_path):
+        assert main(["normalize", "--data", str(phantom_dir / "dataset.json"),
+                     "--contours", str(phantom_dir / "contours.json"),
+                     "--out", str(tmp_path), "--bins", "32"]) == 0
+        report = json.loads((tmp_path / "normalize_report.json").read_text())
+        assert len(report["relative_probability"]["bin_centers"]) == 32

@@ -76,6 +76,11 @@ class TestConfigStageErrors:
         ("reference_angle_deg", float("inf"), "quantify"),
         ("min_volume_mm3", -1.0, "postprocess"),
         ("min_volume_mm3", float("nan"), "postprocess"),
+        ("boundary_fraction", 1.5, "postprocess"),
+        ("boundary_fraction", float("nan"), "postprocess"),
+        ("mvo_enclosure_fraction", -0.1, "postprocess"),
+        ("mvo_enclosure_fraction", float("nan"), "postprocess"),
+        ("max_rim_thickness_vox", -1, "postprocess"),
     ])
     def test_out_of_range_value_is_a_stage_error(self, small_study, field, value, stage):
         ds, truth = small_study
@@ -83,4 +88,11 @@ class TestConfigStageErrors:
         with pytest.raises(PipelineStageError) as info:
             run_pipeline(ds, truth.contours, config)
         assert info.value.stage == stage
+        assert isinstance(info.value.cause, ParameterError)
+
+    def test_negative_max_sweeps_is_a_realign_stage_error(self, small_study):
+        ds, truth = small_study
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(ds, truth.contours, PipelineConfig(realign_max_sweeps=-1))
+        assert info.value.stage == "realign"
         assert isinstance(info.value.cause, ParameterError)

@@ -481,3 +481,19 @@ class TestCostEvaluations:
         assert counts["prescan"] > 0 and counts["simplex"] > 0
         assert counts == second.diagnostics["cost_evaluations"]
         assert any("cost evaluations" in r.getMessage() for r in caplog.records)
+
+
+class TestOptimizeArguments:
+    @pytest.mark.parametrize("max_sweeps", [-1, 1.5, True])
+    def test_bad_max_sweeps_rejected(self, max_sweeps):
+        with pytest.raises(ParameterError, match="max_sweeps"):
+            optimize(build_problem(), max_sweeps=max_sweeps)
+
+    def test_diagnostics_and_the_gain_rule(self):
+        result = optimize(build_problem(), max_sweeps=1)
+        assert set(result.diagnostics) == {"translations_mm", "degenerate_pairs",
+                                           "accepted_moves", "cost_evaluations"}
+        assert result.diagnostics["accepted_moves"]
+        for move in result.diagnostics["accepted_moves"]:
+            min_gain = 3e-2 if move["dist_mm"] < 0.5 else 1e-4
+            assert move["relative_gain"] >= min_gain * (1 - 1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lgequant.errors import FitError, ThresholdError
+from lgequant.errors import FitError, ParameterError, ThresholdError
 from lgequant.rician import (
     RelativeProbability,
     RicianMixtureParams,
@@ -18,6 +18,14 @@ def make_params(**kw):
     base = dict(alpha_r=0.12, sigma_r=0.10, a=-0.15, alpha_g=0.09, sigma_g=0.08, mu=0.75)
     base.update(kw)
     return RicianMixtureParams(**base)
+
+
+class TestParams:
+    @pytest.mark.parametrize("name", ["alpha_r", "sigma_r", "a", "alpha_g", "sigma_g", "mu"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(ParameterError, match="must be finite"):
+            make_params(**{name: value})
 
 
 def curve_from_params(p, n_bins=64, x_lo=0.0, x_hi=1.2):
