@@ -25,8 +25,11 @@ class ContourSet:
     def __post_init__(self):
         if len(self.endo) != len(self.epi):
             raise ContourError("endo and epi contour lists must have equal length")
-        self.endo = [np.asarray(p, dtype=float) for p in self.endo]
-        self.epi = [np.asarray(p, dtype=float) for p in self.epi]
+        try:
+            self.endo = [np.asarray(p, dtype=float) for p in self.endo]
+            self.epi = [np.asarray(p, dtype=float) for p in self.epi]
+        except (TypeError, ValueError) as exc:
+            raise ContourError(f"contour vertices must be numbers: {exc}") from None
         for k, (en, ep) in enumerate(zip(self.endo, self.epi)):
             for name, poly in (("endo", en), ("epi", ep)):
                 if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:

@@ -13,6 +13,7 @@ fractional; pixel (r, c) sits at ``ipp + r*ps_row*iop_row + c*ps_col*iop_col``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,6 +23,11 @@ from .errors import GeometryError
 PARALLEL_TOL = 1e-6        # |n_a x n_b| below this -> planes treated as parallel
 IN_PLANE_TOL = 1e-6        # mm, max distance of a line point to the slice plane
 NEAR_PARALLEL_DEG = 1.0    # max angle between normals of a contiguous SA pair
+# Pixels per grid step may differ from the lattice's (1, 0) and (0, 1) by this
+# much: across 1,000 grid steps the drift stays under 1e-10 px, a tenth of
+# bilinear_sample's edge tolerance.
+LATTICE_TOL = 1e-13
+_EDGE_EPS = 1e-9           # px, how far past the pixel-centre hull a sample stays valid
 
 
 @dataclass(frozen=True)
@@ -141,10 +147,13 @@ def patient_to_pixel(pose: SlicePose, point) -> tuple:
 
     The out-of-plane component of ``point`` is ignored (orthogonal projection).
     """
-    d = np.asarray(point, dtype=float) - pose.ipp
-    r = d @ pose.iop_row / pose.ps_row
-    c = d @ pose.iop_col / pose.ps_col
-    return r, c
+    d = (np.asarray(point, dtype=float) - pose.ipp).T
+    return _dot3(d, pose.iop_row) / pose.ps_row, _dot3(d, pose.iop_col) / pose.ps_col
+
+
+def _dot3(p, q):
+    """p[0]*q[0] + p[1]*q[1] + p[2]*q[2], summed left to right like a Python float sum."""
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
 def plane_intersection(a: SlicePose, b: SlicePose) -> Line3 | None:
@@ -154,8 +163,8 @@ def plane_intersection(a: SlicePose, b: SlicePose) -> Line3 | None:
     norm_d = np.linalg.norm(d)
     if norm_d < PARALLEL_TOL:
         return None
-    h_a = float(n_a @ a.ipp)
-    h_b = float(n_b @ b.ipp)
+    h_a = _dot3(n_a, a.ipp)
+    h_b = _dot3(n_b, b.ipp)
     point = (h_a * np.cross(n_b, d) + h_b * np.cross(d, n_a)) / (norm_d * norm_d)
     return Line3(point=point, direction=d / norm_d)
 
@@ -177,24 +186,6 @@ def _check_in_plane(pose: SlicePose, line: Line3):
         raise GeometryError("line direction is not parallel to the slice plane")
 
 
-def _clip_axis(x0: float, dx: float, lo: float, hi: float, interval):
-    """Intersect {t : lo <= x0 + t*dx <= hi} with interval; None if empty."""
-    t_lo, t_hi = interval
-    if abs(dx) < 1e-15:
-        if lo - 1e-12 <= x0 <= hi + 1e-12:
-            return t_lo, t_hi
-        return None
-    ta = (lo - x0) / dx
-    tb = (hi - x0) / dx
-    if ta > tb:
-        ta, tb = tb, ta
-    t_lo = max(t_lo, ta)
-    t_hi = min(t_hi, tb)
-    if t_lo > t_hi:
-        return None
-    return t_lo, t_hi
-
-
 def clip_line_to_roi(slice_img: SliceImage, roi: Roi, line: Line3):
     """Parameter interval of ``line`` inside the ROI rectangle, or None.
 
@@ -211,13 +202,17 @@ def clip_line_to_roi(slice_img: SliceImage, roi: Roi, line: Line3):
 
 def clip_pixel_line(r0: float, dr: float, c0: float, dc: float, roi: Roi):
     """Interval of t with pixel (r0 + t*dr, c0 + t*dc) inside the ROI, or None."""
-    interval = _clip_axis(r0, dr, roi.row_min, roi.row_max, (-np.inf, np.inf))
-    if interval is None:
-        return None
-    interval = _clip_axis(c0, dc, roi.col_min, roi.col_max, interval)
-    if interval is None or not np.isfinite(interval[0]) or not np.isfinite(interval[1]):
-        return None
-    return interval
+    t_lo, t_hi = -math.inf, math.inf
+    for x0, dx, lo, hi in ((r0, dr, roi.row_min, roi.row_max), (c0, dc, roi.col_min, roi.col_max)):
+        if abs(dx) < 1e-15:
+            if not lo - 1e-12 <= x0 <= hi + 1e-12:
+                return None
+            continue
+        ta, tb = sorted(((lo - x0) / dx, (hi - x0) / dx))
+        t_lo, t_hi = max(t_lo, ta), min(t_hi, tb)
+        if t_lo > t_hi:
+            return None
+    return (t_lo, t_hi) if math.isfinite(t_lo) and math.isfinite(t_hi) else None
 
 
 def full_image_roi(pose: SlicePose) -> Roi:
@@ -234,7 +229,7 @@ def bilinear_sample(pixels: np.ndarray, r, c):
     r = np.asarray(r, dtype=float)
     c = np.asarray(c, dtype=float)
     rows, cols = pixels.shape
-    eps = 1e-9
+    eps = _EDGE_EPS
     valid = (r >= -eps) & (r <= rows - 1 + eps) & (c >= -eps) & (c <= cols - 1 + eps)
     rc = np.minimum(np.maximum(r, 0.0), rows - 1.0)
     cc = np.minimum(np.maximum(c, 0.0), cols - 1.0)
@@ -276,73 +271,164 @@ def sample_positions(interval, step_mm: float) -> np.ndarray:
     return t_lo + step_mm * np.arange(n)
 
 
-def _angle_between_deg(u: np.ndarray, v: np.ndarray) -> float:
-    cosang = np.clip(abs(float(u @ v)) / (np.linalg.norm(u) * np.linalg.norm(v)), -1.0, 1.0)
-    return float(np.degrees(np.arccos(cosang)))
+def _valid_span(x0: float, n: int, hi: int) -> tuple:
+    """[i0, i1): the i < n with -eps <= x0 + i <= hi + eps, in bilinear_sample's test.
+
+    ``ceil``/``floor`` of a rounded bound can be one off, so each end is
+    settled by evaluating the test itself next to it. At the low end only
+    one short is possible: there x0 + i is near 0 and exact (Sterbenz).
+    """
+    lo_edge, hi_edge = -_EDGE_EPS, hi + _EDGE_EPS
+    i0 = max(math.ceil(lo_edge - x0), 0)
+    if x0 + i0 < lo_edge:
+        i0 += 1
+    i1 = math.floor(hi_edge - x0) + 1           # one past the last valid index
+    if x0 + (i1 - 1) > hi_edge:
+        i1 -= 1
+    elif x0 + i1 <= hi_edge:
+        i1 += 1
+    return min(i0, n), max(min(i0, n), min(i1, n))
 
 
-def _roi_corners_patient(slice_img: SliceImage, roi: Roi) -> np.ndarray:
-    rr = [roi.row_min, roi.row_min, roi.row_max, roi.row_max]
-    cc = [roi.col_min, roi.col_max, roi.col_min, roi.col_max]
-    return pixel_to_patient(slice_img.pose, np.array(rr, dtype=float), np.array(cc, dtype=float))
+def lattice_sample(padded: np.ndarray, r0: float, c0: float, nu: int, nv: int) -> np.ndarray:
+    """Bilinear samples at pixel (r0 + i, c0 + j), i < nu, j < nv; NaN outside.
+
+    All samples share one fractional offset, so the grid is four shifted
+    slices of ``padded`` (the image with its edges repeated once,
+    ``np.pad(pixels, 1, mode="edge")``, so the hull reads like
+    ``bilinear_sample``'s clamp) times four constant weights. A sample is
+    valid exactly where ``bilinear_sample``'s test holds.
+    """
+    out = np.full((nu, nv), np.nan)
+    i0, i1 = _valid_span(r0, nu, padded.shape[0] - 3)
+    j0, j1 = _valid_span(c0, nv, padded.shape[1] - 3)
+    if i0 == i1 or j0 == j1:
+        return out
+    kr, kc = math.floor(r0), math.floor(c0)
+    fr, fc = r0 - kr, c0 - kc
+    gr, gc = 1.0 - fr, 1.0 - fc
+    top = padded[kr + i0 + 1:kr + i1 + 1]
+    bottom = padded[kr + i0 + 2:kr + i1 + 2]
+    left, right = slice(kc + j0 + 1, kc + j1 + 1), slice(kc + j0 + 2, kc + j1 + 2)
+    out[i0:i1, j0:j1] = (top[:, left] * (gr * gc) + bottom[:, left] * (fr * gc)
+                         + top[:, right] * (gr * fc) + bottom[:, right] * (fr * fc))
+    return out
+
+
+class _RegionSide:
+    """One slice of a contiguous pair, with everything translation leaves fixed.
+
+    Mid-plane point ``u*u_axis + v*v_axis + h*n`` projects along ``n`` to
+    pixel row ``u*ru + v*rv - ipp . w_row`` of the slice at origin ``ipp``
+    (columns likewise). The side is on the lattice when a grid step moves
+    (1, 0) pixels along u and (0, 1) along v, within LATTICE_TOL.
+    """
+
+    def __init__(self, img: SliceImage, roi: Roi, n, u_axis, v_axis, step: float):
+        pose = img.pose
+        rr = np.array([roi.row_min, roi.row_min, roi.row_max, roi.row_max], dtype=float)
+        cc = np.array([roi.col_min, roi.col_max, roi.col_min, roi.col_max], dtype=float)
+        self.corner_r = np.multiply.outer(rr * pose.ps_row, pose.iop_row)
+        self.corner_c = np.multiply.outer(cc * pose.ps_col, pose.iop_col)
+        n_s = pose.normal
+        if float(n_s @ n) < 0:
+            n_s = -n_s
+        self.n_s, self.n_s_dot_n = n_s, float(n_s @ n)
+        self.pose, self.pixels, self.n = pose, img.pixels, n
+        w_row, w_col = (e - n_s * (float(n @ e) / self.n_s_dot_n)
+                         for e in (pose.iop_row / pose.ps_row, pose.iop_col / pose.ps_col))
+        self.ru, self.rv, self.cu, self.cv = (
+            float(w @ axis) for w in (w_row, w_col) for axis in (u_axis, v_axis))
+        self.lattice = max(abs(step * self.ru - 1.0), abs(step * self.rv), abs(step * self.cu),
+                           abs(step * self.cv - 1.0)) <= LATTICE_TOL
+        if self.lattice:
+            self.w_row, self.w_col = w_row.tolist(), w_col.tolist()
+            # The ROI corners' reach from the origin along u and v.
+            offsets = self.corner_r + self.corner_c
+            self.reach = [(float(x.min()), float(x.max()))
+                          for x in (offsets @ u_axis, offsets @ v_axis)]
+            self.padded = np.pad(self.pixels, 1, mode="edge")
+
+    def stencil(self, u_lo: float, v_lo: float, ipp: list, nu: int, nv: int) -> np.ndarray:
+        """Values on the (nu, nv) lattice whose first point is (u_lo, v_lo); NaN outside."""
+        r0 = u_lo * self.ru + v_lo * self.rv - _dot3(ipp, self.w_row)
+        c0 = u_lo * self.cu + v_lo * self.cv - _dot3(ipp, self.w_col)
+        return lattice_sample(self.padded, r0, c0, nu, nv)
+
+    def gather(self, grid_mid: np.ndarray, ipp: np.ndarray) -> np.ndarray:
+        """Slice values at the mid-plane grid projected along n; NaN outside."""
+        pose = self.pose
+        h_s = float(self.n_s @ ipp)
+        t = (h_s - grid_mid @ self.n_s) / self.n_s_dot_n
+        d = np.empty_like(grid_mid)
+        for k in range(3):
+            d[..., k] = grid_mid[..., k] + t * self.n[k] - ipp[k]
+        r = d @ pose.iop_row / pose.ps_row
+        c = d @ pose.iop_col / pose.ps_col
+        vals, valid = bilinear_sample(self.pixels, r, c)
+        return np.where(valid, vals, np.nan)
+
+
+class RegionPair:
+    """Paired-region sampling of two adjacent near-parallel slices, compiled for translation.
+
+    Both ROIs are projected along the shared normal onto the plane midway
+    between the slices; the smallest rectangle containing both projections
+    is projected back onto each slice and sampled on an identical grid at
+    the finer pixel spacing of the pair. ``sample`` takes the two origins.
+    On the lattice (parallel slices, square pixels of the grid step) each
+    side is one ``lattice_sample``; otherwise each grid point is gathered.
+    """
+
+    def __init__(self, a: SliceImage, roi_a: Roi, b: SliceImage, roi_b: Roi):
+        n_a, n_b = a.pose.normal, b.pose.normal
+        cosang = abs(float(n_a @ n_b)) / (np.linalg.norm(n_a) * np.linalg.norm(n_b))
+        angle = float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
+        if angle > NEAR_PARALLEL_DEG:
+            raise GeometryError(f"slices are {angle:.2f} deg from parallel; not an adjacent SA pair")
+        n = n_a + (n_b if float(n_a @ n_b) >= 0 else -n_b)
+        self.n = n / np.linalg.norm(n)
+        # In-plane basis for the middle plane, taken from slice a.
+        u_axis = a.pose.iop_row - float(a.pose.iop_row @ self.n) * self.n
+        self.u_axis = u_axis / np.linalg.norm(u_axis)
+        self.v_axis = np.cross(self.n, self.u_axis)
+        self.step = min(a.pose.ps_row, a.pose.ps_col, b.pose.ps_row, b.pose.ps_col)
+        self.sides = [_RegionSide(s, roi, self.n, self.u_axis, self.v_axis, self.step)
+                      for s, roi in ((a, roi_a), (b, roi_b))]
+        self.lattice = all(side.lattice for side in self.sides)
+        self.uv = (self.u_axis.tolist(), self.v_axis.tolist())
+
+    def sample(self, ipp_a: np.ndarray, ipp_b: np.ndarray):
+        """(values on a, values on b, grid extent in mm) with the slices at these origins."""
+        (a, b), n, step = self.sides, self.n, self.step
+        if self.lattice:
+            pa, pb = ipp_a.tolist(), ipp_b.tolist()
+            u, v = ([_dot3(p, axis) + reach for p, side in ((pa, a), (pb, b))
+                     for reach in side.reach[k]] for k, axis in enumerate(self.uv))
+        else:
+            corners = np.vstack([ipp_a + a.corner_r + a.corner_c, ipp_b + b.corner_r + b.corner_c])
+            u, v = corners @ self.u_axis, corners @ self.v_axis
+        u_lo, u_hi, v_lo, v_hi = (float(f(x)) for x in (u, v) for f in (min, max))
+        nu = int(np.floor((u_hi - u_lo) / step + 1e-9)) + 1
+        nv = int(np.floor((v_hi - v_lo) / step + 1e-9)) + 1
+        extent = (float(u_hi - u_lo), float(v_hi - v_lo))
+        if self.lattice:
+            return a.stencil(u_lo, v_lo, pa, nu, nv), b.stencil(u_lo, v_lo, pb, nu, nv), extent
+        h_mid = 0.5 * float(n @ ipp_a + n @ ipp_b)
+        uu = u_lo + step * np.arange(nu)
+        vv = v_lo + step * np.arange(nv)
+        # One coordinate plane at a time: far faster than a broadcast over a
+        # trailing axis of 3, with the same arithmetic per element.
+        grid_mid = np.empty((nu, nv, 3))
+        offset = h_mid * n
+        for k in range(3):
+            grid_mid[..., k] = uu[:, None] * self.u_axis[k] + vv * self.v_axis[k] + offset[k]
+        return a.gather(grid_mid, ipp_a), b.gather(grid_mid, ipp_b), extent
 
 
 def contiguous_regions(
     a: SliceImage, roi_a: Roi, b: SliceImage, roi_b: Roi
 ) -> tuple[SampledRegion, SampledRegion]:
-    """Paired same-size regions from two adjacent near-parallel slices.
-
-    Both ROIs are projected along the shared normal onto the plane midway
-    between the slices; the smallest rectangle containing both projections is
-    projected back onto each slice and sampled on an identical grid at the
-    finer pixel spacing of the pair.
-    """
-    angle = _angle_between_deg(a.pose.normal, b.pose.normal)
-    if angle > NEAR_PARALLEL_DEG:
-        raise GeometryError(f"slices are {angle:.2f} deg from parallel; not an adjacent SA pair")
-    n_a, n_b = a.pose.normal, b.pose.normal
-    n = n_a + (n_b if float(n_a @ n_b) >= 0 else -n_b)
-    n = n / np.linalg.norm(n)
-
-    # In-plane basis for the middle plane, taken from slice a.
-    u_axis = a.pose.iop_row - float(a.pose.iop_row @ n) * n
-    u_axis = u_axis / np.linalg.norm(u_axis)
-    v_axis = np.cross(n, u_axis)
-
-    corners = np.vstack([_roi_corners_patient(a, roi_a), _roi_corners_patient(b, roi_b)])
-    u = corners @ u_axis
-    v = corners @ v_axis
-    u_lo, u_hi = float(u.min()), float(u.max())
-    v_lo, v_hi = float(v.min()), float(v.max())
-
-    h_mid = 0.5 * float(n @ a.pose.ipp + n @ b.pose.ipp)
-    step = min(a.pose.ps_row, a.pose.ps_col, b.pose.ps_row, b.pose.ps_col)
-    nu = int(np.floor((u_hi - u_lo) / step + 1e-9)) + 1
-    nv = int(np.floor((v_hi - v_lo) / step + 1e-9)) + 1
-    uu = u_lo + step * np.arange(nu)
-    vv = v_lo + step * np.arange(nv)
-    ug, vg = np.meshgrid(uu, vv, indexing="ij")
-    grid_mid = (
-        np.multiply.outer(ug, u_axis)
-        + np.multiply.outer(vg, v_axis)
-        + h_mid * n
-    )
-
-    regions = []
-    for s in (a, b):
-        n_s = s.pose.normal
-        if float(n_s @ n) < 0:
-            n_s = -n_s
-        h_s = float(n_s @ s.pose.ipp)
-        # Project the mid-plane grid onto the slice plane along n.
-        t = (h_s - grid_mid @ n_s) / float(n_s @ n)
-        pts = grid_mid + np.multiply.outer(t, n)
-        d = pts - s.pose.ipp
-        r = d @ s.pose.iop_row / s.pose.ps_row
-        c = d @ s.pose.iop_col / s.pose.ps_col
-        vals, valid = bilinear_sample(s.pixels, r, c)
-        vals = np.where(valid, vals, np.nan)
-        regions.append(
-            SampledRegion(values=vals, extent_mm=(float(u_hi - u_lo), float(v_hi - v_lo)))
-        )
-    return regions[0], regions[1]
+    """Paired same-size regions from two adjacent near-parallel slices (see RegionPair)."""
+    *values, extent = RegionPair(a, roi_a, b, roi_b).sample(a.pose.ipp, b.pose.ipp)
+    return tuple(SampledRegion(values=v, extent_mm=extent) for v in values)

@@ -46,6 +46,22 @@ def _field(header: dict, key: str, path):
         raise DatasetFormatError(f"{path}: header has no {key!r} entry") from None
 
 
+def _entries(header: dict, path) -> list:
+    """The ``slices`` list of a manifest or contours file."""
+    entries = _field(header, "slices", path)
+    if not isinstance(entries, list):
+        raise DatasetFormatError(f"{path}: 'slices' must be a list, got {entries!r}")
+    return entries
+
+
+def _index(entry: dict, path) -> int:
+    """The integer ``index`` of one slice entry."""
+    index = _field(entry, "index", path)
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise DatasetFormatError(f"{path}: slice 'index' must be an integer, got {index!r}")
+    return index
+
+
 def _read_raw(header_path, header: dict, file_key: str, dims_key: str, dtype) -> np.ndarray:
     """The raw file a header names under ``file_key``, shaped to its ``dims_key``."""
     try:
@@ -137,7 +153,7 @@ def load_dataset(manifest_path) -> LgeDataset:
         raise DatasetFormatError(f"{manifest_path}: malformed slice spacing: {exc}") from None
     base = manifest_path.parent
     sa, la, rois = [], [], []
-    for entry in _field(manifest, "slices", manifest_path):
+    for entry in _entries(manifest, manifest_path):
         def get(key):
             return _field(entry, key, manifest_path)
 
@@ -165,7 +181,7 @@ def load_dataset(manifest_path) -> LgeDataset:
                          ps_row=ps_row, ps_col=ps_col, rows=rows, cols=cols)
         pixels = read_pixels_u16(base / str(get("pixel_file")), pose.rows, pose.cols)
         image = SliceImage(pose=pose, pixels=pixels)
-        role, index = get("role"), get("index")
+        role, index = get("role"), _index(entry, manifest_path)
         if role == "SA":
             sa.append((index, image))
             rois.append((index, roi))
@@ -208,8 +224,7 @@ def save_contours(contours: ContourSet, path) -> Path:
 
 def load_contours(path) -> ContourSet:
     """Read a contours file; ``ContourSet`` checks each polygon's shape."""
-    slices = sorted(_field(_read_json(path), "slices", path),
-                    key=lambda entry: _field(entry, "index", path))
+    slices = sorted(_entries(_read_json(path), path), key=lambda entry: _index(entry, path))
     return ContourSet(endo=[_field(entry, "endo", path) for entry in slices],
                       epi=[_field(entry, "epi", path) for entry in slices])
 

@@ -24,7 +24,7 @@ from .plots import bullseye_svg
 from .postprocess import PostprocessConfig, run_postprocessing
 from .raster import ContourMasks, contour_masks
 from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.py)
-from .realign import AlignmentProblem, optimize
+from .realign import AlignmentProblem, check_gamma, check_max_sweeps, optimize
 from .rician import RicianMixtureParams
 
 
@@ -54,6 +54,13 @@ class PipelineConfig:
     reference_angle_deg: float = 0.0
     realign_max_sweeps: int = 50
     skip_realign: bool = False
+
+    def __post_init__(self):
+        # Checked here too, so that a config which skips realignment cannot
+        # carry a bad realign value without an error.
+        with _stage("realign"):
+            check_gamma(self.gamma)
+            check_max_sweeps(self.realign_max_sweeps)
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":

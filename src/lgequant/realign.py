@@ -23,11 +23,11 @@ from scipy.optimize import minimize
 from .errors import DegenerateInputError, GeometryError, ParameterError
 from .geometry import (
     IN_PLANE_TOL,
-    NEAR_PARALLEL_DEG,
     PARALLEL_TOL,
+    RegionPair,
     Roi,
     SliceImage,
-    _angle_between_deg,
+    _dot3,
     bilinear_sample,
     clip_line_to_roi,
     clip_pixel_line,
@@ -51,6 +51,20 @@ _NELDER_MEAD_OPTIONS = {"xatol": 1e-3, "fatol": 1e-12, "maxiter": 130, "maxfev":
 def middle_slice_index(n: int) -> int:
     """Index of the designated middle slice of an n-slice SA stack."""
     return n // 2
+
+
+def check_gamma(gamma) -> None:
+    """Raise ParameterError unless the contiguous weight is a finite number >= 0."""
+    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real) \
+            or not math.isfinite(gamma) or gamma < 0:
+        raise ParameterError(f"gamma must be a finite non-negative number, got {gamma!r}")
+
+
+def check_max_sweeps(max_sweeps) -> None:
+    """Raise ParameterError unless the sweep cap is an integer >= 0."""
+    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, numbers.Integral) \
+            or max_sweeps < 0:
+        raise ParameterError(f"max_sweeps must be a non-negative integer, got {max_sweeps!r}")
 
 
 def zscore_normalize(values: np.ndarray) -> np.ndarray:
@@ -91,6 +105,19 @@ def _compare(vals_a, vals_b, ok, too_few: str, constant: str):
     return mean_squared_difference(za, zb), None
 
 
+def _line_samples(int_a, int_b, step: float):
+    """(sample parameters, None) on the common part of two clipped intervals,
+    or (None, degeneracy reason)."""
+    if int_a is None or int_b is None:
+        return None, "no-overlap"
+    t_lo = max(int_a[0], int_b[0])
+    t_hi = min(int_a[1], int_b[1])
+    if t_hi <= t_lo:
+        return None, "no-overlap"
+    ts = sample_positions((t_lo, t_hi), step)
+    return (ts, None) if ts.size >= 2 else (None, "too-few-samples")
+
+
 def _intersecting_term(a: SliceImage, b: SliceImage, roi: Roi):
     """Cost of one intersecting pair from the geometry primitives; (cost, reason).
 
@@ -99,32 +126,30 @@ def _intersecting_term(a: SliceImage, b: SliceImage, roi: Roi):
     line = plane_intersection(a.pose, b.pose)
     if line is None:
         return 0.0, "parallel-planes"
-    int_a = clip_line_to_roi(a, roi, line)
-    int_b = clip_line_to_roi(b, full_image_roi(b.pose), line)
-    if int_a is None or int_b is None:
-        return 0.0, "no-overlap"
-    t_lo = max(int_a[0], int_b[0])
-    t_hi = min(int_a[1], int_b[1])
-    if t_hi <= t_lo:
-        return 0.0, "no-overlap"
     step = min(a.pose.ps_row, a.pose.ps_col, b.pose.ps_row, b.pose.ps_col)
-    ts = sample_positions((t_lo, t_hi), step)
-    if ts.size < 2:
-        return 0.0, "too-few-samples"
+    ts, reason = _line_samples(clip_line_to_roi(a, roi, line),
+                               clip_line_to_roi(b, full_image_roi(b.pose), line), step)
+    if reason is not None:
+        return 0.0, reason
     vals_a, ok_a = sample_line_values(a, line, ts)
     vals_b, ok_b = sample_line_values(b, line, ts)
     return _compare(vals_a, vals_b, ok_a & ok_b, "too-few-samples", "constant-segment")
 
 
+def _region_cost(vals_a, vals_b):
+    """(cost, reason) of two paired regions, NaN where a slice has no sample."""
+    ok = np.isfinite(vals_a) & np.isfinite(vals_b)
+    return _compare(vals_a, vals_b, ok, "no-overlap", "constant-region")
+
+
 def _contiguous_term(a: SliceImage, roi_a: Roi, b: SliceImage, roi_b: Roi):
     """Cost of one adjacent SA pair from the geometry primitives; (cost, reason)."""
     ra, rb = contiguous_regions(a, roi_a, b, roi_b)
-    ok = np.isfinite(ra.values) & np.isfinite(rb.values)
-    return _compare(ra.values, rb.values, ok, "no-overlap", "constant-region")
+    return _region_cost(ra.values, rb.values)
 
 
 class _LineSide:
-    """One slice of an intersecting pair: its frame, ROI and the line's pixel slopes."""
+    """One slice of an intersecting pair: its frame as floats, ROI and the line's pixel slopes."""
 
     def __init__(self, img: SliceImage, roi: Roi, direction: np.ndarray):
         pose = img.pose
@@ -132,31 +157,33 @@ class _LineSide:
             raise GeometryError("line direction is not parallel to the slice plane")
         if roi.row_max >= pose.rows or roi.col_max >= pose.cols:
             raise GeometryError("ROI exceeds image bounds")
-        self.pose, self.roi, self.pixels = pose, roi, img.pixels
+        self.roi, self.pixels = roi, img.pixels
+        self.normal, self.iop_row, self.iop_col = (
+            v.tolist() for v in (pose.normal, pose.iop_row, pose.iop_col))
+        self.ps_row, self.ps_col = pose.ps_row, pose.ps_col
         self.dr = float(direction @ pose.iop_row) / pose.ps_row
         self.dc = float(direction @ pose.iop_col) / pose.ps_col
 
-    def clip(self, point: np.ndarray, ipp: np.ndarray):
+    def clip(self, point: list, ipp: list):
         """(r0, c0, t interval inside the ROI or None) of the line through ``point``."""
-        pose = self.pose
-        d = point - ipp
-        dist = abs(float(pose.normal @ d))
+        d = [point[0] - ipp[0], point[1] - ipp[1], point[2] - ipp[2]]
+        dist = abs(_dot3(self.normal, d))
         if dist > IN_PLANE_TOL:
             raise GeometryError(f"line point is {dist:.3g} mm off the slice plane")
-        r0 = float(d @ pose.iop_row / pose.ps_row)
-        c0 = float(d @ pose.iop_col / pose.ps_col)
+        r0 = _dot3(d, self.iop_row) / self.ps_row
+        c0 = _dot3(d, self.iop_col) / self.ps_col
         return r0, c0, clip_pixel_line(r0, self.dr, c0, self.dc, self.roi)
 
 
 class _LineTerm:
     """Intersecting-profile term of slices ``i`` and ``j``, compiled for translation.
 
-    Normals, line direction, pixel slopes, sampling step and ROI checks do
-    not change when the slices only translate, so they are computed once.
-    A trial supplies the origins and repeats the arithmetic of
-    ``plane_intersection``, ``clip_line_to_roi`` and ``sample_line_values``
-    on them in the same order, so its cost is bit-identical to
-    ``_intersecting_term``'s.
+    Normals, line direction, cross products, pixel slopes, sampling step
+    and ROI checks do not change when the slices only translate, so they
+    are computed once. A trial supplies the origins and repeats, on Python
+    floats, the arithmetic of ``plane_intersection``, ``clip_line_to_roi``
+    and ``sample_line_values`` in the same order, so its cost is
+    bit-identical to ``_intersecting_term``'s.
     """
 
     kind = "int"
@@ -169,9 +196,9 @@ class _LineTerm:
         self.parallel = bool(norm_d < PARALLEL_TOL)
         if self.parallel:
             return
-        self.n_a, self.n_b = n_a, n_b
-        self.cross_b, self.cross_a = np.cross(n_b, d), np.cross(d, n_a)
-        self.norm_d2 = norm_d * norm_d
+        self.n_a, self.n_b = n_a.tolist(), n_b.tolist()
+        self.cross_b, self.cross_a = np.cross(n_b, d).tolist(), np.cross(d, n_a).tolist()
+        self.norm_d2 = float(norm_d * norm_d)
         direction = d / norm_d
         self.a = _LineSide(a, roi, direction)
         self.b = _LineSide(b, full_image_roi(b.pose), direction)
@@ -183,24 +210,17 @@ class _LineTerm:
             return [(0.0, "parallel-planes")] * len(trials)
         out: list = [None] * len(trials)
         sampled, origins, ts_parts = [], [], []
+        cross_b, cross_a, norm_d2 = self.cross_b, self.cross_a, self.norm_d2
         for k, ipps in enumerate(trials):
-            ipp_a, ipp_b = ipps[self.i], ipps[self.j]
-            h_a = float(self.n_a @ ipp_a)
-            h_b = float(self.n_b @ ipp_b)
-            point = (h_a * self.cross_b + h_b * self.cross_a) / self.norm_d2
+            ipp_a, ipp_b = ipps[self.i].tolist(), ipps[self.j].tolist()
+            h_a = _dot3(self.n_a, ipp_a)
+            h_b = _dot3(self.n_b, ipp_b)
+            point = [(h_a * cross_b[m] + h_b * cross_a[m]) / norm_d2 for m in range(3)]
             r0_a, c0_a, int_a = self.a.clip(point, ipp_a)
             r0_b, c0_b, int_b = self.b.clip(point, ipp_b)
-            if int_a is None or int_b is None:
-                out[k] = (0.0, "no-overlap")
-                continue
-            t_lo = max(int_a[0], int_b[0])
-            t_hi = min(int_a[1], int_b[1])
-            if t_hi <= t_lo:
-                out[k] = (0.0, "no-overlap")
-                continue
-            ts = sample_positions((t_lo, t_hi), self.step)
-            if ts.size < 2:
-                out[k] = (0.0, "too-few-samples")
+            ts, reason = _line_samples(int_a, int_b, self.step)
+            if reason is not None:
+                out[k] = (0.0, reason)
                 continue
             sampled.append((k, ts.size))
             origins.append((r0_a, c0_a, r0_b, c0_b))
@@ -224,88 +244,23 @@ class _LineTerm:
         return out
 
 
-class _RegionSide:
-    """One slice of a contiguous pair: ROI-corner offsets and its signed normal."""
-
-    def __init__(self, img: SliceImage, roi: Roi, n: np.ndarray):
-        pose = img.pose
-        rr = np.array([roi.row_min, roi.row_min, roi.row_max, roi.row_max], dtype=float)
-        cc = np.array([roi.col_min, roi.col_max, roi.col_min, roi.col_max], dtype=float)
-        self.corner_r = np.multiply.outer(rr * pose.ps_row, pose.iop_row)
-        self.corner_c = np.multiply.outer(cc * pose.ps_col, pose.iop_col)
-        n_s = pose.normal
-        if float(n_s @ n) < 0:
-            n_s = -n_s
-        self.n_s, self.n_s_dot_n = n_s, float(n_s @ n)
-        self.pose, self.pixels, self.n = pose, img.pixels, n
-
-    def sample(self, grid_mid: np.ndarray, ipp: np.ndarray) -> np.ndarray:
-        """Slice values at the mid-plane grid projected along n; NaN outside."""
-        pose = self.pose
-        h_s = float(self.n_s @ ipp)
-        t = (h_s - grid_mid @ self.n_s) / self.n_s_dot_n
-        d = np.empty_like(grid_mid)
-        for k in range(3):
-            d[..., k] = grid_mid[..., k] + t * self.n[k] - ipp[k]
-        r = d @ pose.iop_row / pose.ps_row
-        c = d @ pose.iop_col / pose.ps_col
-        vals, valid = bilinear_sample(self.pixels, r, c)
-        return np.where(valid, vals, np.nan)
-
-
 class _RegionTerm:
     """Contiguous-region term of adjacent SA slices ``i`` and ``j``, compiled.
 
-    The mid-plane normal and in-plane axes, each slice's signed normal, the
-    ROI-corner offsets and the near-parallel check are fixed under
-    translation. A trial repeats the rest of ``contiguous_regions`` in the
-    same order, so its cost is bit-identical to ``_contiguous_term``'s.
+    ``contiguous_regions`` builds a ``RegionPair`` per call; this term builds
+    one at compile time and samples it at each trial's origins, so its cost
+    is bit-identical to ``_contiguous_term``'s.
     """
 
     kind = "cnt"
 
     def __init__(self, i: int, j: int, a: SliceImage, roi_a: Roi, b: SliceImage, roi_b: Roi):
         self.i, self.j, self.rois = i, j, (roi_a, roi_b)
-        n_a, n_b = a.pose.normal, b.pose.normal
-        angle = _angle_between_deg(n_a, n_b)
-        if angle > NEAR_PARALLEL_DEG:
-            raise GeometryError(f"slices are {angle:.2f} deg from parallel; not an adjacent SA pair")
-        n = n_a + (n_b if float(n_a @ n_b) >= 0 else -n_b)
-        n = n / np.linalg.norm(n)
-        u_axis = a.pose.iop_row - float(a.pose.iop_row @ n) * n
-        self.u_axis = u_axis / np.linalg.norm(u_axis)
-        self.v_axis = np.cross(n, self.u_axis)
-        self.n = n
-        self.a, self.b = _RegionSide(a, roi_a, n), _RegionSide(b, roi_b, n)
-        self.step = min(a.pose.ps_row, a.pose.ps_col, b.pose.ps_row, b.pose.ps_col)
+        self.pair = RegionPair(a, roi_a, b, roi_b)
 
     def costs(self, trials) -> list:
         """(cost, reason) at each trial, one trial at a time to bound memory."""
-        return [self._cost(ipps[self.i], ipps[self.j]) for ipps in trials]
-
-    def _cost(self, ipp_a: np.ndarray, ipp_b: np.ndarray):
-        a, b, n, step = self.a, self.b, self.n, self.step
-        corners = np.vstack([ipp_a + a.corner_r + a.corner_c, ipp_b + b.corner_r + b.corner_c])
-        u = corners @ self.u_axis
-        v = corners @ self.v_axis
-        u_lo, u_hi = float(u.min()), float(u.max())
-        v_lo, v_hi = float(v.min()), float(v.max())
-        h_mid = 0.5 * float(n @ ipp_a + n @ ipp_b)
-        nu = int(np.floor((u_hi - u_lo) / step + 1e-9)) + 1
-        nv = int(np.floor((v_hi - v_lo) / step + 1e-9)) + 1
-        uu = u_lo + step * np.arange(nu)
-        vv = v_lo + step * np.arange(nv)
-        # Built one coordinate plane at a time: a broadcast over a trailing
-        # axis of 3 is far slower than these (nu, nv) operations, and every
-        # element gets the same arithmetic either way.
-        grid_mid = np.empty((nu, nv, 3))
-        offset = h_mid * n
-        for k in range(3):
-            grid_mid[..., k] = uu[:, None] * self.u_axis[k] + vv * self.v_axis[k] + offset[k]
-        ra = a.sample(grid_mid, ipp_a)
-        rb = b.sample(grid_mid, ipp_b)
-        ok = np.isfinite(ra) & np.isfinite(rb)
-        return _compare(ra, rb, ok, "no-overlap", "constant-region")
+        return [_region_cost(*self.pair.sample(ipps[self.i], ipps[self.j])[:2]) for ipps in trials]
 
 
 def intersecting_cost(a: SliceImage, b: SliceImage, roi: Roi | None = None) -> float:
@@ -342,10 +297,7 @@ class AlignmentProblem:
             raise ParameterError("one ROI per SA slice required")
         self.sa_rois = [roi if roi is not None else full_image_roi(s.pose)
                         for roi, s in zip(self.sa_rois, self.sa_slices)]
-        gamma = self.gamma
-        if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real) \
-                or not math.isfinite(gamma) or gamma < 0:
-            raise ParameterError(f"gamma must be a finite non-negative number, got {gamma!r}")
+        check_gamma(self.gamma)
 
     @property
     def slices(self) -> list:
@@ -386,6 +338,8 @@ class CompiledProblem:
         self.terms = terms
         self.gamma = problem.gamma
         self.origins = [s.pose.ipp for s in slices]
+        # Contiguous-term evaluations by sampling path, for the log.
+        self.region_samples = {"lattice": 0, "gather": 0}
 
     def positions(self, ipp_all=None) -> list:
         """Per-slice origins: the recorded ones, or ``ipp_all`` reached by translation."""
@@ -408,6 +362,7 @@ class CompiledProblem:
             costs = term.costs(trials)
             if term.kind == "cnt":
                 costs = [(self.gamma * cost, reason) for cost, reason in costs]
+                self.region_samples["lattice" if term.pair.lattice else "gather"] += len(trials)
             out.append(costs)
         return out
 
@@ -459,9 +414,7 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
     over the 3 translation components of every slice in turn. The middle SA
     slice keeps its original origin to fix the common-translation gauge.
     """
-    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, numbers.Integral) \
-            or max_sweeps < 0:
-        raise ParameterError(f"max_sweeps must be a non-negative integer, got {max_sweeps!r}")
+    check_max_sweeps(max_sweeps)
     slices = problem.slices
     n_slices = len(slices)
     if n_slices < 2:
@@ -646,13 +599,14 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
         regauge()
         new_total = float(term_costs.sum())
         if prev_total - new_total < REL_TOL * max(prev_total, 1e-300):
-            prev_total = min(prev_total, new_total)
             converged = True
             break
         prev_total = new_total
 
     logger.info("realign: %d prescan, %d simplex and %d regauge cost evaluations",
                 evaluations["prescan"], evaluations["simplex"], evaluations["regauge"])
+    logger.info("realign: %d contiguous evaluations on the pixel lattice, %d by gather",
+                compiled.region_samples["lattice"], compiled.region_samples["gather"])
     return AlignmentResult(
         corrected_ipps=np.array([origins[i] + deltas[i] for i in range(n_slices)]),
         initial_cost=initial_cost,

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lgequant.errors import GeometryError
 from lgequant.geometry import (
     Line3,
+    RegionPair,
     Roi,
     SliceImage,
     SlicePose,
@@ -11,6 +16,7 @@ from lgequant.geometry import (
     clip_line_to_roi,
     contiguous_regions,
     full_image_roi,
+    lattice_sample,
     patient_to_pixel,
     pixel_to_patient,
     plane_intersection,
@@ -306,3 +312,79 @@ class TestBilinearSample:
         vals, valid = bilinear_sample(pixels, np.array([1.0, -1.0]), np.array([1.5, 0.0]))
         assert valid.tolist() == [True, False]
         assert vals.tolist() == [5.5, 0.0]
+
+
+@st.composite
+def _lattice_offset(draw, size: int, n: int) -> float:
+    """First lattice coordinate along an axis of ``size`` pixels sampled ``n`` times.
+
+    Integer offsets, offsets that put a sample within a few 1e-9 px of the
+    first or last pixel centre, and offsets anywhere from no overlap on one
+    side to no overlap on the other.
+    """
+    kind = draw(st.sampled_from(["integer", "edge", "any"]))
+    if kind == "integer":
+        return float(draw(st.integers(-n - 2, size + 2)))
+    if kind == "edge":
+        edge = draw(st.sampled_from([0, size - 1])) - draw(st.integers(0, n - 1))
+        x = edge + draw(st.sampled_from([-1e-9, 1e-9, 0.0]) | st.floats(-2e-9, 2e-9))
+        ulps = draw(st.integers(-3, 3))            # where x + i rounds onto the edge
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, math.copysign(math.inf, ulps))
+        return x
+    return draw(st.floats(-n - 2.0, size + 2.0))
+
+
+@st.composite
+def _lattice_case(draw):
+    rows, cols, nu, nv = (draw(st.integers(1, 9)) for _ in range(4))
+    pixels = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-5.0, 5.0, (rows, cols))
+    return pixels, draw(_lattice_offset(rows, nu)), draw(_lattice_offset(cols, nv)), nu, nv
+
+
+class TestLatticeSample:
+    @settings(max_examples=400, deadline=None)
+    @given(_lattice_case())
+    # 4.000000001000001 + 4 rounds to 8 + 1e-9, the last valid row, though
+    # floor(8 + 1e-9 - 4.000000001000001) + 1 counts only four valid rows.
+    @example((np.arange(81.0).reshape(9, 9), 4.000000001000001, 0.5, 6, 3))
+    def test_stencil_matches_the_gather(self, case):
+        pixels, r0, c0, nu, nv = case
+        got = lattice_sample(np.pad(pixels, 1, mode="edge"), r0, c0, nu, nv)
+        vals, valid = bilinear_sample(pixels, r0 + np.arange(nu)[:, None], c0 + np.arange(nv))
+        assert got.shape == (nu, nv)
+        assert np.array_equal(np.isfinite(got), valid)
+        assert np.abs(got[valid] - vals[valid]).max(initial=0.0) <= 1e-12 * np.abs(pixels).max()
+
+    def test_wedge_pairs_take_the_lattice_and_the_oblique_stack_gathers(self):
+        from lgequant.phantom import default_wedge_config, generate
+        from test_realign import oblique_problem
+
+        ds, _ = generate(default_wedge_config(seed=5))
+        sa, rois = ds.sa_slices, ds.sa_rois
+        pairs = [RegionPair(sa[k], rois[k], sa[k + 1], rois[k + 1]) for k in range(len(sa) - 1)]
+        assert len(pairs) == 5 and all(pair.lattice for pair in pairs)
+        # Moved apart at random, each pair samples the same regions either way.
+        # Every other move puts b's pixels on a's lattice to within 5e-10 px,
+        # so samples land on the image edges just inside or on the hull.
+        rng = np.random.default_rng(4)
+        for k, pair in enumerate(pairs):
+            pose = sa[k].pose
+            for trial in range(20):
+                ipps = [pose.ipp, sa[k + 1].pose.ipp + rng.uniform(-60.0, 60.0, 3)]
+                for axis in (pose.iop_row, pose.iop_col) if trial % 2 else ():
+                    off = (ipps[1] - ipps[0]) @ axis / pose.ps_row
+                    nudge = rng.choice([-5e-10, 0.0, 5e-10])
+                    ipps[1] = ipps[1] + (round(off) - off + nudge) * pose.ps_row * axis
+                stencil = pair.sample(*ipps)
+                pair.lattice = False
+                gather = pair.sample(*ipps)
+                pair.lattice = True
+                for got, ref, s in zip(stencil[:2], gather[:2], (sa[k], sa[k + 1])):
+                    assert np.array_equal(np.isnan(got), np.isnan(ref))
+                    ok = ~np.isnan(ref)
+                    assert np.abs(got[ok] - ref[ok]).max(initial=0.0) <= 1e-12 * s.pixels.max()
+        problem = oblique_problem()
+        sa, rois = problem.sa_slices, problem.sa_rois
+        assert not any(RegionPair(sa[k], rois[k], sa[k + 1], rois[k + 1]).lattice
+                       for k in range(len(sa) - 1))

@@ -161,7 +161,10 @@ class TestLoaderProbes:
     @pytest.mark.parametrize("edit, fragment", [
         (_edit_contours, "'index'"),
         (lambda payload: [1, 2], "must be a JSON object"),
-    ], ids=["slice_without_index", "not_an_object"])
+        (lambda payload: payload["slices"][0].update(index="0"), "'index' must be an integer"),
+        (lambda payload: payload["slices"][0]["endo"].__setitem__(0, "x"),
+         "contour vertices must be numbers"),
+    ], ids=["slice_without_index", "not_an_object", "string_index", "string_vertex"])
     def test_normalize_with_bad_contours(self, phantom_dir, tmp_path, capsys, edit, fragment):
         payload = json.loads((phantom_dir / "contours.json").read_text())
         payload = edit(payload) or payload
@@ -175,7 +178,10 @@ class TestLoaderProbes:
         (_edit_thickness, "'slice_thickness_mm'"),
         (_edit_gap, "malformed slice spacing"),
         (lambda manifest: [1], "must be a JSON object"),
-    ], ids=["no_slice_thickness", "non_numeric_gap", "not_an_object"])
+        (lambda manifest: manifest.update(slices=5), "'slices' must be a list"),
+        (lambda manifest: manifest["slices"][0].update(index="0"), "'index' must be an integer"),
+    ], ids=["no_slice_thickness", "non_numeric_gap", "not_an_object", "slices_not_a_list",
+            "string_index"])
     def test_normalize_with_bad_manifest(self, phantom_dir, tmp_path, capsys, edit, fragment):
         manifest = json.loads((phantom_dir / "dataset.json").read_text())
         for entry in manifest["slices"]:
@@ -383,6 +389,21 @@ class TestCliInputErrors:
             "pipeline", "--data", phantom_dir / "dataset.json",
             "--contours", phantom_dir / "contours.json", "--config", config,
             "--out", tmp_path / "run",
+        ], fragment)
+
+    @pytest.mark.parametrize("text, fragment", [
+        ('{"gamma": -3.0}', "[realign] gamma must be a finite non-negative number"),
+        ('{"gamma": 1e400}', "[realign] gamma must be a finite non-negative number"),
+        ('{"realign_max_sweeps": -1}', "[realign] max_sweeps must be a non-negative integer"),
+    ], ids=["negative_gamma", "infinite_gamma", "negative_sweeps"])
+    def test_skipped_realign_with_bad_realign_config(self, phantom_dir, tmp_path, capsys,
+                                                      text, fragment):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert_cli_error(capsys, [
+            "pipeline", "--data", phantom_dir / "dataset.json",
+            "--contours", phantom_dir / "contours.json", "--config", config,
+            "--out", tmp_path / "run", "--skip-realign",
         ], fragment)
 
     def test_metrics_with_labelings_of_different_shapes(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -480,7 +481,23 @@ class TestCostEvaluations:
         assert set(counts) == {"prescan", "simplex", "regauge"}
         assert counts["prescan"] > 0 and counts["simplex"] > 0
         assert counts == second.diagnostics["cost_evaluations"]
-        assert any("cost evaluations" in r.getMessage() for r in caplog.records)
+        messages = [r.getMessage() for r in caplog.records]
+        assert any("cost evaluations" in m for m in messages)
+        lattice, gather = _region_paths(messages)
+        assert gather == 0 < lattice
+
+    def test_oblique_contiguous_evaluations_are_logged_as_gathers(self, caplog):
+        with caplog.at_level(logging.INFO, logger="lgequant.realign"):
+            optimize(oblique_problem(), max_sweeps=1)
+        lattice, gather = _region_paths([r.getMessage() for r in caplog.records])
+        assert lattice == 0 < gather
+
+
+def _region_paths(messages) -> tuple:
+    """(lattice, gather) contiguous-evaluation counts from optimize's log line."""
+    [line] = [m for m in messages if "contiguous evaluations" in m]
+    lattice, gather = (int(x) for x in re.findall(r"\d+", line))
+    return lattice, gather
 
 
 class TestOptimizeArguments:
