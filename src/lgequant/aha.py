@@ -50,7 +50,7 @@ class QuantReport:
 def assign_levels(n_slices: int) -> list:
     """Base-to-apex split into basal / mid / apical contiguous groups."""
     if n_slices < 3:
-        raise ValueError("need at least 3 SA slices for the three levels")
+        raise ParameterError("need at least 3 SA slices for the three levels")
     n_basal = int(np.ceil(n_slices / 3.0))
     n_mid = int(round(n_slices / 3.0))
     n_apical = n_slices - n_basal - n_mid

@@ -12,6 +12,7 @@ labels the energy is minimized exactly by a single s/t minimum cut.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ from .maxflow import MaxFlowGraph
 from .rician import RicianMixtureParams
 
 PROB_FLOOR = 1e-12
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -40,11 +43,11 @@ class MyocardiumVolume:
         self.intensity = np.asarray(self.intensity, dtype=float)
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.intensity.ndim != 3 or self.intensity.shape != self.mask.shape:
-            raise ValueError("intensity and mask must be matching 3D arrays")
-        if len(self.spacing_mm) != 3 or any(s <= 0 for s in self.spacing_mm):
-            raise ValueError("spacing_mm must be three positive lengths")
+            raise ParameterError("intensity and mask must be matching 3D arrays")
+        if len(self.spacing_mm) != 3 or not all(0 < s < np.inf for s in self.spacing_mm):
+            raise ParameterError("spacing_mm must be three positive lengths")
         if not np.all(np.isfinite(self.intensity[self.mask])):
-            raise ValueError("masked intensities must be finite")
+            raise ParameterError("masked intensities must be finite")
 
 
 @dataclass(frozen=True)
@@ -58,9 +61,9 @@ class Labeling:
         labels = np.asarray(self.labels, dtype=np.uint8)
         mask = np.asarray(self.mask, dtype=bool)
         if labels.shape != mask.shape:
-            raise ValueError("labels and mask shapes differ")
+            raise ParameterError("labels and mask shapes differ")
         if np.any(labels[~mask]):
-            raise ValueError("labels outside the mask must be zero")
+            raise ParameterError("labels outside the mask must be zero")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "mask", mask)
 
@@ -114,8 +117,8 @@ def data_cost_normal(i_p, params: RicianMixtureParams):
 
 def interaction_potential(i_p, i_q, sigma: float, w_dist: float = 1.0):
     """Penalty for assigning different labels to neighbors p and q."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not sigma > 0:
+        raise ParameterError("sigma must be positive")
     diff = np.asarray(i_p, dtype=float) - np.asarray(i_q, dtype=float)
     out = w_dist * np.exp(-(diff ** 2) / (2.0 * sigma ** 2))
     return out if out.ndim else float(out)
@@ -162,6 +165,43 @@ def energy(
     return data + float(caps[lab[p] != lab[q]].sum())
 
 
+def _reduce(net, p, q, caps) -> tuple:
+    """Fix every node whose side no minimum cut can change, and fold it away.
+
+    ``net`` is each node's t-weight λ(d0−d1) (source side = label 1) and
+    ``p``, ``q``, ``caps`` its symmetric n-links. A node whose |net| strictly
+    exceeds the sum of its n-link capacities lies on the same side of every
+    minimum cut: crossing over would save |net| and cost at most that sum.
+    Its links to free nodes join their t-weights. Returns ``(label, edges)``:
+    ``label`` is 1 or 0 for a fixed node and -1 for a free one; ``edges`` is
+    ``(tails, heads, caps, rev_caps)`` over the free nodes, renumbered in
+    node order: t-links in node order (source links for net > 0, sink links
+    for net < 0), then free–free links in pair order. The solve's float
+    rounding depends on this order (README, design decisions).
+    """
+    live = caps > 0
+    p, q, caps = p[live], q[live], caps[live]
+    n = net.size
+    nsum = np.bincount(p, caps, n) + np.bincount(q, caps, n)
+    label = np.where(net > nsum, 1, np.where(net < -nsum, 0, -1)).astype(np.int8)
+    free = label < 0
+    pull = np.where(free, 0.0, 2.0 * label - 1.0)   # a fixed node pulls toward its side
+    net = net + np.bincount(q, pull[p] * caps, n) + np.bincount(p, pull[q] * caps, n)
+    node = np.cumsum(free) - 1
+    source, sink = node[-1] + 1, node[-1] + 2   # MaxFlowGraph's terminal ids
+    t = np.flatnonzero(free & (net != 0))
+    to_sink = net[t] < 0
+    t_node = node[t]
+    both = free[p] & free[q]
+    edges = (
+        np.concatenate([np.where(to_sink, t_node, source), node[p[both]]]),
+        np.concatenate([np.where(to_sink, sink, t_node), node[q[both]]]),
+        np.concatenate([np.abs(net[t]), caps[both]]),
+        np.concatenate([np.zeros(t.size), caps[both]]),
+    )
+    return label, edges
+
+
 def classify(
     volume: MyocardiumVolume,
     params: RicianMixtureParams,
@@ -169,7 +209,9 @@ def classify(
 ) -> Labeling:
     """Exact minimum-energy labeling via a single s/t minimum cut.
 
-    Ties are broken toward label 0 (the minimal source side of the cut).
+    Voxels whose label no cut can change are fixed first (``_reduce``); the
+    cut runs on the rest. Ties are broken toward label 0 (the minimal source
+    side of the cut).
     """
     config = config or GraphCutConfig()
     mask = volume.mask
@@ -177,24 +219,14 @@ def classify(
     if n == 0:
         raise EmptyMaskError("myocardium mask is empty")
     d0, d1, p, q, caps = _network(volume, params, config)
-
-    # Reduced terminal links: only the cost difference matters for the cut.
-    # Arcs go in node order, source links for net > 0 and sink links for
-    # net < 0, then the live n-links in pair order. The solve's float rounding
-    # depends on this order (README, design decisions), so it stays fixed.
-    source, sink = n, n + 1   # MaxFlowGraph's terminal ids
-    net = config.lambda_ * (d0 - d1)
-    t = np.flatnonzero(net)
-    to_sink = net[t] < 0
-    live = caps > 0
-    graph = MaxFlowGraph(
-        n,
-        tails=np.concatenate([np.where(to_sink, t, source), p[live]]),
-        heads=np.concatenate([np.where(to_sink, sink, t), q[live]]),
-        caps=np.concatenate([np.abs(net[t]), caps[live]]),
-        rev_caps=np.concatenate([np.zeros(t.size), caps[live]]),
-    )
-    _, source_side = graph.solve()
+    label, edges = _reduce(config.lambda_ * (d0 - d1), p, q, caps)
+    free = label < 0
+    n_free = int(free.sum())
+    logger.info("graphcut: %d voxels, %d fixed to label 0, %d to label 1; "
+                "max-flow on %d nodes and %d arcs", n, int(np.sum(label == 0)),
+                int(np.sum(label == 1)), n_free, edges[0].size)
+    if n_free:
+        _, label[free] = MaxFlowGraph(n_free, *edges).solve()
     labels = np.zeros(mask.shape, dtype=np.uint8)
-    labels[mask] = source_side
+    labels[mask] = label
     return Labeling(labels=labels, mask=mask)

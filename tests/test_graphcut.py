@@ -1,13 +1,18 @@
 import itertools
+import logging
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgequant.errors import EmptyMaskError, ParameterError
 from lgequant.graphcut import (
     GraphCutConfig,
     Labeling,
     MyocardiumVolume,
+    _reduce,
     classify,
     data_cost_infarct,
     data_cost_normal,
@@ -247,32 +252,21 @@ def solved_graphs(monkeypatch):
     return solved
 
 
-def per_voxel_arcs(volume, params, config):
-    """The arcs classify built one add_edge call at a time, in that order.
+def per_voxel_mrf(volume, params, config):
+    """Each voxel's net cost and every positive-penalty link, one voxel at a time.
 
-    Returns (to, cap) lists: a t-link per voxel with a nonzero net cost, in
-    voxel order, then a symmetric n-link per 6-neighbour pair with a positive
-    penalty, through-plane pairs first, then row and column pairs.
+    Returns (net, links): ``net[i]`` is lambda * (d0 - d1) of voxel i in voxel
+    order, and ``links`` lists (i, j, penalty) per 6-neighbour pair with a
+    positive penalty, through-plane pairs first, then row and column pairs.
     """
     mask = volume.mask
     coords = [tuple(c) for c in np.argwhere(mask)]
-    n = len(coords)
     index = {c: i for i, c in enumerate(coords)}
-    to, cap = [], []
-
-    def add(u, v, c, r):
-        to.extend([v, u])
-        cap.extend([float(c), float(r)])
-
-    for i, c in enumerate(coords):
-        v = volume.intensity[c]
-        net = config.lambda_ * (data_cost_normal(v, params) - data_cost_infarct(v, params))
-        if net > 0:
-            add(n, i, net, 0.0)
-        elif net < 0:
-            add(i, n + 1, -net, 0.0)
+    net = [config.lambda_ * (data_cost_normal(volume.intensity[c], params)
+                             - data_cost_infarct(volume.intensity[c], params)) for c in coords]
     sigma = config.resolved_sigma(params)
     d_row, d_col, d_thr = volume.spacing_mm
+    links = []
     for step, dist in (((1, 0, 0), d_thr), ((0, 1, 0), d_row), ((0, 0, 1), d_col)):
         for c in coords:
             nb = tuple(np.add(c, step))
@@ -280,8 +274,69 @@ def per_voxel_arcs(volume, params, config):
                 w = interaction_potential(volume.intensity[c], volume.intensity[nb],
                                           sigma, d_row / dist)
                 if w > 0:
-                    add(index[c], index[nb], w, w)
+                    links.append((index[c], index[nb], w))
+    return net, links
+
+
+def arcs(net, links):
+    """A graph's (to, cap) arc lists, as ``MaxFlowGraph`` lays them out.
+
+    A t-link per nonzero net cost in node order, source links for net > 0 and
+    sink links for net < 0, then a symmetric n-link per link.
+    """
+    n = len(net)
+    to, cap = [], []
+
+    def add(u, v, c, r):
+        to.extend([v, u])
+        cap.extend([float(c), float(r)])
+
+    for i, v in enumerate(net):
+        if v > 0:
+            add(n, i, v, 0.0)
+        elif v < 0:
+            add(i, n + 1, -v, 0.0)
+    for i, j, w in links:
+        add(i, j, w, w)
     return to, cap
+
+
+def per_voxel_arcs(volume, params, config):
+    """The full graph over every masked voxel, as (to, cap) arc lists."""
+    return arcs(*per_voxel_mrf(volume, params, config))
+
+
+def per_voxel_reduction(volume, params, config):
+    """The residual graph classify hands to max-flow, one voxel at a time.
+
+    A voxel whose |net| is strictly above the summed penalties of its links
+    is fixed: label 1 for net > 0, else 0. Each link from a fixed voxel to a
+    free one adds its penalty to the free voxel's net cost when the fixed
+    label is 1 and subtracts it when it is 0. Free voxels are renumbered in
+    voxel order. Returns (fixed, n_free, to, cap), ``fixed`` mapping voxel
+    index to label.
+    """
+    net, links = per_voxel_mrf(volume, params, config)
+    n_sum = [0.0] * len(net)
+    for i, j, w in links:
+        n_sum[i] += w
+        n_sum[j] += w
+    fixed = {i: int(v > 0) for i, v in enumerate(net) if abs(v) > n_sum[i]}
+    new = {i: k for k, i in enumerate(i for i in range(len(net)) if i not in fixed)}
+    folded = list(net)
+    for i, j, w in links:
+        for a, b in ((i, j), (j, i)):
+            if a in fixed and b in new:
+                folded[b] += w if fixed[a] else -w
+    free_links = [(new[i], new[j], w) for i, j, w in links if i in new and j in new]
+    to, cap = arcs([folded[i] for i in new], free_links)
+    return fixed, len(new), to, cap
+
+
+def solve_arcs(n, to, cap):
+    """Max flow of a graph given as (to, cap) arc lists: (flow, source side)."""
+    return MaxFlowGraph(n, tails=to[1::2], heads=to[::2], caps=cap[::2],
+                        rev_caps=cap[1::2]).solve()
 
 
 class TestNetwork:
@@ -289,29 +344,106 @@ class TestNetwork:
         volume, params = phantom_volume
         solved = solved_graphs(monkeypatch)
         config = GraphCutConfig()
-        classify(volume, params, config)
+        labeling = classify(volume, params, config)
         ((n, graph_to, graph_cap), _), = solved
-        to, cap = per_voxel_arcs(volume, params, config)
-        assert n == int(volume.mask.sum())
+        fixed, n_free, to, cap = per_voxel_reduction(volume, params, config)
+        n_voxels = int(volume.mask.sum())
+        assert n == n_free == n_voxels - len(fixed) and 0 < n_free < n_voxels
         assert graph_to == to
         assert np.allclose(graph_cap, cap, rtol=1e-12, atol=0)   # scalar vs vector exp
+        _, full_side = solve_arcs(n_voxels, *per_voxel_arcs(volume, params, config))
+        assert np.array_equal(labeling.labels[volume.mask], full_side)
 
-    def test_cut_certificate_on_phantom(self, monkeypatch, phantom_volume):
-        # The cut costs E(labels) - lambda * sum(min(d0, d1)); max-flow equal
-        # to that cut's value proves the cut, and so the labeling, minimal.
+    def test_cut_certificate_on_phantom(self, phantom_volume):
+        # The full graph's cut costs E(labels) - lambda * sum(min(d0, d1));
+        # its max-flow equal to that cut's value proves classify's labeling
+        # minimal.
         volume, params = phantom_volume
-        solved = solved_graphs(monkeypatch)
+        vals = volume.intensity[volume.mask]
         for lambda_ in (0.5, 1.0, 2.0):
             config = GraphCutConfig(lambda_=lambda_)
             labeling = classify(volume, params, config)
-            (_, (flow, _)), = solved
-            solved.clear()
-            vals = volume.intensity[volume.mask]
+            flow, _ = solve_arcs(vals.size, *per_voxel_arcs(volume, params, config))
             floor = lambda_ * np.minimum(data_cost_normal(vals, params),
                                          data_cost_infarct(vals, params)).sum()
             assert flow > 1.0 and 0 < labeling.infarct_mask().sum() < vals.size
             assert np.isclose(flow + floor, energy(volume, labeling, params, config),
                               rtol=1e-9, atol=0)
+
+    def test_classify_logs_its_reduction(self, caplog, phantom_volume):
+        volume, params = phantom_volume
+        config = GraphCutConfig()
+        with caplog.at_level(logging.INFO, logger="lgequant.graphcut"):
+            classify(volume, params, config)
+        fixed, n_free, to, _ = per_voxel_reduction(volume, params, config)
+        [line] = [r.getMessage() for r in caplog.records if r.name == "lgequant.graphcut"]
+        counts = [int(x) for x in re.fullmatch(
+            r"graphcut: (\d+) voxels, (\d+) fixed to label 0, (\d+) to label 1; "
+            r"max-flow on (\d+) nodes and (\d+) arcs", line).groups()]
+        ones = sum(fixed.values())
+        assert counts == [volume.mask.sum(), len(fixed) - ones, ones, n_free, len(to) // 2]
+
+
+def cut_value(net, p, q, caps, side):
+    """What the s/t cut with source side ``side`` (label 1) costs."""
+    return (np.maximum(net, 0)[~side].sum() + np.maximum(-net, 0)[side].sum()
+            + caps[side[p] != side[q]].sum())
+
+
+@st.composite
+def tied_graphs(draw):
+    """A random graph of a few hundred nodes with integer capacities.
+
+    About one node in four gets a t-weight of exactly plus or minus its
+    summed n-link capacity (an exact tie); returns (net, p, q, caps, tied).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(100, 400))
+    m = draw(st.integers(n, 3 * n))
+    p = rng.integers(0, n, m)
+    q = (p + rng.integers(1, n, m)) % n   # no self-links
+    caps = rng.integers(0, draw(st.integers(1, 4)), m).astype(float)
+    n_sum = np.bincount(p, caps, n) + np.bincount(q, caps, n)
+    t_max = draw(st.integers(1, 12))
+    net = rng.integers(-t_max, t_max + 1, n).astype(float)
+    tied = rng.random(n) < 0.25
+    net[tied] = np.where(rng.random(n) < 0.5, 1.0, -1.0)[tied] * n_sum[tied]
+    return net, p, q, caps, tied
+
+
+class TestReduction:
+    @settings(max_examples=60, deadline=None)
+    @given(tied_graphs())
+    def test_reduced_cut_equals_full_cut(self, graph):
+        net, p, q, caps, tied = graph
+        label, edges = _reduce(net, p, q, caps)
+        free = label < 0
+        assert free[tied].all()
+        if free.any():
+            _, label[free] = MaxFlowGraph(int(free.sum()), *edges).solve()
+        n = net.size
+        t = np.flatnonzero(net)
+        full = MaxFlowGraph(
+            n,
+            tails=np.concatenate([np.where(net[t] < 0, t, n), p]),
+            heads=np.concatenate([np.where(net[t] < 0, n + 1, t), q]),
+            caps=np.concatenate([np.abs(net[t]), caps]),
+            rev_caps=np.concatenate([np.zeros(t.size), caps]),
+        )
+        flow, side = full.solve()
+        assert np.array_equal(label == 1, side)
+        assert cut_value(net, p, q, caps, label == 1) == cut_value(net, p, q, caps, side) == flow
+
+    def test_all_fixed_skips_the_solve(self, monkeypatch):
+        solved = solved_graphs(monkeypatch)
+        net = np.array([3.0, -3.0])
+        label, edges = _reduce(net, np.array([0]), np.array([1]), np.array([2.0]))
+        assert label.tolist() == [1, 0] and all(e.size == 0 for e in edges)
+        p = make_params()
+        mask = np.ones((1, 1, 2), dtype=bool)
+        volume = MyocardiumVolume(np.array([[[0.95, 0.05]]]), mask, (1.25, 1.25, 10.0))
+        assert classify(volume, p, GraphCutConfig(sigma=0.01)).labels.tolist() == [[[1, 0]]]
+        assert solved == []
 
 
 class TestConfigDefaults:

@@ -9,6 +9,7 @@ from lgequant.cli import main
 from lgequant.errors import ContourError, DatasetFormatError, OrientationError, PixelFileError
 from lgequant.phantom import PhantomConfig, default_wedge_config, generate
 from lgequant.pipeline import PipelineConfig, run_pipeline
+from lgequant.raster import contour_masks
 
 
 @pytest.fixture(scope="module")
@@ -434,6 +435,32 @@ class TestCliInputErrors:
             "--contours", phantom_dir / "contours.json", "--out", tmp_path / "run",
             "--skip-realign", "--lambda", value,
         ], fragment)
+
+    @pytest.mark.parametrize("edit, fragment", [
+        ("nan_voxel", "masked intensities must be finite"),
+        ("zero_spacing", "spacing_mm must be three positive lengths"),
+    ])
+    def test_classify_with_bad_normalized_volume(self, phantom_dir, normalized_dir, tmp_path,
+                                                 capsys, edit, fragment):
+        intensity, spacing = lio.load_volume_f32(normalized_dir / "normalized.json")
+        if edit == "nan_voxel":
+            contours = lio.load_contours(phantom_dir / "contours.json")
+            myocardium = contour_masks(contours, intensity.shape).myocardium
+            intensity[tuple(np.argwhere(myocardium)[0])] = np.nan
+        else:
+            spacing = (1.25, 1.25, 0.0)
+        lio.save_volume_f32(intensity, spacing, tmp_path / "normalized")
+        assert_cli_error(capsys, [
+            "classify", "--normalized", tmp_path / "normalized.json",
+            "--params", normalized_dir / "normalize_report.json",
+            "--contours", phantom_dir / "contours.json", "--out", tmp_path / "cls",
+        ], fragment)
+
+    def test_quantify_with_two_slices(self, tmp_path, capsys):
+        labeling = lio.save_labeling(np.zeros((2, 6, 6), np.uint8), np.ones((2, 6, 6), bool),
+                                     (1.0, 1.0, 5.0), tmp_path / "lab")
+        assert_cli_error(capsys, ["quantify", "--labeling", labeling, "--out", tmp_path / "q"],
+                         "need at least 3 SA slices")
 
     def test_quantify_with_nan_reference_angle(self, tmp_path, capsys):
         labeling = lio.save_labeling(np.zeros((3, 6, 6), np.uint8), np.ones((3, 6, 6), bool),

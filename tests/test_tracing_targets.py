@@ -54,9 +54,10 @@ def test_traced_optimize_records_each_geometry_layer():
 
 def test_traced_classify_counts_nodes_and_arcs():
     import numpy as np
+    from test_graphcut import per_voxel_reduction
 
     from lgequant.graphcut import (GraphCutConfig, MyocardiumVolume, classify,
-                                   data_cost_infarct, data_cost_normal, interaction_potential)
+                                   interaction_potential)
     from lgequant.rician import RicianMixtureParams
 
     rng = np.random.default_rng(8)
@@ -66,8 +67,6 @@ def test_traced_classify_counts_nodes_and_arcs():
     params = RicianMixtureParams(alpha_r=0.12, sigma_r=0.10, a=-0.15,
                                  alpha_g=0.09, sigma_g=0.08, mu=0.75)
     config = GraphCutConfig(sigma=0.02)               # many links underflow to 0
-    vals = intensity[mask]
-    t_links = np.count_nonzero(data_cost_normal(vals, params) != data_cost_infarct(vals, params))
     n_pairs = n_links = 0
     for axis, dist in ((0, 8.0), (1, 1.25), (2, 1.25)):
         m, i = np.moveaxis(mask, axis, 0), np.moveaxis(intensity, axis, 0)
@@ -76,6 +75,10 @@ def test_traced_classify_counts_nodes_and_arcs():
         n_pairs += caps.size
         n_links += np.count_nonzero(caps)
     assert 0 < n_links < n_pairs
+    # The residual graph: free voxels, their nonzero folded t-links and the
+    # live links between two free voxels.
+    _, n_free, to, _ = per_voxel_reduction(volume, params, config)
+    assert 0 < n_free < mask.sum()
 
     tracing = _load_tracing()
     tracer = tracing.Tracer()
@@ -87,5 +90,5 @@ def test_traced_classify_counts_nodes_and_arcs():
         tracer.uninstall()
     metrics = tracer.study_metrics(0)
     assert metrics["maxflow.solve.calls"] == 1
-    assert metrics["maxflow.nodes"] == mask.sum()
-    assert metrics["maxflow.arcs"] == t_links + n_links
+    assert metrics["maxflow.nodes"] == n_free
+    assert metrics["maxflow.arcs"] == len(to) // 2
