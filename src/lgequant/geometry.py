@@ -320,52 +320,43 @@ class _RegionSide:
 
     Mid-plane point ``u*u_axis + v*v_axis + h*n`` projects along ``n`` to
     pixel row ``u*ru + v*rv - ipp . w_row`` of the slice at origin ``ipp``
-    (columns likewise). The side is on the lattice when a grid step moves
-    (1, 0) pixels along u and (0, 1) along v, within LATTICE_TOL.
+    (columns likewise); ``w_row`` and ``w_col`` are orthogonal to ``n``, so
+    the map holds at every ``h``. The side is on the lattice when a grid step
+    moves (1, 0) pixels along u and (0, 1) along v, within LATTICE_TOL.
     """
 
     def __init__(self, img: SliceImage, roi: Roi, n, u_axis, v_axis, step: float):
         pose = img.pose
-        rr = np.array([roi.row_min, roi.row_min, roi.row_max, roi.row_max], dtype=float)
-        cc = np.array([roi.col_min, roi.col_max, roi.col_min, roi.col_max], dtype=float)
-        self.corner_r = np.multiply.outer(rr * pose.ps_row, pose.iop_row)
-        self.corner_c = np.multiply.outer(cc * pose.ps_col, pose.iop_col)
-        n_s = pose.normal
-        if float(n_s @ n) < 0:
-            n_s = -n_s
-        self.n_s, self.n_s_dot_n = n_s, float(n_s @ n)
-        self.pose, self.pixels, self.n = pose, img.pixels, n
-        w_row, w_col = (e - n_s * (float(n @ e) / self.n_s_dot_n)
-                         for e in (pose.iop_row / pose.ps_row, pose.iop_col / pose.ps_col))
+        n_s = pose.normal             # either sign: w_row and w_col do not depend on it
+        w_row, w_col = (e - n_s * (float(n @ e) / float(n_s @ n))
+                        for e in (pose.iop_row / pose.ps_row, pose.iop_col / pose.ps_col))
+        self.w_row, self.w_col = w_row.tolist(), w_col.tolist()
         self.ru, self.rv, self.cu, self.cv = (
             float(w @ axis) for w in (w_row, w_col) for axis in (u_axis, v_axis))
+        self.step, self.pixels = step, img.pixels
         self.lattice = max(abs(step * self.ru - 1.0), abs(step * self.rv), abs(step * self.cu),
                            abs(step * self.cv - 1.0)) <= LATTICE_TOL
         if self.lattice:
-            self.w_row, self.w_col = w_row.tolist(), w_col.tolist()
-            # The ROI corners' reach from the origin along u and v.
-            offsets = self.corner_r + self.corner_c
-            self.reach = [(float(x.min()), float(x.max()))
-                          for x in (offsets @ u_axis, offsets @ v_axis)]
-            self.padded = np.pad(self.pixels, 1, mode="edge")
+            self.padded = np.pad(img.pixels, 1, mode="edge")
+        # The ROI corners' reach from the origin along u and v.
+        rr = np.array([roi.row_min, roi.row_min, roi.row_max, roi.row_max], dtype=float)
+        cc = np.array([roi.col_min, roi.col_max, roi.col_min, roi.col_max], dtype=float)
+        offsets = (np.multiply.outer(rr * pose.ps_row, pose.iop_row)
+                   + np.multiply.outer(cc * pose.ps_col, pose.iop_col))
+        self.reach = [(float(x.min()), float(x.max()))
+                      for x in (offsets @ u_axis, offsets @ v_axis)]
 
-    def stencil(self, u_lo: float, v_lo: float, ipp: list, nu: int, nv: int) -> np.ndarray:
-        """Values on the (nu, nv) lattice whose first point is (u_lo, v_lo); NaN outside."""
+    def sample(self, u_lo: float, v_lo: float, ipp: list, nu: int, nv: int,
+               lattice: bool) -> np.ndarray:
+        """Values on the (nu, nv) grid whose first point is (u_lo, v_lo); NaN outside."""
         r0 = u_lo * self.ru + v_lo * self.rv - _dot3(ipp, self.w_row)
         c0 = u_lo * self.cu + v_lo * self.cv - _dot3(ipp, self.w_col)
-        return lattice_sample(self.padded, r0, c0, nu, nv)
-
-    def gather(self, grid_mid: np.ndarray, ipp: np.ndarray) -> np.ndarray:
-        """Slice values at the mid-plane grid projected along n; NaN outside."""
-        pose = self.pose
-        h_s = float(self.n_s @ ipp)
-        t = (h_s - grid_mid @ self.n_s) / self.n_s_dot_n
-        d = np.empty_like(grid_mid)
-        for k in range(3):
-            d[..., k] = grid_mid[..., k] + t * self.n[k] - ipp[k]
-        r = d @ pose.iop_row / pose.ps_row
-        c = d @ pose.iop_col / pose.ps_col
-        vals, valid = bilinear_sample(self.pixels, r, c)
+        if lattice:
+            return lattice_sample(self.padded, r0, c0, nu, nv)
+        i = self.step * np.arange(nu)[:, None]
+        j = self.step * np.arange(nv)
+        vals, valid = bilinear_sample(self.pixels, r0 + i * self.ru + j * self.rv,
+                                      c0 + i * self.cu + j * self.cv)
         return np.where(valid, vals, np.nan)
 
 
@@ -376,8 +367,9 @@ class RegionPair:
     between the slices; the smallest rectangle containing both projections
     is projected back onto each slice and sampled on an identical grid at
     the finer pixel spacing of the pair. ``sample`` takes the two origins.
-    On the lattice (parallel slices, square pixels of the grid step) each
-    side is one ``lattice_sample``; otherwise each grid point is gathered.
+    Each side maps the grid to its pixels by one affine map; on the lattice
+    (parallel slices, square pixels of the grid step) each side is one
+    ``lattice_sample``, otherwise one ``bilinear_sample`` of the mapped grid.
     """
 
     def __init__(self, a: SliceImage, roi_a: Roi, b: SliceImage, roi_b: Roi):
@@ -387,43 +379,28 @@ class RegionPair:
         if angle > NEAR_PARALLEL_DEG:
             raise GeometryError(f"slices are {angle:.2f} deg from parallel; not an adjacent SA pair")
         n = n_a + (n_b if float(n_a @ n_b) >= 0 else -n_b)
-        self.n = n / np.linalg.norm(n)
+        n = n / np.linalg.norm(n)
         # In-plane basis for the middle plane, taken from slice a.
-        u_axis = a.pose.iop_row - float(a.pose.iop_row @ self.n) * self.n
-        self.u_axis = u_axis / np.linalg.norm(u_axis)
-        self.v_axis = np.cross(self.n, self.u_axis)
+        u_axis = a.pose.iop_row - float(a.pose.iop_row @ n) * n
+        u_axis = u_axis / np.linalg.norm(u_axis)
+        v_axis = np.cross(n, u_axis)
         self.step = min(a.pose.ps_row, a.pose.ps_col, b.pose.ps_row, b.pose.ps_col)
-        self.sides = [_RegionSide(s, roi, self.n, self.u_axis, self.v_axis, self.step)
+        self.sides = [_RegionSide(s, roi, n, u_axis, v_axis, self.step)
                       for s, roi in ((a, roi_a), (b, roi_b))]
         self.lattice = all(side.lattice for side in self.sides)
-        self.uv = (self.u_axis.tolist(), self.v_axis.tolist())
+        self.uv = (u_axis.tolist(), v_axis.tolist())
 
     def sample(self, ipp_a: np.ndarray, ipp_b: np.ndarray):
         """(values on a, values on b, grid extent in mm) with the slices at these origins."""
-        (a, b), n, step = self.sides, self.n, self.step
-        if self.lattice:
-            pa, pb = ipp_a.tolist(), ipp_b.tolist()
-            u, v = ([_dot3(p, axis) + reach for p, side in ((pa, a), (pb, b))
-                     for reach in side.reach[k]] for k, axis in enumerate(self.uv))
-        else:
-            corners = np.vstack([ipp_a + a.corner_r + a.corner_c, ipp_b + b.corner_r + b.corner_c])
-            u, v = corners @ self.u_axis, corners @ self.v_axis
-        u_lo, u_hi, v_lo, v_hi = (float(f(x)) for x in (u, v) for f in (min, max))
+        (a, b), step = self.sides, self.step
+        pa, pb = ipp_a.tolist(), ipp_b.tolist()
+        u, v = ([_dot3(p, axis) + reach for p, side in ((pa, a), (pb, b))
+                 for reach in side.reach[k]] for k, axis in enumerate(self.uv))
+        u_lo, u_hi, v_lo, v_hi = (f(x) for x in (u, v) for f in (min, max))
         nu = int(np.floor((u_hi - u_lo) / step + 1e-9)) + 1
         nv = int(np.floor((v_hi - v_lo) / step + 1e-9)) + 1
-        extent = (float(u_hi - u_lo), float(v_hi - v_lo))
-        if self.lattice:
-            return a.stencil(u_lo, v_lo, pa, nu, nv), b.stencil(u_lo, v_lo, pb, nu, nv), extent
-        h_mid = 0.5 * float(n @ ipp_a + n @ ipp_b)
-        uu = u_lo + step * np.arange(nu)
-        vv = v_lo + step * np.arange(nv)
-        # One coordinate plane at a time: far faster than a broadcast over a
-        # trailing axis of 3, with the same arithmetic per element.
-        grid_mid = np.empty((nu, nv, 3))
-        offset = h_mid * n
-        for k in range(3):
-            grid_mid[..., k] = uu[:, None] * self.u_axis[k] + vv * self.v_axis[k] + offset[k]
-        return a.gather(grid_mid, ipp_a), b.gather(grid_mid, ipp_b), extent
+        return (a.sample(u_lo, v_lo, pa, nu, nv, self.lattice),
+                b.sample(u_lo, v_lo, pb, nu, nv, self.lattice), (u_hi - u_lo, v_hi - v_lo))
 
 
 def contiguous_regions(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EmptyMaskError, ParameterError
 from .maxflow import MaxFlowGraph
-from .rician import RicianMixtureParams
+from .rician import RicianMixtureParams, gaussian_term, rayleigh_shifted
 
 PROB_FLOOR = 1e-12
 
@@ -97,8 +97,6 @@ def _neg_log(values: np.ndarray) -> np.ndarray:
 
 def data_cost_infarct(i_p, params: RicianMixtureParams):
     """Cost of labeling intensity ``i_p`` as infarct (label 1)."""
-    from .rician import gaussian_term
-
     i_p = np.asarray(i_p, dtype=float)
     cost = _neg_log(gaussian_term(i_p, params))
     out = np.where(i_p > params.mu, 0.0, cost)
@@ -107,8 +105,6 @@ def data_cost_infarct(i_p, params: RicianMixtureParams):
 
 def data_cost_normal(i_p, params: RicianMixtureParams):
     """Cost of labeling intensity ``i_p`` as normal myocardium (label 0)."""
-    from .rician import rayleigh_shifted
-
     i_p = np.asarray(i_p, dtype=float)
     cost = _neg_log(rayleigh_shifted(i_p, params))
     out = np.where(i_p < params.rayleigh_mode, 0.0, cost)

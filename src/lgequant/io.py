@@ -9,6 +9,7 @@ written with sorted keys so identical content produces identical bytes.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,17 @@ def _index(entry: dict, path) -> int:
     if isinstance(index, bool) or not isinstance(index, int):
         raise DatasetFormatError(f"{path}: slice 'index' must be an integer, got {index!r}")
     return index
+
+
+def _spacing(header: dict, path) -> tuple:
+    """The header's ``spacing_mm`` as three finite floats."""
+    spacing = _field(header, "spacing_mm", path)
+    if not (isinstance(spacing, list) and len(spacing) == 3 and all(
+            isinstance(s, (int, float)) and not isinstance(s, bool)
+            and abs(s) <= sys.float_info.max for s in spacing)):
+        raise DatasetFormatError(
+            f"{path}: 'spacing_mm' must be three finite numbers, got {spacing!r}")
+    return tuple(float(s) for s in spacing)
 
 
 def _read_raw(header_path, header: dict, file_key: str, dims_key: str, dtype) -> np.ndarray:
@@ -250,7 +262,7 @@ def save_volume_f32(volume: np.ndarray, spacing_mm, path_base) -> Path:
 def load_volume_f32(header_path) -> tuple:
     header = _read_json(header_path)
     data = _read_raw(header_path, header, "raw_file", "dims", "<f4")
-    return data.astype(float), tuple(_field(header, "spacing_mm", header_path))
+    return data.astype(float), _spacing(header, header_path)
 
 
 def save_labeling(labels: np.ndarray, mask: np.ndarray, spacing_mm, path_base) -> Path:
@@ -275,7 +287,7 @@ def load_labeling(header_path) -> tuple:
     header = _read_json(header_path)
     labels = _read_raw(header_path, header, "labels_file", "dims", np.uint8)
     mask = _read_raw(header_path, header, "mask_file", "dims", np.uint8)
-    return labels, mask.astype(bool), tuple(_field(header, "spacing_mm", header_path))
+    return labels, mask.astype(bool), _spacing(header, header_path)
 
 
 def save_truth(truth, out_dir, name: str = "truth") -> Path:

@@ -109,38 +109,21 @@ class MaxFlowGraph:
             return -1
 
         def augment(connect: int) -> float:
-            bottleneck = cap[connect]
-            x = to[connect ^ 1]
-            while parent_arc[x] >= 0:
-                bottleneck = min(bottleneck, cap[parent_arc[x]])
-                x = parent_of(x)
-            y = to[connect]
-            while parent_arc[y] >= 0:
-                bottleneck = min(bottleneck, cap[parent_arc[y]])
-                y = parent_of(y)
-
+            # (node, parent arc) up the source tree, then up the sink tree.
+            path = []
+            for x in (to[connect ^ 1], to[connect]):
+                while parent_arc[x] >= 0:
+                    path.append((x, parent_arc[x]))
+                    x = parent_of(x)
+            bottleneck = min([cap[connect]] + [cap[arc] for _, arc in path])
             cap[connect] -= bottleneck
             cap[connect ^ 1] += bottleneck
-            x = to[connect ^ 1]
-            while parent_arc[x] >= 0:
-                arc = parent_arc[x]
+            for x, arc in path:
                 cap[arc] -= bottleneck
                 cap[arc ^ 1] += bottleneck
-                nxt = parent_of(x)
                 if cap[arc] <= 0.0:
                     parent_arc[x] = -1
                     orphans.append(x)
-                x = nxt
-            y = to[connect]
-            while parent_arc[y] >= 0:
-                arc = parent_arc[y]
-                cap[arc] -= bottleneck
-                cap[arc ^ 1] += bottleneck
-                nxt = parent_of(y)
-                if cap[arc] <= 0.0:
-                    parent_arc[y] = -1
-                    orphans.append(y)
-                y = nxt
             return bottleneck
 
         def adopt():

@@ -12,6 +12,7 @@ mixture parameters are carried along in those units for the classifier.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,9 @@ def iterate_normalization(
     """
     if not epsilon > 0:
         raise ParameterError("epsilon must be positive")
+    for name, value in (("max_iter", max_iter), ("n_bins", n_bins)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
     if max_iter < 0:
         raise ParameterError("max_iter must be non-negative")
     work = _stack_array(stack, masks).copy()

@@ -110,18 +110,14 @@ def remove_small_components(
 def recover_partial_volume(
     labeling: Labeling, volume: MyocardiumVolume, params: RicianMixtureParams
 ) -> Labeling:
-    """Grow infarcts into adjacent at-least-threshold voxels, to a fixed point."""
+    """Grow infarcts into 6-connected at-least-threshold voxels, to a fixed point.
+
+    Infarct voxels below the threshold stay infarct and seed the growth too.
+    """
     if params.i_thrh is None:
         raise ValueError("params.i_thrh is not set; run find_threshold first")
-    infarct = labeling.infarct_mask()
     eligible = volume.mask & (volume.intensity >= params.i_thrh)
-    while True:
-        frontier = (
-            ndimage.binary_dilation(infarct, SIX_CONNECTED) & eligible & ~infarct
-        )
-        if not frontier.any():
-            break
-        infarct |= frontier
+    infarct = ndimage.binary_propagation(labeling.infarct_mask(), SIX_CONNECTED, mask=eligible)
     return Labeling(labels=infarct.astype(np.uint8), mask=labeling.mask)
 
 

@@ -179,6 +179,41 @@ class TestSampleSegment:
         assert np.allclose(np.diff(values), step_mm / 2.0)
 
 
+def _projected_regions(a: SliceImage, roi_a: Roi, b: SliceImage, roi_b: Roi):
+    """Contiguous regions by explicit 3-D projection: ([values_a, values_b], extent).
+
+    The ROI corners bound the grid in patient coordinates; the grid is built
+    on the mid-plane and each point is moved along the shared normal onto
+    each slice and gathered there.
+    """
+    n_a, n_b = a.pose.normal, b.pose.normal
+    n = n_a + (n_b if float(n_a @ n_b) >= 0 else -n_b)
+    n = n / np.linalg.norm(n)
+    u_axis = a.pose.iop_row - float(a.pose.iop_row @ n) * n
+    u_axis = u_axis / np.linalg.norm(u_axis)
+    v_axis = np.cross(n, u_axis)
+    step = min(a.pose.ps_row, a.pose.ps_col, b.pose.ps_row, b.pose.ps_col)
+    corners = np.vstack([
+        pixel_to_patient(s.pose, np.array([roi.row_min, roi.row_min, roi.row_max, roi.row_max]),
+                         np.array([roi.col_min, roi.col_max, roi.col_min, roi.col_max]))
+        for s, roi in ((a, roi_a), (b, roi_b))])
+    u, v = corners @ u_axis, corners @ v_axis
+    nu = int(np.floor((u.max() - u.min()) / step + 1e-9)) + 1
+    nv = int(np.floor((v.max() - v.min()) / step + 1e-9)) + 1
+    h_mid = 0.5 * float(n @ a.pose.ipp + n @ b.pose.ipp)
+    grid_mid = (h_mid * n + (u.min() + step * np.arange(nu))[:, None, None] * u_axis
+                + (v.min() + step * np.arange(nv))[None, :, None] * v_axis)
+    values = []
+    for s in (a, b):
+        pose, n_s = s.pose, s.pose.normal
+        t = (float(n_s @ pose.ipp) - grid_mid @ n_s) / float(n_s @ n)
+        d = grid_mid + t[..., None] * n - pose.ipp
+        vals, valid = bilinear_sample(s.pixels, d @ pose.iop_row / pose.ps_row,
+                                      d @ pose.iop_col / pose.ps_col)
+        values.append(np.where(valid, vals, np.nan))
+    return values, (float(u.max() - u.min()), float(v.max() - v.min()))
+
+
 class TestContiguousRegions:
     def test_identical_poses_and_rois(self):
         rng = np.random.default_rng(5)
@@ -209,6 +244,33 @@ class TestContiguousRegions:
         b = SliceImage(identity_pose(rows=20, cols=20, ipp=(0, 0, 10.0)), pix)
         ra, _ = contiguous_regions(a, Roi(2, 17, 2, 17), b, Roi(6, 12, 6, 12))
         assert abs(ra.extent_mm[0] - 15.0) < 1e-9 and abs(ra.extent_mm[1] - 15.0) < 1e-9
+
+    def test_matches_the_3d_projection_on_oblique_and_wedge_pairs(self):
+        from lgequant.phantom import default_wedge_config, generate
+        from test_realign import oblique_problem
+
+        problem = oblique_problem()
+        ds, _ = generate(default_wedge_config(seed=5))
+        stacks = [(problem.sa_slices, problem.sa_rois), (ds.sa_slices, ds.sa_rois)]
+        rng = np.random.default_rng(12)
+        checked = 0
+        for sa, rois in stacks:
+            rois = [roi if roi is not None else full_image_roi(s.pose) for s, roi in zip(sa, rois)]
+            for k in range(len(sa) - 1):
+                for _ in range(10):
+                    a = sa[k].translated(rng.uniform(-8.0, 8.0, 3))
+                    b = sa[k + 1].translated(rng.uniform(-8.0, 8.0, 3))
+                    got = contiguous_regions(a, rois[k], b, rois[k + 1])
+                    ref, extent = _projected_regions(a, rois[k], b, rois[k + 1])
+                    for region, values, s in zip(got, ref, (a, b)):
+                        assert region.values.shape == values.shape
+                        assert np.array_equal(np.isnan(region.values), np.isnan(values))
+                        ok = ~np.isnan(values)
+                        assert (np.abs(region.values[ok] - values[ok]).max(initial=0.0)
+                                <= 1e-12 * np.abs(s.pixels).max())
+                        assert np.allclose(region.extent_mm, extent, rtol=0.0, atol=1e-9)
+                    checked += 1
+        assert checked == 10 * (3 + 5)
 
     def test_rejects_non_parallel(self):
         a = SliceImage(identity_pose(), np.zeros((8, 8)))

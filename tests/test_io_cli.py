@@ -347,6 +347,13 @@ def assert_cli_error(capsys, argv, fragment):
     assert err.startswith("error: ") and fragment in err and "Traceback" not in err
 
 
+def _edit_spacing(header_path, spacing):
+    """Rewrite the ``spacing_mm`` entry of a saved volume or labeling header."""
+    header = json.loads(Path(header_path).read_text())
+    header["spacing_mm"] = spacing
+    Path(header_path).write_text(json.dumps(header))
+
+
 @pytest.fixture(scope="module")
 def normalized_dir(phantom_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("norm")
@@ -455,6 +462,29 @@ class TestCliInputErrors:
             "--params", normalized_dir / "normalize_report.json",
             "--contours", phantom_dir / "contours.json", "--out", tmp_path / "cls",
         ], fragment)
+
+    @pytest.mark.parametrize("spacing", [["a", 1.25, 10.0], 5, [1.25, 1.25], [1.25, 1.25, None],
+                                         [1.25, True, 10.0]],
+                             ids=["string", "scalar", "two_values", "null", "bool"])
+    def test_classify_with_malformed_spacing(self, phantom_dir, normalized_dir, tmp_path, capsys,
+                                             spacing):
+        intensity, _ = lio.load_volume_f32(normalized_dir / "normalized.json")
+        header = lio.save_volume_f32(intensity, (1.25, 1.25, 10.0), tmp_path / "normalized")
+        _edit_spacing(header, spacing)
+        assert_cli_error(capsys, [
+            "classify", "--normalized", header,
+            "--params", normalized_dir / "normalize_report.json",
+            "--contours", phantom_dir / "contours.json", "--out", tmp_path / "cls",
+        ], "'spacing_mm' must be three finite numbers")
+
+    @pytest.mark.parametrize("spacing", [["a", 1.25, 10.0], 5, [1.0, 1.0, 5.0, 1.0]],
+                             ids=["string", "scalar", "four_values"])
+    def test_quantify_with_malformed_spacing(self, tmp_path, capsys, spacing):
+        labeling = lio.save_labeling(np.zeros((3, 6, 6), np.uint8), np.ones((3, 6, 6), bool),
+                                     (1.0, 1.0, 5.0), tmp_path / "lab")
+        _edit_spacing(labeling, spacing)
+        assert_cli_error(capsys, ["quantify", "--labeling", labeling, "--out", tmp_path / "q"],
+                         "'spacing_mm' must be three finite numbers")
 
     def test_quantify_with_two_slices(self, tmp_path, capsys):
         labeling = lio.save_labeling(np.zeros((2, 6, 6), np.uint8), np.ones((2, 6, 6), bool),

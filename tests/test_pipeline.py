@@ -65,6 +65,10 @@ def small_study():
 class TestConfigStageErrors:
     @pytest.mark.parametrize("field, value, stage", [
         ("max_iter", -3, "normalize"),
+        ("max_iter", 2.5, "normalize"),
+        ("max_iter", True, "normalize"),
+        ("n_bins", 2.5, "normalize"),
+        ("n_bins", True, "normalize"),
         ("epsilon", 0.0, "normalize"),
         ("epsilon", float("nan"), "normalize"),
         ("lambda_", 0.0, "classify"),

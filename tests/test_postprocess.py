@@ -263,6 +263,18 @@ def ref_small(labeling, min_volume_mm3, volume):
     return Labeling(out.astype(np.uint8), labeling.mask)
 
 
+def ref_recover(labeling, volume, params):
+    """Dilate the infarct into eligible voxels until a dilation adds nothing."""
+    infarct = labeling.infarct_mask()
+    eligible = volume.mask & (volume.intensity >= params.i_thrh)
+    while True:
+        frontier = ndimage.binary_dilation(infarct, SIX) & eligible & ~infarct
+        if not frontier.any():
+            break
+        infarct |= frontier
+    return Labeling(infarct.astype(np.uint8), labeling.mask)
+
+
 def ref_mvo(labeling, masks, volume, config):
     infarct = labeling.infarct_mask()
     if not infarct.any():
@@ -325,6 +337,20 @@ class TestLabelOnceOracle:
                 got = remove_small_components(lab, threshold, vol)
                 want = ref_small(lab, threshold, vol)
                 assert np.array_equal(got.labels, want.labels)
+
+    def test_partial_volume_rule_matches_the_dilation_loop(self):
+        grown = seeds_below = 0
+        params = make_params()
+        for seed in self.SEEDS:
+            lab, vol, _ = random_case(seed)
+            for threshold in (0.3, 0.55, 0.8):
+                params.i_thrh = threshold
+                got = recover_partial_volume(lab, vol, params).infarct_mask()
+                want = ref_recover(lab, vol, params).infarct_mask()
+                assert np.array_equal(got, want)
+                grown += int((got & ~lab.infarct_mask()).any())
+                seeds_below += int((lab.infarct_mask() & (vol.intensity < threshold)).any())
+        assert grown and seeds_below
 
     def test_mvo_rule_matches_per_component_loop(self):
         added = 0
