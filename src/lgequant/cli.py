@@ -7,6 +7,7 @@ function as ``run_pipeline`` and saves what that function returns.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,12 +16,12 @@ import numpy as np
 
 from . import io as lio
 from .aha import assign_segments, quantify  # noqa: F401  (patched by benchmarks/tracing.py)
-from .errors import DatasetFormatError, LgeQuantError
+from .errors import DatasetFormatError, LgeQuantError, ParameterError
 from .graphcut import Labeling, MyocardiumVolume
 from .graphcut import classify  # noqa: F401  (patched by benchmarks/tracing.py)
 from .metrics import bland_altman, dice
 from .normalize import iterate_normalization  # noqa: F401  (patched by benchmarks/tracing.py)
-from .phantom import PhantomConfig, default_wedge_config, generate
+from .phantom import PhantomConfig, _validate, default_wedge_config, generate
 from .pipeline import (
     PipelineConfig,
     classify_stage,
@@ -60,7 +61,11 @@ def cmd_phantom(args) -> int:
         cfg = default_wedge_config(seed=args.seed, noise_sigma=args.noise_sigma)
     else:
         cfg = PhantomConfig(seed=args.seed, noise_sigma=args.noise_sigma)
+    if not (math.isfinite(args.max_shift_mm) and args.max_shift_mm >= 0):
+        raise ParameterError(
+            f"--max-shift-mm must be a finite non-negative number, got {args.max_shift_mm!r}")
     if args.max_shift_mm > 0:
+        _validate(cfg)          # the shifts are drawn from the config's seed
         rng = np.random.default_rng(args.seed)
         n = cfg.n_sa + len(cfg.la_views)
         trans = np.zeros((n, 3))

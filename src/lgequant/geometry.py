@@ -2,10 +2,11 @@
 
 A 2D slice is placed in 3D by its origin (``ipp``), the direction cosines of
 its pixel rows and columns (``iop_row``, ``iop_col``) and the physical pixel
-spacing. This module provides the pixel<->patient transforms, plane
+spacing. This module provides the pixel-to-patient transform, plane
 intersection, sampling along intersection lines with bilinear interpolation,
 and the paired-region construction used by the contiguous cost between
-adjacent short-axis slices.
+adjacent short-axis slices. Every sampler marks a position outside its image
+with NaN, which is why a slice's pixels must be finite.
 
 All coordinates are in millimetres. Pixel indices are (row, col) and may be
 fractional; pixel (r, c) sits at ``ipp + r*ps_row*iop_row + c*ps_col*iop_col``.
@@ -78,6 +79,9 @@ class SliceImage:
                 f"pixel array shape {self.pixels.shape} does not match pose "
                 f"({self.pose.rows}, {self.pose.cols})"
             )
+        # Samplers mark "no sample" with NaN, so a pixel must never be one.
+        if not np.isfinite(self.pixels).all():
+            raise GeometryError("pixel values must be finite")
 
     def translated(self, delta) -> "SliceImage":
         return SliceImage(pose=self.pose.translated(delta), pixels=self.pixels)
@@ -116,18 +120,6 @@ class Line3:
         return self.point + np.multiply.outer(t, self.direction)
 
 
-@dataclass(frozen=True)
-class SampledRegion:
-    """Intensities sampled on a rectangular in-plane grid.
-
-    Samples outside the source image are NaN; paired regions share grid
-    dimensions, and cost functions drop NaN positions from both members.
-    """
-
-    values: np.ndarray
-    extent_mm: tuple
-
-
 def pixel_to_patient(pose: SlicePose, r, c) -> np.ndarray:
     """Map fractional pixel indices to patient coordinates (mm).
 
@@ -142,48 +134,83 @@ def pixel_to_patient(pose: SlicePose, r, c) -> np.ndarray:
     )
 
 
-def patient_to_pixel(pose: SlicePose, point) -> tuple:
-    """Inverse of :func:`pixel_to_patient` for in-plane points.
-
-    The out-of-plane component of ``point`` is ignored (orthogonal projection).
-    """
-    d = (np.asarray(point, dtype=float) - pose.ipp).T
-    return _dot3(d, pose.iop_row) / pose.ps_row, _dot3(d, pose.iop_col) / pose.ps_col
-
-
 def _dot3(p, q):
     """p[0]*q[0] + p[1]*q[1] + p[2]*q[2], summed left to right like a Python float sum."""
     return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
+class PlanePair:
+    """Intersection line of two slice planes, compiled for translation.
+
+    The direction, the cross products and |d|^2 depend on the normals only;
+    ``point`` takes the two origins, on Python floats. ``plane_intersection``
+    and the compiled intersecting term both call it.
+    """
+
+    def __init__(self, a: SlicePose, b: SlicePose):
+        n_a, n_b = a.normal, b.normal
+        d = np.cross(n_a, n_b)
+        norm_d = np.linalg.norm(d)
+        self.parallel = bool(norm_d < PARALLEL_TOL)
+        if self.parallel:
+            return
+        self.n_a, self.n_b = n_a.tolist(), n_b.tolist()
+        self.cross_b, self.cross_a = np.cross(n_b, d).tolist(), np.cross(d, n_a).tolist()
+        self.norm_d2 = float(norm_d * norm_d)
+        self.direction = d / norm_d
+
+    def point(self, ipp_a: list, ipp_b: list) -> list:
+        """The line's point nearest the patient origin, with the slices at these origins."""
+        h_a, h_b = _dot3(self.n_a, ipp_a), _dot3(self.n_b, ipp_b)
+        return [(h_a * cb + h_b * ca) / self.norm_d2 for cb, ca in zip(self.cross_b, self.cross_a)]
+
+
 def plane_intersection(a: SlicePose, b: SlicePose) -> Line3 | None:
     """Intersection line of two slice planes, or None when near-parallel."""
-    n_a, n_b = a.normal, b.normal
-    d = np.cross(n_a, n_b)
-    norm_d = np.linalg.norm(d)
-    if norm_d < PARALLEL_TOL:
+    pair = PlanePair(a, b)
+    if pair.parallel:
         return None
-    h_a = _dot3(n_a, a.ipp)
-    h_b = _dot3(n_b, b.ipp)
-    point = (h_a * np.cross(n_b, d) + h_b * np.cross(d, n_a)) / (norm_d * norm_d)
-    return Line3(point=point, direction=d / norm_d)
+    return Line3(point=pair.point(a.ipp.tolist(), b.ipp.tolist()), direction=pair.direction)
 
 
-def _line_in_pixel_coords(pose: SlicePose, line: Line3):
-    """Line parameterisation in pixel coordinates: (r0, dr, c0, dc) per mm of t."""
-    r0, c0 = patient_to_pixel(pose, line.point)
-    dr = float(line.direction @ pose.iop_row) / pose.ps_row
-    dc = float(line.direction @ pose.iop_col) / pose.ps_col
-    return float(r0), dr, float(c0), dc
+class LineSide:
+    """One slice's view of lines of one direction: its frame as floats, ROI and pixel slopes.
 
+    Raises GeometryError when the direction is not parallel to the slice
+    plane or the ROI exceeds the image. ``clip_line_to_roi``,
+    ``sample_line_values`` and the compiled intersecting term all call it.
+    """
 
-def _check_in_plane(pose: SlicePose, line: Line3):
-    n = pose.normal
-    dist = abs(float(n @ (line.point - pose.ipp)))
-    if dist > IN_PLANE_TOL:
-        raise GeometryError(f"line point is {dist:.3g} mm off the slice plane")
-    if abs(float(n @ line.direction)) > 1e-9:
-        raise GeometryError("line direction is not parallel to the slice plane")
+    def __init__(self, img: SliceImage, roi: Roi, direction: np.ndarray):
+        pose = img.pose
+        if abs(float(pose.normal @ direction)) > 1e-9:
+            raise GeometryError("line direction is not parallel to the slice plane")
+        if roi.row_max >= pose.rows or roi.col_max >= pose.cols:
+            raise GeometryError("ROI exceeds image bounds")
+        self.roi, self.pixels = roi, img.pixels
+        self.normal, self.iop_row, self.iop_col = (
+            v.tolist() for v in (pose.normal, pose.iop_row, pose.iop_col))
+        self.ps_row, self.ps_col = pose.ps_row, pose.ps_col
+        self.dr = float(direction @ pose.iop_row) / pose.ps_row
+        self.dc = float(direction @ pose.iop_col) / pose.ps_col
+
+    def clip(self, point: list, ipp: list):
+        """(r0, c0, t interval inside the ROI or None) of the line through ``point``.
+
+        Pixel (r0 + t*dr, c0 + t*dc) is the line at parameter t on the slice
+        at origin ``ipp``; a point off that plane raises GeometryError.
+        """
+        d = [point[0] - ipp[0], point[1] - ipp[1], point[2] - ipp[2]]
+        dist = abs(_dot3(self.normal, d))
+        if dist > IN_PLANE_TOL:
+            raise GeometryError(f"line point is {dist:.3g} mm off the slice plane")
+        r0 = _dot3(d, self.iop_row) / self.ps_row
+        c0 = _dot3(d, self.iop_col) / self.ps_col
+        return r0, c0, clip_pixel_line(r0, self.dr, c0, self.dc, self.roi)
+
+    def sample(self, r0, c0, ts) -> np.ndarray:
+        """Bilinear samples at pixel (r0 + ts*dr, c0 + ts*dc); NaN outside the image."""
+        return bilinear_sample(self.pixels, r0 + ts * self.dr, c0 + ts * self.dc)
 
 
 def clip_line_to_roi(slice_img: SliceImage, roi: Roi, line: Line3):
@@ -193,11 +220,8 @@ def clip_line_to_roi(slice_img: SliceImage, roi: Roi, line: Line3):
     pixel centres. Raises GeometryError if the line does not lie in the slice
     plane.
     """
-    pose = slice_img.pose
-    _check_in_plane(pose, line)
-    if roi.row_max >= pose.rows or roi.col_max >= pose.cols:
-        raise GeometryError("ROI exceeds image bounds")
-    return clip_pixel_line(*_line_in_pixel_coords(pose, line), roi)
+    side = LineSide(slice_img, roi, line.direction)
+    return side.clip(line.point.tolist(), slice_img.pose.ipp.tolist())[2]
 
 
 def clip_pixel_line(r0: float, dr: float, c0: float, dc: float, roi: Roi):
@@ -219,11 +243,11 @@ def full_image_roi(pose: SlicePose) -> Roi:
     return Roi(0, pose.rows - 1, 0, pose.cols - 1)
 
 
-def bilinear_sample(pixels: np.ndarray, r, c):
-    """Bilinear interpolation at fractional (r, c); returns (values, valid).
+def bilinear_sample(pixels: np.ndarray, r, c) -> np.ndarray:
+    """Bilinear interpolation at fractional (r, c); NaN outside the image.
 
-    Positions outside the pixel-centre hull [0, rows-1] x [0, cols-1] are
-    invalid and return 0 in ``values``.
+    Positions outside the pixel-centre hull [0, rows-1] x [0, cols-1], give
+    or take ``_EDGE_EPS``, have no sample.
     """
     pixels = np.asarray(pixels, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -250,14 +274,14 @@ def bilinear_sample(pixels: np.ndarray, r, c):
         + flat.take(top + right) * gr * fc
         + flat.take(bottom + right) * fr * fc
     )
-    return np.where(valid, vals, 0.0), valid
+    return np.where(valid, vals, np.nan)
 
 
-def sample_line_values(slice_img: SliceImage, line: Line3, ts: np.ndarray):
-    """Bilinear samples of the slice at line parameters ``ts``; (values, valid)."""
-    r0, dr, c0, dc = _line_in_pixel_coords(slice_img.pose, line)
-    ts = np.asarray(ts, dtype=float)
-    return bilinear_sample(slice_img.pixels, r0 + ts * dr, c0 + ts * dc)
+def sample_line_values(slice_img: SliceImage, line: Line3, ts: np.ndarray) -> np.ndarray:
+    """Bilinear samples of the slice at line parameters ``ts``; NaN outside the image."""
+    side = LineSide(slice_img, full_image_roi(slice_img.pose), line.direction)
+    r0, c0, _ = side.clip(line.point.tolist(), slice_img.pose.ipp.tolist())
+    return side.sample(r0, c0, np.asarray(ts, dtype=float))
 
 
 def sample_positions(interval, step_mm: float) -> np.ndarray:
@@ -355,9 +379,8 @@ class _RegionSide:
             return lattice_sample(self.padded, r0, c0, nu, nv)
         i = self.step * np.arange(nu)[:, None]
         j = self.step * np.arange(nv)
-        vals, valid = bilinear_sample(self.pixels, r0 + i * self.ru + j * self.rv,
-                                      c0 + i * self.cu + j * self.cv)
-        return np.where(valid, vals, np.nan)
+        return bilinear_sample(self.pixels, r0 + i * self.ru + j * self.rv,
+                               c0 + i * self.cu + j * self.cv)
 
 
 class RegionPair:
@@ -403,9 +426,7 @@ class RegionPair:
                 b.sample(u_lo, v_lo, pb, nu, nv, self.lattice), (u_hi - u_lo, v_hi - v_lo))
 
 
-def contiguous_regions(
-    a: SliceImage, roi_a: Roi, b: SliceImage, roi_b: Roi
-) -> tuple[SampledRegion, SampledRegion]:
-    """Paired same-size regions from two adjacent near-parallel slices (see RegionPair)."""
-    *values, extent = RegionPair(a, roi_a, b, roi_b).sample(a.pose.ipp, b.pose.ipp)
-    return tuple(SampledRegion(values=v, extent_mm=extent) for v in values)
+def contiguous_regions(a: SliceImage, roi_a: Roi, b: SliceImage, roi_b: Roi) -> tuple:
+    """Paired same-size regions of two adjacent near-parallel slices, NaN where a
+    slice has no sample: (values on a, values on b, grid extent in mm); see RegionPair."""
+    return RegionPair(a, roi_a, b, roi_b).sample(a.pose.ipp, b.pose.ipp)

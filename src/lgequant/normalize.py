@@ -85,6 +85,8 @@ def iterate_normalization(
             raise ParameterError(f"{name} must be an integer, got {value!r}")
     if max_iter < 0:
         raise ParameterError("max_iter must be non-negative")
+    if n_bins < 2:
+        raise ParameterError(f"n_bins must be at least 2, got {n_bins}")
     work = _stack_array(stack, masks).copy()
     n_slices = work.shape[0]
     ref = middle_slice_index(n_slices)

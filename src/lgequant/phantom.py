@@ -15,11 +15,14 @@ All randomness is seeded, so identical configs regenerate identical bytes.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import ContourSet, LgeDataset
+from .errors import ParameterError
 from .geometry import Roi, SliceImage, SlicePose, pixel_to_patient
 from .raster import circle_polygon, polygon_mask
 
@@ -92,27 +95,33 @@ class PhantomTruth:
 
 
 def _validate(cfg: PhantomConfig):
+    if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, numbers.Integral) or cfg.seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {cfg.seed!r}")
+    if isinstance(cfg.noise_sigma, bool) or not isinstance(cfg.noise_sigma, numbers.Real) \
+            or not math.isfinite(cfg.noise_sigma) or cfg.noise_sigma < 0:
+        raise ParameterError(
+            f"noise sigma must be a finite non-negative number, got {cfg.noise_sigma!r}")
     if cfg.n_sa < 1:
-        raise ValueError("n_sa must be >= 1")
+        raise ParameterError("n_sa must be >= 1")
     if cfg.endo_radius_base_mm >= cfg.epi_radius_base_mm:
-        raise ValueError("endo radius must be smaller than epi radius at the base")
+        raise ParameterError("endo radius must be smaller than epi radius at the base")
     if cfg.endo_radius_apex_mm >= cfg.epi_radius_apex_mm:
-        raise ValueError("endo radius must be smaller than epi radius at the apex")
+        raise ParameterError("endo radius must be smaller than epi radius at the apex")
     if not (cfg.intensity_myocardium < cfg.intensity_infarct <= cfg.intensity_blood_pool):
-        raise ValueError("intensity ordering must be myocardium < infarct <= blood pool")
+        raise ParameterError("intensity ordering must be myocardium < infarct <= blood pool")
     if cfg.gains is not None and len(cfg.gains) != cfg.n_sa:
-        raise ValueError("gains must list one factor per SA slice")
+        raise ParameterError("gains must list one factor per SA slice")
     n_slices = cfg.n_sa + len(cfg.la_views)
     if cfg.translations_mm is not None and len(cfg.translations_mm) != n_slices:
-        raise ValueError("translations_mm must list one 3-vector per slice (SA then LA)")
+        raise ParameterError("translations_mm must list one 3-vector per slice (SA then LA)")
     for w in cfg.wedges:
         if not (0 <= w.slice_lo <= w.slice_hi < cfg.n_sa):
-            raise ValueError("wedge slice range outside the SA stack")
+            raise ParameterError("wedge slice range outside the SA stack")
         if not (0.0 < w.depth_frac <= 1.0):
-            raise ValueError("wedge depth fraction must be in (0, 1]")
+            raise ParameterError("wedge depth fraction must be in (0, 1]")
     for m in cfg.mvo_pockets:
         if not (0 <= m.wedge < len(cfg.wedges)):
-            raise ValueError("MVO pocket references an unknown wedge")
+            raise ParameterError("MVO pocket references an unknown wedge")
 
 
 def angle_about_axis_deg(x, y):

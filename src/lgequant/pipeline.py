@@ -16,7 +16,7 @@ import numpy as np
 from . import io as lio
 from .aha import AhaConfig, assign_segments, quantify
 from .dataset import ContourSet, LgeDataset
-from .errors import LgeQuantError
+from .errors import LgeQuantError, ParameterError
 from .graphcut import GraphCutConfig, Labeling, MyocardiumVolume, classify
 from .metrics import dice
 from .normalize import iterate_normalization
@@ -145,6 +145,9 @@ def normalize_stage(dataset: LgeDataset, contours: ContourSet, config: PipelineC
     Returns ((NormalizationResult, ContourMasks), report section). The masks
     are the run's only rasterization of the contours; later stages reuse them.
     """
+    if config.max_iter == 0:
+        # The later stages need at least one mixture fit.
+        raise ParameterError("max_iter must be at least 1")
     stack = np.stack([s.pixels for s in dataset.sa_slices])
     masks = contour_masks(contours, stack.shape)
     norm = iterate_normalization(
@@ -152,8 +155,6 @@ def normalize_stage(dataset: LgeDataset, contours: ContourSet, config: PipelineC
         max_iter=config.max_iter, n_bins=config.n_bins,
     )
     p = norm.params
-    if p is None:
-        raise LgeQuantError("normalization produced no mixture parameters")
     return (norm, masks), {
         "iterations": norm.iterations,
         "converged": norm.converged,

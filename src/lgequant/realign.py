@@ -20,17 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import DegenerateInputError, GeometryError, ParameterError
+from .errors import DegenerateInputError, ParameterError
 from .geometry import (
-    IN_PLANE_TOL,
-    PARALLEL_TOL,
+    LineSide,
+    PlanePair,
     RegionPair,
     Roi,
     SliceImage,
-    _dot3,
-    bilinear_sample,
     clip_line_to_roi,
-    clip_pixel_line,
     contiguous_regions,
     full_image_roi,
     plane_intersection,
@@ -67,42 +64,28 @@ def check_max_sweeps(max_sweeps) -> None:
         raise ParameterError(f"max_sweeps must be a non-negative integer, got {max_sweeps!r}")
 
 
-def zscore_normalize(values: np.ndarray) -> np.ndarray:
-    """Shift/scale to zero mean and unit population standard deviation.
+def _compare(vals_a, vals_b, too_few: str, constant: str):
+    """(MSD of the z-normalized samples both sides have, degeneracy reason or None).
 
-    The sums are the ones ``ndarray.mean`` and ``ndarray.std`` reduce, so the
-    result equals ``(values - values.mean()) / values.std()`` bit for bit.
+    NaN marks a position without a sample. Each side is shifted to zero mean
+    and scaled to unit population standard deviation, summing what
+    ``ndarray.mean`` and ``ndarray.std`` sum, so the result equals the same
+    formula written with ``mean()`` and ``std()`` bit for bit.
     """
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        raise DegenerateInputError("need at least 2 values to z-normalize")
-    mean = np.add.reduce(values, axis=None) / values.size
-    dev = values - mean
-    std = np.sqrt(np.add.reduce(dev * dev, axis=None) / values.size)
-    if std < 1e-9 * max(1.0, abs(mean)):
-        raise DegenerateInputError("constant input has no spread to normalize")
-    return dev / std
-
-
-def mean_squared_difference(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    return float(np.add.reduce(diff * diff, axis=None) / diff.size)
-
-
-def _compare(vals_a, vals_b, ok, too_few: str, constant: str):
-    """(MSD of the z-normalized valid samples, degeneracy reason or None)."""
-    if int(ok.sum()) < 2:
+    ok = np.isfinite(vals_a) & np.isfinite(vals_b)
+    n = int(np.count_nonzero(ok))
+    if n < 2:
         return 0.0, too_few
-    try:
-        za = zscore_normalize(vals_a[ok])
-        zb = zscore_normalize(vals_b[ok])
-    except DegenerateInputError:
-        return 0.0, constant
-    return mean_squared_difference(za, zb), None
+    zs = []
+    for values in (vals_a[ok], vals_b[ok]):
+        mean = np.add.reduce(values, axis=None) / n
+        dev = values - mean
+        std = np.sqrt(np.add.reduce(dev * dev, axis=None) / n)
+        if std < 1e-9 * max(1.0, abs(mean)):
+            return 0.0, constant
+        zs.append(dev / std)
+    diff = zs[0] - zs[1]
+    return float(np.add.reduce(diff * diff, axis=None) / n), None
 
 
 def _line_samples(int_a, int_b, step: float):
@@ -131,91 +114,45 @@ def _intersecting_term(a: SliceImage, b: SliceImage, roi: Roi):
                                clip_line_to_roi(b, full_image_roi(b.pose), line), step)
     if reason is not None:
         return 0.0, reason
-    vals_a, ok_a = sample_line_values(a, line, ts)
-    vals_b, ok_b = sample_line_values(b, line, ts)
-    return _compare(vals_a, vals_b, ok_a & ok_b, "too-few-samples", "constant-segment")
-
-
-def _region_cost(vals_a, vals_b):
-    """(cost, reason) of two paired regions, NaN where a slice has no sample."""
-    ok = np.isfinite(vals_a) & np.isfinite(vals_b)
-    return _compare(vals_a, vals_b, ok, "no-overlap", "constant-region")
+    return _compare(sample_line_values(a, line, ts), sample_line_values(b, line, ts),
+                    "too-few-samples", "constant-segment")
 
 
 def _contiguous_term(a: SliceImage, roi_a: Roi, b: SliceImage, roi_b: Roi):
     """Cost of one adjacent SA pair from the geometry primitives; (cost, reason)."""
-    ra, rb = contiguous_regions(a, roi_a, b, roi_b)
-    return _region_cost(ra.values, rb.values)
-
-
-class _LineSide:
-    """One slice of an intersecting pair: its frame as floats, ROI and the line's pixel slopes."""
-
-    def __init__(self, img: SliceImage, roi: Roi, direction: np.ndarray):
-        pose = img.pose
-        if abs(float(pose.normal @ direction)) > 1e-9:
-            raise GeometryError("line direction is not parallel to the slice plane")
-        if roi.row_max >= pose.rows or roi.col_max >= pose.cols:
-            raise GeometryError("ROI exceeds image bounds")
-        self.roi, self.pixels = roi, img.pixels
-        self.normal, self.iop_row, self.iop_col = (
-            v.tolist() for v in (pose.normal, pose.iop_row, pose.iop_col))
-        self.ps_row, self.ps_col = pose.ps_row, pose.ps_col
-        self.dr = float(direction @ pose.iop_row) / pose.ps_row
-        self.dc = float(direction @ pose.iop_col) / pose.ps_col
-
-    def clip(self, point: list, ipp: list):
-        """(r0, c0, t interval inside the ROI or None) of the line through ``point``."""
-        d = [point[0] - ipp[0], point[1] - ipp[1], point[2] - ipp[2]]
-        dist = abs(_dot3(self.normal, d))
-        if dist > IN_PLANE_TOL:
-            raise GeometryError(f"line point is {dist:.3g} mm off the slice plane")
-        r0 = _dot3(d, self.iop_row) / self.ps_row
-        c0 = _dot3(d, self.iop_col) / self.ps_col
-        return r0, c0, clip_pixel_line(r0, self.dr, c0, self.dc, self.roi)
+    vals_a, vals_b, _ = contiguous_regions(a, roi_a, b, roi_b)
+    return _compare(vals_a, vals_b, "no-overlap", "constant-region")
 
 
 class _LineTerm:
     """Intersecting-profile term of slices ``i`` and ``j``, compiled for translation.
 
-    Normals, line direction, cross products, pixel slopes, sampling step
-    and ROI checks do not change when the slices only translate, so they
-    are computed once. A trial supplies the origins and repeats, on Python
-    floats, the arithmetic of ``plane_intersection``, ``clip_line_to_roi``
-    and ``sample_line_values`` in the same order, so its cost is
-    bit-identical to ``_intersecting_term``'s.
+    ``plane_intersection``, ``clip_line_to_roi`` and ``sample_line_values``
+    build a ``PlanePair`` and ``LineSide``s per call; this term builds them
+    once at compile time and calls them at each trial's origins, so its
+    cost is bit-identical to ``_intersecting_term``'s.
     """
 
     kind = "int"
 
     def __init__(self, i: int, j: int, a: SliceImage, b: SliceImage, roi: Roi):
         self.i, self.j, self.roi = i, j, roi
-        n_a, n_b = a.pose.normal, b.pose.normal
-        d = np.cross(n_a, n_b)
-        norm_d = np.linalg.norm(d)
-        self.parallel = bool(norm_d < PARALLEL_TOL)
-        if self.parallel:
+        self.line = PlanePair(a.pose, b.pose)
+        if self.line.parallel:
             return
-        self.n_a, self.n_b = n_a.tolist(), n_b.tolist()
-        self.cross_b, self.cross_a = np.cross(n_b, d).tolist(), np.cross(d, n_a).tolist()
-        self.norm_d2 = float(norm_d * norm_d)
-        direction = d / norm_d
-        self.a = _LineSide(a, roi, direction)
-        self.b = _LineSide(b, full_image_roi(b.pose), direction)
+        self.a = LineSide(a, roi, self.line.direction)
+        self.b = LineSide(b, full_image_roi(b.pose), self.line.direction)
         self.step = min(a.pose.ps_row, a.pose.ps_col, b.pose.ps_row, b.pose.ps_col)
 
     def costs(self, trials) -> list:
         """(cost, reason) at each trial; all trials share one bilinear gather."""
-        if self.parallel:
+        if self.line.parallel:
             return [(0.0, "parallel-planes")] * len(trials)
         out: list = [None] * len(trials)
         sampled, origins, ts_parts = [], [], []
-        cross_b, cross_a, norm_d2 = self.cross_b, self.cross_a, self.norm_d2
         for k, ipps in enumerate(trials):
             ipp_a, ipp_b = ipps[self.i].tolist(), ipps[self.j].tolist()
-            h_a = _dot3(self.n_a, ipp_a)
-            h_b = _dot3(self.n_b, ipp_b)
-            point = [(h_a * cross_b[m] + h_b * cross_a[m]) / norm_d2 for m in range(3)]
+            point = self.line.point(ipp_a, ipp_b)
             r0_a, c0_a, int_a = self.a.clip(point, ipp_a)
             r0_b, c0_b, int_b = self.b.clip(point, ipp_b)
             ts, reason = _line_samples(int_a, int_b, self.step)
@@ -230,16 +167,12 @@ class _LineTerm:
         # Sample pixel (x0 + t*dx) of every trial at once.
         ts = np.concatenate(ts_parts)
         x0s = np.repeat(np.array(origins), [n for _, n in sampled], axis=0)
-        vals_a, ok_a = bilinear_sample(self.a.pixels, x0s[:, 0] + ts * self.a.dr,
-                                       x0s[:, 1] + ts * self.a.dc)
-        vals_b, ok_b = bilinear_sample(self.b.pixels, x0s[:, 2] + ts * self.b.dr,
-                                       x0s[:, 3] + ts * self.b.dc)
-        ok = ok_a & ok_b
+        vals_a = self.a.sample(x0s[:, 0], x0s[:, 1], ts)
+        vals_b = self.b.sample(x0s[:, 2], x0s[:, 3], ts)
         start = 0
         for k, n in sampled:
             part = slice(start, start + n)
-            out[k] = _compare(vals_a[part], vals_b[part], ok[part],
-                              "too-few-samples", "constant-segment")
+            out[k] = _compare(vals_a[part], vals_b[part], "too-few-samples", "constant-segment")
             start += n
         return out
 
@@ -260,7 +193,8 @@ class _RegionTerm:
 
     def costs(self, trials) -> list:
         """(cost, reason) at each trial, one trial at a time to bound memory."""
-        return [_region_cost(*self.pair.sample(ipps[self.i], ipps[self.j])[:2]) for ipps in trials]
+        return [_compare(*self.pair.sample(ipps[self.i], ipps[self.j])[:2],
+                         "no-overlap", "constant-region") for ipps in trials]
 
 
 def intersecting_cost(a: SliceImage, b: SliceImage, roi: Roi | None = None) -> float:

@@ -7,17 +7,21 @@ from hypothesis import strategies as st
 
 from lgequant.errors import GeometryError
 from lgequant.geometry import (
+    IN_PLANE_TOL,
+    PARALLEL_TOL,
     Line3,
+    LineSide,
+    PlanePair,
     RegionPair,
     Roi,
     SliceImage,
     SlicePose,
     bilinear_sample,
     clip_line_to_roi,
+    clip_pixel_line,
     contiguous_regions,
     full_image_roi,
     lattice_sample,
-    patient_to_pixel,
     pixel_to_patient,
     plane_intersection,
     sample_line_values,
@@ -59,12 +63,15 @@ class TestPixelToPatient:
         assert np.allclose(pixel_to_patient(pose, 1, 0), [3, 1, 1])
 
     def test_round_trip_random_poses(self):
+        # LineSide.clip maps a line point back to the pixel it came from.
         rng = np.random.default_rng(7)
         for _ in range(50):
             pose = random_pose(rng)
             r = rng.uniform(0, pose.rows - 1)
             c = rng.uniform(0, pose.cols - 1)
-            rr, cc = patient_to_pixel(pose, pixel_to_patient(pose, r, c))
+            side = LineSide(SliceImage(pose, np.zeros((pose.rows, pose.cols))),
+                            full_image_roi(pose), pose.iop_row)
+            rr, cc, _ = side.clip(pixel_to_patient(pose, r, c).tolist(), pose.ipp.tolist())
             assert abs(rr - r) < 1e-9 and abs(cc - c) < 1e-9
 
 
@@ -153,8 +160,7 @@ class TestSampleSegment:
     def test_constant_image(self):
         img = SliceImage(identity_pose(), np.full((8, 8), 7.0))
         line = Line3(point=np.array([3.0, 0.0, 0.0]), direction=np.array([0, 1.0, 0]))
-        values, valid = sample_line_values(img, line, np.arange(0.0, 7.5, 0.5))
-        assert valid.all()
+        values = sample_line_values(img, line, np.arange(0.0, 7.5, 0.5))
         assert np.allclose(values, 7.0)
 
     def test_constant_image_random_pose(self):
@@ -165,7 +171,8 @@ class TestSampleSegment:
             p0 = pixel_to_patient(pose, pose.rows / 2.0, 0.0)
             line = Line3(point=p0, direction=pose.iop_col)
             ts = np.arange(0.0, (pose.cols - 1) * pose.ps_col, 0.7)
-            values, valid = sample_line_values(img, line, ts)
+            values = sample_line_values(img, line, ts)
+            valid = np.isfinite(values)
             assert valid.sum() >= 2
             assert np.allclose(values[valid], 2.5)
 
@@ -174,9 +181,105 @@ class TestSampleSegment:
         img = SliceImage(identity_pose(ps=2.0), ramp)
         line = Line3(point=np.array([4.0, 0.0, 0.0]), direction=np.array([0, 1.0, 0]))
         step_mm = 0.5
-        values, valid = sample_line_values(img, line, np.arange(0.0, 14.0 + step_mm, step_mm))
-        assert valid.all()
+        values = sample_line_values(img, line, np.arange(0.0, 14.0 + step_mm, step_mm))
         assert np.allclose(np.diff(values), step_mm / 2.0)
+
+    def test_outside_the_image_reads_nan(self):
+        img = SliceImage(identity_pose(), np.full((8, 8), 7.0))
+        line = Line3(point=np.array([3.0, 0.0, 0.0]), direction=np.array([0, 1.0, 0]))
+        values = sample_line_values(img, line, np.array([-1.0, 0.0, 7.0, 8.0]))
+        assert np.array_equal(values, [np.nan, 7.0, 7.0, np.nan], equal_nan=True)
+
+
+# --- oracle: the line geometry written with numpy vectors ---
+
+def _oracle_dot3(p, q):
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
+def oracle_plane_intersection(a: SlicePose, b: SlicePose):
+    """Intersection line of two slice planes from numpy cross products, or None."""
+    n_a, n_b = a.normal, b.normal
+    d = np.cross(n_a, n_b)
+    norm_d = np.linalg.norm(d)
+    if norm_d < PARALLEL_TOL:
+        return None
+    h_a = _oracle_dot3(n_a, a.ipp)
+    h_b = _oracle_dot3(n_b, b.ipp)
+    point = (h_a * np.cross(n_b, d) + h_b * np.cross(d, n_a)) / (norm_d * norm_d)
+    return Line3(point=point, direction=d / norm_d)
+
+
+def oracle_patient_to_pixel(pose: SlicePose, point) -> tuple:
+    """Fractional (row, col) of an in-plane patient point."""
+    d = (np.asarray(point, dtype=float) - pose.ipp).T
+    return _oracle_dot3(d, pose.iop_row) / pose.ps_row, _oracle_dot3(d, pose.iop_col) / pose.ps_col
+
+
+def oracle_pixel_line(pose: SlicePose, line: Line3) -> tuple:
+    """The line in pixel coordinates: (r0, dr, c0, dc) per mm of t."""
+    r0, c0 = oracle_patient_to_pixel(pose, line.point)
+    dr = float(line.direction @ pose.iop_row) / pose.ps_row
+    dc = float(line.direction @ pose.iop_col) / pose.ps_col
+    return float(r0), dr, float(c0), dc
+
+
+def oracle_clip_line_to_roi(img: SliceImage, roi: Roi, line: Line3):
+    pose = img.pose
+    n = pose.normal
+    dist = abs(float(n @ (line.point - pose.ipp)))
+    if dist > IN_PLANE_TOL:
+        raise GeometryError(f"line point is {dist:.3g} mm off the slice plane")
+    if abs(float(n @ line.direction)) > 1e-9:
+        raise GeometryError("line direction is not parallel to the slice plane")
+    if roi.row_max >= pose.rows or roi.col_max >= pose.cols:
+        raise GeometryError("ROI exceeds image bounds")
+    return clip_pixel_line(*oracle_pixel_line(pose, line), roi)
+
+
+def oracle_line_values(img: SliceImage, line: Line3, ts) -> np.ndarray:
+    r0, dr, c0, dc = oracle_pixel_line(img.pose, line)
+    return _reference_bilinear(img.pixels, r0 + ts * dr, c0 + ts * dc)
+
+
+def _intersecting_pairs(problem):
+    """(a, roi on a, b) of every SA-LA and LA-LA pair of an alignment problem."""
+    m, slices = len(problem.sa_slices), problem.slices
+    rois = problem.sa_rois + [full_image_roi(s.pose) for s in problem.la_slices]
+    return [(slices[i], rois[i], slices[j])
+            for i in range(len(slices)) for j in range(max(i + 1, m), len(slices))]
+
+
+class TestLineRoutineOracle:
+    def test_shared_routine_equals_the_numpy_oracle_bit_for_bit(self):
+        from test_realign import oblique_problem, wedge_problem
+
+        rng = np.random.default_rng(17)
+        checked = 0
+        for problem in (wedge_problem(), oblique_problem()):
+            for a0, roi, b0 in _intersecting_pairs(problem):
+                for _ in range(8):
+                    a = a0.translated(rng.uniform(-8.0, 8.0, 3))
+                    b = b0.translated(rng.uniform(-8.0, 8.0, 3))
+                    ref = oracle_plane_intersection(a.pose, b.pose)
+                    pair = PlanePair(a.pose, b.pose)
+                    point = pair.point(a.pose.ipp.tolist(), b.pose.ipp.tolist())
+                    assert point == ref.point.tolist()
+                    assert np.array_equal(pair.direction, ref.direction)
+                    line = plane_intersection(a.pose, b.pose)
+                    assert np.array_equal(line.point, ref.point)
+                    for s, s_roi in ((a, roi), (b, full_image_roi(b.pose))):
+                        side = LineSide(s, s_roi, pair.direction)
+                        r0, dr, c0, dc = oracle_pixel_line(s.pose, ref)
+                        interval = oracle_clip_line_to_roi(s, s_roi, ref)
+                        assert side.clip(point, s.pose.ipp.tolist()) == (r0, c0, interval)
+                        assert (side.dr, side.dc) == (dr, dc)
+                        assert clip_line_to_roi(s, s_roi, line) == interval
+                        ts = np.linspace(-60.0, 60.0, 97)
+                        assert np.array_equal(sample_line_values(s, line, ts),
+                                              oracle_line_values(s, ref, ts), equal_nan=True)
+                    checked += 1
+        assert checked == 8 * (6 * 2 + 1 + 4 * 2 + 1)
 
 
 def _projected_regions(a: SliceImage, roi_a: Roi, b: SliceImage, roi_b: Roi):
@@ -208,9 +311,8 @@ def _projected_regions(a: SliceImage, roi_a: Roi, b: SliceImage, roi_b: Roi):
         pose, n_s = s.pose, s.pose.normal
         t = (float(n_s @ pose.ipp) - grid_mid @ n_s) / float(n_s @ n)
         d = grid_mid + t[..., None] * n - pose.ipp
-        vals, valid = bilinear_sample(s.pixels, d @ pose.iop_row / pose.ps_row,
-                                      d @ pose.iop_col / pose.ps_col)
-        values.append(np.where(valid, vals, np.nan))
+        values.append(bilinear_sample(s.pixels, d @ pose.iop_row / pose.ps_row,
+                                      d @ pose.iop_col / pose.ps_col))
     return values, (float(u.max() - u.min()), float(v.max() - v.min()))
 
 
@@ -221,29 +323,29 @@ class TestContiguousRegions:
         a = SliceImage(identity_pose(rows=12, cols=12), pix)
         b = SliceImage(identity_pose(rows=12, cols=12, ipp=(0, 0, 10.0)), pix)
         roi = Roi(2, 9, 3, 8)
-        ra, rb = contiguous_regions(a, roi, b, roi)
-        assert ra.values.shape == rb.values.shape
+        ra, rb, _ = contiguous_regions(a, roi, b, roi)
+        assert ra.shape == rb.shape
         sub = pix[2:10, 3:9]
-        assert np.allclose(ra.values, sub) and np.allclose(rb.values, sub)
+        assert np.allclose(ra, sub) and np.allclose(rb, sub)
 
     def test_translated_pair_union_bound(self):
         pix = np.zeros((20, 20))
         a = SliceImage(identity_pose(rows=20, cols=20), pix)
         b = SliceImage(identity_pose(rows=20, cols=20, ipp=(5.0, 0.0, 10.0)), pix)
         roi = Roi(4, 10, 4, 10)
-        ra, rb = contiguous_regions(a, roi, b, roi)
+        ra, rb, extent = contiguous_regions(a, roi, b, roi)
         # Union bound along the row axis: a spans [4, 10], b spans [9, 15] -> 12 mm.
-        assert abs(ra.extent_mm[0] - 11.0) < 1e-9
-        assert abs(ra.extent_mm[1] - 6.0) < 1e-9
-        assert ra.values.shape == rb.values.shape
-        assert ra.values.shape == (12, 7)
+        assert abs(extent[0] - 11.0) < 1e-9
+        assert abs(extent[1] - 6.0) < 1e-9
+        assert ra.shape == rb.shape
+        assert ra.shape == (12, 7)
 
     def test_nested_rois(self):
         pix = np.zeros((20, 20))
         a = SliceImage(identity_pose(rows=20, cols=20), pix)
         b = SliceImage(identity_pose(rows=20, cols=20, ipp=(0, 0, 10.0)), pix)
-        ra, _ = contiguous_regions(a, Roi(2, 17, 2, 17), b, Roi(6, 12, 6, 12))
-        assert abs(ra.extent_mm[0] - 15.0) < 1e-9 and abs(ra.extent_mm[1] - 15.0) < 1e-9
+        *_, extent = contiguous_regions(a, Roi(2, 17, 2, 17), b, Roi(6, 12, 6, 12))
+        assert abs(extent[0] - 15.0) < 1e-9 and abs(extent[1] - 15.0) < 1e-9
 
     def test_matches_the_3d_projection_on_oblique_and_wedge_pairs(self):
         from lgequant.phantom import default_wedge_config, generate
@@ -260,15 +362,15 @@ class TestContiguousRegions:
                 for _ in range(10):
                     a = sa[k].translated(rng.uniform(-8.0, 8.0, 3))
                     b = sa[k + 1].translated(rng.uniform(-8.0, 8.0, 3))
-                    got = contiguous_regions(a, rois[k], b, rois[k + 1])
+                    *got, got_extent = contiguous_regions(a, rois[k], b, rois[k + 1])
                     ref, extent = _projected_regions(a, rois[k], b, rois[k + 1])
                     for region, values, s in zip(got, ref, (a, b)):
-                        assert region.values.shape == values.shape
-                        assert np.array_equal(np.isnan(region.values), np.isnan(values))
+                        assert region.shape == values.shape
+                        assert np.array_equal(np.isnan(region), np.isnan(values))
                         ok = ~np.isnan(values)
-                        assert (np.abs(region.values[ok] - values[ok]).max(initial=0.0)
+                        assert (np.abs(region[ok] - values[ok]).max(initial=0.0)
                                 <= 1e-12 * np.abs(s.pixels).max())
-                        assert np.allclose(region.extent_mm, extent, rtol=0.0, atol=1e-9)
+                    assert np.allclose(got_extent, extent, rtol=0.0, atol=1e-9)
                     checked += 1
         assert checked == 10 * (3 + 5)
 
@@ -295,8 +397,8 @@ class TestContiguousRegions:
             )
             roi_a = Roi(3, 12, 2, 13)
             roi_b = Roi(2, 11, 4, 12)
-            ra, rb = contiguous_regions(a, roi_a, b, roi_b)
-            assert ra.values.shape == rb.values.shape
+            ra, rb, _ = contiguous_regions(a, roi_a, b, roi_b)
+            assert ra.shape == rb.shape
 
 
 class TestPoseValidation:
@@ -316,6 +418,15 @@ class TestPoseValidation:
             )
 
 
+class TestSliceImageValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, bad):
+        pixels = np.zeros((8, 8))
+        pixels[3, 4] = bad
+        with pytest.raises(GeometryError, match="finite"):
+            SliceImage(identity_pose(), pixels)
+
+
 class TestPoseNormal:
     def test_normal_is_cross_product_and_survives_translation(self):
         pose = random_pose(np.random.default_rng(4))
@@ -330,7 +441,7 @@ class TestPoseNormal:
 
 
 def _reference_bilinear(pixels, r, c):
-    """Bilinear interpolation written with floor, clip and 2-D fancy indexing."""
+    """Bilinear interpolation written with floor, clip and 2-D fancy indexing; NaN outside."""
     rows, cols = pixels.shape
     eps = 1e-9
     valid = (r >= -eps) & (r <= rows - 1 + eps) & (c >= -eps) & (c <= cols - 1 + eps)
@@ -348,7 +459,7 @@ def _reference_bilinear(pixels, r, c):
         + pixels[r1, c2] * (1 - fr) * fc
         + pixels[r2, c2] * fr * fc
     )
-    return np.where(valid, vals, 0.0), valid
+    return np.where(valid, vals, np.nan)
 
 
 class TestBilinearSample:
@@ -364,16 +475,13 @@ class TestBilinearSample:
                 r = np.round(r)
                 c = np.round(2.0 * c) / 2.0
                 r.flat[0] = rows - 1
-            vals, valid = bilinear_sample(pixels, r, c)
-            ref_vals, ref_valid = _reference_bilinear(pixels, r, c)
-            assert np.array_equal(valid, ref_valid)
-            assert np.array_equal(vals, ref_vals)
+            vals = bilinear_sample(pixels, r, c)
+            assert np.array_equal(vals, _reference_bilinear(pixels, r, c), equal_nan=True)
 
-    def test_invalid_samples_read_zero(self):
+    def test_invalid_samples_read_nan(self):
         pixels = np.arange(12.0).reshape(3, 4)
-        vals, valid = bilinear_sample(pixels, np.array([1.0, -1.0]), np.array([1.5, 0.0]))
-        assert valid.tolist() == [True, False]
-        assert vals.tolist() == [5.5, 0.0]
+        vals = bilinear_sample(pixels, np.array([1.0, -1.0]), np.array([1.5, 0.0]))
+        assert vals[0] == 5.5 and np.isnan(vals[1])
 
 
 @st.composite
@@ -413,7 +521,8 @@ class TestLatticeSample:
     def test_stencil_matches_the_gather(self, case):
         pixels, r0, c0, nu, nv = case
         got = lattice_sample(np.pad(pixels, 1, mode="edge"), r0, c0, nu, nv)
-        vals, valid = bilinear_sample(pixels, r0 + np.arange(nu)[:, None], c0 + np.arange(nv))
+        vals = bilinear_sample(pixels, r0 + np.arange(nu)[:, None], c0 + np.arange(nv))
+        valid = np.isfinite(vals)
         assert got.shape == (nu, nv)
         assert np.array_equal(np.isfinite(got), valid)
         assert np.abs(got[valid] - vals[valid]).max(initial=0.0) <= 1e-12 * np.abs(pixels).max()

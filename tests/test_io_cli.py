@@ -499,6 +499,25 @@ class TestCliInputErrors:
                                   "--reference-angle", "nan"], "reference angle must be finite")
 
 
+class TestPhantomInputErrors:
+    @pytest.mark.parametrize("flags, fragment", [
+        (["--seed", "-1"], "seed must be a non-negative integer"),
+        (["--seed", "-1", "--max-shift-mm", "2"], "seed must be a non-negative integer"),
+        (["--noise-sigma", "-1"], "noise sigma must be a finite non-negative number"),
+        (["--noise-sigma", "nan"], "noise sigma must be a finite non-negative number"),
+        (["--max-shift-mm", "inf"], "--max-shift-mm must be a finite non-negative number"),
+        (["--max-shift-mm", "-2"], "--max-shift-mm must be a finite non-negative number"),
+        (["--max-shift-mm", "nan"], "--max-shift-mm must be a finite non-negative number"),
+    ], ids=["negative_seed", "negative_seed_shifted", "negative_noise", "nan_noise",
+            "inf_shift", "negative_shift", "nan_shift"])
+    def test_exits_1_with_one_error_line(self, tmp_path, capsys, flags, fragment):
+        assert main(["phantom", "--out", str(tmp_path / "p"), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "p").exists()
+
+
 class TestCliFlags:
     """Each subcommand takes ``--config`` and only the overrides its stages read."""
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lgequant.errors import ParameterError
 from lgequant.phantom import (
     InfarctWedge,
     MvoPocket,
@@ -28,6 +29,14 @@ class TestConfigValidation:
         cfg = PhantomConfig(wedges=(InfarctWedge(0, 9, 0.0, 60.0),))
         with pytest.raises(ValueError):
             generate(cfg)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.5), ("noise_sigma", -1.0), ("noise_sigma", float("nan")),
+        ("noise_sigma", float("inf")),
+    ])
+    def test_rejects_bad_seed_and_noise(self, field, value):
+        with pytest.raises(ParameterError, match=field.replace("_", " ")):
+            generate(default_wedge_config(**{field: value}))
 
     def test_rejects_unknown_mvo_wedge(self):
         cfg = PhantomConfig(mvo_pockets=(MvoPocket(wedge=0, center_angle_deg=0, center_slice=1),))

@@ -67,8 +67,11 @@ class TestConfigStageErrors:
         ("max_iter", -3, "normalize"),
         ("max_iter", 2.5, "normalize"),
         ("max_iter", True, "normalize"),
+        ("max_iter", 0, "normalize"),
         ("n_bins", 2.5, "normalize"),
         ("n_bins", True, "normalize"),
+        ("n_bins", 1, "normalize"),
+        ("n_bins", -5, "normalize"),
         ("epsilon", 0.0, "normalize"),
         ("epsilon", float("nan"), "normalize"),
         ("lambda_", 0.0, "classify"),

@@ -9,25 +9,22 @@ from lgequant.geometry import (
     Roi,
     SliceImage,
     SlicePose,
-    clip_line_to_roi,
     contiguous_regions,
     full_image_roi,
     pixel_to_patient,
-    plane_intersection,
-    sample_line_values,
     sample_positions,
 )
 from lgequant.realign import (
     AlignmentProblem,
     CompiledProblem,
+    _compare,
     cost_breakdown,
     contiguous_cost,
     intersecting_cost,
-    mean_squared_difference,
     optimize,
     total_cost,
-    zscore_normalize,
 )
+from test_geometry import oracle_clip_line_to_roi, oracle_line_values, oracle_plane_intersection
 
 
 def linear_field(p):
@@ -76,45 +73,70 @@ def build_problem(field=curved_field, n_sa=6, gamma=0.01):
     return AlignmentProblem(sa_slices=sa, la_slices=la, sa_rois=rois, gamma=gamma)
 
 
+def compare(a, b):
+    """``_compare`` of two sample arrays, as an intersecting term reads it."""
+    return _compare(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+                    "too-few-samples", "constant-segment")
+
+
 class TestZscore:
+    """The z-normalization inside ``_compare``."""
+
     def test_direct_arithmetic(self):
-        out = zscore_normalize(np.array([2.0, 4.0, 6.0]))
-        assert np.allclose(out, [-1.224744871391589, 0.0, 1.224744871391589])
+        # z([2, 4, 6]) = (-z, 0, z) with z^2 = 1.5; against its reverse the
+        # differences are (-2z, 0, 2z), so the mean squared difference is (6 + 0 + 6) / 3.
+        cost, reason = compare([2.0, 4.0, 6.0], [6.0, 4.0, 2.0])
+        assert reason is None and np.isclose(cost, 4.0)
 
     def test_idempotent_on_normalized(self):
+        # Normalizing a side beforehand does not change the cost.
         rng = np.random.default_rng(0)
-        x = zscore_normalize(rng.normal(size=40))
-        assert np.allclose(zscore_normalize(x), x, atol=1e-9)
+        x = rng.normal(3.0, 2.0, size=40)
+        y = rng.normal(size=40)
+        assert np.isclose(compare((x - x.mean()) / x.std(), y)[0], compare(x, y)[0], atol=1e-9)
 
     def test_constant_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            zscore_normalize(np.array([5.0, 5.0, 5.0]))
+        assert compare([5.0, 5.0, 5.0], [1.0, 2.0, 3.0]) == (0.0, "constant-segment")
+        assert compare([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) == (0.0, "constant-segment")
+        region = _compare(np.full((2, 3), 4.0), np.arange(6.0).reshape(2, 3),
+                          "no-overlap", "constant-region")
+        assert region == (0.0, "constant-region")
 
     def test_equals_mean_and_std_bit_for_bit(self):
         rng = np.random.default_rng(5)
         for n in (2, 3, 7, 8, 9, 60, 127, 128, 129, 300, 3000):
             v = rng.normal(rng.uniform(-50.0, 50.0), rng.uniform(0.01, 20.0), size=n)
-            assert np.array_equal(zscore_normalize(v), (v - v.mean()) / v.std())
             w = rng.normal(size=n)
-            assert mean_squared_difference(v, w) == float(np.mean((v - w) ** 2))
+            assert compare(v, w) == (_reference_compare(v, w), None)
         grid = rng.normal(3.0, 2.0, size=(7, 5))
-        assert np.array_equal(zscore_normalize(grid), (grid - grid.mean()) / grid.std())
+        other = rng.normal(size=(7, 5))
+        grid[2, 3] = other[4, 1] = np.nan         # positions without a sample
+        ok = ~(np.isnan(grid) | np.isnan(other))
+        assert compare(grid, other) == (_reference_compare(grid[ok], other[ok]), None)
 
 
 class TestMeanSquaredDifference:
+    """The comparison of the z-normalized sides inside ``_compare``."""
+
     def test_identical(self):
         a = np.arange(6.0)
-        assert mean_squared_difference(a, a) == 0.0
+        assert compare(a, a) == (0.0, None)
 
     def test_unit_offset(self):
-        assert mean_squared_difference(np.zeros(2), np.ones(2)) == 1.0
+        # z-normalization removes an offset between the sides.
+        assert compare([0.0, 2.0, 1.0], [1.0, 3.0, 2.0]) == (0.0, None)
 
     def test_mixed(self):
-        assert mean_squared_difference(np.array([0.0, 2.0]), np.array([1.0, 0.0])) == 2.5
+        # z([0, 2]) = (-1, 1) and z([1, 0]) = (1, -1): mean of 2^2 and 2^2.
+        assert compare([0.0, 2.0], [1.0, 0.0]) == (4.0, None)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mean_squared_difference(np.zeros(3), np.zeros(4))
+    def test_too_few_samples(self):
+        assert compare([1.0], [2.0]) == (0.0, "too-few-samples")
+        assert compare([1.0, np.nan, 3.0], [np.nan, 2.0, 4.0]) == (0.0, "too-few-samples")
+        region = _compare(np.array([[np.nan, 1.0], [2.0, np.nan]]),
+                          np.array([[1.0, np.nan], [np.nan, 2.0]]),
+                          "no-overlap", "constant-region")
+        assert region == (0.0, "no-overlap")
 
 
 class TestIntersectingCost:
@@ -286,27 +308,33 @@ class TestGammaValidation:
         assert build_problem(gamma=0).gamma == 0
 
 
-# --- exact oracle: the costs as the public geometry primitives give them ---
+# --- exact oracle: line costs from the numpy line geometry of test_geometry,
+# contiguous costs from contiguous_regions, both compared with mean()/std() ---
 
-def _reference_compare(vals_a, vals_b, ok, too_few, constant):
-    """z-score and mean squared difference written out with mean()/std()."""
+def _reference_compare(vals_a, vals_b):
+    """MSD of two non-constant sample arrays, z-normalized with mean()/std()."""
+    za, zb = ((v - v.mean()) / v.std() for v in (vals_a, vals_b))
+    return float(np.mean((za - zb) ** 2))
+
+
+def _reference_term(vals_a, vals_b, too_few, constant):
+    """(cost, reason) of two NaN-marked sample arrays, written out with mean()/std()."""
+    ok = ~(np.isnan(vals_a) | np.isnan(vals_b))
     if int(ok.sum()) < 2:
         return 0.0, too_few
-    zs = []
     for v in (vals_a[ok], vals_b[ok]):
-        mean, std = v.mean(), v.std()
-        if std < 1e-9 * max(1.0, abs(mean)):
+        if v.std() < 1e-9 * max(1.0, abs(v.mean())):
             return 0.0, constant
-        zs.append((v - mean) / std)
-    return float(np.mean((zs[0] - zs[1]) ** 2)), None
+    return _reference_compare(vals_a[ok], vals_b[ok]), None
 
 
 def _reference_intersecting(a, b, roi):
-    line = plane_intersection(a.pose, b.pose)
+    """The intersecting term from the numpy line oracle of test_geometry."""
+    line = oracle_plane_intersection(a.pose, b.pose)
     if line is None:
         return 0.0, "parallel-planes"
-    int_a = clip_line_to_roi(a, roi, line)
-    int_b = clip_line_to_roi(b, full_image_roi(b.pose), line)
+    int_a = oracle_clip_line_to_roi(a, roi, line)
+    int_b = oracle_clip_line_to_roi(b, full_image_roi(b.pose), line)
     if int_a is None or int_b is None:
         return 0.0, "no-overlap"
     t_lo, t_hi = max(int_a[0], int_b[0]), min(int_a[1], int_b[1])
@@ -316,15 +344,13 @@ def _reference_intersecting(a, b, roi):
     ts = sample_positions((t_lo, t_hi), step)
     if ts.size < 2:
         return 0.0, "too-few-samples"
-    vals_a, ok_a = sample_line_values(a, line, ts)
-    vals_b, ok_b = sample_line_values(b, line, ts)
-    return _reference_compare(vals_a, vals_b, ok_a & ok_b, "too-few-samples", "constant-segment")
+    return _reference_term(oracle_line_values(a, line, ts), oracle_line_values(b, line, ts),
+                           "too-few-samples", "constant-segment")
 
 
 def _reference_contiguous(a, roi_a, b, roi_b):
-    ra, rb = contiguous_regions(a, roi_a, b, roi_b)
-    ok = np.isfinite(ra.values) & np.isfinite(rb.values)
-    return _reference_compare(ra.values, rb.values, ok, "no-overlap", "constant-region")
+    vals_a, vals_b, _ = contiguous_regions(a, roi_a, b, roi_b)
+    return _reference_term(vals_a, vals_b, "no-overlap", "constant-region")
 
 
 def _reference_terms(problem, slices):
