@@ -29,6 +29,7 @@ NEAR_PARALLEL_DEG = 1.0    # max angle between normals of a contiguous SA pair
 # bilinear_sample's edge tolerance.
 LATTICE_TOL = 1e-13
 _EDGE_EPS = 1e-9           # px, how far past the pixel-centre hull a sample stays valid
+MAX_REGION_SAMPLES = 1 << 22  # a larger paired-region grid means the slices lie far apart
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,7 @@ class LineSide:
             raise GeometryError("line direction is not parallel to the slice plane")
         if roi.row_max >= pose.rows or roi.col_max >= pose.cols:
             raise GeometryError("ROI exceeds image bounds")
-        self.roi, self.pixels = roi, img.pixels
+        self.roi = roi
         self.normal, self.iop_row, self.iop_col = (
             v.tolist() for v in (pose.normal, pose.iop_row, pose.iop_col))
         self.ps_row, self.ps_col = pose.ps_row, pose.ps_col
@@ -207,10 +208,6 @@ class LineSide:
         r0 = _dot3(d, self.iop_row) / self.ps_row
         c0 = _dot3(d, self.iop_col) / self.ps_col
         return r0, c0, clip_pixel_line(r0, self.dr, c0, self.dc, self.roi)
-
-    def sample(self, r0, c0, ts) -> np.ndarray:
-        """Bilinear samples at pixel (r0 + ts*dr, c0 + ts*dc); NaN outside the image."""
-        return bilinear_sample(self.pixels, r0 + ts * self.dr, c0 + ts * self.dc)
 
 
 def clip_line_to_roi(slice_img: SliceImage, roi: Roi, line: Line3):
@@ -243,45 +240,49 @@ def full_image_roi(pose: SlicePose) -> Roi:
     return Roi(0, pose.rows - 1, 0, pose.cols - 1)
 
 
-def bilinear_sample(pixels: np.ndarray, r, c) -> np.ndarray:
-    """Bilinear interpolation at fractional (r, c); NaN outside the image.
+class PixelAtlas:
+    """Several images' pixels in one flat array, image ``s`` row-major from ``base[s]``."""
 
-    Positions outside the pixel-centre hull [0, rows-1] x [0, cols-1], give
-    or take ``_EDGE_EPS``, have no sample.
-    """
-    pixels = np.asarray(pixels, dtype=float)
-    r = np.asarray(r, dtype=float)
-    c = np.asarray(c, dtype=float)
-    rows, cols = pixels.shape
-    eps = _EDGE_EPS
-    valid = (r >= -eps) & (r <= rows - 1 + eps) & (c >= -eps) & (c <= cols - 1 + eps)
-    rc = np.minimum(np.maximum(r, 0.0), rows - 1.0)
-    cc = np.minimum(np.maximum(c, 0.0), cols - 1.0)
-    # rc, cc >= 0, so truncation is floor; (r1, c1) is the top-left neighbour.
-    r1 = np.minimum(rc.astype(np.intp), max(rows - 2, 0))
-    c1 = np.minimum(cc.astype(np.intp), max(cols - 2, 0))
-    fr = rc - r1
-    fc = cc - c1
-    gr = 1 - fr
-    gc = 1 - fc
-    flat = pixels.ravel()
-    top = r1 * cols + c1
-    bottom = top + cols if rows > 1 else top
-    right = 1 if cols > 1 else 0
-    vals = (
-        flat.take(top) * gr * gc
-        + flat.take(bottom) * fr * gc
-        + flat.take(top + right) * gr * fc
-        + flat.take(bottom + right) * fr * fc
-    )
-    return np.where(valid, vals, np.nan)
+    def __init__(self, images):
+        flats = [np.asarray(p, dtype=float).ravel() for p in images]
+        self.flat = flats[0] if len(flats) == 1 else np.concatenate(flats)    # one image: no copy
+        self.rows, self.cols = np.array([np.shape(p) for p in images]).T
+        self.base = np.cumsum(self.rows * self.cols) - self.rows * self.cols
+
+    def sample(self, s, r, c) -> np.ndarray:
+        """Bilinear interpolation of image ``s`` at fractional (r, c), all three
+        broadcast together; NaN outside the image's pixel-centre hull
+        [0, rows-1] x [0, cols-1], give or take ``_EDGE_EPS``."""
+        r, c = np.asarray(r, dtype=float), np.asarray(c, dtype=float)
+        rows, cols, base = self.rows[s], self.cols[s], self.base[s]
+        eps = _EDGE_EPS
+        valid = (r >= -eps) & (r <= rows - 1 + eps) & (c >= -eps) & (c <= cols - 1 + eps)
+        rc = np.minimum(np.maximum(r, 0.0), rows - 1.0)
+        cc = np.minimum(np.maximum(c, 0.0), cols - 1.0)
+        # rc, cc >= 0, so truncation is floor; (r1, c1) is the top-left neighbour.
+        r1 = np.minimum(rc.astype(np.intp), np.maximum(rows - 2, 0))
+        c1 = np.minimum(cc.astype(np.intp), np.maximum(cols - 2, 0))
+        fr, fc = rc - r1, cc - c1
+        gr, gc = 1 - fr, 1 - fc
+        top = base + r1 * cols + c1
+        bottom, right = top + cols * (rows > 1), cols > 1
+        take = self.flat.take
+        vals = (take(top) * gr * gc + take(bottom) * fr * gc
+                + take(top + right) * gr * fc + take(bottom + right) * fr * fc)
+        return np.where(valid, vals, np.nan)
+
+
+def bilinear_sample(pixels: np.ndarray, r, c) -> np.ndarray:
+    """Bilinear interpolation of one image at fractional (r, c); NaN outside it."""
+    return PixelAtlas([pixels]).sample(0, r, c)
 
 
 def sample_line_values(slice_img: SliceImage, line: Line3, ts: np.ndarray) -> np.ndarray:
     """Bilinear samples of the slice at line parameters ``ts``; NaN outside the image."""
     side = LineSide(slice_img, full_image_roi(slice_img.pose), line.direction)
     r0, c0, _ = side.clip(line.point.tolist(), slice_img.pose.ipp.tolist())
-    return side.sample(r0, c0, np.asarray(ts, dtype=float))
+    ts = np.asarray(ts, dtype=float)
+    return bilinear_sample(slice_img.pixels, r0 + ts * side.dr, c0 + ts * side.dc)
 
 
 def sample_positions(interval, step_mm: float) -> np.ndarray:
@@ -291,7 +292,7 @@ def sample_positions(interval, step_mm: float) -> np.ndarray:
         raise GeometryError("sampling step must be positive")
     if t_hi < t_lo:
         raise GeometryError("empty sampling interval")
-    n = int(np.floor((t_hi - t_lo) / step_mm + 1e-9)) + 1
+    n = math.floor((t_hi - t_lo) / step_mm + 1e-9) + 1
     return t_lo + step_mm * np.arange(n)
 
 
@@ -314,28 +315,30 @@ def _valid_span(x0: float, n: int, hi: int) -> tuple:
     return min(i0, n), max(min(i0, n), min(i1, n))
 
 
-def lattice_sample(padded: np.ndarray, r0: float, c0: float, nu: int, nv: int) -> np.ndarray:
-    """Bilinear samples at pixel (r0 + i, c0 + j), i < nu, j < nv; NaN outside.
+def lattice_values(padded: np.ndarray, r0: float, c0: float, i0, i1, j0, j1) -> np.ndarray:
+    """Bilinear samples at pixel (r0 + i, c0 + j), i0 <= i < i1, j0 <= j < j1, all valid.
 
     All samples share one fractional offset, so the grid is four shifted
     slices of ``padded`` (the image with its edges repeated once,
     ``np.pad(pixels, 1, mode="edge")``, so the hull reads like
-    ``bilinear_sample``'s clamp) times four constant weights. A sample is
-    valid exactly where ``bilinear_sample``'s test holds.
+    ``bilinear_sample``'s clamp) times four constant weights.
     """
-    out = np.full((nu, nv), np.nan)
-    i0, i1 = _valid_span(r0, nu, padded.shape[0] - 3)
-    j0, j1 = _valid_span(c0, nv, padded.shape[1] - 3)
-    if i0 == i1 or j0 == j1:
-        return out
     kr, kc = math.floor(r0), math.floor(c0)
     fr, fc = r0 - kr, c0 - kc
     gr, gc = 1.0 - fr, 1.0 - fc
     top = padded[kr + i0 + 1:kr + i1 + 1]
     bottom = padded[kr + i0 + 2:kr + i1 + 2]
     left, right = slice(kc + j0 + 1, kc + j1 + 1), slice(kc + j0 + 2, kc + j1 + 2)
-    out[i0:i1, j0:j1] = (top[:, left] * (gr * gc) + bottom[:, left] * (fr * gc)
-                         + top[:, right] * (gr * fc) + bottom[:, right] * (fr * fc))
+    return (top[:, left] * (gr * gc) + bottom[:, left] * (fr * gc)
+            + top[:, right] * (gr * fc) + bottom[:, right] * (fr * fc))
+
+
+def lattice_sample(padded: np.ndarray, r0: float, c0: float, nu: int, nv: int) -> np.ndarray:
+    """``lattice_values`` at pixel (r0 + i, c0 + j), i < nu, j < nv; NaN where invalid."""
+    out = np.full((nu, nv), np.nan)
+    i0, i1 = _valid_span(r0, nu, padded.shape[0] - 3)
+    j0, j1 = _valid_span(c0, nv, padded.shape[1] - 3)
+    out[i0:i1, j0:j1] = lattice_values(padded, r0, c0, i0, i1, j0, j1)
     return out
 
 
@@ -357,7 +360,7 @@ class _RegionSide:
         self.w_row, self.w_col = w_row.tolist(), w_col.tolist()
         self.ru, self.rv, self.cu, self.cv = (
             float(w @ axis) for w in (w_row, w_col) for axis in (u_axis, v_axis))
-        self.step, self.pixels = step, img.pixels
+        self.step, self.atlas = step, PixelAtlas([img.pixels])
         self.lattice = max(abs(step * self.ru - 1.0), abs(step * self.rv), abs(step * self.cu),
                            abs(step * self.cv - 1.0)) <= LATTICE_TOL
         if self.lattice:
@@ -370,17 +373,13 @@ class _RegionSide:
         self.reach = [(float(x.min()), float(x.max()))
                       for x in (offsets @ u_axis, offsets @ v_axis)]
 
-    def sample(self, u_lo: float, v_lo: float, ipp: list, nu: int, nv: int,
-               lattice: bool) -> np.ndarray:
-        """Values on the (nu, nv) grid whose first point is (u_lo, v_lo); NaN outside."""
-        r0 = u_lo * self.ru + v_lo * self.rv - _dot3(ipp, self.w_row)
-        c0 = u_lo * self.cu + v_lo * self.cv - _dot3(ipp, self.w_col)
+    def sample(self, r0: float, c0: float, nu: int, nv: int, lattice: bool) -> np.ndarray:
+        """Values on the (nu, nv) grid whose first point is pixel (r0, c0); NaN outside."""
         if lattice:
             return lattice_sample(self.padded, r0, c0, nu, nv)
         i = self.step * np.arange(nu)[:, None]
         j = self.step * np.arange(nv)
-        return bilinear_sample(self.pixels, r0 + i * self.ru + j * self.rv,
-                               c0 + i * self.cu + j * self.cv)
+        return self.atlas.sample(0, r0 + i * self.ru + j * self.rv, c0 + i * self.cu + j * self.cv)
 
 
 class RegionPair:
@@ -413,17 +412,38 @@ class RegionPair:
         self.lattice = all(side.lattice for side in self.sides)
         self.uv = (u_axis.tolist(), v_axis.tolist())
 
-    def sample(self, ipp_a: np.ndarray, ipp_b: np.ndarray):
-        """(values on a, values on b, grid extent in mm) with the slices at these origins."""
-        (a, b), step = self.sides, self.step
+    def grid(self, ipp_a: np.ndarray, ipp_b: np.ndarray) -> tuple:
+        """(first pixel on a, first pixel on b, nu, nv, extent in mm) of the grid
+        with the slices at these origins; GeometryError past MAX_REGION_SAMPLES."""
         pa, pb = ipp_a.tolist(), ipp_b.tolist()
-        u, v = ([_dot3(p, axis) + reach for p, side in ((pa, a), (pb, b))
+        u, v = ([_dot3(p, axis) + reach for p, side in zip((pa, pb), self.sides)
                  for reach in side.reach[k]] for k, axis in enumerate(self.uv))
         u_lo, u_hi, v_lo, v_hi = (f(x) for x in (u, v) for f in (min, max))
-        nu = int(np.floor((u_hi - u_lo) / step + 1e-9)) + 1
-        nv = int(np.floor((v_hi - v_lo) / step + 1e-9)) + 1
-        return (a.sample(u_lo, v_lo, pa, nu, nv, self.lattice),
-                b.sample(u_lo, v_lo, pb, nu, nv, self.lattice), (u_hi - u_lo, v_hi - v_lo))
+        su, sv = (u_hi - u_lo) / self.step, (v_hi - v_lo) / self.step
+        if not (su + 1.0) * (sv + 1.0) <= MAX_REGION_SAMPLES:
+            raise GeometryError(f"region grid exceeds {MAX_REGION_SAMPLES} samples: too far apart")
+        first = [(u_lo * s.ru + v_lo * s.rv - _dot3(p, s.w_row),
+                  u_lo * s.cu + v_lo * s.cv - _dot3(p, s.w_col))
+                 for s, p in zip(self.sides, (pa, pb))]
+        nu, nv = math.floor(su + 1e-9) + 1, math.floor(sv + 1e-9) + 1
+        return (*first, nu, nv, (u_hi - u_lo, v_hi - v_lo))
+
+    def sample(self, ipp_a: np.ndarray, ipp_b: np.ndarray):
+        """(values on a, values on b, grid extent in mm) with the slices at these origins."""
+        *corners, nu, nv, extent = self.grid(ipp_a, ipp_b)
+        return (*(side.sample(*x0, nu, nv, self.lattice)
+                  for side, x0 in zip(self.sides, corners)), extent)
+
+    def common(self, ipp_a: np.ndarray, ipp_b: np.ndarray) -> list:
+        """Both sides' raveled values on the grid rectangle where both have samples,
+        with the slices at these origins; lattice pairs only."""
+        *corners, nu, nv, _ = self.grid(ipp_a, ipp_b)
+        spans = [[_valid_span(x, n, hi - 3) for x, n, hi in zip(x0, (nu, nv), side.padded.shape)]
+                 for side, x0 in zip(self.sides, corners)]
+        lo = [max(sa[0], sb[0]) for sa, sb in zip(*spans)]
+        hi = [max(x, min(sa[1], sb[1])) for x, sa, sb in zip(lo, *spans)]
+        return [lattice_values(side.padded, *x0, lo[0], hi[0], lo[1], hi[1]).ravel()
+                for side, x0 in zip(self.sides, corners)]
 
 
 def contiguous_regions(a: SliceImage, roi_a: Roi, b: SliceImage, roi_b: Roi) -> tuple:

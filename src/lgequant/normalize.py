@@ -62,6 +62,19 @@ def lv_voxels(stack, masks: ContourMasks) -> np.ndarray:
     return _stack_array(stack, masks)[masks.epi]
 
 
+def check_normalization(epsilon, max_iter, n_bins) -> None:
+    """Raise ParameterError unless ``iterate_normalization`` accepts these settings."""
+    if not epsilon > 0:
+        raise ParameterError("epsilon must be positive")
+    for name, value in (("max_iter", max_iter), ("n_bins", n_bins)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if max_iter < 0:
+        raise ParameterError("max_iter must be non-negative")
+    if n_bins < 2:
+        raise ParameterError(f"n_bins must be at least 2, got {n_bins}")
+
+
 def iterate_normalization(
     stack,
     masks: ContourMasks,
@@ -78,15 +91,7 @@ def iterate_normalization(
     jointly min-max rescaled to [0, 1] and the last fitted parameters are
     returned in the rescaled units.
     """
-    if not epsilon > 0:
-        raise ParameterError("epsilon must be positive")
-    for name, value in (("max_iter", max_iter), ("n_bins", n_bins)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if max_iter < 0:
-        raise ParameterError("max_iter must be non-negative")
-    if n_bins < 2:
-        raise ParameterError(f"n_bins must be at least 2, got {n_bins}")
+    check_normalization(epsilon, max_iter, n_bins)
     work = _stack_array(stack, masks).copy()
     n_slices = work.shape[0]
     ref = middle_slice_index(n_slices)

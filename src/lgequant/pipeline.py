@@ -19,7 +19,7 @@ from .dataset import ContourSet, LgeDataset
 from .errors import LgeQuantError, ParameterError
 from .graphcut import GraphCutConfig, Labeling, MyocardiumVolume, classify
 from .metrics import dice
-from .normalize import iterate_normalization
+from .normalize import check_normalization, iterate_normalization
 from .plots import bullseye_svg
 from .postprocess import PostprocessConfig, run_postprocessing
 from .raster import ContourMasks, contour_masks
@@ -56,11 +56,21 @@ class PipelineConfig:
     skip_realign: bool = False
 
     def __post_init__(self):
-        # Checked here too, so that a config which skips realignment cannot
-        # carry a bad realign value without an error.
+        # Each stage checks its fields again when it runs; checking them here
+        # too means a config carries no bad value, whichever stages run.
         with _stage("realign"):
             check_gamma(self.gamma)
             check_max_sweeps(self.realign_max_sweeps)
+            if not isinstance(self.skip_realign, bool):
+                raise ParameterError(f"skip_realign must be a bool, got {self.skip_realign!r}")
+        with _stage("normalize"):
+            _check_normalize(self)
+        with _stage("classify"):
+            self.graphcut()
+        with _stage("postprocess"):
+            self.postprocess()
+        with _stage("quantify"):
+            self.aha()
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
@@ -79,6 +89,12 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def graphcut(self) -> GraphCutConfig:
+        return GraphCutConfig(lambda_=self.lambda_, sigma=self.graph_sigma)
+
+    def aha(self) -> AhaConfig:
+        return AhaConfig(self.reference_angle_deg)
 
     def postprocess(self) -> PostprocessConfig:
         return PostprocessConfig(
@@ -120,6 +136,13 @@ def myocardium_volume(dataset: LgeDataset, masks: ContourMasks, stack=None) -> M
     )
 
 
+def _check_normalize(config: PipelineConfig) -> None:
+    check_normalization(config.epsilon, config.max_iter, config.n_bins)
+    if config.max_iter == 0:
+        # The later stages need at least one mixture fit.
+        raise ParameterError("max_iter must be at least 1")
+
+
 def realign_stage(dataset: LgeDataset, config: PipelineConfig) -> tuple:
     """Correct slice misalignment; returns (realigned dataset, report section)."""
     if config.skip_realign:
@@ -145,9 +168,7 @@ def normalize_stage(dataset: LgeDataset, contours: ContourSet, config: PipelineC
     Returns ((NormalizationResult, ContourMasks), report section). The masks
     are the run's only rasterization of the contours; later stages reuse them.
     """
-    if config.max_iter == 0:
-        # The later stages need at least one mixture fit.
-        raise ParameterError("max_iter must be at least 1")
+    _check_normalize(config)
     stack = np.stack([s.pixels for s in dataset.sa_slices])
     masks = contour_masks(contours, stack.shape)
     norm = iterate_normalization(
@@ -178,7 +199,7 @@ def normalize_stage(dataset: LgeDataset, contours: ContourSet, config: PipelineC
 def classify_stage(volume: MyocardiumVolume, params: RicianMixtureParams,
                    config: PipelineConfig) -> tuple:
     """Graph-cut classification; returns (raw labeling, report section)."""
-    gc_config = GraphCutConfig(lambda_=config.lambda_, sigma=config.graph_sigma)
+    gc_config = config.graphcut()
     labeling = classify(volume, params, gc_config)
     return labeling, {
         "sigma": gc_config.resolved_sigma(params),
@@ -198,7 +219,7 @@ def postprocess_stage(labeling: Labeling, volume: MyocardiumVolume, masks: Conto
 def quantify_stage(labeling: Labeling, volume: MyocardiumVolume,
                    config: PipelineConfig) -> tuple:
     """AHA 16-segment quantification; returns (QuantReport, report section)."""
-    segments = assign_segments(volume, AhaConfig(config.reference_angle_deg))
+    segments = assign_segments(volume, config.aha())
     quant = quantify(labeling, volume, segments)
     return quant, {
         "volumetric_percent": quant.volumetric_percent,

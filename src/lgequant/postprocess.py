@@ -37,6 +37,13 @@ class PostprocessConfig:
                 raise ParameterError(f"{name} must lie in [0, 1]")
         if not self.max_rim_thickness_vox >= 0:
             raise ParameterError("max_rim_thickness_vox must be non-negative")
+        check_min_volume(self.min_volume_mm3)
+
+
+def check_min_volume(min_volume_mm3) -> None:
+    """Raise ParameterError unless the small-component threshold is a number >= 0."""
+    if not min_volume_mm3 >= 0:
+        raise ParameterError("min_volume_mm3 must be non-negative")
 
 
 def _voxel_volume_mm3(volume: MyocardiumVolume) -> float:
@@ -96,8 +103,7 @@ def remove_small_components(
     labeling: Labeling, min_volume_mm3: float, volume: MyocardiumVolume
 ) -> Labeling:
     """Relabel infarct components smaller than the physical volume threshold."""
-    if not min_volume_mm3 >= 0:
-        raise ParameterError("min_volume_mm3 must be non-negative")
+    check_min_volume(min_volume_mm3)
     infarct = labeling.infarct_mask()
     if not infarct.any() or min_volume_mm3 == 0:
         return labeling

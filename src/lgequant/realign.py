@@ -23,6 +23,7 @@ from scipy.optimize import minimize
 from .errors import DegenerateInputError, ParameterError
 from .geometry import (
     LineSide,
+    PixelAtlas,
     PlanePair,
     RegionPair,
     Roi,
@@ -41,6 +42,7 @@ DEFAULT_GAMMA = 0.01
 TRANSLATION_BOUND_MM = 20.0
 MAX_SWEEPS = 50
 REL_TOL = 1e-6
+INFEASIBLE = 1e12          # objective value once a live term degenerates
 # Nelder-Mead settings of every simplex search the optimizer runs.
 _NELDER_MEAD_OPTIONS = {"xatol": 1e-3, "fatol": 1e-12, "maxiter": 130, "maxfev": 170}
 
@@ -64,23 +66,25 @@ def check_max_sweeps(max_sweeps) -> None:
         raise ParameterError(f"max_sweeps must be a non-negative integer, got {max_sweeps!r}")
 
 
-def _compare(vals_a, vals_b, too_few: str, constant: str):
+def _compare(vals_a, vals_b, too_few: str, constant: str, masked: bool = True):
     """(MSD of the z-normalized samples both sides have, degeneracy reason or None).
 
-    NaN marks a position without a sample. Each side is shifted to zero mean
-    and scaled to unit population standard deviation, summing what
-    ``ndarray.mean`` and ``ndarray.std`` sum, so the result equals the same
-    formula written with ``mean()`` and ``std()`` bit for bit.
+    NaN marks a position without a sample (``masked=False``: 1-D sides without
+    any). Each side is shifted to zero mean and scaled to unit population
+    standard deviation, summing what ``ndarray.mean`` and ``ndarray.std`` sum,
+    so it equals the formula written with ``mean()`` and ``std()`` bit for bit.
     """
-    ok = np.isfinite(vals_a) & np.isfinite(vals_b)
-    n = int(np.count_nonzero(ok))
+    if masked:
+        ok = np.isfinite(vals_a) & np.isfinite(vals_b)
+        vals_a, vals_b = vals_a[ok], vals_b[ok]
+    n = vals_a.size
     if n < 2:
         return 0.0, too_few
     zs = []
-    for values in (vals_a[ok], vals_b[ok]):
-        mean = np.add.reduce(values, axis=None) / n
+    for values in (vals_a, vals_b):
+        mean = float(np.add.reduce(values, axis=None)) / n
         dev = values - mean
-        std = np.sqrt(np.add.reduce(dev * dev, axis=None) / n)
+        std = math.sqrt(float(np.add.reduce(dev * dev, axis=None)) / n)
         if std < 1e-9 * max(1.0, abs(mean)):
             return 0.0, constant
         zs.append(dev / std)
@@ -129,8 +133,9 @@ class _LineTerm:
 
     ``plane_intersection``, ``clip_line_to_roi`` and ``sample_line_values``
     build a ``PlanePair`` and ``LineSide``s per call; this term builds them
-    once at compile time and calls them at each trial's origins, so its
-    cost is bit-identical to ``_intersecting_term``'s.
+    once and plans each trial with them, and ``CompiledProblem.evaluate``
+    samples the plans with ``bilinear_sample``'s routine, so its cost is
+    bit-identical to ``_intersecting_term``'s.
     """
 
     kind = "int"
@@ -143,38 +148,22 @@ class _LineTerm:
         self.a = LineSide(a, roi, self.line.direction)
         self.b = LineSide(b, full_image_roi(b.pose), self.line.direction)
         self.step = min(a.pose.ps_row, a.pose.ps_col, b.pose.ps_row, b.pose.ps_col)
+        self.slopes = [self.a.dr, self.b.dr, self.a.dc, self.b.dc]
 
-    def costs(self, trials) -> list:
-        """(cost, reason) at each trial; all trials share one bilinear gather."""
+    def plan(self, ipps):
+        """((r0, c0, dr, dc, slice, each of side a then b), parameters t) of the
+        line's samples at these origins, side x at pixel (r0_x + t*dr_x,
+        c0_x + t*dc_x) of its slice; or (None, degeneracy reason)."""
         if self.line.parallel:
-            return [(0.0, "parallel-planes")] * len(trials)
-        out: list = [None] * len(trials)
-        sampled, origins, ts_parts = [], [], []
-        for k, ipps in enumerate(trials):
-            ipp_a, ipp_b = ipps[self.i].tolist(), ipps[self.j].tolist()
-            point = self.line.point(ipp_a, ipp_b)
-            r0_a, c0_a, int_a = self.a.clip(point, ipp_a)
-            r0_b, c0_b, int_b = self.b.clip(point, ipp_b)
-            ts, reason = _line_samples(int_a, int_b, self.step)
-            if reason is not None:
-                out[k] = (0.0, reason)
-                continue
-            sampled.append((k, ts.size))
-            origins.append((r0_a, c0_a, r0_b, c0_b))
-            ts_parts.append(ts)
-        if not sampled:
-            return out
-        # Sample pixel (x0 + t*dx) of every trial at once.
-        ts = np.concatenate(ts_parts)
-        x0s = np.repeat(np.array(origins), [n for _, n in sampled], axis=0)
-        vals_a = self.a.sample(x0s[:, 0], x0s[:, 1], ts)
-        vals_b = self.b.sample(x0s[:, 2], x0s[:, 3], ts)
-        start = 0
-        for k, n in sampled:
-            part = slice(start, start + n)
-            out[k] = _compare(vals_a[part], vals_b[part], "too-few-samples", "constant-segment")
-            start += n
-        return out
+            return None, "parallel-planes"
+        ipp_a, ipp_b = ipps[self.i].tolist(), ipps[self.j].tolist()
+        point = self.line.point(ipp_a, ipp_b)
+        r0_a, c0_a, int_a = self.a.clip(point, ipp_a)
+        r0_b, c0_b, int_b = self.b.clip(point, ipp_b)
+        ts, reason = _line_samples(int_a, int_b, self.step)
+        if reason is not None:
+            return None, reason
+        return ([r0_a, r0_b, c0_a, c0_b, *self.slopes, self.i, self.j], ts), None
 
 
 class _RegionTerm:
@@ -192,7 +181,11 @@ class _RegionTerm:
         self.pair = RegionPair(a, roi_a, b, roi_b)
 
     def costs(self, trials) -> list:
-        """(cost, reason) at each trial, one trial at a time to bound memory."""
+        """(cost, reason) at each trial, one trial at a time to bound memory; a
+        lattice pair computes only the rectangle both slices have samples in."""
+        if self.pair.lattice:
+            return [_compare(*self.pair.common(ipps[self.i], ipps[self.j]),
+                             "no-overlap", "constant-region", masked=False) for ipps in trials]
         return [_compare(*self.pair.sample(ipps[self.i], ipps[self.j])[:2],
                          "no-overlap", "constant-region") for ipps in trials]
 
@@ -272,8 +265,11 @@ class CompiledProblem:
         self.terms = terms
         self.gamma = problem.gamma
         self.origins = [s.pose.ipp for s in slices]
-        # Contiguous-term evaluations by sampling path, for the log.
+        self.atlas = PixelAtlas([s.pixels for s in slices])
+        # Contiguous-term evaluations by sampling path, and objective
+        # evaluations by search phase, for the log.
         self.region_samples = {"lattice": 0, "gather": 0}
+        self.evaluations = {"prescan": 0, "simplex": 0, "regauge": 0}
 
     def positions(self, ipp_all=None) -> list:
         """Per-slice origins: the recorded ones, or ``ipp_all`` reached by translation."""
@@ -288,17 +284,62 @@ class CompiledProblem:
         """Weighted (cost, degeneracy reason) of each term at each trial.
 
         A trial is a sequence of per-slice origins; ``out[m][k]`` is term
-        ``term_ids[m]`` at ``trials[k]``. Contiguous costs carry gamma.
+        ``term_ids[m]`` at ``trials[k]``. Contiguous costs carry gamma. One
+        gather of the atlas samples every intersecting term at every trial.
         """
-        out = []
+        out, segments = [], []
         for ti in term_ids:
             term = self.terms[ti]
-            costs = term.costs(trials)
             if term.kind == "cnt":
-                costs = [(self.gamma * cost, reason) for cost, reason in costs]
+                out.append([(self.gamma * cost, reason) for cost, reason in term.costs(trials)])
                 self.region_samples["lattice" if term.pair.lattice else "gather"] += len(trials)
-            out.append(costs)
+                continue
+            out.append([None] * len(trials))
+            for k, ipps in enumerate(trials):
+                plan, reason = term.plan(ipps)
+                out[-1][k] = (0.0, reason)          # a sampled segment's is set below
+                if plan is not None:
+                    segments.append((out[-1], k, *plan))
+        if not segments:
+            return out
+        counts = [s[3].size for s in segments]
+        ends = np.cumsum(counts)
+        plans = np.array([s[2] for s in segments]).T.reshape(5, 2, -1)   # [entry][side][segment]
+        each = lambda k: np.repeat(plans[k], counts, axis=1)               # entry k at each sample
+        ts = np.concatenate([s[3] for s in segments])
+        vals = self.atlas.sample(each(4).astype(np.intp), each(0) + ts * each(2),
+                                 each(1) + ts * each(3))
+        ok = np.isfinite(vals[0]) & np.isfinite(vals[1])
+        if not ok.all():    # drop positions a side has no sample at; segments stay contiguous
+            ends, vals = np.cumsum(ok)[ends - 1], vals[:, ok]
+        bounds = [0, *ends.tolist()]
+        for (costs, k, *_), start, end in zip(segments, bounds, bounds[1:]):
+            costs[k] = _compare(vals[0, start:end], vals[1, start:end],
+                                "too-few-samples", "constant-segment", masked=False)
         return out
+
+    def objective(self, trials, term_ids, live, phase: str) -> list:
+        """Summed cost of ``term_ids`` at each trial, counted under ``phase``;
+        INFEASIBLE once a ``live`` term degenerates. One trial (a simplex step)
+        evaluates all its intersecting terms at once; many (a prescan) go term
+        by term, so an infeasible trial stops early."""
+        self.evaluations[phase] += len(trials)
+        values, pending = [0.0] * len(trials), list(range(len(trials)))
+        lines = [ti for ti in term_ids if self.terms[ti].kind == "int"] if len(trials) == 1 else []
+        ahead = dict(zip(lines, self.evaluate(trials, lines)))
+        for ti in term_ids:
+            if not pending:
+                break
+            costs = ahead.get(ti) or self.evaluate([trials[k] for k in pending], [ti])[0]
+            still = []
+            for k, (cost, reason) in zip(pending, costs):
+                if reason is not None and live[ti]:
+                    values[k] = INFEASIBLE
+                else:
+                    values[k] += cost
+                    still.append(k)
+            pending = still
+        return values
 
     def check(self, slices, records) -> None:
         """Raise RuntimeError unless ``records``, a breakdown at the origins of
@@ -381,30 +422,9 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
     # A term that was live at the start must not be pushed into degeneracy
     # (losing overlap would zero its cost and reward runaway moves).
     live = [r is None for r in term_reasons]
-    INFEASIBLE = 1e12
     bound = TRANSLATION_BOUND_MM
 
     accepted_moves: list = []
-    evaluations = {"prescan": 0, "simplex": 0, "regauge": 0}
-
-    def objective(trials, term_ids, phase: str) -> list:
-        """Summed cost of ``term_ids`` at each trial; INFEASIBLE once a live term degenerates."""
-        evaluations[phase] += len(trials)
-        values = [0.0] * len(trials)
-        pending = list(range(len(trials)))
-        for ti in term_ids:
-            if not pending:
-                break
-            [costs] = compiled.evaluate([trials[k] for k in pending], [ti])
-            still = []
-            for k, (cost, reason) in zip(pending, costs):
-                if reason is not None and live[ti]:
-                    values[k] = INFEASIBLE
-                else:
-                    values[k] += cost
-                    still.append(k)
-            pending = still
-        return values
 
     def refresh(term_ids):
         """Re-evaluate ``term_ids`` at the accepted translations."""
@@ -413,12 +433,12 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
 
     def cheapest(starts, trial, term_ids, phase: str) -> int:
         """Index of the first strictly cheapest of ``starts``, all scored in one batch."""
-        values = objective([trial(x) for x in starts], term_ids, phase)
+        values = compiled.objective([trial(x) for x in starts], term_ids, live, phase)
         return min(range(len(values)), key=values.__getitem__)
 
     def nelder_mead(trial, term_ids, phase: str, x0, simplex, bounds=None):
         """(minimizer, its cost) of one Nelder-Mead search from ``simplex``."""
-        res = minimize(lambda x: objective([trial(x)], term_ids, phase)[0], x0,
+        res = minimize(lambda x: compiled.objective([trial(x)], term_ids, live, phase)[0], x0,
                        method="Nelder-Mead", bounds=bounds,
                        options={"initial_simplex": simplex, **_NELDER_MEAD_OPTIONS})
         return np.asarray(res.x, dtype=float), res.fun
@@ -538,7 +558,7 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
         prev_total = new_total
 
     logger.info("realign: %d prescan, %d simplex and %d regauge cost evaluations",
-                evaluations["prescan"], evaluations["simplex"], evaluations["regauge"])
+                *(compiled.evaluations[k] for k in ("prescan", "simplex", "regauge")))
     logger.info("realign: %d contiguous evaluations on the pixel lattice, %d by gather",
                 compiled.region_samples["lattice"], compiled.region_samples["gather"])
     return AlignmentResult(
@@ -554,6 +574,6 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
                 for ti, t in enumerate(terms) if term_reasons[ti] is not None
             ],
             "accepted_moves": accepted_moves,
-            "cost_evaluations": evaluations,
+            "cost_evaluations": compiled.evaluations,
         },
     )

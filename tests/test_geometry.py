@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from lgequant.errors import GeometryError
 from lgequant.geometry import (
+    _EDGE_EPS,
     IN_PLANE_TOL,
+    MAX_REGION_SAMPLES,
     PARALLEL_TOL,
     Line3,
     LineSide,
+    PixelAtlas,
     PlanePair,
     RegionPair,
     Roi,
@@ -401,6 +404,21 @@ class TestContiguousRegions:
             assert ra.shape == rb.shape
 
 
+class TestRegionGridBound:
+    def test_slices_far_apart_raise_before_sampling(self):
+        pose = identity_pose(rows=16, cols=16, ps=1.25)
+        a = SliceImage(pose, np.arange(256.0).reshape(16, 16))
+        b = a.translated([1e4, -1e4, 8.0])
+        roi = full_image_roi(pose)
+        with pytest.raises(GeometryError, match="too far apart"):
+            contiguous_regions(a, roi, b, roi)
+        pair = RegionPair(a, roi, b, roi)
+        with pytest.raises(GeometryError, match=str(MAX_REGION_SAMPLES)):
+            pair.grid(a.pose.ipp, np.array([float("inf"), 0.0, 8.0]))
+        near = a.translated([2.5, 0.0, 8.0])
+        assert contiguous_regions(a, roi, near, roi)[0].shape == (18, 16)
+
+
 class TestPoseValidation:
     def test_non_unit_orientation_rejected(self):
         with pytest.raises(GeometryError):
@@ -482,6 +500,40 @@ class TestBilinearSample:
         pixels = np.arange(12.0).reshape(3, 4)
         vals = bilinear_sample(pixels, np.array([1.0, -1.0]), np.array([1.5, 0.0]))
         assert vals[0] == 5.5 and np.isnan(vals[1])
+
+
+class TestPixelAtlas:
+    def test_equals_bilinear_sample_per_image_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        shapes = [(1, 1), (1, 7), (6, 1), (2, 2), (9, 13), (17, 5)]
+        images = [rng.normal(size=shape) * 50.0 for shape in shapes]
+        s, r, c = [], [], []
+        for k, (rows, cols) in enumerate(shapes):
+            # Random positions in and around the image, every edge give or take
+            # _EDGE_EPS (inside) and 2 * _EDGE_EPS (outside), and far outside.
+            edges = [x + d for x in (0.0, rows - 1.0) for d in (-2 * _EDGE_EPS, -_EDGE_EPS, 0.0,
+                                                                  _EDGE_EPS, 2 * _EDGE_EPS)]
+            edges_c = [x + d for x in (0.0, cols - 1.0) for d in (-2 * _EDGE_EPS, -_EDGE_EPS, 0.0,
+                                                                   _EDGE_EPS, 2 * _EDGE_EPS)]
+            rk = np.concatenate([rng.uniform(-1.5, rows + 0.5, 60), edges,
+                                 rng.uniform(0.0, rows - 1.0, len(edges_c)), [-40.0, rows + 40.0]])
+            ck = np.concatenate([rng.uniform(-1.5, cols + 0.5, 60),
+                                 rng.uniform(0.0, cols - 1.0, len(edges)), edges_c, [3.0, -0.5]])
+            s.append(np.full(rk.size, k))
+            r.append(rk)
+            c.append(ck)
+        order = rng.permutation(sum(x.size for x in s))     # images interleaved
+        s, r, c = (np.concatenate(x)[order] for x in (s, r, c))
+        # Two rows, as the compiled intersecting terms gather both sides.
+        got = PixelAtlas(images).sample(s.reshape(2, -1), r.reshape(2, -1), c.reshape(2, -1))
+        got = got.ravel()
+        assert np.isnan(got).any() and np.isfinite(got).any()
+        for k, pixels in enumerate(images):
+            mine = s == k
+            want = bilinear_sample(pixels, r[mine], c[mine])
+            assert np.array_equal(got[mine], want, equal_nan=True)
+            assert np.array_equal(want, _reference_bilinear(pixels, r[mine], c[mine]),
+                                  equal_nan=True)
 
 
 @st.composite

@@ -316,7 +316,7 @@ class TestCliStages:
         ])
         assert code == 1
         err = capsys.readouterr().err
-        assert "error: lambda must be positive" in err and "Traceback" not in err
+        assert "error: [classify] lambda must be positive" in err and "Traceback" not in err
 
 
 class TestStageAgreement:
@@ -516,6 +516,20 @@ class TestPhantomInputErrors:
         assert err.startswith("error: ") and fragment in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "p").exists()
+
+
+class TestRealignInputErrors:
+    def test_slices_metres_apart_exit_1_with_one_error_line(self, tmp_path, capsys):
+        # Adjacent SA origins ~1e300 mm apart would size the paired-region grid
+        # beyond any allocation.
+        assert main(["phantom", "--preset", "clean", "--max-shift-mm", "1e300",
+                     "--out", str(tmp_path / "p")]) == 0
+        capsys.readouterr()
+        assert main(["realign", "--data", str(tmp_path / "p" / "dataset.json"),
+                     "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "too far apart" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestCliFlags:

@@ -91,9 +91,8 @@ class TestConfigStageErrors:
     ])
     def test_out_of_range_value_is_a_stage_error(self, small_study, field, value, stage):
         ds, truth = small_study
-        config = PipelineConfig(skip_realign=True, **{field: value})
         with pytest.raises(PipelineStageError) as info:
-            run_pipeline(ds, truth.contours, config)
+            run_pipeline(ds, truth.contours, PipelineConfig(skip_realign=True, **{field: value}))
         assert info.value.stage == stage
         assert isinstance(info.value.cause, ParameterError)
 
@@ -102,4 +101,27 @@ class TestConfigStageErrors:
         with pytest.raises(PipelineStageError) as info:
             run_pipeline(ds, truth.contours, PipelineConfig(realign_max_sweeps=-1))
         assert info.value.stage == "realign"
+        assert isinstance(info.value.cause, ParameterError)
+
+
+class TestConfigChecksAtConstruction:
+    """Every field is checked when the config is built, by its stage's own check."""
+
+    @pytest.mark.parametrize("field, value, stage", [
+        ("lambda_", float("nan"), "classify"),
+        ("graph_sigma", -1.0, "classify"),
+        ("reference_angle_deg", float("inf"), "quantify"),
+        ("epsilon", -1.0, "normalize"),
+        ("max_iter", 0, "normalize"),
+        ("n_bins", 1, "normalize"),
+        ("boundary_fraction", 2.0, "postprocess"),
+        ("max_rim_thickness_vox", -1, "postprocess"),
+        ("min_volume_mm3", float("nan"), "postprocess"),
+        ("mvo_enclosure_fraction", -0.5, "postprocess"),
+        ("skip_realign", "yes", "realign"),
+    ])
+    def test_bad_value_fails_at_construction(self, field, value, stage):
+        with pytest.raises(PipelineStageError) as info:
+            PipelineConfig(**{field: value})
+        assert info.value.stage == stage
         assert isinstance(info.value.cause, ParameterError)

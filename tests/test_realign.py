@@ -15,9 +15,12 @@ from lgequant.geometry import (
     sample_positions,
 )
 from lgequant.realign import (
+    INFEASIBLE,
     AlignmentProblem,
     CompiledProblem,
     _compare,
+    _contiguous_term,
+    _intersecting_term,
     cost_breakdown,
     contiguous_cost,
     intersecting_cost,
@@ -448,6 +451,92 @@ class TestCompiledEvaluatorOracle:
             for k, trial in enumerate(trials):
                 single = compiled.evaluate([trial], ids)
                 assert [costs[k] for costs in batched] == [costs[0] for costs in single]
+
+
+def degenerate_problem():
+    """A flat SA slice and an LA view parallel to another, so terms degenerate."""
+    flat = lambda p: np.full(p.shape[:-1], 3.0)
+    sa = [sample_slice(sa_pose(10.0 * k), flat if k == 2 else curved_field) for k in range(4)]
+    parallel = SlicePose(np.array([-23.0, 6.0, -12.0]), np.array([0, 0, 1.0]),
+                         np.array([1.0, 0, 0]), 1.5, 1.5, 48, 32)
+    la = [sample_slice(la_pose("4c"), curved_field), sample_slice(la_pose("2c"), curved_field),
+          sample_slice(parallel, curved_field)]
+    return AlignmentProblem(sa, la, [Roi(6, 25, 6, 25)] * 4)
+
+
+def _random_trials(problem, rng, n):
+    """(trials, the slices moved to them): random translations, the last ones large."""
+    trials, moved = [], []
+    for k in range(n):
+        span = 6.0 if k < n - n // 3 else 25.0
+        deltas = rng.uniform(-span, span, size=(len(problem.slices), 3))
+        moved.append([s.translated(d) for s, d in zip(problem.slices, deltas)])
+        trials.append([s.pose.ipp + d for s, d in zip(problem.slices, deltas)])
+    return trials, moved
+
+
+@pytest.mark.parametrize("build", [wedge_problem, oblique_problem, degenerate_problem])
+def test_fused_evaluate_equals_each_term_definition(build):
+    """All terms at all trials in one call equal the per-term definitions."""
+    problem = build()
+    compiled = CompiledProblem(problem)
+    trials, moved = _random_trials(problem, np.random.default_rng(23), 12)
+    got = compiled.evaluate(trials, range(len(compiled.terms)))
+    reasons = set()
+    for t, costs in zip(compiled.terms, got):
+        for slices, (cost, reason) in zip(moved, costs):
+            if t.kind == "int":
+                want = _intersecting_term(slices[t.i], slices[t.j], t.roi)
+            else:
+                want = _contiguous_term(slices[t.i], t.rois[0], slices[t.j], t.rois[1])
+                want = (problem.gamma * want[0], want[1])
+            assert (cost, reason) == want
+            reasons.add(reason)
+    assert {None, "no-overlap"} <= reasons
+    if build is degenerate_problem:
+        assert {"parallel-planes", "constant-segment", "constant-region"} <= reasons
+
+
+def _per_term_objective(compiled, trials, term_ids, live):
+    """The objective evaluated one term at a time over the trials still feasible."""
+    values = [0.0] * len(trials)
+    pending = list(range(len(trials)))
+    for ti in term_ids:
+        if not pending:
+            break
+        [costs] = compiled.evaluate([trials[k] for k in pending], [ti])
+        still = []
+        for k, (cost, reason) in zip(pending, costs):
+            if reason is not None and live[ti]:
+                values[k] = INFEASIBLE
+            else:
+                values[k] += cost
+                still.append(k)
+        pending = still
+    return values
+
+
+@pytest.mark.parametrize("build", [wedge_problem, oblique_problem, degenerate_problem])
+def test_objective_equals_the_per_term_loop(build):
+    """``CompiledProblem.objective`` equals one evaluation per term, one trial or many,
+    in values and region-path counts."""
+    problem = build()
+    compiled = CompiledProblem(problem)
+    live = [r["degenerate"] is None for r in compiled.breakdown(compiled.positions())]
+    rng = np.random.default_rng(29)
+    values = []
+    for i in (1, len(problem.sa_slices), len(problem.slices) - 1):     # SA and LA slices
+        ids = [ti for ti, t in enumerate(compiled.terms) if i in (t.i, t.j)]
+        trials, _ = _random_trials(problem, rng, 9)
+        for batch in [trials] + [[trial] for trial in trials]:
+            before = dict(compiled.region_samples)
+            got = compiled.objective(batch, ids, live, "simplex")
+            mid = dict(compiled.region_samples)
+            assert got == _per_term_objective(compiled, batch, ids, live)
+            assert {k: mid[k] - before[k] for k in mid} == \
+                {k: v - mid[k] for k, v in compiled.region_samples.items()}
+            values += got
+    assert INFEASIBLE in values and min(values) < INFEASIBLE
 
 
 class TestCompileChecks:
