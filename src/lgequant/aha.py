@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMaskError, ParameterError
+from .errors import EmptyMaskError, ParameterError, check_number
 from .graphcut import Labeling, MyocardiumVolume
 
 LEVELS = ("basal", "mid", "apical")
@@ -26,6 +26,7 @@ class AhaConfig:
     reference_angle_deg: float = 0.0
 
     def __post_init__(self):
+        check_number("reference angle", self.reference_angle_deg)
         if not -np.inf < self.reference_angle_deg < np.inf:
             raise ParameterError("reference angle must be finite")
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class LgeQuantError(Exception):
     """Base class for all package errors."""
@@ -7,6 +9,13 @@ class LgeQuantError(Exception):
 
 class ParameterError(LgeQuantError, ValueError):
     """A parameter is out of its valid range (NaN, infinite, negative, ...)."""
+
+
+def check_number(name: str, value, integral: bool = False) -> None:
+    """Raise ParameterError unless ``value`` is a number (an integer if ``integral``), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
+        raise ParameterError(f"{name} must be {'an integer' if integral else 'a number'}, "
+                             f"got {value!r}")
 
 
 class GeometryError(LgeQuantError):

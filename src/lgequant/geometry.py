@@ -49,12 +49,14 @@ class SlicePose:
         object.__setattr__(self, "ipp", np.asarray(self.ipp, dtype=float).reshape(3))
         object.__setattr__(self, "iop_row", np.asarray(self.iop_row, dtype=float).reshape(3))
         object.__setattr__(self, "iop_col", np.asarray(self.iop_col, dtype=float).reshape(3))
+        if not all(np.isfinite(v).all() for v in (self.ipp, self.iop_row, self.iop_col)):
+            raise GeometryError("slice origin and orientation must be finite")
+        if not (0 < self.ps_row < np.inf and 0 < self.ps_col < np.inf):
+            raise GeometryError("pixel spacing must be positive and finite")
         if abs(np.linalg.norm(self.iop_row) - 1.0) > 1e-9 or abs(np.linalg.norm(self.iop_col) - 1.0) > 1e-9:
             raise GeometryError("orientation vectors must be unit length")
         if abs(float(np.dot(self.iop_row, self.iop_col))) > 1e-9:
             raise GeometryError("orientation vectors must be orthogonal")
-        if self.ps_row <= 0 or self.ps_col <= 0:
-            raise GeometryError("pixel spacing must be positive")
         if self.rows < 1 or self.cols < 1:
             raise GeometryError("slice dimensions must be positive")
         normal = np.cross(self.iop_row, self.iop_col)

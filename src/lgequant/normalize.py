@@ -12,12 +12,13 @@ mixture parameters are carried along in those units for the classifier.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContourError, FitError, NormalizationError, ParameterError, ThresholdError
+from .errors import (
+    ContourError, FitError, NormalizationError, ParameterError, ThresholdError, check_number,
+)
 from .raster import ContourMasks
 from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.py)
 from .realign import middle_slice_index
@@ -64,11 +65,11 @@ def lv_voxels(stack, masks: ContourMasks) -> np.ndarray:
 
 def check_normalization(epsilon, max_iter, n_bins) -> None:
     """Raise ParameterError unless ``iterate_normalization`` accepts these settings."""
+    check_number("epsilon", epsilon)
     if not epsilon > 0:
         raise ParameterError("epsilon must be positive")
-    for name, value in (("max_iter", max_iter), ("n_bins", n_bins)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ParameterError(f"{name} must be an integer, got {value!r}")
+    check_number("max_iter", max_iter, integral=True)
+    check_number("n_bins", n_bins, integral=True)
     if max_iter < 0:
         raise ParameterError("max_iter must be non-negative")
     if n_bins < 2:

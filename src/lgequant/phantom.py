@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ContourSet, LgeDataset
-from .errors import ParameterError
-from .geometry import Roi, SliceImage, SlicePose, pixel_to_patient
+from .errors import GeometryError, ParameterError
+from .geometry import Roi, SliceImage, SlicePose
 from .raster import circle_polygon, polygon_mask
 
 
@@ -101,8 +101,14 @@ def _validate(cfg: PhantomConfig):
             or not math.isfinite(cfg.noise_sigma) or cfg.noise_sigma < 0:
         raise ParameterError(
             f"noise sigma must be a finite non-negative number, got {cfg.noise_sigma!r}")
-    if cfg.n_sa < 1:
-        raise ParameterError("n_sa must be >= 1")
+    if isinstance(cfg.n_sa, bool) or not isinstance(cfg.n_sa, numbers.Integral) or cfg.n_sa < 1:
+        raise ParameterError(f"n_sa must be a positive integer, got {cfg.n_sa!r}")
+    if not set(cfg.la_views) <= _LA_COL_AXIS.keys():
+        raise ParameterError(f"LA views must be among {sorted(_LA_COL_AXIS)}, got {cfg.la_views!r}")
+    if not 0 < cfg.intensity_scale < np.inf:
+        raise ParameterError("intensity scale must be positive and finite")
+    if not 0 < cfg.slice_spacing_mm < np.inf:
+        raise ParameterError("slice thickness plus gap must be positive and finite")
     if cfg.endo_radius_base_mm >= cfg.epi_radius_base_mm:
         raise ParameterError("endo radius must be smaller than epi radius at the base")
     if cfg.endo_radius_apex_mm >= cfg.epi_radius_apex_mm:
@@ -122,6 +128,8 @@ def _validate(cfg: PhantomConfig):
     for m in cfg.mvo_pockets:
         if not (0 <= m.wedge < len(cfg.wedges)):
             raise ParameterError("MVO pocket references an unknown wedge")
+        if not 0 < m.radius_mm < np.inf:
+            raise ParameterError("MVO pocket radius must be positive and finite")
 
 
 def angle_about_axis_deg(x, y):
@@ -159,7 +167,7 @@ def _radii(cfg: PhantomConfig, z):
     return re, rp
 
 
-def _background(cfg: PhantomConfig, pts):
+def _background(cfg: PhantomConfig, axes):
     """Smooth textured background so intersection profiles carry information."""
     rng = np.random.default_rng(cfg.texture_seed)
     n_blobs = 60
@@ -171,11 +179,18 @@ def _background(cfg: PhantomConfig, pts):
     ])
     widths = rng.uniform(4.0, 10.0, n_blobs)
     amps = rng.uniform(-0.12, 0.12, n_blobs)
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    out = np.full(pts.shape[:-1], cfg.intensity_background)
-    for c, w, a in zip(centers, widths, amps):
-        d2 = (x - c[0]) ** 2 + (y - c[1]) ** 2 + (z - c[2]) ** 2
-        out = out + a * np.exp(-d2 / (2.0 * w * w))
+    x, y, z = axes
+    # A Gaussian blob is one factor per patient axis. Each axis runs along the
+    # rows or the columns (or is constant), so the blobs' row factors (with
+    # the amplitude) times their column factors sum in one matrix product.
+    row, col = amps[:, None], np.ones((n_blobs, 1))
+    for axis, c in zip(axes, centers.T):
+        f = np.exp(-(axis - c[:, None, None]) ** 2 / (2.0 * widths * widths)[:, None, None])
+        if f.shape[2] == 1:
+            row = row * f[:, :, 0]
+        else:
+            col = col * f[:, 0, :]
+    out = cfg.intensity_background + row.T @ col
     # Bright oblique tubes (vessel-like): sharp landmarks that slide through
     # the imaging planes, anchoring the through-plane direction.
     for _ in range(4):
@@ -187,9 +202,9 @@ def _background(cfg: PhantomConfig, pts):
         u = rng.normal(size=3)
         u[2] = abs(u[2]) + 0.8
         u = u / np.linalg.norm(u)
-        rel = np.stack([x - p0[0], y - p0[1], z - p0[2]], axis=-1)
-        along = rel @ u
-        d = np.linalg.norm(rel - np.multiply.outer(along, u), axis=-1)
+        rel = [a - p for a, p in zip(axes, p0)]
+        along = rel[0] * u[0] + rel[1] * u[1] + rel[2] * u[2]
+        d = np.sqrt(sum((r - along * ui) ** 2 for r, ui in zip(rel, u)))
         out = out + 0.22 * _smoothstep((4.0 - d) / 1.5)
     # Two coronary-like helices hugging the epicardium: a bright dot next to
     # the wall whose position rotates with z, pinning the through-plane
@@ -205,9 +220,9 @@ def _background(cfg: PhantomConfig, pts):
     return np.clip(out, 0.01, None)
 
 
-def _tissue_mod(pts, phase: float, amp: float, z_amp: float = 0.6):
+def _tissue_mod(axes, phase: float, amp: float, z_amp: float = 0.6):
     """Gentle deterministic within-tissue variation (keeps histograms smooth)."""
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    x, y, z = axes
     return (
         1.0
         + amp * np.sin(0.23 * x + phase) * np.cos(0.19 * y + 0.7 * phase)
@@ -215,9 +230,9 @@ def _tissue_mod(pts, phase: float, amp: float, z_amp: float = 0.6):
     )
 
 
-def _papillary_weight(cfg: PhantomConfig, pts):
+def _papillary_weight(cfg: PhantomConfig, axes):
     """Smooth indicator of the two papillary muscle blobs in the cavity."""
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    x, y, z = axes
     re, _ = _radii(cfg, z)
     r = np.hypot(x, y)
     z_apex = cfg.apex_z_mm
@@ -225,7 +240,7 @@ def _papillary_weight(cfg: PhantomConfig, pts):
     z_half = 0.3 * z_apex
     w_z = _smoothstep((z_half + 3.0 - np.abs(z - z_mid)) / 3.0)
     frac = 0.35 + 0.35 * np.clip((z - (z_mid - z_half)) / (2 * z_half + 1e-9), 0.0, 1.0)
-    weight = np.zeros(pts.shape[:-1])
+    weight = 0.0
     # Diagonal placement keeps the blobs clear of both LA view planes, whose
     # intersection profiles would otherwise graze them tangentially. The
     # radial position drifts with z (papillaries run obliquely), so the
@@ -239,8 +254,8 @@ def _papillary_weight(cfg: PhantomConfig, pts):
     return weight * w_z * (r < re)
 
 
-def _wedge_mask(cfg: PhantomConfig, w: InfarctWedge, pts):
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+def _wedge_mask(cfg: PhantomConfig, w: InfarctWedge, axes):
+    x, y, z = axes
     dz = cfg.slice_spacing_mm
     z_lo = w.slice_lo * dz - 0.5 * dz
     z_hi = w.slice_hi * dz + 0.5 * dz
@@ -257,7 +272,7 @@ def _wedge_mask(cfg: PhantomConfig, w: InfarctWedge, pts):
     return (z >= z_lo) & (z <= z_hi) & in_angle & in_depth
 
 
-def _mvo_mask(cfg: PhantomConfig, m: MvoPocket, pts):
+def _mvo_mask(cfg: PhantomConfig, m: MvoPocket, axes):
     w = cfg.wedges[m.wedge]
     zc = m.center_slice * cfg.slice_spacing_mm
     re_c, _ = _radii(cfg, zc)
@@ -265,8 +280,8 @@ def _mvo_mask(cfg: PhantomConfig, m: MvoPocket, pts):
     center = np.array([-float(re_c + 0.6 * m.radius_mm) * np.cos(rad),
                        float(re_c + 0.6 * m.radius_mm) * np.sin(rad),
                        zc])
-    d2 = np.sum((pts - center) ** 2, axis=-1)
-    return (d2 <= m.radius_mm ** 2) & _wedge_mask(cfg, w, pts)
+    d2 = sum((a - c) ** 2 for a, c in zip(axes, center))
+    return (d2 <= m.radius_mm ** 2) & _wedge_mask(cfg, w, axes)
 
 
 def _smoothstep(t):
@@ -274,30 +289,30 @@ def _smoothstep(t):
     return t * t * (3.0 - 2.0 * t)
 
 
-def _paint(cfg: PhantomConfig, pts, bp_mask, myo_mask):
-    """Noise-free intensity at patient points given region masks.
+def _paint(cfg: PhantomConfig, axes, bp_mask, myo_mask):
+    """(noise-free intensity, infarct mask) of a slice given its region masks.
 
     Pixels inside the myocardium mask carry pure tissue values (so truth
     masks match the painted classes voxel-exactly); the blend to blood pool
     and background happens one-sidedly on the cavity and background sides,
     keeping the intensity profile continuous across the borders.
     """
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    x, y, z = axes
     r = np.hypot(x, y)
     re, rp = _radii(cfg, z)
     e = max(cfg.edge_softness_mm, 1e-6)
 
     # Blood pool carries no axial trend: slice-consistent BP intensity is the
     # premise of the normalization stage.
-    bp = cfg.intensity_blood_pool * _tissue_mod(pts, 0.9, 0.02, z_amp=0.0)
-    myo = cfg.intensity_myocardium * _tissue_mod(pts, 0.4, 0.05)
-    inf = cfg.intensity_infarct * _tissue_mod(pts, 1.7, 0.03)
-    bg = _background(cfg, pts)
+    bp = cfg.intensity_blood_pool * _tissue_mod(axes, 0.9, 0.02, z_amp=0.0)
+    myo = cfg.intensity_myocardium * _tissue_mod(axes, 0.4, 0.05)
+    inf = cfg.intensity_infarct * _tissue_mod(axes, 1.7, 0.03)
+    bg = _background(cfg, axes)
 
     # Cavity: rises from myocardium level at the wall to blood pool inward.
     w_bp = _smoothstep((re - r) / e)
     cavity = myo + w_bp * (bp - myo)
-    pap_w = _papillary_weight(cfg, pts)
+    pap_w = _papillary_weight(cfg, axes)
     cavity = cavity + pap_w * (myo - cavity)
     # Background: relaxes from myocardium level at the epi wall outward.
     w_bg = _smoothstep((r - rp) / e)
@@ -305,17 +320,18 @@ def _paint(cfg: PhantomConfig, pts, bp_mask, myo_mask):
 
     values = np.where(bp_mask, cavity, outside)
     values = np.where(myo_mask, myo, values)
-    wedge_any = np.zeros(pts.shape[:-1], dtype=bool)
+    infarct = np.zeros(values.shape, dtype=bool)
     for w in cfg.wedges:
-        wedge_any |= _wedge_mask(cfg, w, pts)
-    values = np.where(wedge_any & myo_mask, inf, values)
+        infarct |= _wedge_mask(cfg, w, axes)
+    infarct &= myo_mask
+    values = np.where(infarct, inf, values)
     for m in cfg.mvo_pockets:
-        values = np.where(_mvo_mask(cfg, m, pts) & myo_mask, myo, values)
-    return values
+        values = np.where(_mvo_mask(cfg, m, axes) & myo_mask, myo, values)
+    return values, infarct
 
 
-def _analytic_regions(cfg: PhantomConfig, pts):
-    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+def _analytic_regions(cfg: PhantomConfig, axes):
+    x, y, z = axes
     re, rp = _radii(cfg, z)
     r = np.hypot(x, y)
     bp = r < re
@@ -334,34 +350,37 @@ def _sa_pose(cfg: PhantomConfig, k: int) -> SlicePose:
     )
 
 
+# Rows of an LA view run along +z; its columns run along this patient axis
+# (LA4C: plane y = 0, columns along +x; LA2C: plane x = 0, columns along +y).
+_LA_COL_AXIS = {"LA4C": 0, "LA2C": 1}
+
+
 def _la_pose(cfg: PhantomConfig, view: str) -> SlicePose:
     z_lo = -15.0
     z_hi = cfg.apex_z_mm + cfg.epi_radius_apex_mm + 15.0
     rows = int(np.ceil((z_hi - z_lo) / cfg.ps_mm)) + 1
     cols = cfg.cols
-    half_c = (cols - 1) / 2.0 * cfg.ps_mm
-    if view == "LA4C":   # plane y = 0, rows along +z, cols along +x
-        return SlicePose(
-            ipp=np.array([-half_c, 0.0, z_lo]),
-            iop_row=np.array([0.0, 0.0, 1.0]),
-            iop_col=np.array([1.0, 0.0, 0.0]),
-            ps_row=cfg.ps_mm, ps_col=cfg.ps_mm, rows=rows, cols=cols,
-        )
-    if view == "LA2C":   # plane x = 0, rows along +z, cols along +y
-        return SlicePose(
-            ipp=np.array([0.0, -half_c, z_lo]),
-            iop_row=np.array([0.0, 0.0, 1.0]),
-            iop_col=np.array([0.0, 1.0, 0.0]),
-            ps_row=cfg.ps_mm, ps_col=cfg.ps_mm, rows=rows, cols=cols,
-        )
-    raise ValueError(f"unknown LA view {view!r}")
+    axis = _LA_COL_AXIS[view]
+    ipp = np.array([0.0, 0.0, z_lo])
+    ipp[axis] = -((cols - 1) / 2.0 * cfg.ps_mm)
+    return SlicePose(ipp=ipp, iop_row=np.array([0.0, 0.0, 1.0]), iop_col=np.eye(3)[axis],
+                     ps_row=cfg.ps_mm, ps_col=cfg.ps_mm, rows=rows, cols=cols)
 
 
-def _pixel_points(pose: SlicePose) -> np.ndarray:
-    rr, cc = np.meshgrid(
-        np.arange(pose.rows, dtype=float), np.arange(pose.cols, dtype=float), indexing="ij"
-    )
-    return pixel_to_patient(pose, rr, cc)
+def _pixel_axes(pose: SlicePose) -> tuple:
+    """Patient (x, y, z) of every pixel as broadcastable axes.
+
+    Each is a (rows, 1) column, a (1, cols) row or a (1, 1) constant, summed
+    as ``pixel_to_patient`` sums it, so every coordinate keeps its bits. A
+    zero orientation component adds the same signed zero at every pixel, kept
+    as one element. Only axis-aligned poses factor this way.
+    """
+    if np.count_nonzero(pose.iop_row) != 1 or np.count_nonzero(pose.iop_col) != 1:
+        raise GeometryError("phantom slices must run along patient axes")
+    r = np.arange(pose.rows, dtype=float)[:, None] * pose.ps_row
+    c = np.arange(pose.cols, dtype=float)[None, :] * pose.ps_col
+    return tuple(o + (r * a if a else r[:1] * a) + (c * b if b else c[:, :1] * b)
+                 for o, a, b in zip(pose.ipp, pose.iop_row, pose.iop_col))
 
 
 def _apply_noise(values: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -400,12 +419,8 @@ def generate(cfg: PhantomConfig) -> tuple[LgeDataset, PhantomTruth]:
         epi_mask = polygon_mask(epi, cfg.rows, cfg.cols)
         myo_mask = epi_mask & ~bp_mask
 
-        pts = _pixel_points(pose)
-        values = _paint(cfg, pts, bp_mask, myo_mask)
-        wedge_any = np.zeros(values.shape, dtype=bool)
-        for w in cfg.wedges:
-            wedge_any |= _wedge_mask(cfg, w, pts)
-        infarct_masks.append(wedge_any & myo_mask)
+        values, infarct = _paint(cfg, _pixel_axes(pose), bp_mask, myo_mask)
+        infarct_masks.append(infarct)
 
         half_px = int(np.ceil(float(rp_k) / cfg.ps_mm)) + cfg.roi_margin_px
         rois.append(Roi(
@@ -420,10 +435,9 @@ def generate(cfg: PhantomConfig) -> tuple[LgeDataset, PhantomTruth]:
     la_true_poses, la_pixels = [], []
     for view in cfg.la_views:
         pose = _la_pose(cfg, view)
-        pts = _pixel_points(pose)
-        bp_mask, myo_mask = _analytic_regions(cfg, pts)
+        axes = _pixel_axes(pose)
         la_true_poses.append(pose)
-        la_pixels.append(_paint(cfg, pts, bp_mask, myo_mask))
+        la_pixels.append(_paint(cfg, axes, *_analytic_regions(cfg, axes))[0])
 
     sa_slices, la_slices = [], []
     for k in range(cfg.n_sa):

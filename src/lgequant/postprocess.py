@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import ParameterError
+from .errors import ParameterError, check_number
 from .graphcut import Labeling, MyocardiumVolume
 from .raster import ContourMasks
 from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.py)
@@ -33,8 +33,10 @@ class PostprocessConfig:
 
     def __post_init__(self):
         for name in ("boundary_fraction", "mvo_enclosure_fraction"):
+            check_number(name, getattr(self, name))
             if not 0 <= getattr(self, name) <= 1:
                 raise ParameterError(f"{name} must lie in [0, 1]")
+        check_number("max_rim_thickness_vox", self.max_rim_thickness_vox, integral=True)
         if not self.max_rim_thickness_vox >= 0:
             raise ParameterError("max_rim_thickness_vox must be non-negative")
         check_min_volume(self.min_volume_mm3)
@@ -42,6 +44,7 @@ class PostprocessConfig:
 
 def check_min_volume(min_volume_mm3) -> None:
     """Raise ParameterError unless the small-component threshold is a number >= 0."""
+    check_number("min_volume_mm3", min_volume_mm3)
     if not min_volume_mm3 >= 0:
         raise ParameterError("min_volume_mm3 must be non-negative")
 

@@ -519,6 +519,26 @@ class TestPhantomInputErrors:
 
 
 class TestRealignInputErrors:
+    @pytest.mark.parametrize("key, value", [
+        ("ipp", [float("nan"), 0.0, 0.0]),
+        ("ipp", [0.0, float("inf"), 0.0]),
+        ("ps", [float("nan"), 1.25]),
+        ("ps", [float("inf"), 1.25]),
+    ], ids=["nan_ipp", "inf_ipp", "nan_ps", "inf_ps"])
+    def test_non_finite_pose_exits_1_with_one_error_line(self, phantom_dir, tmp_path, capsys,
+                                                         key, value):
+        manifest = json.loads((phantom_dir / "dataset.json").read_text())
+        for entry in manifest["slices"]:
+            entry["pixel_file"] = str(phantom_dir / entry["pixel_file"])
+        manifest["slices"][1][key] = value
+        (tmp_path / "dataset.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["realign", "--data", str(tmp_path / "dataset.json"),
+                     "--out", str(tmp_path / "r")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be" in err and "finite" in err
+        assert len(err.splitlines()) == 1
+
     def test_slices_metres_apart_exit_1_with_one_error_line(self, tmp_path, capsys):
         # Adjacent SA origins ~1e300 mm apart would size the paired-region grid
         # beyond any allocation.

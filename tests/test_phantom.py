@@ -1,7 +1,16 @@
+import hashlib
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from lgequant.errors import ParameterError
+import lgequant
+from lgequant.errors import GeometryError, ParameterError
+from lgequant.geometry import SlicePose, pixel_to_patient
 from lgequant.phantom import (
     InfarctWedge,
     MvoPocket,
@@ -10,8 +19,12 @@ from lgequant.phantom import (
     default_wedge_config,
     generate,
     _apply_noise,
+    _pixel_axes,
+    _radii,
+    _sa_pose,
+    _smoothstep,
 )
-from lgequant.raster import polygon_mask
+from lgequant.raster import circle_polygon, polygon_mask
 
 
 class TestConfigValidation:
@@ -41,6 +54,20 @@ class TestConfigValidation:
     def test_rejects_unknown_mvo_wedge(self):
         cfg = PhantomConfig(mvo_pockets=(MvoPocket(wedge=0, center_angle_deg=0, center_slice=1),))
         with pytest.raises(ValueError):
+            generate(cfg)
+
+    @pytest.mark.parametrize("cfg, fragment", [
+        (PhantomConfig(n_sa=2.5), "n_sa must be a positive integer"),
+        (PhantomConfig(la_views=("LA3C",)), "LA views must be among"),
+        (PhantomConfig(intensity_scale=-1), "intensity scale must be positive"),
+        (PhantomConfig(slice_thickness_mm=0, gap_mm=0), "slice thickness plus gap"),
+        (replace(default_wedge_config(), mvo_pockets=(
+            MvoPocket(wedge=0, center_angle_deg=30.0, center_slice=0.0, radius_mm=-1),)),
+         "MVO pocket radius must be positive"),
+    ], ids=["fractional_n_sa", "unknown_la_view", "negative_intensity_scale",
+            "coincident_sa_slices", "negative_mvo_radius"])
+    def test_rejects_config_it_cannot_paint(self, cfg, fragment):
+        with pytest.raises(ParameterError, match=fragment):
             generate(cfg)
 
 
@@ -144,3 +171,247 @@ class TestAnatomy:
         # bright cavity visible somewhere in the long-axis view
         assert vals.max() > 0.7
         assert la.pose.rows > 60
+
+
+# --- reference painter ------------------------------------------------------
+# The point-array painter the phantom used before it painted on separable pose
+# axes: every pixel's patient point from pixel_to_patient, and every background
+# blob a full-image exp. generate must reproduce its stored pixels and truth
+# byte for byte.
+
+def _ref_points(pose):
+    rr, cc = np.meshgrid(np.arange(pose.rows, dtype=float), np.arange(pose.cols, dtype=float),
+                         indexing="ij")
+    return pixel_to_patient(pose, rr, cc)
+
+
+def _ref_la_pose(cfg, view):
+    z_lo = -15.0
+    z_hi = cfg.apex_z_mm + cfg.epi_radius_apex_mm + 15.0
+    rows = int(np.ceil((z_hi - z_lo) / cfg.ps_mm)) + 1
+    half_c = (cfg.cols - 1) / 2.0 * cfg.ps_mm
+    if view == "LA4C":
+        ipp, iop_col = [-half_c, 0.0, z_lo], [1.0, 0.0, 0.0]
+    else:
+        ipp, iop_col = [0.0, -half_c, z_lo], [0.0, 1.0, 0.0]
+    return SlicePose(ipp=np.array(ipp), iop_row=np.array([0.0, 0.0, 1.0]),
+                     iop_col=np.array(iop_col), ps_row=cfg.ps_mm, ps_col=cfg.ps_mm,
+                     rows=rows, cols=cfg.cols)
+
+
+def _ref_background(cfg, pts):
+    rng = np.random.default_rng(cfg.texture_seed)
+    n_blobs = 60
+    fov = max(cfg.rows, cfg.cols) * cfg.ps_mm / 2.0
+    centers = np.column_stack([
+        rng.uniform(-fov, fov, n_blobs),
+        rng.uniform(-fov, fov, n_blobs),
+        rng.uniform(-20.0, cfg.apex_z_mm + 30.0, n_blobs),
+    ])
+    widths = rng.uniform(4.0, 10.0, n_blobs)
+    amps = rng.uniform(-0.12, 0.12, n_blobs)
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    out = np.full(pts.shape[:-1], cfg.intensity_background)
+    for c, w, a in zip(centers, widths, amps):
+        d2 = (x - c[0]) ** 2 + (y - c[1]) ** 2 + (z - c[2]) ** 2
+        out = out + a * np.exp(-d2 / (2.0 * w * w))
+    for _ in range(4):
+        p0 = np.array([
+            rng.uniform(-0.8 * fov, 0.8 * fov),
+            rng.uniform(-0.8 * fov, 0.8 * fov),
+            rng.uniform(0.0, cfg.apex_z_mm),
+        ])
+        u = rng.normal(size=3)
+        u[2] = abs(u[2]) + 0.8
+        u = u / np.linalg.norm(u)
+        rel = np.stack([x - p0[0], y - p0[1], z - p0[2]], axis=-1)
+        along = rel @ u
+        d = np.linalg.norm(rel - np.multiply.outer(along, u), axis=-1)
+        out = out + 0.22 * _smoothstep((4.0 - d) / 1.5)
+    _, rp = _radii(cfg, z)
+    for phi0, pitch in ((20.0, 0.07), (200.0, -0.07)):
+        phi = np.radians(phi0) + pitch * z
+        helix_r = rp + 3.0
+        d = np.hypot(x + helix_r * np.cos(phi), y - helix_r * np.sin(phi))
+        out = out + 0.25 * _smoothstep((3.5 - d) / 1.0)
+    return np.clip(out, 0.01, None)
+
+
+def _ref_tissue_mod(pts, phase, amp, z_amp=0.6):
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    return (1.0 + amp * np.sin(0.23 * x + phase) * np.cos(0.19 * y + 0.7 * phase)
+            + z_amp * amp * np.sin(0.11 * z + 1.3 * phase))
+
+
+def _ref_papillary_weight(cfg, pts):
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    re, _ = _radii(cfg, z)
+    z_mid, z_half = 0.5 * cfg.apex_z_mm, 0.3 * cfg.apex_z_mm
+    w_z = _smoothstep((z_half + 3.0 - np.abs(z - z_mid)) / 3.0)
+    frac = 0.35 + 0.35 * np.clip((z - (z_mid - z_half)) / (2 * z_half + 1e-9), 0.0, 1.0)
+    weight = np.zeros(pts.shape[:-1])
+    for phi in (135.0, 315.0):
+        rad = np.radians(phi)
+        d = np.hypot(x + frac * re * np.cos(rad), y - frac * re * np.sin(rad))
+        weight = np.maximum(weight, _smoothstep((3.6 - d) / 1.0))
+    return weight * w_z * (np.hypot(x, y) < re)
+
+
+def _ref_wedge_mask(cfg, w, pts):
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    dz = cfg.slice_spacing_mm
+    re, rp = _radii(cfg, z)
+    r = np.hypot(x, y)
+    theta = angle_about_axis_deg(x, y)
+    lo, hi = w.angle_lo_deg % 360.0, w.angle_hi_deg % 360.0
+    in_angle = (theta >= lo) & (theta < hi) if lo <= hi else (theta >= lo) | (theta < hi)
+    in_depth = r <= re + w.depth_frac * (rp - re)
+    return ((z >= w.slice_lo * dz - 0.5 * dz) & (z <= w.slice_hi * dz + 0.5 * dz)
+            & in_angle & in_depth)
+
+
+def _ref_mvo_mask(cfg, m, pts):
+    zc = m.center_slice * cfg.slice_spacing_mm
+    re_c, _ = _radii(cfg, zc)
+    rad = np.radians(m.center_angle_deg)
+    center = np.array([-float(re_c + 0.6 * m.radius_mm) * np.cos(rad),
+                       float(re_c + 0.6 * m.radius_mm) * np.sin(rad), zc])
+    d2 = np.sum((pts - center) ** 2, axis=-1)
+    return (d2 <= m.radius_mm ** 2) & _ref_wedge_mask(cfg, cfg.wedges[m.wedge], pts)
+
+
+def _ref_infarct(cfg, pts, myo_mask):
+    wedge_any = np.zeros(pts.shape[:-1], dtype=bool)
+    for w in cfg.wedges:
+        wedge_any |= _ref_wedge_mask(cfg, w, pts)
+    return wedge_any & myo_mask
+
+
+def _ref_paint(cfg, pts, bp_mask, myo_mask):
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    r = np.hypot(x, y)
+    re, rp = _radii(cfg, z)
+    e = max(cfg.edge_softness_mm, 1e-6)
+    bp = cfg.intensity_blood_pool * _ref_tissue_mod(pts, 0.9, 0.02, z_amp=0.0)
+    myo = cfg.intensity_myocardium * _ref_tissue_mod(pts, 0.4, 0.05)
+    inf = cfg.intensity_infarct * _ref_tissue_mod(pts, 1.7, 0.03)
+    cavity = myo + _smoothstep((re - r) / e) * (bp - myo)
+    cavity = cavity + _ref_papillary_weight(cfg, pts) * (myo - cavity)
+    outside = myo + _smoothstep((r - rp) / e) * (_ref_background(cfg, pts) - myo)
+    values = np.where(bp_mask, cavity, outside)
+    values = np.where(myo_mask, myo, values)
+    values = np.where(_ref_infarct(cfg, pts, myo_mask), inf, values)
+    for m in cfg.mvo_pockets:
+        values = np.where(_ref_mvo_mask(cfg, m, pts) & myo_mask, myo, values)
+    return values
+
+
+def _ref_generate(cfg):
+    """(stored SA + LA pixels, infarct mask, endo, epi, true ipps) by the reference painter."""
+    rng = np.random.default_rng(cfg.seed)
+    gains = np.ones(cfg.n_sa) if cfg.gains is None else np.asarray(cfg.gains, dtype=float)
+    center_r, center_c = (cfg.rows - 1) / 2.0, (cfg.cols - 1) / 2.0
+    values, infarct, endo_polys, epi_polys, poses = [], [], [], [], []
+    for k in range(cfg.n_sa):
+        pose = _sa_pose(cfg, k)
+        re_k, rp_k = _radii(cfg, k * cfg.slice_spacing_mm)
+        endo = circle_polygon(center_r, center_c, float(re_k) / cfg.ps_mm)
+        epi = circle_polygon(center_r, center_c, float(rp_k) / cfg.ps_mm)
+        bp_mask = polygon_mask(endo, cfg.rows, cfg.cols)
+        myo_mask = polygon_mask(epi, cfg.rows, cfg.cols) & ~bp_mask
+        pts = _ref_points(pose)
+        values.append(_ref_paint(cfg, pts, bp_mask, myo_mask) * gains[k])
+        infarct.append(_ref_infarct(cfg, pts, myo_mask))
+        endo_polys.append(endo)
+        epi_polys.append(epi)
+        poses.append(pose)
+    for view in cfg.la_views:
+        pose = _ref_la_pose(cfg, view)
+        pts = _ref_points(pose)
+        r = np.hypot(pts[..., 0], pts[..., 1])
+        re, rp = _radii(cfg, pts[..., 2])
+        values.append(_ref_paint(cfg, pts, r < re, (r >= re) & (r < rp)))
+        poses.append(pose)
+    stored = [np.round(np.clip(_apply_noise(v, cfg.noise_sigma, rng) * cfg.intensity_scale,
+                               0.0, 65535.0)) for v in values]
+    return stored, np.array(infarct), endo_polys, epi_polys, np.array([p.ipp for p in poses])
+
+
+_TWO_POCKETS = replace(
+    default_wedge_config(seed=4, noise_sigma=0.05),
+    wedges=(InfarctWedge(0, 1, 0.0, 60.0), InfarctWedge(2, 4, 150.0, 230.0, depth_frac=0.7)),
+    mvo_pockets=(MvoPocket(wedge=0, center_angle_deg=30.0, center_slice=0.0, radius_mm=4.5),
+                 MvoPocket(wedge=1, center_angle_deg=190.0, center_slice=3.0, radius_mm=3.5)),
+)
+
+
+class TestPainterOracle:
+    """generate paints on pose axes what the point-array painter paints, byte for byte."""
+
+    @pytest.mark.parametrize("cfg", [
+        default_wedge_config(seed=1, noise_sigma=0.0),
+        default_wedge_config(seed=2, noise_sigma=0.08),
+        PhantomConfig(seed=3),
+        replace(default_wedge_config(seed=5), translations_mm=tuple(
+            tuple(v) for v in np.random.default_rng(5).uniform(-4.0, 4.0, (8, 3)))),
+        replace(default_wedge_config(seed=6), wedges=(
+            InfarctWedge(0, 2, angle_lo_deg=300.0, angle_hi_deg=400.0, depth_frac=0.5),),
+            mvo_pockets=()),
+        _TWO_POCKETS,
+        replace(default_wedge_config(seed=7), n_sa=1, wedges=(InfarctWedge(0, 0, 10.0, 80.0),),
+                mvo_pockets=(MvoPocket(wedge=0, center_angle_deg=40.0, center_slice=0.0),)),
+        replace(default_wedge_config(seed=8), rows=72, cols=88, ps_mm=1.5),
+    ], ids=["wedge_noise0", "wedge_noise008", "clean", "translated", "wrapping_partial_wedge",
+            "two_mvo_pockets", "one_sa_slice", "rows_ne_cols"])
+    def test_generate_equals_point_array_painter(self, cfg):
+        ds, truth = generate(cfg)
+        stored, infarct, endo, epi, true_ipps = _ref_generate(cfg)
+        slices = ds.sa_slices + ds.la_slices
+        assert len(slices) == len(stored)
+        for got, want in zip(slices, stored):
+            assert got.pixels.tobytes() == want.tobytes()
+        assert truth.infarct_mask.tobytes() == infarct.tobytes()
+        assert truth.true_ipps.tobytes() == true_ipps.tobytes()
+        for got, want in zip(truth.contours.endo + truth.contours.epi, endo + epi):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_pixel_axes_are_pixel_to_patient(self):
+        cfg = replace(default_wedge_config(), rows=9, cols=13, n_sa=3)
+        for pose in [_sa_pose(cfg, k) for k in range(3)] + [_ref_la_pose(cfg, v)
+                                                            for v in ("LA4C", "LA2C")]:
+            pts = _ref_points(pose)
+            for axis, want in zip(_pixel_axes(pose), np.moveaxis(pts, -1, 0)):
+                assert max(axis.shape) < pose.rows * pose.cols
+                assert np.broadcast_to(axis, want.shape).tobytes() == want.tobytes()
+
+    def test_pixel_axes_reject_oblique_pose(self):
+        c, s = np.cos(0.3), np.sin(0.3)
+        pose = SlicePose(ipp=np.zeros(3), iop_row=np.array([c, s, 0.0]),
+                         iop_col=np.array([-s, c, 0.0]), ps_row=1.0, ps_col=1.0, rows=4, cols=4)
+        with pytest.raises(GeometryError, match="patient axes"):
+            _pixel_axes(pose)
+
+
+def _phantom_digest(cfg) -> str:
+    ds, truth = generate(cfg)
+    h = hashlib.sha256()
+    for s in ds.sa_slices + ds.la_slices:
+        h.update(s.pixels.tobytes())
+    h.update(truth.infarct_mask.tobytes())
+    return h.hexdigest()
+
+
+_BLAS_CFG = replace(default_wedge_config(seed=9), rows=160, cols=160, ps_mm=0.75)
+
+
+def test_one_blas_thread_paints_the_same_bytes():
+    # The benchmark pins BLAS to one thread; the blob sum is a matrix product,
+    # so its bytes must not depend on the thread count.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_phantom import _BLAS_CFG, _phantom_digest; "
+            "print(_phantom_digest(_BLAS_CFG))")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(lgequant.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == _phantom_digest(_BLAS_CFG)

@@ -119,6 +119,11 @@ class TestConfigChecksAtConstruction:
         ("min_volume_mm3", float("nan"), "postprocess"),
         ("mvo_enclosure_fraction", -0.5, "postprocess"),
         ("skip_realign", "yes", "realign"),
+        ("lambda_", "1", "classify"),
+        ("epsilon", "x", "normalize"),
+        ("boundary_fraction", "0.2", "postprocess"),
+        ("min_volume_mm3", [1], "postprocess"),
+        ("reference_angle_deg", None, "quantify"),
     ])
     def test_bad_value_fails_at_construction(self, field, value, stage):
         with pytest.raises(PipelineStageError) as info:
