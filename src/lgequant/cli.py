@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io as lio
 from .aha import assign_segments, quantify  # noqa: F401  (patched by benchmarks/tracing.py)
-from .errors import DatasetFormatError, LgeQuantError, ParameterError
+from .errors import DatasetFormatError, LgeQuantError, ParameterError, check_number
 from .graphcut import Labeling, MyocardiumVolume
 from .graphcut import classify  # noqa: F401  (patched by benchmarks/tracing.py)
 from .metrics import bland_altman, dice
@@ -70,7 +70,7 @@ def cmd_phantom(args) -> int:
         n = cfg.n_sa + len(cfg.la_views)
         trans = np.zeros((n, 3))
         trans[:, :2] = rng.uniform(-args.max_shift_mm, args.max_shift_mm, size=(n, 2))
-        cfg = PhantomConfig(**{**cfg.__dict__, "translations_mm": tuple(map(tuple, trans))})
+        cfg = replace(cfg, translations_mm=tuple(map(tuple, trans)))
     dataset, truth = generate(cfg)
     out = Path(args.out)
     manifest = lio.save_dataset(dataset, out, name="dataset")
@@ -114,7 +114,11 @@ def _params_from_report(path) -> RicianMixtureParams:
         key: lio._field(mix, key, path)
         for key in ("alpha_r", "sigma_r", "a", "alpha_g", "sigma_g", "mu")
     })
-    params.i_thrh = mix.get("i_thrh")
+    i_thrh = lio._field(mix, "i_thrh", path)
+    check_number("mixture i_thrh", i_thrh)
+    if not math.isfinite(i_thrh):
+        raise ParameterError(f"mixture i_thrh must be finite, got {i_thrh!r}")
+    params.i_thrh = i_thrh
     return params
 
 

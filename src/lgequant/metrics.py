@@ -41,6 +41,8 @@ def bland_altman(pairs) -> BlandAltmanStats:
         raise ParameterError("pairs must be a sequence of (automatic, manual) values")
     if arr.shape[0] < 2:
         raise ParameterError("need at least 2 pairs")
+    if not np.isfinite(arr).all():
+        raise ParameterError("pairs must be finite")
     diffs = arr[:, 0] - arr[:, 1]
     mean = float(diffs.mean())
     sd = float(diffs.std(ddof=1))

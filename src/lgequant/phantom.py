@@ -24,7 +24,7 @@ import numpy as np
 from .dataset import ContourSet, LgeDataset
 from .errors import GeometryError, ParameterError
 from .geometry import Roi, SliceImage, SlicePose
-from .raster import circle_polygon, polygon_mask
+from .raster import circle_polygon, contour_masks
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def _radii(cfg: PhantomConfig, z):
     return re, rp
 
 
-def _background(cfg: PhantomConfig, axes):
+def _background(cfg: PhantomConfig, axes, rp):
     """Smooth textured background so intersection profiles carry information."""
     rng = np.random.default_rng(cfg.texture_seed)
     n_blobs = 60
@@ -209,7 +209,6 @@ def _background(cfg: PhantomConfig, axes):
     # Two coronary-like helices hugging the epicardium: a bright dot next to
     # the wall whose position rotates with z, pinning the through-plane
     # direction inside every SA region of interest.
-    _, rp = _radii(cfg, z)
     for phi0, pitch in ((20.0, 0.07), (200.0, -0.07)):
         phi = np.radians(phi0) + pitch * z
         helix_r = rp + 3.0
@@ -230,11 +229,9 @@ def _tissue_mod(axes, phase: float, amp: float, z_amp: float = 0.6):
     )
 
 
-def _papillary_weight(cfg: PhantomConfig, axes):
+def _papillary_weight(cfg: PhantomConfig, axes, r, re):
     """Smooth indicator of the two papillary muscle blobs in the cavity."""
     x, y, z = axes
-    re, _ = _radii(cfg, z)
-    r = np.hypot(x, y)
     z_apex = cfg.apex_z_mm
     z_mid = 0.5 * z_apex
     z_half = 0.3 * z_apex
@@ -254,14 +251,10 @@ def _papillary_weight(cfg: PhantomConfig, axes):
     return weight * w_z * (r < re)
 
 
-def _wedge_mask(cfg: PhantomConfig, w: InfarctWedge, axes):
-    x, y, z = axes
+def _wedge_mask(cfg: PhantomConfig, w: InfarctWedge, z, r, re, rp, theta):
     dz = cfg.slice_spacing_mm
     z_lo = w.slice_lo * dz - 0.5 * dz
     z_hi = w.slice_hi * dz + 0.5 * dz
-    re, rp = _radii(cfg, z)
-    r = np.hypot(x, y)
-    theta = angle_about_axis_deg(x, y)
     lo = w.angle_lo_deg % 360.0
     hi = w.angle_hi_deg % 360.0
     if lo <= hi:
@@ -272,8 +265,7 @@ def _wedge_mask(cfg: PhantomConfig, w: InfarctWedge, axes):
     return (z >= z_lo) & (z <= z_hi) & in_angle & in_depth
 
 
-def _mvo_mask(cfg: PhantomConfig, m: MvoPocket, axes):
-    w = cfg.wedges[m.wedge]
+def _mvo_mask(cfg: PhantomConfig, m: MvoPocket, axes, wedge):
     zc = m.center_slice * cfg.slice_spacing_mm
     re_c, _ = _radii(cfg, zc)
     rad = np.radians(m.center_angle_deg)
@@ -281,7 +273,7 @@ def _mvo_mask(cfg: PhantomConfig, m: MvoPocket, axes):
                        float(re_c + 0.6 * m.radius_mm) * np.sin(rad),
                        zc])
     d2 = sum((a - c) ** 2 for a, c in zip(axes, center))
-    return (d2 <= m.radius_mm ** 2) & _wedge_mask(cfg, w, axes)
+    return (d2 <= m.radius_mm ** 2) & wedge
 
 
 def _smoothstep(t):
@@ -289,9 +281,11 @@ def _smoothstep(t):
     return t * t * (3.0 - 2.0 * t)
 
 
-def _paint(cfg: PhantomConfig, axes, bp_mask, myo_mask):
-    """(noise-free intensity, infarct mask) of a slice given its region masks.
+def _paint(cfg: PhantomConfig, axes, regions=None):
+    """(noise-free intensity, infarct mask) of a slice.
 
+    ``regions`` are an SA slice's (blood pool, myocardium) masks from its
+    truth contours; an LA view has none and takes them from the radii.
     Pixels inside the myocardium mask carry pure tissue values (so truth
     masks match the painted classes voxel-exactly); the blend to blood pool
     and background happens one-sidedly on the cavity and background sides,
@@ -300,6 +294,7 @@ def _paint(cfg: PhantomConfig, axes, bp_mask, myo_mask):
     x, y, z = axes
     r = np.hypot(x, y)
     re, rp = _radii(cfg, z)
+    bp_mask, myo_mask = (r < re, (r >= re) & (r < rp)) if regions is None else regions
     e = max(cfg.edge_softness_mm, 1e-6)
 
     # Blood pool carries no axial trend: slice-consistent BP intensity is the
@@ -307,12 +302,12 @@ def _paint(cfg: PhantomConfig, axes, bp_mask, myo_mask):
     bp = cfg.intensity_blood_pool * _tissue_mod(axes, 0.9, 0.02, z_amp=0.0)
     myo = cfg.intensity_myocardium * _tissue_mod(axes, 0.4, 0.05)
     inf = cfg.intensity_infarct * _tissue_mod(axes, 1.7, 0.03)
-    bg = _background(cfg, axes)
+    bg = _background(cfg, axes, rp)
 
     # Cavity: rises from myocardium level at the wall to blood pool inward.
     w_bp = _smoothstep((re - r) / e)
     cavity = myo + w_bp * (bp - myo)
-    pap_w = _papillary_weight(cfg, axes)
+    pap_w = _papillary_weight(cfg, axes, r, re)
     cavity = cavity + pap_w * (myo - cavity)
     # Background: relaxes from myocardium level at the epi wall outward.
     w_bg = _smoothstep((r - rp) / e)
@@ -320,23 +315,16 @@ def _paint(cfg: PhantomConfig, axes, bp_mask, myo_mask):
 
     values = np.where(bp_mask, cavity, outside)
     values = np.where(myo_mask, myo, values)
+    theta = angle_about_axis_deg(x, y) if cfg.wedges else None
+    wedges = [_wedge_mask(cfg, w, z, r, re, rp, theta) for w in cfg.wedges]
     infarct = np.zeros(values.shape, dtype=bool)
-    for w in cfg.wedges:
-        infarct |= _wedge_mask(cfg, w, axes)
+    for wedge in wedges:
+        infarct |= wedge
     infarct &= myo_mask
     values = np.where(infarct, inf, values)
     for m in cfg.mvo_pockets:
-        values = np.where(_mvo_mask(cfg, m, axes) & myo_mask, myo, values)
+        values = np.where(_mvo_mask(cfg, m, axes, wedges[m.wedge]) & myo_mask, myo, values)
     return values, infarct
-
-
-def _analytic_regions(cfg: PhantomConfig, axes):
-    x, y, z = axes
-    re, rp = _radii(cfg, z)
-    r = np.hypot(x, y)
-    bp = r < re
-    myo = (r >= re) & (r < rp)
-    return bp, myo
 
 
 def _sa_pose(cfg: PhantomConfig, k: int) -> SlicePose:
@@ -405,23 +393,10 @@ def generate(cfg: PhantomConfig) -> tuple[LgeDataset, PhantomTruth]:
     center_r = (cfg.rows - 1) / 2.0
     center_c = (cfg.cols - 1) / 2.0
     endo_polys, epi_polys, rois = [], [], []
-    sa_true_poses, sa_pixels, infarct_masks = [], [], []
     for k in range(cfg.n_sa):
-        pose = _sa_pose(cfg, k)
-        z_k = k * cfg.slice_spacing_mm
-        re_k, rp_k = _radii(cfg, z_k)
-        endo = circle_polygon(center_r, center_c, float(re_k) / cfg.ps_mm)
-        epi = circle_polygon(center_r, center_c, float(rp_k) / cfg.ps_mm)
-        endo_polys.append(endo)
-        epi_polys.append(epi)
-
-        bp_mask = polygon_mask(endo, cfg.rows, cfg.cols)
-        epi_mask = polygon_mask(epi, cfg.rows, cfg.cols)
-        myo_mask = epi_mask & ~bp_mask
-
-        values, infarct = _paint(cfg, _pixel_axes(pose), bp_mask, myo_mask)
-        infarct_masks.append(infarct)
-
+        re_k, rp_k = _radii(cfg, k * cfg.slice_spacing_mm)
+        endo_polys.append(circle_polygon(center_r, center_c, float(re_k) / cfg.ps_mm))
+        epi_polys.append(circle_polygon(center_r, center_c, float(rp_k) / cfg.ps_mm))
         half_px = int(np.ceil(float(rp_k) / cfg.ps_mm)) + cfg.roi_margin_px
         rois.append(Roi(
             max(0, int(np.floor(center_r)) - half_px),
@@ -429,36 +404,31 @@ def generate(cfg: PhantomConfig) -> tuple[LgeDataset, PhantomTruth]:
             max(0, int(np.floor(center_c)) - half_px),
             min(cfg.cols - 1, int(np.ceil(center_c)) + half_px),
         ))
-        sa_true_poses.append(pose)
-        sa_pixels.append(values * gains[k])
-
-    la_true_poses, la_pixels = [], []
-    for view in cfg.la_views:
-        pose = _la_pose(cfg, view)
-        axes = _pixel_axes(pose)
-        la_true_poses.append(pose)
-        la_pixels.append(_paint(cfg, axes, *_analytic_regions(cfg, axes))[0])
-
-    sa_slices, la_slices = [], []
-    for k in range(cfg.n_sa):
-        noisy = _apply_noise(sa_pixels[k], cfg.noise_sigma, rng)
-        stored = np.round(np.clip(noisy * cfg.intensity_scale, 0.0, 65535.0))
-        pose = sa_true_poses[k].translated(trans[k])
-        sa_slices.append(SliceImage(pose=pose, pixels=stored))
-    for j, view in enumerate(cfg.la_views):
-        noisy = _apply_noise(la_pixels[j], cfg.noise_sigma, rng)
-        stored = np.round(np.clip(noisy * cfg.intensity_scale, 0.0, 65535.0))
-        pose = la_true_poses[j].translated(trans[cfg.n_sa + j])
-        la_slices.append(SliceImage(pose=pose, pixels=stored))
-
     contours = ContourSet(endo=endo_polys, epi=epi_polys)
+    masks = contour_masks(contours, (cfg.n_sa, cfg.rows, cfg.cols))
+    myo = masks.myocardium
+
+    # Paint, noise and store each slice, SA block first (the noise order).
+    true_poses = [_sa_pose(cfg, k) for k in range(cfg.n_sa)]
+    true_poses += [_la_pose(cfg, view) for view in cfg.la_views]
+    slices, infarct_masks = [], []
+    for k, pose in enumerate(true_poses):
+        sa = k < cfg.n_sa
+        values, infarct = _paint(cfg, _pixel_axes(pose), (masks.endo[k], myo[k]) if sa else None)
+        if sa:
+            values = values * gains[k]
+            infarct_masks.append(infarct)
+        noisy = _apply_noise(values, cfg.noise_sigma, rng)
+        stored = np.round(np.clip(noisy * cfg.intensity_scale, 0.0, 65535.0))
+        slices.append(SliceImage(pose=pose.translated(trans[k]), pixels=stored))
+
     dataset = LgeDataset(
-        sa_slices=sa_slices, la_slices=la_slices, sa_rois=rois,
+        sa_slices=slices[:cfg.n_sa], la_slices=slices[cfg.n_sa:], sa_rois=rois,
         la_roles=list(cfg.la_views),
         slice_thickness_mm=cfg.slice_thickness_mm, gap_mm=cfg.gap_mm,
     )
     truth = PhantomTruth(
-        true_ipps=np.array([p.ipp for p in sa_true_poses + la_true_poses]),
+        true_ipps=np.array([p.ipp for p in true_poses]),
         contours=contours,
         infarct_mask=np.array(infarct_masks),
         gains=gains,

@@ -124,7 +124,7 @@ def recover_partial_volume(
     Infarct voxels below the threshold stay infarct and seed the growth too.
     """
     if params.i_thrh is None:
-        raise ValueError("params.i_thrh is not set; run find_threshold first")
+        raise ParameterError("params.i_thrh is not set; run find_threshold first")
     eligible = volume.mask & (volume.intensity >= params.i_thrh)
     infarct = ndimage.binary_propagation(labeling.infarct_mask(), SIX_CONNECTED, mask=eligible)
     return Labeling(labels=infarct.astype(np.uint8), mask=labeling.mask)

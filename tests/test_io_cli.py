@@ -368,7 +368,13 @@ class TestCliInputErrors:
         (lambda mix: mix.update(sigma_r=-0.1), "scale parameters must be positive"),
         (lambda mix: mix.update(mu=mix["sigma_r"] - mix["a"] - 0.1), "do not straddle"),
         (lambda mix: mix.update(mu=float("nan")), "mixture parameters must be finite"),
-    ], ids=["no_mu", "negative_sigma_r", "mu_below_rayleigh_mode", "nan_mu"])
+        (lambda mix: mix.pop("i_thrh"), "'i_thrh'"),
+        (lambda mix: mix.update(i_thrh="abc"), "mixture i_thrh must be a number"),
+        (lambda mix: mix.update(i_thrh=float("nan")), "mixture i_thrh must be finite"),
+        (lambda mix: mix.update(i_thrh=float("inf")), "mixture i_thrh must be finite"),
+        (lambda mix: mix.update(i_thrh=[1]), "mixture i_thrh must be a number"),
+    ], ids=["no_mu", "negative_sigma_r", "mu_below_rayleigh_mode", "nan_mu", "no_i_thrh",
+            "string_i_thrh", "nan_i_thrh", "infinite_i_thrh", "list_i_thrh"])
     def test_classify_with_bad_params(self, phantom_dir, normalized_dir, tmp_path, capsys,
                                       edit, fragment):
         report = json.loads((normalized_dir / "normalize_report.json").read_text())
@@ -426,7 +432,9 @@ class TestCliInputErrors:
         ("auto,manual\n1.0,2.0\n3.0\n", "unreadable pairs CSV"),
         ("auto,manual\n1.0,2.0,3.0\n4.0,5.0,6.0\n", "(automatic, manual)"),
         ("auto,manual\n1.0,2.0\n", "at least 2 pairs"),
-    ], ids=["ragged", "three_columns", "single_pair"])
+        ("auto,manual\n1.0,2.0\nnan,3.0\n", "pairs must be finite"),
+        ("auto,manual\n1.0,inf\n2.0,3.0\n", "pairs must be finite"),
+    ], ids=["ragged", "three_columns", "single_pair", "nan_pair", "infinite_pair"])
     def test_metrics_with_bad_pairs(self, tmp_path, capsys, text, fragment):
         (tmp_path / "pairs.csv").write_text(text)
         assert_cli_error(capsys, ["metrics", "--pairs", tmp_path / "pairs.csv",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lgequant.errors import ParameterError
 from lgequant.metrics import bland_altman, dice
 
 
@@ -62,6 +63,11 @@ class TestBlandAltman:
     def test_single_pair_rejected(self):
         with pytest.raises(ValueError):
             bland_altman([(1.0, 2.0)])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_pair_rejected(self, bad):
+        with pytest.raises(ParameterError, match="pairs must be finite"):
+            bland_altman([(1.0, 2.0), (bad, 3.0), (4.0, 4.5)])
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(5)

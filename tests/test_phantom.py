@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import lgequant
-from lgequant.errors import GeometryError, ParameterError
+import lgequant.phantom
+from lgequant.errors import ContourError, GeometryError, ParameterError
 from lgequant.geometry import SlicePose, pixel_to_patient
 from lgequant.phantom import (
     InfarctWedge,
@@ -69,6 +70,12 @@ class TestConfigValidation:
     def test_rejects_config_it_cannot_paint(self, cfg, fragment):
         with pytest.raises(ParameterError, match=fragment):
             generate(cfg)
+
+    def test_contour_enclosing_no_pixel_fails_in_generate(self):
+        # At 10 mm pixels the apical endo circle holds no pixel centre; the
+        # truth masks come from the same rasterization the pipeline runs.
+        with pytest.raises(ContourError, match="encloses no pixels"):
+            generate(PhantomConfig(ps_mm=10.0))
 
 
 class TestDeterminism:
@@ -147,6 +154,19 @@ class TestAnatomy:
         assert angle_about_axis_deg(-1.0, 0.0) == 0.0
         assert angle_about_axis_deg(0.0, 1.0) == 90.0
         assert angle_about_axis_deg(1.0, 0.0) == 180.0
+
+    @pytest.mark.parametrize("cfg, calls", [(default_wedge_config(), 8),
+                                            (PhantomConfig(), 0)], ids=["wedge", "no_wedge"])
+    def test_one_wedge_angle_per_painted_slice(self, monkeypatch, cfg, calls):
+        seen = []
+
+        def counted(x, y):
+            seen.append(1)
+            return angle_about_axis_deg(x, y)
+
+        monkeypatch.setattr(lgequant.phantom, "angle_about_axis_deg", counted)
+        generate(cfg)
+        assert len(seen) == calls   # 6 SA slices + 2 LA views, or none without wedges
 
     def test_wedge_occupies_configured_slices_only(self):
         cfg = default_wedge_config(noise_sigma=0.0)

@@ -3,6 +3,7 @@ import pytest
 from scipy import ndimage
 
 from lgequant.dataset import ContourSet
+from lgequant.errors import ParameterError
 from lgequant.graphcut import Labeling, MyocardiumVolume
 from lgequant.postprocess import (
     PostprocessConfig,
@@ -163,6 +164,14 @@ class TestPartialVolumeRecovery:
         vol = MyocardiumVolume(intensity, mask, SPACING)
         out = recover_partial_volume(Labeling(infarct.astype(np.uint8), mask), vol, make_params())
         assert not out.infarct_mask()[0, 1, 6:8].any()
+
+    def test_unset_threshold_is_a_parameter_error(self):
+        mask, intensity, _, endo_m, _ = annulus_setup()
+        params = make_params()
+        params.i_thrh = None
+        with pytest.raises(ParameterError, match="i_thrh is not set"):
+            recover_partial_volume(Labeling(wedge_mask(mask, endo_m).astype(np.uint8), mask),
+                                   MyocardiumVolume(intensity, mask, SPACING), params)
 
 
 class TestMvoInclusion:
