@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ContourError
 from .geometry import Roi, SliceImage
-from .raster import point_in_polygon
+from .raster import points_in_polygon
 
 
 @dataclass
@@ -37,9 +37,8 @@ class ContourSet:
                 if not np.all(np.isfinite(poly)):
                     raise ContourError(f"slice {k}: {name} polygon has non-finite vertices")
             # Spot-check containment: endo vertices must fall inside epi.
-            for r, c in en[:: max(1, len(en) // 8)]:
-                if not point_in_polygon(ep, float(r), float(c)):
-                    raise ContourError(f"slice {k}: endo contour is not inside epi contour")
+            if not points_in_polygon(ep, en[:: max(1, len(en) // 8)]).all():
+                raise ContourError(f"slice {k}: endo contour is not inside epi contour")
 
     def __len__(self):
         return len(self.endo)

@@ -62,7 +62,7 @@ class Labeling:
         mask = np.asarray(self.mask, dtype=bool)
         if labels.shape != mask.shape:
             raise ParameterError("labels and mask shapes differ")
-        if np.any(labels[~mask]):
+        if np.logical_and(labels, ~mask).any():
             raise ParameterError("labels outside the mask must be zero")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "mask", mask)

@@ -64,11 +64,12 @@ def _grown_boxes(comp: np.ndarray, labels) -> list:
     if len(labels) == 0:
         return []
     boxes = ndimage.find_objects(comp, max(labels))
-    return [
-        (ci, tuple(slice(max(sl.start - 1, 0), min(sl.stop + 1, n))
-                   for sl, n in zip(boxes[ci - 1], comp.shape)))
-        for ci in labels
-    ]
+    return [(ci, _grow(boxes[ci - 1], comp.shape)) for ci in labels]
+
+
+def _grow(box: tuple, shape: tuple) -> tuple:
+    """``box`` grown by one voxel along every axis and clipped to ``shape``."""
+    return tuple(slice(max(sl.start - 1, 0), min(sl.stop + 1, n)) for sl, n in zip(box, shape))
 
 
 def _inplane_depth(mask: np.ndarray) -> np.ndarray:
@@ -125,6 +126,9 @@ def recover_partial_volume(
     """
     if params.i_thrh is None:
         raise ParameterError("params.i_thrh is not set; run find_threshold first")
+    check_number("params.i_thrh", params.i_thrh)
+    if not np.isfinite(params.i_thrh):
+        raise ParameterError(f"params.i_thrh must be finite, got {params.i_thrh!r}")
     eligible = volume.mask & (volume.intensity >= params.i_thrh)
     infarct = ndimage.binary_propagation(labeling.infarct_mask(), SIX_CONNECTED, mask=eligible)
     return Labeling(labels=infarct.astype(np.uint8), mask=labeling.mask)
@@ -161,6 +165,23 @@ def include_mvo(
     return Labeling(labels=out.astype(np.uint8), mask=labeling.mask)
 
 
+def _myocardium_box(labeling: Labeling, volume: MyocardiumVolume) -> tuple:
+    """Bounding box of both masks, grown by one voxel and clipped to the array.
+
+    Every rule reads only masked voxels and their 6-neighbours, so outside this
+    box is background for all of them: a rule applied in the box, with the
+    array edge where the box meets it, labels, measures and audits exactly as
+    on the full arrays (the argument of :func:`_grown_boxes`).
+    """
+    both = volume.mask | labeling.mask
+    in_plane = both.any(axis=0)
+    spans = [np.flatnonzero(span) for span in
+             (both.any(axis=(1, 2)), in_plane.any(axis=1), in_plane.any(axis=0))]
+    if spans[0].size == 0:
+        return (slice(None),) * 3
+    return _grow(tuple(slice(idx[0], idx[-1] + 1) for idx in spans), both.shape)
+
+
 def run_postprocessing(
     labeling: Labeling,
     volume: MyocardiumVolume,
@@ -168,8 +189,22 @@ def run_postprocessing(
     params: RicianMixtureParams,
     config: PostprocessConfig | None = None,
 ) -> tuple:
-    """Apply the four rules in their fixed order; returns (labeling, audit)."""
+    """Apply the four rules in their fixed order; returns (labeling, audit).
+
+    The rules run on the masks' bounding box (:func:`_myocardium_box`) and
+    the result is pasted back into a full-size labeling.
+    """
     config = config or PostprocessConfig()
+    shape = volume.mask.shape
+    for name, other in (("labeling", labeling.labels), ("endo mask", masks.endo),
+                        ("epi mask", masks.epi)):
+        if other.shape != shape:
+            raise ParameterError(f"{name} shape {other.shape} differs from the volume's {shape}")
+    box = _myocardium_box(labeling, volume)
+    full_mask = labeling.mask
+    labeling = Labeling(labels=labeling.labels[box], mask=full_mask[box])
+    volume = MyocardiumVolume(volume.intensity[box], volume.mask[box], volume.spacing_mm)
+    masks = ContourMasks(endo=masks.endo[box], epi=masks.epi[box])
     audit = []
     vox_mm3 = _voxel_volume_mm3(volume)
 
@@ -204,4 +239,6 @@ def run_postprocessing(
             "removed_components": component_sizes(before_mask & ~after_mask),
             "added_components": component_sizes(after_mask & ~before_mask),
         })
-    return current, audit
+    labels = np.zeros(shape, dtype=np.uint8)
+    labels[box] = current.labels
+    return Labeling(labels=labels, mask=full_mask), audit

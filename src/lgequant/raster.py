@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContourError
+from .errors import ContourError, ParameterError, check_number
 
 
 def _edges(polygon):
@@ -26,37 +26,56 @@ def _edges(polygon):
     return r1[keep], c1[keep], r2[keep], c2[keep]
 
 
-def _inside_on_row(edges, r: float, cols) -> np.ndarray:
-    """Even-odd rule along row ``r``: which of the columns ``cols`` lie inside.
+def _crossings(edges, r) -> tuple:
+    """Every crossing of the horizontal lines at rows ``r`` (1-D) by the edges.
 
-    The columns where the edges cross the row are computed once and sorted.
-    An edge crosses when exactly one endpoint lies below ``r`` (row index
-    greater than ``r``), so a vertex on the row counts once and a horizontal
-    edge never. A column is inside when an odd number of crossings lie
-    strictly right of it (ray along +col).
+    Returns ``(i, col)``: for each crossing, the index into ``r`` of its row
+    and the column where the edge meets it. An edge crosses row ``r`` when
+    exactly one endpoint lies below it (row index greater than ``r``), so a
+    vertex on the row counts once and a horizontal edge never. Both
+    :func:`polygon_mask` and :func:`points_in_polygon` apply the even-odd rule
+    to these crossings: a point is inside when an odd number of its row's
+    crossings lie strictly right of it (ray along +col).
     """
     r1, c1, r2, c2 = edges
-    s = (r1 > r) != (r2 > r)
-    crossings = np.sort(c1[s] + (r - r1[s]) * (c2[s] - c1[s]) / (r2[s] - r1[s]))
-    return (crossings.size - np.searchsorted(crossings, cols, side="right")) % 2 == 1
+    i, e = np.nonzero((r1 > r[:, None]) != (r2 > r[:, None]))
+    r, r1, c1, r2, c2 = r[i], r1[e], c1[e], r2[e], c2[e]
+    return i, c1 + (r - r1) * (c2 - c1) / (r2 - r1)
+
+
+def _check_size(name: str, value) -> None:
+    """Raise ParameterError unless ``value`` is a non-negative integer (an array size)."""
+    check_number(name, value, integral=True)
+    if value < 0:
+        raise ParameterError(f"{name} must be non-negative, got {value}")
 
 
 def polygon_mask(polygon, rows: int, cols: int) -> np.ndarray:
     """Boolean mask of pixel centers strictly inside a closed polygon.
 
     ``polygon`` is a (V, 2) array of (row, col) vertices; the closing edge
-    from the last vertex back to the first is implied. Each row is filled by
-    the even-odd rule of :func:`_inside_on_row`, which classifies
+    from the last vertex back to the first is implied. All rows are filled in
+    one pass by the even-odd rule of :func:`_crossings`, which classifies
     edge-touching centers deterministically.
     """
+    _check_size("rows", rows)
+    _check_size("cols", cols)
     edges = _edges(polygon)
-    cc = np.arange(cols, dtype=float)
     mask = np.zeros((rows, cols), dtype=bool)
     # Only rows in [min vertex row, max vertex row) can have crossings.
     first = max(int(np.ceil(edges[0].min())), 0)
     stop = min(int(np.ceil(edges[0].max())), rows)
-    for r in range(first, stop):
-        mask[r] = _inside_on_row(edges, float(r), cc)
+    if stop <= first:
+        return mask
+    i, col = _crossings(edges, np.arange(first, stop, dtype=float))
+    # Column c lies strictly left of a crossing at col when c < k = #{c' < col};
+    # searchsorted orders a NaN crossing right of every column.
+    k = np.searchsorted(np.arange(cols, dtype=float), col)
+    counts = np.bincount(i * (cols + 1) + k, minlength=(stop - first) * (cols + 1))
+    counts = counts.reshape(stop - first, cols + 1)
+    # Crossings strictly right of column c: those with k > c.
+    right = counts.sum(axis=1, keepdims=True) - counts.cumsum(axis=1)[:, :cols]
+    mask[first:stop] = right % 2 == 1
     return mask
 
 
@@ -78,7 +97,12 @@ def contour_masks(contours, shape) -> ContourMasks:
     drawn on; the contours must cover exactly its slices and no polygon may
     enclose zero pixel centers.
     """
-    n_slices, rows, cols = shape
+    try:
+        n_slices, rows, cols = shape
+    except (TypeError, ValueError):
+        raise ParameterError(f"shape must be (n_slices, rows, cols), got {shape!r}") from None
+    for name, size in zip(("n_slices", "rows", "cols"), shape):
+        _check_size(name, size)
     if len(contours) != n_slices:
         raise ContourError(
             f"contours cover {len(contours)} slices but the stack has {n_slices}"
@@ -95,9 +119,18 @@ def contour_masks(contours, shape) -> ContourMasks:
     return ContourMasks(endo=endo, epi=epi)
 
 
+def points_in_polygon(polygon, points) -> np.ndarray:
+    """Even-odd test for (N, 2) (row, col) points; same rule as :func:`polygon_mask`."""
+    points = np.asarray(points, dtype=float)
+    i, col = _crossings(_edges(polygon), points[:, 0])
+    # ``~(<=)`` counts a NaN crossing as right of the point, as polygon_mask does.
+    right = ~(col <= points[i, 1])
+    return np.bincount(i[right], minlength=len(points)) % 2 == 1
+
+
 def point_in_polygon(polygon, r: float, c: float) -> bool:
     """Even-odd test for a single point; same rule as :func:`polygon_mask`."""
-    return bool(_inside_on_row(_edges(polygon), float(r), float(c)))
+    return bool(points_in_polygon(polygon, [(r, c)])[0])
 
 
 def circle_polygon(center_row: float, center_col: float, radius_px: float, n_vertices: int = 256) -> np.ndarray:

@@ -165,6 +165,15 @@ class TestPartialVolumeRecovery:
         out = recover_partial_volume(Labeling(infarct.astype(np.uint8), mask), vol, make_params())
         assert not out.infarct_mask()[0, 1, 6:8].any()
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_threshold_is_a_parameter_error(self, threshold):
+        mask, intensity, _, endo_m, _ = annulus_setup()
+        params = make_params()
+        params.i_thrh = threshold
+        with pytest.raises(ParameterError, match="i_thrh must be finite"):
+            recover_partial_volume(Labeling(wedge_mask(mask, endo_m).astype(np.uint8), mask),
+                                   MyocardiumVolume(intensity, mask, SPACING), params)
+
     def test_unset_threshold_is_a_parameter_error(self):
         mask, intensity, _, endo_m, _ = annulus_setup()
         params = make_params()
@@ -220,6 +229,21 @@ class TestPipelineOrder:
         twice, _ = run_postprocessing(once, vol, contour_masks(contours, vol.mask.shape), params)
         assert np.array_equal(once.infarct_mask(), twice.infarct_mask())
         assert len(audit) == 4
+
+    @pytest.mark.parametrize("field", ["endo", "epi"])
+    def test_contour_masks_of_another_shape_are_a_parameter_error(self, field):
+        lab, contours, vol, _, _ = TestMvoInclusion().setup_wedge_with_pocket()
+        n, rows, cols = vol.mask.shape
+        bigger = contour_masks(contours, (n, rows + 1, cols + 1))
+        wrong = contour_masks(contours, vol.mask.shape)._replace(**{field: getattr(bigger, field)})
+        with pytest.raises(ParameterError, match=f"{field} mask shape"):
+            run_postprocessing(lab, vol, wrong, make_params())
+
+    def test_labeling_of_another_shape_is_a_parameter_error(self):
+        lab, contours, vol, _, _ = TestMvoInclusion().setup_wedge_with_pocket()
+        wrong = Labeling(np.pad(lab.labels, 1), np.pad(lab.mask, 1))
+        with pytest.raises(ParameterError, match="labeling shape"):
+            run_postprocessing(wrong, vol, contour_masks(contours, vol.mask.shape), make_params())
 
     def test_mask_closure(self):
         lab, contours, vol, _, _ = TestMvoInclusion().setup_wedge_with_pocket()
@@ -396,3 +420,95 @@ class TestLabelOnceOracle:
                 listed += len(entry["removed_components"]) + len(entry["added_components"])
             assert np.array_equal(got.labels, current.labels)
         assert listed
+
+
+# --- The bounding-box crop ---------------------------------------------------
+# run_postprocessing runs the rules on the masks' bounding box grown by one
+# voxel; the rules applied to the full arrays, in order, are its oracle.
+
+def full_array_postprocessing(labeling, volume, masks, params, config):
+    steps = (
+        ("boundary_false_positives", lambda x: remove_boundary_false_positives(x, volume, config)),
+        ("small_components", lambda x: remove_small_components(x, config.min_volume_mm3, volume)),
+        ("partial_volume_recovery", lambda x: recover_partial_volume(x, volume, params)),
+        ("mvo_inclusion", lambda x: include_mvo(x, masks, volume, config)),
+    )
+    audit = []
+    current = labeling
+    for name, step in steps:
+        before = current.infarct_mask()
+        current = step(current)
+        after = current.infarct_mask()
+        audit.append({
+            "step": name,
+            "voxels_before": int(before.sum()),
+            "voxels_after": int(after.sum()),
+            "removed_components": ref_component_sizes(before & ~after, voxel_mm3(volume)),
+            "added_components": ref_component_sizes(after & ~before, voxel_mm3(volume)),
+        })
+    return current, audit
+
+
+def boxed_case(seed, shape, where, infarct_level=0.45):
+    """Random myocardium filling ``shape[where]``, with infarct, cavity and a bright ring."""
+    rng = np.random.default_rng(seed)
+    mask = np.zeros(shape, dtype=bool)
+    mask[where] = rng.random(mask[where].shape) < 0.9
+    smooth = ndimage.uniform_filter(rng.random(shape), 2)
+    infarct = mask & (smooth < infarct_level)
+    cavity = ~mask & (rng.random(shape) < 0.5)
+    volume = MyocardiumVolume(rng.random(shape), mask, (1.5, 1.25, 8.0))
+    return (Labeling(infarct.astype(np.uint8), mask), volume,
+            ContourMasks(endo=cavity, epi=mask | cavity))
+
+
+class TestBoundingBoxCrop:
+    SHAPE = (5, 17, 15)
+    CASES = {
+        # The myocardium touches all six faces of the volume.
+        "touches_edges": np.s_[:, :, :],
+        # It touches the low row and col faces and the last slice only.
+        "touches_corner": np.s_[2:, :9, :7],
+        # Interior: the grown box leaves background on every side.
+        "interior": np.s_[1:4, 3:12, 4:11],
+        # One slice, filled edge to edge in plane.
+        "fills_one_slice": np.s_[2:3, :, :],
+    }
+    CONFIG = PostprocessConfig(boundary_fraction=0.6, min_volume_mm3=40.0,
+                               mvo_enclosure_fraction=0.5)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("infarct_level", [0.45, 0.0])
+    def test_cropped_rules_equal_the_full_array_rules(self, case, infarct_level):
+        params = make_params()
+        changed = 0
+        for seed in range(12):
+            lab, vol, masks = boxed_case(seed, self.SHAPE, self.CASES[case], infarct_level)
+            if infarct_level == 0.0:
+                assert not lab.infarct_mask().any()
+            params.i_thrh = (0.3, 0.55, 0.8)[seed % 3]
+            got, audit = run_postprocessing(lab, vol, masks, params, self.CONFIG)
+            want, want_audit = full_array_postprocessing(lab, vol, masks, params, self.CONFIG)
+            assert got.labels.shape == self.SHAPE and got.mask is lab.mask
+            assert np.array_equal(got.labels, want.labels)
+            assert audit == want_audit
+            changed += int(not np.array_equal(got.labels, lab.labels))
+        assert changed or infarct_level == 0.0
+
+    def test_a_labeling_mask_beyond_the_myocardium_widens_the_box(self):
+        lab, vol, masks = boxed_case(0, self.SHAPE, self.CASES["interior"])
+        labels, mask = lab.labels.copy(), lab.mask.copy()
+        labels[0, 0, 0] = mask[0, 0, 0] = True     # infarct outside the myocardium
+        wide = Labeling(labels, mask)
+        got, audit = run_postprocessing(wide, vol, masks, make_params(), self.CONFIG)
+        want, want_audit = full_array_postprocessing(wide, vol, masks, make_params(), self.CONFIG)
+        assert np.array_equal(got.labels, want.labels) and audit == want_audit
+
+    def test_empty_masks_return_an_empty_labeling(self):
+        shape = self.SHAPE
+        empty = np.zeros(shape, dtype=bool)
+        lab = Labeling(np.zeros(shape, dtype=np.uint8), empty)
+        vol = MyocardiumVolume(np.zeros(shape), empty, SPACING)
+        got, audit = run_postprocessing(lab, vol, ContourMasks(empty, empty), make_params())
+        assert got.labels.shape == shape and not got.labels.any()
+        assert [entry["voxels_after"] for entry in audit] == [0, 0, 0, 0]
