@@ -99,7 +99,6 @@ def cmd_normalize(args) -> int:
     contours = lio.load_contours(args.contours)
     (norm, _), section = normalize_stage(dataset, contours, config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lio.save_volume_f32(norm.stack, dataset.voxel_spacing_mm, out / "normalized")
     lio.write_report(section, out / "normalize_report.json")
     print(f"normalize: {norm.iterations} iterations, converged={norm.converged}")
@@ -134,7 +133,6 @@ def cmd_classify(args) -> int:
     labeling, section = postprocess_stage(raw_labeling, volume, masks, params, config)
     infarct_voxels = int(labeling.infarct_mask().sum())
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     lio.save_labeling(labeling.labels, labeling.mask, spacing, out / "labeling")
     lio.write_report({**section, "infarct_voxels": infarct_voxels},
                      out / "classify_report.json")

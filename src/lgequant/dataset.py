@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContourError
+from .errors import ContourError, GeometryError
 from .geometry import Roi, SliceImage
 from .raster import points_in_polygon
 
@@ -68,6 +68,11 @@ class LgeDataset:
         for roi in self.sa_rois:
             if roi is not None and not isinstance(roi, Roi):
                 raise TypeError("sa_rois entries must be Roi or None")
+        # The SA stack is one volume: every slice has the same pixel grid.
+        grids = {(s.pose.rows, s.pose.cols, s.pose.ps_row, s.pose.ps_col) for s in self.sa_slices}
+        if len(grids) > 1:
+            raise GeometryError("SA slices must share rows, cols and pixel spacing, got "
+                                f"(rows, cols, ps_row, ps_col) = {sorted(grids)}")
 
     @property
     def slice_spacing_mm(self) -> float:

@@ -1,9 +1,11 @@
 """Dataset, contour, volume, labeling and report file formats.
 
-Metadata lives in human-readable JSON with an explicit version field; pixel
-data in headerless raw binary (little-endian uint16 for acquired images,
-little-endian float32 for derived volumes, uint8 for masks). All JSON is
-written with sorted keys so identical content produces identical bytes.
+Metadata lives in human-readable JSON headers that carry a format version,
+checked by every loader; pixel data in headerless raw binary (little-endian
+uint16 for acquired images, little-endian float32 for derived volumes, uint8
+for masks) next to the header that names it. All JSON is written with sorted
+keys so identical content produces identical bytes, and every writer creates
+its output directory.
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ from .geometry import Roi, SliceImage, SlicePose
 MANIFEST_VERSION = 1
 
 
-def _write_json(payload: dict, path: Path):
+def _write_json(payload: dict, path) -> Path:
+    """Write ``payload`` at ``path``, creating its directory; returns the path."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return path
 
 
 def _read_json(path: Path) -> dict:
@@ -37,6 +42,20 @@ def _read_json(path: Path) -> dict:
     if not isinstance(payload, dict):
         raise DatasetFormatError(f"{path}: must be a JSON object")
     return payload
+
+
+def _write_header(header: dict, path) -> Path:
+    """Write a versioned header at ``path``; returns the path."""
+    return _write_json({**header, "version": MANIFEST_VERSION}, path)
+
+
+def _read_header(path) -> dict:
+    """The header stored at ``path``; a missing or other version is a format error."""
+    header = _read_json(path)
+    version = header.get("version")
+    if version != MANIFEST_VERSION:
+        raise DatasetFormatError(f"{path}: unsupported format version {version!r}")
+    return header
 
 
 def _field(header: dict, key: str, path):
@@ -74,13 +93,25 @@ def _spacing(header: dict, path) -> tuple:
     return tuple(float(s) for s in spacing)
 
 
-def _read_raw(header_path, header: dict, file_key: str, dims_key: str, dtype) -> np.ndarray:
-    """The raw file a header names under ``file_key``, shaped to its ``dims_key``."""
+def _write_raws(header: dict, path, **raws) -> Path:
+    """Write the header at ``path``, then each ``key=(file name, array)`` beside it.
+
+    The header names each raw file under its ``key``; returns the header path.
+    """
+    names = {key: name for key, (name, _) in raws.items()}
+    path = _write_header({**header, **names}, path)
+    for name, array in raws.values():
+        array.tofile(path.parent / name)
+    return path
+
+
+def _read_raw(header_path, name, dims, dtype) -> np.ndarray:
+    """The raw file ``name`` beside ``header_path``, shaped to ``dims``."""
     try:
-        dims = tuple(int(d) for d in _field(header, dims_key, header_path))
+        dims = tuple(int(d) for d in dims)
     except (TypeError, ValueError):
-        raise DatasetFormatError(f"{header_path}: malformed {dims_key!r}") from None
-    raw = Path(header_path).parent / str(_field(header, file_key, header_path))
+        raise DatasetFormatError(f"{header_path}: malformed dims {dims!r}") from None
+    raw = Path(header_path).parent / str(name)
     if not raw.is_file():
         raise PixelFileError(f"raw file missing: {raw}")
     data = np.fromfile(raw, dtype=dtype)
@@ -100,18 +131,6 @@ def write_pixels_u16(pixels: np.ndarray, path: Path):
     if rounded.min() < 0 or rounded.max() > 65535:
         raise PixelFileError("pixel values out of uint16 range")
     rounded.astype("<u2").tofile(path)
-
-
-def read_pixels_u16(path: Path, rows: int, cols: int) -> np.ndarray:
-    path = Path(path)
-    if not path.exists():
-        raise PixelFileError(f"pixel file missing: {path}")
-    data = np.fromfile(path, dtype="<u2")
-    if data.size != rows * cols:
-        raise PixelFileError(
-            f"{path}: has {data.size} values, expected {rows}x{cols}"
-        )
-    return data.reshape(rows, cols).astype(float)
 
 
 def save_dataset(dataset: LgeDataset, out_dir, name: str = "dataset") -> Path:
@@ -141,29 +160,21 @@ def save_dataset(dataset: LgeDataset, out_dir, name: str = "dataset") -> Path:
             else [roi.row_min, roi.row_max, roi.col_min, roi.col_max],
         })
     manifest = {
-        "version": MANIFEST_VERSION,
         "slice_thickness_mm": float(dataset.slice_thickness_mm),
         "gap_mm": float(dataset.gap_mm),
         "slices": slices,
     }
-    path = out_dir / f"{name}.json"
-    _write_json(manifest, path)
-    return path
+    return _write_header(manifest, out_dir / f"{name}.json")
 
 
 def load_dataset(manifest_path) -> LgeDataset:
     """Read a dataset manifest; validates orientation and pixel dimensions."""
-    manifest_path = Path(manifest_path)
-    manifest = _read_json(manifest_path)
-    version = _field(manifest, "version", manifest_path)
-    if version != MANIFEST_VERSION:
-        raise DatasetFormatError(f"unsupported manifest version {version!r}")
+    manifest = _read_header(manifest_path)
     try:
         thickness_mm = float(_field(manifest, "slice_thickness_mm", manifest_path))
         gap_mm = float(_field(manifest, "gap_mm", manifest_path))
     except (TypeError, ValueError) as exc:
         raise DatasetFormatError(f"{manifest_path}: malformed slice spacing: {exc}") from None
-    base = manifest_path.parent
     sa, la, rois = [], [], []
     for entry in _entries(manifest, manifest_path):
         def get(key):
@@ -191,8 +202,8 @@ def load_dataset(manifest_path) -> LgeDataset:
             )
         pose = SlicePose(ipp=ipp, iop_row=iop_row, iop_col=iop_col,
                          ps_row=ps_row, ps_col=ps_col, rows=rows, cols=cols)
-        pixels = read_pixels_u16(base / str(get("pixel_file")), pose.rows, pose.cols)
-        image = SliceImage(pose=pose, pixels=pixels)
+        pixels = _read_raw(manifest_path, get("pixel_file"), (rows, cols), "<u2")
+        image = SliceImage(pose=pose, pixels=pixels.astype(float))
         role, index = get("role"), _index(entry, manifest_path)
         if role == "SA":
             sa.append((index, image))
@@ -218,8 +229,7 @@ def load_dataset(manifest_path) -> LgeDataset:
 
 
 def save_contours(contours: ContourSet, path) -> Path:
-    payload = {
-        "version": MANIFEST_VERSION,
+    return _write_header({
         "slices": [
             {
                 "index": k,
@@ -228,15 +238,12 @@ def save_contours(contours: ContourSet, path) -> Path:
             }
             for k in range(len(contours))
         ],
-    }
-    path = Path(path)
-    _write_json(payload, path)
-    return path
+    }, path)
 
 
 def load_contours(path) -> ContourSet:
     """Read a contours file; ``ContourSet`` checks each polygon's shape."""
-    slices = sorted(_entries(_read_json(path), path), key=lambda entry: _index(entry, path))
+    slices = sorted(_entries(_read_header(path), path), key=lambda entry: _index(entry, path))
     return ContourSet(endo=[_field(entry, "endo", path) for entry in slices],
                       epi=[_field(entry, "epi", path) for entry in slices])
 
@@ -244,73 +251,60 @@ def load_contours(path) -> ContourSet:
 def save_volume_f32(volume: np.ndarray, spacing_mm, path_base) -> Path:
     """Float32 raw volume plus JSON header; returns the header path."""
     path_base = Path(path_base)
-    raw = path_base.with_suffix(".raw")
     arr = np.asarray(volume, dtype="<f4")
-    arr.tofile(raw)
     header = {
-        "version": MANIFEST_VERSION,
-        "dims": list(int(d) for d in volume.shape),
+        "dims": [int(d) for d in arr.shape],
         "spacing_mm": [float(s) for s in spacing_mm],
         "dtype": "float32-le",
-        "raw_file": raw.name,
     }
-    path = path_base.with_suffix(".json")
-    _write_json(header, path)
-    return path
+    return _write_raws(header, path_base.with_suffix(".json"),
+                       raw_file=(path_base.with_suffix(".raw").name, arr))
 
 
 def load_volume_f32(header_path) -> tuple:
-    header = _read_json(header_path)
-    data = _read_raw(header_path, header, "raw_file", "dims", "<f4")
+    header = _read_header(header_path)
+    data = _read_raw(header_path, _field(header, "raw_file", header_path),
+                     _field(header, "dims", header_path), "<f4")
     return data.astype(float), _spacing(header, header_path)
 
 
 def save_labeling(labels: np.ndarray, mask: np.ndarray, spacing_mm, path_base) -> Path:
     path_base = Path(path_base)
-    labels_raw = path_base.parent / (path_base.name + "_labels.raw")
-    mask_raw = path_base.parent / (path_base.name + "_mask.raw")
-    np.asarray(labels, dtype=np.uint8).tofile(labels_raw)
-    np.asarray(mask, dtype=np.uint8).tofile(mask_raw)
+    labels = np.asarray(labels, dtype=np.uint8)
     header = {
-        "version": MANIFEST_VERSION,
         "dims": [int(d) for d in labels.shape],
         "spacing_mm": [float(s) for s in spacing_mm],
-        "labels_file": labels_raw.name,
-        "mask_file": mask_raw.name,
     }
-    path = path_base.with_suffix(".json")
-    _write_json(header, path)
-    return path
+    return _write_raws(header, path_base.with_suffix(".json"),
+                       labels_file=(path_base.name + "_labels.raw", labels),
+                       mask_file=(path_base.name + "_mask.raw",
+                                  np.asarray(mask, dtype=np.uint8)))
 
 
 def load_labeling(header_path) -> tuple:
-    header = _read_json(header_path)
-    labels = _read_raw(header_path, header, "labels_file", "dims", np.uint8)
-    mask = _read_raw(header_path, header, "mask_file", "dims", np.uint8)
+    header = _read_header(header_path)
+    dims = _field(header, "dims", header_path)
+    labels = _read_raw(header_path, _field(header, "labels_file", header_path), dims, np.uint8)
+    mask = _read_raw(header_path, _field(header, "mask_file", header_path), dims, np.uint8)
     return labels, mask.astype(bool), _spacing(header, header_path)
 
 
 def save_truth(truth, out_dir, name: str = "truth") -> Path:
     """Phantom ground-truth sidecar: true origins, gains, infarct mask."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    mask_raw = out_dir / f"{name}_infarct.raw"
-    np.asarray(truth.infarct_mask, dtype=np.uint8).tofile(mask_raw)
+    mask = np.asarray(truth.infarct_mask, dtype=np.uint8)
     payload = {
-        "version": MANIFEST_VERSION,
         "true_ipps": [[float(v) for v in row] for row in truth.true_ipps],
         "gains": [float(g) for g in truth.gains],
-        "infarct_dims": [int(d) for d in truth.infarct_mask.shape],
-        "infarct_file": mask_raw.name,
+        "infarct_dims": [int(d) for d in mask.shape],
     }
-    path = out_dir / f"{name}.json"
-    _write_json(payload, path)
-    return path
+    return _write_raws(payload, Path(out_dir) / f"{name}.json",
+                       infarct_file=(f"{name}_infarct.raw", mask))
 
 
 def load_truth(path) -> dict:
-    payload = _read_json(path)
-    mask = _read_raw(path, payload, "infarct_file", "infarct_dims", np.uint8)
+    payload = _read_header(path)
+    mask = _read_raw(path, _field(payload, "infarct_file", path),
+                     _field(payload, "infarct_dims", path), np.uint8)
     return {
         "true_ipps": np.asarray(_field(payload, "true_ipps", path), dtype=float),
         "gains": np.asarray(_field(payload, "gains", path), dtype=float),
@@ -319,9 +313,7 @@ def load_truth(path) -> dict:
 
 
 def write_report(report: dict, path) -> Path:
-    path = Path(path)
-    _write_json(report, path)
-    return path
+    return _write_json(report, path)
 
 
 def read_report(path) -> dict:

@@ -70,8 +70,8 @@ def check_normalization(epsilon, max_iter, n_bins) -> None:
         raise ParameterError("epsilon must be positive")
     check_number("max_iter", max_iter, integral=True)
     check_number("n_bins", n_bins, integral=True)
-    if max_iter < 0:
-        raise ParameterError("max_iter must be non-negative")
+    if max_iter < 1:
+        raise ParameterError("max_iter must be at least 1")
     if n_bins < 2:
         raise ParameterError(f"n_bins must be at least 2, got {n_bins}")
 
@@ -98,16 +98,11 @@ def iterate_normalization(
     ref = middle_slice_index(n_slices)
 
     factors_hist = []
-    params = None
-    last_rp = None
     converged = False
-    iterations = 0
     for _ in range(max_iter):
-        iterations += 1
         lv = work[masks.epi]
         try:
             rp = build_relative_probability(lv, n_bins=n_bins)
-            last_rp = rp
             params = fit_mixture(rp)
             i_thrh = find_threshold(params)
         except (FitError, ThresholdError) as exc:
@@ -134,17 +129,13 @@ def iterate_normalization(
     if hi <= lo:
         raise NormalizationError("stack has zero intensity range")
     work = (work - lo) / (hi - lo)
-    final_params = params.rescaled(lo, hi) if params is not None else None
-    curve = None
-    if last_rp is not None:
-        curve = ((last_rp.bin_centers - lo) / (hi - lo), last_rp.values.copy())
     return NormalizationResult(
         stack=work,
         factors_per_iteration=factors_hist,
-        iterations=iterations,
+        iterations=len(factors_hist),
         converged=converged,
-        params=final_params,
-        curve=curve,
+        params=params.rescaled(lo, hi),
+        curve=((rp.bin_centers - lo) / (hi - lo), rp.values.copy()),
         rescale_lo=lo,
         rescale_hi=hi,
         reference_index=ref,

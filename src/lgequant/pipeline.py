@@ -64,7 +64,7 @@ class PipelineConfig:
             if not isinstance(self.skip_realign, bool):
                 raise ParameterError(f"skip_realign must be a bool, got {self.skip_realign!r}")
         with _stage("normalize"):
-            _check_normalize(self)
+            check_normalization(self.epsilon, self.max_iter, self.n_bins)
         with _stage("classify"):
             self.graphcut()
         with _stage("postprocess"):
@@ -136,13 +136,6 @@ def myocardium_volume(dataset: LgeDataset, masks: ContourMasks, stack=None) -> M
     )
 
 
-def _check_normalize(config: PipelineConfig) -> None:
-    check_normalization(config.epsilon, config.max_iter, config.n_bins)
-    if config.max_iter == 0:
-        # The later stages need at least one mixture fit.
-        raise ParameterError("max_iter must be at least 1")
-
-
 def realign_stage(dataset: LgeDataset, config: PipelineConfig) -> tuple:
     """Correct slice misalignment; returns (realigned dataset, report section)."""
     if config.skip_realign:
@@ -168,7 +161,6 @@ def normalize_stage(dataset: LgeDataset, contours: ContourSet, config: PipelineC
     Returns ((NormalizationResult, ContourMasks), report section). The masks
     are the run's only rasterization of the contours; later stages reuse them.
     """
-    _check_normalize(config)
     stack = np.stack([s.pixels for s in dataset.sa_slices])
     masks = contour_masks(contours, stack.shape)
     norm = iterate_normalization(

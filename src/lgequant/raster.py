@@ -94,8 +94,9 @@ def contour_masks(contours, shape) -> ContourMasks:
     """Rasterize every slice's endo and epi polygon of a ContourSet.
 
     ``shape`` is the (n_slices, rows, cols) of the stack the contours were
-    drawn on; the contours must cover exactly its slices and no polygon may
-    enclose zero pixel centers.
+    drawn on; the contours must cover exactly its slices, no polygon may
+    enclose zero pixel centers, and no endocardial pixel may lie outside its
+    slice's epicardial mask.
     """
     try:
         n_slices, rows, cols = shape
@@ -116,6 +117,8 @@ def contour_masks(contours, shape) -> ContourMasks:
             raise ContourError(f"slice {k}: epicardial polygon encloses no pixels")
         if not endo[k].any():
             raise ContourError(f"slice {k}: endocardial polygon encloses no pixels")
+        if (endo[k] & ~epi[k]).any():
+            raise ContourError(f"slice {k}: endocardial mask extends outside the epicardial mask")
     return ContourMasks(endo=endo, epi=epi)
 
 

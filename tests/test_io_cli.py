@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -340,11 +341,12 @@ class TestStageAgreement:
 
 
 def assert_cli_error(capsys, argv, fragment):
-    """The command exits 1 with an ``error:`` line naming ``fragment``."""
+    """The command exits 1 with one ``error:`` line naming ``fragment``."""
     capsys.readouterr()
     assert main([str(a) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 def _edit_spacing(header_path, spacing):
@@ -558,6 +560,76 @@ class TestRealignInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "too far apart" in err
         assert len(err.splitlines()) == 1
+
+
+def _phantom_copy(phantom_dir, tmp_path) -> Path:
+    """A copy of the phantom directory, to edit one file of it."""
+    return Path(shutil.copytree(phantom_dir, tmp_path / "copy"))
+
+
+class TestSaSlicesOfDifferentShapes:
+    """SA slice 1 is one row shorter than the others, its raw file to match."""
+
+    @pytest.fixture
+    def short_slice_dir(self, phantom_dir, tmp_path):
+        base = _phantom_copy(phantom_dir, tmp_path)
+        manifest = json.loads((base / "dataset.json").read_text())
+        entry = next(e for e in manifest["slices"] if e["role"] == "SA" and e["index"] == 1)
+        entry["rows"] -= 1
+        raw = base / entry["pixel_file"]
+        raw.write_bytes(raw.read_bytes()[: 2 * entry["rows"] * entry["cols"]])
+        (base / "dataset.json").write_text(json.dumps(manifest))
+        return base
+
+    def test_realign_exits_1_with_one_error_line(self, short_slice_dir, tmp_path, capsys):
+        assert_cli_error(capsys, [
+            "realign", "--data", short_slice_dir / "dataset.json", "--out", tmp_path / "r",
+        ], "SA slices must share rows, cols and pixel spacing")
+
+    def test_normalize_exits_1_with_one_error_line(self, short_slice_dir, tmp_path, capsys):
+        assert_cli_error(capsys, [
+            "normalize", "--data", short_slice_dir / "dataset.json",
+            "--contours", short_slice_dir / "contours.json", "--out", tmp_path / "n",
+        ], "SA slices must share rows, cols and pixel spacing")
+
+
+def _volume_header(base):
+    return lio.save_volume_f32(np.zeros((3, 4, 5)), (1.0, 1.0, 5.0), base / "normalized")
+
+
+def _labeling_header(base):
+    return lio.save_labeling(np.zeros((3, 4, 5), np.uint8), np.ones((3, 4, 5), bool),
+                             (1.0, 1.0, 5.0), base / "labeling")
+
+
+class TestFormatVersion:
+    """Every loader reads only headers that carry the current format version."""
+
+    @pytest.mark.parametrize("version", [None, 2], ids=["no_version", "version_2"])
+    @pytest.mark.parametrize("loader, header", [
+        (lio.load_dataset, lambda base: base / "dataset.json"),
+        (lio.load_contours, lambda base: base / "contours.json"),
+        (lio.load_volume_f32, _volume_header),
+        (lio.load_labeling, _labeling_header),
+        (lio.load_truth, lambda base: base / "truth.json"),
+    ], ids=["dataset", "contours", "volume", "labeling", "truth"])
+    def test_loader_rejects_a_wrong_or_missing_version(self, phantom_dir, tmp_path, loader,
+                                                       header, version):
+        path = header(_phantom_copy(phantom_dir, tmp_path))
+        loader(path)
+        payload = json.loads(path.read_text())
+        assert payload.pop("version") == lio.MANIFEST_VERSION
+        if version is not None:
+            payload["version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DatasetFormatError, match=f"unsupported format version {version}"):
+            loader(path)
+
+    def test_quantify_with_a_version_2_labeling(self, tmp_path, capsys):
+        path = _labeling_header(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "version": 2}))
+        assert_cli_error(capsys, ["quantify", "--labeling", path, "--out", tmp_path / "q"],
+                               "unsupported format version 2")
 
 
 class TestCliFlags:

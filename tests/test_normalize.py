@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lgequant.dataset import ContourSet
-from lgequant.errors import ContourError
+from lgequant.errors import ContourError, ParameterError
 from lgequant.normalize import iterate_normalization, lv_voxels
 from lgequant.phantom import PhantomConfig, generate
 from lgequant.raster import circle_polygon, contour_masks
@@ -85,13 +85,10 @@ class TestIterateNormalization:
         last = result.factors_per_iteration[-1]
         assert np.max(np.abs(last - 1.0)) < 0.01
 
-    def test_zero_iterations_rescales_only(self):
+    def test_zero_iterations_is_a_parameter_error(self):
         stack, contours, _ = phantom_stack()
-        result = iterate_normalization(stack, contour_masks(contours, stack.shape), max_iter=0)
-        assert result.iterations == 0
-        assert not result.converged
-        assert result.params is None
-        assert result.stack.min() == 0.0 and result.stack.max() == 1.0
+        with pytest.raises(ParameterError, match="max_iter must be at least 1"):
+            iterate_normalization(stack, contour_masks(contours, stack.shape), max_iter=0)
 
     def test_output_range_and_extremes(self):
         stack, contours, _ = phantom_stack(gains=[1.1, 0.9, 1.0, 1.2, 0.8, 1.0])

@@ -154,6 +154,15 @@ def test_contour_set_accepts_exactly_when_every_spot_checked_vertex_is_inside(en
             ContourSet(endo=[endo], epi=[epi])
 
 
+def test_contour_masks_rejects_an_endo_mask_outside_its_epi_mask():
+    """Seven endo vertices between two spot-checked ones lie outside the epicardium."""
+    endo = circle_polygon(20.0, 20.0, 5.0, 64)
+    endo[1:8] = circle_polygon(20.0, 20.0, 14.0, 64)[1:8]
+    contours = ContourSet(endo=[endo], epi=[circle_polygon(20.0, 20.0, 10.0, 64)])
+    with pytest.raises(ContourError, match="slice 0: endocardial mask extends outside"):
+        contour_masks(contours, (1, 40, 40))
+
+
 @pytest.mark.parametrize("rows, cols", [(-1, 5), (5, -1), (2.5, 5), (5, "5"), (True, 5)])
 def test_polygon_mask_rejects_a_bad_grid_size(rows, cols):
     with pytest.raises(LgeQuantError):
