@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMaskError, ParameterError, check_number
+from .errors import FINITE, EmptyMaskError, ParameterError, check_number
 from .graphcut import Labeling, MyocardiumVolume
 
-LEVELS = ("basal", "mid", "apical")
 SEGMENTS_PER_LEVEL = {"basal": (1, 6), "mid": (7, 12), "apical": (13, 16)}
 
 
@@ -26,9 +25,7 @@ class AhaConfig:
     reference_angle_deg: float = 0.0
 
     def __post_init__(self):
-        check_number("reference angle", self.reference_angle_deg)
-        if not -np.inf < self.reference_angle_deg < np.inf:
-            raise ParameterError("reference angle must be finite")
+        check_number("reference angle", self.reference_angle_deg, **FINITE)
 
 
 @dataclass
@@ -91,7 +88,7 @@ def assign_segments(volume: MyocardiumVolume, config: AhaConfig | None = None) -
 def quantify(labeling: Labeling, volume: MyocardiumVolume, segments: SegmentModel) -> QuantReport:
     """Volumetric and per-segment infarct percentages (I/M%)."""
     if labeling.mask.shape != volume.mask.shape:
-        raise ValueError("labeling and volume shapes differ")
+        raise ParameterError("labeling and volume shapes differ")
     infarct = labeling.infarct_mask()
     # Ids outside 1..16 clip into the dropped bins 0 and 17.
     seg = np.clip(segments.segment_ids, 0, 17)

@@ -21,7 +21,7 @@ from .graphcut import Labeling, MyocardiumVolume
 from .graphcut import classify  # noqa: F401  (patched by benchmarks/tracing.py)
 from .metrics import bland_altman, dice
 from .normalize import iterate_normalization  # noqa: F401  (patched by benchmarks/tracing.py)
-from .phantom import PhantomConfig, _validate, default_wedge_config, generate
+from .phantom import LA_VIEWS, PhantomConfig, _validate, default_wedge_config, generate
 from .pipeline import (
     PipelineConfig,
     classify_stage,
@@ -67,7 +67,7 @@ def cmd_phantom(args) -> int:
     if args.max_shift_mm > 0:
         _validate(cfg)          # the shifts are drawn from the config's seed
         rng = np.random.default_rng(args.seed)
-        n = cfg.n_sa + len(cfg.la_views)
+        n = cfg.n_sa + len(LA_VIEWS)
         trans = np.zeros((n, 3))
         trans[:, :2] = rng.uniform(-args.max_shift_mm, args.max_shift_mm, size=(n, 2))
         cfg = replace(cfg, translations_mm=tuple(map(tuple, trans)))

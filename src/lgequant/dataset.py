@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContourError, GeometryError
+from .errors import ContourError, GeometryError, ParameterError
 from .geometry import Roi, SliceImage
 from .raster import points_in_polygon
 
@@ -57,17 +57,17 @@ class LgeDataset:
 
     def __post_init__(self):
         if len(self.sa_slices) < 1:
-            raise ValueError("dataset needs at least one SA slice")
+            raise ParameterError("dataset needs at least one SA slice")
         if len(self.sa_rois) != len(self.sa_slices):
-            raise ValueError("one ROI entry per SA slice required")
+            raise ParameterError("one ROI entry per SA slice required")
         if not self.la_roles:
             self.la_roles = ["LA"] * len(self.la_slices)
         for s in self.sa_slices + self.la_slices:
             if not isinstance(s, SliceImage):
-                raise TypeError("slices must be SliceImage instances")
+                raise ParameterError("slices must be SliceImage instances")
         for roi in self.sa_rois:
             if roi is not None and not isinstance(roi, Roi):
-                raise TypeError("sa_rois entries must be Roi or None")
+                raise ParameterError("sa_rois entries must be Roi or None")
         # The SA stack is one volume: every slice has the same pixel grid.
         grids = {(s.pose.rows, s.pose.cols, s.pose.ps_row, s.pose.ps_col) for s in self.sa_slices}
         if len(grids) > 1:
@@ -94,7 +94,7 @@ class LgeDataset:
         ipp_all = np.asarray(ipp_all, dtype=float)
         n_sa = len(self.sa_slices)
         if ipp_all.shape != (n_sa + len(self.la_slices), 3):
-            raise ValueError("ipp_all must provide one 3-vector per slice")
+            raise ParameterError("ipp_all must provide one 3-vector per slice")
         sa = [s.translated(ipp_all[i] - s.pose.ipp) for i, s in enumerate(self.sa_slices)]
         la = [
             s.translated(ipp_all[n_sa + i] - s.pose.ipp)

@@ -1,5 +1,6 @@
 """Exception types shared across the package."""
 
+import math
 import numbers
 
 
@@ -11,11 +12,21 @@ class ParameterError(LgeQuantError, ValueError):
     """A parameter is out of its valid range (NaN, infinite, negative, ...)."""
 
 
-def check_number(name: str, value, integral: bool = False) -> None:
-    """Raise ParameterError unless ``value`` is a number (an integer if ``integral``), not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
-        raise ParameterError(f"{name} must be {'an integer' if integral else 'a number'}, "
-                             f"got {value!r}")
+def check_number(name: str, value, integral: bool = False, what: str = "", ok=None) -> None:
+    """Raise ParameterError unless ``value`` is a number (an integer if ``integral``), not a bool.
+
+    ``ok``, when given, is a further test the number must pass; ``what`` then
+    says in the message what the value must be.
+    """
+    kind = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind) or (ok is not None and not ok(value)):
+        what = what or ("an integer" if integral else "a number")
+        raise ParameterError(f"{name} must be {what}, got {value!r}")
+
+
+# ``check_number`` keywords for the two commonest ranges.
+FINITE = {"what": "finite", "ok": math.isfinite}
+POSITIVE = {"what": "positive and finite", "ok": lambda v: 0 < v < math.inf}
 
 
 class GeometryError(LgeQuantError):

@@ -23,6 +23,7 @@ from .errors import GeometryError
 
 PARALLEL_TOL = 1e-6        # |n_a x n_b| below this -> planes treated as parallel
 IN_PLANE_TOL = 1e-6        # mm, max distance of a line point to the slice plane
+ORTHONORMAL_TOL = 1e-9     # max |norm - 1| of iop_row and iop_col, and |iop_row . iop_col|
 NEAR_PARALLEL_DEG = 1.0    # max angle between normals of a contiguous SA pair
 # Pixels per grid step may differ from the lattice's (1, 0) and (0, 1) by this
 # much: across 1,000 grid steps the drift stays under 1e-10 px, a tenth of
@@ -30,6 +31,12 @@ NEAR_PARALLEL_DEG = 1.0    # max angle between normals of a contiguous SA pair
 LATTICE_TOL = 1e-13
 _EDGE_EPS = 1e-9           # px, how far past the pixel-centre hull a sample stays valid
 MAX_REGION_SAMPLES = 1 << 22  # a larger paired-region grid means the slices lie far apart
+
+
+def orthonormal(iop_row: np.ndarray, iop_col: np.ndarray) -> bool:
+    """Whether both orientation vectors are unit length and orthogonal, to ORTHONORMAL_TOL."""
+    deviations = (np.linalg.norm(iop_row) - 1.0, np.linalg.norm(iop_col) - 1.0, iop_row @ iop_col)
+    return all(abs(d) <= ORTHONORMAL_TOL for d in deviations)
 
 
 @dataclass(frozen=True)
@@ -53,10 +60,8 @@ class SlicePose:
             raise GeometryError("slice origin and orientation must be finite")
         if not (0 < self.ps_row < np.inf and 0 < self.ps_col < np.inf):
             raise GeometryError("pixel spacing must be positive and finite")
-        if abs(np.linalg.norm(self.iop_row) - 1.0) > 1e-9 or abs(np.linalg.norm(self.iop_col) - 1.0) > 1e-9:
-            raise GeometryError("orientation vectors must be unit length")
-        if abs(float(np.dot(self.iop_row, self.iop_col))) > 1e-9:
-            raise GeometryError("orientation vectors must be orthogonal")
+        if not orthonormal(self.iop_row, self.iop_col):
+            raise GeometryError("orientation vectors must be orthonormal")
         if self.rows < 1 or self.cols < 1:
             raise GeometryError("slice dimensions must be positive")
         normal = np.cross(self.iop_row, self.iop_col)

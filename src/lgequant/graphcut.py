@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMaskError, ParameterError, check_number
+from .errors import POSITIVE, EmptyMaskError, ParameterError, check_number
 from .maxflow import MaxFlowGraph
 from .rician import RicianMixtureParams, gaussian_term, rayleigh_shifted
 
@@ -77,13 +77,9 @@ class GraphCutConfig:
     sigma: float | None = None   # None -> mu - (sigma_r - a) from the fit
 
     def __post_init__(self):
-        check_number("lambda", self.lambda_)
+        check_number("lambda", self.lambda_, **POSITIVE)
         if self.sigma is not None:
-            check_number("sigma", self.sigma)
-        if not 0 < self.lambda_ < np.inf:
-            raise ParameterError("lambda must be positive and finite")
-        if self.sigma is not None and not 0 < self.sigma < np.inf:
-            raise ParameterError("sigma must be positive and finite")
+            check_number("sigma", self.sigma, **POSITIVE)
 
     def resolved_sigma(self, params: RicianMixtureParams) -> float:
         if self.sigma is not None:

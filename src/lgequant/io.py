@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import ContourSet, LgeDataset
 from .errors import DatasetFormatError, OrientationError, PixelFileError
-from .geometry import Roi, SliceImage, SlicePose
+from .geometry import Roi, SliceImage, SlicePose, orthonormal
 
 MANIFEST_VERSION = 1
 
@@ -53,7 +53,7 @@ def _read_header(path) -> dict:
     """The header stored at ``path``; a missing or other version is a format error."""
     header = _read_json(path)
     version = header.get("version")
-    if version != MANIFEST_VERSION:
+    if type(version) is not int or version != MANIFEST_VERSION:
         raise DatasetFormatError(f"{path}: unsupported format version {version!r}")
     return header
 
@@ -120,8 +120,8 @@ def _read_raw(header_path, name, dims, dtype) -> np.ndarray:
     return data.reshape(dims)
 
 
-def write_pixels_u16(pixels: np.ndarray, path: Path):
-    """Raw little-endian uint16, row-major, no header."""
+def _u16_pixels(pixels: np.ndarray) -> np.ndarray:
+    """Acquired intensities as little-endian uint16; anything else is a pixel file error."""
     arr = np.asarray(pixels)
     if not np.all(np.isfinite(arr)):
         raise PixelFileError("pixel values must be finite")
@@ -130,21 +130,22 @@ def write_pixels_u16(pixels: np.ndarray, path: Path):
         raise PixelFileError("acquired intensities must be integers")
     if rounded.min() < 0 or rounded.max() > 65535:
         raise PixelFileError("pixel values out of uint16 range")
-    rounded.astype("<u2").tofile(path)
+    return rounded.astype("<u2")
 
 
 def save_dataset(dataset: LgeDataset, out_dir, name: str = "dataset") -> Path:
-    """Write manifest + per-slice raw pixel files; returns the manifest path."""
+    """Write manifest + per-slice raw pixel files; returns the manifest path.
+
+    A bad pixel in any slice raises before the first file is written.
+    """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    slices = []
     entries = [("SA", i, s) for i, s in enumerate(dataset.sa_slices)]
     entries += [
         (dataset.la_roles[j], j, s) for j, s in enumerate(dataset.la_slices)
     ]
+    pixels = [_u16_pixels(s.pixels) for _, _, s in entries]
+    slices = []
     for role, index, s in entries:
-        fname = f"{name}_{role.lower()}_{index:03d}.raw"
-        write_pixels_u16(s.pixels, out_dir / fname)
         roi = dataset.sa_rois[index] if role == "SA" else None
         slices.append({
             "role": role,
@@ -155,10 +156,13 @@ def save_dataset(dataset: LgeDataset, out_dir, name: str = "dataset") -> Path:
             "ps": [float(s.pose.ps_row), float(s.pose.ps_col)],
             "rows": int(s.pose.rows),
             "cols": int(s.pose.cols),
-            "pixel_file": fname,
+            "pixel_file": f"{name}_{role.lower()}_{index:03d}.raw",
             "roi": None if roi is None
             else [roi.row_min, roi.row_max, roi.col_min, roi.col_max],
         })
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for entry, u16 in zip(slices, pixels):
+        u16.tofile(out_dir / entry["pixel_file"])
     manifest = {
         "slice_thickness_mm": float(dataset.slice_thickness_mm),
         "gap_mm": float(dataset.gap_mm),
@@ -191,11 +195,7 @@ def load_dataset(manifest_path) -> LgeDataset:
         except (TypeError, ValueError, IndexError, KeyError) as exc:
             raise DatasetFormatError(
                 f"{manifest_path}: malformed slice entry: {exc!r}") from None
-        if (
-            abs(np.linalg.norm(iop_row) - 1) > 1e-6
-            or abs(np.linalg.norm(iop_col) - 1) > 1e-6
-            or abs(float(iop_row @ iop_col)) > 1e-6
-        ):
+        if not orthonormal(iop_row, iop_col):
             raise OrientationError(
                 f"slice {entry.get('role')}/{entry.get('index')}: "
                 "orientation vectors are not orthonormal"

@@ -50,7 +50,7 @@ class NormalizationResult:
 def _stack_array(stack, masks: ContourMasks) -> np.ndarray:
     arr = np.asarray(stack, dtype=float)
     if arr.ndim != 3:
-        raise ValueError("stack must be (n_slices, rows, cols)")
+        raise ParameterError("stack must be (n_slices, rows, cols)")
     if masks.epi.shape != arr.shape:
         raise ContourError(
             f"contour masks of shape {masks.epi.shape} do not match the stack {arr.shape}"
@@ -65,9 +65,7 @@ def lv_voxels(stack, masks: ContourMasks) -> np.ndarray:
 
 def check_normalization(epsilon, max_iter, n_bins) -> None:
     """Raise ParameterError unless ``iterate_normalization`` accepts these settings."""
-    check_number("epsilon", epsilon)
-    if not epsilon > 0:
-        raise ParameterError("epsilon must be positive")
+    check_number("epsilon", epsilon, what="positive", ok=lambda v: v > 0)
     check_number("max_iter", max_iter, integral=True)
     check_number("n_bins", n_bins, integral=True)
     if max_iter < 1:

@@ -16,13 +16,12 @@ All randomness is seeded, so identical configs regenerate identical bytes.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import ContourSet, LgeDataset
-from .errors import GeometryError, ParameterError
+from .errors import FINITE, POSITIVE, GeometryError, ParameterError, check_number
 from .geometry import Roi, SliceImage, SlicePose
 from .raster import circle_polygon, contour_masks
 
@@ -48,41 +47,47 @@ class MvoPocket:
     radius_mm: float = 4.0
 
 
+# Fixed anatomy, contrast and texture of every phantom. Intensities are on
+# the [0, 1] scale; INTENSITY_SCALE maps it to stored integer units.
+SLICE_THICKNESS_MM = 7.0
+GAP_MM = 3.0
+SLICE_SPACING_MM = SLICE_THICKNESS_MM + GAP_MM
+ENDO_RADIUS_BASE_MM = 17.0
+ENDO_RADIUS_APEX_MM = 7.0
+EPI_RADIUS_BASE_MM = 25.0
+EPI_RADIUS_APEX_MM = 13.0
+INTENSITY_BACKGROUND = 0.12
+INTENSITY_MYOCARDIUM = 0.30
+INTENSITY_BLOOD_POOL = 0.80
+INTENSITY_INFARCT = 0.75
+INTENSITY_SCALE = 2000.0
+TEXTURE_SEED = 1234
+ROI_MARGIN_PX = 7
+EDGE_SOFTNESS_MM = 1.5     # one-sided blend width at tissue borders
+# Rows of an LA view run along +z; its columns run along this patient axis
+# (LA4C: plane y = 0, columns along +x; LA2C: plane x = 0, columns along +y).
+_LA_COL_AXIS = {"LA4C": 0, "LA2C": 1}
+LA_VIEWS = tuple(_LA_COL_AXIS)
+
+
 @dataclass(frozen=True)
 class PhantomConfig:
+    """What varies between phantoms: grid, lesions, misalignment, gains, noise."""
+
     n_sa: int = 6
-    la_views: tuple = ("LA4C", "LA2C")
     rows: int = 96
     cols: int = 96
     ps_mm: float = 1.25
-    slice_thickness_mm: float = 7.0
-    gap_mm: float = 3.0
-    endo_radius_base_mm: float = 17.0
-    endo_radius_apex_mm: float = 7.0
-    epi_radius_base_mm: float = 25.0
-    epi_radius_apex_mm: float = 13.0
     wedges: tuple = ()
     mvo_pockets: tuple = ()
-    intensity_background: float = 0.12
-    intensity_myocardium: float = 0.30
-    intensity_blood_pool: float = 0.80
-    intensity_infarct: float = 0.75
     gains: tuple | None = None             # per SA slice; None -> all 1.0
     translations_mm: tuple | None = None   # per slice, SA block then LA; None -> zeros
     noise_sigma: float = 0.0               # on the [0, 1] intensity scale
     seed: int = 0
-    texture_seed: int = 1234
-    intensity_scale: float = 2000.0        # [0, 1] -> stored integer units
-    roi_margin_px: int = 7
-    edge_softness_mm: float = 1.5          # one-sided blend width at tissue borders
-
-    @property
-    def slice_spacing_mm(self) -> float:
-        return self.slice_thickness_mm + self.gap_mm
 
     @property
     def apex_z_mm(self) -> float:
-        return (self.n_sa - 1) * self.slice_spacing_mm
+        return (self.n_sa - 1) * SLICE_SPACING_MM
 
 
 @dataclass
@@ -94,42 +99,46 @@ class PhantomTruth:
     config: PhantomConfig
 
 
+def _listed(name: str, value, what: str, n: int | None = None, kind=object) -> tuple | list:
+    """``value``, a tuple or list of ``kind`` entries (``n`` of them if given)."""
+    if not (isinstance(value, (tuple, list)) and n in (None, len(value))
+            and all(isinstance(v, kind) for v in value)):
+        raise ParameterError(f"{name} must list {what}, got {value!r}")
+    return value
+
+
 def _validate(cfg: PhantomConfig):
-    if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, numbers.Integral) or cfg.seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {cfg.seed!r}")
-    if isinstance(cfg.noise_sigma, bool) or not isinstance(cfg.noise_sigma, numbers.Real) \
-            or not math.isfinite(cfg.noise_sigma) or cfg.noise_sigma < 0:
-        raise ParameterError(
-            f"noise sigma must be a finite non-negative number, got {cfg.noise_sigma!r}")
-    if isinstance(cfg.n_sa, bool) or not isinstance(cfg.n_sa, numbers.Integral) or cfg.n_sa < 1:
-        raise ParameterError(f"n_sa must be a positive integer, got {cfg.n_sa!r}")
-    if not set(cfg.la_views) <= _LA_COL_AXIS.keys():
-        raise ParameterError(f"LA views must be among {sorted(_LA_COL_AXIS)}, got {cfg.la_views!r}")
-    if not 0 < cfg.intensity_scale < np.inf:
-        raise ParameterError("intensity scale must be positive and finite")
-    if not 0 < cfg.slice_spacing_mm < np.inf:
-        raise ParameterError("slice thickness plus gap must be positive and finite")
-    if cfg.endo_radius_base_mm >= cfg.epi_radius_base_mm:
-        raise ParameterError("endo radius must be smaller than epi radius at the base")
-    if cfg.endo_radius_apex_mm >= cfg.epi_radius_apex_mm:
-        raise ParameterError("endo radius must be smaller than epi radius at the apex")
-    if not (cfg.intensity_myocardium < cfg.intensity_infarct <= cfg.intensity_blood_pool):
-        raise ParameterError("intensity ordering must be myocardium < infarct <= blood pool")
-    if cfg.gains is not None and len(cfg.gains) != cfg.n_sa:
-        raise ParameterError("gains must list one factor per SA slice")
-    n_slices = cfg.n_sa + len(cfg.la_views)
-    if cfg.translations_mm is not None and len(cfg.translations_mm) != n_slices:
-        raise ParameterError("translations_mm must list one 3-vector per slice (SA then LA)")
-    for w in cfg.wedges:
-        if not (0 <= w.slice_lo <= w.slice_hi < cfg.n_sa):
-            raise ParameterError("wedge slice range outside the SA stack")
-        if not (0.0 < w.depth_frac <= 1.0):
-            raise ParameterError("wedge depth fraction must be in (0, 1]")
-    for m in cfg.mvo_pockets:
-        if not (0 <= m.wedge < len(cfg.wedges)):
-            raise ParameterError("MVO pocket references an unknown wedge")
-        if not 0 < m.radius_mm < np.inf:
-            raise ParameterError("MVO pocket radius must be positive and finite")
+    check_number("seed", cfg.seed, integral=True, what="a non-negative integer",
+                 ok=lambda v: v >= 0)
+    check_number("noise sigma", cfg.noise_sigma, what="a finite non-negative number",
+                 ok=lambda v: 0 <= v < math.inf)
+    for name in ("n_sa", "rows", "cols"):
+        check_number(name, getattr(cfg, name), integral=True, what="a positive integer",
+                     ok=lambda v: v >= 1)
+    check_number("ps_mm", cfg.ps_mm, **POSITIVE)
+    if cfg.gains is not None:
+        for gain in _listed("gains", cfg.gains, "one factor per SA slice", cfg.n_sa):
+            check_number("gain", gain, **POSITIVE)
+    if cfg.translations_mm is not None:
+        for t in _listed("translations_mm", cfg.translations_mm,
+                         "one 3-vector per slice (SA then LA)", cfg.n_sa + len(LA_VIEWS)):
+            for v in _listed("translation", t, "three numbers", 3):
+                check_number("translation", v, **FINITE)
+    for w in _listed("wedges", cfg.wedges, "InfarctWedge entries", kind=InfarctWedge):
+        check_number("wedge slice_lo", w.slice_lo, integral=True, what="in [0, n_sa)",
+                     ok=lambda v: 0 <= v < cfg.n_sa)
+        check_number("wedge slice_hi", w.slice_hi, integral=True, what="in [slice_lo, n_sa)",
+                     ok=lambda v: w.slice_lo <= v < cfg.n_sa)
+        check_number("wedge angle_lo_deg", w.angle_lo_deg, **FINITE)
+        check_number("wedge angle_hi_deg", w.angle_hi_deg, **FINITE)
+        check_number("wedge depth fraction", w.depth_frac, what="in (0, 1]",
+                     ok=lambda v: 0 < v <= 1)
+    for m in _listed("mvo_pockets", cfg.mvo_pockets, "MvoPocket entries", kind=MvoPocket):
+        check_number("MVO pocket wedge", m.wedge, integral=True, what="an index into wedges",
+                     ok=lambda v: 0 <= v < len(cfg.wedges))
+        check_number("MVO pocket center_angle_deg", m.center_angle_deg, **FINITE)
+        check_number("MVO pocket center_slice", m.center_slice, **FINITE)
+        check_number("MVO pocket radius", m.radius_mm, **POSITIVE)
 
 
 def angle_about_axis_deg(x, y):
@@ -151,25 +160,25 @@ def _radii(cfg: PhantomConfig, z):
     z = np.asarray(z, dtype=float)
     z_apex = max(cfg.apex_z_mm, 1e-6)
     t = np.clip(z / z_apex, 0.0, 1.0)
-    re = cfg.endo_radius_base_mm + t * (cfg.endo_radius_apex_mm - cfg.endo_radius_base_mm)
-    rp = cfg.epi_radius_base_mm + t * (cfg.epi_radius_apex_mm - cfg.epi_radius_base_mm)
+    re = ENDO_RADIUS_BASE_MM + t * (ENDO_RADIUS_APEX_MM - ENDO_RADIUS_BASE_MM)
+    rp = EPI_RADIUS_BASE_MM + t * (EPI_RADIUS_APEX_MM - EPI_RADIUS_BASE_MM)
     above = z < 0
     if np.any(above):
-        re = np.where(above, cfg.endo_radius_base_mm - 0.35 * z, re)
-        rp = np.where(above, cfg.epi_radius_base_mm - 0.30 * z, rp)
-    cap_len = cfg.epi_radius_apex_mm
+        re = np.where(above, ENDO_RADIUS_BASE_MM - 0.35 * z, re)
+        rp = np.where(above, EPI_RADIUS_BASE_MM - 0.30 * z, rp)
+    cap_len = EPI_RADIUS_APEX_MM
     past = z > z_apex
     if np.any(past):
         s = np.clip((z - z_apex) / cap_len, 0.0, 1.0)
         f = np.sqrt(np.clip(1.0 - s * s, 0.0, 1.0))
-        re = np.where(past, cfg.endo_radius_apex_mm * f, re)
-        rp = np.where(past, cfg.epi_radius_apex_mm * f, rp)
+        re = np.where(past, ENDO_RADIUS_APEX_MM * f, re)
+        rp = np.where(past, EPI_RADIUS_APEX_MM * f, rp)
     return re, rp
 
 
 def _background(cfg: PhantomConfig, axes, rp):
     """Smooth textured background so intersection profiles carry information."""
-    rng = np.random.default_rng(cfg.texture_seed)
+    rng = np.random.default_rng(TEXTURE_SEED)
     n_blobs = 60
     fov = max(cfg.rows, cfg.cols) * cfg.ps_mm / 2.0
     centers = np.column_stack([
@@ -190,7 +199,7 @@ def _background(cfg: PhantomConfig, axes, rp):
             row = row * f[:, :, 0]
         else:
             col = col * f[:, 0, :]
-    out = cfg.intensity_background + row.T @ col
+    out = INTENSITY_BACKGROUND + row.T @ col
     # Bright oblique tubes (vessel-like): sharp landmarks that slide through
     # the imaging planes, anchoring the through-plane direction.
     for _ in range(4):
@@ -252,7 +261,7 @@ def _papillary_weight(cfg: PhantomConfig, axes, r, re):
 
 
 def _wedge_mask(cfg: PhantomConfig, w: InfarctWedge, z, r, re, rp, theta):
-    dz = cfg.slice_spacing_mm
+    dz = SLICE_SPACING_MM
     z_lo = w.slice_lo * dz - 0.5 * dz
     z_hi = w.slice_hi * dz + 0.5 * dz
     lo = w.angle_lo_deg % 360.0
@@ -266,7 +275,7 @@ def _wedge_mask(cfg: PhantomConfig, w: InfarctWedge, z, r, re, rp, theta):
 
 
 def _mvo_mask(cfg: PhantomConfig, m: MvoPocket, axes, wedge):
-    zc = m.center_slice * cfg.slice_spacing_mm
+    zc = m.center_slice * SLICE_SPACING_MM
     re_c, _ = _radii(cfg, zc)
     rad = np.radians(m.center_angle_deg)
     center = np.array([-float(re_c + 0.6 * m.radius_mm) * np.cos(rad),
@@ -295,13 +304,13 @@ def _paint(cfg: PhantomConfig, axes, regions=None):
     r = np.hypot(x, y)
     re, rp = _radii(cfg, z)
     bp_mask, myo_mask = (r < re, (r >= re) & (r < rp)) if regions is None else regions
-    e = max(cfg.edge_softness_mm, 1e-6)
+    e = EDGE_SOFTNESS_MM
 
     # Blood pool carries no axial trend: slice-consistent BP intensity is the
     # premise of the normalization stage.
-    bp = cfg.intensity_blood_pool * _tissue_mod(axes, 0.9, 0.02, z_amp=0.0)
-    myo = cfg.intensity_myocardium * _tissue_mod(axes, 0.4, 0.05)
-    inf = cfg.intensity_infarct * _tissue_mod(axes, 1.7, 0.03)
+    bp = INTENSITY_BLOOD_POOL * _tissue_mod(axes, 0.9, 0.02, z_amp=0.0)
+    myo = INTENSITY_MYOCARDIUM * _tissue_mod(axes, 0.4, 0.05)
+    inf = INTENSITY_INFARCT * _tissue_mod(axes, 1.7, 0.03)
     bg = _background(cfg, axes, rp)
 
     # Cavity: rises from myocardium level at the wall to blood pool inward.
@@ -331,21 +340,16 @@ def _sa_pose(cfg: PhantomConfig, k: int) -> SlicePose:
     half_r = (cfg.rows - 1) / 2.0 * cfg.ps_mm
     half_c = (cfg.cols - 1) / 2.0 * cfg.ps_mm
     return SlicePose(
-        ipp=np.array([-half_r, -half_c, k * cfg.slice_spacing_mm]),
+        ipp=np.array([-half_r, -half_c, k * SLICE_SPACING_MM]),
         iop_row=np.array([1.0, 0.0, 0.0]),
         iop_col=np.array([0.0, 1.0, 0.0]),
         ps_row=cfg.ps_mm, ps_col=cfg.ps_mm, rows=cfg.rows, cols=cfg.cols,
     )
 
 
-# Rows of an LA view run along +z; its columns run along this patient axis
-# (LA4C: plane y = 0, columns along +x; LA2C: plane x = 0, columns along +y).
-_LA_COL_AXIS = {"LA4C": 0, "LA2C": 1}
-
-
 def _la_pose(cfg: PhantomConfig, view: str) -> SlicePose:
     z_lo = -15.0
-    z_hi = cfg.apex_z_mm + cfg.epi_radius_apex_mm + 15.0
+    z_hi = cfg.apex_z_mm + EPI_RADIUS_APEX_MM + 15.0
     rows = int(np.ceil((z_hi - z_lo) / cfg.ps_mm)) + 1
     cols = cfg.cols
     axis = _LA_COL_AXIS[view]
@@ -384,20 +388,18 @@ def generate(cfg: PhantomConfig) -> tuple[LgeDataset, PhantomTruth]:
     _validate(cfg)
     rng = np.random.default_rng(cfg.seed)
     gains = np.ones(cfg.n_sa) if cfg.gains is None else np.asarray(cfg.gains, dtype=float)
-    n_slices = cfg.n_sa + len(cfg.la_views)
-    if cfg.translations_mm is None:
-        trans = np.zeros((n_slices, 3))
-    else:
-        trans = np.asarray(cfg.translations_mm, dtype=float).reshape(n_slices, 3)
+    n_slices = cfg.n_sa + len(LA_VIEWS)
+    trans = (np.zeros((n_slices, 3)) if cfg.translations_mm is None
+             else np.asarray(cfg.translations_mm, dtype=float))
 
     center_r = (cfg.rows - 1) / 2.0
     center_c = (cfg.cols - 1) / 2.0
     endo_polys, epi_polys, rois = [], [], []
     for k in range(cfg.n_sa):
-        re_k, rp_k = _radii(cfg, k * cfg.slice_spacing_mm)
+        re_k, rp_k = _radii(cfg, k * SLICE_SPACING_MM)
         endo_polys.append(circle_polygon(center_r, center_c, float(re_k) / cfg.ps_mm))
         epi_polys.append(circle_polygon(center_r, center_c, float(rp_k) / cfg.ps_mm))
-        half_px = int(np.ceil(float(rp_k) / cfg.ps_mm)) + cfg.roi_margin_px
+        half_px = int(np.ceil(float(rp_k) / cfg.ps_mm)) + ROI_MARGIN_PX
         rois.append(Roi(
             max(0, int(np.floor(center_r)) - half_px),
             min(cfg.rows - 1, int(np.ceil(center_r)) + half_px),
@@ -410,7 +412,7 @@ def generate(cfg: PhantomConfig) -> tuple[LgeDataset, PhantomTruth]:
 
     # Paint, noise and store each slice, SA block first (the noise order).
     true_poses = [_sa_pose(cfg, k) for k in range(cfg.n_sa)]
-    true_poses += [_la_pose(cfg, view) for view in cfg.la_views]
+    true_poses += [_la_pose(cfg, view) for view in LA_VIEWS]
     slices, infarct_masks = [], []
     for k, pose in enumerate(true_poses):
         sa = k < cfg.n_sa
@@ -419,13 +421,13 @@ def generate(cfg: PhantomConfig) -> tuple[LgeDataset, PhantomTruth]:
             values = values * gains[k]
             infarct_masks.append(infarct)
         noisy = _apply_noise(values, cfg.noise_sigma, rng)
-        stored = np.round(np.clip(noisy * cfg.intensity_scale, 0.0, 65535.0))
+        stored = np.round(np.clip(noisy * INTENSITY_SCALE, 0.0, 65535.0))
         slices.append(SliceImage(pose=pose.translated(trans[k]), pixels=stored))
 
     dataset = LgeDataset(
         sa_slices=slices[:cfg.n_sa], la_slices=slices[cfg.n_sa:], sa_rois=rois,
-        la_roles=list(cfg.la_views),
-        slice_thickness_mm=cfg.slice_thickness_mm, gap_mm=cfg.gap_mm,
+        la_roles=list(LA_VIEWS),
+        slice_thickness_mm=SLICE_THICKNESS_MM, gap_mm=GAP_MM,
     )
     truth = PhantomTruth(
         true_ipps=np.array([p.ipp for p in true_poses]),

@@ -125,10 +125,8 @@ def _stage(name: str):
         raise PipelineStageError(name, exc) from exc
 
 
-def myocardium_volume(dataset: LgeDataset, masks: ContourMasks, stack=None) -> MyocardiumVolume:
+def myocardium_volume(dataset: LgeDataset, masks: ContourMasks, stack) -> MyocardiumVolume:
     """Masked myocardium grid from the contour masks and the (normalized) stack."""
-    if stack is None:
-        stack = np.stack([s.pixels for s in dataset.sa_slices])
     return MyocardiumVolume(
         intensity=np.asarray(stack, dtype=float),
         mask=masks.myocardium,

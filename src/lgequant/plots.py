@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .aha import SEGMENTS_PER_LEVEL
+from .errors import ParameterError
 from .metrics import BlandAltmanStats
 
 _HOT_STOPS = (
@@ -54,7 +55,7 @@ def bullseye_svg(segment_percent, path, reference_angle_deg: float = 0.0) -> Pat
     """Bull's eye of the 16 segment values (basal ring outside, apex inside)."""
     values = np.asarray(segment_percent, dtype=float)
     if values.shape != (16,):
-        raise ValueError("expected 16 segment values")
+        raise ParameterError("expected 16 segment values")
     size = 360.0
     cx = cy = size / 2.0
     rings = {"basal": (120.0, 160.0), "mid": (80.0, 120.0), "apical": (40.0, 80.0)}

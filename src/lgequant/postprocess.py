@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import ParameterError, check_number
+from .errors import FINITE, ParameterError, check_number
 from .graphcut import Labeling, MyocardiumVolume
 from .raster import ContourMasks
 from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.py)
@@ -33,20 +33,15 @@ class PostprocessConfig:
 
     def __post_init__(self):
         for name in ("boundary_fraction", "mvo_enclosure_fraction"):
-            check_number(name, getattr(self, name))
-            if not 0 <= getattr(self, name) <= 1:
-                raise ParameterError(f"{name} must lie in [0, 1]")
-        check_number("max_rim_thickness_vox", self.max_rim_thickness_vox, integral=True)
-        if not self.max_rim_thickness_vox >= 0:
-            raise ParameterError("max_rim_thickness_vox must be non-negative")
+            check_number(name, getattr(self, name), what="in [0, 1]", ok=lambda v: 0 <= v <= 1)
+        check_number("max_rim_thickness_vox", self.max_rim_thickness_vox, integral=True,
+                     what="a non-negative integer", ok=lambda v: v >= 0)
         check_min_volume(self.min_volume_mm3)
 
 
 def check_min_volume(min_volume_mm3) -> None:
     """Raise ParameterError unless the small-component threshold is a number >= 0."""
-    check_number("min_volume_mm3", min_volume_mm3)
-    if not min_volume_mm3 >= 0:
-        raise ParameterError("min_volume_mm3 must be non-negative")
+    check_number("min_volume_mm3", min_volume_mm3, what="non-negative", ok=lambda v: v >= 0)
 
 
 def _voxel_volume_mm3(volume: MyocardiumVolume) -> float:
@@ -126,9 +121,7 @@ def recover_partial_volume(
     """
     if params.i_thrh is None:
         raise ParameterError("params.i_thrh is not set; run find_threshold first")
-    check_number("params.i_thrh", params.i_thrh)
-    if not np.isfinite(params.i_thrh):
-        raise ParameterError(f"params.i_thrh must be finite, got {params.i_thrh!r}")
+    check_number("params.i_thrh", params.i_thrh, **FINITE)
     eligible = volume.mask & (volume.intensity >= params.i_thrh)
     infarct = ndimage.binary_propagation(labeling.infarct_mask(), SIX_CONNECTED, mask=eligible)
     return Labeling(labels=infarct.astype(np.uint8), mask=labeling.mask)

@@ -45,9 +45,7 @@ def _crossings(edges, r) -> tuple:
 
 def _check_size(name: str, value) -> None:
     """Raise ParameterError unless ``value`` is a non-negative integer (an array size)."""
-    check_number(name, value, integral=True)
-    if value < 0:
-        raise ParameterError(f"{name} must be non-negative, got {value}")
+    check_number(name, value, integral=True, what="a non-negative integer", ok=lambda v: v >= 0)
 
 
 def polygon_mask(polygon, rows: int, cols: int) -> np.ndarray:

@@ -277,7 +277,7 @@ class CompiledProblem:
             return list(self.origins)
         ipp_all = np.asarray(ipp_all, dtype=float)
         if ipp_all.shape != (len(self.origins), 3):
-            raise ValueError("ipp_all must provide one 3-vector per slice")
+            raise ParameterError("ipp_all must provide one 3-vector per slice")
         return [o + (ipp_all[i] - o) for i, o in enumerate(self.origins)]
 
     def evaluate(self, trials, term_ids) -> list:

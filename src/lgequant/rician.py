@@ -55,7 +55,7 @@ class RicianMixtureParams:
         """
         s = hi - lo
         if s <= 0:
-            raise ValueError("rescale range must have hi > lo")
+            raise ParameterError("rescale range must have hi > lo")
         return RicianMixtureParams(
             alpha_r=self.alpha_r / s,
             sigma_r=self.sigma_r / s,

@@ -8,6 +8,7 @@ import pytest
 from lgequant import io as lio
 from lgequant.cli import main
 from lgequant.errors import ContourError, DatasetFormatError, OrientationError, PixelFileError
+from lgequant.geometry import SliceImage
 from lgequant.phantom import PhantomConfig, default_wedge_config, generate
 from lgequant.pipeline import PipelineConfig, run_pipeline
 from lgequant.raster import contour_masks
@@ -54,6 +55,16 @@ class TestDatasetIo:
         with pytest.raises(OrientationError):
             lio.load_dataset(bad_dir / "dataset.json")
 
+    def test_iop_off_unit_by_3e7_rejected_as_orientation(self, phantom_dir, tmp_path):
+        # The loader and SlicePose share one tolerance: a row vector this far
+        # from unit length is an orientation error of the file, not a pose error.
+        base = _phantom_copy(phantom_dir, tmp_path)
+        manifest = json.loads((base / "dataset.json").read_text())
+        manifest["slices"][0]["iop_row"] = [1.0000003, 0.0, 0.0]
+        (base / "dataset.json").write_text(json.dumps(manifest))
+        with pytest.raises(OrientationError, match="not orthonormal"):
+            lio.load_dataset(base / "dataset.json")
+
     def test_missing_pixel_file(self, phantom_dir, tmp_path):
         manifest_path = tmp_path / "dataset.json"
         manifest_path.write_text((phantom_dir / "dataset.json").read_text())
@@ -80,7 +91,18 @@ class TestDatasetIo:
 
     def test_non_integer_pixels_rejected(self, tmp_path):
         with pytest.raises(PixelFileError):
-            lio.write_pixels_u16(np.array([[0.5, 1.0]]), tmp_path / "x.raw")
+            lio._u16_pixels(np.array([[0.5, 1.0]]))
+
+    def test_bad_pixel_in_a_later_slice_writes_no_file(self, tmp_path):
+        dataset, _ = generate(PhantomConfig())
+        pixels = dataset.sa_slices[3].pixels.copy()
+        pixels[0, 0] = 0.5
+        dataset.sa_slices[3] = SliceImage(pose=dataset.sa_slices[3].pose, pixels=pixels)
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(PixelFileError, match="must be integers"):
+            lio.save_dataset(dataset, out)
+        assert list(out.iterdir()) == []
 
 
 class TestVolumeAndLabelingIo:
@@ -605,7 +627,8 @@ def _labeling_header(base):
 class TestFormatVersion:
     """Every loader reads only headers that carry the current format version."""
 
-    @pytest.mark.parametrize("version", [None, 2], ids=["no_version", "version_2"])
+    @pytest.mark.parametrize("version", [None, 2, True, 1.0],
+                             ids=["no_version", "version_2", "version_true", "version_1.0"])
     @pytest.mark.parametrize("loader, header", [
         (lio.load_dataset, lambda base: base / "dataset.json"),
         (lio.load_contours, lambda base: base / "contours.json"),

@@ -2,7 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +13,16 @@ import lgequant.phantom
 from lgequant.errors import ContourError, GeometryError, ParameterError
 from lgequant.geometry import SlicePose, pixel_to_patient
 from lgequant.phantom import (
+    EDGE_SOFTNESS_MM,
+    EPI_RADIUS_APEX_MM,
+    INTENSITY_BACKGROUND,
+    INTENSITY_BLOOD_POOL,
+    INTENSITY_INFARCT,
+    INTENSITY_MYOCARDIUM,
+    INTENSITY_SCALE,
+    LA_VIEWS,
+    SLICE_SPACING_MM,
+    TEXTURE_SEED,
     InfarctWedge,
     MvoPocket,
     PhantomConfig,
@@ -29,16 +39,6 @@ from lgequant.raster import circle_polygon, polygon_mask
 
 
 class TestConfigValidation:
-    def test_rejects_endo_outside_epi(self):
-        cfg = PhantomConfig(endo_radius_base_mm=26.0, epi_radius_base_mm=25.0)
-        with pytest.raises(ValueError):
-            generate(cfg)
-
-    def test_rejects_bad_intensity_order(self):
-        cfg = PhantomConfig(intensity_infarct=0.2)
-        with pytest.raises(ValueError):
-            generate(cfg)
-
     def test_rejects_wedge_outside_stack(self):
         cfg = PhantomConfig(wedges=(InfarctWedge(0, 9, 0.0, 60.0),))
         with pytest.raises(ValueError):
@@ -59,17 +59,41 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("cfg, fragment", [
         (PhantomConfig(n_sa=2.5), "n_sa must be a positive integer"),
-        (PhantomConfig(la_views=("LA3C",)), "LA views must be among"),
-        (PhantomConfig(intensity_scale=-1), "intensity scale must be positive"),
-        (PhantomConfig(slice_thickness_mm=0, gap_mm=0), "slice thickness plus gap"),
         (replace(default_wedge_config(), mvo_pockets=(
             MvoPocket(wedge=0, center_angle_deg=30.0, center_slice=0.0, radius_mm=-1),)),
          "MVO pocket radius must be positive"),
-    ], ids=["fractional_n_sa", "unknown_la_view", "negative_intensity_scale",
-            "coincident_sa_slices", "negative_mvo_radius"])
+        (PhantomConfig(rows="96"), "rows must be a positive integer"),
+        (PhantomConfig(cols=0), "cols must be a positive integer"),
+        (PhantomConfig(rows=True), "rows must be a positive integer"),
+        (PhantomConfig(ps_mm=0), "ps_mm must be positive and finite"),
+        (PhantomConfig(ps_mm=float("nan")), "ps_mm must be positive and finite"),
+        (PhantomConfig(ps_mm="1.25"), "ps_mm must be positive and finite"),
+        (PhantomConfig(gains=(-1.0,) * 6), "gain must be positive and finite"),
+        (PhantomConfig(gains=(1.0,) * 5 + (float("inf"),)), "gain must be positive and finite"),
+        (PhantomConfig(gains=(1.0,) * 5), "gains must list one factor per SA slice"),
+        (PhantomConfig(translations_mm=((0.0, 0.0),) * 8), "translation must list three numbers"),
+        (PhantomConfig(translations_mm=((0.0, 0.0, float("nan")),) * 8),
+         "translation must be finite"),
+        (PhantomConfig(wedges=(InfarctWedge(0, 1, float("nan"), 60.0),)),
+         "wedge angle_lo_deg must be finite"),
+        (PhantomConfig(wedges=(InfarctWedge(1, 0, 0.0, 60.0),)), "wedge slice_hi must be"),
+        (PhantomConfig(wedges=((0, 1, 0.0, 60.0),)), "wedges must list InfarctWedge entries"),
+        (replace(default_wedge_config(), mvo_pockets=(MvoPocket(0, float("nan"), 0.0),)),
+         "MVO pocket center_angle_deg must be finite"),
+        (replace(default_wedge_config(), mvo_pockets=(MvoPocket(0, 30.0, float("inf")),)),
+         "MVO pocket center_slice must be finite"),
+    ], ids=["fractional_n_sa", "negative_mvo_radius", "string_rows", "zero_cols", "bool_rows",
+            "zero_ps", "nan_ps", "string_ps", "negative_gains", "infinite_gain", "short_gains",
+            "two_vector_translations", "nan_translation", "nan_wedge_angle",
+            "reversed_wedge_slices", "tuple_wedge", "nan_mvo_angle", "infinite_mvo_slice"])
     def test_rejects_config_it_cannot_paint(self, cfg, fragment):
         with pytest.raises(ParameterError, match=fragment):
             generate(cfg)
+
+    def test_config_keeps_only_the_varied_settings(self):
+        assert [f.name for f in fields(PhantomConfig)] == [
+            "n_sa", "rows", "cols", "ps_mm", "wedges", "mvo_pockets", "gains",
+            "translations_mm", "noise_sigma", "seed"]
 
     def test_contour_enclosing_no_pixel_fails_in_generate(self):
         # At 10 mm pixels the apical endo circle holds no pixel centre; the
@@ -108,7 +132,7 @@ class TestTruthConsistency:
             myo_m = epi_m & ~endo_m
             assert not np.any(truth.infarct_mask[k] & ~myo_m)
             normal_myo = myo_m & ~truth.infarct_mask[k]
-            vals = sl.pixels / cfg.intensity_scale
+            vals = sl.pixels / INTENSITY_SCALE
             assert vals[normal_myo].max() < 0.45
             if truth.infarct_mask[k].any():
                 infarct_vals = vals[truth.infarct_mask[k]]
@@ -207,7 +231,7 @@ def _ref_points(pose):
 
 def _ref_la_pose(cfg, view):
     z_lo = -15.0
-    z_hi = cfg.apex_z_mm + cfg.epi_radius_apex_mm + 15.0
+    z_hi = cfg.apex_z_mm + EPI_RADIUS_APEX_MM + 15.0
     rows = int(np.ceil((z_hi - z_lo) / cfg.ps_mm)) + 1
     half_c = (cfg.cols - 1) / 2.0 * cfg.ps_mm
     if view == "LA4C":
@@ -220,7 +244,7 @@ def _ref_la_pose(cfg, view):
 
 
 def _ref_background(cfg, pts):
-    rng = np.random.default_rng(cfg.texture_seed)
+    rng = np.random.default_rng(TEXTURE_SEED)
     n_blobs = 60
     fov = max(cfg.rows, cfg.cols) * cfg.ps_mm / 2.0
     centers = np.column_stack([
@@ -231,7 +255,7 @@ def _ref_background(cfg, pts):
     widths = rng.uniform(4.0, 10.0, n_blobs)
     amps = rng.uniform(-0.12, 0.12, n_blobs)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    out = np.full(pts.shape[:-1], cfg.intensity_background)
+    out = np.full(pts.shape[:-1], INTENSITY_BACKGROUND)
     for c, w, a in zip(centers, widths, amps):
         d2 = (x - c[0]) ** 2 + (y - c[1]) ** 2 + (z - c[2]) ** 2
         out = out + a * np.exp(-d2 / (2.0 * w * w))
@@ -279,7 +303,7 @@ def _ref_papillary_weight(cfg, pts):
 
 def _ref_wedge_mask(cfg, w, pts):
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    dz = cfg.slice_spacing_mm
+    dz = SLICE_SPACING_MM
     re, rp = _radii(cfg, z)
     r = np.hypot(x, y)
     theta = angle_about_axis_deg(x, y)
@@ -291,7 +315,7 @@ def _ref_wedge_mask(cfg, w, pts):
 
 
 def _ref_mvo_mask(cfg, m, pts):
-    zc = m.center_slice * cfg.slice_spacing_mm
+    zc = m.center_slice * SLICE_SPACING_MM
     re_c, _ = _radii(cfg, zc)
     rad = np.radians(m.center_angle_deg)
     center = np.array([-float(re_c + 0.6 * m.radius_mm) * np.cos(rad),
@@ -311,10 +335,10 @@ def _ref_paint(cfg, pts, bp_mask, myo_mask):
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
     r = np.hypot(x, y)
     re, rp = _radii(cfg, z)
-    e = max(cfg.edge_softness_mm, 1e-6)
-    bp = cfg.intensity_blood_pool * _ref_tissue_mod(pts, 0.9, 0.02, z_amp=0.0)
-    myo = cfg.intensity_myocardium * _ref_tissue_mod(pts, 0.4, 0.05)
-    inf = cfg.intensity_infarct * _ref_tissue_mod(pts, 1.7, 0.03)
+    e = EDGE_SOFTNESS_MM
+    bp = INTENSITY_BLOOD_POOL * _ref_tissue_mod(pts, 0.9, 0.02, z_amp=0.0)
+    myo = INTENSITY_MYOCARDIUM * _ref_tissue_mod(pts, 0.4, 0.05)
+    inf = INTENSITY_INFARCT * _ref_tissue_mod(pts, 1.7, 0.03)
     cavity = myo + _smoothstep((re - r) / e) * (bp - myo)
     cavity = cavity + _ref_papillary_weight(cfg, pts) * (myo - cavity)
     outside = myo + _smoothstep((r - rp) / e) * (_ref_background(cfg, pts) - myo)
@@ -334,7 +358,7 @@ def _ref_generate(cfg):
     values, infarct, endo_polys, epi_polys, poses = [], [], [], [], []
     for k in range(cfg.n_sa):
         pose = _sa_pose(cfg, k)
-        re_k, rp_k = _radii(cfg, k * cfg.slice_spacing_mm)
+        re_k, rp_k = _radii(cfg, k * SLICE_SPACING_MM)
         endo = circle_polygon(center_r, center_c, float(re_k) / cfg.ps_mm)
         epi = circle_polygon(center_r, center_c, float(rp_k) / cfg.ps_mm)
         bp_mask = polygon_mask(endo, cfg.rows, cfg.cols)
@@ -345,14 +369,14 @@ def _ref_generate(cfg):
         endo_polys.append(endo)
         epi_polys.append(epi)
         poses.append(pose)
-    for view in cfg.la_views:
+    for view in LA_VIEWS:
         pose = _ref_la_pose(cfg, view)
         pts = _ref_points(pose)
         r = np.hypot(pts[..., 0], pts[..., 1])
         re, rp = _radii(cfg, pts[..., 2])
         values.append(_ref_paint(cfg, pts, r < re, (r >= re) & (r < rp)))
         poses.append(pose)
-    stored = [np.round(np.clip(_apply_noise(v, cfg.noise_sigma, rng) * cfg.intensity_scale,
+    stored = [np.round(np.clip(_apply_noise(v, cfg.noise_sigma, rng) * INTENSITY_SCALE,
                                0.0, 65535.0)) for v in values]
     return stored, np.array(infarct), endo_polys, epi_polys, np.array([p.ipp for p in poses])
 
