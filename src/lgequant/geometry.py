@@ -253,26 +253,37 @@ class PixelAtlas:
     def __init__(self, images):
         flats = [np.asarray(p, dtype=float).ravel() for p in images]
         self.flat = flats[0] if len(flats) == 1 else np.concatenate(flats)    # one image: no copy
-        self.rows, self.cols = np.array([np.shape(p) for p in images]).T
-        self.base = np.cumsum(self.rows * self.cols) - self.rows * self.cols
+        rows, cols = np.array([np.shape(p) for p in images]).T
+        base = np.cumsum(rows * cols) - rows * cols
+        # Per-image constants of ``sample``, one column per image, gathered by
+        # slice index: the hull's far edges with and without ``_EDGE_EPS``; the
+        # last row and column a top-left neighbour can be in; the image's base
+        # offset and row stride; and the offsets from a top-left neighbour to
+        # the one below it and the one right of it (0 on a one-row or
+        # one-column image).
+        self.edges = np.stack([rows - 1 + _EDGE_EPS, cols - 1 + _EDGE_EPS,
+                               rows - 1.0, cols - 1.0])
+        self.strides = np.stack([np.maximum(rows - 2, 0), np.maximum(cols - 2, 0), base,
+                                 cols, cols * (rows > 1), cols > 1])
 
     def sample(self, s, r, c) -> np.ndarray:
         """Bilinear interpolation of image ``s`` at fractional (r, c), all three
         broadcast together; NaN outside the image's pixel-centre hull
         [0, rows-1] x [0, cols-1], give or take ``_EDGE_EPS``."""
         r, c = np.asarray(r, dtype=float), np.asarray(c, dtype=float)
-        rows, cols, base = self.rows[s], self.cols[s], self.base[s]
+        r_hi, c_hi, r_last, c_last = self.edges.take(s, axis=1)
+        r_top, c_top, base, cols, down, right = self.strides.take(s, axis=1)
         eps = _EDGE_EPS
-        valid = (r >= -eps) & (r <= rows - 1 + eps) & (c >= -eps) & (c <= cols - 1 + eps)
-        rc = np.minimum(np.maximum(r, 0.0), rows - 1.0)
-        cc = np.minimum(np.maximum(c, 0.0), cols - 1.0)
+        valid = (r >= -eps) & (r <= r_hi) & (c >= -eps) & (c <= c_hi)
+        rc = np.minimum(np.maximum(r, 0.0), r_last)
+        cc = np.minimum(np.maximum(c, 0.0), c_last)
         # rc, cc >= 0, so truncation is floor; (r1, c1) is the top-left neighbour.
-        r1 = np.minimum(rc.astype(np.intp), np.maximum(rows - 2, 0))
-        c1 = np.minimum(cc.astype(np.intp), np.maximum(cols - 2, 0))
+        r1 = np.minimum(rc.astype(np.intp), r_top)
+        c1 = np.minimum(cc.astype(np.intp), c_top)
         fr, fc = rc - r1, cc - c1
         gr, gc = 1 - fr, 1 - fc
         top = base + r1 * cols + c1
-        bottom, right = top + cols * (rows > 1), cols > 1
+        bottom = top + down
         take = self.flat.take
         vals = (take(top) * gr * gc + take(bottom) * fr * gc
                 + take(top + right) * gr * fc + take(bottom + right) * fr * fc)

@@ -43,8 +43,15 @@ TRANSLATION_BOUND_MM = 20.0
 MAX_SWEEPS = 50
 REL_TOL = 1e-6
 INFEASIBLE = 1e12          # objective value once a live term degenerates
-# Nelder-Mead settings of every simplex search the optimizer runs.
-_NELDER_MEAD_OPTIONS = {"xatol": 1e-3, "fatol": 1e-12, "maxiter": 130, "maxfev": 170}
+# Nelder-Mead settings of every simplex search the optimizer runs. scipy stops
+# a search once its simplex spans at most xatol mm in every coordinate and its
+# vertex costs differ by at most fatol, both at once. fatol is the accept
+# rule's 1e-4 gain floor on costs of order 1 (one slice's terms sum to 0.4-5
+# on the wedge phantom): a smaller gain is interpolation noise, and the rule
+# would reject the move anyway. xatol is 1/125 of the 1.25 mm phantom pixel,
+# far below what the cost can resolve. maxiter and maxfev only cap a search
+# that fails to settle.
+_NELDER_MEAD_OPTIONS = {"xatol": 1e-2, "fatol": 1e-4, "maxiter": 130, "maxfev": 170}
 
 
 def middle_slice_index(n: int) -> int:
@@ -307,8 +314,12 @@ class CompiledProblem:
         plans = np.array([s[2] for s in segments]).T.reshape(5, 2, -1)   # [entry][side][segment]
         each = lambda k: np.repeat(plans[k], counts, axis=1)               # entry k at each sample
         ts = np.concatenate([s[3] for s in segments])
-        vals = self.atlas.sample(each(4).astype(np.intp), each(0) + ts * each(2),
-                                 each(1) + ts * each(3))
+        slices = plans[4].astype(np.intp)
+        if (slices == slices[:, :1]).all():      # one term: its two slices broadcast
+            slices = slices[:, :1]
+        else:
+            slices = np.repeat(slices, counts, axis=1)
+        vals = self.atlas.sample(slices, each(0) + ts * each(2), each(1) + ts * each(3))
         ok = np.isfinite(vals[0]) & np.isfinite(vals[1])
         if not ok.all():    # drop positions a side has no sample at; segments stay contiguous
             ends, vals = np.cumsum(ok)[ends - 1], vals[:, ok]
@@ -425,6 +436,7 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
     bound = TRANSLATION_BOUND_MM
 
     accepted_moves: list = []
+    stops = {"tolerance": 0, "cap": 0}      # Nelder-Mead searches by how they ended
 
     def refresh(term_ids):
         """Re-evaluate ``term_ids`` at the accepted translations."""
@@ -441,6 +453,7 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
         res = minimize(lambda x: compiled.objective([trial(x)], term_ids, live, phase)[0], x0,
                        method="Nelder-Mead", bounds=bounds,
                        options={"initial_simplex": simplex, **_NELDER_MEAD_OPTIONS})
+        stops["tolerance" if res.status == 0 else "cap"] += 1   # else maxfev or maxiter
         return np.asarray(res.x, dtype=float), res.fun
 
     def accept(who, term_ids, fun, step) -> bool:
@@ -561,6 +574,12 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
                 *(compiled.evaluations[k] for k in ("prescan", "simplex", "regauge")))
     logger.info("realign: %d contiguous evaluations on the pixel lattice, %d by gather",
                 compiled.region_samples["lattice"], compiled.region_samples["gather"])
+    # Each search proposes one move, so the moves not accepted were rejected.
+    searches = stops["tolerance"] + stops["cap"]
+    logger.info("realign: %d Nelder-Mead searches, %d stopped on tolerance and %d at "
+                "maxiter/maxfev", searches, stops["tolerance"], stops["cap"])
+    logger.info("realign: %d moves accepted, %d rejected",
+                len(accepted_moves), searches - len(accepted_moves))
     return AlignmentResult(
         corrected_ipps=np.array([origins[i] + deltas[i] for i in range(n_slices)]),
         initial_cost=initial_cost,

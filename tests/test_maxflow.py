@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgequant.errors import DegenerateInputError, ParameterError
 from lgequant.maxflow import MaxFlowGraph
@@ -73,6 +75,46 @@ class TestArrayConstructor:
         graph = MaxFlowGraph(1, [1, 0], [0, 2], [2.0, 1.5], [0.0, 0.0])
         flow, side = graph.solve()
         assert flow == 1.5 and side.tolist() == [True]
+
+
+@st.composite
+def flow_graphs(draw):
+    """A random graph of 20-300 nodes and both terminals, past brute-force range.
+
+    Capacities are small integers, so every flow and cut sum is exact; arcs
+    include zeros, repeats, self arcs and arcs into the source or out of the sink.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_nodes = draw(st.integers(20, 300))
+    n_edges = draw(st.integers(n_nodes, 4 * n_nodes))
+    tails = rng.integers(0, n_nodes + 2, size=n_edges)
+    heads = rng.integers(0, n_nodes + 2, size=n_edges)
+    top = draw(st.integers(1, 10))
+    caps = rng.integers(0, top + 1, size=n_edges).astype(float)
+    rev_caps = np.where(rng.random(n_edges) < 0.5, 0.0, rng.integers(0, top + 1, size=n_edges))
+    return n_nodes, tails, heads, caps, rev_caps
+
+
+class TestFlowCertificate:
+    @settings(max_examples=60, deadline=None)
+    @given(flow_graphs())
+    def test_flow_equals_cut_and_is_conserved(self, graph):
+        n_nodes, *edges = graph
+        g = MaxFlowGraph(n_nodes, *edges)
+        before = np.array(g._cap)               # solve leaves residuals in _cap
+        flow, side = g.solve()
+        arc_flow = before - np.array(g._cap)    # arc 2k+1's is minus arc 2k's
+        assert np.array_equal(arc_flow[1::2], -arc_flow[0::2])
+        tails = np.array(g._to[1::2])           # arc 2k runs tails[k] -> _to[2k]
+        heads = np.array(g._to[0::2])
+        on_source = np.append(side, [True, False])      # the source, then the sink
+        forward = on_source[tails] & ~on_source[heads]  # arc 2k leaves the source side
+        backward = on_source[heads] & ~on_source[tails]  # arc 2k+1 does
+        assert flow == before[0::2][forward].sum() + before[1::2][backward].sum()
+        net = (np.bincount(heads, arc_flow[0::2], n_nodes + 2)
+               - np.bincount(tails, arc_flow[0::2], n_nodes + 2))
+        assert not net[:n_nodes].any()                  # conserved at every non-terminal
+        assert net[n_nodes + 1] == flow == -net[n_nodes]
 
 
 class TestConstructorRejects:

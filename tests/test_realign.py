@@ -1,9 +1,11 @@
 import logging
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lgequant import realign
 from lgequant.errors import DegenerateInputError, GeometryError, LgeQuantError, ParameterError
 from lgequant.geometry import (
     Roi,
@@ -598,21 +600,82 @@ class TestCostEvaluations:
         assert counts == second.diagnostics["cost_evaluations"]
         messages = [r.getMessage() for r in caplog.records]
         assert any("cost evaluations" in m for m in messages)
-        lattice, gather = _region_paths(messages)
+        lattice, gather = _logged_counts(messages, "contiguous evaluations")
         assert gather == 0 < lattice
 
     def test_oblique_contiguous_evaluations_are_logged_as_gathers(self, caplog):
         with caplog.at_level(logging.INFO, logger="lgequant.realign"):
             optimize(oblique_problem(), max_sweeps=1)
-        lattice, gather = _region_paths([r.getMessage() for r in caplog.records])
+        lattice, gather = _logged_counts([r.getMessage() for r in caplog.records],
+                                         "contiguous evaluations")
         assert lattice == 0 < gather
 
+    def test_searches_and_moves_are_logged(self, caplog):
+        with caplog.at_level(logging.INFO, logger="lgequant.realign"):
+            result = optimize(build_problem(), max_sweeps=1)
+        messages = [r.getMessage() for r in caplog.records]
+        searches, tolerance, cap = _logged_counts(messages, "Nelder-Mead searches")
+        accepted, rejected = _logged_counts(messages, "moves accepted")
+        assert searches == tolerance + cap and tolerance > 0
+        assert accepted == len(result.diagnostics["accepted_moves"])
+        assert accepted + rejected == searches
 
-def _region_paths(messages) -> tuple:
-    """(lattice, gather) contiguous-evaluation counts from optimize's log line."""
-    [line] = [m for m in messages if "contiguous evaluations" in m]
-    lattice, gather = (int(x) for x in re.findall(r"\d+", line))
-    return lattice, gather
+    @pytest.mark.parametrize("cap", [{"maxfev": 5}, {"maxiter": 2}])
+    def test_a_capped_search_is_logged_as_capped(self, caplog, monkeypatch, cap):
+        monkeypatch.setattr(realign, "_NELDER_MEAD_OPTIONS",
+                            {**realign._NELDER_MEAD_OPTIONS, **cap})
+        with caplog.at_level(logging.INFO, logger="lgequant.realign"):
+            optimize(build_problem(), max_sweeps=1)
+        searches, tolerance, capped = _logged_counts(
+            [r.getMessage() for r in caplog.records], "Nelder-Mead searches")
+        assert capped == searches > 0 and tolerance == 0
+
+
+def _logged_counts(messages, phrase) -> list:
+    """The numbers in optimize's one log line that contains ``phrase``."""
+    [line] = [m for m in messages if phrase in m]
+    return [int(x) for x in re.findall(r"\d+", line)]
+
+
+def wedge96_problem(seed: int):
+    """(problem, truth) of the benchmark's ``wedge96_misaligned`` study ``seed``.
+
+    Built as the benchmark builds it: the default wedge phantom at noise 0.08
+    with gains from 0.85 to 1.15 over its six SA slices, and every slice's
+    origin shifted in plane by up to 5 mm.
+    """
+    from lgequant.phantom import default_wedge_config, generate
+
+    shifts = np.zeros((8, 3))
+    shifts[:, :2] = np.random.default_rng(seed).uniform(-5.0, 5.0, size=(8, 2))
+    cfg = replace(default_wedge_config(seed=seed, noise_sigma=0.08),
+                  gains=tuple(float(g) for g in np.linspace(0.85, 1.15, 6)),
+                  translations_mm=tuple(map(tuple, shifts)))
+    ds, truth = generate(cfg)
+    return AlignmentProblem(ds.sa_slices, ds.la_slices, ds.sa_rois, gamma=0.01), truth
+
+
+def _gauged_rms(ipps, truth) -> float:
+    """Rms distance of the origins from the truth, less their common shift."""
+    err = np.asarray(ipps) - truth.true_ipps
+    err = err - err.mean(axis=0)
+    return float(np.sqrt(np.mean(np.sum(err ** 2, axis=1))))
+
+
+class TestStoppingRule:
+    def test_wedge_searches_stop_on_tolerance(self, caplog):
+        """One sweep on wedge seed 1, as the benchmark runs it: every simplex
+        search settles before its cap, the searches make at most 1,300
+        evaluations (2,186 with a 1e-12 fatol), and the input improves."""
+        problem, truth = wedge96_problem(1)
+        with caplog.at_level(logging.INFO, logger="lgequant.realign"):
+            result = optimize(problem, max_sweeps=1)
+        _, _, capped = _logged_counts([r.getMessage() for r in caplog.records],
+                                      "Nelder-Mead searches")
+        assert capped == 0
+        assert result.diagnostics["cost_evaluations"]["simplex"] <= 1300
+        recorded = [s.pose.ipp for s in problem.slices]
+        assert _gauged_rms(result.corrected_ipps, truth) < _gauged_rms(recorded, truth)
 
 
 class TestOptimizeArguments:
