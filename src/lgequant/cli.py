@@ -1,13 +1,14 @@
 """Command-line driver: stage subcommands plus the full pipeline.
 
-Each stage subcommand loads its inputs from files, calls the same stage
-function as ``run_pipeline`` and saves what that function returns.
+Each stage subcommand loads its inputs from files and calls the same stage
+function as ``run_pipeline``, which tags its errors with the stage's name and
+writes its artifact into ``--out``; the subcommand adds its report section
+there as ``<stage>_report.json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import io as lio
 from .aha import assign_segments, quantify  # noqa: F401  (patched by benchmarks/tracing.py)
-from .errors import DatasetFormatError, LgeQuantError, ParameterError, check_number
+from .errors import NON_NEGATIVE, DatasetFormatError, LgeQuantError, check_number
 from .graphcut import Labeling, MyocardiumVolume
 from .graphcut import classify  # noqa: F401  (patched by benchmarks/tracing.py)
 from .metrics import bland_altman, dice
@@ -26,14 +27,14 @@ from .pipeline import (
     PipelineConfig,
     classify_stage,
     normalize_stage,
+    params_from_report,
     postprocess_stage,
     quantify_stage,
     realign_stage,
     run_pipeline,
 )
-from .plots import bland_altman_csv, bland_altman_svg, bullseye_svg
+from .plots import bland_altman_csv, bland_altman_svg
 from .raster import contour_masks
-from .rician import RicianMixtureParams
 
 
 # PipelineConfig field -> (flag, type) of its command-line override.
@@ -61,9 +62,7 @@ def cmd_phantom(args) -> int:
         cfg = default_wedge_config(seed=args.seed, noise_sigma=args.noise_sigma)
     else:
         cfg = PhantomConfig(seed=args.seed, noise_sigma=args.noise_sigma)
-    if not (math.isfinite(args.max_shift_mm) and args.max_shift_mm >= 0):
-        raise ParameterError(
-            f"--max-shift-mm must be a finite non-negative number, got {args.max_shift_mm!r}")
+    check_number("--max-shift-mm", args.max_shift_mm, **NON_NEGATIVE)
     if args.max_shift_mm > 0:
         _validate(cfg)          # the shifts are drawn from the config's seed
         rng = np.random.default_rng(args.seed)
@@ -82,10 +81,8 @@ def cmd_phantom(args) -> int:
 
 def cmd_realign(args) -> int:
     config = _pipeline_config(args)
-    realigned, section = realign_stage(lio.load_dataset(args.data), config)
-    out = Path(args.out)
-    lio.save_dataset(realigned, out, name="realigned")
-    lio.write_report(section, out / "realign_report.json")
+    _, section = realign_stage(lio.load_dataset(args.data), config, args.out)
+    lio.write_report(section, Path(args.out) / "realign_report.json")
     if config.skip_realign:
         print("realign: skipped")
     else:
@@ -97,28 +94,10 @@ def cmd_normalize(args) -> int:
     config = _pipeline_config(args)
     dataset = lio.load_dataset(args.data)
     contours = lio.load_contours(args.contours)
-    (norm, _), section = normalize_stage(dataset, contours, config)
-    out = Path(args.out)
-    lio.save_volume_f32(norm.stack, dataset.voxel_spacing_mm, out / "normalized")
-    lio.write_report(section, out / "normalize_report.json")
+    (norm, _), section = normalize_stage(dataset, contours, config, args.out)
+    lio.write_report(section, Path(args.out) / "normalize_report.json")
     print(f"normalize: {norm.iterations} iterations, converged={norm.converged}")
     return 0
-
-
-def _params_from_report(path) -> RicianMixtureParams:
-    mix = lio._field(lio.read_report(path), "mixture", path)
-    if not mix:
-        raise LgeQuantError(f"{path} carries no mixture parameters")
-    params = RicianMixtureParams(**{
-        key: lio._field(mix, key, path)
-        for key in ("alpha_r", "sigma_r", "a", "alpha_g", "sigma_g", "mu")
-    })
-    i_thrh = lio._field(mix, "i_thrh", path)
-    check_number("mixture i_thrh", i_thrh)
-    if not math.isfinite(i_thrh):
-        raise ParameterError(f"mixture i_thrh must be finite, got {i_thrh!r}")
-    params.i_thrh = i_thrh
-    return params
 
 
 def cmd_classify(args) -> int:
@@ -126,16 +105,14 @@ def cmd_classify(args) -> int:
     config = _pipeline_config(args)
     intensity, spacing = lio.load_volume_f32(args.normalized)
     contours = lio.load_contours(args.contours)
-    params = _params_from_report(args.params)
+    params = params_from_report(args.params)
     masks = contour_masks(contours, intensity.shape)
     volume = MyocardiumVolume(intensity, masks.myocardium, spacing)
-    raw_labeling, _ = classify_stage(volume, params, config)
-    labeling, section = postprocess_stage(raw_labeling, volume, masks, params, config)
+    raw_labeling, classified = classify_stage(volume, params, config)
+    labeling, cleaned = postprocess_stage(raw_labeling, volume, masks, params, config, args.out)
     infarct_voxels = int(labeling.infarct_mask().sum())
-    out = Path(args.out)
-    lio.save_labeling(labeling.labels, labeling.mask, spacing, out / "labeling")
-    lio.write_report({**section, "infarct_voxels": infarct_voxels},
-                     out / "classify_report.json")
+    lio.write_report({**classified, **cleaned, "infarct_voxels": infarct_voxels},
+                     Path(args.out) / "classify_report.json")
     print(f"classify: {infarct_voxels} infarct voxels")
     return 0
 
@@ -144,12 +121,9 @@ def cmd_quantify(args) -> int:
     config = _pipeline_config(args)
     labels, mask, spacing = lio.load_labeling(args.labeling)
     volume = MyocardiumVolume(np.zeros(mask.shape), mask, spacing)
-    quant, section = quantify_stage(Labeling(labels=labels, mask=mask), volume, config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    lio.write_report(section, out / "quant_report.json")
-    bullseye_svg(quant.segment_percent, out / "bullseye.svg",
-                 reference_angle_deg=config.reference_angle_deg)
+    quant, section = quantify_stage(Labeling(labels=labels, mask=mask), volume, config,
+                                    args.out)
+    lio.write_report(section, Path(args.out) / "quant_report.json")
     print(f"quantify: volumetric I/M% = {quant.volumetric_percent:.2f}")
     return 0
 

@@ -24,9 +24,11 @@ def check_number(name: str, value, integral: bool = False, what: str = "", ok=No
         raise ParameterError(f"{name} must be {what}, got {value!r}")
 
 
-# ``check_number`` keywords for the two commonest ranges.
+# ``check_number`` keywords for the commonest ranges.
 FINITE = {"what": "finite", "ok": math.isfinite}
 POSITIVE = {"what": "positive and finite", "ok": lambda v: 0 < v < math.inf}
+NON_NEGATIVE = {"what": "a finite non-negative number", "ok": lambda v: 0 <= v < math.inf}
+COUNT = {"integral": True, "what": "a non-negative integer", "ok": lambda v: v >= 0}
 
 
 class GeometryError(LgeQuantError):

@@ -58,7 +58,11 @@ class Labeling:
     mask: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.uint8)
+        labels = np.asarray(self.labels)
+        other = (labels != 0) & (labels != 1)
+        if other.any():
+            raise ParameterError(f"labels must be 0 or 1, got {labels[other][0].item()!r}")
+        labels = labels.astype(np.uint8, copy=False)
         mask = np.asarray(self.mask, dtype=bool)
         if labels.shape != mask.shape:
             raise ParameterError("labels and mask shapes differ")

@@ -286,6 +286,10 @@ def load_labeling(header_path) -> tuple:
     dims = _field(header, "dims", header_path)
     labels = _read_raw(header_path, _field(header, "labels_file", header_path), dims, np.uint8)
     mask = _read_raw(header_path, _field(header, "mask_file", header_path), dims, np.uint8)
+    for name, raw in (("labels", labels), ("mask", mask)):
+        if raw.max(initial=0) > 1:
+            raise DatasetFormatError(f"{header_path}: {name} must hold only 0 and 1, "
+                                     f"got {raw.max()}")
     return labels, mask.astype(bool), _spacing(header, header_path)
 
 

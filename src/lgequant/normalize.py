@@ -24,6 +24,7 @@ from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.p
 from .realign import middle_slice_index
 from .rician import (
     DEFAULT_BINS,
+    MIN_MIXTURE_BINS,
     RicianMixtureParams,
     build_relative_probability,
     find_threshold,
@@ -70,8 +71,8 @@ def check_normalization(epsilon, max_iter, n_bins) -> None:
     check_number("n_bins", n_bins, integral=True)
     if max_iter < 1:
         raise ParameterError("max_iter must be at least 1")
-    if n_bins < 2:
-        raise ParameterError(f"n_bins must be at least 2, got {n_bins}")
+    if n_bins < MIN_MIXTURE_BINS:
+        raise ParameterError(f"n_bins must be at least {MIN_MIXTURE_BINS}, got {n_bins}")
 
 
 def iterate_normalization(

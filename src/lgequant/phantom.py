@@ -15,13 +15,14 @@ All randomness is seeded, so identical configs regenerate identical bytes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import ContourSet, LgeDataset
-from .errors import FINITE, POSITIVE, GeometryError, ParameterError, check_number
+from .errors import (
+    COUNT, FINITE, NON_NEGATIVE, POSITIVE, GeometryError, ParameterError, check_number,
+)
 from .geometry import Roi, SliceImage, SlicePose
 from .raster import circle_polygon, contour_masks
 
@@ -108,10 +109,8 @@ def _listed(name: str, value, what: str, n: int | None = None, kind=object) -> t
 
 
 def _validate(cfg: PhantomConfig):
-    check_number("seed", cfg.seed, integral=True, what="a non-negative integer",
-                 ok=lambda v: v >= 0)
-    check_number("noise sigma", cfg.noise_sigma, what="a finite non-negative number",
-                 ok=lambda v: 0 <= v < math.inf)
+    check_number("seed", cfg.seed, **COUNT)
+    check_number("noise sigma", cfg.noise_sigma, **NON_NEGATIVE)
     for name in ("n_sa", "rows", "cols"):
         check_number(name, getattr(cfg, name), integral=True, what="a positive integer",
                      ok=lambda v: v >= 1)

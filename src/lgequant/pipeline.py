@@ -1,8 +1,11 @@
 """End-to-end quantification driver: realign, normalize, classify, report.
 
-Each stage is one function ``(inputs, config) -> (artifact, report_section)``.
-``run_pipeline`` chains them and the CLI subcommands call them one at a time,
-so a stage computes and reports the same thing whichever way it runs.
+Each stage is one function ``(inputs, config[, out]) -> (artifact, report_section)``
+that checks its inputs, computes, reports a package error raised inside it as a
+``PipelineStageError`` naming the stage and, given an output directory ``out``,
+writes its artifact there. ``run_pipeline`` chains them and the CLI
+subcommands call them one at a time, so a stage computes, reports and writes
+the same thing whichever way it runs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from . import io as lio
 from .aha import AhaConfig, assign_segments, quantify
 from .dataset import ContourSet, LgeDataset
-from .errors import LgeQuantError, ParameterError
+from .errors import FINITE, LgeQuantError, ParameterError, check_number
 from .graphcut import GraphCutConfig, Labeling, MyocardiumVolume, classify
 from .metrics import dice
 from .normalize import check_normalization, iterate_normalization
@@ -116,7 +119,7 @@ class PipelineStageError(LgeQuantError):
 
 @contextmanager
 def _stage(name: str):
-    """Report a package error raised inside the block as a failure of ``name``."""
+    """Report a package error raised in the block (or decorated stage) as a failure of ``name``."""
     try:
         yield
     except PipelineStageError:
@@ -134,30 +137,45 @@ def myocardium_volume(dataset: LgeDataset, masks: ContourMasks, stack) -> Myocar
     )
 
 
-def realign_stage(dataset: LgeDataset, config: PipelineConfig) -> tuple:
-    """Correct slice misalignment; returns (realigned dataset, report section)."""
+@_stage("realign")
+def realign_stage(dataset: LgeDataset, config: PipelineConfig, out=None) -> tuple:
+    """Correct slice misalignment; returns (realigned dataset, report section).
+
+    Given ``out``, writes the realigned dataset there as ``realigned.json``.
+    """
     if config.skip_realign:
-        return dataset, {"skipped": True}
-    problem = AlignmentProblem(dataset.sa_slices, dataset.la_slices, dataset.sa_rois,
-                               gamma=config.gamma)
-    result = optimize(problem, max_sweeps=config.realign_max_sweeps)
-    return dataset.with_ipps(result.corrected_ipps), {
-        "initial_cost": result.initial_cost,
-        "final_cost": result.final_cost,
-        "sweeps": result.iterations,
-        "converged": result.converged,
-        "translations_mm": [
-            [float(v) for v in row] for row in result.diagnostics["translations_mm"]
-        ],
-        "degenerate_pairs": result.diagnostics["degenerate_pairs"],
-    }
+        realigned, section = dataset, {"skipped": True}
+    else:
+        problem = AlignmentProblem(dataset.sa_slices, dataset.la_slices, dataset.sa_rois,
+                                   gamma=config.gamma)
+        result = optimize(problem, max_sweeps=config.realign_max_sweeps)
+        realigned, section = dataset.with_ipps(result.corrected_ipps), {
+            "initial_cost": result.initial_cost,
+            "final_cost": result.final_cost,
+            "sweeps": result.iterations,
+            "converged": result.converged,
+            "translations_mm": [
+                [float(v) for v in row] for row in result.diagnostics["translations_mm"]
+            ],
+            "degenerate_pairs": result.diagnostics["degenerate_pairs"],
+        }
+    if out is not None:
+        lio.save_dataset(realigned, out, name="realigned")
+    return realigned, section
 
 
-def normalize_stage(dataset: LgeDataset, contours: ContourSet, config: PipelineConfig) -> tuple:
+# The mixture fields a normalize report carries, and params_from_report reads back.
+_MIXTURE_KEYS = ("alpha_r", "sigma_r", "a", "alpha_g", "sigma_g", "mu", "i_thrh")
+
+
+@_stage("normalize")
+def normalize_stage(dataset: LgeDataset, contours: ContourSet, config: PipelineConfig,
+                    out=None) -> tuple:
     """Rasterize the contours and normalize the SA stack.
 
     Returns ((NormalizationResult, ContourMasks), report section). The masks
     are the run's only rasterization of the contours; later stages reuse them.
+    Given ``out``, writes the normalized stack there as ``normalized.json``.
     """
     stack = np.stack([s.pixels for s in dataset.sa_slices])
     masks = contour_masks(contours, stack.shape)
@@ -165,7 +183,8 @@ def normalize_stage(dataset: LgeDataset, contours: ContourSet, config: PipelineC
         stack, masks, epsilon=config.epsilon,
         max_iter=config.max_iter, n_bins=config.n_bins,
     )
-    p = norm.params
+    if out is not None:
+        lio.save_volume_f32(norm.stack, dataset.voxel_spacing_mm, Path(out) / "normalized")
     return (norm, masks), {
         "iterations": norm.iterations,
         "converged": norm.converged,
@@ -174,11 +193,7 @@ def normalize_stage(dataset: LgeDataset, contours: ContourSet, config: PipelineC
             [float(f) for f in fs] for fs in norm.factors_per_iteration
         ],
         "rescale": [norm.rescale_lo, norm.rescale_hi],
-        "mixture": {
-            "alpha_r": p.alpha_r, "sigma_r": p.sigma_r, "a": p.a,
-            "alpha_g": p.alpha_g, "sigma_g": p.sigma_g, "mu": p.mu,
-            "i_thrh": p.i_thrh,
-        },
+        "mixture": {key: getattr(norm.params, key) for key in _MIXTURE_KEYS},
         "relative_probability": {
             "bin_centers": [float(x) for x in norm.curve[0]],
             "values": [float(v) for v in norm.curve[1]],
@@ -186,6 +201,18 @@ def normalize_stage(dataset: LgeDataset, contours: ContourSet, config: PipelineC
     }
 
 
+def params_from_report(path) -> RicianMixtureParams:
+    """The fitted mixture that a normalize report file carries."""
+    mix = lio._field(lio.read_report(path), "mixture", path)
+    if not mix:
+        raise LgeQuantError(f"{path} carries no mixture parameters")
+    values = {key: lio._field(mix, key, path) for key in _MIXTURE_KEYS}
+    check_number("mixture i_thrh", values["i_thrh"])
+    check_number("mixture i_thrh", values["i_thrh"], **FINITE)
+    return RicianMixtureParams(**values)
+
+
+@_stage("classify")
 def classify_stage(volume: MyocardiumVolume, params: RicianMixtureParams,
                    config: PipelineConfig) -> tuple:
     """Graph-cut classification; returns (raw labeling, report section)."""
@@ -198,19 +225,34 @@ def classify_stage(volume: MyocardiumVolume, params: RicianMixtureParams,
     }
 
 
+@_stage("postprocess")
 def postprocess_stage(labeling: Labeling, volume: MyocardiumVolume, masks: ContourMasks,
-                      params: RicianMixtureParams, config: PipelineConfig) -> tuple:
-    """The four cleanup rules; returns (final labeling, report section)."""
+                      params: RicianMixtureParams, config: PipelineConfig, out=None) -> tuple:
+    """The four cleanup rules; returns (final labeling, report section).
+
+    Given ``out``, writes the final labeling there as ``labeling.json``.
+    """
     labeling, audit = run_postprocessing(labeling, volume, masks, params,
                                          config.postprocess())
+    if out is not None:
+        lio.save_labeling(labeling.labels, labeling.mask, volume.spacing_mm,
+                          Path(out) / "labeling")
     return labeling, {"audit": audit}
 
 
+@_stage("quantify")
 def quantify_stage(labeling: Labeling, volume: MyocardiumVolume,
-                   config: PipelineConfig) -> tuple:
-    """AHA 16-segment quantification; returns (QuantReport, report section)."""
+                   config: PipelineConfig, out=None) -> tuple:
+    """AHA 16-segment quantification; returns (QuantReport, report section).
+
+    Given ``out``, draws the segment percentages there as ``bullseye.svg``.
+    """
     segments = assign_segments(volume, config.aha())
     quant = quantify(labeling, volume, segments)
+    if out is not None:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        bullseye_svg(quant.segment_percent, Path(out) / "bullseye.svg",
+                     reference_angle_deg=config.reference_angle_deg)
     return quant, {
         "volumetric_percent": quant.volumetric_percent,
         "segment_percent": [float(v) for v in quant.segment_percent],
@@ -230,48 +272,26 @@ def run_pipeline(
 ) -> dict:
     """Execute realign -> normalize -> classify -> postprocess -> quantify.
 
-    Returns the report dict; when ``out_dir`` is given, also writes the
-    realigned dataset, normalized volume, labeling, report JSON and the
-    bull's eye plot there. Stage failures raise PipelineStageError; outputs
-    of completed stages are preserved.
+    Returns the report dict; when ``out_dir`` is given, each stage also writes
+    its artifact there (the realigned dataset under ``realigned/``, the
+    normalized volume, the labeling and the bull's eye plot), and the report
+    JSON follows. Stage failures raise PipelineStageError; outputs of
+    completed stages are preserved.
     """
     config = config or PipelineConfig()
     out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
     report: dict = {"config": config.to_dict(), "stages": {}}
     stages = report["stages"]
 
-    with _stage("realign"):
-        realigned, stages["realign"] = realign_stage(dataset, config)
-        if out is not None:
-            lio.save_dataset(realigned, out / "realigned", name="realigned")
-
-    with _stage("normalize"):
-        (norm, masks), stages["normalize"] = normalize_stage(realigned, contours, config)
-        if out is not None:
-            lio.save_volume_f32(norm.stack, realigned.voxel_spacing_mm, out / "normalized")
-
+    realigned, stages["realign"] = realign_stage(
+        dataset, config, None if out is None else out / "realigned")
+    (norm, masks), stages["normalize"] = normalize_stage(realigned, contours, config, out)
     with _stage("classify"):
         volume = myocardium_volume(realigned, masks, stack=norm.stack)
-        raw_labeling, stages["classify"] = classify_stage(volume, norm.params, config)
-
-    with _stage("postprocess"):
-        labeling, stages["postprocess"] = postprocess_stage(
-            raw_labeling, volume, masks, norm.params, config
-        )
-        if out is not None:
-            lio.save_labeling(
-                labeling.labels, labeling.mask, volume.spacing_mm, out / "labeling"
-            )
-
-    with _stage("quantify"):
-        quant, stages["quantify"] = quantify_stage(labeling, volume, config)
-        if out is not None:
-            bullseye_svg(
-                quant.segment_percent, out / "bullseye.svg",
-                reference_angle_deg=config.reference_angle_deg,
-            )
+    raw_labeling, stages["classify"] = classify_stage(volume, norm.params, config)
+    labeling, stages["postprocess"] = postprocess_stage(
+        raw_labeling, volume, masks, norm.params, config, out)
+    quant, stages["quantify"] = quantify_stage(labeling, volume, config, out)
 
     # --- reference comparison ---------------------------------------------
     if truth is not None and "infarct_mask" in truth:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import FINITE, ParameterError, check_number
+from .errors import COUNT, FINITE, ParameterError, check_number
 from .graphcut import Labeling, MyocardiumVolume
 from .raster import ContourMasks
 from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.py)
@@ -34,8 +34,7 @@ class PostprocessConfig:
     def __post_init__(self):
         for name in ("boundary_fraction", "mvo_enclosure_fraction"):
             check_number(name, getattr(self, name), what="in [0, 1]", ok=lambda v: 0 <= v <= 1)
-        check_number("max_rim_thickness_vox", self.max_rim_thickness_vox, integral=True,
-                     what="a non-negative integer", ok=lambda v: v >= 0)
+        check_number("max_rim_thickness_vox", self.max_rim_thickness_vox, **COUNT)
         check_min_volume(self.min_volume_mm3)
 
 

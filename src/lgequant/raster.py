@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContourError, ParameterError, check_number
+from .errors import COUNT, ContourError, ParameterError, check_number
 
 
 def _edges(polygon):
@@ -43,11 +43,6 @@ def _crossings(edges, r) -> tuple:
     return i, c1 + (r - r1) * (c2 - c1) / (r2 - r1)
 
 
-def _check_size(name: str, value) -> None:
-    """Raise ParameterError unless ``value`` is a non-negative integer (an array size)."""
-    check_number(name, value, integral=True, what="a non-negative integer", ok=lambda v: v >= 0)
-
-
 def polygon_mask(polygon, rows: int, cols: int) -> np.ndarray:
     """Boolean mask of pixel centers strictly inside a closed polygon.
 
@@ -56,8 +51,8 @@ def polygon_mask(polygon, rows: int, cols: int) -> np.ndarray:
     one pass by the even-odd rule of :func:`_crossings`, which classifies
     edge-touching centers deterministically.
     """
-    _check_size("rows", rows)
-    _check_size("cols", cols)
+    check_number("rows", rows, **COUNT)
+    check_number("cols", cols, **COUNT)
     edges = _edges(polygon)
     mask = np.zeros((rows, cols), dtype=bool)
     # Only rows in [min vertex row, max vertex row) can have crossings.
@@ -101,7 +96,7 @@ def contour_masks(contours, shape) -> ContourMasks:
     except (TypeError, ValueError):
         raise ParameterError(f"shape must be (n_slices, rows, cols), got {shape!r}") from None
     for name, size in zip(("n_slices", "rows", "cols"), shape):
-        _check_size(name, size)
+        check_number(name, size, **COUNT)
     if len(contours) != n_slices:
         raise ContourError(
             f"contours cover {len(contours)} slices but the stack has {n_slices}"

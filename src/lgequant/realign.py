@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import DegenerateInputError, ParameterError
+from .errors import COUNT, NON_NEGATIVE, DegenerateInputError, ParameterError, check_number
 from .geometry import (
     LineSide,
     PixelAtlas,
@@ -61,16 +60,12 @@ def middle_slice_index(n: int) -> int:
 
 def check_gamma(gamma) -> None:
     """Raise ParameterError unless the contiguous weight is a finite number >= 0."""
-    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real) \
-            or not math.isfinite(gamma) or gamma < 0:
-        raise ParameterError(f"gamma must be a finite non-negative number, got {gamma!r}")
+    check_number("gamma", gamma, **NON_NEGATIVE)
 
 
 def check_max_sweeps(max_sweeps) -> None:
     """Raise ParameterError unless the sweep cap is an integer >= 0."""
-    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, numbers.Integral) \
-            or max_sweeps < 0:
-        raise ParameterError(f"max_sweeps must be a non-negative integer, got {max_sweeps!r}")
+    check_number("max_sweeps", max_sweeps, **COUNT)
 
 
 def _compare(vals_a, vals_b, too_few: str, constant: str, masked: bool = True):

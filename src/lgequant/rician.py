@@ -19,6 +19,9 @@ from scipy.optimize import brentq, least_squares
 from .errors import FitError, ParameterError, ThresholdError
 
 DEFAULT_BINS = 64
+# The fewest relative-probability bins fit_mixture accepts; check_normalization
+# holds n_bins to it, so a config that could never be fitted fails when built.
+MIN_MIXTURE_BINS = 12
 
 
 @dataclass
@@ -160,8 +163,8 @@ def fit_mixture(rp: RelativeProbability) -> RicianMixtureParams:
     """
     centers = np.asarray(rp.bin_centers, dtype=float)
     values = np.asarray(rp.values, dtype=float)
-    if centers.size < 12:
-        raise FitError("need at least 12 bins to fit the mixture")
+    if centers.size < MIN_MIXTURE_BINS:
+        raise FitError(f"need at least {MIN_MIXTURE_BINS} bins to fit the mixture")
     if centers.size != values.size:
         raise FitError("bin_centers and values must have equal length")
 

@@ -12,6 +12,7 @@ from lgequant.graphcut import (
     GraphCutConfig,
     Labeling,
     MyocardiumVolume,
+    _network,
     _reduce,
     classify,
     data_cost_infarct,
@@ -384,6 +385,19 @@ class TestNetwork:
         assert counts == [volume.mask.sum(), len(fixed) - ones, ones, n_free, len(to) // 2]
 
 
+def unreduced_graph(net, p, q, caps) -> MaxFlowGraph:
+    """The network before ``_reduce``: a t-link per nonzero ``net``, then every n-link."""
+    n = net.size
+    t = np.flatnonzero(net)
+    return MaxFlowGraph(
+        n,
+        tails=np.concatenate([np.where(net[t] < 0, t, n), p]),
+        heads=np.concatenate([np.where(net[t] < 0, n + 1, t), q]),
+        caps=np.concatenate([np.abs(net[t]), caps]),
+        rev_caps=np.concatenate([np.zeros(t.size), caps]),
+    )
+
+
 def cut_value(net, p, q, caps, side):
     """What the s/t cut with source side ``side`` (label 1) costs."""
     return (np.maximum(net, 0)[~side].sum() + np.maximum(-net, 0)[side].sum()
@@ -421,16 +435,7 @@ class TestReduction:
         assert free[tied].all()
         if free.any():
             _, label[free] = MaxFlowGraph(int(free.sum()), *edges).solve()
-        n = net.size
-        t = np.flatnonzero(net)
-        full = MaxFlowGraph(
-            n,
-            tails=np.concatenate([np.where(net[t] < 0, t, n), p]),
-            heads=np.concatenate([np.where(net[t] < 0, n + 1, t), q]),
-            caps=np.concatenate([np.abs(net[t]), caps]),
-            rev_caps=np.concatenate([np.zeros(t.size), caps]),
-        )
-        flow, side = full.solve()
+        flow, side = unreduced_graph(net, p, q, caps).solve()
         assert np.array_equal(label == 1, side)
         assert cut_value(net, p, q, caps, label == 1) == cut_value(net, p, q, caps, side) == flow
 
@@ -444,6 +449,45 @@ class TestReduction:
         volume = MyocardiumVolume(np.array([[[0.95, 0.05]]]), mask, (1.25, 1.25, 10.0))
         assert classify(volume, p, GraphCutConfig(sigma=0.01)).labels.tolist() == [[[1, 0]]]
         assert solved == []
+
+
+@st.composite
+def masked_volumes(draw):
+    """A random volume of 200-2,000 masked voxels, beyond the brute-force range, and a fit."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_masked = draw(st.integers(200, 2000))
+    n_slices = int(rng.integers(2, 7))
+    side = int(np.ceil(np.sqrt(n_masked / n_slices / rng.uniform(0.3, 1.0))))
+    mask = np.zeros((n_slices, side, side), dtype=bool)
+    mask.ravel()[rng.choice(mask.size, n_masked, replace=False)] = True
+    volume = MyocardiumVolume(rng.uniform(0.0, 1.0, mask.shape), mask,
+                              (1.25, 1.25, float(rng.choice([1.25, 5.0, 10.0]))))
+    params = make_params(
+        sigma_r=rng.uniform(0.06, 0.15), a=rng.uniform(-0.25, 0.0),
+        mu=rng.uniform(0.6, 0.9), sigma_g=rng.uniform(0.05, 0.12),
+        alpha_r=rng.uniform(0.05, 0.2), alpha_g=rng.uniform(0.05, 0.2),
+    )
+    return volume, params
+
+
+class TestCutEqualsEnergy:
+    """The unreduced network's max-flow certifies classify's labeling as minimal.
+
+    A labeling's cut in that network costs its energy minus lambda * sum(min(d0, d1)),
+    so a flow of that value proves no labeling has a lower energy.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(masked_volumes(), st.sampled_from([1.0, 0.1, 0.02]))
+    def test_max_flow_equals_energy_of_classify(self, instance, lambda_):
+        volume, params = instance
+        config = GraphCutConfig(lambda_=lambda_)
+        d0, d1, p, q, caps = _network(volume, params, config)
+        flow, _ = unreduced_graph(lambda_ * (d0 - d1), p, q, caps).solve()
+        floor = lambda_ * np.minimum(d0, d1).sum()
+        e = energy(volume, classify(volume, params, config), params, config)
+        assert flow > 0
+        assert abs(flow - (e - floor)) <= 1e-9 * flow
 
 
 class TestConfigDefaults:
@@ -466,6 +510,20 @@ class TestLabelingType:
         labels[0, 1, 1] = 1
         with pytest.raises(ValueError):
             Labeling(labels=labels, mask=mask)
+
+    @pytest.mark.parametrize("labels, shown", [
+        ([-1, 1], "-1"), ([0, 256], "256"), ([7, 7], "7"), ([0.5, 1.0], "0.5"),
+        ([0.0, float("nan")], "nan"),
+    ])
+    def test_rejects_values_other_than_0_and_1(self, labels, shown):
+        # Checked before the uint8 cast, which would wrap -1 to 255 and 256 to 0.
+        with pytest.raises(ParameterError, match=f"labels must be 0 or 1, got {shown}$"):
+            Labeling(labels=np.array(labels), mask=np.ones(2, dtype=bool))
+
+    @pytest.mark.parametrize("labels", [[True, False], [1, 0], [1.0, 0.0]])
+    def test_accepts_0_and_1_of_any_dtype(self, labels):
+        labeling = Labeling(labels=np.array(labels), mask=np.ones(2, dtype=bool))
+        assert labeling.labels.dtype == np.uint8 and labeling.labels.tolist() == [1, 0]
 
 
 class TestConfigRejects:

@@ -342,24 +342,76 @@ class TestCliStages:
         assert "error: [classify] lambda must be positive" in err and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def wedge_dir(tmp_path_factory):
+    """A wedge phantom on disk: unlike ``phantom_dir``, it has an infarct to label."""
+    out = tmp_path_factory.mktemp("wedge")
+    dataset, truth = generate(default_wedge_config(seed=1, noise_sigma=0.08))
+    lio.save_dataset(dataset, out, name="dataset")
+    lio.save_contours(truth.contours, out / "contours.json")
+    return out
+
+
 class TestStageAgreement:
-    def test_cli_stages_report_what_run_pipeline_reports(self, phantom_dir, tmp_path):
-        dataset = lio.load_dataset(phantom_dir / "dataset.json")
-        contours = lio.load_contours(phantom_dir / "contours.json")
-        report = run_pipeline(dataset, contours, PipelineConfig(skip_realign=True),
-                              out_dir=tmp_path / "run")
-        assert main([
-            "normalize", "--data", str(phantom_dir / "dataset.json"),
-            "--contours", str(phantom_dir / "contours.json"), "--out", str(tmp_path / "norm"),
-        ]) == 0
-        assert main([
-            "quantify", "--labeling", str(tmp_path / "run" / "labeling.json"),
-            "--out", str(tmp_path / "quant"),
-        ]) == 0
-        normalize = json.loads((tmp_path / "norm" / "normalize_report.json").read_text())
-        quant = json.loads((tmp_path / "quant" / "quant_report.json").read_text())
-        assert normalize == report["stages"]["normalize"]
-        assert quant == report["stages"]["quantify"]
+    @pytest.mark.parametrize("study", ["phantom_dir", "wedge_dir"])
+    def test_cli_stages_report_and_write_what_run_pipeline_does(self, request, tmp_path,
+                                                                study):
+        data = request.getfixturevalue(study)
+        dataset = lio.load_dataset(data / "dataset.json")
+        contours = lio.load_contours(data / "contours.json")
+        run_pipeline(dataset, contours, PipelineConfig(skip_realign=True),
+                     out_dir=tmp_path / "run")
+        assert main(["normalize", "--data", str(data / "dataset.json"),
+                     "--contours", str(data / "contours.json"),
+                     "--out", str(tmp_path / "norm")]) == 0
+        assert main(["classify", "--normalized", str(tmp_path / "norm" / "normalized.json"),
+                     "--params", str(tmp_path / "norm" / "normalize_report.json"),
+                     "--contours", str(data / "contours.json"),
+                     "--out", str(tmp_path / "cls")]) == 0
+        assert main(["quantify", "--labeling", str(tmp_path / "cls" / "labeling.json"),
+                     "--out", str(tmp_path / "quant")]) == 0
+
+        def read(path):
+            return json.loads((tmp_path / path).read_text())
+
+        stages = read("run/report.json")["stages"]
+        classified = read("cls/classify_report.json")
+        assert read("norm/normalize_report.json") == stages["normalize"]
+        assert classified == {**stages["classify"], **stages["postprocess"],
+                              "infarct_voxels": stages["quantify"]["total_infarct_voxels"]}
+        assert read("quant/quant_report.json") == stages["quantify"]
+        for cli, name in [("norm", "normalized.json"), ("norm", "normalized.raw"),
+                          ("cls", "labeling.json"), ("cls", "labeling_labels.raw"),
+                          ("cls", "labeling_mask.raw"), ("quant", "bullseye.svg")]:
+            assert (tmp_path / cli / name).read_bytes() == \
+                (tmp_path / "run" / name).read_bytes(), name
+        if study == "wedge_dir":
+            assert classified["infarct_voxels"] > 100
+
+
+class TestStageErrorTags:
+    """A stage subcommand tags its errors with the stage's name, as run_pipeline does."""
+
+    def test_normalize_with_short_contours(self, phantom_dir, tmp_path, capsys):
+        payload = json.loads((phantom_dir / "contours.json").read_text())
+        payload["slices"] = payload["slices"][:3]
+        (tmp_path / "short.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["normalize", "--data", str(phantom_dir / "dataset.json"),
+                     "--contours", str(tmp_path / "short.json"),
+                     "--out", str(tmp_path / "norm")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: [normalize] contours cover 3 slices but the stack has 6\n"
+
+    @pytest.mark.parametrize("bins", ["5", "11"])
+    def test_normalize_with_too_few_bins(self, phantom_dir, tmp_path, capsys, bins):
+        capsys.readouterr()
+        assert main(["normalize", "--data", str(phantom_dir / "dataset.json"),
+                     "--contours", str(phantom_dir / "contours.json"),
+                     "--out", str(tmp_path / "norm"), "--bins", bins]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [normalize] n_bins must be at least 12, got {bins}\n"
+        assert not (tmp_path / "norm").exists()
 
 
 def assert_cli_error(capsys, argv, fragment):
@@ -549,6 +601,11 @@ class TestPhantomInputErrors:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "p").exists()
 
+    def test_max_shift_message(self, tmp_path, capsys):
+        assert main(["phantom", "--out", str(tmp_path / "p"), "--max-shift-mm", "-2"]) == 1
+        assert capsys.readouterr().err == \
+            "error: --max-shift-mm must be a finite non-negative number, got -2.0\n"
+
 
 class TestRealignInputErrors:
     @pytest.mark.parametrize("key, value", [
@@ -622,6 +679,48 @@ def _volume_header(base):
 def _labeling_header(base):
     return lio.save_labeling(np.zeros((3, 4, 5), np.uint8), np.ones((3, 4, 5), bool),
                              (1.0, 1.0, 5.0), base / "labeling")
+
+
+class TestLabelsOtherThanZeroAndOne:
+    """A labeling file holds only 0 and 1 in its labels and its mask."""
+
+    @pytest.fixture
+    def labelings(self, tmp_path):
+        """(all-7 labels, mask byte 2, truth-style) labelings over one 3x6x6 grid."""
+        shape, spacing = (3, 6, 6), (1.0, 1.0, 5.0)
+        sevens = lio.save_labeling(np.full(shape, 7, np.uint8), np.ones(shape, bool), spacing,
+                                   tmp_path / "sevens")
+        twos = lio.save_labeling(np.zeros(shape, np.uint8), np.full(shape, 2, np.uint8),
+                                 spacing, tmp_path / "twos")
+        infarct = np.zeros(shape, bool)
+        infarct[:, 2:4, 1:5] = True
+        truth = lio.save_labeling(infarct.astype(np.uint8), np.ones_like(infarct), spacing,
+                                  tmp_path / "truth")
+        return sevens, twos, truth
+
+    def test_loader_rejects_other_bytes(self, labelings):
+        sevens, twos, _ = labelings
+        with pytest.raises(DatasetFormatError, match="labels must hold only 0 and 1, got 7"):
+            lio.load_labeling(sevens)
+        with pytest.raises(DatasetFormatError, match="mask must hold only 0 and 1, got 2"):
+            lio.load_labeling(twos)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["labels_7", "mask_2"])
+    def test_quantify_and_metrics_exit_1(self, labelings, tmp_path, capsys, which):
+        bad, truth = labelings[which], labelings[2]
+        fragment = "must hold only 0 and 1"
+        assert_cli_error(capsys, ["quantify", "--labeling", bad, "--out", tmp_path / "q"],
+                         fragment)
+        assert_cli_error(capsys, ["metrics", "--auto", bad, "--ref", truth,
+                                  "--out", tmp_path / "m"], fragment)
+
+    def test_truth_labeling_with_an_all_ones_mask_loads(self, labelings, tmp_path):
+        truth = labelings[2]
+        labels, mask, _ = lio.load_labeling(truth)
+        assert labels.sum() == 24 and mask.all()
+        assert main(["metrics", "--auto", str(truth), "--ref", str(truth),
+                     "--out", str(tmp_path / "m")]) == 0
+        assert json.loads((tmp_path / "m" / "metrics.json").read_text())["dice"] == 1.0
 
 
 class TestFormatVersion:

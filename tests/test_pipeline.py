@@ -4,7 +4,19 @@ import pytest
 from lgequant import io as lio
 from lgequant.errors import ParameterError
 from lgequant.phantom import PhantomConfig, InfarctWedge, MvoPocket, default_wedge_config, generate
-from lgequant.pipeline import PipelineConfig, PipelineStageError, run_pipeline
+from lgequant.dataset import ContourSet
+from lgequant.pipeline import (
+    PipelineConfig,
+    PipelineStageError,
+    classify_stage,
+    myocardium_volume,
+    normalize_stage,
+    postprocess_stage,
+    quantify_stage,
+    realign_stage,
+    run_pipeline,
+)
+from lgequant.rician import MIN_MIXTURE_BINS
 
 
 class TestNoiselessExactness:
@@ -114,6 +126,8 @@ class TestConfigChecksAtConstruction:
         ("epsilon", -1.0, "normalize"),
         ("max_iter", 0, "normalize"),
         ("n_bins", 1, "normalize"),
+        ("n_bins", 5, "normalize"),
+        ("n_bins", 11, "normalize"),
         ("boundary_fraction", 2.0, "postprocess"),
         ("max_rim_thickness_vox", -1, "postprocess"),
         ("min_volume_mm3", float("nan"), "postprocess"),
@@ -130,3 +144,49 @@ class TestConfigChecksAtConstruction:
             PipelineConfig(**{field: value})
         assert info.value.stage == stage
         assert isinstance(info.value.cause, ParameterError)
+
+    def test_too_few_bins_for_the_mixture_fit(self):
+        # fit_mixture needs 12 bins; a config with fewer could never run.
+        with pytest.raises(PipelineStageError) as info:
+            PipelineConfig(n_bins=MIN_MIXTURE_BINS - 1)
+        assert str(info.value) == "[normalize] n_bins must be at least 12, got 11"
+        assert PipelineConfig(n_bins=MIN_MIXTURE_BINS).n_bins == 12
+
+
+class TestStageFunctions:
+    """Each stage function tags its own errors and, given ``out``, writes its artifact."""
+
+    def test_stage_called_alone_tags_its_error(self, small_study):
+        ds, truth = small_study
+        short = ContourSet(endo=truth.contours.endo[:3], epi=truth.contours.epi[:3])
+        with pytest.raises(PipelineStageError) as info:
+            normalize_stage(ds, short, PipelineConfig(skip_realign=True))
+        assert info.value.stage == "normalize"
+        assert str(info.value) == "[normalize] contours cover 3 slices but the stack has 6"
+
+    def test_stages_write_what_run_pipeline_writes(self, small_study, tmp_path):
+        ds, truth = small_study
+        config = PipelineConfig(skip_realign=True)
+        run_pipeline(ds, truth.contours, config, out_dir=tmp_path / "run")
+        out = tmp_path / "stages"
+        realigned, _ = realign_stage(ds, config, out)
+        (norm, masks), _ = normalize_stage(realigned, truth.contours, config, out)
+        volume = myocardium_volume(realigned, masks, norm.stack)
+        raw, _ = classify_stage(volume, norm.params, config)
+        labeling, _ = postprocess_stage(raw, volume, masks, norm.params, config, out)
+        quantify_stage(labeling, volume, config, out)
+        # run_pipeline writes the same files, the realigned set one level down.
+        run = tmp_path / "run"
+        expected = {path.relative_to(run).as_posix().removeprefix("realigned/"): path
+                    for path in run.rglob("*") if path.is_file() and path.name != "report.json"}
+        assert {"realigned.json", "normalized.raw", "labeling.json", "bullseye.svg"} \
+            <= set(expected)
+        assert sorted(path.name for path in out.iterdir()) == sorted(expected)
+        for name, path in expected.items():
+            assert (out / name).read_bytes() == path.read_bytes(), name
+
+    def test_without_out_nothing_is_written(self, small_study, tmp_path, monkeypatch):
+        ds, truth = small_study
+        monkeypatch.chdir(tmp_path)
+        run_pipeline(ds, truth.contours, PipelineConfig(skip_realign=True))
+        assert list(tmp_path.iterdir()) == []

@@ -312,6 +312,20 @@ class TestGammaValidation:
     def test_zero_accepted(self):
         assert build_problem(gamma=0).gamma == 0
 
+    @pytest.mark.parametrize("check, value, message", [
+        (realign.check_gamma, -0.5, "gamma must be a finite non-negative number, got -0.5"),
+        (realign.check_gamma, float("inf"), "gamma must be a finite non-negative number, got inf"),
+        (realign.check_gamma, "0.01", "gamma must be a finite non-negative number, got '0.01'"),
+        (realign.check_gamma, True, "gamma must be a finite non-negative number, got True"),
+        (realign.check_max_sweeps, -1, "max_sweeps must be a non-negative integer, got -1"),
+        (realign.check_max_sweeps, 2.0, "max_sweeps must be a non-negative integer, got 2.0"),
+        (realign.check_max_sweeps, True, "max_sweeps must be a non-negative integer, got True"),
+    ])
+    def test_message(self, check, value, message):
+        with pytest.raises(ParameterError) as info:
+            check(value)
+        assert str(info.value) == message
+
 
 # --- exact oracle: line costs from the numpy line geometry of test_geometry,
 # contiguous costs from contiguous_regions, both compared with mean()/std() ---

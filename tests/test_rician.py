@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgequant.errors import FitError, ParameterError, ThresholdError
 from lgequant.rician import (
@@ -208,3 +210,32 @@ class TestFindThreshold:
         assert abs(root - root_scaled) < 1e-12
         x = np.linspace(0, 1.2, 301)
         assert np.allclose(mixture(x, scaled), k * mixture(x, p), rtol=1e-12)
+
+
+@st.composite
+def mixtures_and_ranges(draw):
+    """A bimodal mixture and an intensity range [lo, hi] to rescale it by."""
+    p = make_params(
+        alpha_r=draw(st.floats(0.05, 0.2)), sigma_r=draw(st.floats(0.06, 0.15)),
+        a=draw(st.floats(-0.25, 0.0)), alpha_g=draw(st.floats(0.05, 0.2)),
+        sigma_g=draw(st.floats(0.05, 0.12)), mu=draw(st.floats(0.6, 0.9)),
+    )
+    lo = draw(st.floats(-5.0, 5.0))
+    return p, lo, lo + draw(st.floats(0.01, 100.0))
+
+
+class TestRescaledInvariance:
+    """``rescaled(lo, hi)`` describes the same mixture on x -> (x - lo) / (hi - lo)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixtures_and_ranges())
+    def test_mixture_and_threshold_follow_the_map(self, case):
+        p, lo, hi = case
+        q = p.rescaled(lo, hi)
+        x = np.linspace(-0.5, 1.5, 401)
+        values = mixture(x, p)
+        np.testing.assert_allclose(mixture((x - lo) / (hi - lo), q), values,
+                                   rtol=1e-9, atol=1e-12 * values.max())
+        threshold = find_threshold(p)
+        assert find_threshold(q) == pytest.approx((threshold - lo) / (hi - lo),
+                                                  rel=1e-9, abs=1e-12)
