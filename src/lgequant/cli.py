@@ -25,6 +25,7 @@ from .normalize import iterate_normalization  # noqa: F401  (patched by benchmar
 from .phantom import LA_VIEWS, PhantomConfig, _validate, default_wedge_config, generate
 from .pipeline import (
     PipelineConfig,
+    _stage,
     classify_stage,
     normalize_stage,
     params_from_report,
@@ -106,8 +107,9 @@ def cmd_classify(args) -> int:
     intensity, spacing = lio.load_volume_f32(args.normalized)
     contours = lio.load_contours(args.contours)
     params = params_from_report(args.params)
-    masks = contour_masks(contours, intensity.shape)
-    volume = MyocardiumVolume(intensity, masks.myocardium, spacing)
+    with _stage("classify"):
+        masks = contour_masks(contours, intensity.shape)
+        volume = MyocardiumVolume(intensity, masks.myocardium, spacing)
     raw_labeling, classified = classify_stage(volume, params, config)
     labeling, cleaned = postprocess_stage(raw_labeling, volume, masks, params, config, args.out)
     infarct_voxels = int(labeling.infarct_mask().sum())
@@ -130,7 +132,6 @@ def cmd_quantify(args) -> int:
 
 def cmd_metrics(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     payload = {}
     if args.auto and args.ref:
         auto_labels, auto_mask, _ = lio.load_labeling(args.auto)
@@ -146,6 +147,7 @@ def cmd_metrics(args) -> int:
             "mean_diff": stats.mean_diff, "sd_diff": stats.sd_diff,
             "loa_low": stats.loa_low, "loa_high": stats.loa_high,
         }
+        out.mkdir(parents=True, exist_ok=True)
         bland_altman_csv(pairs, out / "ba.csv")
         bland_altman_svg(pairs, stats, out / "ba.svg")
     if not payload:

@@ -15,11 +15,19 @@ class ParameterError(LgeQuantError, ValueError):
 def check_number(name: str, value, integral: bool = False, what: str = "", ok=None) -> None:
     """Raise ParameterError unless ``value`` is a number (an integer if ``integral``), not a bool.
 
-    ``ok``, when given, is a further test the number must pass; ``what`` then
-    says in the message what the value must be.
+    A number that need not be integral must also fit in a float, so an
+    integer beyond float range fails here rather than as an OverflowError
+    later. ``ok``, when given, is a further test the number must pass;
+    ``what`` then says in the message what the value must be.
     """
     kind = numbers.Integral if integral else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind) or (ok is not None and not ok(value)):
+    valid = not isinstance(value, bool) and isinstance(value, kind)
+    if valid and not integral:
+        try:
+            float(value)
+        except OverflowError:
+            valid = False
+    if not valid or (ok is not None and not ok(value)):
         what = what or ("an integer" if integral else "a number")
         raise ParameterError(f"{name} must be {what}, got {value!r}")
 

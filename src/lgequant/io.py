@@ -37,7 +37,9 @@ def _read_json(path: Path) -> dict:
         payload = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
         raise DatasetFormatError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:      # a directory, or a file this process may not read
+        raise DatasetFormatError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:   # bad JSON, bad UTF-8, or an integer past Python's digit limit
         raise DatasetFormatError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DatasetFormatError(f"{path}: must be a JSON object")

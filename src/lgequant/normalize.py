@@ -52,10 +52,11 @@ def _stack_array(stack, masks: ContourMasks) -> np.ndarray:
     arr = np.asarray(stack, dtype=float)
     if arr.ndim != 3:
         raise ParameterError("stack must be (n_slices, rows, cols)")
-    if masks.epi.shape != arr.shape:
-        raise ContourError(
-            f"contour masks of shape {masks.epi.shape} do not match the stack {arr.shape}"
-        )
+    for mask in masks:
+        if mask.shape != arr.shape:
+            raise ContourError(
+                f"contour masks of shape {mask.shape} do not match the stack {arr.shape}"
+            )
     return arr
 
 
@@ -87,19 +88,27 @@ def iterate_normalization(
     Each iteration refits the mixture on the current LV voxels, extracts
     blood-pool means above the refreshed threshold, multiplies every slice by
     reference_mean / slice_mean, and stops once all factors are within
-    ``epsilon`` of 1 (or after ``max_iter`` iterations). The stack is then
-    jointly min-max rescaled to [0, 1] and the last fitted parameters are
-    returned in the rescaled units.
+    ``epsilon`` of 1 (or after ``max_iter`` iterations). The blood pool is
+    the endocardial voxels inside the epicardial mask, which ``contour_masks``
+    guarantees is all of them. The stack is then jointly min-max rescaled to
+    [0, 1] and the last fitted parameters are returned in the rescaled units.
     """
     check_normalization(epsilon, max_iter, n_bins)
-    work = _stack_array(stack, masks).copy()
-    n_slices = work.shape[0]
+    arr = _stack_array(stack, masks)
+    n_slices = arr.shape[0]
     ref = middle_slice_index(n_slices)
+
+    # The loop reads only the LV voxels. Taken in C order, each slice's
+    # voxels are one contiguous run, in the order arr[k][mask] yields them,
+    # so each run's blood-pool mean sums the same values in the same order.
+    epi = np.flatnonzero(masks.epi)
+    lv = arr.ravel()[epi]
+    endo = masks.endo.ravel()[epi]
+    runs = np.searchsorted(epi, np.arange(n_slices + 1) * arr[0].size)
 
     factors_hist = []
     converged = False
     for _ in range(max_iter):
-        lv = work[masks.epi]
         try:
             rp = build_relative_probability(lv, n_bins=n_bins)
             params = fit_mixture(rp)
@@ -107,27 +116,32 @@ def iterate_normalization(
         except (FitError, ThresholdError) as exc:
             raise NormalizationError(f"mixture fit failed: {exc}") from exc
 
+        blood = endo & (lv >= i_thrh)
         bp_means = np.empty(n_slices)
         for k in range(n_slices):
-            bp = masks.endo[k] & (work[k] >= i_thrh)
-            if not bp.any():
+            bp = lv[runs[k]:runs[k + 1]][blood[runs[k]:runs[k + 1]]]
+            if not bp.size:
                 raise NormalizationError(
                     f"slice {k}: no blood-pool pixels above the threshold"
                 )
-            bp_means[k] = work[k][bp].mean()
+            bp_means[k] = bp.mean()
         factors = bp_means[ref] / bp_means
-        for k in range(n_slices):
-            work[k] *= factors[k]
+        lv *= np.repeat(factors, np.diff(runs))
         factors_hist.append(factors)
         if np.max(np.abs(factors - 1.0)) < epsilon:
             converged = True
             break
 
+    # Every voxel takes each iteration's factors in turn, as the LV voxels did.
+    work = arr * factors_hist[0][:, None, None]
+    for factors in factors_hist[1:]:
+        work *= factors[:, None, None]
     lo = float(work.min())
     hi = float(work.max())
     if hi <= lo:
         raise NormalizationError("stack has zero intensity range")
-    work = (work - lo) / (hi - lo)
+    work -= lo
+    work /= hi - lo
     return NormalizationResult(
         stack=work,
         factors_per_iteration=factors_hist,

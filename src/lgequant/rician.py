@@ -151,6 +151,36 @@ def _unpack(theta) -> RicianMixtureParams:
     )
 
 
+def _rayleigh_jac(theta3, x) -> np.ndarray:
+    """Derivatives of ``rayleigh_shifted`` at ``x`` by (log alpha_r, log sigma_r, a).
+
+    With u = x + a and q = u^2 / sigma_r^2 the columns are R, R (q - 2) and
+    alpha_r / sigma_r^2 e^(-q/2) (1 - q); all three are zero where u < 0.
+    """
+    alpha, sigma = np.exp(theta3[0]), np.exp(theta3[1])
+    u = x + theta3[2]
+    q = u * u / sigma ** 2
+    e = np.where(u < 0, 0.0, alpha / sigma ** 2 * np.exp(-0.5 * q))
+    r = e * u
+    return np.column_stack([r, r * (q - 2.0), e * (1.0 - q)])
+
+
+def _gaussian_jac(theta3, x) -> np.ndarray:
+    """Derivatives of ``gaussian_term`` at ``x`` by (log alpha_g, log sigma_g, mu).
+
+    With z = (x - mu) / sigma_g the columns are G, G (z^2 - 1) and G z / sigma_g.
+    """
+    alpha, sigma = np.exp(theta3[0]), np.exp(theta3[1])
+    z = (x - theta3[2]) / sigma
+    g = alpha / (np.sqrt(2.0 * np.pi) * sigma) * np.exp(-0.5 * z * z)
+    return np.column_stack([g, g * (z * z - 1.0), g * z / sigma])
+
+
+def _mixture_jac(theta, x) -> np.ndarray:
+    """Derivatives of ``mixture`` at ``x`` by the six fitted (packed) parameters."""
+    return np.hstack([_rayleigh_jac(theta[:3], x), _gaussian_jac(theta[3:], x)])
+
+
 def fit_mixture(rp: RelativeProbability) -> RicianMixtureParams:
     """Least-squares fit of the mixture to the relative-probability curve.
 
@@ -159,7 +189,8 @@ def fit_mixture(rp: RelativeProbability) -> RicianMixtureParams:
     the lower part moment-matches a Rayleigh (zero offset start), the upper
     part gives the Gaussian mean and width, and the two peak bin values set
     the amplitudes. Raises FitError when the mixture cannot beat a
-    Rayleigh-only fit (no bright class to model).
+    Rayleigh-only fit (no bright class to model). Every least-squares call
+    is given the closed-form Jacobian of its residuals.
     """
     centers = np.asarray(rp.bin_centers, dtype=float)
     values = np.asarray(rp.values, dtype=float)
@@ -194,7 +225,8 @@ def fit_mixture(rp: RelativeProbability) -> RicianMixtureParams:
         return rayleigh_shifted(centers, p) - values
 
     ray0 = np.array([np.log(alpha_r0), np.log(sigma_r0), a0])
-    ray_sol = least_squares(ray_resid, ray0, method="trf", max_nfev=2000)
+    ray_sol = least_squares(ray_resid, ray0, jac=lambda t: _rayleigh_jac(t, centers),
+                            method="trf", max_nfev=2000)
     ray_res = float(np.sum(ray_resid(ray_sol.x) ** 2))
 
     # Two starts: the Otsu-split moments, and the Rayleigh-only solution with
@@ -207,7 +239,8 @@ def fit_mixture(rp: RelativeProbability) -> RicianMixtureParams:
     ]
     best = None
     for theta0 in starts:
-        sol = least_squares(resid, theta0, method="trf", max_nfev=2000)
+        sol = least_squares(resid, theta0, jac=lambda t: _mixture_jac(t, centers),
+                            method="trf", max_nfev=2000)
         res = float(np.sum(resid(sol.x) ** 2))
         if best is None or res < best[0]:
             best = (res, sol.x)
@@ -241,14 +274,16 @@ def find_threshold(p: RicianMixtureParams) -> float:
 
     grid = np.linspace(hi, lo, 2049)
     fv = f(grid)
+    # The first grid interval, from the Gaussian mode down, that starts on a
+    # zero or changes sign.
+    hits = np.flatnonzero((fv[:-1] == 0.0) | (fv[:-1] * fv[1:] < 0))
     root = None
-    for i in range(len(grid) - 1):
+    if hits.size:
+        i = hits[0]
         if fv[i] == 0.0:
             root = float(grid[i])
-            break
-        if fv[i] * fv[i + 1] < 0:
+        else:
             root = float(brentq(f, grid[i + 1], grid[i], xtol=1e-15, rtol=8.9e-16))
-            break
     if root is None or not (lo < root < hi):
         raise ThresholdError("components do not intersect between their modes")
 

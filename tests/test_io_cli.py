@@ -403,6 +403,19 @@ class TestStageErrorTags:
         err = capsys.readouterr().err
         assert err == "error: [normalize] contours cover 3 slices but the stack has 6\n"
 
+    def test_classify_with_short_contours(self, phantom_dir, normalized_dir, tmp_path, capsys):
+        payload = json.loads((phantom_dir / "contours.json").read_text())
+        payload["slices"] = payload["slices"][:3]
+        (tmp_path / "short.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["classify", "--normalized", str(normalized_dir / "normalized.json"),
+                     "--params", str(normalized_dir / "normalize_report.json"),
+                     "--contours", str(tmp_path / "short.json"),
+                     "--out", str(tmp_path / "cls")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: [classify] contours cover 3 slices but the stack has 6\n"
+        assert not (tmp_path / "cls").exists()
+
     @pytest.mark.parametrize("bins", ["5", "11"])
     def test_normalize_with_too_few_bins(self, phantom_dir, tmp_path, capsys, bins):
         capsys.readouterr()
@@ -495,6 +508,47 @@ class TestCliInputErrors:
             "--contours", phantom_dir / "contours.json", "--config", config,
             "--out", tmp_path / "run", "--skip-realign",
         ], fragment)
+
+    @pytest.mark.parametrize("field, stage", [
+        ("lambda_", "classify"), ("graph_sigma", "classify"), ("epsilon", "normalize"),
+        ("min_volume_mm3", "postprocess"), ("reference_angle_deg", "quantify"),
+        ("gamma", "realign"),
+    ])
+    def test_pipeline_with_an_integer_past_float_range(self, phantom_dir, tmp_path, capsys,
+                                                       field, stage):
+        config = tmp_path / "config.json"
+        config.write_text('{"%s": 1%s}' % (field, "0" * 400))
+        assert_cli_error(capsys, [
+            "pipeline", "--data", phantom_dir / "dataset.json",
+            "--contours", phantom_dir / "contours.json", "--config", config,
+            "--out", tmp_path / "run", "--skip-realign",
+        ], f"error: [{stage}] ")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("data", [b'{"lambda_": 1' + b"0" * 5000 + b"}",
+                                      b'{"lambda_": "\xff"}'],
+                             ids=["past_the_digit_limit", "not_utf8"])
+    def test_pipeline_with_an_unreadable_config(self, phantom_dir, tmp_path, capsys, data):
+        config = tmp_path / "config.json"
+        config.write_bytes(data)
+        assert_cli_error(capsys, [
+            "pipeline", "--data", phantom_dir / "dataset.json",
+            "--contours", phantom_dir / "contours.json", "--config", config,
+            "--out", tmp_path / "run", "--skip-realign",
+        ], "malformed JSON")
+
+    def test_pipeline_with_a_directory_as_config(self, phantom_dir, tmp_path, capsys):
+        assert_cli_error(capsys, [
+            "pipeline", "--data", phantom_dir / "dataset.json",
+            "--contours", phantom_dir / "contours.json", "--config", tmp_path,
+            "--out", tmp_path / "run", "--skip-realign",
+        ], "cannot read")
+
+    def test_metrics_with_missing_inputs_writes_nothing(self, tmp_path, capsys):
+        assert_cli_error(capsys, ["metrics", "--auto", tmp_path / "nope.json",
+                                  "--ref", tmp_path / "nope.json", "--out", tmp_path / "m"],
+                         "file not found")
+        assert not (tmp_path / "m").exists()
 
     def test_metrics_with_labelings_of_different_shapes(self, tmp_path, capsys):
         a = lio.save_labeling(np.zeros((2, 4, 4), np.uint8), np.ones((2, 4, 4), bool),

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from lgequant import normalize
 from lgequant.dataset import ContourSet
 from lgequant.errors import ContourError, ParameterError
 from lgequant.normalize import iterate_normalization, lv_voxels
-from lgequant.phantom import PhantomConfig, generate
+from lgequant.phantom import PhantomConfig, default_wedge_config, generate
 from lgequant.raster import circle_polygon, contour_masks
+from lgequant.realign import middle_slice_index
+from lgequant.rician import build_relative_probability, find_threshold
 
 
 def square(lo, hi):
@@ -133,3 +136,60 @@ class TestIterateNormalization:
         p = result.params
         assert p is not None and p.i_thrh is not None
         assert 0.0 < p.rayleigh_mode < p.i_thrh < p.mu < 1.0
+
+
+def full_stack_normalization(stack, masks, epsilon, max_iter, n_bins=64):
+    """The former loop: every iteration masks, thresholds and scales the whole stack."""
+    work = np.asarray(stack, dtype=float).copy()
+    n_slices = work.shape[0]
+    ref = middle_slice_index(n_slices)
+    factors_hist = []
+    for _ in range(max_iter):
+        rp = build_relative_probability(work[masks.epi], n_bins=n_bins)
+        params = normalize.fit_mixture(rp)
+        i_thrh = find_threshold(params)
+        bp_means = np.empty(n_slices)
+        for k in range(n_slices):
+            bp = masks.endo[k] & (work[k] >= i_thrh)
+            bp_means[k] = work[k][bp].mean()
+        factors = bp_means[ref] / bp_means
+        for k in range(n_slices):
+            work[k] *= factors[k]
+        factors_hist.append(factors)
+        if np.max(np.abs(factors - 1.0)) < epsilon:
+            break
+    lo, hi = float(work.min()), float(work.max())
+    return (work - lo) / (hi - lo), factors_hist, params.rescaled(lo, hi)
+
+
+class TestLvOnlyLoop:
+    """The loop over the LV voxels alone gives the full-stack loop's results bit for bit."""
+
+    @pytest.mark.parametrize("cfg, epsilon, max_iter", [
+        (PhantomConfig(noise_sigma=0.08, seed=1,
+                       gains=(0.8, 0.9, 1.0, 1.1, 1.2, 1.05)), 0.01, 20),
+        (PhantomConfig(n_sa=5, rows=80, cols=72, noise_sigma=0.12, seed=2,
+                       gains=(1.2, 0.85, 1.0, 0.95, 1.1)), 0.01, 20),
+        (default_wedge_config(seed=3, noise_sigma=0.08), 1e-3, 20),
+        # epsilon below the fit's noise floor: stops at max_iter unconverged
+        (PhantomConfig(noise_sigma=0.1, seed=4,
+                       gains=(0.85, 0.95, 1.0, 1.1, 1.15, 1.0)), 1e-12, 3),
+    ], ids=["gains", "odd_grid", "wedge", "max_iter_reached"])
+    def test_matches_the_full_stack_loop(self, cfg, epsilon, max_iter):
+        ds, truth = generate(cfg)
+        stack = np.stack([s.pixels for s in ds.sa_slices])
+        masks = contour_masks(truth.contours, stack.shape)
+        result = iterate_normalization(stack, masks, epsilon=epsilon, max_iter=max_iter)
+        work, factors, params = full_stack_normalization(stack, masks, epsilon, max_iter)
+        assert result.stack.tobytes() == work.tobytes()
+        assert result.iterations == len(factors) > 1
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(result.factors_per_iteration, factors))
+        assert result.params == params
+        assert result.converged == (max_iter == 20)
+
+    def test_masks_of_another_shape_are_a_contour_error(self):
+        stack, contours, _ = phantom_stack()
+        masks = contour_masks(contours, stack.shape)
+        with pytest.raises(ContourError, match="do not match the stack"):
+            iterate_normalization(stack, masks._replace(endo=masks.endo[:, :-1]))

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lgequant import io as lio
-from lgequant.errors import ParameterError
+from lgequant.errors import LgeQuantError, ParameterError, check_number
 from lgequant.phantom import PhantomConfig, InfarctWedge, MvoPocket, default_wedge_config, generate
 from lgequant.dataset import ContourSet
 from lgequant.pipeline import (
@@ -151,6 +155,56 @@ class TestConfigChecksAtConstruction:
             PipelineConfig(n_bins=MIN_MIXTURE_BINS - 1)
         assert str(info.value) == "[normalize] n_bins must be at least 12, got 11"
         assert PipelineConfig(n_bins=MIN_MIXTURE_BINS).n_bins == 12
+
+
+# Any JSON value: null, bools, ints of any size and sign, floats (with NaN and
+# the infinities Python's json reads), strings, and lists and objects of them.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10 ** 600, 10 ** 600)
+    | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+class TestConfigFromAnyJson:
+    """A config file that sets one field to any JSON value builds or fails as a package error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(sorted(PipelineConfig.__dataclass_fields__)),
+           value=JSON_VALUES)
+    @example(field="lambda_", value=10 ** 400)
+    @example(field="reference_angle_deg", value=-10 ** 400)
+    @example(field="gamma", value=10 ** 400)
+    def test_builds_or_raises_a_package_error(self, tmp_path_factory, field, value):
+        path = tmp_path_factory.getbasetemp() / "any_value_config.json"
+        path.write_text(json.dumps({field: value}))
+        try:
+            config = PipelineConfig.from_json(path)
+        except LgeQuantError:
+            return
+        assert getattr(config, field) == value or value != value
+
+    @pytest.mark.parametrize("field", ["lambda_", "graph_sigma", "epsilon", "min_volume_mm3",
+                                       "reference_angle_deg", "gamma", "boundary_fraction"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_integer_past_float_range_fails_at_construction(self, field, sign):
+        with pytest.raises(PipelineStageError) as info:
+            PipelineConfig(**{field: sign * 10 ** 400})
+        assert isinstance(info.value.cause, ParameterError)
+
+
+class TestCheckNumber:
+    def test_real_number_must_fit_in_a_float(self):
+        with pytest.raises(ParameterError, match=r"^x must be a number, got 1000"):
+            check_number("x", 10 ** 400)
+        check_number("x", 10 ** 300)
+        check_number("n", 10 ** 400, integral=True)
+
+    def test_message_names_the_range(self):
+        with pytest.raises(ParameterError, match=r"^x must be finite, got -1000"):
+            check_number("x", -10 ** 400, what="finite", ok=lambda v: True)
 
 
 class TestStageFunctions:

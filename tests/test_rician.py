@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from lgequant import rician
 from lgequant.errors import FitError, ParameterError, ThresholdError
 from lgequant.rician import (
     RelativeProbability,
@@ -13,6 +15,9 @@ from lgequant.rician import (
     gaussian_term,
     mixture,
     rayleigh_shifted,
+    _mixture_jac,
+    _pack,
+    _unpack,
 )
 
 
@@ -158,6 +163,114 @@ class TestFitMixture:
         fitted = fit_mixture(noisy)
         re_evaluated = float(np.sum((mixture(noisy.bin_centers, fitted) - noisy.values) ** 2))
         assert abs(re_evaluated - fitted.fit_residual) < 1e-12
+
+
+class TestMixtureJacobian:
+    """The closed-form Jacobian that every least-squares call in fit_mixture is given."""
+
+    @staticmethod
+    def random_theta(rng):
+        return _pack(alpha_r=rng.uniform(0.05, 0.2), sigma_r=rng.uniform(0.04, 0.15),
+                     a=rng.uniform(-0.25, 0.1), alpha_g=rng.uniform(0.05, 0.2),
+                     sigma_g=rng.uniform(0.03, 0.12), mu=rng.uniform(0.5, 0.9))
+
+    def test_matches_central_differences(self):
+        rng = np.random.default_rng(20)
+        x = np.linspace(-0.3, 1.2, 64)
+        eps = np.finfo(float).eps
+        h = eps ** (1.0 / 3.0)              # the step that balances the two errors below
+        for _ in range(25):
+            theta = self.random_theta(rng)
+            p = _unpack(theta)
+            assert np.any(x + p.a < 0)      # some bins lie below the Rayleigh support
+            # Each parameter is stepped in units of its natural scale: log-parameters
+            # by h, the offset by h * sigma_r and the mean by h * sigma_g.
+            scale = np.array([1.0, 1.0, p.sigma_r, 1.0, 1.0, p.sigma_g])
+            jac = _mixture_jac(theta, x) * scale
+            assert jac.shape == (x.size, 6)
+            # The Rayleigh kink at x = -a has no derivative; drop any bin whose
+            # stencil straddles it.
+            keep = np.abs(x + p.a) > 2 * h * p.sigma_r
+            peak = max(p.alpha_r * np.exp(-0.5) / p.sigma_r,
+                       p.alpha_g / (np.sqrt(2 * np.pi) * p.sigma_g))
+            # In these units every third derivative is the component times a
+            # low-degree polynomial in (x + a) / sigma_r or (x - mu) / sigma_g
+            # and its Gaussian factor, below 100 * peak; the central difference
+            # is then off by at most h^2 / 6 of that plus eps * peak / h of rounding.
+            tol = 100.0 * peak * (h * h / 6.0 + eps / h)
+            for j in range(6):
+                step = np.zeros(6)
+                step[j] = h * scale[j]
+                fd = (mixture(x, _unpack(theta + step))
+                      - mixture(x, _unpack(theta - step))) / (2.0 * h)
+                assert np.max(np.abs(jac[keep, j] - fd[keep])) <= tol, j
+
+    def test_rayleigh_columns_vanish_below_the_support(self):
+        theta = _pack(0.12, 0.10, -0.15, 0.09, 0.08, 0.75)
+        x = np.array([-0.5, 0.0, 0.1, 0.1499, 0.2, 0.5])
+        jac = _mixture_jac(theta, x)
+        below = x + _unpack(theta).a < 0
+        assert below.sum() == 4
+        assert np.all(jac[below, :3] == 0.0)
+        assert np.all(jac[~below, :3] != 0.0)
+
+    def test_every_least_squares_call_is_given_the_jacobian(self, monkeypatch):
+        calls = []
+        solve = rician.least_squares
+
+        def spy(fun, x0, **kwargs):
+            calls.append(kwargs)
+            return solve(fun, x0, **kwargs)
+
+        monkeypatch.setattr(rician, "least_squares", spy)
+        rp, _ = curve_from_params(make_params())
+        fit_mixture(rp)
+        assert len(calls) == 3
+        assert all(callable(kw.get("jac")) and kw["method"] == "trf" for kw in calls)
+
+
+def scan_root_loop(p):
+    """The former find_threshold scan: a Python loop over the grid intervals."""
+    f = lambda x: rayleigh_shifted(x, p) - gaussian_term(x, p)
+    grid = np.linspace(p.mu, p.rayleigh_mode, 2049)
+    fv = f(grid)
+    for i in range(len(grid) - 1):
+        if fv[i] == 0.0:
+            return float(grid[i])
+        if fv[i] * fv[i + 1] < 0:
+            return float(brentq(f, grid[i + 1], grid[i], xtol=1e-15, rtol=8.9e-16))
+    return None
+
+
+class TestFindThresholdScan:
+    """The array scan finds the same interval, so the same root, as the former loop."""
+
+    @pytest.mark.parametrize("kw", [
+        {}, dict(sigma_r=0.08, a=-0.22, sigma_g=0.08, mu=0.70),
+        dict(sigma_r=0.04, a=-0.06, sigma_g=0.03, mu=0.9), dict(alpha_r=0.12 * 3.7,
+                                                               alpha_g=0.09 * 3.7),
+    ])
+    def test_suite_parameters(self, kw):
+        p = make_params(**kw)
+        assert find_threshold(p) == scan_root_loop(p)
+
+    def test_seeded_random_mixtures(self):
+        rng = np.random.default_rng(31)
+        found = 0
+        for _ in range(200):
+            p = make_params(alpha_r=rng.uniform(0.01, 0.3), sigma_r=rng.uniform(0.03, 0.2),
+                            a=rng.uniform(-0.3, 0.1), alpha_g=rng.uniform(0.01, 0.3),
+                            sigma_g=rng.uniform(0.02, 0.3), mu=rng.uniform(0.3, 1.0))
+            if not p.mu > p.rayleigh_mode:
+                continue
+            expected = scan_root_loop(p)
+            if expected is not None and p.rayleigh_mode < expected < p.mu:
+                assert find_threshold(p) == expected
+                found += 1
+            else:
+                with pytest.raises(ThresholdError):
+                    find_threshold(p)
+        assert found > 100
 
 
 class TestFindThreshold:
