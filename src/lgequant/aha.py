@@ -55,32 +55,29 @@ def assign_levels(n_slices: int) -> list:
     return ["basal"] * n_basal + ["mid"] * n_mid + ["apical"] * n_apical
 
 
-def voxel_angles_deg(mask_slice: np.ndarray) -> np.ndarray:
-    """Angle of each masked voxel about the slice's myocardial centroid."""
-    coords = np.argwhere(mask_slice)
-    if coords.size == 0:
-        raise EmptyMaskError("slice has no myocardium")
-    centroid = coords.mean(axis=0)
-    d = coords - centroid
-    return np.degrees(np.arctan2(d[:, 1], -d[:, 0])) % 360.0
-
-
 def assign_segments(volume: MyocardiumVolume, config: AhaConfig | None = None) -> SegmentModel:
-    """Per-voxel segment ids from slice level and angle about the centroid."""
+    """Per-voxel segment ids from slice level and angle about the slice's centroid.
+
+    Voxel coordinates are taken in the volume's box, so the ids do not depend
+    on where the myocardium lies in the grid.
+    """
     config = config or AhaConfig()
     n_slices = volume.mask.shape[0]
     levels = assign_levels(n_slices)
     ids = np.zeros(volume.mask.shape, dtype=np.int16)
+    rows, cols = volume.box[1:]
     for k in range(n_slices):
-        mask_k = volume.mask[k]
-        angles = voxel_angles_deg(mask_k)
+        coords = np.argwhere(volume.mask[k, rows, cols])
+        if coords.size == 0:
+            raise EmptyMaskError(f"slice {k} has no myocardium")
+        d = coords - coords.mean(axis=0)
+        angles = np.degrees(np.arctan2(d[:, 1], -d[:, 0])) % 360.0
         rel = (angles - config.reference_angle_deg) % 360.0
         first, last = SEGMENTS_PER_LEVEL[levels[k]]
         n_sectors = last - first + 1
         sector = np.floor(rel / (360.0 / n_sectors)).astype(np.int16)
         sector = np.minimum(sector, n_sectors - 1)
-        coords = np.argwhere(mask_k)
-        ids[k, coords[:, 0], coords[:, 1]] = first + sector
+        ids[k, rows, cols][coords[:, 0], coords[:, 1]] = first + sector
     return SegmentModel(segment_ids=ids, levels=levels,
                         reference_angle_deg=config.reference_angle_deg)
 
@@ -89,13 +86,15 @@ def quantify(labeling: Labeling, volume: MyocardiumVolume, segments: SegmentMode
     """Volumetric and per-segment infarct percentages (I/M%)."""
     if labeling.mask.shape != volume.mask.shape:
         raise ParameterError("labeling and volume shapes differ")
-    infarct = labeling.infarct_mask()
+    box = volume.reach(labeling)
+    mask = volume.mask[box]
+    infarct = labeling.labels[box] == 1
     # Ids outside 1..16 clip into the dropped bins 0 and 17.
-    seg = np.clip(segments.segment_ids, 0, 17)
-    myo_counts = np.bincount(seg[volume.mask], minlength=18)[1:17]
+    seg = np.clip(segments.segment_ids[box], 0, 17)
+    myo_counts = np.bincount(seg[mask], minlength=18)[1:17]
     inf_counts = np.bincount(seg[infarct], minlength=18)[1:17]
-    total_myo = int(volume.mask.sum())
-    total_inf = int(infarct.sum())
+    total_myo = int(np.count_nonzero(mask))
+    total_inf = int(np.count_nonzero(infarct))
     with np.errstate(invalid="ignore", divide="ignore"):
         seg_pct = np.where(myo_counts > 0, 100.0 * inf_counts / np.maximum(myo_counts, 1), 0.0)
     vol_pct = 100.0 * total_inf / total_myo if total_myo else 0.0

@@ -13,12 +13,13 @@ labels the energy is minimized exactly by a single s/t minimum cut.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import POSITIVE, EmptyMaskError, ParameterError, check_number
 from .maxflow import MaxFlowGraph
+from .raster import canvas
 from .rician import RicianMixtureParams, gaussian_term, rayleigh_shifted
 
 PROB_FLOOR = 1e-12
@@ -32,12 +33,14 @@ class MyocardiumVolume:
 
     ``intensity`` and ``mask`` are (n_slices, rows, cols); ``spacing_mm`` is
     (row, col, through-plane) with through-plane being the slice-center
-    distance (thickness + gap).
+    distance (thickness + gap). The stages read both through ``box``, the
+    mask's :func:`~lgequant.raster.canvas`, and ``intensity`` only on the mask.
     """
 
     intensity: np.ndarray
     mask: np.ndarray
     spacing_mm: tuple
+    box: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.intensity = np.asarray(self.intensity, dtype=float)
@@ -46,8 +49,14 @@ class MyocardiumVolume:
             raise ParameterError("intensity and mask must be matching 3D arrays")
         if len(self.spacing_mm) != 3 or not all(0 < s < np.inf for s in self.spacing_mm):
             raise ParameterError("spacing_mm must be three positive lengths")
-        if not np.all(np.isfinite(self.intensity[self.mask])):
+        self.box = canvas(self.mask)
+        if not np.all(np.isfinite(self.intensity[self.box][self.mask[self.box]])):
             raise ParameterError("masked intensities must be finite")
+
+    def reach(self, labeling: "Labeling") -> tuple:
+        """``box``, or the whole grid when ``labeling`` has infarct outside it."""
+        inside = np.count_nonzero(labeling.labels[self.box])
+        return self.box if inside == np.count_nonzero(labeling.labels) else (slice(None),) * 3
 
 
 @dataclass(frozen=True)
@@ -131,11 +140,12 @@ def _network(volume: MyocardiumVolume, params: RicianMixtureParams, config: Grap
     every 6-connected pair, through-plane pairs first, then row, then column
     pairs, each in flat order; ``caps`` is the penalty the pair pays when its
     labels differ. Distance weights normalize the in-plane row spacing to 1,
-    so through-plane links are down-weighted by their larger distance.
+    so through-plane links are down-weighted by their larger distance. It is
+    built in the volume's box, whose flat order is the grid's.
     """
     sigma = config.resolved_sigma(params)
-    mask = volume.mask
-    vals = volume.intensity[mask]
+    mask = volume.mask[volume.box]
+    vals = volume.intensity[volume.box][mask]
     node = np.full(mask.shape, -1, dtype=np.int64)
     node[mask] = np.arange(vals.size)
     d_row, d_col, d_thr = volume.spacing_mm
@@ -159,7 +169,7 @@ def energy(
     """Total labeling energy: weighted data costs plus boundary penalties."""
     config = config or GraphCutConfig()
     d0, d1, p, q, caps = _network(volume, params, config)
-    lab = labeling.labels[volume.mask]
+    lab = labeling.labels[volume.box][volume.mask[volume.box]]
     data = config.lambda_ * float(np.sum(np.where(lab == 1, d1, d0)))
     return data + float(caps[lab[p] != lab[q]].sum())
 
@@ -213,8 +223,8 @@ def classify(
     side of the cut).
     """
     config = config or GraphCutConfig()
-    mask = volume.mask
-    n = int(mask.sum())
+    mask = volume.mask[volume.box]
+    n = np.count_nonzero(mask)
     if n == 0:
         raise EmptyMaskError("myocardium mask is empty")
     d0, d1, p, q, caps = _network(volume, params, config)
@@ -226,6 +236,6 @@ def classify(
                 int(np.sum(label == 1)), n_free, edges[0].size)
     if n_free:
         _, label[free] = MaxFlowGraph(n_free, *edges).solve()
-    labels = np.zeros(mask.shape, dtype=np.uint8)
-    labels[mask] = label
-    return Labeling(labels=labels, mask=mask)
+    labels = np.zeros(volume.mask.shape, dtype=np.uint8)
+    labels[volume.box][mask] = label
+    return Labeling(labels=labels, mask=volume.mask)

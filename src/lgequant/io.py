@@ -116,10 +116,10 @@ def _read_raw(header_path, name, dims, dtype) -> np.ndarray:
     raw = Path(header_path).parent / str(name)
     if not raw.is_file():
         raise PixelFileError(f"raw file missing: {raw}")
-    data = np.fromfile(raw, dtype=dtype)
-    if data.size != int(np.prod(dims)):
+    # Compare bytes, not items: fromfile drops a trailing partial item.
+    if raw.stat().st_size != int(np.prod(dims)) * np.dtype(dtype).itemsize:
         raise PixelFileError(f"{raw}: size does not match dims {dims}")
-    return data.reshape(dims)
+    return np.fromfile(raw, dtype=dtype).reshape(dims)
 
 
 def _u16_pixels(pixels: np.ndarray) -> np.ndarray:

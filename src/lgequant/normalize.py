@@ -24,6 +24,7 @@ from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.p
 from .realign import middle_slice_index
 from .rician import (
     DEFAULT_BINS,
+    MAX_BINS,
     MIN_MIXTURE_BINS,
     RicianMixtureParams,
     build_relative_probability,
@@ -33,11 +34,14 @@ from .rician import (
 
 DEFAULT_EPSILON = 0.01
 DEFAULT_MAX_ITER = 20
+# The most iterations allowed: each refits the mixture (about 10 ms on a 256x256x14
+# study) and the factors settle in a few, so this bounds a run that never settles.
+MAX_ITER_CAP = 1000
 
 
 @dataclass
 class NormalizationResult:
-    stack: np.ndarray                    # (n_sa, rows, cols), in [0, 1]
+    stack: np.ndarray                    # the normalized stack[box], in [0, 1]
     factors_per_iteration: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
@@ -46,6 +50,19 @@ class NormalizationResult:
     rescale_lo: float = 0.0
     rescale_hi: float = 1.0
     reference_index: int = 0
+    box: tuple = (slice(None),) * 3      # where ``stack`` lies in the input stack
+
+    def apply(self, raw) -> np.ndarray:
+        """The raw slices, whole or cut in plane, mapped to [0, 1] as ``stack`` was.
+
+        A float array is mapped in place.
+        """
+        work = np.asarray(raw, dtype=float)
+        for factors in self.factors_per_iteration:
+            work *= factors[:, None, None]
+        work -= self.rescale_lo
+        work /= self.rescale_hi - self.rescale_lo
+        return work
 
 
 def _stack_array(stack, masks: ContourMasks) -> np.ndarray:
@@ -72,8 +89,12 @@ def check_normalization(epsilon, max_iter, n_bins) -> None:
     check_number("n_bins", n_bins, integral=True)
     if max_iter < 1:
         raise ParameterError("max_iter must be at least 1")
+    if max_iter > MAX_ITER_CAP:
+        raise ParameterError(f"max_iter must be at most {MAX_ITER_CAP}, got {max_iter}")
     if n_bins < MIN_MIXTURE_BINS:
         raise ParameterError(f"n_bins must be at least {MIN_MIXTURE_BINS}, got {n_bins}")
+    if n_bins > MAX_BINS:
+        raise ParameterError(f"n_bins must be at most {MAX_BINS}, got {n_bins}")
 
 
 def iterate_normalization(
@@ -82,6 +103,7 @@ def iterate_normalization(
     epsilon: float = DEFAULT_EPSILON,
     max_iter: int = DEFAULT_MAX_ITER,
     n_bins: int = DEFAULT_BINS,
+    box: tuple = (slice(None),) * 3,
 ) -> NormalizationResult:
     """Normalize per-slice gains against the reference slice's blood pool.
 
@@ -92,11 +114,18 @@ def iterate_normalization(
     the endocardial voxels inside the epicardial mask, which ``contour_masks``
     guarantees is all of them. The stack is then jointly min-max rescaled to
     [0, 1] and the last fitted parameters are returned in the rescaled units.
+    Only ``stack[box]`` is scaled and returned, ``box`` holding every slice
+    and epicardial voxel; the rescale spans the whole stack's range.
     """
     check_normalization(epsilon, max_iter, n_bins)
     arr = _stack_array(stack, masks)
     n_slices = arr.shape[0]
     ref = middle_slice_index(n_slices)
+    extrema = np.stack([arr.min(axis=(1, 2)), arr.max(axis=(1, 2))], axis=1)
+    arr, cut = np.array(arr[box]), ContourMasks(*(mask[box] for mask in masks))
+    if arr.shape[0] != n_slices or np.count_nonzero(cut.epi) != np.count_nonzero(masks.epi):
+        raise ParameterError("the box must hold every slice and every epicardial voxel")
+    masks = cut
 
     # The loop reads only the LV voxels. Taken in C order, each slice's
     # voxels are one contiguous run, in the order arr[k][mask] yields them,
@@ -132,18 +161,17 @@ def iterate_normalization(
             converged = True
             break
 
-    # Every voxel takes each iteration's factors in turn, as the LV voxels did.
-    work = arr * factors_hist[0][:, None, None]
-    for factors in factors_hist[1:]:
-        work *= factors[:, None, None]
-    lo = float(work.min())
-    hi = float(work.max())
+    # Every voxel takes each iteration's factors in turn (apply). A rounded
+    # x * f is monotone in x, so a slice's scaled extremes are its extremes
+    # scaled, swapped if f < 0: lo and hi are exactly the scaled stack's.
+    for factors in factors_hist:
+        extrema *= factors[:, None]
+    lo = float(extrema.min())
+    hi = float(extrema.max())
     if hi <= lo:
         raise NormalizationError("stack has zero intensity range")
-    work -= lo
-    work /= hi - lo
-    return NormalizationResult(
-        stack=work,
+    result = NormalizationResult(
+        stack=arr,
         factors_per_iteration=factors_hist,
         iterations=len(factors_hist),
         converged=converged,
@@ -152,4 +180,7 @@ def iterate_normalization(
         rescale_lo=lo,
         rescale_hi=hi,
         reference_index=ref,
+        box=box,
     )
+    result.apply(arr)
+    return result

@@ -25,7 +25,7 @@ from .metrics import dice
 from .normalize import check_normalization, iterate_normalization
 from .plots import bullseye_svg
 from .postprocess import PostprocessConfig, run_postprocessing
-from .raster import ContourMasks, contour_masks
+from .raster import ContourMasks, canvas, contour_masks
 from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.py)
 from .realign import AlignmentProblem, check_gamma, check_max_sweeps, optimize
 from .rician import RicianMixtureParams
@@ -128,13 +128,18 @@ def _stage(name: str):
         raise PipelineStageError(name, exc) from exc
 
 
-def myocardium_volume(dataset: LgeDataset, masks: ContourMasks, stack) -> MyocardiumVolume:
-    """Masked myocardium grid from the contour masks and the (normalized) stack."""
-    return MyocardiumVolume(
-        intensity=np.asarray(stack, dtype=float),
-        mask=masks.myocardium,
-        spacing_mm=dataset.voxel_spacing_mm,
-    )
+def myocardium_volume(dataset: LgeDataset, masks: ContourMasks, stack,
+                      box=None) -> MyocardiumVolume:
+    """Masked myocardium grid from the contour masks and the (normalized) stack.
+
+    ``stack`` covers ``box`` of the grid (all of it by default), which must
+    hold the myocardium; no stage reads the zeros the volume has elsewhere.
+    """
+    intensity = np.asarray(stack, dtype=float)
+    if box is not None:
+        intensity = np.zeros(masks.epi.shape)
+        intensity[box] = stack
+    return MyocardiumVolume(intensity, masks.myocardium, dataset.voxel_spacing_mm)
 
 
 @_stage("realign")
@@ -171,20 +176,22 @@ _MIXTURE_KEYS = ("alpha_r", "sigma_r", "a", "alpha_g", "sigma_g", "mu", "i_thrh"
 @_stage("normalize")
 def normalize_stage(dataset: LgeDataset, contours: ContourSet, config: PipelineConfig,
                     out=None) -> tuple:
-    """Rasterize the contours and normalize the SA stack.
+    """Rasterize the contours and normalize the SA stack on their canvas.
 
     Returns ((NormalizationResult, ContourMasks), report section). The masks
     are the run's only rasterization of the contours; later stages reuse them.
-    Given ``out``, writes the normalized stack there as ``normalized.json``.
+    ``norm.stack`` covers the epicardial masks' canvas ``norm.box`` only.
+    Given ``out``, maps the whole stack and writes it there as ``normalized.json``.
     """
     stack = np.stack([s.pixels for s in dataset.sa_slices])
     masks = contour_masks(contours, stack.shape)
     norm = iterate_normalization(
         stack, masks, epsilon=config.epsilon,
-        max_iter=config.max_iter, n_bins=config.n_bins,
+        max_iter=config.max_iter, n_bins=config.n_bins, box=canvas(masks.epi),
     )
     if out is not None:
-        lio.save_volume_f32(norm.stack, dataset.voxel_spacing_mm, Path(out) / "normalized")
+        lio.save_volume_f32(norm.apply(stack), dataset.voxel_spacing_mm,
+                            Path(out) / "normalized")
     return (norm, masks), {
         "iterations": norm.iterations,
         "converged": norm.converged,
@@ -287,7 +294,7 @@ def run_pipeline(
         dataset, config, None if out is None else out / "realigned")
     (norm, masks), stages["normalize"] = normalize_stage(realigned, contours, config, out)
     with _stage("classify"):
-        volume = myocardium_volume(realigned, masks, stack=norm.stack)
+        volume = myocardium_volume(realigned, masks, norm.stack, norm.box)
     raw_labeling, stages["classify"] = classify_stage(volume, norm.params, config)
     labeling, stages["postprocess"] = postprocess_stage(
         raw_labeling, volume, masks, norm.params, config, out)

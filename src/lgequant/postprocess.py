@@ -17,11 +17,14 @@ from scipy import ndimage
 
 from .errors import COUNT, FINITE, ParameterError, check_number
 from .graphcut import Labeling, MyocardiumVolume
-from .raster import ContourMasks
+from .raster import ContourMasks, grow
 from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.py)
 from .rician import RicianMixtureParams
 
 SIX_CONNECTED = ndimage.generate_binary_structure(3, 1)
+# The thickest rim allowed. An infarct lies in the ~10 mm myocardial wall, so at
+# 0.1 mm pixels or coarser it is under 100 voxels deep: a larger value removes no more.
+MAX_RIM_VOX = 100
 
 
 @dataclass
@@ -35,6 +38,9 @@ class PostprocessConfig:
         for name in ("boundary_fraction", "mvo_enclosure_fraction"):
             check_number(name, getattr(self, name), what="in [0, 1]", ok=lambda v: 0 <= v <= 1)
         check_number("max_rim_thickness_vox", self.max_rim_thickness_vox, **COUNT)
+        if self.max_rim_thickness_vox > MAX_RIM_VOX:
+            raise ParameterError(f"max_rim_thickness_vox must be at most {MAX_RIM_VOX}, "
+                                 f"got {self.max_rim_thickness_vox}")
         check_min_volume(self.min_volume_mm3)
 
 
@@ -58,12 +64,7 @@ def _grown_boxes(comp: np.ndarray, labels) -> list:
     if len(labels) == 0:
         return []
     boxes = ndimage.find_objects(comp, max(labels))
-    return [(ci, _grow(boxes[ci - 1], comp.shape)) for ci in labels]
-
-
-def _grow(box: tuple, shape: tuple) -> tuple:
-    """``box`` grown by one voxel along every axis and clipped to ``shape``."""
-    return tuple(slice(max(sl.start - 1, 0), min(sl.stop + 1, n)) for sl, n in zip(box, shape))
+    return [(ci, grow(boxes[ci - 1], comp.shape)) for ci in labels]
 
 
 def _inplane_depth(mask: np.ndarray) -> np.ndarray:
@@ -157,23 +158,6 @@ def include_mvo(
     return Labeling(labels=out.astype(np.uint8), mask=labeling.mask)
 
 
-def _myocardium_box(labeling: Labeling, volume: MyocardiumVolume) -> tuple:
-    """Bounding box of both masks, grown by one voxel and clipped to the array.
-
-    Every rule reads only masked voxels and their 6-neighbours, so outside this
-    box is background for all of them: a rule applied in the box, with the
-    array edge where the box meets it, labels, measures and audits exactly as
-    on the full arrays (the argument of :func:`_grown_boxes`).
-    """
-    both = volume.mask | labeling.mask
-    in_plane = both.any(axis=0)
-    spans = [np.flatnonzero(span) for span in
-             (both.any(axis=(1, 2)), in_plane.any(axis=1), in_plane.any(axis=0))]
-    if spans[0].size == 0:
-        return (slice(None),) * 3
-    return _grow(tuple(slice(idx[0], idx[-1] + 1) for idx in spans), both.shape)
-
-
 def run_postprocessing(
     labeling: Labeling,
     volume: MyocardiumVolume,
@@ -183,8 +167,9 @@ def run_postprocessing(
 ) -> tuple:
     """Apply the four rules in their fixed order; returns (labeling, audit).
 
-    The rules run on the masks' bounding box (:func:`_myocardium_box`) and
-    the result is pasted back into a full-size labeling.
+    The rules run in ``volume.reach(labeling)``, which holds every masked or
+    infarct voxel and its 6-neighbours, and the result is pasted back into a
+    full-size labeling: they label, measure and audit as on the full arrays.
     """
     config = config or PostprocessConfig()
     shape = volume.mask.shape
@@ -192,7 +177,7 @@ def run_postprocessing(
                         ("epi mask", masks.epi)):
         if other.shape != shape:
             raise ParameterError(f"{name} shape {other.shape} differs from the volume's {shape}")
-    box = _myocardium_box(labeling, volume)
+    box = volume.reach(labeling)
     full_mask = labeling.mask
     labeling = Labeling(labels=labeling.labels[box], mask=full_mask[box])
     volume = MyocardiumVolume(volume.intensity[box], volume.mask[box], volume.spacing_mm)

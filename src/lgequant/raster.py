@@ -16,10 +16,8 @@ def _edges(polygon):
         raise ContourError("polygon must be a (V, 2) array with V >= 3")
     if not np.all(np.isfinite(poly)):
         raise ContourError("polygon has non-finite vertices")
-    r1 = poly[:, 0]
-    c1 = poly[:, 1]
-    r2 = np.roll(r1, -1)
-    c2 = np.roll(c1, -1)
+    r1, c1 = poly.T
+    r2, c2 = np.concatenate((poly[1:], poly[:1])).T
     keep = (r1 != r2) | (c1 != c2)
     if np.count_nonzero(keep) < 3:
         raise ContourError("polygon is degenerate")
@@ -31,14 +29,19 @@ def _crossings(edges, r) -> tuple:
 
     Returns ``(i, col)``: for each crossing, the index into ``r`` of its row
     and the column where the edge meets it. An edge crosses row ``r`` when
-    exactly one endpoint lies below it (row index greater than ``r``), so a
-    vertex on the row counts once and a horizontal edge never. Both
-    :func:`polygon_mask` and :func:`points_in_polygon` apply the even-odd rule
-    to these crossings: a point is inside when an odd number of its row's
-    crossings lie strictly right of it (ray along +col).
+    exactly one endpoint lies below it, ``min(r1, r2) <= r < max(r1, r2)``,
+    so a vertex on the row counts once and a horizontal edge never; bisection
+    in the sorted rows finds each edge's rows. Both :func:`polygon_mask` and
+    :func:`points_in_polygon` apply the even-odd rule to these crossings: a
+    point is inside when an odd number of its row's crossings lie strictly
+    right of it (ray along +col).
     """
     r1, c1, r2, c2 = edges
-    i, e = np.nonzero((r1 > r[:, None]) != (r2 > r[:, None]))
+    order = np.argsort(r, kind="stable")
+    start = np.searchsorted(r[order], np.minimum(r1, r2))
+    n = np.searchsorted(r[order], np.maximum(r1, r2)) - start
+    e = np.repeat(np.arange(n.size), n)
+    i = order[np.arange(e.size) + np.repeat(start - np.cumsum(n) + n, n)]
     r, r1, c1, r2, c2 = r[i], r1[e], c1[e], r2[e], c2[e]
     return i, c1 + (r - r1) * (c2 - c1) / (r2 - r1)
 
@@ -64,12 +67,32 @@ def polygon_mask(polygon, rows: int, cols: int) -> np.ndarray:
     # Column c lies strictly left of a crossing at col when c < k = #{c' < col};
     # searchsorted orders a NaN crossing right of every column.
     k = np.searchsorted(np.arange(cols, dtype=float), col)
-    counts = np.bincount(i * (cols + 1) + k, minlength=(stop - first) * (cols + 1))
-    counts = counts.reshape(stop - first, cols + 1)
-    # Crossings strictly right of column c: those with k > c.
-    right = counts.sum(axis=1, keepdims=True) - counts.cumsum(axis=1)[:, :cols]
-    mask[first:stop] = right % 2 == 1
+    odd = np.bincount(i * (cols + 1) + k, minlength=(stop - first) * (cols + 1)) & 1
+    # Parity of the crossings with k <= c; those strictly right of column c
+    # (k > c) have the row's total parity XOR that.
+    below = np.logical_xor.accumulate(odd.reshape(stop - first, cols + 1).astype(bool), axis=1)
+    mask[first:stop] = below[:, -1:] ^ below[:, :cols]
     return mask
+
+
+def grow(box: tuple, shape: tuple) -> tuple:
+    """``box`` grown by one voxel along every axis and clipped to ``shape``."""
+    return tuple(slice(max(sl.start - 1, 0), min(sl.stop + 1, n)) for sl, n in zip(box, shape))
+
+
+def canvas(mask: np.ndarray) -> tuple:
+    """A 3-D mask's bounding box grown by one voxel and clipped; the array when empty.
+
+    Every 6-neighbour of a masked voxel lies in the canvas, so a rule that
+    reads only masked voxels and their neighbours gives the same result in
+    the canvas, with the array edge where they meet, as on the whole array.
+    """
+    in_plane = mask.any(axis=0)
+    spans = [np.flatnonzero(span) for span in
+             (mask.any(axis=(1, 2)), in_plane.any(axis=1), in_plane.any(axis=0))]
+    if spans[0].size == 0:
+        return (slice(None),) * 3
+    return grow(tuple(slice(idx[0], idx[-1] + 1) for idx in spans), mask.shape)
 
 
 class ContourMasks(NamedTuple):

@@ -40,6 +40,9 @@ logger = logging.getLogger(__name__)
 DEFAULT_GAMMA = 0.01
 TRANSLATION_BOUND_MM = 20.0
 MAX_SWEEPS = 50
+# The most sweeps allowed, twenty times the default: a sweep takes under a second
+# on the 96x96x6+2LA wedge phantom, so this keeps a run that never settles to minutes.
+MAX_SWEEPS_CAP = 1000
 REL_TOL = 1e-6
 INFEASIBLE = 1e12          # objective value once a live term degenerates
 # Nelder-Mead settings of every simplex search the optimizer runs. scipy stops
@@ -64,8 +67,10 @@ def check_gamma(gamma) -> None:
 
 
 def check_max_sweeps(max_sweeps) -> None:
-    """Raise ParameterError unless the sweep cap is an integer >= 0."""
+    """Raise ParameterError unless the sweep cap is an integer in [0, MAX_SWEEPS_CAP]."""
     check_number("max_sweeps", max_sweeps, **COUNT)
+    if max_sweeps > MAX_SWEEPS_CAP:
+        raise ParameterError(f"max_sweeps must be at most {MAX_SWEEPS_CAP}, got {max_sweeps}")
 
 
 def _compare(vals_a, vals_b, too_few: str, constant: str, masked: bool = True):

@@ -231,7 +231,7 @@ def phantom_volume():
     """A 96x96x6 wedge phantom's normalized myocardium (2,680 voxels) and its fit."""
     ds, truth = generate(default_wedge_config(seed=1, noise_sigma=0.08))
     (norm, masks), _ = normalize_stage(ds, truth.contours, PipelineConfig(skip_realign=True))
-    return myocardium_volume(ds, masks, stack=norm.stack), norm.params
+    return myocardium_volume(ds, masks, norm.stack, norm.box), norm.params
 
 
 def solved_graphs(monkeypatch):

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgequant import io as lio
 from lgequant.cli import main
@@ -80,6 +85,14 @@ class TestDatasetIo:
             (bad_dir / raw.name).write_bytes(data[: len(data) // 2])
         with pytest.raises(PixelFileError):
             lio.load_dataset(bad_dir / "dataset.json")
+
+    def test_one_trailing_byte_is_a_size_mismatch(self, phantom_dir, tmp_path):
+        """numpy drops a partial uint16 at the end of a file; the loader must not."""
+        base = _phantom_copy(phantom_dir, tmp_path)
+        raw = base / "dataset_sa_000.raw"
+        raw.write_bytes(raw.read_bytes() + b"\0")
+        with pytest.raises(PixelFileError, match="size does not match"):
+            lio.load_dataset(base / "dataset.json")
 
     def test_malformed_polygon_rejected(self, phantom_dir, tmp_path):
         payload = json.loads((phantom_dir / "contours.json").read_text())
@@ -425,6 +438,18 @@ class TestStageErrorTags:
         err = capsys.readouterr().err
         assert err == f"error: [normalize] n_bins must be at least 12, got {bins}\n"
         assert not (tmp_path / "norm").exists()
+
+
+def test_pipeline_config_with_a_huge_bin_count_is_an_error(phantom_dir, tmp_path, capsys):
+    """An integer past its bound fails as one error line, not a numpy traceback."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_bins": 10 ** 30}))
+    assert_cli_error(capsys, [
+        "pipeline", "--data", phantom_dir / "dataset.json",
+        "--contours", phantom_dir / "contours.json", "--out", tmp_path / "run",
+        "--skip-realign", "--config", config,
+    ], f"[normalize] n_bins must be at most 4096, got {10 ** 30}")
+    assert not (tmp_path / "run").exists()
 
 
 def assert_cli_error(capsys, argv, fragment):
@@ -834,3 +859,91 @@ class TestCliFlags:
                      "--out", str(tmp_path), "--bins", "32"]) == 0
         report = json.loads((tmp_path / "normalize_report.json").read_text())
         assert len(report["relative_probability"]["bin_centers"]) == 32
+
+
+# --- Malformed inputs to ``lgequant normalize`` -------------------------------
+# Each edit below breaks a study so that no reading of it is valid: a required
+# key dropped, a value of a kind its field never takes, a raw file of the
+# wrong size, or JSON text cut short. The CLI must report every one as one
+# ``error:`` line and exit 1, never with a traceback.
+
+DROP = object()
+# Null and objects: no manifest or contours field takes either.
+WRONG = st.none() | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+NOT_ONE = WRONG | st.booleans() | st.floats() | st.text(max_size=3) | st.integers().filter(
+    lambda v: v != 1)
+NOT_AN_INT = WRONG | st.booleans() | st.floats() | st.text(max_size=3)
+SLICE_KEYS = ("ipp", "iop_row", "iop_col", "ps", "rows", "cols", "pixel_file")
+
+
+@st.composite
+def study_edits(draw, n_sa: int, n_la: int):
+    """``(file, slice, key, value)``: set or drop (``DROP``) one entry of one input file."""
+    kind = draw(st.sampled_from(["manifest", "entry", "contours", "raw", "text"]))
+    if kind == "manifest":
+        key = draw(st.sampled_from(["version", "slice_thickness_mm", "gap_mm", "slices"]))
+        value = draw(st.just(DROP) | (NOT_ONE if key == "version" else WRONG))
+        return "dataset.json", None, key, value
+    if kind == "entry":
+        k = draw(st.integers(0, n_sa + n_la - 1))
+        key = draw(st.sampled_from(["role", "index", *SLICE_KEYS]))
+        if key == "role" and k < n_sa:        # an SA slice that stops being one
+            value = st.text(max_size=3).filter(lambda v: v != "SA") | WRONG
+        elif key == "role":                   # any other name is a valid LA role
+            value = st.nothing()
+        else:
+            value = NOT_AN_INT if key == "index" else WRONG
+        return "dataset.json", k, key, draw(st.just(DROP) | value)
+    if kind == "contours":
+        key = draw(st.sampled_from(["index", "endo", "epi"]))
+        value = draw(st.just(DROP) | (NOT_AN_INT if key == "index" else WRONG))
+        return "contours.json", draw(st.integers(0, n_sa - 1)), key, value
+    if kind == "raw":
+        delta = draw(st.integers(-2 * 96 * 96, 64).filter(bool) | st.just(DROP))
+        return "raw", draw(st.integers(0, n_sa + n_la - 1)), None, delta
+    return "text", None, draw(st.sampled_from(["dataset.json", "contours.json"])), \
+        draw(st.floats(0.0, 1.0, exclude_max=True))
+
+
+def apply_edit(study: Path, edit) -> None:
+    name, k, key, value = edit
+    if name == "raw":
+        manifest = json.loads((study / "dataset.json").read_text())
+        raw = study / manifest["slices"][k]["pixel_file"]
+        if value is DROP:
+            raw.unlink()
+        else:
+            data = raw.read_bytes()
+            raw.write_bytes(data[:value] if value < 0 else data + bytes(value))
+        return
+    if name == "text":                        # cut before the closing brace
+        text = (study / key).read_text()
+        (study / key).write_text(text[:int(value * text.rindex("}"))])
+        return
+    payload = json.loads((study / name).read_text())
+    target = payload if k is None else payload["slices"][k]
+    if value is DROP:
+        del target[key]
+    else:
+        target[key] = value
+    (study / name).write_text(json.dumps(payload))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_normalize_reports_any_malformed_study_as_one_error_line(phantom_dir, data):
+    manifest = json.loads((phantom_dir / "dataset.json").read_text())
+    n_sa = sum(entry["role"] == "SA" for entry in manifest["slices"])
+    edit = data.draw(study_edits(n_sa, len(manifest["slices"]) - n_sa))
+    with tempfile.TemporaryDirectory() as tmp:
+        study = Path(tmp) / "study"
+        shutil.copytree(phantom_dir, study)
+        apply_edit(study, edit)
+        out = io.StringIO()
+        with contextlib.redirect_stderr(out):
+            code = main(["normalize", "--data", str(study / "dataset.json"),
+                         "--contours", str(study / "contours.json"),
+                         "--out", str(Path(tmp) / "norm")])
+    err = out.getvalue()
+    assert code == 1, edit
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, (edit, err)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgequant import io as lio
+from lgequant import pipeline
 from lgequant.errors import LgeQuantError, ParameterError, check_number
 from lgequant.phantom import PhantomConfig, InfarctWedge, MvoPocket, default_wedge_config, generate
-from lgequant.dataset import ContourSet
+from lgequant.dataset import ContourSet, LgeDataset
+from lgequant.geometry import Roi, SliceImage, pixel_to_patient
 from lgequant.pipeline import (
     PipelineConfig,
     PipelineStageError,
@@ -20,7 +23,10 @@ from lgequant.pipeline import (
     realign_stage,
     run_pipeline,
 )
-from lgequant.rician import MIN_MIXTURE_BINS
+from lgequant.normalize import MAX_ITER_CAP
+from lgequant.postprocess import MAX_RIM_VOX
+from lgequant.realign import MAX_SWEEPS_CAP
+from lgequant.rician import MAX_BINS, MIN_MIXTURE_BINS
 
 
 class TestNoiselessExactness:
@@ -177,6 +183,10 @@ class TestConfigFromAnyJson:
     @example(field="lambda_", value=10 ** 400)
     @example(field="reference_angle_deg", value=-10 ** 400)
     @example(field="gamma", value=10 ** 400)
+    @example(field="n_bins", value=10 ** 30)
+    @example(field="max_iter", value=10 ** 30)
+    @example(field="realign_max_sweeps", value=10 ** 30)
+    @example(field="max_rim_thickness_vox", value=10 ** 30)
     def test_builds_or_raises_a_package_error(self, tmp_path_factory, field, value):
         path = tmp_path_factory.getbasetemp() / "any_value_config.json"
         path.write_text(json.dumps({field: value}))
@@ -193,6 +203,25 @@ class TestConfigFromAnyJson:
         with pytest.raises(PipelineStageError) as info:
             PipelineConfig(**{field: sign * 10 ** 400})
         assert isinstance(info.value.cause, ParameterError)
+
+
+class TestIntegerFieldBounds:
+    """Each integer field has an upper bound, and a value past it fails when the config is built."""
+
+    @pytest.mark.parametrize("field, cap, stage", [
+        ("n_bins", MAX_BINS, "normalize"),
+        ("max_iter", MAX_ITER_CAP, "normalize"),
+        ("realign_max_sweeps", MAX_SWEEPS_CAP, "realign"),
+        ("max_rim_thickness_vox", MAX_RIM_VOX, "postprocess"),
+    ])
+    def test_value_past_the_cap_is_a_parameter_error_naming_it(self, field, cap, stage):
+        assert getattr(PipelineConfig(**{field: cap}), field) == cap
+        for value in (cap + 1, 10 ** 30):
+            with pytest.raises(PipelineStageError) as info:
+                PipelineConfig(**{field: value})
+            assert info.value.stage == stage
+            assert isinstance(info.value.cause, ParameterError)
+            assert f"must be at most {cap}, got {value}" in str(info.value)
 
 
 class TestCheckNumber:
@@ -225,7 +254,7 @@ class TestStageFunctions:
         out = tmp_path / "stages"
         realigned, _ = realign_stage(ds, config, out)
         (norm, masks), _ = normalize_stage(realigned, truth.contours, config, out)
-        volume = myocardium_volume(realigned, masks, norm.stack)
+        volume = myocardium_volume(realigned, masks, norm.stack, norm.box)
         raw, _ = classify_stage(volume, norm.params, config)
         labeling, _ = postprocess_stage(raw, volume, masks, norm.params, config, out)
         quantify_stage(labeling, volume, config, out)
@@ -244,3 +273,89 @@ class TestStageFunctions:
         monkeypatch.chdir(tmp_path)
         run_pipeline(ds, truth.contours, PipelineConfig(skip_realign=True))
         assert list(tmp_path.iterdir()) == []
+
+
+class TestPostprocessInterface:
+    """run_pipeline hands run_postprocessing full-grid arrays; the benchmark reads them there."""
+
+    def test_labeling_and_volume_in_and_out_are_full_grid(self, small_study, monkeypatch):
+        ds, truth = small_study
+        original = pipeline.run_postprocessing
+        seen = []
+
+        def keep(labeling, volume, *args, **kwargs):
+            result = original(labeling, volume, *args, **kwargs)
+            seen.append((labeling, volume, result[0]))
+            return result
+
+        monkeypatch.setattr(pipeline, "run_postprocessing", keep)
+        run_pipeline(ds, truth.contours, PipelineConfig(skip_realign=True))
+        pose = ds.sa_slices[0].pose
+        shape = (len(ds.sa_slices), pose.rows, pose.cols)
+        [(labeling, volume, result)] = seen
+        for array in (labeling.labels, labeling.mask, volume.intensity, volume.mask,
+                      result.labels, result.mask):
+            assert array.shape == shape
+        # The stages work in a box smaller than the grid.
+        assert all(sl.stop - sl.start < n for sl, n in zip(volume.box[1:], shape[1:]))
+
+
+def registered_study(seed: int, size: int = 96, n_sa: int = 6):
+    """A registered wedge-plus-MVO phantom, the benchmark's registered kind at a small size."""
+    n_basal = -(-n_sa // 3)
+    return generate(PhantomConfig(
+        n_sa=n_sa, rows=size, cols=size, ps_mm=120.0 / size,
+        wedges=(InfarctWedge(slice_lo=0, slice_hi=n_basal - 1,
+                             angle_lo_deg=0.0, angle_hi_deg=60.0),),
+        mvo_pockets=(MvoPocket(wedge=0, center_angle_deg=30.0, center_slice=0.0,
+                               radius_mm=4.5),),
+        gains=tuple(float(g) for g in np.linspace(0.85, 1.15, n_sa)),
+        noise_sigma=0.08, seed=seed,
+    ))
+
+
+def padded(dataset: LgeDataset, contours: ContourSet, pad: int) -> tuple:
+    """The study with every SA slice edge-padded by ``pad`` pixels, poses and contours to match.
+
+    Edge replication keeps each slice's extremes, and the pose keeps every
+    original pixel where it was.
+    """
+    sa = [SliceImage(replace(s.pose, ipp=pixel_to_patient(s.pose, -pad, -pad),
+                             rows=s.pose.rows + 2 * pad, cols=s.pose.cols + 2 * pad),
+                     np.pad(s.pixels, pad, mode="edge"))
+          for s in dataset.sa_slices]
+    rois = [None if r is None else
+            Roi(r.row_min + pad, r.row_max + pad, r.col_min + pad, r.col_max + pad)
+            for r in dataset.sa_rois]
+    return (LgeDataset(sa, dataset.la_slices, rois, dataset.la_roles,
+                       dataset.slice_thickness_mm, dataset.gap_mm),
+            ContourSet(endo=[p + pad for p in contours.endo],
+                       epi=[p + pad for p in contours.epi]))
+
+
+class TestPaddingInvariance:
+    """Padding the SA slices moves the myocardium's canvas and changes nothing else."""
+
+    @pytest.mark.parametrize("seed, pad", [(1, 3), (2, 7), (3, 16)])
+    def test_padded_study_labels_and_reports_the_same(self, seed, pad, monkeypatch):
+        ds, truth = registered_study(seed)
+        original = pipeline.run_postprocessing
+        labelings = []
+
+        def keep(*args, **kwargs):
+            result = original(*args, **kwargs)
+            labelings.append(result[0])
+            return result
+
+        monkeypatch.setattr(pipeline, "run_postprocessing", keep)
+        config = PipelineConfig(skip_realign=True)
+        report = run_pipeline(ds, truth.contours, config)
+        report_padded = run_pipeline(*padded(ds, truth.contours, pad), config)
+        base, grown = labelings
+        assert base.labels.any()
+        in_plane = ((0, 0), (pad, pad), (pad, pad))
+        assert np.array_equal(grown.labels, np.pad(base.labels, in_plane))
+        assert np.array_equal(grown.mask, np.pad(base.mask, in_plane))
+        for stage in ("normalize", "classify", "postprocess", "quantify"):
+            assert (json.dumps(report_padded["stages"][stage])
+                    == json.dumps(report["stages"][stage])), stage
