@@ -34,7 +34,7 @@ from .rician import (
 
 DEFAULT_EPSILON = 0.01
 DEFAULT_MAX_ITER = 20
-# The most iterations allowed: each refits the mixture (about 10 ms on a 256x256x14
+# The most iterations allowed: each refits the mixture (about 4 ms on a 256x256x14
 # study) and the factors settle in a few, so this bounds a run that never settles.
 MAX_ITER_CAP = 1000
 

@@ -1,8 +1,12 @@
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, least_squares
 
 from lgequant import rician
 from lgequant.errors import FitError, ParameterError, ThresholdError
@@ -16,9 +20,24 @@ from lgequant.rician import (
     mixture,
     rayleigh_shifted,
     _mixture_jac,
+    _otsu_split,
     _pack,
     _unpack,
 )
+
+PARAM_NAMES = ("alpha_r", "sigma_r", "a", "alpha_g", "sigma_g", "mu")
+# The LV histograms normalization fits on seeds 1-3 of the two registered
+# benchmark phantoms, recorded by tests/data/make_lv_curves.py.
+RECORDED = json.loads((Path(__file__).parent / "data" / "lv_curves.json").read_text())
+RECORDED_IDS = [f"{c['study']} fit {sum(d['study'] == c['study'] for d in RECORDED[:i]) + 1}"
+                for i, c in enumerate(RECORDED)]
+
+
+def recorded_curve(curve) -> RelativeProbability:
+    """The relative-probability curve of a recorded histogram, as built from its voxels."""
+    edges = np.linspace(curve["lo"], curve["hi"], len(curve["counts"]) + 1)
+    counts = np.asarray(curve["counts"])
+    return RelativeProbability(0.5 * (edges[:-1] + edges[1:]), counts / counts.max())
 
 
 def make_params(**kw):
@@ -216,17 +235,145 @@ class TestMixtureJacobian:
 
     def test_every_least_squares_call_is_given_the_jacobian(self, monkeypatch):
         calls = []
-        solve = rician.least_squares
+        solve = rician.leastsq
 
         def spy(fun, x0, **kwargs):
             calls.append(kwargs)
             return solve(fun, x0, **kwargs)
 
-        monkeypatch.setattr(rician, "least_squares", spy)
+        monkeypatch.setattr(rician, "leastsq", spy)
         rp, _ = curve_from_params(make_params())
         fit_mixture(rp)
         assert len(calls) == 3
-        assert all(callable(kw.get("jac")) and kw["method"] == "trf" for kw in calls)
+        assert all(callable(kw.get("Dfun")) and kw["full_output"] for kw in calls)
+
+
+def trf_solve(fun, x0, Dfun, **kwargs):
+    """fit_mixture's former solver, scipy's trf, in leastsq's calling convention."""
+    sol = least_squares(fun, x0, jac=Dfun, method="trf", max_nfev=2000)
+    return sol.x, None, {}, "", 1
+
+
+class TestAgainstTrf:
+    """On the recorded curves MINPACK's Levenberg-Marquardt reaches the minimum that
+    the former trf solver reached."""
+
+    # Worst case 8.0e-6, on cli_staged192 seed 3.
+    RTOL = 1e-4
+    # Both solvers stop once a step cuts the sum of squares by less than this
+    # fraction, so their minima can differ by about as much.
+    FTOL = 1e-8
+
+    @pytest.mark.parametrize("curve", RECORDED, ids=RECORDED_IDS)
+    def test_recorded_curves(self, curve, monkeypatch):
+        rp = recorded_curve(curve)
+        fitted = fit_mixture(rp)
+        monkeypatch.setattr(rician, "leastsq", trf_solve)
+        former = fit_mixture(rp)
+        for name in PARAM_NAMES:
+            assert getattr(fitted, name) == pytest.approx(getattr(former, name),
+                                                          rel=self.RTOL), name
+        assert fitted.fit_residual <= former.fit_residual * (1 + self.FTOL)
+
+    def test_recorded_curve_is_the_built_curve(self):
+        values = np.random.default_rng(3).gamma(4.0, 150.0, 5000).round()
+        counts, _ = np.histogram(values, bins=64, range=(values.min(), values.max()))
+        built = build_relative_probability(values, n_bins=64)
+        rp = recorded_curve({"lo": values.min(), "hi": values.max(), "counts": counts.tolist()})
+        assert np.array_equal(rp.bin_centers, built.bin_centers)
+        assert np.array_equal(rp.values, built.values)
+
+
+class TestSolveCap:
+    """A solve that reaches rician.MAX_NFEV returns its last point without a warning."""
+
+    @pytest.mark.parametrize("cap", [2, 3, 5])
+    @pytest.mark.parametrize("curve", [0, 9], ids=lambda i: RECORDED_IDS[i])
+    def test_capped_fit_returns_or_raises_fit_error(self, cap, curve, monkeypatch):
+        stops = []
+        solve = rician.leastsq
+
+        def spy(fun, x0, **kwargs):
+            out = solve(fun, x0, **kwargs)
+            stops.append((out[2]["nfev"], out[4]))      # evaluations, MINPACK's exit code
+            return out
+
+        monkeypatch.setattr(rician, "MAX_NFEV", cap)
+        monkeypatch.setattr(rician, "leastsq", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                fitted = fit_mixture(recorded_curve(RECORDED[curve]))
+                assert fitted.fit_residual >= 0
+            except FitError:
+                pass
+        assert len(stops) == 3
+        assert all(nfev <= cap for nfev, _ in stops)
+        assert any(code == 5 for _, code in stops)      # 5: stopped at the cap
+
+
+def otsu_variances(centers, weights):
+    """The former _otsu_split loop's between-class variance at each split k = 1 .. n-1,
+    None where a class has no weight."""
+    w = weights / max(weights.sum(), 1e-300)
+    out = []
+    for k in range(1, len(centers)):
+        w0 = w[:k].sum()
+        w1 = w[k:].sum()
+        if w0 <= 0 or w1 <= 0:
+            out.append(None)
+            continue
+        m0 = float(np.dot(w[:k], centers[:k]) / w0)
+        m1 = float(np.dot(w[k:], centers[k:]) / w1)
+        out.append(w0 * w1 * (m0 - m1) ** 2)
+    return out
+
+
+def otsu_loop(centers, weights):
+    """The former _otsu_split: the first split whose variance beats every earlier one."""
+    best_k, best_var = 1, -1.0
+    for k, var in enumerate(otsu_variances(centers, weights), start=1):
+        if var is not None and var > best_var:
+            best_var, best_k = var, k
+    return best_k
+
+
+class TestOtsuSplit:
+    """The one-pass split against the former loop over the bins."""
+
+    def test_recorded_curves(self):
+        for curve in RECORDED:
+            rp = recorded_curve(curve)
+            assert _otsu_split(rp.bin_centers, rp.values) == otsu_loop(rp.bin_centers, rp.values)
+
+    @pytest.mark.parametrize("weights, k", [
+        ([0, 0, 0, 0], 1),              # no split has weight on both sides
+        ([0, 0, 3, 0, 0], 1),           # nor with one occupied bin
+        ([1, 0, 0, 1], 1),              # three tied splits: the first wins
+        ([0, 2, 0, 0, 2, 0], 2),        # tied, behind a zero-weight bin
+        ([1, 1, 0, 0, 1, 1], 2),
+        ([0, 0, 1, 1, 2, 0, 0], 4),
+    ])
+    def test_zero_weight_and_tied_bins(self, weights, k):
+        weights = np.asarray(weights, dtype=float)
+        centers = np.arange(weights.size, dtype=float)
+        assert otsu_loop(centers, weights) == k
+        assert _otsu_split(centers, weights) == k
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=2, max_size=80),
+           st.floats(-1e3, 1e3), st.floats(1e-3, 1e3))
+    @example([0, 1, 1, 0], 0.0, 1.0)
+    @example([3, 3, 1, 3, 3, 0, 0], 0.0, 1.0)     # splits 2 and 3 tie; rounding picks
+    @example([2, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 2], -3.0, 0.5)
+    def test_matches_the_loop(self, counts, lo, width):
+        """Same split, or one whose variance ties the loop's within rounding."""
+        weights = np.asarray(counts, dtype=float)
+        centers = lo + width * np.arange(weights.size)
+        k, expected = _otsu_split(centers, weights), otsu_loop(centers, weights)
+        if k != expected:
+            var = otsu_variances(centers, weights)
+            assert var[k - 1] == pytest.approx(var[expected - 1], rel=1e-12)
 
 
 def scan_root_loop(p):
