@@ -24,7 +24,7 @@ from .graphcut import GraphCutConfig, Labeling, MyocardiumVolume, classify
 from .metrics import dice
 from .normalize import check_normalization, iterate_normalization
 from .plots import bullseye_svg
-from .postprocess import PostprocessConfig, run_postprocessing
+from .postprocess import check_min_volume, run_postprocessing
 from .raster import ContourMasks, canvas, contour_masks
 from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.py)
 from .realign import AlignmentProblem, check_gamma, check_max_sweeps, optimize
@@ -50,10 +50,7 @@ class PipelineConfig:
     epsilon: float = 0.01                # normalization convergence on |ratio-1|
     max_iter: int = 20                   # normalization iteration cap
     n_bins: int = 64                     # relative-probability histogram bins
-    boundary_fraction: float = 0.95
-    max_rim_thickness_vox: int = 1
-    min_volume_mm3: float = 100.0
-    mvo_enclosure_fraction: float = 0.8
+    min_volume_mm3: float = 100.0        # smallest infarct component kept
     reference_angle_deg: float = 0.0
     realign_max_sweeps: int = 50
     skip_realign: bool = False
@@ -71,7 +68,7 @@ class PipelineConfig:
         with _stage("classify"):
             self.graphcut()
         with _stage("postprocess"):
-            self.postprocess()
+            check_min_volume(self.min_volume_mm3)
         with _stage("quantify"):
             self.aha()
 
@@ -98,14 +95,6 @@ class PipelineConfig:
 
     def aha(self) -> AhaConfig:
         return AhaConfig(self.reference_angle_deg)
-
-    def postprocess(self) -> PostprocessConfig:
-        return PostprocessConfig(
-            boundary_fraction=self.boundary_fraction,
-            max_rim_thickness_vox=self.max_rim_thickness_vox,
-            min_volume_mm3=self.min_volume_mm3,
-            mvo_enclosure_fraction=self.mvo_enclosure_fraction,
-        )
 
 
 class PipelineStageError(LgeQuantError):
@@ -239,8 +228,7 @@ def postprocess_stage(labeling: Labeling, volume: MyocardiumVolume, masks: Conto
 
     Given ``out``, writes the final labeling there as ``labeling.json``.
     """
-    labeling, audit = run_postprocessing(labeling, volume, masks, params,
-                                         config.postprocess())
+    labeling, audit = run_postprocessing(labeling, volume, masks, params, config.min_volume_mm3)
     if out is not None:
         lio.save_labeling(labeling.labels, labeling.mask, volume.spacing_mm,
                           Path(out) / "labeling")

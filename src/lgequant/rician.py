@@ -183,11 +183,14 @@ def _mixture_jac(theta, x) -> np.ndarray:
     return np.hstack([_rayleigh_jac(theta[:3], x), _gaussian_jac(theta[3:], x)])
 
 
-def _solve(fun, jac, theta0) -> np.ndarray:
-    """MINPACK's Levenberg-Marquardt with least_squares' default tolerances; full_output
-    keeps a solve stopped at MAX_NFEV from warning, so it returns its last point."""
-    return leastsq(fun, theta0, Dfun=jac, full_output=True, ftol=1e-8, xtol=1e-8, gtol=1e-8,
-                   maxfev=MAX_NFEV)[0]
+def _solve(fun, jac, theta0) -> tuple:
+    """MINPACK's Levenberg-Marquardt with least_squares' default tolerances; returns
+    the solution and its sum of squared residuals, which MINPACK's ``fvec`` holds.
+    full_output keeps a solve stopped at MAX_NFEV from warning, so it returns its
+    last point."""
+    x, _, info, _, _ = leastsq(fun, theta0, Dfun=jac, full_output=True, ftol=1e-8,
+                               xtol=1e-8, gtol=1e-8, maxfev=MAX_NFEV)
+    return x, float(np.sum(info["fvec"] ** 2))
 
 
 def fit_mixture(rp: RelativeProbability) -> RicianMixtureParams:
@@ -234,8 +237,7 @@ def fit_mixture(rp: RelativeProbability) -> RicianMixtureParams:
         return rayleigh_shifted(centers, p) - values
 
     ray0 = np.array([np.log(alpha_r0), np.log(sigma_r0), a0])
-    ray_x = _solve(ray_resid, lambda t: _rayleigh_jac(t, centers), ray0)
-    ray_res = float(np.sum(ray_resid(ray_x) ** 2))
+    ray_x, ray_res = _solve(ray_resid, lambda t: _rayleigh_jac(t, centers), ray0)
 
     # Two starts: the Otsu-split moments, and the Rayleigh-only solution with
     # a Gaussian seeded on the upper bins. The second rescues lopsided
@@ -244,8 +246,8 @@ def fit_mixture(rp: RelativeProbability) -> RicianMixtureParams:
         _pack(alpha_r0, sigma_r0, a0, alpha_g0, sigma_g0, mu0),
         np.array([ray_x[0], ray_x[1], ray_x[2], np.log(alpha_g0), np.log(sigma_g0), mu0]),
     ]
-    solved = [_solve(resid, lambda t: _mixture_jac(t, centers), theta0) for theta0 in starts]
-    res, x = min(((float(np.sum(resid(x) ** 2)), x) for x in solved), key=lambda r: r[0])
+    x, res = min((_solve(resid, lambda t: _mixture_jac(t, centers), theta0)
+                  for theta0 in starts), key=lambda solved: solved[1])
     params = _unpack(x)
     params.fit_residual = res
 

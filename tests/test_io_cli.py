@@ -519,6 +519,21 @@ class TestCliInputErrors:
             "--out", tmp_path / "run",
         ], fragment)
 
+    # A typo, and the three post-processing thresholds that are constants now.
+    @pytest.mark.parametrize("key", ["lamda", "boundary_fraction", "max_rim_thickness_vox",
+                                     "mvo_enclosure_fraction"])
+    def test_classify_with_an_unknown_config_key(self, phantom_dir, normalized_dir, tmp_path,
+                                                 capsys, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: 0.5}))
+        assert_cli_error(capsys, [
+            "classify", "--normalized", normalized_dir / "normalized.json",
+            "--params", normalized_dir / "normalize_report.json",
+            "--contours", phantom_dir / "contours.json", "--config", config,
+            "--out", tmp_path / "cls",
+        ], f"unknown config keys: ['{key}']")
+        assert not (tmp_path / "cls").exists()
+
     @pytest.mark.parametrize("text, fragment", [
         ('{"gamma": -3.0}', "[realign] gamma must be a finite non-negative number"),
         ('{"gamma": 1e400}', "[realign] gamma must be a finite non-negative number"),

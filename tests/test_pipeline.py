@@ -24,7 +24,6 @@ from lgequant.pipeline import (
     run_pipeline,
 )
 from lgequant.normalize import MAX_ITER_CAP
-from lgequant.postprocess import MAX_RIM_VOX
 from lgequant.realign import MAX_SWEEPS_CAP
 from lgequant.rician import MAX_BINS, MIN_MIXTURE_BINS
 
@@ -105,11 +104,6 @@ class TestConfigStageErrors:
         ("reference_angle_deg", float("inf"), "quantify"),
         ("min_volume_mm3", -1.0, "postprocess"),
         ("min_volume_mm3", float("nan"), "postprocess"),
-        ("boundary_fraction", 1.5, "postprocess"),
-        ("boundary_fraction", float("nan"), "postprocess"),
-        ("mvo_enclosure_fraction", -0.1, "postprocess"),
-        ("mvo_enclosure_fraction", float("nan"), "postprocess"),
-        ("max_rim_thickness_vox", -1, "postprocess"),
     ])
     def test_out_of_range_value_is_a_stage_error(self, small_study, field, value, stage):
         ds, truth = small_study
@@ -138,14 +132,10 @@ class TestConfigChecksAtConstruction:
         ("n_bins", 1, "normalize"),
         ("n_bins", 5, "normalize"),
         ("n_bins", 11, "normalize"),
-        ("boundary_fraction", 2.0, "postprocess"),
-        ("max_rim_thickness_vox", -1, "postprocess"),
         ("min_volume_mm3", float("nan"), "postprocess"),
-        ("mvo_enclosure_fraction", -0.5, "postprocess"),
         ("skip_realign", "yes", "realign"),
         ("lambda_", "1", "classify"),
         ("epsilon", "x", "normalize"),
-        ("boundary_fraction", "0.2", "postprocess"),
         ("min_volume_mm3", [1], "postprocess"),
         ("reference_angle_deg", None, "quantify"),
     ])
@@ -186,7 +176,6 @@ class TestConfigFromAnyJson:
     @example(field="n_bins", value=10 ** 30)
     @example(field="max_iter", value=10 ** 30)
     @example(field="realign_max_sweeps", value=10 ** 30)
-    @example(field="max_rim_thickness_vox", value=10 ** 30)
     def test_builds_or_raises_a_package_error(self, tmp_path_factory, field, value):
         path = tmp_path_factory.getbasetemp() / "any_value_config.json"
         path.write_text(json.dumps({field: value}))
@@ -196,8 +185,17 @@ class TestConfigFromAnyJson:
             return
         assert getattr(config, field) == value or value != value
 
+    # A typo, and the three post-processing thresholds that are constants now.
+    @pytest.mark.parametrize("key", ["lamda", "boundary_fraction", "max_rim_thickness_vox",
+                                     "mvo_enclosure_fraction"])
+    def test_unknown_key_is_a_package_error(self, tmp_path, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"lambda_": 2.0, key: 0.5}))
+        with pytest.raises(LgeQuantError, match=r"^unknown config keys: \['" + key + r"'\]$"):
+            PipelineConfig.from_json(path)
+
     @pytest.mark.parametrize("field", ["lambda_", "graph_sigma", "epsilon", "min_volume_mm3",
-                                       "reference_angle_deg", "gamma", "boundary_fraction"])
+                                       "reference_angle_deg", "gamma"])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_integer_past_float_range_fails_at_construction(self, field, sign):
         with pytest.raises(PipelineStageError) as info:
@@ -212,7 +210,6 @@ class TestIntegerFieldBounds:
         ("n_bins", MAX_BINS, "normalize"),
         ("max_iter", MAX_ITER_CAP, "normalize"),
         ("realign_max_sweeps", MAX_SWEEPS_CAP, "realign"),
-        ("max_rim_thickness_vox", MAX_RIM_VOX, "postprocess"),
     ])
     def test_value_past_the_cap_is_a_parameter_error_naming_it(self, field, cap, stage):
         assert getattr(PipelineConfig(**{field: cap}), field) == cap

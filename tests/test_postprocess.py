@@ -1,12 +1,14 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from lgequant.dataset import ContourSet
 from lgequant.errors import ParameterError
+from lgequant import postprocess
 from lgequant.graphcut import Labeling, MyocardiumVolume
 from lgequant.postprocess import (
-    PostprocessConfig,
     include_mvo,
     recover_partial_volume,
     remove_boundary_false_positives,
@@ -61,16 +63,16 @@ class TestBoundaryFalsePositives:
         infarct[1] = rim2d
         vol = MyocardiumVolume(intensity, mask, SPACING)
         lab = Labeling(infarct.astype(np.uint8), mask)
-        out = remove_boundary_false_positives(lab, vol)
-        assert not out.infarct_mask().any()
+        out = remove_boundary_false_positives(lab.infarct_mask(), vol.mask)
+        assert not out.any()
 
     def test_thick_transmural_wedge_kept(self):
         mask, intensity, contours, endo_m, _ = annulus_setup()
         infarct = wedge_mask(mask, endo_m)
         vol = MyocardiumVolume(intensity, mask, SPACING)
         lab = Labeling(infarct.astype(np.uint8), mask)
-        out = remove_boundary_false_positives(lab, vol)
-        assert np.array_equal(out.infarct_mask(), infarct)
+        out = remove_boundary_false_positives(lab.infarct_mask(), vol.mask)
+        assert np.array_equal(out, infarct)
 
     def test_rim_removed_wedge_kept_together(self):
         mask, intensity, contours, endo_m, epi_m = annulus_setup()
@@ -83,8 +85,7 @@ class TestBoundaryFalsePositives:
         infarct[2] |= rim2d & ~wedge_mask(mask, endo_m)[2]
         vol = MyocardiumVolume(intensity, mask, SPACING)
         lab = Labeling(infarct.astype(np.uint8), mask)
-        out = remove_boundary_false_positives(lab, vol)
-        got = out.infarct_mask()
+        got = remove_boundary_false_positives(lab.infarct_mask(), vol.mask)
         assert np.array_equal(got[0], wedge[0])
         assert np.array_equal(got[1], wedge[1])
         assert not got[2].any()
@@ -97,8 +98,9 @@ class TestSmallComponents:
         rr, cc = np.argwhere(mask[1])[20]
         infarct[1, rr, cc] = True     # 1.5*1.5*10 = 22.5 mm3
         vol = MyocardiumVolume(intensity, mask, SPACING)
-        out = remove_small_components(Labeling(infarct.astype(np.uint8), mask), 100.0, vol)
-        assert not out.infarct_mask().any()
+        out = remove_small_components(Labeling(infarct.astype(np.uint8), mask).infarct_mask(),
+                                      100.0, vol.spacing_mm)
+        assert not out.any()
 
     def test_ten_voxel_component_kept(self):
         mask, intensity, contours, endo_m, _ = annulus_setup()
@@ -112,7 +114,8 @@ class TestSmallComponents:
                 infarct[1, r, c] = True
                 placed += 1
         vol = MyocardiumVolume(intensity, mask, SPACING)
-        out = remove_small_components(Labeling(infarct.astype(np.uint8), mask), 100.0, vol)
+        out = remove_small_components(Labeling(infarct.astype(np.uint8), mask).infarct_mask(),
+                                      100.0, vol.spacing_mm)
         # kept only if the 10 voxels form one connected component of >= 100 mm3
         from scipy import ndimage
         comp, n = ndimage.label(infarct, ndimage.generate_binary_structure(3, 1))
@@ -121,14 +124,15 @@ class TestSmallComponents:
         for ci, s in enumerate(sizes, start=1):
             if s * 22.5 < 100.0:
                 expected[comp == ci] = False
-        assert np.array_equal(out.infarct_mask(), expected)
+        assert np.array_equal(out, expected)
 
     def test_zero_threshold_noop(self):
         mask, intensity, contours, endo_m, _ = annulus_setup()
         infarct = wedge_mask(mask, endo_m)
         vol = MyocardiumVolume(intensity, mask, SPACING)
-        out = remove_small_components(Labeling(infarct.astype(np.uint8), mask), 0.0, vol)
-        assert np.array_equal(out.infarct_mask(), infarct)
+        out = remove_small_components(Labeling(infarct.astype(np.uint8), mask).infarct_mask(),
+                                      0.0, vol.spacing_mm)
+        assert np.array_equal(out, infarct)
 
 
 class TestPartialVolumeRecovery:
@@ -136,8 +140,9 @@ class TestPartialVolumeRecovery:
         mask, intensity, contours, endo_m, _ = annulus_setup()
         infarct = wedge_mask(mask, endo_m)
         vol = MyocardiumVolume(intensity, mask, SPACING)   # all 0.3 < 0.55
-        out = recover_partial_volume(Labeling(infarct.astype(np.uint8), mask), vol, make_params())
-        assert np.array_equal(out.infarct_mask(), infarct)
+        out = recover_partial_volume(Labeling(infarct.astype(np.uint8), mask).infarct_mask(),
+                                     vol.mask, vol.intensity, make_params().i_thrh)
+        assert np.array_equal(out, infarct)
 
     def test_bright_bridge_absorbed(self):
         mask = np.zeros((1, 3, 8), dtype=bool)
@@ -148,8 +153,8 @@ class TestPartialVolumeRecovery:
         infarct[0, 1, 1] = True
         intensity[0, 1, 1] = 0.9
         vol = MyocardiumVolume(intensity, mask, SPACING)
-        out = recover_partial_volume(Labeling(infarct.astype(np.uint8), mask), vol, make_params())
-        got = out.infarct_mask()
+        got = recover_partial_volume(Labeling(infarct.astype(np.uint8), mask).infarct_mask(),
+                                     vol.mask, vol.intensity, make_params().i_thrh)
         assert got[0, 1, 1:6].all()
         assert not got[0, 1, 6:].any() and not got[0, 1, 0]
 
@@ -162,8 +167,9 @@ class TestPartialVolumeRecovery:
         infarct = np.zeros(mask.shape, dtype=bool)
         infarct[0, 1, 0] = True
         vol = MyocardiumVolume(intensity, mask, SPACING)
-        out = recover_partial_volume(Labeling(infarct.astype(np.uint8), mask), vol, make_params())
-        assert not out.infarct_mask()[0, 1, 6:8].any()
+        out = recover_partial_volume(Labeling(infarct.astype(np.uint8), mask).infarct_mask(),
+                                     vol.mask, vol.intensity, make_params().i_thrh)
+        assert not out[0, 1, 6:8].any()
 
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_threshold_is_a_parameter_error(self, threshold):
@@ -171,16 +177,18 @@ class TestPartialVolumeRecovery:
         params = make_params()
         params.i_thrh = threshold
         with pytest.raises(ParameterError, match="i_thrh must be finite"):
-            recover_partial_volume(Labeling(wedge_mask(mask, endo_m).astype(np.uint8), mask),
-                                   MyocardiumVolume(intensity, mask, SPACING), params)
+            recover_partial_volume(
+                Labeling(wedge_mask(mask, endo_m).astype(np.uint8), mask).infarct_mask(),
+                mask, MyocardiumVolume(intensity, mask, SPACING).intensity, params.i_thrh)
 
     def test_unset_threshold_is_a_parameter_error(self):
         mask, intensity, _, endo_m, _ = annulus_setup()
         params = make_params()
         params.i_thrh = None
         with pytest.raises(ParameterError, match="i_thrh is not set"):
-            recover_partial_volume(Labeling(wedge_mask(mask, endo_m).astype(np.uint8), mask),
-                                   MyocardiumVolume(intensity, mask, SPACING), params)
+            recover_partial_volume(
+                Labeling(wedge_mask(mask, endo_m).astype(np.uint8), mask).infarct_mask(),
+                mask, MyocardiumVolume(intensity, mask, SPACING).intensity, params.i_thrh)
 
 
 class TestMvoInclusion:
@@ -205,8 +213,8 @@ class TestMvoInclusion:
 
     def test_enclosed_pocket_recovered(self):
         lab, contours, vol, pocket, wedge = self.setup_wedge_with_pocket()
-        out = include_mvo(lab, contour_masks(contours, vol.mask.shape), vol)
-        got = out.infarct_mask()
+        got = include_mvo(lab.infarct_mask(), vol.mask,
+                          contour_masks(contours, vol.mask.shape).endo)
         assert got[pocket].all()
         assert np.array_equal(got, wedge)
 
@@ -216,9 +224,10 @@ class TestMvoInclusion:
         infarct = wedge.copy()
         vol = MyocardiumVolume(intensity, mask, SPACING)
         lab = Labeling(infarct.astype(np.uint8), mask)
-        out = include_mvo(lab, contour_masks(contours, vol.mask.shape), vol)
+        out = include_mvo(lab.infarct_mask(), vol.mask,
+                          contour_masks(contours, vol.mask.shape).endo)
         # the big normal component borders mostly normal/background: unchanged
-        assert np.array_equal(out.infarct_mask(), wedge)
+        assert np.array_equal(out, wedge)
 
 
 class TestPipelineOrder:
@@ -257,6 +266,21 @@ class TestPipelineOrder:
 # rules label once and count with bincount inside find_objects boxes; both
 # must agree exactly.
 
+class Thresholds(NamedTuple):
+    """The rules' thresholds; ``use`` sets the module constants to them."""
+
+    boundary_fraction: float = postprocess.BOUNDARY_FRACTION
+    max_rim_thickness_vox: int = postprocess.MAX_RIM_THICKNESS_VOX
+    min_volume_mm3: float = 100.0
+    mvo_enclosure_fraction: float = postprocess.MVO_ENCLOSURE_FRACTION
+
+
+def use(monkeypatch, config: Thresholds) -> None:
+    monkeypatch.setattr(postprocess, "BOUNDARY_FRACTION", config.boundary_fraction)
+    monkeypatch.setattr(postprocess, "MAX_RIM_THICKNESS_VOX", config.max_rim_thickness_vox)
+    monkeypatch.setattr(postprocess, "MVO_ENCLOSURE_FRACTION", config.mvo_enclosure_fraction)
+
+
 def voxel_mm3(volume):
     d_row, d_col, d_thr = volume.spacing_mm
     return float(d_row * d_col * d_thr)
@@ -266,10 +290,9 @@ def ref_depth(mask):
     return np.stack([ndimage.distance_transform_cdt(m, metric="taxicab") for m in mask])
 
 
-def ref_boundary(labeling, volume, config):
-    infarct = labeling.infarct_mask()
+def ref_boundary(infarct, volume, config):
     if not infarct.any():
-        return labeling
+        return infarct
     near_boundary = ref_depth(volume.mask) <= 2
     comp, n_comp = ndimage.label(infarct, SIX)
     out = infarct.copy()
@@ -279,13 +302,12 @@ def ref_boundary(labeling, volume, config):
             continue
         if int(ref_depth(cmask).max()) <= config.max_rim_thickness_vox:
             out[cmask] = False
-    return Labeling(out.astype(np.uint8), labeling.mask)
+    return out
 
 
-def ref_small(labeling, min_volume_mm3, volume):
-    infarct = labeling.infarct_mask()
+def ref_small(infarct, min_volume_mm3, volume):
     if not infarct.any() or min_volume_mm3 == 0:
-        return labeling
+        return infarct
     vox = voxel_mm3(volume)
     comp, n_comp = ndimage.label(infarct, SIX)
     sizes = ndimage.sum_labels(np.ones_like(comp), comp, index=np.arange(1, n_comp + 1))
@@ -293,25 +315,24 @@ def ref_small(labeling, min_volume_mm3, volume):
     for ci, n_vox in enumerate(sizes, start=1):
         if n_vox * vox < min_volume_mm3:
             out[comp == ci] = False
-    return Labeling(out.astype(np.uint8), labeling.mask)
+    return out
 
 
-def ref_recover(labeling, volume, params):
+def ref_recover(infarct, volume, params):
     """Dilate the infarct into eligible voxels until a dilation adds nothing."""
-    infarct = labeling.infarct_mask()
+    infarct = infarct.copy()
     eligible = volume.mask & (volume.intensity >= params.i_thrh)
     while True:
         frontier = ndimage.binary_dilation(infarct, SIX) & eligible & ~infarct
         if not frontier.any():
             break
         infarct |= frontier
-    return Labeling(infarct.astype(np.uint8), labeling.mask)
+    return infarct
 
 
-def ref_mvo(labeling, masks, volume, config):
-    infarct = labeling.infarct_mask()
+def ref_mvo(infarct, masks, volume, config):
     if not infarct.any():
-        return labeling
+        return infarct
     cavity = masks.endo
     comp, n_comp = ndimage.label(volume.mask & ~infarct, SIX)
     out = infarct.copy()
@@ -324,7 +345,7 @@ def ref_mvo(labeling, masks, volume, config):
         total = int(non_cavity_ring.sum())
         if total and int((non_cavity_ring & infarct).sum()) >= config.mvo_enclosure_fraction * total:
             out[cmask] = True
-    return Labeling(out.astype(np.uint8), labeling.mask)
+    return out
 
 
 def ref_component_sizes(mask, vox_mm3):
@@ -350,14 +371,15 @@ def random_case(seed, shape=(4, 13, 11)):
 class TestLabelOnceOracle:
     SEEDS = range(40)
 
-    def test_boundary_rule_matches_per_component_loop(self):
+    def test_boundary_rule_matches_per_component_loop(self, monkeypatch):
         removed = kept = 0
         for seed in self.SEEDS:
             lab, vol, _ = random_case(seed)
-            for config in (PostprocessConfig(boundary_fraction=0.6, max_rim_thickness_vox=1),
-                           PostprocessConfig(boundary_fraction=0.9, max_rim_thickness_vox=2)):
-                got = remove_boundary_false_positives(lab, vol, config).infarct_mask()
-                want = ref_boundary(lab, vol, config).infarct_mask()
+            for config in (Thresholds(boundary_fraction=0.6, max_rim_thickness_vox=1),
+                           Thresholds(boundary_fraction=0.9, max_rim_thickness_vox=2)):
+                use(monkeypatch, config)
+                got = remove_boundary_false_positives(lab.infarct_mask(), vol.mask)
+                want = ref_boundary(lab.infarct_mask(), vol, config)
                 assert np.array_equal(got, want)
                 removed += int((lab.infarct_mask() & ~got).any())
                 kept += int(got.any())
@@ -367,9 +389,9 @@ class TestLabelOnceOracle:
         for seed in self.SEEDS:
             lab, vol, _ = random_case(seed)
             for threshold in (0.0, 15.0, 100.0, 400.0):
-                got = remove_small_components(lab, threshold, vol)
-                want = ref_small(lab, threshold, vol)
-                assert np.array_equal(got.labels, want.labels)
+                got = remove_small_components(lab.infarct_mask(), threshold, vol.spacing_mm)
+                want = ref_small(lab.infarct_mask(), threshold, vol)
+                assert np.array_equal(got, want)
 
     def test_partial_volume_rule_matches_the_dilation_loop(self):
         grown = seeds_below = 0
@@ -378,47 +400,50 @@ class TestLabelOnceOracle:
             lab, vol, _ = random_case(seed)
             for threshold in (0.3, 0.55, 0.8):
                 params.i_thrh = threshold
-                got = recover_partial_volume(lab, vol, params).infarct_mask()
-                want = ref_recover(lab, vol, params).infarct_mask()
+                got = recover_partial_volume(lab.infarct_mask(), vol.mask, vol.intensity,
+                                             params.i_thrh)
+                want = ref_recover(lab.infarct_mask(), vol, params)
                 assert np.array_equal(got, want)
                 grown += int((got & ~lab.infarct_mask()).any())
                 seeds_below += int((lab.infarct_mask() & (vol.intensity < threshold)).any())
         assert grown and seeds_below
 
-    def test_mvo_rule_matches_per_component_loop(self):
+    def test_mvo_rule_matches_per_component_loop(self, monkeypatch):
         added = 0
         for seed in self.SEEDS:
             lab, vol, masks = random_case(seed)
             for fraction in (0.3, 0.8):
-                config = PostprocessConfig(mvo_enclosure_fraction=fraction)
-                got = include_mvo(lab, masks, vol, config).infarct_mask()
-                want = ref_mvo(lab, masks, vol, config).infarct_mask()
+                config = Thresholds(mvo_enclosure_fraction=fraction)
+                use(monkeypatch, config)
+                got = include_mvo(lab.infarct_mask(), vol.mask, masks.endo)
+                want = ref_mvo(lab.infarct_mask(), masks, vol, config)
                 assert np.array_equal(got, want)
                 added += int((got & ~lab.infarct_mask()).any())
         assert added
 
-    def test_audit_matches_per_component_loop(self):
+    def test_audit_matches_per_component_loop(self, monkeypatch):
         params = make_params()
-        config = PostprocessConfig(boundary_fraction=0.6, min_volume_mm3=40.0,
-                                   mvo_enclosure_fraction=0.5)
+        config = Thresholds(boundary_fraction=0.6, min_volume_mm3=40.0,
+                            mvo_enclosure_fraction=0.5)
+        use(monkeypatch, config)
         listed = 0
         for seed in self.SEEDS:
             lab, vol, masks = random_case(seed)
-            got, audit = run_postprocessing(lab, vol, masks, params, config)
+            got, audit = run_postprocessing(lab, vol, masks, params, config.min_volume_mm3)
             vox = voxel_mm3(vol)
             steps = (lambda x: ref_boundary(x, vol, config),
                      lambda x: ref_small(x, config.min_volume_mm3, vol),
-                     lambda x: recover_partial_volume(x, vol, params),
+                     lambda x: recover_partial_volume(x, vol.mask, vol.intensity, params.i_thrh),
                      lambda x: ref_mvo(x, masks, vol, config))
-            current = lab
+            current = lab.infarct_mask()
             for entry, step in zip(audit, steps, strict=True):
-                before = current.infarct_mask()
+                before = current
                 current = step(current)
-                after = current.infarct_mask()
+                after = current
                 assert entry["removed_components"] == ref_component_sizes(before & ~after, vox)
                 assert entry["added_components"] == ref_component_sizes(after & ~before, vox)
                 listed += len(entry["removed_components"]) + len(entry["added_components"])
-            assert np.array_equal(got.labels, current.labels)
+            assert np.array_equal(got.labels, current.astype(np.uint8))
         assert listed
 
 
@@ -428,17 +453,20 @@ class TestLabelOnceOracle:
 
 def full_array_postprocessing(labeling, volume, masks, params, config):
     steps = (
-        ("boundary_false_positives", lambda x: remove_boundary_false_positives(x, volume, config)),
-        ("small_components", lambda x: remove_small_components(x, config.min_volume_mm3, volume)),
-        ("partial_volume_recovery", lambda x: recover_partial_volume(x, volume, params)),
-        ("mvo_inclusion", lambda x: include_mvo(x, masks, volume, config)),
+        ("boundary_false_positives",
+         lambda x: remove_boundary_false_positives(x, volume.mask)),
+        ("small_components",
+         lambda x: remove_small_components(x, config.min_volume_mm3, volume.spacing_mm)),
+        ("partial_volume_recovery",
+         lambda x: recover_partial_volume(x, volume.mask, volume.intensity, params.i_thrh)),
+        ("mvo_inclusion", lambda x: include_mvo(x, volume.mask, masks.endo)),
     )
     audit = []
-    current = labeling
+    current = labeling.infarct_mask()
     for name, step in steps:
-        before = current.infarct_mask()
+        before = current
         current = step(current)
-        after = current.infarct_mask()
+        after = current
         audit.append({
             "step": name,
             "voxels_before": int(before.sum()),
@@ -446,7 +474,7 @@ def full_array_postprocessing(labeling, volume, masks, params, config):
             "removed_components": ref_component_sizes(before & ~after, voxel_mm3(volume)),
             "added_components": ref_component_sizes(after & ~before, voxel_mm3(volume)),
         })
-    return current, audit
+    return Labeling(current.astype(np.uint8), labeling.mask), audit
 
 
 def boxed_case(seed, shape, where, infarct_level=0.45):
@@ -474,12 +502,13 @@ class TestBoundingBoxCrop:
         # One slice, filled edge to edge in plane.
         "fills_one_slice": np.s_[2:3, :, :],
     }
-    CONFIG = PostprocessConfig(boundary_fraction=0.6, min_volume_mm3=40.0,
-                               mvo_enclosure_fraction=0.5)
+    CONFIG = Thresholds(boundary_fraction=0.6, min_volume_mm3=40.0,
+                        mvo_enclosure_fraction=0.5)
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("infarct_level", [0.45, 0.0])
-    def test_cropped_rules_equal_the_full_array_rules(self, case, infarct_level):
+    def test_cropped_rules_equal_the_full_array_rules(self, case, infarct_level, monkeypatch):
+        use(monkeypatch, self.CONFIG)
         params = make_params()
         changed = 0
         for seed in range(12):
@@ -487,7 +516,7 @@ class TestBoundingBoxCrop:
             if infarct_level == 0.0:
                 assert not lab.infarct_mask().any()
             params.i_thrh = (0.3, 0.55, 0.8)[seed % 3]
-            got, audit = run_postprocessing(lab, vol, masks, params, self.CONFIG)
+            got, audit = run_postprocessing(lab, vol, masks, params, self.CONFIG.min_volume_mm3)
             want, want_audit = full_array_postprocessing(lab, vol, masks, params, self.CONFIG)
             assert got.labels.shape == self.SHAPE and got.mask is lab.mask
             assert np.array_equal(got.labels, want.labels)
@@ -495,12 +524,14 @@ class TestBoundingBoxCrop:
             changed += int(not np.array_equal(got.labels, lab.labels))
         assert changed or infarct_level == 0.0
 
-    def test_a_labeling_mask_beyond_the_myocardium_widens_the_box(self):
+    def test_a_labeling_mask_beyond_the_myocardium_widens_the_box(self, monkeypatch):
+        use(monkeypatch, self.CONFIG)
         lab, vol, masks = boxed_case(0, self.SHAPE, self.CASES["interior"])
         labels, mask = lab.labels.copy(), lab.mask.copy()
         labels[0, 0, 0] = mask[0, 0, 0] = True     # infarct outside the myocardium
         wide = Labeling(labels, mask)
-        got, audit = run_postprocessing(wide, vol, masks, make_params(), self.CONFIG)
+        got, audit = run_postprocessing(wide, vol, masks, make_params(),
+                                        self.CONFIG.min_volume_mm3)
         want, want_audit = full_array_postprocessing(wide, vol, masks, make_params(), self.CONFIG)
         assert np.array_equal(got.labels, want.labels) and audit == want_audit
 
@@ -512,3 +543,48 @@ class TestBoundingBoxCrop:
         got, audit = run_postprocessing(lab, vol, ContourMasks(empty, empty), make_params())
         assert got.labels.shape == shape and not got.labels.any()
         assert [entry["voxels_after"] for entry in audit] == [0, 0, 0, 0]
+
+
+class TestRulesOnArrays:
+    """Each rule returns a boolean array and leaves the one it was given as it was;
+    run_postprocessing builds only the labeling it returns."""
+
+    RULES = {
+        "boundary": lambda x, vol, masks, config: remove_boundary_false_positives(x, vol.mask),
+        "small": lambda x, vol, masks, config: remove_small_components(
+            x, config.min_volume_mm3, vol.spacing_mm),
+        "partial_volume": lambda x, vol, masks, config: recover_partial_volume(
+            x, vol.mask, vol.intensity, 0.55),
+        "mvo": lambda x, vol, masks, config: include_mvo(x, vol.mask, masks.endo),
+    }
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_rule_leaves_its_input_as_it_was(self, rule, monkeypatch):
+        config = Thresholds(boundary_fraction=0.6, min_volume_mm3=40.0,
+                            mvo_enclosure_fraction=0.5)
+        use(monkeypatch, config)
+        changed = 0
+        for seed in range(10):
+            lab, vol, masks = random_case(seed)
+            infarct = lab.infarct_mask()
+            out = self.RULES[rule](infarct, vol, masks, config)
+            assert np.array_equal(infarct, lab.infarct_mask())
+            assert out.dtype == bool and out.shape == infarct.shape
+            changed += int(not np.array_equal(out, infarct))
+        assert changed
+
+    def test_one_labeling_and_no_other_wrapper_is_built(self, monkeypatch):
+        lab, contours, vol, _, _ = TestMvoInclusion().setup_wedge_with_pocket()
+        masks = contour_masks(contours, vol.mask.shape)
+        built = []
+
+        def counted(cls):
+            def build(*args, **kwargs):
+                built.append(cls.__name__)
+                return cls(*args, **kwargs)
+            return build
+
+        for name in ("Labeling", "MyocardiumVolume", "ContourMasks"):
+            monkeypatch.setattr(postprocess, name, counted(getattr(postprocess, name)))
+        out, _ = run_postprocessing(lab, vol, masks, make_params())
+        assert built == ["Labeling"] and out.infarct_mask().any()

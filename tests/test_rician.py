@@ -247,11 +247,36 @@ class TestMixtureJacobian:
         assert len(calls) == 3
         assert all(callable(kw.get("Dfun")) and kw["full_output"] for kw in calls)
 
+    def test_no_residual_is_evaluated_outside_the_solves(self, monkeypatch):
+        # Each solve's residual at its solution is MINPACK's fvec.
+        depth, inside, outside = [], [], []
+        solve = rician.leastsq
+
+        def spy(fun, x0, **kwargs):
+            depth.append(None)
+            try:
+                return solve(fun, x0, **kwargs)
+            finally:
+                depth.pop()
+
+        def counted(component):
+            def wrapped(*args):
+                (inside if depth else outside).append(component.__name__)
+                return component(*args)
+            return wrapped
+
+        rp, _ = curve_from_params(make_params())
+        monkeypatch.setattr(rician, "leastsq", spy)
+        for name in ("rayleigh_shifted", "gaussian_term"):
+            monkeypatch.setattr(rician, name, counted(getattr(rician, name)))
+        fit_mixture(rp)
+        assert inside and outside == []
+
 
 def trf_solve(fun, x0, Dfun, **kwargs):
     """fit_mixture's former solver, scipy's trf, in leastsq's calling convention."""
     sol = least_squares(fun, x0, jac=Dfun, method="trf", max_nfev=2000)
-    return sol.x, None, {}, "", 1
+    return sol.x, None, {"fvec": sol.fun}, "", 1
 
 
 class TestAgainstTrf:

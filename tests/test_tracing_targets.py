@@ -92,3 +92,23 @@ def test_traced_classify_counts_nodes_and_arcs():
     assert metrics["maxflow.solve.calls"] == 1
     assert metrics["maxflow.nodes"] == n_free
     assert metrics["maxflow.arcs"] == len(to) // 2
+
+
+def test_traced_postprocessing_records_each_rule_once():
+    from test_postprocess import make_params, random_case
+
+    from lgequant import postprocess
+
+    lab, vol, masks = random_case(0)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        postprocess.run_postprocessing(lab, vol, masks, make_params())
+    finally:
+        tracer.uninstall()
+    outer, *inner = [(name, parent) for name, _, _, parent, _ in tracer.spans]
+    assert outer == ("postprocess.run_postprocessing", -1)
+    assert inner == [(f"postprocess.{rule}", 0) for rule in (
+        "remove_boundary_false_positives", "remove_small_components",
+        "recover_partial_volume", "include_mvo")]
