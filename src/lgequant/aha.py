@@ -94,7 +94,8 @@ def quantify(labeling: Labeling, volume: MyocardiumVolume, segments: SegmentMode
     myo_counts = np.bincount(seg[mask], minlength=18)[1:17]
     inf_counts = np.bincount(seg[infarct], minlength=18)[1:17]
     total_myo = int(np.count_nonzero(mask))
-    total_inf = int(np.count_nonzero(infarct))
+    # An infarct voxel off the volume's mask lies in no segment, so it is not counted.
+    total_inf = int(np.count_nonzero(infarct & mask))
     with np.errstate(invalid="ignore", divide="ignore"):
         seg_pct = np.where(myo_counts > 0, 100.0 * inf_counts / np.maximum(myo_counts, 1), 0.0)
     vol_pct = 100.0 * total_inf / total_myo if total_myo else 0.0

@@ -407,8 +407,6 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
         raise DegenerateInputError("alignment needs at least 2 slices")
     compiled = CompiledProblem(problem)
     terms = compiled.terms
-    if not terms:
-        raise DegenerateInputError("no cost terms to minimize")
 
     anchor = middle_slice_index(len(problem.sa_slices))
     origins = compiled.origins

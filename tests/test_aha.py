@@ -4,7 +4,9 @@ import pytest
 from lgequant.aha import AhaConfig, SegmentModel, assign_levels, assign_segments, quantify
 from lgequant.errors import EmptyMaskError
 from lgequant.graphcut import Labeling, MyocardiumVolume
-from lgequant.raster import circle_polygon, polygon_mask
+from lgequant.phantom import default_wedge_config, generate
+from lgequant.pipeline import myocardium_volume
+from lgequant.raster import circle_polygon, contour_masks, polygon_mask
 
 SPACING = (1.25, 1.25, 10.0)
 
@@ -145,6 +147,22 @@ class TestQuantify:
         others = np.delete(report.segment_percent, 12)
         assert seg13 > 95.0
         assert np.all(others < 5.0)
+
+    def test_infarct_off_the_myocardium_is_not_counted(self):
+        """A labeling whose mask covers the cavity too counts only the segments' voxels."""
+        dataset, truth = generate(default_wedge_config(seed=3, noise_sigma=0.0))
+        stack = np.stack([s.pixels for s in dataset.sa_slices])
+        masks = contour_masks(truth.contours, stack.shape)
+        vol = myocardium_volume(dataset, masks, stack=stack / stack.max())
+        cavity = masks.endo & ~masks.myocardium
+        labels = truth.infarct_mask.copy()
+        labels[0] |= cavity[0]          # the basal slice's cavity is labelled infarct
+        assert cavity[0].any()
+        lab = Labeling(labels.astype(np.uint8), masks.myocardium | cavity)
+        report = quantify(lab, vol, assign_segments(vol))
+        assert report.total_infarct_voxels == report.segment_infarct_voxels.sum()
+        assert report.volumetric_percent == (100.0 * report.segment_infarct_voxels.sum()
+                                             / report.segment_myocardium_voxels.sum())
 
     def test_counts_match_per_segment_loop(self):
         """Two bincounts equal the per-segment full-volume scans, stray ids included."""

@@ -503,10 +503,14 @@ class TestCliInputErrors:
     @pytest.mark.parametrize("text, fragment", [(None, "file not found"),
                                                 ("{not json", "malformed JSON"),
                                                 ("[1, 2]", "must be a JSON object"),
-                                                ('{"lambda_": "1"}', "'lambda_' must be float"),
+                                                ('{"lambda_": "1"}',
+                                                 "[classify] lambda must be positive and finite, "
+                                                 "got '1'"),
                                                 ('{"skip_realign": "no"}',
-                                                 "'skip_realign' must be bool"),
-                                                ('{"max_iter": 2.5}', "'max_iter' must be int")],
+                                                 "[realign] skip_realign must be a bool, got 'no'"),
+                                                ('{"max_iter": 2.5}',
+                                                 "[normalize] max_iter must be an integer, "
+                                                 "got 2.5")],
                              ids=["missing", "malformed", "not_an_object", "string_lambda",
                                   "string_skip_realign", "float_max_iter"])
     def test_pipeline_with_bad_config_file(self, phantom_dir, tmp_path, capsys, text, fragment):
@@ -519,9 +523,10 @@ class TestCliInputErrors:
             "--out", tmp_path / "run",
         ], fragment)
 
-    # A typo, and the three post-processing thresholds that are constants now.
+    # A typo, the three post-processing thresholds that are constants now, and
+    # the graph-cut sigma, which is always the fitted one.
     @pytest.mark.parametrize("key", ["lamda", "boundary_fraction", "max_rim_thickness_vox",
-                                     "mvo_enclosure_fraction"])
+                                     "mvo_enclosure_fraction", "graph_sigma"])
     def test_classify_with_an_unknown_config_key(self, phantom_dir, normalized_dir, tmp_path,
                                                  capsys, key):
         config = tmp_path / "config.json"
@@ -550,7 +555,7 @@ class TestCliInputErrors:
         ], fragment)
 
     @pytest.mark.parametrize("field, stage", [
-        ("lambda_", "classify"), ("graph_sigma", "classify"), ("epsilon", "normalize"),
+        ("lambda_", "classify"), ("epsilon", "normalize"),
         ("min_volume_mm3", "postprocess"), ("reference_angle_deg", "quantify"),
         ("gamma", "realign"),
     ])

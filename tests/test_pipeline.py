@@ -1,3 +1,4 @@
+import inspect
 import json
 from dataclasses import replace
 
@@ -23,9 +24,12 @@ from lgequant.pipeline import (
     realign_stage,
     run_pipeline,
 )
-from lgequant.normalize import MAX_ITER_CAP
-from lgequant.realign import MAX_SWEEPS_CAP
-from lgequant.rician import MAX_BINS, MIN_MIXTURE_BINS
+from lgequant.aha import AhaConfig
+from lgequant.graphcut import GraphCutConfig
+from lgequant.normalize import DEFAULT_EPSILON, DEFAULT_MAX_ITER, MAX_ITER_CAP
+from lgequant.postprocess import run_postprocessing
+from lgequant.realign import DEFAULT_GAMMA, MAX_SWEEPS, MAX_SWEEPS_CAP
+from lgequant.rician import DEFAULT_BINS, MAX_BINS, MIN_MIXTURE_BINS
 
 
 class TestNoiselessExactness:
@@ -98,8 +102,6 @@ class TestConfigStageErrors:
         ("lambda_", 0.0, "classify"),
         ("lambda_", float("nan"), "classify"),
         ("lambda_", float("inf"), "classify"),
-        ("graph_sigma", 0.0, "classify"),
-        ("graph_sigma", float("inf"), "classify"),
         ("reference_angle_deg", float("nan"), "quantify"),
         ("reference_angle_deg", float("inf"), "quantify"),
         ("min_volume_mm3", -1.0, "postprocess"),
@@ -125,7 +127,6 @@ class TestConfigChecksAtConstruction:
 
     @pytest.mark.parametrize("field, value, stage", [
         ("lambda_", float("nan"), "classify"),
-        ("graph_sigma", -1.0, "classify"),
         ("reference_angle_deg", float("inf"), "quantify"),
         ("epsilon", -1.0, "normalize"),
         ("max_iter", 0, "normalize"),
@@ -185,22 +186,35 @@ class TestConfigFromAnyJson:
             return
         assert getattr(config, field) == value or value != value
 
-    # A typo, and the three post-processing thresholds that are constants now.
+    # A typo, the three post-processing thresholds that are constants now, and
+    # the graph-cut sigma, which is always the fitted one.
     @pytest.mark.parametrize("key", ["lamda", "boundary_fraction", "max_rim_thickness_vox",
-                                     "mvo_enclosure_fraction"])
+                                     "mvo_enclosure_fraction", "graph_sigma"])
     def test_unknown_key_is_a_package_error(self, tmp_path, key):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"lambda_": 2.0, key: 0.5}))
         with pytest.raises(LgeQuantError, match=r"^unknown config keys: \['" + key + r"'\]$"):
             PipelineConfig.from_json(path)
 
-    @pytest.mark.parametrize("field", ["lambda_", "graph_sigma", "epsilon", "min_volume_mm3",
+    @pytest.mark.parametrize("field", ["lambda_", "epsilon", "min_volume_mm3",
                                        "reference_angle_deg", "gamma"])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_integer_past_float_range_fails_at_construction(self, field, sign):
         with pytest.raises(PipelineStageError) as info:
             PipelineConfig(**{field: sign * 10 ** 400})
         assert isinstance(info.value.cause, ParameterError)
+
+
+class TestConfigDefaults:
+    def test_each_default_is_the_library_default_it_feeds(self):
+        config = PipelineConfig()
+        min_volume = inspect.signature(run_postprocessing).parameters["min_volume_mm3"]
+        assert (config.gamma, config.realign_max_sweeps) == (DEFAULT_GAMMA, MAX_SWEEPS)
+        assert (config.epsilon, config.max_iter) == (DEFAULT_EPSILON, DEFAULT_MAX_ITER)
+        assert config.n_bins == DEFAULT_BINS
+        assert config.lambda_ == GraphCutConfig().lambda_
+        assert config.reference_angle_deg == AhaConfig().reference_angle_deg
+        assert config.min_volume_mm3 == min_volume.default
 
 
 class TestIntegerFieldBounds:
