@@ -273,10 +273,11 @@ class CompiledProblem:
         self.gamma = problem.gamma
         self.origins = [s.pose.ipp for s in slices]
         self.atlas = PixelAtlas([s.pixels for s in slices])
-        # Contiguous-term evaluations by sampling path, and objective
-        # evaluations by search phase, for the log.
+        # Contiguous-term evaluations by sampling path, objective evaluations
+        # by search phase, and (term, trial) scores ``cheapest`` skipped, for the log.
         self.region_samples = {"lattice": 0, "gather": 0}
         self.evaluations = {"prescan": 0, "simplex": 0, "regauge": 0}
+        self.skipped = {"prescan": 0, "regauge": 0}
 
     def positions(self, ipp_all=None) -> list:
         """Per-slice origins: the recorded ones, or ``ipp_all`` reached by translation."""
@@ -329,28 +330,47 @@ class CompiledProblem:
                                 "too-few-samples", "constant-segment", masked=False)
         return out
 
-    def objective(self, trials, term_ids, live, phase: str) -> list:
-        """Summed cost of ``term_ids`` at each trial, counted under ``phase``;
-        INFEASIBLE once a ``live`` term degenerates. One trial (a simplex step)
-        evaluates all its intersecting terms at once; many (a prescan) go term
-        by term, so an infeasible trial stops early."""
-        self.evaluations[phase] += len(trials)
-        values, pending = [0.0] * len(trials), list(range(len(trials)))
-        lines = [ti for ti in term_ids if self.terms[ti].kind == "int"] if len(trials) == 1 else []
-        ahead = dict(zip(lines, self.evaluate(trials, lines)))
+    def objective(self, trial, term_ids, live, phase: str) -> float:
+        """Summed cost of ``term_ids`` at one trial, counted under ``phase``;
+        INFEASIBLE once a ``live`` term degenerates. One gather samples all its
+        intersecting terms; ``cheapest`` scores a batch of trials against it."""
+        self.evaluations[phase] += 1
+        lines = [ti for ti in term_ids if self.terms[ti].kind == "int"]
+        ahead = dict(zip(lines, self.evaluate([trial], lines)))
+        value = 0.0
         for ti in term_ids:
+            [(cost, reason)] = ahead.get(ti) or self.evaluate([trial], [ti])[0]
+            if reason is not None and live[ti]:
+                return INFEASIBLE
+            value += cost
+        return value
+
+    def cheapest(self, trials, term_ids, live, phase: str) -> int:
+        """Index of the first strictly cheapest of ``trials`` under ``objective``.
+
+        Trial 0 is scored in full, the others term by term; one is dropped once
+        its partial sum reaches trial 0's total. Each term adds a cost >= 0,
+        which never lowers a rounded sum, so a dropped trial could not win (ties
+        go to the first index; INFEASIBLE exceeds every feasible total)."""
+        bar = self.objective(trials[0], term_ids, live, phase)
+        self.evaluations[phase] += len(trials) - 1
+        values, pending = [bar] + [0.0] * (len(trials) - 1), list(range(1, len(trials)))
+        for n, ti in enumerate(term_ids, 1):
             if not pending:
                 break
-            costs = ahead.get(ti) or self.evaluate([trials[k] for k in pending], [ti])[0]
+            [costs] = self.evaluate([trials[k] for k in pending], [ti])
             still = []
             for k, (cost, reason) in zip(pending, costs):
                 if reason is not None and live[ti]:
                     values[k] = INFEASIBLE
-                else:
-                    values[k] += cost
+                    continue
+                values[k] += cost
+                if values[k] < bar:
                     still.append(k)
+                else:
+                    self.skipped[phase] += len(term_ids) - n
             pending = still
-        return values
+        return min(range(len(values)), key=values.__getitem__)
 
     def check(self, slices, records) -> None:
         """Raise RuntimeError unless ``records``, a breakdown at the origins of
@@ -441,14 +461,9 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
         for ti, [(cost, reason)] in zip(term_ids, compiled.evaluate([current], term_ids)):
             term_costs[ti], term_reasons[ti] = cost, reason
 
-    def cheapest(starts, trial, term_ids, phase: str) -> int:
-        """Index of the first strictly cheapest of ``starts``, all scored in one batch."""
-        values = compiled.objective([trial(x) for x in starts], term_ids, live, phase)
-        return min(range(len(values)), key=values.__getitem__)
-
     def nelder_mead(trial, term_ids, phase: str, x0, simplex, bounds=None):
         """(minimizer, its cost) of one Nelder-Mead search from ``simplex``."""
-        res = minimize(lambda x: compiled.objective([trial(x)], term_ids, live, phase)[0], x0,
+        res = minimize(lambda x: compiled.objective(trial(x), term_ids, live, phase), x0,
                        method="Nelder-Mead", bounds=bounds,
                        options={"initial_simplex": simplex, **_NELDER_MEAD_OPTIONS})
         stops["tolerance" if res.status == 0 else "cap"] += 1   # else maxfev or maxiter
@@ -492,7 +507,7 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
                 for amt_c in (-4.0, -2.0, 0.0, 2.0, 4.0)
                 if not amt_r == amt_c == amt_n == 0.0
             ]
-            best = cheapest(starts, trial, term_ids, "prescan")
+            best = compiled.cheapest([trial(x) for x in starts], term_ids, live, "prescan")
             if require_prescan_move and best == 0:
                 # Current position already wins the coarse grid: leave the
                 # fine placement to the full-objective sweeps, where the
@@ -527,7 +542,7 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
 
         normal = slices[anchor].pose.normal
         starts = [np.zeros(3)] + [amt * normal for amt in (-6.0, -3.0, 3.0, 6.0)]
-        v0 = starts[cheapest(starts, trial, anchor_terms, "regauge")]
+        v0 = starts[compiled.cheapest([trial(v) for v in starts], anchor_terms, live, "regauge")]
         v, fun = nelder_mead(trial, anchor_terms, "regauge", v0,
                              np.vstack([v0, v0 + 1.5 * np.eye(3)]))
         moved = max(np.abs(deltas[i] + v).max() for i in range(n_slices) if i != anchor)
@@ -570,6 +585,8 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
 
     logger.info("realign: %d prescan, %d simplex and %d regauge cost evaluations",
                 *(compiled.evaluations[k] for k in ("prescan", "simplex", "regauge")))
+    logger.info("realign: the bound skipped %d prescan and %d regauge term scores",
+                compiled.skipped["prescan"], compiled.skipped["regauge"])
     logger.info("realign: %d contiguous evaluations on the pixel lattice, %d by gather",
                 compiled.region_samples["lattice"], compiled.region_samples["gather"])
     # Each search proposes one move, so the moves not accepted were rejected.

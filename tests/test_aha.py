@@ -176,9 +176,12 @@ class TestQuantify:
             report = quantify(lab, vol, SegmentModel(ids, assign_levels(3), 0.0))
             infarct = lab.infarct_mask()
             myo = np.array([np.sum((ids == s) & vol.mask) for s in range(1, 17)])
-            inf = np.array([np.sum((ids == s) & infarct) for s in range(1, 17)])
+            inf = np.array([np.sum((ids == s) & infarct & vol.mask) for s in range(1, 17)])
             with np.errstate(invalid="ignore", divide="ignore"):
                 pct = np.where(myo > 0, 100.0 * inf / np.maximum(myo, 1), 0.0)
             assert np.array_equal(report.segment_myocardium_voxels, myo)
             assert np.array_equal(report.segment_infarct_voxels, inf)
             assert np.array_equal(report.segment_percent, pct)
+            inside = SegmentModel(np.clip(ids, 1, 16), assign_levels(3), 0.0)
+            report = quantify(lab, vol, inside)
+            assert report.segment_infarct_voxels.sum() == report.total_infarct_voxels

@@ -534,25 +534,105 @@ def _per_term_objective(compiled, trials, term_ids, live):
 
 @pytest.mark.parametrize("build", [wedge_problem, oblique_problem, degenerate_problem])
 def test_objective_equals_the_per_term_loop(build):
-    """``CompiledProblem.objective`` equals one evaluation per term, one trial or many,
-    in values and region-path counts."""
+    """``CompiledProblem.objective`` equals one evaluation per term at one trial,
+    in value and region-path counts."""
     problem = build()
     compiled = CompiledProblem(problem)
-    live = [r["degenerate"] is None for r in compiled.breakdown(compiled.positions())]
+    live = _live(compiled)
     rng = np.random.default_rng(29)
     values = []
     for i in (1, len(problem.sa_slices), len(problem.slices) - 1):     # SA and LA slices
-        ids = [ti for ti, t in enumerate(compiled.terms) if i in (t.i, t.j)]
+        ids = _touching(compiled, i)
         trials, _ = _random_trials(problem, rng, 9)
-        for batch in [trials] + [[trial] for trial in trials]:
+        for trial in trials:
             before = dict(compiled.region_samples)
-            got = compiled.objective(batch, ids, live, "simplex")
+            got = compiled.objective(trial, ids, live, "simplex")
             mid = dict(compiled.region_samples)
-            assert got == _per_term_objective(compiled, batch, ids, live)
+            assert [got] == _per_term_objective(compiled, [trial], ids, live)
             assert {k: mid[k] - before[k] for k in mid} == \
                 {k: v - mid[k] for k, v in compiled.region_samples.items()}
-            values += got
+            values.append(got)
     assert INFEASIBLE in values and min(values) < INFEASIBLE
+
+
+def _live(compiled) -> list:
+    """Whether each term is live at the recorded origins."""
+    return [r["degenerate"] is None for r in compiled.breakdown(compiled.positions())]
+
+
+def _touching(compiled, i) -> list:
+    """The ids of the terms that slice ``i`` belongs to."""
+    return [ti for ti, t in enumerate(compiled.terms) if i in (t.i, t.j)]
+
+
+def _unbounded_cheapest(compiled, trials, term_ids, live, phase):
+    """``CompiledProblem.cheapest`` without the bound: the arg-min of every trial
+    scored to its last term (or its first degenerate live one)."""
+    compiled.evaluations[phase] += len(trials)
+    values = _per_term_objective(compiled, trials, term_ids, live)
+    return min(range(len(values)), key=values.__getitem__)
+
+
+@pytest.mark.parametrize("build", [wedge_problem, oblique_problem, degenerate_problem])
+def test_bounded_cheapest_equals_the_unbounded_arg_min(build):
+    """The bound never changes the chosen trial: on random batches, on a batch
+    whose trial 0 is infeasible, and on one that repeats trial 0 (index 0 wins)."""
+    problem = build()
+    compiled = CompiledProblem(problem)
+    live = _live(compiled)
+    rng = np.random.default_rng(31)
+    picked, infeasible_first = set(), 0
+    for i in (1, len(problem.sa_slices), len(problem.slices) - 1):     # SA and LA slices
+        ids = _touching(compiled, i)
+        for _ in range(4):
+            trials, _ = _random_trials(problem, rng, 12)
+            values = _per_term_objective(compiled, trials, ids, live)
+            batches = [trials, trials[1:] + trials[:1]]
+            if values[0] < INFEASIBLE:      # trial 0 again, later in the batch
+                batches.append(trials[:1] + trials[4:7] + trials[:1] + trials[7:])
+            worst = max(range(len(trials)), key=values.__getitem__)
+            if values[worst] == INFEASIBLE:     # an infeasible trial 0
+                batches.append(trials[worst:worst + 1] + trials)
+                infeasible_first += 1
+            for batch in batches:
+                want = _unbounded_cheapest(compiled, batch, ids, live, "prescan")
+                got = compiled.cheapest(batch, ids, live, "prescan")
+                assert got == want
+                picked.add(got)
+        repeat = [trials[0], trials[0], trials[0]]
+        assert compiled.cheapest(repeat, ids, live, "prescan") == 0
+    assert infeasible_first > 0 and len(picked) > 1
+
+
+def _spy_term_scores(monkeypatch) -> list:
+    """A one-element list that counts the (term, trial) scores of every
+    ``CompiledProblem.evaluate`` call from now on."""
+    scores = [0]
+    evaluate = CompiledProblem.evaluate
+
+    def counted(self, trials, term_ids):
+        term_ids = list(term_ids)
+        scores[0] += len(trials) * len(term_ids)
+        return evaluate(self, trials, term_ids)
+
+    monkeypatch.setattr(CompiledProblem, "evaluate", counted)
+    return scores
+
+
+def _same_results(a, b) -> bool:
+    return (np.array_equal(a.corrected_ipps, b.corrected_ipps)
+            and a.final_cost == b.final_cost
+            and a.diagnostics["accepted_moves"] == b.diagnostics["accepted_moves"]
+            and a.diagnostics["cost_evaluations"] == b.diagnostics["cost_evaluations"])
+
+
+@pytest.mark.parametrize("build", [build_problem, oblique_problem])
+def test_bounded_search_equals_the_unbounded_one(build, monkeypatch):
+    """One sweep with the bound and without it gives equal results."""
+    bounded = optimize(build(), max_sweeps=1)
+    monkeypatch.setattr(CompiledProblem, "cheapest", _unbounded_cheapest)
+    unbounded = optimize(build(), max_sweeps=1)
+    assert _same_results(bounded, unbounded)
 
 
 class TestCompileChecks:
@@ -616,6 +696,24 @@ class TestCostEvaluations:
         assert any("cost evaluations" in m for m in messages)
         lattice, gather = _logged_counts(messages, "contiguous evaluations")
         assert gather == 0 < lattice
+        prescan_skipped, _ = _logged_counts(messages, "the bound skipped")
+        assert prescan_skipped > 0
+
+    def test_the_bound_scores_fewer_terms_on_the_wedge(self, caplog, monkeypatch):
+        """On the test wedge, one sweep with the bound makes 0.61x the (term,
+        trial) scores of one without it (6,018 of 9,886), with equal results, and
+        the log names every score saved: no trial the bound dropped would have
+        degenerated later (one that did would have stopped early unbounded too)."""
+        scores = _spy_term_scores(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="lgequant.realign"):
+            bounded = optimize(wedge_problem(), max_sweeps=1)
+        skipped = sum(_logged_counts([r.getMessage() for r in caplog.records],
+                                     "the bound skipped"))
+        with_bound, scores[0] = scores[0], 0
+        monkeypatch.setattr(CompiledProblem, "cheapest", _unbounded_cheapest)
+        unbounded = optimize(wedge_problem(), max_sweeps=1)
+        assert _same_results(bounded, unbounded)
+        assert 0 < scores[0] - with_bound == skipped
 
     def test_oblique_contiguous_evaluations_are_logged_as_gathers(self, caplog):
         with caplog.at_level(logging.INFO, logger="lgequant.realign"):
