@@ -11,7 +11,6 @@ microvascular obstruction.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import FINITE, ParameterError, check_number
 from .graphcut import Labeling, MyocardiumVolume
@@ -19,7 +18,10 @@ from .raster import ContourMasks, grow
 from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.py)
 from .rician import RicianMixtureParams
 
-SIX_CONNECTED = ndimage.generate_binary_structure(3, 1)
+# A voxel and its six face neighbours: ndimage.generate_binary_structure(3, 1).
+SIX_CONNECTED = np.array([[[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+                          [[0, 1, 0], [1, 1, 1], [0, 1, 0]],
+                          [[0, 0, 0], [0, 1, 0], [0, 0, 0]]], dtype=bool)
 # A component is a rim candidate when this share of its voxels lies in the two
 # in-plane layers along the mask edge: a contour drawn a voxel off admits a
 # layer that hugs the edge almost entirely, while a true infarct reaches into
@@ -51,6 +53,7 @@ def _grown_boxes(comp: np.ndarray, labels) -> list:
     it along every axis, so a dilation or in-plane distance transform of the
     component computed in the box equals the full-volume one.
     """
+    from scipy import ndimage
     if len(labels) == 0:
         return []
     boxes = ndimage.find_objects(comp, max(labels))
@@ -59,6 +62,7 @@ def _grown_boxes(comp: np.ndarray, labels) -> list:
 
 def _inplane_depth(mask: np.ndarray) -> np.ndarray:
     """Per-slice taxicab distance to the nearest out-of-mask pixel (1 = edge)."""
+    from scipy import ndimage
     depth = np.zeros(mask.shape, dtype=np.int32)
     for k in range(mask.shape[0]):
         depth[k] = ndimage.distance_transform_cdt(mask[k], metric="taxicab")
@@ -67,6 +71,7 @@ def _inplane_depth(mask: np.ndarray) -> np.ndarray:
 
 def remove_boundary_false_positives(infarct: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Drop infarct components that are thin rims along the mask boundary."""
+    from scipy import ndimage
     if not infarct.any():
         return infarct
     near_boundary = _inplane_depth(mask) <= 2   # the edge layer itself plus one voxel inward
@@ -84,6 +89,7 @@ def remove_boundary_false_positives(infarct: np.ndarray, mask: np.ndarray) -> np
 def remove_small_components(infarct: np.ndarray, min_volume_mm3: float,
                             spacing_mm) -> np.ndarray:
     """Drop infarct components smaller than the physical volume threshold."""
+    from scipy import ndimage
     check_min_volume(min_volume_mm3)
     if not infarct.any() or min_volume_mm3 == 0:
         return infarct
@@ -99,6 +105,7 @@ def recover_partial_volume(infarct: np.ndarray, mask: np.ndarray, intensity: np.
 
     Infarct voxels below the threshold stay infarct and seed the growth too.
     """
+    from scipy import ndimage
     if i_thrh is None:
         raise ParameterError("i_thrh is not set; run find_threshold first")
     check_number("i_thrh", i_thrh, **FINITE)
@@ -108,6 +115,7 @@ def recover_partial_volume(infarct: np.ndarray, mask: np.ndarray, intensity: np.
 
 def include_mvo(infarct: np.ndarray, mask: np.ndarray, cavity: np.ndarray) -> np.ndarray:
     """Add dark pockets enclosed by infarct except for their cavity face."""
+    from scipy import ndimage
     if not infarct.any():
         return infarct
     comp, n_comp = ndimage.label(mask & ~infarct, SIX_CONNECTED)
@@ -150,6 +158,7 @@ def run_postprocessing(
     vox_mm3 = _voxel_volume_mm3(volume.spacing_mm)
 
     def component_sizes(changed: np.ndarray) -> list:
+        from scipy import ndimage
         if not changed.any():
             return []
         comp, _ = ndimage.label(changed, SIX_CONNECTED)

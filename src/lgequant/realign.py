@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import COUNT, NON_NEGATIVE, DegenerateInputError, ParameterError, check_number
 from .geometry import (
@@ -38,6 +37,11 @@ from .geometry import (
 logger = logging.getLogger(__name__)
 
 DEFAULT_GAMMA = 0.01
+# The largest contiguous weight allowed. Every cost term is the MSD of two
+# z-normalized sample sets, 2(1 - r) <= 4, so with weights at most MAX_GAMMA a
+# feasible total stays below INFEASIBLE for fewer than 250,000 terms: the
+# bounded prescan (``cheapest``) is exact only while INFEASIBLE exceeds it.
+MAX_GAMMA = 1e6
 TRANSLATION_BOUND_MM = 20.0
 MAX_SWEEPS = 50
 # The most sweeps allowed, twenty times the default: a sweep takes under a second
@@ -62,8 +66,10 @@ def middle_slice_index(n: int) -> int:
 
 
 def check_gamma(gamma) -> None:
-    """Raise ParameterError unless the contiguous weight is a finite number >= 0."""
+    """Raise ParameterError unless the contiguous weight is a number in [0, MAX_GAMMA]."""
     check_number("gamma", gamma, **NON_NEGATIVE)
+    if gamma > MAX_GAMMA:
+        raise ParameterError(f"gamma must be at most {MAX_GAMMA:g}, got {gamma}")
 
 
 def check_max_sweeps(max_sweeps) -> None:
@@ -463,6 +469,7 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
 
     def nelder_mead(trial, term_ids, phase: str, x0, simplex, bounds=None):
         """(minimizer, its cost) of one Nelder-Mead search from ``simplex``."""
+        from scipy.optimize import minimize
         res = minimize(lambda x: compiled.objective(trial(x), term_ids, live, phase), x0,
                        method="Nelder-Mead", bounds=bounds,
                        options={"initial_simplex": simplex, **_NELDER_MEAD_OPTIONS})

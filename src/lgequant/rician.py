@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, leastsq
 
 from .errors import FitError, ParameterError, ThresholdError
 
@@ -188,6 +187,7 @@ def _solve(fun, jac, theta0) -> tuple:
     the solution and its sum of squared residuals, which MINPACK's ``fvec`` holds.
     full_output keeps a solve stopped at MAX_NFEV from warning, so it returns its
     last point."""
+    from scipy.optimize import leastsq
     x, _, info, _, _ = leastsq(fun, theta0, Dfun=jac, full_output=True, ftol=1e-8,
                                xtol=1e-8, gtol=1e-8, maxfev=MAX_NFEV)
     return x, float(np.sum(info["fvec"] ** 2))
@@ -287,6 +287,7 @@ def find_threshold(p: RicianMixtureParams) -> float:
         if fv[i] == 0.0:
             root = float(grid[i])
         else:
+            from scipy.optimize import brentq
             root = float(brentq(f, grid[i + 1], grid[i], xtol=1e-15, rtol=8.9e-16))
     if root is None or not (lo < root < hi):
         raise ThresholdError("components do not intersect between their modes")

@@ -727,6 +727,14 @@ class TestRealignInputErrors:
         assert err.startswith("error: ") and "must be" in err and "finite" in err
         assert len(err.splitlines()) == 1
 
+    def test_gamma_above_its_bound_exits_1_with_one_error_line(self, phantom_dir, tmp_path,
+                                                               capsys):
+        assert_cli_error(capsys, [
+            "realign", "--data", phantom_dir / "dataset.json", "--gamma", "1e7",
+            "--out", tmp_path / "r",
+        ], "[realign] gamma must be at most 1e+06")
+        assert not (tmp_path / "r").exists()
+
     def test_slices_metres_apart_exit_1_with_one_error_line(self, tmp_path, capsys):
         # Adjacent SA origins ~1e300 mm apart would size the paired-region grid
         # beyond any allocation.

@@ -135,6 +135,7 @@ class TestConfigChecksAtConstruction:
         ("n_bins", 11, "normalize"),
         ("min_volume_mm3", float("nan"), "postprocess"),
         ("skip_realign", "yes", "realign"),
+        ("gamma", 1e7, "realign"),
         ("lambda_", "1", "classify"),
         ("epsilon", "x", "normalize"),
         ("min_volume_mm3", [1], "postprocess"),

@@ -53,6 +53,12 @@ def wedge_mask(mask, endo_m, span=(0.0, 90.0)):
     return mask & in_angle[None]
 
 
+def test_six_connected_is_ndimages_cross():
+    cross = postprocess.SIX_CONNECTED
+    assert cross.shape == SIX.shape and cross.dtype == SIX.dtype
+    assert np.array_equal(cross, SIX)
+
+
 class TestBoundaryFalsePositives:
     def test_one_voxel_epicardial_rim_removed(self):
         mask, intensity, contours, endo_m, epi_m = annulus_setup()

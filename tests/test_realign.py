@@ -302,7 +302,7 @@ class TestOptimize:
 
 
 class TestGammaValidation:
-    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -0.5, "0.01"])
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), -0.5, "0.01", 1e7])
     def test_rejected(self, gamma):
         with pytest.raises(ParameterError) as info:
             build_problem(gamma=gamma)
@@ -312,11 +312,19 @@ class TestGammaValidation:
     def test_zero_accepted(self):
         assert build_problem(gamma=0).gamma == 0
 
+    def test_max_gamma_accepted(self):
+        assert build_problem(gamma=1e6).gamma == realign.MAX_GAMMA
+
+    def test_max_gamma_keeps_feasible_totals_below_the_sentinel(self):
+        # Each term is at most 4, so 250,000 terms weighted MAX_GAMMA stay below it.
+        assert 4.0 * realign.MAX_GAMMA * (250_000 - 1) < realign.INFEASIBLE
+
     @pytest.mark.parametrize("check, value, message", [
         (realign.check_gamma, -0.5, "gamma must be a finite non-negative number, got -0.5"),
         (realign.check_gamma, float("inf"), "gamma must be a finite non-negative number, got inf"),
         (realign.check_gamma, "0.01", "gamma must be a finite non-negative number, got '0.01'"),
         (realign.check_gamma, True, "gamma must be a finite non-negative number, got True"),
+        (realign.check_gamma, 1e7, "gamma must be at most 1e+06, got 10000000.0"),
         (realign.check_max_sweeps, -1, "max_sweeps must be a non-negative integer, got -1"),
         (realign.check_max_sweeps, 2.0, "max_sweeps must be a non-negative integer, got 2.0"),
         (realign.check_max_sweeps, True, "max_sweeps must be a non-negative integer, got True"),

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, least_squares
@@ -235,13 +236,13 @@ class TestMixtureJacobian:
 
     def test_every_least_squares_call_is_given_the_jacobian(self, monkeypatch):
         calls = []
-        solve = rician.leastsq
+        solve = scipy.optimize.leastsq
 
         def spy(fun, x0, **kwargs):
             calls.append(kwargs)
             return solve(fun, x0, **kwargs)
 
-        monkeypatch.setattr(rician, "leastsq", spy)
+        monkeypatch.setattr(scipy.optimize, "leastsq", spy)
         rp, _ = curve_from_params(make_params())
         fit_mixture(rp)
         assert len(calls) == 3
@@ -250,7 +251,7 @@ class TestMixtureJacobian:
     def test_no_residual_is_evaluated_outside_the_solves(self, monkeypatch):
         # Each solve's residual at its solution is MINPACK's fvec.
         depth, inside, outside = [], [], []
-        solve = rician.leastsq
+        solve = scipy.optimize.leastsq
 
         def spy(fun, x0, **kwargs):
             depth.append(None)
@@ -266,7 +267,7 @@ class TestMixtureJacobian:
             return wrapped
 
         rp, _ = curve_from_params(make_params())
-        monkeypatch.setattr(rician, "leastsq", spy)
+        monkeypatch.setattr(scipy.optimize, "leastsq", spy)
         for name in ("rayleigh_shifted", "gaussian_term"):
             monkeypatch.setattr(rician, name, counted(getattr(rician, name)))
         fit_mixture(rp)
@@ -293,7 +294,7 @@ class TestAgainstTrf:
     def test_recorded_curves(self, curve, monkeypatch):
         rp = recorded_curve(curve)
         fitted = fit_mixture(rp)
-        monkeypatch.setattr(rician, "leastsq", trf_solve)
+        monkeypatch.setattr(scipy.optimize, "leastsq", trf_solve)
         former = fit_mixture(rp)
         for name in PARAM_NAMES:
             assert getattr(fitted, name) == pytest.approx(getattr(former, name),
@@ -316,7 +317,7 @@ class TestSolveCap:
     @pytest.mark.parametrize("curve", [0, 9], ids=lambda i: RECORDED_IDS[i])
     def test_capped_fit_returns_or_raises_fit_error(self, cap, curve, monkeypatch):
         stops = []
-        solve = rician.leastsq
+        solve = scipy.optimize.leastsq
 
         def spy(fun, x0, **kwargs):
             out = solve(fun, x0, **kwargs)
@@ -324,7 +325,7 @@ class TestSolveCap:
             return out
 
         monkeypatch.setattr(rician, "MAX_NFEV", cap)
-        monkeypatch.setattr(rician, "leastsq", spy)
+        monkeypatch.setattr(scipy.optimize, "leastsq", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
