@@ -59,25 +59,34 @@ def assign_segments(volume: MyocardiumVolume, config: AhaConfig | None = None) -
     """Per-voxel segment ids from slice level and angle about the slice's centroid.
 
     Voxel coordinates are taken in the volume's box, so the ids do not depend
-    on where the myocardium lies in the grid.
+    on where the myocardium lies in the grid. All slices go in one pass; a
+    centroid is an integer coordinate sum, exact in float64, over a count.
     """
     config = config or AhaConfig()
     n_slices = volume.mask.shape[0]
     levels = assign_levels(n_slices)
     ids = np.zeros(volume.mask.shape, dtype=np.int16)
-    rows, cols = volume.box[1:]
-    for k in range(n_slices):
-        coords = np.argwhere(volume.mask[k, rows, cols])
-        if coords.size == 0:
-            raise EmptyMaskError(f"slice {k} has no myocardium")
-        d = coords - coords.mean(axis=0)
-        angles = np.degrees(np.arctan2(d[:, 1], -d[:, 0])) % 360.0
-        rel = (angles - config.reference_angle_deg) % 360.0
-        first, last = SEGMENTS_PER_LEVEL[levels[k]]
-        n_sectors = last - first + 1
-        sector = np.floor(rel / (360.0 / n_sectors)).astype(np.int16)
-        sector = np.minimum(sector, n_sectors - 1)
-        ids[k, rows, cols][coords[:, 0], coords[:, 1]] = first + sector
+    in_box = (slice(None), *volume.box[1:])
+    mask = volume.mask[in_box]
+    rows, cols = mask.shape[1:]
+    at = np.flatnonzero(mask)           # C order, as argwhere lists each slice's voxels
+    k_row = at // cols
+    k = k_row // rows
+    counts = np.bincount(k, minlength=n_slices)
+    if not counts.all():
+        raise EmptyMaskError(f"slice {int(np.argmin(counts))} has no myocardium")
+    row, col = k_row - k * rows, at - k_row * cols
+    d_row = row - (np.bincount(k, weights=row) / counts)[k]
+    d_col = col - (np.bincount(k, weights=col) / counts)[k]
+    # x % 360.0, branch-free: fmod (|angles| <= 180 is its own) moved into [0, 360).
+    angles = np.degrees(np.arctan2(d_col, -d_row))
+    angles += 360.0 * (angles < 0)
+    rel = np.fmod(angles - config.reference_angle_deg, 360.0)
+    rel += 360.0 * (rel < 0)
+    first, last = np.array([SEGMENTS_PER_LEVEL[level] for level in levels], dtype=np.int16).T
+    n_sectors = (last - first + 1)[k]
+    sector = np.floor(rel / (360.0 / n_sectors)).astype(np.int16)
+    ids[in_box][mask] = first[k] + np.minimum(sector, n_sectors - 1)
     return SegmentModel(segment_ids=ids, levels=levels,
                         reference_angle_deg=config.reference_angle_deg)
 

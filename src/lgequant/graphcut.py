@@ -68,14 +68,14 @@ class Labeling:
 
     def __post_init__(self):
         labels = np.asarray(self.labels)
-        other = (labels != 0) & (labels != 1)
+        other = labels > 1 if labels.dtype == np.uint8 else (labels != 0) & (labels != 1)
         if other.any():
             raise ParameterError(f"labels must be 0 or 1, got {labels[other][0].item()!r}")
         labels = labels.astype(np.uint8, copy=False)
         mask = np.asarray(self.mask, dtype=bool)
         if labels.shape != mask.shape:
             raise ParameterError("labels and mask shapes differ")
-        if np.logical_and(labels, ~mask).any():
+        if (labels > mask).any():
             raise ParameterError("labels outside the mask must be zero")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "mask", mask)

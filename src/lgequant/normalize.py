@@ -65,21 +65,23 @@ class NormalizationResult:
         return work
 
 
-def _stack_array(stack, masks: ContourMasks) -> np.ndarray:
-    arr = np.asarray(stack, dtype=float)
-    if arr.ndim != 3:
+def _slices(stack, masks: ContourMasks) -> list:
+    """The stack's 2-D float slices; ``stack`` is a 3-D array or a sequence of slices."""
+    slices = [np.asarray(s, dtype=float) for s in stack] if np.iterable(stack) else []
+    shape = (len(slices), *slices[0].shape) if slices else ()
+    if len(shape) != 3 or any(s.shape != shape[1:] for s in slices):
         raise ParameterError("stack must be (n_slices, rows, cols)")
     for mask in masks:
-        if mask.shape != arr.shape:
+        if mask.shape != shape:
             raise ContourError(
-                f"contour masks of shape {mask.shape} do not match the stack {arr.shape}"
+                f"contour masks of shape {mask.shape} do not match the stack {shape}"
             )
-    return arr
+    return slices
 
 
 def lv_voxels(stack, masks: ContourMasks) -> np.ndarray:
     """All intensities inside the epicardial contours, every slice concatenated."""
-    return _stack_array(stack, masks)[masks.epi]
+    return np.concatenate([s[epi] for s, epi in zip(_slices(stack, masks), masks.epi)])
 
 
 def check_normalization(epsilon, max_iter, n_bins) -> None:
@@ -115,14 +117,16 @@ def iterate_normalization(
     guarantees is all of them. The stack is then jointly min-max rescaled to
     [0, 1] and the last fitted parameters are returned in the rescaled units.
     Only ``stack[box]`` is scaled and returned, ``box`` holding every slice
-    and epicardial voxel; the rescale spans the whole stack's range.
+    and epicardial voxel; the rescale spans the whole stack's range. Only
+    ``stack[box]`` is copied: ``stack`` may be a sequence of 2-D slices.
     """
     check_normalization(epsilon, max_iter, n_bins)
-    arr = _stack_array(stack, masks)
-    n_slices = arr.shape[0]
+    slices = _slices(stack, masks)
+    n_slices = len(slices)
     ref = middle_slice_index(n_slices)
-    extrema = np.stack([arr.min(axis=(1, 2)), arr.max(axis=(1, 2))], axis=1)
-    arr, cut = np.array(arr[box]), ContourMasks(*(mask[box] for mask in masks))
+    extrema = np.array([(s.min(), s.max()) for s in slices])
+    arr = np.stack([s[box[1:]] for s in slices[box[0]]])
+    cut = ContourMasks(*(mask[box] for mask in masks))
     if arr.shape[0] != n_slices or np.count_nonzero(cut.epi) != np.count_nonzero(masks.epi):
         raise ParameterError("the box must hold every slice and every epicardial voxel")
     masks = cut

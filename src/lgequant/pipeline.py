@@ -156,8 +156,8 @@ def normalize_stage(dataset: LgeDataset, contours: ContourSet, config: PipelineC
     ``norm.stack`` covers the epicardial masks' canvas ``norm.box`` only.
     Given ``out``, maps the whole stack and writes it there as ``normalized.json``.
     """
-    stack = np.stack([s.pixels for s in dataset.sa_slices])
-    masks = contour_masks(contours, stack.shape)
+    stack = [s.pixels for s in dataset.sa_slices]
+    masks = contour_masks(contours, (len(stack), *stack[0].shape))
     norm = iterate_normalization(
         stack, masks, epsilon=config.epsilon,
         max_iter=config.max_iter, n_bins=config.n_bins, box=canvas(masks.epi),

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import FINITE, ParameterError, check_number
 from .graphcut import Labeling, MyocardiumVolume
-from .raster import ContourMasks, grow
+from .raster import ContourMasks, canvas, grow
 from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.py)
 from .rician import RicianMixtureParams
 
@@ -22,6 +22,7 @@ from .rician import RicianMixtureParams
 SIX_CONNECTED = np.array([[[0, 0, 0], [0, 1, 0], [0, 0, 0]],
                           [[0, 1, 0], [1, 1, 1], [0, 1, 0]],
                           [[0, 0, 0], [0, 1, 0], [0, 0, 0]]], dtype=bool)
+IN_PLANE = SIX_CONNECTED & np.array([False, True, False])[:, None, None]
 # A component is a rim candidate when this share of its voxels lies in the two
 # in-plane layers along the mask edge: a contour drawn a voxel off admits a
 # layer that hugs the edge almost entirely, while a true infarct reaches into
@@ -46,27 +47,10 @@ def _voxel_volume_mm3(spacing_mm) -> float:
     return float(d_row * d_col * d_thr)
 
 
-def _grown_boxes(comp: np.ndarray, labels) -> list:
-    """``(label, box)`` per label: its ``find_objects`` box grown by one voxel, clipped.
-
-    The box holds the component's 6-neighbourhood and the nearest voxel outside
-    it along every axis, so a dilation or in-plane distance transform of the
-    component computed in the box equals the full-volume one.
-    """
-    from scipy import ndimage
-    if len(labels) == 0:
-        return []
-    boxes = ndimage.find_objects(comp, max(labels))
-    return [(ci, grow(boxes[ci - 1], comp.shape)) for ci in labels]
-
-
 def _inplane_depth(mask: np.ndarray) -> np.ndarray:
-    """Per-slice taxicab distance to the nearest out-of-mask pixel (1 = edge)."""
+    """Per-slice taxicab distance to the nearest out-of-mask pixel (1 = edge, -1: none)."""
     from scipy import ndimage
-    depth = np.zeros(mask.shape, dtype=np.int32)
-    for k in range(mask.shape[0]):
-        depth[k] = ndimage.distance_transform_cdt(mask[k], metric="taxicab")
-    return depth
+    return ndimage.distance_transform_cdt(mask, metric=IN_PLANE)
 
 
 def remove_boundary_false_positives(infarct: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -74,15 +58,23 @@ def remove_boundary_false_positives(infarct: np.ndarray, mask: np.ndarray) -> np
     from scipy import ndimage
     if not infarct.any():
         return infarct
-    near_boundary = _inplane_depth(mask) <= 2   # the edge layer itself plus one voxel inward
-    comp, _ = ndimage.label(infarct, SIX_CONNECTED)
-    in_comp = comp[infarct]
-    frac = np.bincount(in_comp, weights=near_boundary[infarct])[1:] / np.bincount(in_comp)[1:]
+    # The box holds each component's grown box and every pixel within 2 of the infarct.
+    box = canvas(infarct, by=(1, 2, 2))
+    inf, cut = infarct[box], mask[box]
+    near_boundary = _inplane_depth(cut) <= 2   # the edge layer itself plus one voxel inward
+    # A box slice reads -1 when it has no out-of-mask pixel; its whole slice may have one.
+    filled = cut.all(axis=(1, 2))
+    near_boundary[filled] = mask[box[0]][filled].all(axis=(1, 2))[:, None, None]
+    comp, _ = ndimage.label(inf, SIX_CONNECTED)
+    in_comp = comp[inf]
+    frac = np.bincount(in_comp, weights=near_boundary[inf])[1:] / np.bincount(in_comp)[1:]
     out = infarct.copy()
-    for ci, box in _grown_boxes(comp, np.flatnonzero(~(frac < BOUNDARY_FRACTION)) + 1):
-        cmask = comp[box] == ci
+    boxes = ndimage.find_objects(comp)
+    for ci in np.flatnonzero(~(frac < BOUNDARY_FRACTION)) + 1:
+        cbox = grow(boxes[ci - 1], comp.shape)   # holds the component's depth
+        cmask = comp[cbox] == ci
         if int(_inplane_depth(cmask).max()) <= MAX_RIM_THICKNESS_VOX:
-            out[box][cmask] = False
+            out[box][cbox][cmask] = False
     return out
 
 
@@ -93,10 +85,13 @@ def remove_small_components(infarct: np.ndarray, min_volume_mm3: float,
     check_min_volume(min_volume_mm3)
     if not infarct.any() or min_volume_mm3 == 0:
         return infarct
-    comp, _ = ndimage.label(infarct, SIX_CONNECTED)
-    small = np.bincount(comp[infarct]) * _voxel_volume_mm3(spacing_mm) < min_volume_mm3
+    box = canvas(infarct, by=(0, 0, 0))
+    comp, _ = ndimage.label(infarct[box], SIX_CONNECTED)
+    small = np.bincount(comp.ravel()) * _voxel_volume_mm3(spacing_mm) < min_volume_mm3
     small[0] = False
-    return infarct & ~small[comp]
+    out = infarct.copy()
+    out[box] &= ~small[comp]
+    return out
 
 
 def recover_partial_volume(infarct: np.ndarray, mask: np.ndarray, intensity: np.ndarray,
@@ -104,35 +99,49 @@ def recover_partial_volume(infarct: np.ndarray, mask: np.ndarray, intensity: np.
     """Grow infarcts into 6-connected at-least-threshold voxels, to a fixed point.
 
     Infarct voxels below the threshold stay infarct and seed the growth too.
+    This reconstruction keeps the components of ``eligible | infarct`` that
+    hold infarct (Vincent, IEEE TIP 1993), so one labeling finds it.
     """
     from scipy import ndimage
     if i_thrh is None:
         raise ParameterError("i_thrh is not set; run find_threshold first")
     check_number("i_thrh", i_thrh, **FINITE)
-    eligible = mask & (intensity >= i_thrh)
-    return ndimage.binary_propagation(infarct, SIX_CONNECTED, mask=eligible)
+    comp, n_comp = ndimage.label(mask & (intensity >= i_thrh) | infarct, SIX_CONNECTED)
+    seeded = np.zeros(n_comp + 1, dtype=bool)
+    seeded[comp[infarct]] = True
+    return seeded.take(comp)
 
 
 def include_mvo(infarct: np.ndarray, mask: np.ndarray, cavity: np.ndarray) -> np.ndarray:
-    """Add dark pockets enclosed by infarct except for their cavity face."""
+    """Add dark pockets enclosed by infarct except for their cavity face.
+
+    A normal-tissue component's ring is every voxel off it with a face
+    neighbour in it; one pass over the ring voxels counts every ring.
+    """
     from scipy import ndimage
     if not infarct.any():
         return infarct
     comp, n_comp = ndimage.label(mask & ~infarct, SIX_CONNECTED)
-    out = infarct.copy()
-    for ci, box in _grown_boxes(comp, range(1, n_comp + 1)):
-        cmask = comp[box] == ci
-        ring = ndimage.binary_dilation(cmask, SIX_CONNECTED) & ~cmask
-        if not np.any(ring & cavity[box]):
-            continue
-        non_cavity_ring = ring & ~cavity[box]
-        total = int(non_cavity_ring.sum())
-        if total == 0:
-            continue
-        n_inf = int((non_cavity_ring & infarct[box]).sum())
-        if n_inf >= MVO_ENCLOSURE_FRACTION * total:
-            out[box][cmask] = True
-    return out
+    padded = np.pad(comp, 1)      # a neighbour off the array reads label 0
+    normal = padded > 0
+    ring = np.zeros_like(normal)
+    for neighbour in (normal[:-2, 1:-1, 1:-1], normal[2:, 1:-1, 1:-1], normal[1:-1, :-2, 1:-1],
+                      normal[1:-1, 2:, 1:-1], normal[1:-1, 1:-1, :-2], normal[1:-1, 1:-1, 2:]):
+        ring[1:-1, 1:-1, 1:-1] |= neighbour
+    at = np.flatnonzero(ring & ~normal)
+    steps = np.array(padded.strides) // padded.itemsize
+    near = padded.ravel()[at[:, None] + np.concatenate([steps, -steps])]
+    near.sort(axis=1)
+    first = near > 0
+    first[:, 1:] &= near[:, 1:] != near[:, :-1]     # each component once per ring voxel
+    hit = np.flatnonzero(first)
+    # Each ring voxel's side: 0 on the cavity, 1 elsewhere, 2 on infarct off the cavity.
+    side = np.pad(~cavity, 1).ravel()[at] * (1 + np.pad(infarct, 1).ravel()[at])
+    tally = np.bincount(near.ravel()[hit] * 3 + side[hit // 6], minlength=3 * n_comp + 3)
+    on_cavity, other, on_infarct = tally.reshape(-1, 3).T
+    total = other + on_infarct
+    enclosed = (on_cavity > 0) & (total > 0) & (on_infarct >= MVO_ENCLOSURE_FRACTION * total)
+    return infarct | enclosed.take(comp)
 
 
 def run_postprocessing(
@@ -161,6 +170,7 @@ def run_postprocessing(
         from scipy import ndimage
         if not changed.any():
             return []
+        changed = changed[canvas(changed, by=(0, 0, 0))]
         comp, _ = ndimage.label(changed, SIX_CONNECTED)
         return [
             {"voxels": int(s), "volume_mm3": float(s) * vox_mm3}
@@ -178,13 +188,13 @@ def run_postprocessing(
         ("mvo_inclusion", lambda x: include_mvo(x, mask, cavity)),
     )
     audit = []
-    infarct = labeling.infarct_mask()[box]
+    infarct = (labeling.labels[box] == 1) & labeling.mask[box]
     for name, step in steps:
         after = step(infarct)
         audit.append({
             "step": name,
-            "voxels_before": int(infarct.sum()),
-            "voxels_after": int(after.sum()),
+            "voxels_before": int(np.count_nonzero(infarct)),
+            "voxels_after": int(np.count_nonzero(after)),
             "removed_components": component_sizes(infarct & ~after),
             "added_components": component_sizes(after & ~infarct),
         })

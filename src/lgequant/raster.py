@@ -67,21 +67,26 @@ def polygon_mask(polygon, rows: int, cols: int) -> np.ndarray:
     # Column c lies strictly left of a crossing at col when c < k = #{c' < col};
     # searchsorted orders a NaN crossing right of every column.
     k = np.searchsorted(np.arange(cols, dtype=float), col)
-    odd = np.bincount(i * (cols + 1) + k, minlength=(stop - first) * (cols + 1)) & 1
+    # A row's crossings are even in number (a closed loop crosses it as often up
+    # as down): a column with all of them (c < min k) or none right of it is out.
+    lo, hi = int(k.min()), int(k.max())
+    width = hi - lo + 1
+    odd = np.bincount(i * width + (k - lo), minlength=(stop - first) * width) & 1
     # Parity of the crossings with k <= c; those strictly right of column c
     # (k > c) have the row's total parity XOR that.
-    below = np.logical_xor.accumulate(odd.reshape(stop - first, cols + 1).astype(bool), axis=1)
-    mask[first:stop] = below[:, -1:] ^ below[:, :cols]
+    below = np.logical_xor.accumulate(odd.reshape(stop - first, width).astype(bool), axis=1)
+    mask[first:stop, lo:hi] = below[:, -1:] ^ below[:, :-1]
     return mask
 
 
-def grow(box: tuple, shape: tuple) -> tuple:
-    """``box`` grown by one voxel along every axis and clipped to ``shape``."""
-    return tuple(slice(max(sl.start - 1, 0), min(sl.stop + 1, n)) for sl, n in zip(box, shape))
+def grow(box: tuple, shape: tuple, by=(1, 1, 1)) -> tuple:
+    """``box`` grown by ``by[axis]`` voxels along each axis and clipped to ``shape``."""
+    return tuple(slice(max(sl.start - b, 0), min(sl.stop + b, n))
+                 for sl, n, b in zip(box, shape, by))
 
 
-def canvas(mask: np.ndarray) -> tuple:
-    """A 3-D mask's bounding box grown by one voxel and clipped; the array when empty.
+def canvas(mask: np.ndarray, by=(1, 1, 1)) -> tuple:
+    """A 3-D mask's bounding box grown by ``by`` (one voxel) and clipped; the array when empty.
 
     Every 6-neighbour of a masked voxel lies in the canvas, so a rule that
     reads only masked voxels and their neighbours gives the same result in
@@ -92,7 +97,7 @@ def canvas(mask: np.ndarray) -> tuple:
              (mask.any(axis=(1, 2)), in_plane.any(axis=1), in_plane.any(axis=0))]
     if spans[0].size == 0:
         return (slice(None),) * 3
-    return grow(tuple(slice(idx[0], idx[-1] + 1) for idx in spans), mask.shape)
+    return grow(tuple(slice(idx[0], idx[-1] + 1) for idx in spans), mask.shape, by)
 
 
 class ContourMasks(NamedTuple):

@@ -351,15 +351,16 @@ class CompiledProblem:
             value += cost
         return value
 
-    def cheapest(self, trials, term_ids, live, phase: str) -> int:
+    def cheapest(self, trials, term_ids, live, phase: str, total=None) -> int:
         """Index of the first strictly cheapest of ``trials`` under ``objective``.
 
-        Trial 0 is scored in full, the others term by term; one is dropped once
-        its partial sum reaches trial 0's total. Each term adds a cost >= 0,
-        which never lowers a rounded sum, so a dropped trial could not win (ties
-        go to the first index; INFEASIBLE exceeds every feasible total)."""
-        bar = self.objective(trials[0], term_ids, live, phase)
-        self.evaluations[phase] += len(trials) - 1
+        Trial 0 is scored in full unless its ``total`` is given, the others term by
+        term, each dropped once its partial sum reaches trial 0's total: a term adds
+        a cost >= 0, which never lowers a rounded sum, so it could not win (ties go
+        to the first index; INFEASIBLE exceeds every feasible total)."""
+        bar = self.objective(trials[0], term_ids, live, phase) if total is None else total
+        self.evaluations[phase] += len(trials) - (total is None)
+        self.skipped[phase] += 0 if total is None else len(term_ids)
         values, pending = [bar] + [0.0] * (len(trials) - 1), list(range(1, len(trials)))
         for n, ti in enumerate(term_ids, 1):
             if not pending:
@@ -467,6 +468,14 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
         for ti, [(cost, reason)] in zip(term_ids, compiled.evaluate([current], term_ids)):
             term_costs[ti], term_reasons[ti] = cost, reason
 
+    def known(trial, term_ids):
+        """``objective`` at ``trial`` from the kept costs if it is the accepted pose, else None."""
+        if any(a.tobytes() != b.tobytes() for a, b in zip(trial, current)):
+            return None
+        if any(term_reasons[ti] is not None and live[ti] for ti in term_ids):
+            return INFEASIBLE
+        return sum((term_costs[ti] for ti in term_ids), 0.0)
+
     def nelder_mead(trial, term_ids, phase: str, x0, simplex, bounds=None):
         """(minimizer, its cost) of one Nelder-Mead search from ``simplex``."""
         from scipy.optimize import minimize
@@ -514,7 +523,8 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
                 for amt_c in (-4.0, -2.0, 0.0, 2.0, 4.0)
                 if not amt_r == amt_c == amt_n == 0.0
             ]
-            best = compiled.cheapest([trial(x) for x in starts], term_ids, live, "prescan")
+            trials = [trial(x) for x in starts]
+            best = compiled.cheapest(trials, term_ids, live, "prescan", known(trials[0], term_ids))
             if require_prescan_move and best == 0:
                 # Current position already wins the coarse grid: leave the
                 # fine placement to the full-objective sweeps, where the
@@ -549,7 +559,9 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
 
         normal = slices[anchor].pose.normal
         starts = [np.zeros(3)] + [amt * normal for amt in (-6.0, -3.0, 3.0, 6.0)]
-        v0 = starts[compiled.cheapest([trial(v) for v in starts], anchor_terms, live, "regauge")]
+        trials = [trial(v) for v in starts]
+        v0 = starts[compiled.cheapest(trials, anchor_terms, live, "regauge",
+                                      known(trials[0], anchor_terms))]
         v, fun = nelder_mead(trial, anchor_terms, "regauge", v0,
                              np.vstack([v0, v0 + 1.5 * np.eye(3)]))
         moved = max(np.abs(deltas[i] + v).max() for i in range(n_slices) if i != anchor)
@@ -592,7 +604,7 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
 
     logger.info("realign: %d prescan, %d simplex and %d regauge cost evaluations",
                 *(compiled.evaluations[k] for k in ("prescan", "simplex", "regauge")))
-    logger.info("realign: the bound skipped %d prescan and %d regauge term scores",
+    logger.info("realign: the bound and kept totals skipped %d prescan and %d regauge scores",
                 compiled.skipped["prescan"], compiled.skipped["regauge"])
     logger.info("realign: %d contiguous evaluations on the pixel lattice, %d by gather",
                 compiled.region_samples["lattice"], compiled.region_samples["gather"])

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lgequant.aha import AhaConfig, SegmentModel, assign_levels, assign_segments, quantify
+from lgequant.aha import (
+    SEGMENTS_PER_LEVEL, AhaConfig, SegmentModel, assign_levels, assign_segments, quantify,
+)
 from lgequant.errors import EmptyMaskError
 from lgequant.graphcut import Labeling, MyocardiumVolume
 from lgequant.phantom import default_wedge_config, generate
@@ -185,3 +189,65 @@ class TestQuantify:
             inside = SegmentModel(np.clip(ids, 1, 16), assign_levels(3), 0.0)
             report = quantify(lab, vol, inside)
             assert report.segment_infarct_voxels.sum() == report.total_infarct_voxels
+
+
+# --- The per-slice loop as the oracle ----------------------------------------
+# assign_segments assigns every slice in one array pass; this is the loop it
+# replaced: one argwhere, centroid and angle computation per slice.
+
+def loop_segments(volume, config):
+    n_slices = volume.mask.shape[0]
+    levels = assign_levels(n_slices)
+    ids = np.zeros(volume.mask.shape, dtype=np.int16)
+    rows, cols = volume.box[1:]
+    for k in range(n_slices):
+        coords = np.argwhere(volume.mask[k, rows, cols])
+        if coords.size == 0:
+            raise EmptyMaskError(f"slice {k} has no myocardium")
+        d = coords - coords.mean(axis=0)
+        angles = np.degrees(np.arctan2(d[:, 1], -d[:, 0])) % 360.0
+        rel = (angles - config.reference_angle_deg) % 360.0
+        first, last = SEGMENTS_PER_LEVEL[levels[k]]
+        n_sectors = last - first + 1
+        sector = np.floor(rel / (360.0 / n_sectors)).astype(np.int16)
+        sector = np.minimum(sector, n_sectors - 1)
+        ids[k, rows, cols][coords[:, 0], coords[:, 1]] = first + sector
+    return ids
+
+
+reference_angles = st.one_of(
+    st.sampled_from([0.0, -0.0, 30.0, 45.0, 60.0, 90.0, -90.0, 359.99999999999994, 720.0]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(3, 8), st.integers(1, 24), st.integers(1, 24)),
+       density=st.sampled_from([0.05, 0.3, 0.9]), seed=st.integers(0, 2**32 - 1),
+       reference=reference_angles, empty=st.booleans())
+def test_assign_segments_equals_the_per_slice_loop(shape, density, seed, reference, empty):
+    rng = np.random.default_rng(seed)
+    mask = rng.random(shape) < density
+    mask[:, rng.integers(shape[1]), rng.integers(shape[2])] = True
+    if empty:
+        mask[rng.integers(shape[0])] = False
+    vol = MyocardiumVolume(np.zeros(shape), mask, SPACING)
+    config = AhaConfig(reference_angle_deg=reference)
+    try:
+        want = loop_segments(vol, config)
+    except EmptyMaskError as exc:
+        with pytest.raises(EmptyMaskError, match=f"^{exc}$"):
+            assign_segments(vol, config)
+        return
+    assert assign_segments(vol, config).segment_ids.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+@example(x=[0.0, -0.0, 360.0, -360.0, 180.0, -180.0, -1e-320, 5e-324, -5e-324, 1e300])
+def test_fmod_moved_into_range_is_numpys_remainder_bit_for_bit(x):
+    """The identity assign_segments computes x % 360.0 by."""
+    x = np.array(x)
+    rel = np.fmod(x, 360.0)
+    rel += 360.0 * (rel < 0)
+    assert rel.tobytes() == (x % 360.0).tobytes()

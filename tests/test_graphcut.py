@@ -520,6 +520,15 @@ class TestLabelingType:
         with pytest.raises(ParameterError, match=f"labels must be 0 or 1, got {shown}$"):
             Labeling(labels=np.array(labels), mask=np.ones(2, dtype=bool))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64, bool])
+    def test_uint8_one_pass_checks_give_the_same_messages(self, dtype):
+        mask = np.array([True, False, True, True])
+        if dtype is not bool:
+            with pytest.raises(ParameterError, match=r"labels must be 0 or 1, got 7(\.0)?$"):
+                Labeling(labels=np.array([0, 1, 7, 2], dtype=dtype), mask=mask)
+        with pytest.raises(ParameterError, match="^labels outside the mask must be zero$"):
+            Labeling(labels=np.array([1, 1, 0, 1], dtype=dtype), mask=mask)
+
     @pytest.mark.parametrize("labels", [[True, False], [1, 0], [1.0, 0.0]])
     def test_accepts_0_and_1_of_any_dtype(self, labels):
         labeling = Labeling(labels=np.array(labels), mask=np.ones(2, dtype=bool))

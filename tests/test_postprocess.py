@@ -1,7 +1,11 @@
 from typing import NamedTuple
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from lgequant.dataset import ContourSet
@@ -594,3 +598,163 @@ class TestRulesOnArrays:
             monkeypatch.setattr(postprocess, name, counted(getattr(postprocess, name)))
         out, _ = run_postprocessing(lab, vol, masks, make_params())
         assert built == ["Labeling"] and out.infarct_mask().any()
+
+
+# --- Rules that read only the voxels they decide --------------------------
+# The boundary and small-component rules work in the infarct's box and the
+# audit in each change's box; recovery labels once and MVO counts every ring
+# in one pass. The canvas-wide code they replaced is the oracle: ref_depth's
+# per-slice distance transforms, the per-component loops, and
+# binary_propagation.
+
+FACES = (np.s_[0], np.s_[-1], np.s_[:, 0], np.s_[:, -1], np.s_[:, :, 0], np.s_[:, :, -1])
+
+
+@st.composite
+def face_touching_cases(draw):
+    """(labeling, volume, masks): random myocardium whose infarct touches all
+    six faces, or keeps a margin in plane. One slice may be all myocardium, or
+    all but a corner pixel, so its in-plane depth is -1 or runs past the box."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(2, 20)), draw(st.integers(2, 20)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(shape) < draw(st.sampled_from([0.6, 0.85, 1.0]))
+    filled = draw(st.sampled_from(["none", "all", "all_but_a_corner"]))
+    if filled != "none":
+        k = draw(st.integers(0, shape[0] - 1))
+        mask[k] = True
+        mask[k, 0, 0] = filled == "all"
+    infarct = mask & (ndimage.uniform_filter(rng.random(shape), 2)
+                      < draw(st.floats(0.2, 0.6)))
+    margin = draw(st.integers(0, 4))
+    if margin:
+        keep = np.zeros_like(infarct)
+        keep[:, margin:-margin, margin:-margin] = True
+        infarct &= keep
+    else:
+        for face in FACES:
+            spot = tuple(rng.integers(n) for n in np.empty(shape)[face].shape)
+            mask[face][spot] = infarct[face][spot] = True
+    cavity = ~mask & (rng.random(shape) < 0.5)
+    volume = MyocardiumVolume(rng.random(shape), mask, (1.5, 1.25, 8.0))
+    return (Labeling(infarct.astype(np.uint8), mask), volume,
+            ContourMasks(endo=cavity, epi=mask | cavity))
+
+
+class TestRulesOnTheVoxelsTheyDecide:
+    @settings(max_examples=300, deadline=None)
+    @given(case=face_touching_cases(), fraction=st.sampled_from([0.3, 0.6, 0.95]),
+           thickness=st.sampled_from([1, 2, 3]))
+    def test_boundary_rule_equals_the_canvas_rule(self, case, fraction, thickness):
+        lab, vol, _ = case
+        config = Thresholds(boundary_fraction=fraction, max_rim_thickness_vox=thickness)
+        with pytest.MonkeyPatch.context() as patch:
+            use(patch, config)
+            got = remove_boundary_false_positives(lab.infarct_mask(), vol.mask)
+        assert np.array_equal(got, ref_boundary(lab.infarct_mask(), vol, config))
+
+    def test_a_far_out_of_mask_pixel_keeps_the_infarct(self):
+        """A box around the infarct with no out-of-mask pixel reads depth -1,
+        which the whole slice does not: the canvas rule keeps all 4 voxels."""
+        mask = np.ones((1, 20, 20), dtype=bool)
+        mask[0, 0, 0] = False
+        infarct = np.zeros_like(mask)
+        infarct[0, 10:12, 10:12] = True
+        got = remove_boundary_false_positives(infarct, mask)
+        want = ref_boundary(infarct, MyocardiumVolume(np.zeros(mask.shape), mask, SPACING),
+                            Thresholds())
+        assert np.count_nonzero(got) == np.count_nonzero(want) == 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=face_touching_cases(), threshold=st.sampled_from([0.0, 15.0, 100.0, 400.0]))
+    def test_small_component_rule_equals_the_canvas_rule(self, case, threshold):
+        lab, vol, _ = case
+        got = remove_small_components(lab.infarct_mask(), threshold, vol.spacing_mm)
+        assert np.array_equal(got, ref_small(lab.infarct_mask(), threshold, vol))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=face_touching_cases(), threshold=st.sampled_from([0.2, 0.5, 0.8]))
+    def test_recovery_by_labeling_equals_binary_propagation(self, case, threshold):
+        lab, vol, _ = case
+        eligible = vol.mask & (vol.intensity >= threshold)
+        want = ndimage.binary_propagation(lab.infarct_mask(), SIX, mask=eligible)
+        got = recover_partial_volume(lab.infarct_mask(), vol.mask, vol.intensity, threshold)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=face_touching_cases(), fraction=st.sampled_from([0.3, 0.8]))
+    def test_one_pass_mvo_equals_the_per_component_loop(self, case, fraction):
+        lab, vol, masks = case
+        config = Thresholds(mvo_enclosure_fraction=fraction)
+        with pytest.MonkeyPatch.context() as patch:
+            use(patch, config)
+            got = include_mvo(lab.infarct_mask(), vol.mask, masks.endo)
+        assert np.array_equal(got, ref_mvo(lab.infarct_mask(), masks, vol, config))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=face_touching_cases(), threshold=st.sampled_from([0.3, 0.55, 0.8]))
+    def test_audit_equals_the_canvas_audit(self, case, threshold):
+        lab, vol, masks = case
+        params = make_params()
+        params.i_thrh = threshold
+        config = Thresholds(min_volume_mm3=40.0)
+        got, audit = run_postprocessing(lab, vol, masks, params, config.min_volume_mm3)
+        eligible = vol.mask & (vol.intensity >= threshold)
+        steps = (lambda x: ref_boundary(x, vol, config),
+                 lambda x: ref_small(x, config.min_volume_mm3, vol),
+                 lambda x: ndimage.binary_propagation(x, SIX, mask=eligible),
+                 lambda x: ref_mvo(x, masks, vol, config))
+        current = lab.infarct_mask()
+        for entry, step in zip(audit, steps, strict=True):
+            before, current = current, step(current)
+            assert entry["voxels_before"] == np.count_nonzero(before)
+            assert entry["voxels_after"] == np.count_nonzero(current)
+            assert entry["removed_components"] == ref_component_sizes(before & ~current,
+                                                                      voxel_mm3(vol))
+            assert entry["added_components"] == ref_component_sizes(current & ~before,
+                                                                    voxel_mm3(vol))
+        assert np.array_equal(got.labels, current.astype(np.uint8))
+
+
+def registered_case(seed: int = 1):
+    """(raw labeling, volume, masks, params) of a small registered wedge-plus-MVO study."""
+    from test_pipeline import registered_study
+
+    from lgequant.pipeline import (
+        PipelineConfig, classify_stage, myocardium_volume, normalize_stage,
+    )
+    dataset, truth = registered_study(seed)
+    config = PipelineConfig(skip_realign=True)
+    (norm, masks), _ = normalize_stage(dataset, truth.contours, config)
+    volume = myocardium_volume(dataset, masks, norm.stack, norm.box)
+    labeling, _ = classify_stage(volume, norm.params, config)
+    return labeling, volume, masks, norm.params
+
+
+def test_postprocessing_work_stays_off_the_canvas(monkeypatch):
+    """A spy on scipy.ndimage during run_postprocessing: the audit labels only
+    each change's box, no distance transform or dilation spans the canvas, and
+    the label calls per rule are pinned."""
+    labeling, volume, masks, params = registered_case()
+    canvas_size = volume.mask[volume.reach(labeling)].size
+    calls = []
+    for name in ("label", "distance_transform_cdt", "binary_dilation"):
+        def spy(array, *args, _call=getattr(ndimage, name), _name=name, **kwargs):
+            calls.append((_name, sys._getframe(1).f_code.co_name, np.asarray(array)))
+            return _call(array, *args, **kwargs)
+        monkeypatch.setattr(ndimage, name, spy)
+    _, audit = run_postprocessing(labeling, volume, masks, params)
+    assert [len(e["removed_components"]) + len(e["added_components"]) for e in audit] \
+        == [2, 0, 0, 1]
+    labels = {}
+    for name, rule, array in calls:
+        if name == "label":
+            labels[rule] = labels.get(rule, 0) + 1
+        if rule == "component_sizes":
+            box = postprocess.canvas(array, by=(0, 0, 0))
+            assert array[box].shape == array.shape, f"the audit labels {array.shape} " \
+                f"for a change in {array[box].shape}"
+        elif name != "label":
+            assert array.size < canvas_size, f"{rule} runs {name} on the whole canvas"
+    assert labels == {"remove_boundary_false_positives": 1, "component_sizes": 2,
+                      "remove_small_components": 1, "recover_partial_volume": 1,
+                      "include_mvo": 1}, f"label calls by rule: {labels}"

@@ -114,8 +114,16 @@ wide_polygons = st.lists(st.tuples(wide_coordinate, wide_coordinate), min_size=3
                          max_size=24).map(lambda vertices: np.array(vertices, dtype=float))
 
 
-@settings(max_examples=300, deadline=None)
-@given(poly=wide_polygons, rows=st.integers(0, 64), cols=st.integers(0, 64))
+# Vertices far off the grid, too, where a crossing's column rounds by more
+# than a pixel: polygon_mask reads only the columns its crossings span.
+far_coordinate = st.one_of(wide_coordinate, st.floats(-1e17, 1e17, allow_nan=False))
+far_polygons = st.lists(st.tuples(far_coordinate, far_coordinate), min_size=3,
+                        max_size=12).map(lambda vertices: np.array(vertices, dtype=float))
+
+
+@settings(max_examples=400, deadline=None)
+@given(poly=st.one_of(wide_polygons, far_polygons), rows=st.integers(0, 64),
+       cols=st.integers(0, 64))
 def test_polygon_mask_matches_the_row_loop_across_the_border(poly, rows, cols):
     try:
         want = row_loop_mask(poly, rows, cols)

@@ -573,9 +573,10 @@ def _touching(compiled, i) -> list:
     return [ti for ti, t in enumerate(compiled.terms) if i in (t.i, t.j)]
 
 
-def _unbounded_cheapest(compiled, trials, term_ids, live, phase):
+def _unbounded_cheapest(compiled, trials, term_ids, live, phase, total=None):
     """``CompiledProblem.cheapest`` without the bound: the arg-min of every trial
-    scored to its last term (or its first degenerate live one)."""
+    scored to its last term (or its first degenerate live one), a kept ``total``
+    of trial 0 ignored."""
     compiled.evaluations[phase] += len(trials)
     values = _per_term_objective(compiled, trials, term_ids, live)
     return min(range(len(values)), key=values.__getitem__)
@@ -634,13 +635,63 @@ def _same_results(a, b) -> bool:
             and a.diagnostics["cost_evaluations"] == b.diagnostics["cost_evaluations"])
 
 
-@pytest.mark.parametrize("build", [build_problem, oblique_problem])
-def test_bounded_search_equals_the_unbounded_one(build, monkeypatch):
-    """One sweep with the bound and without it gives equal results."""
+@pytest.mark.parametrize("build, bound", [(build_problem, None), (oblique_problem, None),
+                                          (build_problem, 0.5)])
+def test_bounded_search_equals_the_unbounded_one(build, bound, monkeypatch):
+    """One sweep with the bound and without it gives equal results. So does one
+    that scores start 0 again instead of taking its kept total, and each kept
+    total is that score bit for bit, in the prescan and the regauge alike. A
+    0.5 mm translation bound clips some start 0 off the accepted pose."""
+    if bound is not None:
+        monkeypatch.setattr(realign, "TRANSLATION_BOUND_MM", bound)
     bounded = optimize(build(), max_sweeps=1)
+    cheapest, kept = CompiledProblem.cheapest, []
+
+    def rescored(self, trials, term_ids, live, phase, total=None):
+        if total is not None:
+            counts = dict(self.evaluations)
+            score = self.objective(trials[0], term_ids, live, phase)
+            self.evaluations.update(counts)
+            assert np.float64(total).tobytes() == np.float64(score).tobytes()
+            kept.append(phase)
+        return cheapest(self, trials, term_ids, live, phase)
+
+    monkeypatch.setattr(CompiledProblem, "cheapest", rescored)
+    assert _same_results(bounded, optimize(build(), max_sweeps=1))
+    assert {"prescan", "regauge"} <= set(kept)
     monkeypatch.setattr(CompiledProblem, "cheapest", _unbounded_cheapest)
     unbounded = optimize(build(), max_sweeps=1)
     assert _same_results(bounded, unbounded)
+
+
+@pytest.mark.parametrize("build, bound", [(build_problem, None), (wedge_problem, None),
+                                          (build_problem, 0.5)])
+def test_a_kept_start_0_is_not_scored_again(build, bound, monkeypatch):
+    """A prescan or regauge whose start 0 is the accepted pose takes its total
+    from the kept term costs: ``cheapest`` calls ``objective`` only for the
+    other starts 0, which a 0.5 mm translation bound makes by clipping."""
+    if bound is not None:
+        monkeypatch.setattr(realign, "TRANSLATION_BOUND_MM", bound)
+    objective, cheapest = CompiledProblem.objective, CompiledProblem.cheapest
+    inside, scored, rescans = [False], [0], []
+
+    def spied_objective(self, *args):
+        scored[0] += inside[0]
+        return objective(self, *args)
+
+    def spied_cheapest(self, trials, term_ids, live, phase, total=None):
+        rescans.append(total is None)
+        inside[0] = True
+        try:
+            return cheapest(self, trials, term_ids, live, phase, total)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(CompiledProblem, "objective", spied_objective)
+    monkeypatch.setattr(CompiledProblem, "cheapest", spied_cheapest)
+    optimize(build(), max_sweeps=1)
+    assert len(rescans) > sum(rescans) >= (bound is not None)
+    assert scored[0] == sum(rescans)
 
 
 class TestCompileChecks:
@@ -704,19 +755,20 @@ class TestCostEvaluations:
         assert any("cost evaluations" in m for m in messages)
         lattice, gather = _logged_counts(messages, "contiguous evaluations")
         assert gather == 0 < lattice
-        prescan_skipped, _ = _logged_counts(messages, "the bound skipped")
+        prescan_skipped, _ = _logged_counts(messages, "kept totals skipped")
         assert prescan_skipped > 0
 
     def test_the_bound_scores_fewer_terms_on_the_wedge(self, caplog, monkeypatch):
-        """On the test wedge, one sweep with the bound makes 0.61x the (term,
-        trial) scores of one without it (6,018 of 9,886), with equal results, and
-        the log names every score saved: no trial the bound dropped would have
-        degenerated later (one that did would have stopped early unbounded too)."""
+        """On the test wedge, one sweep with the bound and the kept start-0
+        totals makes 0.60x the (term, trial) scores of one without them (5,964 of
+        9,886), with equal results, and the log names every score saved: no trial
+        the bound dropped would have degenerated later (one that did would have
+        stopped early unbounded too)."""
         scores = _spy_term_scores(monkeypatch)
         with caplog.at_level(logging.INFO, logger="lgequant.realign"):
             bounded = optimize(wedge_problem(), max_sweeps=1)
         skipped = sum(_logged_counts([r.getMessage() for r in caplog.records],
-                                     "the bound skipped"))
+                                     "kept totals skipped"))
         with_bound, scores[0] = scores[0], 0
         monkeypatch.setattr(CompiledProblem, "cheapest", _unbounded_cheapest)
         unbounded = optimize(wedge_problem(), max_sweeps=1)
