@@ -111,7 +111,7 @@ def _read_raw(header_path, name, dims, dtype) -> np.ndarray:
     """The raw file ``name`` beside ``header_path``, shaped to ``dims``."""
     try:
         dims = tuple(int(d) for d in dims)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DatasetFormatError(f"{header_path}: malformed dims {dims!r}") from None
     raw = Path(header_path).parent / str(name)
     if not raw.is_file():
@@ -194,7 +194,7 @@ def load_dataset(manifest_path) -> LgeDataset:
             rows, cols = int(get("rows")), int(get("cols"))
             roi = entry.get("roi")
             roi = None if roi is None else Roi(*roi)
-        except (TypeError, ValueError, IndexError, KeyError) as exc:
+        except (TypeError, ValueError, OverflowError, IndexError, KeyError) as exc:
             raise DatasetFormatError(
                 f"{manifest_path}: malformed slice entry: {exc!r}") from None
         if not orthonormal(iop_row, iop_col):

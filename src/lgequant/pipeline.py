@@ -187,7 +187,8 @@ def params_from_report(path) -> RicianMixtureParams:
     if not mix:
         raise LgeQuantError(f"{path} carries no mixture parameters")
     values = {key: lio._field(mix, key, path) for key in _MIXTURE_KEYS}
-    check_number("mixture i_thrh", values["i_thrh"])
+    for key, value in values.items():
+        check_number(f"mixture {key}", value)
     check_number("mixture i_thrh", values["i_thrh"], **FINITE)
     return RicianMixtureParams(**values)
 

@@ -11,6 +11,7 @@ separating dark from bright voxels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,45 +153,94 @@ def _unpack(theta) -> RicianMixtureParams:
     )
 
 
-def _rayleigh_jac(theta3, x) -> np.ndarray:
-    """Derivatives of ``rayleigh_shifted`` at ``x`` by (log alpha_r, log sigma_r, a).
-
-    With u = x + a and q = u^2 / sigma_r^2 the columns are R, R (q - 2) and
-    alpha_r / sigma_r^2 e^(-q/2) (1 - q); all three are zero where u < 0.
-    """
-    alpha, sigma = np.exp(theta3[0]), np.exp(theta3[1])
-    u = x + theta3[2]
-    q = u * u / sigma ** 2
-    e = np.where(u < 0, 0.0, alpha / sigma ** 2 * np.exp(-0.5 * q))
+def _rows(theta, x) -> list:
+    """The mixture at ``x`` by the six packed parameters (the Rayleigh alone by the first
+    three), then its derivatives by them: with u = x + a, q = u^2 / sigma_r^2, e = alpha_r /
+    sigma_r^2 e^(-q/2) (0 where u < 0) and z = (x - mu) / sigma_g, the components are R = e u
+    and G, and the derivatives R, R (q - 2), e (1 - q), G, G (z^2 - 1) and G z / sigma_g."""
+    alpha, sigma = np.exp(theta[:2])
+    u = x + float(theta[2])
+    q = u * u / (sigma * sigma)
+    e = np.where(u < 0, 0.0, alpha / (sigma * sigma) * np.exp(-0.5 * q))
     r = e * u
-    return np.column_stack([r, r * (q - 2.0), e * (1.0 - q)])
-
-
-def _gaussian_jac(theta3, x) -> np.ndarray:
-    """Derivatives of ``gaussian_term`` at ``x`` by (log alpha_g, log sigma_g, mu).
-
-    With z = (x - mu) / sigma_g the columns are G, G (z^2 - 1) and G z / sigma_g.
-    """
-    alpha, sigma = np.exp(theta3[0]), np.exp(theta3[1])
-    z = (x - theta3[2]) / sigma
+    if len(theta) == 3:
+        return [r, r, r * (q - 2.0), e * (1.0 - q)]
+    alpha, sigma = np.exp(theta[3:5])
+    z = (x - float(theta[5])) / sigma
     g = alpha / (np.sqrt(2.0 * np.pi) * sigma) * np.exp(-0.5 * z * z)
-    return np.column_stack([g, g * (z * z - 1.0), g * z / sigma])
+    return [r + g, r, r * (q - 2.0), e * (1.0 - q), g, g * (z * z - 1.0), g * z / sigma]
 
 
-def _mixture_jac(theta, x) -> np.ndarray:
-    """Derivatives of ``mixture`` at ``x`` by the six fitted (packed) parameters."""
-    return np.hstack([_rayleigh_jac(theta[:3], x), _gaussian_jac(theta[3:], x)])
+def _damping(a, g, d, delta, lam, regular) -> tuple:
+    """MINPACK's lmpar for a Gauss-Newton step (none if ``a`` is not ``regular``) longer than
+    1.1 delta: Hebden's iteration from the last lam, within lmpar's bounds, to one whose step
+    p, (a + lam D^2) p = -g, has |D p| within 10% of delta. Returns lam, p, |D p|, |J p|^2."""
+    def step(lam):                      # p, |D p| and Hebden's correction to lam
+        m = a + lam * np.diag(d * d)
+        p = np.linalg.solve(m, -g)
+        q, ddp = math.hypot(*(d * p).tolist()), d * d * p
+        return p, q, (q - delta) / delta * q * q / (ddp @ np.linalg.solve(m, ddp))
+    lo, hi = step(0.0)[2] if regular else 0.0, math.hypot(*(g / d).tolist()) / delta
+    lam = min(max(lam, lo), hi)
+    for it in range(10):
+        lam = lam or max(np.finfo(float).tiny, 0.001 * hi)
+        p, q, correction = step(lam)
+        if abs(q - delta) <= 0.1 * delta or it == 9:
+            return lam, p, q, float(p @ a @ p)
+        lo, hi = (max(lo, lam), hi) if q > delta else (lo, min(hi, lam))
+        lam = max(lo, lam + correction)
 
 
-def _solve(fun, jac, theta0) -> tuple:
-    """MINPACK's Levenberg-Marquardt with least_squares' default tolerances; returns
-    the solution and its sum of squared residuals, which MINPACK's ``fvec`` holds.
-    full_output keeps a solve stopped at MAX_NFEV from warning, so it returns its
-    last point."""
-    from scipy.optimize import leastsq
-    x, _, info, _, _ = leastsq(fun, theta0, Dfun=jac, full_output=True, ftol=1e-8,
-                               xtol=1e-8, gtol=1e-8, maxfev=MAX_NFEV)
-    return x, float(np.sum(info["fvec"] ** 2))
+def _solve(x_data, y_data, x) -> tuple:
+    """Fits ``_rows(theta, x_data)[0]`` to ``y_data`` from the float array ``x`` by MINPACK's
+    lmder (Moré 1978) on the normal equations, with its scaling, trust region and 1e-8 stops.
+    Returns the solution and its sum of squares; after MAX_NFEV residuals, the last accepted."""
+    m = _rows(x, x_data)
+    f, jt = m[0] - y_data, np.array(m[1:])
+    cost, nfev, d, delta, lam, first = float(f @ f), 1, None, 0.0, 0.0, True
+    while nfev < MAX_NFEV:
+        a, g = jt @ jt.T, jt @ f
+        norms = np.sqrt(a.diagonal())
+        if d is None:
+            d = np.where(norms > 0, norms, 1.0)
+            xnorm = math.hypot(*(d * x).tolist())
+            delta = 100.0 * xnorm or 100.0
+        if (np.abs(g) <= 1e-8 * math.sqrt(cost) * norms).all():
+            break
+        d, ratio = np.maximum(d, norms), 0.0
+        try:
+            gauss_newton = np.linalg.solve(a, -g)
+        except np.linalg.LinAlgError:           # singular: damped steps only
+            gauss_newton = np.full(x.size, np.inf)
+        while ratio < 1e-4 and nfev < MAX_NFEV:
+            q = math.hypot(*(d * gauss_newton).tolist())
+            if q <= 1.1 * delta:
+                lam, p, jp = 0.0, gauss_newton, -float(g @ gauss_newton)
+            else:
+                try:
+                    lam, p, q, jp = _damping(a, g, d, delta, lam, q < math.inf)
+                except np.linalg.LinAlgError:   # singular to working precision
+                    return x, cost
+            delta = min(delta, q) if first else delta
+            m = _rows(x + p, x_data)
+            f_new, nfev = m[0] - y_data, nfev + 1
+            cost_new = float(f_new @ f_new)
+            actual = 1.0 - cost_new / cost if cost_new < 100.0 * cost else -1.0
+            gn, damped = jp / cost, lam * q * q / cost
+            ratio = actual / (gn + 2.0 * damped) if gn + damped > 0 else 0.0
+            if ratio <= 0.25:
+                t = 0.5 if actual >= 0 else 0.5 * (gn + damped) / (gn + damped - 0.5 * actual)
+                t = 0.1 if cost_new >= 100.0 * cost or t < 0.1 else t
+                delta, lam = t * min(delta, 10.0 * q), lam / t
+            elif lam == 0 or ratio >= 0.75:
+                delta, lam = 2.0 * q, 0.5 * lam
+            if ratio >= 1e-4:
+                x, f, jt, cost, first = x + p, f_new, np.array(m[1:]), cost_new, False
+                xnorm = math.hypot(*(d * x).tolist())
+            if ((abs(actual) <= 1e-8 and gn + 2.0 * damped <= 1e-8 and ratio <= 2.0)
+                    or delta <= 1e-8 * xnorm):
+                return x, cost
+    return x, cost
 
 
 def fit_mixture(rp: RelativeProbability) -> RicianMixtureParams:
@@ -226,18 +276,8 @@ def fit_mixture(rp: RelativeProbability) -> RicianMixtureParams:
     alpha_r0 = peak_lo * sigma_r0 * np.exp(0.5)
     alpha_g0 = peak_hi * np.sqrt(2.0 * np.pi) * sigma_g0
 
-    def resid(theta):
-        return mixture(centers, _unpack(theta)) - values
-
-    def ray_resid(theta3):
-        p = RicianMixtureParams(
-            alpha_r=float(np.exp(theta3[0])), sigma_r=float(np.exp(theta3[1])),
-            a=float(theta3[2]), alpha_g=0.0, sigma_g=1.0, mu=0.0,
-        )
-        return rayleigh_shifted(centers, p) - values
-
     ray0 = np.array([np.log(alpha_r0), np.log(sigma_r0), a0])
-    ray_x, ray_res = _solve(ray_resid, lambda t: _rayleigh_jac(t, centers), ray0)
+    ray_x, ray_res = _solve(centers, values, ray0)
 
     # Two starts: the Otsu-split moments, and the Rayleigh-only solution with
     # a Gaussian seeded on the upper bins. The second rescues lopsided
@@ -246,8 +286,8 @@ def fit_mixture(rp: RelativeProbability) -> RicianMixtureParams:
         _pack(alpha_r0, sigma_r0, a0, alpha_g0, sigma_g0, mu0),
         np.array([ray_x[0], ray_x[1], ray_x[2], np.log(alpha_g0), np.log(sigma_g0), mu0]),
     ]
-    x, res = min((_solve(resid, lambda t: _mixture_jac(t, centers), theta0)
-                  for theta0 in starts), key=lambda solved: solved[1])
+    x, res = min((_solve(centers, values, theta0) for theta0 in starts),
+                  key=lambda solved: solved[1])
     params = _unpack(x)
     params.fit_residual = res
 
@@ -284,11 +324,17 @@ def find_threshold(p: RicianMixtureParams) -> float:
     root = None
     if hits.size:
         i = hits[0]
-        if fv[i] == 0.0:
-            root = float(grid[i])
-        else:
-            from scipy.optimize import brentq
-            root = float(brentq(f, grid[i + 1], grid[i], xtol=1e-15, rtol=8.9e-16))
+        a, b, fa, fb = grid[i + 1], grid[i], fv[i + 1], fv[i]
+        # Illinois regula falsi (Dowell and Jarratt 1971): a sign change stays in
+        # [a, b] until b is a zero or within 4 eps |b| of a.
+        for _ in range(100):
+            if fb == 0.0 or abs(b - a) <= 4.0 * np.finfo(float).eps * abs(b):
+                break
+            c = b - fb * (b - a) / (fb - fa)
+            fc = f(c)
+            a, fa = (b, fb) if fc * fb < 0 else (a, 0.5 * fa)
+            b, fb = c, fc
+        root = float(b)
     if root is None or not (lo < root < hi):
         raise ThresholdError("components do not intersect between their modes")
 

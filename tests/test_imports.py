@@ -163,9 +163,10 @@ def test_a_stage_that_fits_nothing_loads_no_scipy(stage_loads, stage):
     assert stage_loads[stage] == set()
 
 
-def test_normalize_loads_optimize_and_not_ndimage(stage_loads):
-    assert "scipy.optimize" in stage_loads["normalize"]
-    assert "scipy.ndimage" not in stage_loads["normalize"]
+def test_normalize_loads_no_scipy(stage_loads):
+    # The mixture fit and its threshold are the package's own Levenberg-Marquardt
+    # and regula falsi; only realign's Nelder-Mead still uses scipy.optimize.
+    assert stage_loads["normalize"] == set()
 
 
 def test_classify_loads_ndimage_and_not_optimize(stage_loads):

@@ -603,6 +603,50 @@ class TestCliInputErrors:
         assert_cli_error(capsys, ["metrics", "--auto", a, "--ref", b, "--out", tmp_path / "m"],
                          "shape mismatch")
 
+    @pytest.mark.parametrize("case, fragment", [
+        (("mixture", "alpha_r", "x"), "mixture alpha_r must be a number, got 'x'"),
+        (("mixture", "sigma_r", None), "mixture sigma_r must be a number, got None"),
+        (("mixture", "mu", [1]), "mixture mu must be a number, got [1]"),
+        (("mixture", "alpha_g", True), "mixture alpha_g must be a number, got True"),
+        (("mixture", "a", {}), "mixture a must be a number, got {}"),
+        (("slice", "rows", float("inf")), "malformed slice entry"),
+        (("slice", "cols", float("-inf")), "malformed slice entry"),
+        (("labeling", "dims", [2, float("inf"), 4]), "malformed dims"),
+        (("quantify", "dims", [2, 4, float("inf")]), "malformed dims"),
+    ], ids=["string_alpha_r", "null_sigma_r", "list_mu", "true_alpha_g", "object_a",
+            "infinite_rows", "infinite_cols", "infinite_dims", "infinite_dims_quantify"])
+    def test_a_value_that_is_no_number_ends_in_one_error_line(
+            self, phantom_dir, normalized_dir, tmp_path, capsys, case, fragment):
+        """Values that once raised TypeError, ValueError or OverflowError out of the CLI.
+        json writes an infinite float as Infinity, which json reads back."""
+        where, key, value = case
+        if where == "mixture":
+            report = json.loads((normalized_dir / "normalize_report.json").read_text())
+            report["mixture"][key] = value
+            (tmp_path / "params.json").write_text(json.dumps(report))
+            argv = ["classify", "--normalized", normalized_dir / "normalized.json",
+                    "--params", tmp_path / "params.json",
+                    "--contours", phantom_dir / "contours.json", "--out", tmp_path / "cls"]
+        elif where == "slice":
+            manifest = json.loads((phantom_dir / "dataset.json").read_text())
+            manifest["slices"][0][key] = value
+            for raw in phantom_dir.glob("*.raw"):
+                (tmp_path / raw.name).write_bytes(raw.read_bytes())
+            (tmp_path / "dataset.json").write_text(json.dumps(manifest))
+            argv = ["normalize", "--data", tmp_path / "dataset.json",
+                    "--contours", phantom_dir / "contours.json", "--out", tmp_path / "norm"]
+        else:
+            auto = lio.save_labeling(np.zeros((2, 4, 4), np.uint8), np.ones((2, 4, 4), bool),
+                                     (1.0, 1.0, 5.0), tmp_path / "auto")
+            header = json.loads(auto.read_text())
+            header[key] = value
+            auto.write_text(json.dumps(header))
+            argv = (["metrics", "--auto", auto, "--ref", auto, "--out", tmp_path / "m"]
+                    if where == "labeling" else
+                    ["quantify", "--labeling", auto, "--out", tmp_path / "q"])
+        assert "Infinity" in json.dumps(value) or where == "mixture"
+        assert_cli_error(capsys, argv, fragment)
+
     @pytest.mark.parametrize("text, fragment", [
         ("auto,manual\n1.0,2.0\n3.0\n", "unreadable pairs CSV"),
         ("auto,manual\n1.0,2.0,3.0\n4.0,5.0,6.0\n", "(automatic, manual)"),

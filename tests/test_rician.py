@@ -4,13 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq, least_squares
+from scipy.optimize import brentq, least_squares, leastsq
 
 from lgequant import rician
-from lgequant.errors import FitError, ParameterError, ThresholdError
+from lgequant.errors import FitError, LgeQuantError, ParameterError, ThresholdError
 from lgequant.rician import (
     RelativeProbability,
     RicianMixtureParams,
@@ -20,7 +19,7 @@ from lgequant.rician import (
     gaussian_term,
     mixture,
     rayleigh_shifted,
-    _mixture_jac,
+    _rows,
     _otsu_split,
     _pack,
     _unpack,
@@ -32,6 +31,12 @@ PARAM_NAMES = ("alpha_r", "sigma_r", "a", "alpha_g", "sigma_g", "mu")
 RECORDED = json.loads((Path(__file__).parent / "data" / "lv_curves.json").read_text())
 RECORDED_IDS = [f"{c['study']} fit {sum(d['study'] == c['study'] for d in RECORDED[:i]) + 1}"
                 for i, c in enumerate(RECORDED)]
+EPS = np.finfo(float).eps
+
+
+def jacobian(theta, x) -> np.ndarray:
+    """The (len(x), 6) Jacobian of ``mixture`` by the packed parameters, as fitted."""
+    return np.array(_rows(theta, x)[1:]).T
 
 
 def recorded_curve(curve) -> RelativeProbability:
@@ -206,7 +211,7 @@ class TestMixtureJacobian:
             # Each parameter is stepped in units of its natural scale: log-parameters
             # by h, the offset by h * sigma_r and the mean by h * sigma_g.
             scale = np.array([1.0, 1.0, p.sigma_r, 1.0, 1.0, p.sigma_g])
-            jac = _mixture_jac(theta, x) * scale
+            jac = jacobian(theta, x) * scale
             assert jac.shape == (x.size, 6)
             # The Rayleigh kink at x = -a has no derivative; drop any bin whose
             # stencil straddles it.
@@ -228,35 +233,52 @@ class TestMixtureJacobian:
     def test_rayleigh_columns_vanish_below_the_support(self):
         theta = _pack(0.12, 0.10, -0.15, 0.09, 0.08, 0.75)
         x = np.array([-0.5, 0.0, 0.1, 0.1499, 0.2, 0.5])
-        jac = _mixture_jac(theta, x)
+        jac = jacobian(theta, x)
         below = x + _unpack(theta).a < 0
         assert below.sum() == 4
         assert np.all(jac[below, :3] == 0.0)
         assert np.all(jac[~below, :3] != 0.0)
 
+    def test_rows_start_with_the_mixture(self):
+        rng = np.random.default_rng(21)
+        x = np.linspace(-0.3, 1.2, 64)
+        for _ in range(25):
+            theta = self.random_theta(rng)
+            np.testing.assert_allclose(_rows(theta, x)[0], mixture(x, _unpack(theta)),
+                                       rtol=1e-13, atol=1e-15)
+            rayleigh = _rows(theta[:3], x)
+            np.testing.assert_array_equal(rayleigh[1:], _rows(theta, x)[1:4])
+            np.testing.assert_allclose(rayleigh[0], rayleigh_shifted(x, _unpack(theta)),
+                                       rtol=1e-13, atol=1e-15)
+
     def test_every_least_squares_call_is_given_the_jacobian(self, monkeypatch):
         calls = []
-        solve = scipy.optimize.leastsq
+        rows = rician._rows
 
-        def spy(fun, x0, **kwargs):
-            calls.append(kwargs)
-            return solve(fun, x0, **kwargs)
+        def spy(theta, x):
+            out = rows(theta, x)
+            calls.append((len(theta), len(out)))
+            return out
 
-        monkeypatch.setattr(scipy.optimize, "leastsq", spy)
+        monkeypatch.setattr(rician, "_rows", spy)
         rp, _ = curve_from_params(make_params())
+        solves = []
+        solve = rician._solve
+        monkeypatch.setattr(rician, "_solve", lambda *args: solves.append(args) or solve(*args))
         fit_mixture(rp)
-        assert len(calls) == 3
-        assert all(callable(kw.get("Dfun")) and kw["full_output"] for kw in calls)
+        assert len(solves) == 3
+        # Every evaluation yields the residuals' values and one derivative row per parameter.
+        assert calls and all(n_rows == n_params + 1 for n_params, n_rows in calls)
 
     def test_no_residual_is_evaluated_outside_the_solves(self, monkeypatch):
-        # Each solve's residual at its solution is MINPACK's fvec.
+        # Each solve returns the sum of squares at its solution.
         depth, inside, outside = [], [], []
-        solve = scipy.optimize.leastsq
+        solve = rician._solve
 
-        def spy(fun, x0, **kwargs):
+        def spy(*args):
             depth.append(None)
             try:
-                return solve(fun, x0, **kwargs)
+                return solve(*args)
             finally:
                 depth.pop()
 
@@ -267,22 +289,62 @@ class TestMixtureJacobian:
             return wrapped
 
         rp, _ = curve_from_params(make_params())
-        monkeypatch.setattr(scipy.optimize, "leastsq", spy)
-        for name in ("rayleigh_shifted", "gaussian_term"):
+        monkeypatch.setattr(rician, "_solve", spy)
+        for name in ("rayleigh_shifted", "gaussian_term", "_rows"):
             monkeypatch.setattr(rician, name, counted(getattr(rician, name)))
         fit_mixture(rp)
         assert inside and outside == []
 
 
-def trf_solve(fun, x0, Dfun, **kwargs):
-    """fit_mixture's former solver, scipy's trf, in leastsq's calling convention."""
-    sol = least_squares(fun, x0, jac=Dfun, method="trf", max_nfev=2000)
-    return sol.x, None, {"fvec": sol.fun}, "", 1
+def oracle_solve(method):
+    """A replacement for rician._solve that runs scipy's solver ``method`` on the
+    same residuals and Jacobian: MINPACK's Levenberg-Marquardt (``leastsq``) at the
+    in-repo solver's tolerances, or least_squares' trf at its defaults."""
+    def solve(x, y, theta0):
+        def fun(theta):
+            return rician._rows(theta, x)[0] - y
+
+        def jac(theta):
+            return np.array(rician._rows(theta, x)[1:]).T
+
+        if method == "minpack":
+            sol, _, info, _, _ = leastsq(fun, theta0, Dfun=jac, full_output=True, ftol=1e-8,
+                                         xtol=1e-8, gtol=1e-8, maxfev=rician.MAX_NFEV)
+            return sol, float(np.sum(info["fvec"] ** 2))
+        sol = least_squares(fun, theta0, jac=jac, method="trf", max_nfev=rician.MAX_NFEV)
+        return sol.x, float(np.sum(sol.fun ** 2))
+    return solve
+
+
+def fit_with(method, rp, monkeypatch) -> RicianMixtureParams:
+    with monkeypatch.context() as patch:
+        patch.setattr(rician, "_solve", oracle_solve(method))
+        return fit_mixture(rp)
+
+
+class TestAgainstMinpack:
+    """On the recorded curves the in-repo Levenberg-Marquardt takes MINPACK's path, the
+    solver it replaced, to MINPACK's minimum and threshold."""
+
+    # Worst case 2.2e-16, one rounding: the two solve the same steps in other orders.
+    RTOL = 1e-9
+    # No fit stops more than this fraction above MINPACK's sum of squares.
+    FTOL = 1e-9
+
+    @pytest.mark.parametrize("curve", RECORDED, ids=RECORDED_IDS)
+    def test_recorded_curves(self, curve, monkeypatch):
+        rp = recorded_curve(curve)
+        fitted, former = fit_mixture(rp), fit_with("minpack", rp, monkeypatch)
+        for name in PARAM_NAMES:
+            assert getattr(fitted, name) == pytest.approx(getattr(former, name),
+                                                          rel=self.RTOL), name
+        assert fitted.fit_residual <= former.fit_residual * (1 + self.FTOL)
+        assert find_threshold(fitted) == pytest.approx(find_threshold(former), rel=self.RTOL)
 
 
 class TestAgainstTrf:
-    """On the recorded curves MINPACK's Levenberg-Marquardt reaches the minimum that
-    the former trf solver reached."""
+    """On the recorded curves the in-repo Levenberg-Marquardt reaches the minimum that
+    fit_mixture's first solver, scipy's trf, reached."""
 
     # Worst case 8.0e-6, on cli_staged192 seed 3.
     RTOL = 1e-4
@@ -293,9 +355,7 @@ class TestAgainstTrf:
     @pytest.mark.parametrize("curve", RECORDED, ids=RECORDED_IDS)
     def test_recorded_curves(self, curve, monkeypatch):
         rp = recorded_curve(curve)
-        fitted = fit_mixture(rp)
-        monkeypatch.setattr(scipy.optimize, "leastsq", trf_solve)
-        former = fit_mixture(rp)
+        fitted, former = fit_mixture(rp), fit_with("trf", rp, monkeypatch)
         for name in PARAM_NAMES:
             assert getattr(fitted, name) == pytest.approx(getattr(former, name),
                                                           rel=self.RTOL), name
@@ -311,21 +371,35 @@ class TestAgainstTrf:
 
 
 class TestSolveCap:
-    """A solve that reaches rician.MAX_NFEV returns its last point without a warning."""
+    """A solve that reaches rician.MAX_NFEV returns its last accepted point without a
+    warning."""
 
     @pytest.mark.parametrize("cap", [2, 3, 5])
     @pytest.mark.parametrize("curve", [0, 9], ids=lambda i: RECORDED_IDS[i])
     def test_capped_fit_returns_or_raises_fit_error(self, cap, curve, monkeypatch):
-        stops = []
-        solve = scipy.optimize.leastsq
+        solves, seen = [], []           # seen: (sum of squares, point) of each evaluation
+        y = [None]                      # the values the running solve fits
+        rows, solve = rician._rows, rician._solve
 
-        def spy(fun, x0, **kwargs):
-            out = solve(fun, x0, **kwargs)
-            stops.append((out[2]["nfev"], out[4]))      # evaluations, MINPACK's exit code
+        def counted(theta, x):
+            out = rows(theta, x)
+            residuals = out[0] - y[0]
+            seen.append((float(residuals @ residuals), np.array(theta)))
             return out
 
+        def spy(x, values, theta0):
+            seen.clear()
+            y[:] = [values]
+            theta, cost = solve(x, values, theta0)
+            solves.append(len(seen))
+            # The point returned is the best one evaluated, and its sum is returned.
+            best = min(seen, key=lambda s: s[0])
+            assert cost == best[0] and np.array_equal(theta, best[1])
+            return theta, cost
+
         monkeypatch.setattr(rician, "MAX_NFEV", cap)
-        monkeypatch.setattr(scipy.optimize, "leastsq", spy)
+        monkeypatch.setattr(rician, "_rows", counted)
+        monkeypatch.setattr(rician, "_solve", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
@@ -333,9 +407,44 @@ class TestSolveCap:
                 assert fitted.fit_residual >= 0
             except FitError:
                 pass
-        assert len(stops) == 3
-        assert all(nfev <= cap for nfev, _ in stops)
-        assert any(code == 5 for _, code in stops)      # 5: stopped at the cap
+        assert len(solves) == 3
+        assert all(nfev <= cap for nfev in solves)
+        assert any(nfev == cap for nfev in solves)          # stopped at the cap
+
+
+class TestDegenerateCurves:
+    """A histogram of a few spikes or of noise ends in a fit or a typed error. Steps on
+    such curves overflow (numpy warns), and a solver must not end in a bare exception."""
+
+    @staticmethod
+    def fit_or_typed_error(counts, hi):
+        rp = RelativeProbability(np.linspace(0.0, hi, len(counts)), counts / counts.max())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                find_threshold(fit_mixture(rp))
+            except LgeQuantError:
+                pass
+
+    @pytest.mark.parametrize("n, hi, spikes", [
+        (64, 1781.0553609290446, {4: 27, 28: 15, 49: 67}),   # OverflowError under leastsq
+        (12, 2881.876874843968, {2: 24, 4: 83}),              # OverflowError under leastsq
+        (32, 125.70015085534939, {7: 7, 15: 76, 29: 71}),
+    ])
+    def test_spikes(self, n, hi, spikes):
+        counts = np.zeros(n)
+        counts[list(spikes)] = list(spikes.values())
+        self.fit_or_typed_error(counts, hi)
+
+    def test_seeded_noise_and_spikes(self):
+        rng = np.random.default_rng(41)
+        for i in range(8):
+            n = int(rng.choice([12, 16, 32, 64, 128]))
+            counts = rng.integers(0, 50, n).astype(float)
+            if i % 2:
+                counts[rng.random(n) < 0.9] = 0.0
+            if counts.max() > 0:
+                self.fit_or_typed_error(counts, rng.uniform(1.0, 3000.0))
 
 
 def otsu_variances(centers, weights):
@@ -403,7 +512,7 @@ class TestOtsuSplit:
 
 
 def scan_root_loop(p):
-    """The former find_threshold scan: a Python loop over the grid intervals."""
+    """The first find_threshold: a Python loop over the grid intervals, and brentq."""
     f = lambda x: rayleigh_shifted(x, p) - gaussian_term(x, p)
     grid = np.linspace(p.mu, p.rayleigh_mode, 2049)
     fv = f(grid)
@@ -415,8 +524,15 @@ def scan_root_loop(p):
     return None
 
 
+def same_root(found, expected) -> bool:
+    """Whether two refinements of one bracketed root agree: find_threshold stops
+    within 4 eps |x| of the root, brentq within 2 (1e-15 + 8.9e-16 |x|)."""
+    return abs(found - expected) <= 4 * EPS * abs(found) + 2 * (1e-15 + 8.9e-16 * abs(expected))
+
+
 class TestFindThresholdScan:
-    """The array scan finds the same interval, so the same root, as the former loop."""
+    """The array scan finds the same interval as the former loop, and the Illinois
+    refinement the same root as brentq."""
 
     @pytest.mark.parametrize("kw", [
         {}, dict(sigma_r=0.08, a=-0.22, sigma_g=0.08, mu=0.70),
@@ -425,7 +541,7 @@ class TestFindThresholdScan:
     ])
     def test_suite_parameters(self, kw):
         p = make_params(**kw)
-        assert find_threshold(p) == scan_root_loop(p)
+        assert same_root(find_threshold(p), scan_root_loop(p))
 
     def test_seeded_random_mixtures(self):
         rng = np.random.default_rng(31)
@@ -438,12 +554,29 @@ class TestFindThresholdScan:
                 continue
             expected = scan_root_loop(p)
             if expected is not None and p.rayleigh_mode < expected < p.mu:
-                assert find_threshold(p) == expected
+                assert same_root(find_threshold(p), expected)
                 found += 1
             else:
                 with pytest.raises(ThresholdError):
                     find_threshold(p)
         assert found > 100
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.01, 0.3), st.floats(0.03, 0.2), st.floats(-0.3, 0.1),
+           st.floats(0.01, 0.3), st.floats(0.02, 0.3), st.floats(0.3, 1.0),
+           st.floats(-3.0, 3.0))
+    def test_matches_brentq(self, alpha_r, sigma_r, a, alpha_g, sigma_g, mu, log_scale):
+        """On any mixture, at any intensity scale, the root brentq finds in the scanned
+        interval, within the two refinements' tolerances."""
+        s = 10.0 ** log_scale
+        p = make_params(alpha_r=alpha_r * s, sigma_r=sigma_r * s, a=a * s,
+                        alpha_g=alpha_g * s, sigma_g=sigma_g * s, mu=mu * s)
+        expected = scan_root_loop(p) if p.mu > p.rayleigh_mode else None
+        if expected is not None and p.rayleigh_mode < expected < p.mu:
+            assert same_root(find_threshold(p), expected)
+        else:
+            with pytest.raises(ThresholdError):
+                find_threshold(p)
 
 
 class TestFindThreshold:
