@@ -162,7 +162,7 @@ def cmd_pipeline(args) -> int:
     config = _pipeline_config(args)
     dataset = lio.load_dataset(args.data)
     contours = lio.load_contours(args.contours)
-    truth = lio.load_truth(args.truth) if args.truth else None
+    truth = {"infarct_mask": lio.load_truth(args.truth)} if args.truth else None
     report = run_pipeline(dataset, contours, config, out_dir=args.out, truth=truth)
     vol_pct = report["stages"]["quantify"]["volumetric_percent"]
     line = f"pipeline: volumetric I/M% = {vol_pct:.2f}"

@@ -28,7 +28,7 @@ class ContourSet:
         try:
             self.endo = [np.asarray(p, dtype=float) for p in self.endo]
             self.epi = [np.asarray(p, dtype=float) for p in self.epi]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ContourError(f"contour vertices must be numbers: {exc}") from None
         for k, (en, ep) in enumerate(zip(self.endo, self.epi)):
             for name, poly in (("endo", en), ("epi", ep)):

@@ -35,7 +35,9 @@ MAX_REGION_SAMPLES = 1 << 22  # a larger paired-region grid means the slices lie
 
 def orthonormal(iop_row: np.ndarray, iop_col: np.ndarray) -> bool:
     """Whether both orientation vectors are unit length and orthogonal, to ORTHONORMAL_TOL."""
-    deviations = (np.linalg.norm(iop_row) - 1.0, np.linalg.norm(iop_col) - 1.0, iop_row @ iop_col)
+    with np.errstate(over="ignore", invalid="ignore"):    # huge entries are simply not unit
+        deviations = (np.linalg.norm(iop_row) - 1.0, np.linalg.norm(iop_col) - 1.0,
+                      iop_row @ iop_col)
     return all(abs(d) <= ORTHONORMAL_TOL for d in deviations)
 
 

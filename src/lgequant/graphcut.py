@@ -23,6 +23,10 @@ from .raster import canvas
 from .rician import RicianMixtureParams, gaussian_term, rayleigh_shifted
 
 PROB_FLOOR = 1e-12
+# The largest data-term weight. A data cost lies within [-log(float max), -log(PROB_FLOOR)],
+# so with lambda at most this each t-weight, and the max-flow's sums of them, stay finite.
+MAX_LAMBDA = 1e6
+MAX_SPACING_RATIO = 1e6     # likewise for the ratio of two voxel spacings, an n-link's weight
 
 logger = logging.getLogger(__name__)
 
@@ -47,8 +51,10 @@ class MyocardiumVolume:
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.intensity.ndim != 3 or self.intensity.shape != self.mask.shape:
             raise ParameterError("intensity and mask must be matching 3D arrays")
-        if len(self.spacing_mm) != 3 or not all(0 < s < np.inf for s in self.spacing_mm):
-            raise ParameterError("spacing_mm must be three positive lengths")
+        s = self.spacing_mm
+        if len(s) != 3 or not all(0 < v < np.inf for v in s) or max(s) > MAX_SPACING_RATIO * min(s):
+            raise ParameterError(f"spacing_mm must be three positive lengths, none more than "
+                                 f"{MAX_SPACING_RATIO:g} times another, got {s}")
         self.box = canvas(self.mask)
         if not np.all(np.isfinite(self.intensity[self.box][self.mask[self.box]])):
             raise ParameterError("masked intensities must be finite")
@@ -91,15 +97,17 @@ class GraphCutConfig:
 
     def __post_init__(self):
         check_number("lambda", self.lambda_, **POSITIVE)
+        if self.lambda_ > MAX_LAMBDA:
+            raise ParameterError(f"lambda must be at most {MAX_LAMBDA:g}, got {self.lambda_}")
         if self.sigma is not None:
             check_number("sigma", self.sigma, **POSITIVE)
 
     def resolved_sigma(self, params: RicianMixtureParams) -> float:
-        if self.sigma is not None:
-            return self.sigma
-        sigma = params.mu - params.rayleigh_mode
-        if sigma <= 0:
+        sigma = params.mu - params.rayleigh_mode if self.sigma is None else self.sigma
+        if sigma <= 0:      # a set sigma is positive
             raise ParameterError("component modes do not straddle a positive range")
+        if not 0 < sigma * sigma < np.inf:      # interaction_potential divides by its square
+            raise ParameterError(f"sigma {sigma!r} squares outside float range")
         return sigma
 
 
@@ -128,7 +136,8 @@ def interaction_potential(i_p, i_q, sigma: float, w_dist: float = 1.0):
     if not sigma > 0:
         raise ParameterError("sigma must be positive")
     diff = np.asarray(i_p, dtype=float) - np.asarray(i_q, dtype=float)
-    out = w_dist * np.exp(-(diff ** 2) / (2.0 * sigma ** 2))
+    with np.errstate(over="ignore"):    # a quotient past float range is a penalty of 0
+        out = w_dist * np.exp(-(diff ** 2) / (2.0 * sigma ** 2))
     return out if out.ndim else float(out)
 
 
@@ -157,7 +166,11 @@ def _network(volume: MyocardiumVolume, params: RicianMixtureParams, config: Grap
         p, q = a[both], b[both]
         links.append((p, q, interaction_potential(vals[p], vals[q], sigma, d_row / dist)))
     p, q, caps = (np.concatenate(arrays) for arrays in zip(*links))
-    return data_cost_normal(vals, params), data_cost_infarct(vals, params), p, q, caps
+    with np.errstate(all="ignore"):     # a density that overflows leaves a non-finite cost
+        d0, d1 = data_cost_normal(vals, params), data_cost_infarct(vals, params)
+    if not (np.isfinite(d0).all() and np.isfinite(d1).all()):
+        raise ParameterError("the mixture's densities at the masked intensities overflow")
+    return d0, d1, p, q, caps
 
 
 def energy(

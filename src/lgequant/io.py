@@ -11,6 +11,7 @@ its output directory.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -60,39 +61,39 @@ def _read_header(path) -> dict:
     return header
 
 
-def _field(header: dict, key: str, path):
-    """One required header entry; a missing key is a format error."""
+# Header value kinds: what a value must be, alone and in a list, and the test it passes.
+_KINDS = {
+    str: ("a string", "strings", lambda v: isinstance(v, str)),
+    int: ("an integer", "integers", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    # The comparison is False for NaN and infinities and exact for an integer past float range.
+    float: ("a finite number", "finite numbers", lambda v: isinstance(v, (int, float))
+            and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
+    list: ("a list", "lists", lambda v: isinstance(v, list)),
+}
+_COUNTS = {2: "two", 3: "three", 4: "four"}
+
+
+def _field(header: dict, key: str, path, kind=None, n: int | None = None):
+    """One required header entry; a missing key is a format error.
+
+    With ``kind`` (``str``, ``int``, ``float`` or ``list``) the value must be
+    one of that kind, or with ``n`` a list of ``n`` of them (returned as a
+    tuple); a ``float`` is returned as a float. Anything else is a format error.
+    """
     try:
-        return header[key]
+        value = header[key]
     except (KeyError, TypeError):
         raise DatasetFormatError(f"{path}: header has no {key!r} entry") from None
-
-
-def _entries(header: dict, path) -> list:
-    """The ``slices`` list of a manifest or contours file."""
-    entries = _field(header, "slices", path)
-    if not isinstance(entries, list):
-        raise DatasetFormatError(f"{path}: 'slices' must be a list, got {entries!r}")
-    return entries
-
-
-def _index(entry: dict, path) -> int:
-    """The integer ``index`` of one slice entry."""
-    index = _field(entry, "index", path)
-    if isinstance(index, bool) or not isinstance(index, int):
-        raise DatasetFormatError(f"{path}: slice 'index' must be an integer, got {index!r}")
-    return index
-
-
-def _spacing(header: dict, path) -> tuple:
-    """The header's ``spacing_mm`` as three finite floats."""
-    spacing = _field(header, "spacing_mm", path)
-    if not (isinstance(spacing, list) and len(spacing) == 3 and all(
-            isinstance(s, (int, float)) and not isinstance(s, bool)
-            and abs(s) <= sys.float_info.max for s in spacing)):
-        raise DatasetFormatError(
-            f"{path}: 'spacing_mm' must be three finite numbers, got {spacing!r}")
-    return tuple(float(s) for s in spacing)
+    if kind is None:
+        return value
+    one, many, test = _KINDS[kind]
+    items = [value] if n is None else value
+    if not (isinstance(items, list) and len(items) == (n or 1) and all(map(test, items))):
+        what = one if n is None else f"{_COUNTS[n]} {many}"
+        raise DatasetFormatError(f"{path}: {key!r} must be {what}, got {value!r}")
+    if kind is float:
+        items = [float(v) for v in items]
+    return items[0] if n is None else tuple(items)
 
 
 def _write_raws(header: dict, path, **raws) -> Path:
@@ -107,19 +108,19 @@ def _write_raws(header: dict, path, **raws) -> Path:
     return path
 
 
-def _read_raw(header_path, name, dims, dtype) -> np.ndarray:
-    """The raw file ``name`` beside ``header_path``, shaped to ``dims``."""
+def _read_raw(header: dict, key: str, path, dims: tuple, dtype) -> np.ndarray:
+    """The raw file that ``header``'s ``key`` names beside ``path``, shaped to ``dims``."""
+    raw = Path(path).parent / _field(header, key, path, str)
     try:
-        dims = tuple(int(d) for d in dims)
-    except (TypeError, ValueError, OverflowError):
-        raise DatasetFormatError(f"{header_path}: malformed dims {dims!r}") from None
-    raw = Path(header_path).parent / str(name)
-    if not raw.is_file():
-        raise PixelFileError(f"raw file missing: {raw}")
-    # Compare bytes, not items: fromfile drops a trailing partial item.
-    if raw.stat().st_size != int(np.prod(dims)) * np.dtype(dtype).itemsize:
-        raise PixelFileError(f"{raw}: size does not match dims {dims}")
-    return np.fromfile(raw, dtype=dtype).reshape(dims)
+        if not raw.is_file():
+            raise PixelFileError(f"raw file missing: {raw}")
+        # Compare bytes, not items: fromfile drops a trailing partial item. math.prod is
+        # exact for any integers, and two negative dims could multiply to the right size.
+        if min(dims) < 0 or raw.stat().st_size != math.prod(dims) * np.dtype(dtype).itemsize:
+            raise PixelFileError(f"{raw}: size does not match dims {dims}")
+        return np.fromfile(raw, dtype=dtype).reshape(dims)
+    except OSError as exc:      # a name the OS refuses, or a file this process may not read
+        raise PixelFileError(f"cannot read {raw}: {exc}") from None
 
 
 def _u16_pixels(pixels: np.ndarray) -> np.ndarray:
@@ -176,58 +177,41 @@ def save_dataset(dataset: LgeDataset, out_dir, name: str = "dataset") -> Path:
 def load_dataset(manifest_path) -> LgeDataset:
     """Read a dataset manifest; validates orientation and pixel dimensions."""
     manifest = _read_header(manifest_path)
-    try:
-        thickness_mm = float(_field(manifest, "slice_thickness_mm", manifest_path))
-        gap_mm = float(_field(manifest, "gap_mm", manifest_path))
-    except (TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"{manifest_path}: malformed slice spacing: {exc}") from None
-    sa, la, rois = [], [], []
-    for entry in _entries(manifest, manifest_path):
-        def get(key):
-            return _field(entry, key, manifest_path)
+    thickness_mm = _field(manifest, "slice_thickness_mm", manifest_path, float)
+    gap_mm = _field(manifest, "gap_mm", manifest_path, float)
+    sa, la = [], []
+    for entry in _field(manifest, "slices", manifest_path, list):
+        def get(key, kind, n=None):
+            return _field(entry, key, manifest_path, kind, n)
 
-        try:
-            iop_row = np.asarray(get("iop_row"), dtype=float).reshape(3)
-            iop_col = np.asarray(get("iop_col"), dtype=float).reshape(3)
-            ipp = np.asarray(get("ipp"), dtype=float).reshape(3)
-            ps_row, ps_col = float(get("ps")[0]), float(get("ps")[1])
-            rows, cols = int(get("rows")), int(get("cols"))
-            roi = entry.get("roi")
-            roi = None if roi is None else Roi(*roi)
-        except (TypeError, ValueError, OverflowError, IndexError, KeyError) as exc:
-            raise DatasetFormatError(
-                f"{manifest_path}: malformed slice entry: {exc!r}") from None
+        role, index = get("role", str), get("index", int)
+        if not (role.isalnum() and len(role) <= 32):      # a saved slice's file name holds it
+            raise DatasetFormatError(f"{manifest_path}: 'role' must be 1 to 32 letters and "
+                                     f"digits, got {role!r}")
+        iop_row, iop_col = np.array(get("iop_row", float, 3)), np.array(get("iop_col", float, 3))
         if not orthonormal(iop_row, iop_col):
             raise OrientationError(
-                f"slice {entry.get('role')}/{entry.get('index')}: "
-                "orientation vectors are not orthonormal"
-            )
-        pose = SlicePose(ipp=ipp, iop_row=iop_row, iop_col=iop_col,
+                f"slice {role}/{index}: orientation vectors are not orthonormal")
+        ps_row, ps_col = get("ps", float, 2)
+        rows, cols = get("rows", int), get("cols", int)
+        roi = None if entry.get("roi") is None else Roi(*get("roi", int, 4))
+        pose = SlicePose(ipp=np.array(get("ipp", float, 3)), iop_row=iop_row, iop_col=iop_col,
                          ps_row=ps_row, ps_col=ps_col, rows=rows, cols=cols)
-        pixels = _read_raw(manifest_path, get("pixel_file"), (rows, cols), "<u2")
+        pixels = _read_raw(entry, "pixel_file", manifest_path, (rows, cols), "<u2")
         image = SliceImage(pose=pose, pixels=pixels.astype(float))
-        role, index = get("role"), _index(entry, manifest_path)
         if role == "SA":
-            sa.append((index, image))
-            rois.append((index, roi))
+            sa.append((index, image, roi))
         else:
             la.append((index, image, role))
     if not sa:
         raise DatasetFormatError("manifest lists no SA slices")
     sa.sort(key=lambda t: t[0])
-    rois.sort(key=lambda t: t[0])
-    indices = [i for i, _ in sa]
-    if indices != list(range(len(sa))):
+    if [i for i, _, _ in sa] != list(range(len(sa))):
         raise DatasetFormatError("SA indices must be contiguous from 0")
     la.sort(key=lambda t: t[0])
-    return LgeDataset(
-        sa_slices=[img for _, img in sa],
-        la_slices=[img for _, img, _ in la],
-        sa_rois=[r for _, r in rois],
-        la_roles=[role for _, _, role in la],
-        slice_thickness_mm=thickness_mm,
-        gap_mm=gap_mm,
-    )
+    return LgeDataset(sa_slices=[img for _, img, _ in sa], la_slices=[img for _, img, _ in la],
+                      sa_rois=[roi for _, _, roi in sa], la_roles=[role for _, _, role in la],
+                      slice_thickness_mm=thickness_mm, gap_mm=gap_mm)
 
 
 def save_contours(contours: ContourSet, path) -> Path:
@@ -245,7 +229,8 @@ def save_contours(contours: ContourSet, path) -> Path:
 
 def load_contours(path) -> ContourSet:
     """Read a contours file; ``ContourSet`` checks each polygon's shape."""
-    slices = sorted(_entries(_read_header(path), path), key=lambda entry: _index(entry, path))
+    slices = sorted(_field(_read_header(path), "slices", path, list),
+                    key=lambda entry: _field(entry, "index", path, int))
     return ContourSet(endo=[_field(entry, "endo", path) for entry in slices],
                       epi=[_field(entry, "epi", path) for entry in slices])
 
@@ -265,9 +250,9 @@ def save_volume_f32(volume: np.ndarray, spacing_mm, path_base) -> Path:
 
 def load_volume_f32(header_path) -> tuple:
     header = _read_header(header_path)
-    data = _read_raw(header_path, _field(header, "raw_file", header_path),
-                     _field(header, "dims", header_path), "<f4")
-    return data.astype(float), _spacing(header, header_path)
+    data = _read_raw(header, "raw_file", header_path,
+                     _field(header, "dims", header_path, int, 3), "<f4")
+    return data.astype(float), _field(header, "spacing_mm", header_path, float, 3)
 
 
 def save_labeling(labels: np.ndarray, mask: np.ndarray, spacing_mm, path_base) -> Path:
@@ -285,14 +270,14 @@ def save_labeling(labels: np.ndarray, mask: np.ndarray, spacing_mm, path_base) -
 
 def load_labeling(header_path) -> tuple:
     header = _read_header(header_path)
-    dims = _field(header, "dims", header_path)
-    labels = _read_raw(header_path, _field(header, "labels_file", header_path), dims, np.uint8)
-    mask = _read_raw(header_path, _field(header, "mask_file", header_path), dims, np.uint8)
+    dims = _field(header, "dims", header_path, int, 3)
+    labels = _read_raw(header, "labels_file", header_path, dims, np.uint8)
+    mask = _read_raw(header, "mask_file", header_path, dims, np.uint8)
     for name, raw in (("labels", labels), ("mask", mask)):
         if raw.max(initial=0) > 1:
             raise DatasetFormatError(f"{header_path}: {name} must hold only 0 and 1, "
                                      f"got {raw.max()}")
-    return labels, mask.astype(bool), _spacing(header, header_path)
+    return labels, mask.astype(bool), _field(header, "spacing_mm", header_path, float, 3)
 
 
 def save_truth(truth, out_dir, name: str = "truth") -> Path:
@@ -307,15 +292,11 @@ def save_truth(truth, out_dir, name: str = "truth") -> Path:
                        infarct_file=(f"{name}_infarct.raw", mask))
 
 
-def load_truth(path) -> dict:
+def load_truth(path) -> np.ndarray:
+    """The truth sidecar's infarct mask, the one entry a pipeline run compares with."""
     payload = _read_header(path)
-    mask = _read_raw(path, _field(payload, "infarct_file", path),
-                     _field(payload, "infarct_dims", path), np.uint8)
-    return {
-        "true_ipps": np.asarray(_field(payload, "true_ipps", path), dtype=float),
-        "gains": np.asarray(_field(payload, "gains", path), dtype=float),
-        "infarct_mask": mask.astype(bool),
-    }
+    return _read_raw(payload, "infarct_file", path,
+                     _field(payload, "infarct_dims", path, int, 3), np.uint8).astype(bool)
 
 
 def write_report(report: dict, path) -> Path:

@@ -19,7 +19,7 @@ import numpy as np
 from . import io as lio
 from .aha import AhaConfig, assign_segments, quantify
 from .dataset import ContourSet, LgeDataset
-from .errors import FINITE, LgeQuantError, ParameterError, check_number
+from .errors import LgeQuantError, ParameterError
 from .graphcut import GraphCutConfig, Labeling, MyocardiumVolume, classify
 from .metrics import dice
 from .normalize import check_normalization, iterate_normalization
@@ -184,13 +184,7 @@ def normalize_stage(dataset: LgeDataset, contours: ContourSet, config: PipelineC
 def params_from_report(path) -> RicianMixtureParams:
     """The fitted mixture that a normalize report file carries."""
     mix = lio._field(lio.read_report(path), "mixture", path)
-    if not mix:
-        raise LgeQuantError(f"{path} carries no mixture parameters")
-    values = {key: lio._field(mix, key, path) for key in _MIXTURE_KEYS}
-    for key, value in values.items():
-        check_number(f"mixture {key}", value)
-    check_number("mixture i_thrh", values["i_thrh"], **FINITE)
-    return RicianMixtureParams(**values)
+    return RicianMixtureParams(**{key: lio._field(mix, key, path) for key in _MIXTURE_KEYS})
 
 
 @_stage("classify")

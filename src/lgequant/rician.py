@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ParameterError, ThresholdError
+from .errors import FINITE, FitError, ParameterError, ThresholdError, check_number
 
 DEFAULT_BINS = 64
 # The fewest relative-probability bins fit_mixture accepts; check_normalization
@@ -25,8 +25,9 @@ MIN_MIXTURE_BINS = 12
 # The most bins allowed. Bins past the LV voxel count are mostly empty: a 96x96x6
 # study (4,552 LV voxels) normalizes in 0.02 s at 4,096 and fails to fit at 65,536.
 MAX_BINS = 4096
-# The most residual evaluations of each least-squares solve in fit_mixture.
-MAX_NFEV = 2000
+# The most residual evaluations of each least-squares solve in fit_mixture: MINPACK
+# lmder's default 100 * (n + 1) for the 3-parameter solve.
+MAX_NFEV = 400
 
 
 @dataclass
@@ -44,12 +45,19 @@ class RicianMixtureParams:
 
     def __post_init__(self):
         fields = (self.alpha_r, self.sigma_r, self.a, self.alpha_g, self.sigma_g, self.mu)
+        for name, value in zip(("alpha_r", "sigma_r", "a", "alpha_g", "sigma_g", "mu"), fields):
+            check_number(f"mixture {name}", value)
+        if self.i_thrh is not None:     # a number first, so a string is not called infinite
+            check_number("mixture i_thrh", self.i_thrh)
+            check_number("mixture i_thrh", self.i_thrh, **FINITE)
         if not all(np.isfinite(fields)):
             raise ParameterError("mixture parameters must be finite")
         if self.alpha_r < 0 or self.alpha_g < 0:
             raise ParameterError("amplitudes must be non-negative")
         if self.sigma_r <= 0 or self.sigma_g <= 0:
             raise ParameterError("scale parameters must be positive")
+        if not all(0 < float(s) * float(s) < math.inf for s in (self.sigma_r, self.sigma_g)):
+            raise ParameterError("scale parameters must have a finite nonzero square")
 
     @property
     def rayleigh_mode(self) -> float:
@@ -222,9 +230,10 @@ def _solve(x_data, y_data, x) -> tuple:
                 except np.linalg.LinAlgError:   # singular to working precision
                     return x, cost
             delta = min(delta, q) if first else delta
-            m = _rows(x + p, x_data)
-            f_new, nfev = m[0] - y_data, nfev + 1
-            cost_new = float(f_new @ f_new)
+            with np.errstate(all="ignore"):     # a trial past float range costs inf or NaN,
+                m = _rows(x + p, x_data)        # which is rejected below
+                f_new, nfev = m[0] - y_data, nfev + 1
+                cost_new = float(f_new @ f_new)
             actual = 1.0 - cost_new / cost if cost_new < 100.0 * cost else -1.0
             gn, damped = jp / cost, lam * q * q / cost
             ratio = actual / (gn + 2.0 * damped) if gn + damped > 0 else 0.0

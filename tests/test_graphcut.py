@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lgequant.errors import EmptyMaskError, ParameterError
 from lgequant.graphcut import (
+    MAX_LAMBDA,
     GraphCutConfig,
     Labeling,
     MyocardiumVolume,
@@ -133,6 +134,10 @@ class TestInteractionPotential:
         assert interaction_potential(0.0, 1.0, sigma=0.01) < 1e-300 or \
             interaction_potential(0.0, 1.0, sigma=0.01) < 1e-6
 
+    def test_a_quotient_past_float_range_is_no_penalty(self):
+        # sigma**2 is 1e-320, so 1 / (2 sigma**2) overflows: the penalty is 0, with no warning.
+        assert interaction_potential(0.0, np.array([1.0, 0.0]), sigma=1e-160).tolist() == [0, 1]
+
 
 class TestClassify:
     def test_single_voxel_argmin(self):
@@ -224,6 +229,12 @@ class TestClassify:
                                (1.25, 1.25, 10.0))
         with pytest.raises(EmptyMaskError):
             classify(vol, make_params())
+
+    @pytest.mark.parametrize("spacing", [(1.0, 9e-7, 1.0), (2.5, 2.5, 5e-324), (1e-300, 1.0, 1.0)])
+    def test_spacings_more_than_max_ratio_apart_rejected(self, spacing):
+        MyocardiumVolume(np.zeros((2, 2, 2)), np.ones((2, 2, 2), dtype=bool), (1.0, 1.0, 1e6))
+        with pytest.raises(ParameterError, match=re.escape("none more than 1e+06 times another")):
+            MyocardiumVolume(np.zeros((2, 2, 2)), np.ones((2, 2, 2), dtype=bool), spacing)
 
 
 @pytest.fixture(scope="module")
@@ -549,3 +560,24 @@ class TestConfigRejects:
         p.mu = p.rayleigh_mode - 0.1
         with pytest.raises(ParameterError):
             GraphCutConfig().resolved_sigma(p)
+
+    def test_lambda_above_its_bound(self):
+        GraphCutConfig(lambda_=MAX_LAMBDA)
+        with pytest.raises(ParameterError, match=re.escape("lambda must be at most 1e+06")):
+            GraphCutConfig(lambda_=1e308)
+
+    @pytest.mark.parametrize("sigma, mixture", [
+        (1e200, {}), (None, {"mu": 1e308}), (None, {"a": 1e308}),
+        (1e-200, {}), (None, {"a": 0.10, "mu": 5e-324}),
+    ], ids=["set", "mu_far_above", "a_far_above", "set_tiny", "modes_5e-324_apart"])
+    def test_a_sigma_whose_square_leaves_float_range(self, sigma, mixture):
+        with pytest.raises(ParameterError, match="squares outside float range"):
+            GraphCutConfig(sigma=sigma).resolved_sigma(make_params(**mixture))
+
+    @pytest.mark.parametrize("mixture", [{"alpha_g": 1e308}, {"alpha_r": 1e308}])
+    def test_densities_past_float_range(self, mixture):
+        mask = np.ones((2, 3, 3), dtype=bool)
+        intensity = np.linspace(0.0, 1.0, mask.size).reshape(mask.shape)
+        volume = MyocardiumVolume(intensity, mask, (1.0, 1.0, 1.0))
+        with pytest.raises(ParameterError, match="densities at the masked intensities overflow"):
+            classify(volume, make_params(**mixture))

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import re
 import shutil
 import tempfile
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -145,7 +147,7 @@ class TestTypedLoaderErrors:
             lio.load_truth(tmp_path / "truth.json")
 
     def test_metrics_with_truth_sidecar_as_reference(self, phantom_dir, tmp_path, capsys):
-        mask = lio.load_truth(phantom_dir / "truth.json")["infarct_mask"]
+        mask = lio.load_truth(phantom_dir / "truth.json")
         auto = lio.save_labeling(mask.astype(np.uint8), np.ones_like(mask),
                                  (1.0, 1.0, 10.0), tmp_path / "auto")
         code = main([
@@ -170,13 +172,18 @@ class TestTypedLoaderErrors:
         err = capsys.readouterr().err
         assert "error:" in err and repr(key) in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("key, value", [("ipp", [0.0, 1.0]), ("ps", "1.25"),
-                                            ("rows", "many"), ("roi", [1, 2])])
-    def test_load_dataset_with_a_malformed_slice_value(self, phantom_dir, tmp_path, key, value):
+    @pytest.mark.parametrize("key, value, fragment", [
+        ("ipp", [0.0, 1.0], "'ipp' must be three finite numbers, got [0.0, 1.0]"),
+        ("ps", "1.25", "'ps' must be two finite numbers, got '1.25'"),
+        ("rows", "many", "'rows' must be an integer, got 'many'"),
+        ("roi", [1, 2], "'roi' must be four integers, got [1, 2]"),
+    ])
+    def test_load_dataset_with_a_malformed_slice_value(self, phantom_dir, tmp_path, key, value,
+                                                       fragment):
         manifest = json.loads((phantom_dir / "dataset.json").read_text())
         manifest["slices"][0][key] = value
         (tmp_path / "dataset.json").write_text(json.dumps(manifest))
-        with pytest.raises(DatasetFormatError, match="malformed slice entry"):
+        with pytest.raises(DatasetFormatError, match=re.escape(fragment)):
             lio.load_dataset(tmp_path / "dataset.json")
 
 
@@ -213,7 +220,7 @@ class TestLoaderProbes:
 
     @pytest.mark.parametrize("edit, fragment", [
         (_edit_thickness, "'slice_thickness_mm'"),
-        (_edit_gap, "malformed slice spacing"),
+        (_edit_gap, "'gap_mm' must be a finite number, got 'abc'"),
         (lambda manifest: [1], "must be a JSON object"),
         (lambda manifest: manifest.update(slices=5), "'slices' must be a list"),
         (lambda manifest: manifest["slices"][0].update(index="0"), "'index' must be an integer"),
@@ -609,10 +616,12 @@ class TestCliInputErrors:
         (("mixture", "mu", [1]), "mixture mu must be a number, got [1]"),
         (("mixture", "alpha_g", True), "mixture alpha_g must be a number, got True"),
         (("mixture", "a", {}), "mixture a must be a number, got {}"),
-        (("slice", "rows", float("inf")), "malformed slice entry"),
-        (("slice", "cols", float("-inf")), "malformed slice entry"),
-        (("labeling", "dims", [2, float("inf"), 4]), "malformed dims"),
-        (("quantify", "dims", [2, 4, float("inf")]), "malformed dims"),
+        (("slice", "rows", float("inf")), "'rows' must be an integer, got inf"),
+        (("slice", "cols", float("-inf")), "'cols' must be an integer, got -inf"),
+        (("labeling", "dims", [2, float("inf"), 4]),
+         "'dims' must be three integers, got [2, inf, 4]"),
+        (("quantify", "dims", [2, 4, float("inf")]),
+         "'dims' must be three integers, got [2, 4, inf]"),
     ], ids=["string_alpha_r", "null_sigma_r", "list_mu", "true_alpha_g", "object_a",
             "infinite_rows", "infinite_cols", "infinite_dims", "infinite_dims_quantify"])
     def test_a_value_that_is_no_number_ends_in_one_error_line(
@@ -933,89 +942,264 @@ class TestCliFlags:
         assert len(report["relative_probability"]["bin_centers"]) == 32
 
 
-# --- Malformed inputs to ``lgequant normalize`` -------------------------------
-# Each edit below breaks a study so that no reading of it is valid: a required
-# key dropped, a value of a kind its field never takes, a raw file of the
-# wrong size, or JSON text cut short. The CLI must report every one as one
-# ``error:`` line and exit 1, never with a traceback.
+# --- Any one value of any stage input -----------------------------------------
+# Each example sets or drops one value, at any depth, of one file a stage
+# subcommand reads (or resizes one raw file, or cuts one file's JSON text
+# short) and runs, in process, a subcommand that reads that file. Whatever the
+# edit, the subcommand exits 0, or exits 1 with exactly one ``error:`` line;
+# pytest turns a numpy warning into an exception, so a warning fails too. An
+# edit that leaves no valid reading of the study (``must_fail``) exits 1.
 
 DROP = object()
-# Null and objects: no manifest or contours field takes either.
-WRONG = st.none() | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
-NOT_ONE = WRONG | st.booleans() | st.floats() | st.text(max_size=3) | st.integers().filter(
-    lambda v: v != 1)
-NOT_AN_INT = WRONG | st.booleans() | st.floats() | st.text(max_size=3)
-SLICE_KEYS = ("ipp", "iop_row", "iop_col", "ps", "rows", "cols", "pixel_file")
+# A value of each JSON kind, and the numbers at the edges of each header kind.
+# The 300-character string is a file name the OS refuses; 5e-324 squares to 0.
+EDIT_VALUES = ("x", "x" * 300, True, False, None, [], [1.0, 2.0, 3.0], {}, {"a": 1},
+               0, -1, 2.5, 5e-324, 1e308, float("inf"), float("-inf"), float("nan"), 10 ** 400)
+# Each stage input, and the subcommands that read it.
+READERS = {
+    "dataset.json": ("realign", "normalize", "pipeline"),
+    "contours.json": ("normalize", "classify", "pipeline"),
+    "normalized.json": ("classify",),
+    "normalize_report.json": ("classify",),
+    "labeling.json": ("quantify", "metrics"),
+    "truth.json": ("pipeline",),
+    "config.json": ("realign", "normalize", "classify", "quantify", "pipeline"),
+}
+
+
+def stage_argv(command: str, study: Path, out: Path) -> list:
+    """The command line of ``command`` on the stage inputs in ``study``."""
+    config = ["--config", study / "config.json"]
+    return [str(arg) for arg in {
+        "realign": ["realign", "--data", study / "dataset.json", *config],
+        "normalize": ["normalize", "--data", study / "dataset.json",
+                      "--contours", study / "contours.json", *config],
+        "classify": ["classify", "--normalized", study / "normalized.json",
+                     "--params", study / "normalize_report.json",
+                     "--contours", study / "contours.json", *config],
+        "quantify": ["quantify", "--labeling", study / "labeling.json", *config],
+        "metrics": ["metrics", "--auto", study / "labeling.json",
+                    "--ref", study / "labeling.json"],
+        "pipeline": ["pipeline", "--data", study / "dataset.json",
+                     "--contours", study / "contours.json", "--truth", study / "truth.json",
+                     *config],
+    }[command] + ["--out", out]]
+
+
+@pytest.fixture(scope="module")
+def stage_study(tmp_path_factory):
+    """Every stage input of a 48x48x4 wedge study, in one directory.
+
+    The config runs no realignment sweep, so realign computes one cost.
+    """
+    study = tmp_path_factory.mktemp("stages")
+    cfg = replace(default_wedge_config(seed=1, noise_sigma=0.05),
+                  n_sa=4, rows=48, cols=48, ps_mm=2.5)
+    dataset, truth = generate(cfg)
+    lio.save_dataset(dataset, study, name="dataset")
+    lio.save_contours(truth.contours, study / "contours.json")
+    lio.save_truth(truth, study, name="truth")
+    config = {**asdict(PipelineConfig()), "realign_max_sweeps": 0}
+    (study / "config.json").write_text(json.dumps(config))
+    for command in ("normalize", "classify"):
+        assert main(stage_argv(command, study, study)) == 0
+    return study
 
 
 @st.composite
-def study_edits(draw, n_sa: int, n_la: int):
-    """``(file, slice, key, value)``: set or drop (``DROP``) one entry of one input file."""
-    kind = draw(st.sampled_from(["manifest", "entry", "contours", "raw", "text"]))
-    if kind == "manifest":
-        key = draw(st.sampled_from(["version", "slice_thickness_mm", "gap_mm", "slices"]))
-        value = draw(st.just(DROP) | (NOT_ONE if key == "version" else WRONG))
-        return "dataset.json", None, key, value
-    if kind == "entry":
-        k = draw(st.integers(0, n_sa + n_la - 1))
-        key = draw(st.sampled_from(["role", "index", *SLICE_KEYS]))
-        if key == "role" and k < n_sa:        # an SA slice that stops being one
-            value = st.text(max_size=3).filter(lambda v: v != "SA") | WRONG
-        elif key == "role":                   # any other name is a valid LA role
-            value = st.nothing()
-        else:
-            value = NOT_AN_INT if key == "index" else WRONG
-        return "dataset.json", k, key, draw(st.just(DROP) | value)
-    if kind == "contours":
-        key = draw(st.sampled_from(["index", "endo", "epi"]))
-        value = draw(st.just(DROP) | (NOT_AN_INT if key == "index" else WRONG))
-        return "contours.json", draw(st.integers(0, n_sa - 1)), key, value
+def stage_edits(draw, study: Path):
+    """``(file, path, value)`` and a subcommand that reads the file.
+
+    ``path`` is the keys from the file's root down to the edited value, which
+    becomes ``value`` or goes (``DROP``); a raw file's path is ``None`` and its
+    value the bytes added (or cut, if negative), and a cut text's path is
+    ``"text"`` and its value the fraction kept.
+    """
+    kind = draw(st.sampled_from(["value", "value", "value", "raw", "text"]))
     if kind == "raw":
-        delta = draw(st.integers(-2 * 96 * 96, 64).filter(bool) | st.just(DROP))
-        return "raw", draw(st.integers(0, n_sa + n_la - 1)), None, delta
-    return "text", None, draw(st.sampled_from(["dataset.json", "contours.json"])), \
-        draw(st.floats(0.0, 1.0, exclude_max=True))
-
-
-def apply_edit(study: Path, edit) -> None:
-    name, k, key, value = edit
-    if name == "raw":
-        manifest = json.loads((study / "dataset.json").read_text())
-        raw = study / manifest["slices"][k]["pixel_file"]
-        if value is DROP:
-            raw.unlink()
-        else:
-            data = raw.read_bytes()
-            raw.write_bytes(data[:value] if value < 0 else data + bytes(value))
-        return
-    if name == "text":                        # cut before the closing brace
-        text = (study / key).read_text()
-        (study / key).write_text(text[:int(value * text.rindex("}"))])
-        return
-    payload = json.loads((study / name).read_text())
-    target = payload if k is None else payload["slices"][k]
-    if value is DROP:
-        del target[key]
+        raw = draw(st.sampled_from(sorted(p.name for p in study.glob("*.raw"))))
+        header = raw.removesuffix(".raw").split("_")[0] + ".json"
+        edit = raw, None, draw(st.integers(-64, 64).filter(bool) | st.just(DROP))
+    elif kind == "text":
+        header = draw(st.sampled_from(sorted(READERS)))
+        edit = header, "text", draw(st.floats(0.0, 1.0, exclude_max=True))
     else:
-        target[key] = value
-    (study / name).write_text(json.dumps(payload))
+        header = draw(st.sampled_from(sorted(READERS)))
+        node, path = json.loads((study / header).read_text()), ()
+        for _ in range(draw(st.integers(1, 4))):
+            if not (isinstance(node, (dict, list)) and node):
+                break
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            node, path = node[key], path + (key,)
+        edit = header, path, draw(st.sampled_from((DROP, *EDIT_VALUES)))
+    return edit, draw(st.sampled_from(READERS[header]))
 
 
-@settings(max_examples=60, deadline=None)
+# The manifest, slice and contours keys every reading of a study needs ("*" is
+# any slice).
+MANIFEST_KEYS = ("slice_thickness_mm", "gap_mm", "slices")
+SLICE_KEYS = ("role", "index", "ipp", "iop_row", "iop_col", "ps", "rows", "cols", "pixel_file")
+CONTOUR_KEYS = ("index", "endo", "epi")
+REQUIRED = {
+    "dataset.json": {*((key,) for key in MANIFEST_KEYS),
+                     *(("slices", "*", key) for key in SLICE_KEYS)},
+    "contours.json": {("slices", "*", key) for key in CONTOUR_KEYS},
+}
+
+
+def must_fail(edit) -> bool:
+    """Whether ``edit`` leaves no valid reading of the study.
+
+    That is a raw file resized or removed; JSON text cut short; any edit of a
+    header's format version; and a required key dropped, made null or an
+    object, or, for an index, made anything but an integer. (An SA slice
+    renamed may leave a valid dataset: ``test_an_sa_slice_renamed``.)
+    """
+    name, path, value = edit
+    if path is None or path == "text" or path == ("version",):
+        return True
+    if tuple("*" if isinstance(key, int) else key for key in path) not in REQUIRED.get(name, ()):
+        return False
+    if value is DROP or value is None or isinstance(value, dict):
+        return True
+    return path[-1] == "index" and type(value) is not int
+
+
+def apply_stage_edit(study: Path, edit) -> None:
+    name, path, value = edit
+    target = study / name
+    if path is None:
+        data = target.read_bytes()
+        if value is DROP:
+            target.unlink()
+        else:
+            target.write_bytes(data[:value] if value < 0 else data + bytes(value))
+    elif path == "text":                      # cut before the closing brace
+        text = target.read_text()
+        target.write_text(text[:int(value * text.rindex("}"))])
+    else:
+        payload = json.loads(target.read_text())
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        target.write_text(json.dumps(payload))
+
+
+@settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_normalize_reports_any_malformed_study_as_one_error_line(phantom_dir, data):
-    manifest = json.loads((phantom_dir / "dataset.json").read_text())
-    n_sa = sum(entry["role"] == "SA" for entry in manifest["slices"])
-    edit = data.draw(study_edits(n_sa, len(manifest["slices"]) - n_sa))
+def test_any_stage_input_edit_exits_0_or_with_one_error_line(stage_study, data):
+    edit, command = data.draw(stage_edits(stage_study))
     with tempfile.TemporaryDirectory() as tmp:
-        study = Path(tmp) / "study"
-        shutil.copytree(phantom_dir, study)
-        apply_edit(study, edit)
-        out = io.StringIO()
-        with contextlib.redirect_stderr(out):
-            code = main(["normalize", "--data", str(study / "dataset.json"),
-                         "--contours", str(study / "contours.json"),
-                         "--out", str(Path(tmp) / "norm")])
-    err = out.getvalue()
-    assert code == 1, edit
-    assert err.startswith("error: ") and len(err.splitlines()) == 1, (edit, err)
+        study = Path(shutil.copytree(stage_study, Path(tmp) / "study"))
+        apply_stage_edit(study, edit)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(stage_argv(command, study, Path(tmp) / "out"))
+    err = err.getvalue()
+    one_error = code == 1 and err.startswith("error: ") and len(err.splitlines()) == 1
+    assert one_error or code == 0 and err == "" and not must_fail(edit), \
+        (command, edit, code, err)
+
+
+class TestStageInputEdits:
+    """Single edits that once ended in a traceback, a numpy warning or an OSError."""
+
+    @pytest.mark.parametrize("edit, command, fragment", [
+        (("contours.json", ("slices", 0, "endo", 0, 0), 10 ** 400), "normalize",
+         "contour vertices must be numbers"),
+        (("normalize_report.json", ("mixture", "a"), 1e308), "classify",
+         "[classify] sigma 1e+308 squares outside float range"),
+        (("normalize_report.json", ("mixture", "mu"), 1e308), "classify",
+         "[classify] sigma 1e+308 squares outside float range"),
+        (("normalize_report.json", ("mixture", "sigma_g"), 5e-324), "classify",
+         "scale parameters must have a finite nonzero square"),
+        (("normalize_report.json", ("mixture", "alpha_g"), 1e308), "classify",
+         "[classify] the mixture's densities at the masked intensities overflow"),
+        (("config.json", ("lambda_",), 1e308), "classify",
+         "[classify] lambda must be at most 1e+06, got 1e+308"),
+        (("dataset.json", ("slices", 0, "iop_col", 0), 1e308), "normalize",
+         "slice SA/0: orientation vectors are not orthonormal"),
+        (("dataset.json", ("slices", 0, "pixel_file"), "x" * 300), "normalize",
+         "File name too long"),
+        (("dataset.json", ("slices", 0, "rows"), 48.0), "normalize",
+         "'rows' must be an integer, got 48.0"),
+        (("dataset.json", ("slices", 0, "pixel_file"), 7), "normalize",
+         "'pixel_file' must be a string, got 7"),
+        (("dataset.json", ("slices", 0, "roi"), [1.0, 2, 3, 4]), "realign",
+         "'roi' must be four integers, got [1.0, 2, 3, 4]"),
+        (("dataset.json", ("slices", 5, "role"), "x" * 300), "realign",
+         "'role' must be 1 to 32 letters and digits"),
+        (("labeling.json", ("dims", 0), 10 ** 400), "quantify", "size does not match dims"),
+        (("normalized.json", ("spacing_mm", 1), 5e-324), "classify",
+         "[classify] spacing_mm must be three positive lengths, none more than 1e+06 times"),
+    ], ids=["huge_vertex", "far_offset", "far_gaussian_mode", "huge_gaussian_amplitude",
+            "tiny_gaussian_scale", "huge_lambda", "huge_iop", "long_pixel_file", "float_rows",
+            "numeric_pixel_file", "float_roi", "long_role", "huge_dims",
+            "tiny_col_spacing"])
+    def test_exits_1_with_one_error_line(self, stage_study, tmp_path, capsys, edit, command,
+                                         fragment):
+        study = Path(shutil.copytree(stage_study, tmp_path / "study"))
+        apply_stage_edit(study, edit)
+        assert_cli_error(capsys, stage_argv(command, study, tmp_path / "out"), fragment)
+
+    def test_modes_5e_324_apart(self, stage_study, tmp_path, capsys):
+        # With a = sigma_r the Rayleigh mode is 0, so sigma is mu, whose square is 0.
+        study = Path(shutil.copytree(stage_study, tmp_path / "study"))
+        sigma_r = json.loads((study / "normalize_report.json").read_text())["mixture"]["sigma_r"]
+        for key, value in (("a", sigma_r), ("mu", 5e-324)):
+            apply_stage_edit(study, ("normalize_report.json", ("mixture", key), value))
+        assert_cli_error(capsys, stage_argv("classify", study, tmp_path / "out"),
+                         "[classify] sigma 5e-324 squares outside float range")
+
+    @pytest.mark.parametrize("value", [DROP, None, {"a": 1}], ids=["dropped", "null", "object"])
+    @pytest.mark.parametrize("name, path", [
+        *(("dataset.json", (key,)) for key in MANIFEST_KEYS),
+        *(("dataset.json", ("slices", k, key)) for key in SLICE_KEYS for k in (0, -1)),
+        *(("contours.json", ("slices", k, key)) for key in CONTOUR_KEYS for k in (0, -1)),
+    ])
+    def test_a_required_key_that_is_gone_null_or_an_object(self, stage_study, tmp_path, capsys,
+                                                             name, path, value):
+        """Slice 0 is an SA slice and slice -1 an LA slice (in the manifest).
+
+        A manifest message names the key; ``ContourSet`` reports bad vertices without it.
+        """
+        assert must_fail((name, path, value))
+        study = Path(shutil.copytree(stage_study, tmp_path / "study"))
+        apply_stage_edit(study, (name, path, value))
+        assert_cli_error(capsys, stage_argv("normalize", study, tmp_path / "out"),
+                         path[-1] if name == "dataset.json" else "")
+
+    @pytest.mark.parametrize("k, command, fragment", [
+        (0, "realign", "SA indices must be contiguous from 0"),
+        (3, "realign", None),
+        (3, "normalize", "[normalize] contours cover 4 slices but the stack has 3"),
+    ])
+    def test_an_sa_slice_renamed(self, stage_study, tmp_path, capsys, k, command, fragment):
+        """The last SA slice renamed leaves a valid dataset of one SA slice fewer."""
+        study = Path(shutil.copytree(stage_study, tmp_path / "study"))
+        apply_stage_edit(study, ("dataset.json", ("slices", k, "role"), "x"))
+        argv = stage_argv(command, study, tmp_path / "out")
+        if fragment is None:
+            assert main(argv) == 0
+        else:
+            assert_cli_error(capsys, argv, fragment)
+
+    def test_contours_out_of_order_fit_without_a_warning(self, stage_study, tmp_path, capsys):
+        # Slice 0's contours move to the apex; the mixture solve then tries a step whose
+        # scale squares to 0, which it must reject without a numpy warning.
+        study = Path(shutil.copytree(stage_study, tmp_path / "study"))
+        apply_stage_edit(study, ("contours.json", ("slices", 0, "index"), 10 ** 400))
+        assert main(stage_argv("normalize", study, tmp_path / "out")) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("key", ["true_ipps", "gains"])
+    def test_truth_sidecar_is_read_for_its_mask_only(self, stage_study, tmp_path, key):
+        study = Path(shutil.copytree(stage_study, tmp_path / "study"))
+        apply_stage_edit(study, ("truth.json", (key,), "x"))
+        assert lio.load_truth(study / "truth.json").dtype == bool
+        assert main(stage_argv("pipeline", study, tmp_path / "out")) == 0

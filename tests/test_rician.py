@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -58,6 +59,31 @@ class TestParams:
     def test_non_finite_field_rejected(self, name, value):
         with pytest.raises(ParameterError, match="must be finite"):
             make_params(**{name: value})
+
+    @pytest.mark.parametrize("name", ["alpha_r", "sigma_g", "mu"])
+    @pytest.mark.parametrize("value", ["x", None, [1.0], True, 10 ** 400])
+    def test_a_field_that_is_no_number_is_named(self, name, value):
+        with pytest.raises(ParameterError, match=re.escape(f"mixture {name} must be a number, "
+                                                           f"got {value!r}")):
+            make_params(**{name: value})
+
+    @pytest.mark.parametrize("name", ["sigma_r", "sigma_g"])
+    @pytest.mark.parametrize("value", [1e200, 1e-300])
+    def test_a_scale_whose_square_leaves_float_range(self, name, value):
+        with pytest.raises(ParameterError,
+                           match="scale parameters must have a finite nonzero square"):
+            make_params(**{name: value})
+
+    @pytest.mark.parametrize("value, fragment", [
+        ("abc", "mixture i_thrh must be a number, got 'abc'"),
+        (False, "mixture i_thrh must be a number, got False"),
+        (float("nan"), "mixture i_thrh must be finite, got nan"),
+        (float("inf"), "mixture i_thrh must be finite, got inf"),
+    ])
+    def test_a_threshold_that_is_set_is_checked(self, value, fragment):
+        with pytest.raises(ParameterError, match=re.escape(fragment)):
+            make_params(i_thrh=value)
+        assert make_params(i_thrh=None).i_thrh is None
 
 
 def curve_from_params(p, n_bins=64, x_lo=0.0, x_hi=1.2):
