@@ -95,9 +95,10 @@ def quantify(labeling: Labeling, volume: MyocardiumVolume, segments: SegmentMode
     """Volumetric and per-segment infarct percentages (I/M%)."""
     if labeling.mask.shape != volume.mask.shape:
         raise ParameterError("labeling and volume shapes differ")
-    box = volume.reach(labeling)
+    box = volume.box
     mask = volume.mask[box]
-    # An infarct voxel off the volume's mask lies in no segment, so it is not counted.
+    # An infarct voxel off the volume's mask lies in no segment, so it is not counted;
+    # the mask lies in the box.
     infarct = (labeling.labels[box] == 1) & mask
     # Ids outside 1..16 clip into the dropped bins 0 and 17.
     seg = np.clip(segments.segment_ids[box], 0, 17)

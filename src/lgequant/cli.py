@@ -42,9 +42,6 @@ from .raster import contour_masks
 _OVERRIDES = {
     "gamma": ("--gamma", float),
     "skip_realign": ("--skip-realign", bool),
-    "epsilon": ("--epsilon", float),
-    "max_iter": ("--max-iter", int),
-    "n_bins": ("--bins", int),
     "lambda_": ("--lambda", float),
     "min_volume_mm3": ("--min-volume-mm3", float),
     "reference_angle_deg": ("--reference-angle", float),
@@ -92,10 +89,9 @@ def cmd_realign(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    config = _pipeline_config(args)
     dataset = lio.load_dataset(args.data)
     contours = lio.load_contours(args.contours)
-    (norm, _), section = normalize_stage(dataset, contours, config, args.out)
+    (norm, _), section = normalize_stage(dataset, contours, args.out)
     lio.write_report(section, Path(args.out) / "normalize_report.json")
     print(f"normalize: {norm.iterations} iterations, converged={norm.converged}")
     return 0
@@ -203,8 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("realign", cmd_realign, "correct slice misalignment", "gamma", "skip_realign")
     p.add_argument("--data", required=True, help="dataset manifest JSON")
 
-    p = command("normalize", cmd_normalize, "normalize SA intensities",
-                "epsilon", "max_iter", "n_bins")
+    p = command("normalize", cmd_normalize, "normalize SA intensities")
     p.add_argument("--data", required=True)
     p.add_argument("--contours", required=True)
 

@@ -93,18 +93,16 @@ class Labeling:
 @dataclass
 class GraphCutConfig:
     lambda_: float = 1.0
-    sigma: float | None = None   # None -> mu - (sigma_r - a) from the fit
 
     def __post_init__(self):
         check_number("lambda", self.lambda_, **POSITIVE)
         if self.lambda_ > MAX_LAMBDA:
             raise ParameterError(f"lambda must be at most {MAX_LAMBDA:g}, got {self.lambda_}")
-        if self.sigma is not None:
-            check_number("sigma", self.sigma, **POSITIVE)
 
     def resolved_sigma(self, params: RicianMixtureParams) -> float:
-        sigma = params.mu - params.rayleigh_mode if self.sigma is None else self.sigma
-        if sigma <= 0:      # a set sigma is positive
+        """The interaction sigma: the gap between the fitted component modes."""
+        sigma = params.mu - params.rayleigh_mode
+        if sigma <= 0:
             raise ParameterError("component modes do not straddle a positive range")
         if not 0 < sigma * sigma < np.inf:      # interaction_potential divides by its square
             raise ParameterError(f"sigma {sigma!r} squares outside float range")

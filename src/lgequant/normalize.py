@@ -16,27 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ContourError, FitError, NormalizationError, ParameterError, ThresholdError, check_number,
-)
+from .errors import ContourError, FitError, NormalizationError, ParameterError, ThresholdError
 from .raster import ContourMasks
 from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.py)
 from .realign import middle_slice_index
-from .rician import (
-    DEFAULT_BINS,
-    MAX_BINS,
-    MIN_MIXTURE_BINS,
-    RicianMixtureParams,
-    build_relative_probability,
-    find_threshold,
-    fit_mixture,
-)
+from .rician import RicianMixtureParams, build_relative_probability, find_threshold, fit_mixture
 
-DEFAULT_EPSILON = 0.01
-DEFAULT_MAX_ITER = 20
-# The most iterations allowed: each refits the mixture (about 4 ms on a 256x256x14
-# study) and the factors settle in a few, so this bounds a run that never settles.
-MAX_ITER_CAP = 1000
+# The loop stops once every slice factor is within EPSILON of 1, or after MAX_ITER
+# iterations; the factors settle in a few.
+EPSILON = 0.01
+MAX_ITER = 20
 
 
 @dataclass
@@ -84,35 +73,14 @@ def lv_voxels(stack, masks: ContourMasks) -> np.ndarray:
     return np.concatenate([s[epi] for s, epi in zip(_slices(stack, masks), masks.epi)])
 
 
-def check_normalization(epsilon, max_iter, n_bins) -> None:
-    """Raise ParameterError unless ``iterate_normalization`` accepts these settings."""
-    check_number("epsilon", epsilon, what="positive", ok=lambda v: v > 0)
-    check_number("max_iter", max_iter, integral=True)
-    check_number("n_bins", n_bins, integral=True)
-    if max_iter < 1:
-        raise ParameterError("max_iter must be at least 1")
-    if max_iter > MAX_ITER_CAP:
-        raise ParameterError(f"max_iter must be at most {MAX_ITER_CAP}, got {max_iter}")
-    if n_bins < MIN_MIXTURE_BINS:
-        raise ParameterError(f"n_bins must be at least {MIN_MIXTURE_BINS}, got {n_bins}")
-    if n_bins > MAX_BINS:
-        raise ParameterError(f"n_bins must be at most {MAX_BINS}, got {n_bins}")
-
-
-def iterate_normalization(
-    stack,
-    masks: ContourMasks,
-    epsilon: float = DEFAULT_EPSILON,
-    max_iter: int = DEFAULT_MAX_ITER,
-    n_bins: int = DEFAULT_BINS,
-    box: tuple = (slice(None),) * 3,
-) -> NormalizationResult:
+def iterate_normalization(stack, masks: ContourMasks,
+                          box: tuple = (slice(None),) * 3) -> NormalizationResult:
     """Normalize per-slice gains against the reference slice's blood pool.
 
     Each iteration refits the mixture on the current LV voxels, extracts
     blood-pool means above the refreshed threshold, multiplies every slice by
     reference_mean / slice_mean, and stops once all factors are within
-    ``epsilon`` of 1 (or after ``max_iter`` iterations). The blood pool is
+    ``EPSILON`` of 1 (or after ``MAX_ITER`` iterations). The blood pool is
     the endocardial voxels inside the epicardial mask, which ``contour_masks``
     guarantees is all of them. The stack is then jointly min-max rescaled to
     [0, 1] and the last fitted parameters are returned in the rescaled units.
@@ -120,7 +88,6 @@ def iterate_normalization(
     and epicardial voxel; the rescale spans the whole stack's range. Only
     ``stack[box]`` is copied: ``stack`` may be a sequence of 2-D slices.
     """
-    check_normalization(epsilon, max_iter, n_bins)
     slices = _slices(stack, masks)
     n_slices = len(slices)
     ref = middle_slice_index(n_slices)
@@ -141,9 +108,9 @@ def iterate_normalization(
 
     factors_hist = []
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         try:
-            rp = build_relative_probability(lv, n_bins=n_bins)
+            rp = build_relative_probability(lv)
             params = fit_mixture(rp)
             i_thrh = find_threshold(params)
         except (FitError, ThresholdError) as exc:
@@ -161,7 +128,7 @@ def iterate_normalization(
         factors = bp_means[ref] / bp_means
         lv *= np.repeat(factors, np.diff(runs))
         factors_hist.append(factors)
-        if np.max(np.abs(factors - 1.0)) < epsilon:
+        if np.max(np.abs(factors - 1.0)) < EPSILON:
             converged = True
             break
 

@@ -259,7 +259,7 @@ def _papillary_weight(cfg: PhantomConfig, axes, r, re):
     return weight * w_z * (r < re)
 
 
-def _wedge_mask(cfg: PhantomConfig, w: InfarctWedge, z, r, re, rp, theta):
+def _wedge_mask(w: InfarctWedge, z, r, re, rp, theta):
     dz = SLICE_SPACING_MM
     z_lo = w.slice_lo * dz - 0.5 * dz
     z_hi = w.slice_hi * dz + 0.5 * dz
@@ -324,7 +324,7 @@ def _paint(cfg: PhantomConfig, axes, regions=None):
     values = np.where(bp_mask, cavity, outside)
     values = np.where(myo_mask, myo, values)
     theta = angle_about_axis_deg(x, y) if cfg.wedges else None
-    wedges = [_wedge_mask(cfg, w, z, r, re, rp, theta) for w in cfg.wedges]
+    wedges = [_wedge_mask(w, z, r, re, rp, theta) for w in cfg.wedges]
     infarct = np.zeros(values.shape, dtype=bool)
     for wedge in wedges:
         infarct |= wedge

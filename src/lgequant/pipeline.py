@@ -1,6 +1,6 @@
 """End-to-end quantification driver: realign, normalize, classify, report.
 
-Each stage is one function ``(inputs, config[, out]) -> (artifact, report_section)``
+Each stage is one function ``(inputs[, config][, out]) -> (artifact, report_section)``
 that checks its inputs, computes, reports a package error raised inside it as a
 ``PipelineStageError`` naming the stage and, given an output directory ``out``,
 writes its artifact there. ``run_pipeline`` chains them and the CLI
@@ -22,7 +22,7 @@ from .dataset import ContourSet, LgeDataset
 from .errors import LgeQuantError, ParameterError
 from .graphcut import GraphCutConfig, Labeling, MyocardiumVolume, classify
 from .metrics import dice
-from .normalize import check_normalization, iterate_normalization
+from .normalize import iterate_normalization
 from .plots import bullseye_svg
 from .postprocess import check_min_volume, run_postprocessing
 from .raster import ContourMasks, canvas, contour_masks
@@ -37,9 +37,6 @@ class PipelineConfig:
 
     gamma: float = 0.01                  # contiguous-cost weight
     lambda_: float = 1.0                 # graph-cut data-term weight
-    epsilon: float = 0.01                # normalization convergence on |ratio-1|
-    max_iter: int = 20                   # normalization iteration cap
-    n_bins: int = 64                     # relative-probability histogram bins
     min_volume_mm3: float = 100.0        # smallest infarct component kept
     reference_angle_deg: float = 0.0
     realign_max_sweeps: int = 50
@@ -53,8 +50,6 @@ class PipelineConfig:
             check_max_sweeps(self.realign_max_sweeps)
             if not isinstance(self.skip_realign, bool):
                 raise ParameterError(f"skip_realign must be a bool, got {self.skip_realign!r}")
-        with _stage("normalize"):
-            check_normalization(self.epsilon, self.max_iter, self.n_bins)
         with _stage("classify"):
             self.graphcut()
         with _stage("postprocess"):
@@ -147,8 +142,7 @@ _MIXTURE_KEYS = ("alpha_r", "sigma_r", "a", "alpha_g", "sigma_g", "mu", "i_thrh"
 
 
 @_stage("normalize")
-def normalize_stage(dataset: LgeDataset, contours: ContourSet, config: PipelineConfig,
-                    out=None) -> tuple:
+def normalize_stage(dataset: LgeDataset, contours: ContourSet, out=None) -> tuple:
     """Rasterize the contours and normalize the SA stack on their canvas.
 
     Returns ((NormalizationResult, ContourMasks), report section). The masks
@@ -158,10 +152,7 @@ def normalize_stage(dataset: LgeDataset, contours: ContourSet, config: PipelineC
     """
     stack = [s.pixels for s in dataset.sa_slices]
     masks = contour_masks(contours, (len(stack), *stack[0].shape))
-    norm = iterate_normalization(
-        stack, masks, epsilon=config.epsilon,
-        max_iter=config.max_iter, n_bins=config.n_bins, box=canvas(masks.epi),
-    )
+    norm = iterate_normalization(stack, masks, box=canvas(masks.epi))
     if out is not None:
         lio.save_volume_f32(norm.apply(stack), dataset.voxel_spacing_mm,
                             Path(out) / "normalized")
@@ -259,7 +250,7 @@ def run_pipeline(
 
     realigned, stages["realign"] = realign_stage(
         dataset, config, None if out is None else out / "realigned")
-    (norm, masks), stages["normalize"] = normalize_stage(realigned, contours, config, out)
+    (norm, masks), stages["normalize"] = normalize_stage(realigned, contours, out)
     with _stage("classify"):
         volume = myocardium_volume(realigned, masks, norm.stack, norm.box)
     raw_labeling, stages["classify"] = classify_stage(volume, norm.params, config)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FINITE, ParameterError, check_number
+from .errors import FINITE, NON_NEGATIVE, ParameterError, check_number
 from .graphcut import Labeling, MyocardiumVolume
 from .raster import ContourMasks, canvas, grow
 from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.py)
@@ -38,8 +38,8 @@ MVO_ENCLOSURE_FRACTION = 0.8
 
 
 def check_min_volume(min_volume_mm3) -> None:
-    """Raise ParameterError unless the small-component threshold is a number >= 0."""
-    check_number("min_volume_mm3", min_volume_mm3, what="non-negative", ok=lambda v: v >= 0)
+    """Raise ParameterError unless the small-component threshold is finite and >= 0."""
+    check_number("min_volume_mm3", min_volume_mm3, **NON_NEGATIVE)
 
 
 def _voxel_volume_mm3(spacing_mm) -> float:

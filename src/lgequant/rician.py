@@ -18,13 +18,10 @@ import numpy as np
 
 from .errors import FINITE, FitError, ParameterError, ThresholdError, check_number
 
+# The relative-probability histogram's bins in normalization, and the fewest
+# that fit_mixture accepts.
 DEFAULT_BINS = 64
-# The fewest relative-probability bins fit_mixture accepts; check_normalization
-# holds n_bins to it, so a config that could never be fitted fails when built.
 MIN_MIXTURE_BINS = 12
-# The most bins allowed. Bins past the LV voxel count are mostly empty: a 96x96x6
-# study (4,552 LV voxels) normalizes in 0.02 s at 4,096 and fails to fit at 65,536.
-MAX_BINS = 4096
 # The most residual evaluations of each least-squares solve in fit_mixture: MINPACK
 # lmder's default 100 * (n + 1) for the 3-parameter solve.
 MAX_NFEV = 400
@@ -155,10 +152,12 @@ def _pack(alpha_r, sigma_r, a, alpha_g, sigma_g, mu):
 
 
 def _unpack(theta) -> RicianMixtureParams:
-    return RicianMixtureParams(
-        alpha_r=float(np.exp(theta[0])), sigma_r=float(np.exp(theta[1])), a=float(theta[2]),
-        alpha_g=float(np.exp(theta[3])), sigma_g=float(np.exp(theta[4])), mu=float(theta[5]),
-    )
+    with np.errstate(over="ignore"):
+        alpha_r, sigma_r, alpha_g, sigma_g = (float(np.exp(theta[i])) for i in (0, 1, 3, 4))
+    if not all(map(math.isfinite, (alpha_r, sigma_r, alpha_g, sigma_g))):
+        raise FitError("the fitted mixture leaves float range")
+    return RicianMixtureParams(alpha_r=alpha_r, sigma_r=sigma_r, a=float(theta[2]),
+                               alpha_g=alpha_g, sigma_g=sigma_g, mu=float(theta[5]))
 
 
 def _rows(theta, x) -> list:
@@ -184,11 +183,15 @@ def _damping(a, g, d, delta, lam, regular) -> tuple:
     1.1 delta: Hebden's iteration from the last lam, within lmpar's bounds, to one whose step
     p, (a + lam D^2) p = -g, has |D p| within 10% of delta. Returns lam, p, |D p|, |J p|^2."""
     def step(lam):                      # p, |D p| and Hebden's correction to lam
-        m = a + lam * np.diag(d * d)
-        p = np.linalg.solve(m, -g)
-        q, ddp = math.hypot(*(d * p).tolist()), d * d * p
-        return p, q, (q - delta) / delta * q * q / (ddp @ np.linalg.solve(m, ddp))
-    lo, hi = step(0.0)[2] if regular else 0.0, math.hypot(*(g / d).tolist()) / delta
+        with np.errstate(all="ignore"):
+            m = a + lam * np.diag(d * d)
+            p = np.linalg.solve(m, -g)
+            q, ddp = math.hypot(*(d * p).tolist()), d * d * p
+            correction = (q - delta) / delta * q * q / (ddp @ np.linalg.solve(m, ddp))
+        if not math.isfinite(correction):   # a step past float range: nothing to damp
+            raise np.linalg.LinAlgError("the damped step leaves float range")
+        return p, q, correction
+    lo, hi = max(step(0.0)[2], 0.0) if regular else 0.0, math.hypot(*(g / d).tolist()) / delta
     lam = min(max(lam, lo), hi)
     for it in range(10):
         lam = lam or max(np.finfo(float).tiny, 0.001 * hi)
@@ -227,8 +230,8 @@ def _solve(x_data, y_data, x) -> tuple:
             else:
                 try:
                     lam, p, q, jp = _damping(a, g, d, delta, lam, q < math.inf)
-                except np.linalg.LinAlgError:   # singular to working precision
-                    return x, cost
+                except np.linalg.LinAlgError:   # singular to working precision, or a
+                    return x, cost              # step past float range: keep the last x
             delta = min(delta, q) if first else delta
             with np.errstate(all="ignore"):     # a trial past float range costs inf or NaN,
                 m = _rows(x + p, x_data)        # which is rejected below
@@ -328,8 +331,9 @@ def find_threshold(p: RicianMixtureParams) -> float:
     grid = np.linspace(hi, lo, 2049)
     fv = f(grid)
     # The first grid interval, from the Gaussian mode down, that starts on a
-    # zero or changes sign.
-    hits = np.flatnonzero((fv[:-1] == 0.0) | (fv[:-1] * fv[1:] < 0))
+    # zero or changes sign. A product past float range keeps its sign.
+    with np.errstate(over="ignore"):
+        hits = np.flatnonzero((fv[:-1] == 0.0) | (fv[:-1] * fv[1:] < 0))
     root = None
     if hits.size:
         i = hits[0]

@@ -15,7 +15,7 @@ import numpy as np
 
 import harness
 from lgequant import normalize, phantom
-from lgequant.pipeline import PipelineConfig, normalize_stage
+from lgequant.pipeline import normalize_stage
 
 STUDIES = {"clinical256_registered": harness._phantom(256, 14, 120 / 256),
            "cli_staged192": harness._phantom(192, 12, 120 / 192)}
@@ -37,7 +37,7 @@ def main():
         for seed in (1, 2, 3):
             study = f"{name} seed {seed}"
             dataset, truth = phantom.generate(make(seed))
-            normalize_stage(dataset, truth.contours, PipelineConfig(skip_realign=True))
+            normalize_stage(dataset, truth.contours)
     path = Path(__file__).with_name("lv_curves.json")
     path.write_text("[\n" + ",\n".join(json.dumps(c) for c in curves) + "\n]\n")
     print(f"{len(curves)} curves -> {path}")

@@ -23,7 +23,7 @@ from lgequant.graphcut import (
 )
 from lgequant.maxflow import MaxFlowGraph
 from lgequant.phantom import default_wedge_config, generate
-from lgequant.pipeline import PipelineConfig, myocardium_volume, normalize_stage
+from lgequant.pipeline import myocardium_volume, normalize_stage
 from lgequant.rician import RicianMixtureParams, find_threshold, gaussian_term, rayleigh_shifted
 
 
@@ -155,7 +155,7 @@ class TestClassify:
         intensity = np.array([[[0.95, 0.05]]])
         mask = np.ones((1, 1, 2), dtype=bool)
         vol = MyocardiumVolume(intensity, mask, (1.25, 1.25, 10.0))
-        config = GraphCutConfig(sigma=0.01)
+        config = GraphCutConfig()
         lab = classify(vol, p, config)
         assert lab.labels[0, 0, 0] == 1 and lab.labels[0, 0, 1] == 0
         energies, coords = brute_force_energies(vol, p, config)
@@ -241,7 +241,7 @@ class TestClassify:
 def phantom_volume():
     """A 96x96x6 wedge phantom's normalized myocardium (2,680 voxels) and its fit."""
     ds, truth = generate(default_wedge_config(seed=1, noise_sigma=0.08))
-    (norm, masks), _ = normalize_stage(ds, truth.contours, PipelineConfig(skip_realign=True))
+    (norm, masks), _ = normalize_stage(ds, truth.contours)
     return myocardium_volume(ds, masks, norm.stack, norm.box), norm.params
 
 
@@ -458,7 +458,7 @@ class TestReduction:
         p = make_params()
         mask = np.ones((1, 1, 2), dtype=bool)
         volume = MyocardiumVolume(np.array([[[0.95, 0.05]]]), mask, (1.25, 1.25, 10.0))
-        assert classify(volume, p, GraphCutConfig(sigma=0.01)).labels.tolist() == [[[1, 0]]]
+        assert classify(volume, p).labels.tolist() == [[[1, 0]]]
         assert solved == []
 
 
@@ -505,12 +505,9 @@ class TestConfigDefaults:
     def test_lambda_default_is_one(self):
         assert GraphCutConfig().lambda_ == 1.0
 
-    def test_sigma_defaults_to_mode_distance(self):
+    def test_sigma_is_the_mode_distance(self):
         p = make_params()
         assert GraphCutConfig().resolved_sigma(p) == p.mu - (p.sigma_r - p.a)
-
-    def test_explicit_sigma_wins(self):
-        assert GraphCutConfig(sigma=0.42).resolved_sigma(make_params()) == 0.42
 
 
 class TestLabelingType:
@@ -549,7 +546,6 @@ class TestLabelingType:
 class TestConfigRejects:
     @pytest.mark.parametrize("kw", [
         {"lambda_": float("inf")}, {"lambda_": float("nan")}, {"lambda_": -1.0},
-        {"sigma": float("inf")}, {"sigma": float("nan")}, {"sigma": 0.0},
     ])
     def test_non_finite_or_non_positive(self, kw):
         with pytest.raises(ParameterError):
@@ -566,13 +562,12 @@ class TestConfigRejects:
         with pytest.raises(ParameterError, match=re.escape("lambda must be at most 1e+06")):
             GraphCutConfig(lambda_=1e308)
 
-    @pytest.mark.parametrize("sigma, mixture", [
-        (1e200, {}), (None, {"mu": 1e308}), (None, {"a": 1e308}),
-        (1e-200, {}), (None, {"a": 0.10, "mu": 5e-324}),
-    ], ids=["set", "mu_far_above", "a_far_above", "set_tiny", "modes_5e-324_apart"])
-    def test_a_sigma_whose_square_leaves_float_range(self, sigma, mixture):
+    @pytest.mark.parametrize("mixture", [
+        {"mu": 1e308}, {"a": 1e308}, {"a": 0.10, "mu": 5e-324},
+    ], ids=["mu_far_above", "a_far_above", "modes_5e-324_apart"])
+    def test_a_sigma_whose_square_leaves_float_range(self, mixture):
         with pytest.raises(ParameterError, match="squares outside float range"):
-            GraphCutConfig(sigma=sigma).resolved_sigma(make_params(**mixture))
+            GraphCutConfig().resolved_sigma(make_params(**mixture))
 
     @pytest.mark.parametrize("mixture", [{"alpha_g": 1e308}, {"alpha_r": 1e308}])
     def test_densities_past_float_range(self, mixture):

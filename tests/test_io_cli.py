@@ -436,28 +436,6 @@ class TestStageErrorTags:
         assert err == "error: [classify] contours cover 3 slices but the stack has 6\n"
         assert not (tmp_path / "cls").exists()
 
-    @pytest.mark.parametrize("bins", ["5", "11"])
-    def test_normalize_with_too_few_bins(self, phantom_dir, tmp_path, capsys, bins):
-        capsys.readouterr()
-        assert main(["normalize", "--data", str(phantom_dir / "dataset.json"),
-                     "--contours", str(phantom_dir / "contours.json"),
-                     "--out", str(tmp_path / "norm"), "--bins", bins]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: [normalize] n_bins must be at least 12, got {bins}\n"
-        assert not (tmp_path / "norm").exists()
-
-
-def test_pipeline_config_with_a_huge_bin_count_is_an_error(phantom_dir, tmp_path, capsys):
-    """An integer past its bound fails as one error line, not a numpy traceback."""
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"n_bins": 10 ** 30}))
-    assert_cli_error(capsys, [
-        "pipeline", "--data", phantom_dir / "dataset.json",
-        "--contours", phantom_dir / "contours.json", "--out", tmp_path / "run",
-        "--skip-realign", "--config", config,
-    ], f"[normalize] n_bins must be at most 4096, got {10 ** 30}")
-    assert not (tmp_path / "run").exists()
-
 
 def assert_cli_error(capsys, argv, fragment):
     """The command exits 1 with one ``error:`` line naming ``fragment``."""
@@ -514,12 +492,9 @@ class TestCliInputErrors:
                                                  "[classify] lambda must be positive and finite, "
                                                  "got '1'"),
                                                 ('{"skip_realign": "no"}',
-                                                 "[realign] skip_realign must be a bool, got 'no'"),
-                                                ('{"max_iter": 2.5}',
-                                                 "[normalize] max_iter must be an integer, "
-                                                 "got 2.5")],
+                                                 "[realign] skip_realign must be a bool, got 'no'")],
                              ids=["missing", "malformed", "not_an_object", "string_lambda",
-                                  "string_skip_realign", "float_max_iter"])
+                                  "string_skip_realign"])
     def test_pipeline_with_bad_config_file(self, phantom_dir, tmp_path, capsys, text, fragment):
         config = tmp_path / "config.json"
         if text is not None:
@@ -530,10 +505,11 @@ class TestCliInputErrors:
             "--out", tmp_path / "run",
         ], fragment)
 
-    # A typo, the three post-processing thresholds that are constants now, and
-    # the graph-cut sigma, which is always the fitted one.
+    # A typo, the post-processing thresholds and normalization settings that are
+    # constants now, and the graph-cut sigma, which is always the fitted one.
     @pytest.mark.parametrize("key", ["lamda", "boundary_fraction", "max_rim_thickness_vox",
-                                     "mvo_enclosure_fraction", "graph_sigma"])
+                                     "mvo_enclosure_fraction", "graph_sigma", "epsilon",
+                                     "max_iter", "n_bins"])
     def test_classify_with_an_unknown_config_key(self, phantom_dir, normalized_dir, tmp_path,
                                                  capsys, key):
         config = tmp_path / "config.json"
@@ -562,8 +538,8 @@ class TestCliInputErrors:
         ], fragment)
 
     @pytest.mark.parametrize("field, stage", [
-        ("lambda_", "classify"), ("epsilon", "normalize"),
-        ("min_volume_mm3", "postprocess"), ("reference_angle_deg", "quantify"),
+        ("lambda_", "classify"), ("min_volume_mm3", "postprocess"),
+        ("reference_angle_deg", "quantify"),
         ("gamma", "realign"),
     ])
     def test_pipeline_with_an_integer_past_float_range(self, phantom_dir, tmp_path, capsys,
@@ -678,6 +654,22 @@ class TestCliInputErrors:
             "--contours", phantom_dir / "contours.json", "--out", tmp_path / "run",
             "--skip-realign", "--lambda", value,
         ], fragment)
+
+    @pytest.mark.parametrize("flags, text", [(["--min-volume-mm3", "inf"], None),
+                                             ([], '{"min_volume_mm3": Infinity}')],
+                             ids=["flag", "config"])
+    def test_classify_with_an_infinite_min_volume(self, phantom_dir, normalized_dir, tmp_path,
+                                                  capsys, flags, text):
+        # An infinite threshold would remove every infarct.
+        if text is not None:
+            (tmp_path / "config.json").write_text(text)
+            flags = ["--config", tmp_path / "config.json"]
+        assert_cli_error(capsys, [
+            "classify", "--normalized", normalized_dir / "normalized.json",
+            "--params", normalized_dir / "normalize_report.json",
+            "--contours", phantom_dir / "contours.json", "--out", tmp_path / "cls", *flags,
+        ], "error: [postprocess] min_volume_mm3 must be a finite non-negative number, got inf")
+        assert not (tmp_path / "cls").exists()
 
     @pytest.mark.parametrize("edit, fragment", [
         ("nan_voxel", "masked intensities must be finite"),
@@ -915,7 +907,7 @@ class TestFormatVersion:
 
 
 class TestCliFlags:
-    """Each subcommand takes ``--config`` and only the overrides its stages read."""
+    """A subcommand with settings takes ``--config`` and only the overrides its stages read."""
 
     @pytest.mark.parametrize("argv", [
         ["phantom", "--config", "x.json"],
@@ -923,6 +915,8 @@ class TestCliFlags:
         ["metrics", "--epsilon", "1"],
         ["quantify", "--labeling", "lab.json", "--lambda", "5"],
         ["realign", "--data", "d.json", "--bins", "8"],
+        ["normalize", "--data", "d.json", "--contours", "c.json", "--bins", "64"],
+        ["normalize", "--data", "d.json", "--contours", "c.json", "--config", "x.json"],
         ["normalize", "--data", "d.json", "--contours", "c.json", "--gamma", "1"],
         ["classify", "--normalized", "n.json", "--params", "p.json", "--contours", "c.json",
          "--reference-angle", "10"],
@@ -933,13 +927,6 @@ class TestCliFlags:
             main(argv + ["--out", str(tmp_path / "out")])
         assert info.value.code == 2
         assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
-
-    def test_bins_reaches_normalize(self, phantom_dir, tmp_path):
-        assert main(["normalize", "--data", str(phantom_dir / "dataset.json"),
-                     "--contours", str(phantom_dir / "contours.json"),
-                     "--out", str(tmp_path), "--bins", "32"]) == 0
-        report = json.loads((tmp_path / "normalize_report.json").read_text())
-        assert len(report["relative_probability"]["bin_centers"]) == 32
 
 
 # --- Any one value of any stage input -----------------------------------------
@@ -963,7 +950,7 @@ READERS = {
     "normalize_report.json": ("classify",),
     "labeling.json": ("quantify", "metrics"),
     "truth.json": ("pipeline",),
-    "config.json": ("realign", "normalize", "classify", "quantify", "pipeline"),
+    "config.json": ("realign", "classify", "quantify", "pipeline"),
 }
 
 
@@ -973,7 +960,7 @@ def stage_argv(command: str, study: Path, out: Path) -> list:
     return [str(arg) for arg in {
         "realign": ["realign", "--data", study / "dataset.json", *config],
         "normalize": ["normalize", "--data", study / "dataset.json",
-                      "--contours", study / "contours.json", *config],
+                      "--contours", study / "contours.json"],
         "classify": ["classify", "--normalized", study / "normalized.json",
                      "--params", study / "normalize_report.json",
                      "--contours", study / "contours.json", *config],

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -26,10 +27,8 @@ from lgequant.pipeline import (
 )
 from lgequant.aha import AhaConfig
 from lgequant.graphcut import GraphCutConfig
-from lgequant.normalize import DEFAULT_EPSILON, DEFAULT_MAX_ITER, MAX_ITER_CAP
 from lgequant.postprocess import run_postprocessing
 from lgequant.realign import DEFAULT_GAMMA, MAX_SWEEPS, MAX_SWEEPS_CAP
-from lgequant.rician import DEFAULT_BINS, MAX_BINS, MIN_MIXTURE_BINS
 
 
 class TestNoiselessExactness:
@@ -89,16 +88,6 @@ def small_study():
 
 class TestConfigStageErrors:
     @pytest.mark.parametrize("field, value, stage", [
-        ("max_iter", -3, "normalize"),
-        ("max_iter", 2.5, "normalize"),
-        ("max_iter", True, "normalize"),
-        ("max_iter", 0, "normalize"),
-        ("n_bins", 2.5, "normalize"),
-        ("n_bins", True, "normalize"),
-        ("n_bins", 1, "normalize"),
-        ("n_bins", -5, "normalize"),
-        ("epsilon", 0.0, "normalize"),
-        ("epsilon", float("nan"), "normalize"),
         ("lambda_", 0.0, "classify"),
         ("lambda_", float("nan"), "classify"),
         ("lambda_", float("inf"), "classify"),
@@ -128,16 +117,11 @@ class TestConfigChecksAtConstruction:
     @pytest.mark.parametrize("field, value, stage", [
         ("lambda_", float("nan"), "classify"),
         ("reference_angle_deg", float("inf"), "quantify"),
-        ("epsilon", -1.0, "normalize"),
-        ("max_iter", 0, "normalize"),
-        ("n_bins", 1, "normalize"),
-        ("n_bins", 5, "normalize"),
-        ("n_bins", 11, "normalize"),
         ("min_volume_mm3", float("nan"), "postprocess"),
+        ("min_volume_mm3", math.inf, "postprocess"),
         ("skip_realign", "yes", "realign"),
         ("gamma", 1e7, "realign"),
         ("lambda_", "1", "classify"),
-        ("epsilon", "x", "normalize"),
         ("min_volume_mm3", [1], "postprocess"),
         ("reference_angle_deg", None, "quantify"),
     ])
@@ -146,13 +130,6 @@ class TestConfigChecksAtConstruction:
             PipelineConfig(**{field: value})
         assert info.value.stage == stage
         assert isinstance(info.value.cause, ParameterError)
-
-    def test_too_few_bins_for_the_mixture_fit(self):
-        # fit_mixture needs 12 bins; a config with fewer could never run.
-        with pytest.raises(PipelineStageError) as info:
-            PipelineConfig(n_bins=MIN_MIXTURE_BINS - 1)
-        assert str(info.value) == "[normalize] n_bins must be at least 12, got 11"
-        assert PipelineConfig(n_bins=MIN_MIXTURE_BINS).n_bins == 12
 
 
 # Any JSON value: null, bools, ints of any size and sign, floats (with NaN and
@@ -175,8 +152,6 @@ class TestConfigFromAnyJson:
     @example(field="lambda_", value=10 ** 400)
     @example(field="reference_angle_deg", value=-10 ** 400)
     @example(field="gamma", value=10 ** 400)
-    @example(field="n_bins", value=10 ** 30)
-    @example(field="max_iter", value=10 ** 30)
     @example(field="realign_max_sweeps", value=10 ** 30)
     def test_builds_or_raises_a_package_error(self, tmp_path_factory, field, value):
         path = tmp_path_factory.getbasetemp() / "any_value_config.json"
@@ -187,18 +162,19 @@ class TestConfigFromAnyJson:
             return
         assert getattr(config, field) == value or value != value
 
-    # A typo, the three post-processing thresholds that are constants now, and
-    # the graph-cut sigma, which is always the fitted one.
+    # A typo, the post-processing thresholds and normalization settings that are
+    # constants now, and the graph-cut sigma, which is always the fitted one.
     @pytest.mark.parametrize("key", ["lamda", "boundary_fraction", "max_rim_thickness_vox",
-                                     "mvo_enclosure_fraction", "graph_sigma"])
+                                     "mvo_enclosure_fraction", "graph_sigma", "epsilon",
+                                     "max_iter", "n_bins"])
     def test_unknown_key_is_a_package_error(self, tmp_path, key):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"lambda_": 2.0, key: 0.5}))
         with pytest.raises(LgeQuantError, match=r"^unknown config keys: \['" + key + r"'\]$"):
             PipelineConfig.from_json(path)
 
-    @pytest.mark.parametrize("field", ["lambda_", "epsilon", "min_volume_mm3",
-                                       "reference_angle_deg", "gamma"])
+    @pytest.mark.parametrize("field", ["lambda_", "min_volume_mm3", "reference_angle_deg",
+                                       "gamma"])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_integer_past_float_range_fails_at_construction(self, field, sign):
         with pytest.raises(PipelineStageError) as info:
@@ -211,8 +187,6 @@ class TestConfigDefaults:
         config = PipelineConfig()
         min_volume = inspect.signature(run_postprocessing).parameters["min_volume_mm3"]
         assert (config.gamma, config.realign_max_sweeps) == (DEFAULT_GAMMA, MAX_SWEEPS)
-        assert (config.epsilon, config.max_iter) == (DEFAULT_EPSILON, DEFAULT_MAX_ITER)
-        assert config.n_bins == DEFAULT_BINS
         assert config.lambda_ == GraphCutConfig().lambda_
         assert config.reference_angle_deg == AhaConfig().reference_angle_deg
         assert config.min_volume_mm3 == min_volume.default
@@ -222,8 +196,6 @@ class TestIntegerFieldBounds:
     """Each integer field has an upper bound, and a value past it fails when the config is built."""
 
     @pytest.mark.parametrize("field, cap, stage", [
-        ("n_bins", MAX_BINS, "normalize"),
-        ("max_iter", MAX_ITER_CAP, "normalize"),
         ("realign_max_sweeps", MAX_SWEEPS_CAP, "realign"),
     ])
     def test_value_past_the_cap_is_a_parameter_error_naming_it(self, field, cap, stage):
@@ -255,7 +227,7 @@ class TestStageFunctions:
         ds, truth = small_study
         short = ContourSet(endo=truth.contours.endo[:3], epi=truth.contours.epi[:3])
         with pytest.raises(PipelineStageError) as info:
-            normalize_stage(ds, short, PipelineConfig(skip_realign=True))
+            normalize_stage(ds, short)
         assert info.value.stage == "normalize"
         assert str(info.value) == "[normalize] contours cover 3 slices but the stack has 6"
 
@@ -265,7 +237,7 @@ class TestStageFunctions:
         run_pipeline(ds, truth.contours, config, out_dir=tmp_path / "run")
         out = tmp_path / "stages"
         realigned, _ = realign_stage(ds, config, out)
-        (norm, masks), _ = normalize_stage(realigned, truth.contours, config, out)
+        (norm, masks), _ = normalize_stage(realigned, truth.contours, out)
         volume = myocardium_volume(realigned, masks, norm.stack, norm.box)
         raw, _ = classify_stage(volume, norm.params, config)
         labeling, _ = postprocess_stage(raw, volume, masks, norm.params, config, out)

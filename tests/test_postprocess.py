@@ -724,7 +724,7 @@ def registered_case(seed: int = 1):
     )
     dataset, truth = registered_study(seed)
     config = PipelineConfig(skip_realign=True)
-    (norm, masks), _ = normalize_stage(dataset, truth.contours, config)
+    (norm, masks), _ = normalize_stage(dataset, truth.contours)
     volume = myocardium_volume(dataset, masks, norm.stack, norm.box)
     labeling, _ = classify_stage(volume, norm.params, config)
     return labeling, volume, masks, norm.params

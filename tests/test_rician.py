@@ -440,13 +440,14 @@ class TestSolveCap:
 
 class TestDegenerateCurves:
     """A histogram of a few spikes or of noise ends in a fit or a typed error. Steps on
-    such curves overflow (numpy warns), and a solver must not end in a bare exception."""
+    such curves overflow; the solver must end neither in a numpy warning nor in a bare
+    exception."""
 
     @staticmethod
     def fit_or_typed_error(counts, hi):
         rp = RelativeProbability(np.linspace(0.0, hi, len(counts)), counts / counts.max())
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             try:
                 find_threshold(fit_mixture(rp))
             except LgeQuantError:
@@ -456,6 +457,9 @@ class TestDegenerateCurves:
         (64, 1781.0553609290446, {4: 27, 28: 15, 49: 67}),   # OverflowError under leastsq
         (12, 2881.876874843968, {2: 24, 4: 83}),              # OverflowError under leastsq
         (32, 125.70015085534939, {7: 7, 15: 76, 29: 71}),
+        (32, 646.0062281600235, {4: 43}),                     # a negative damping bound
+        (64, 1171.3578087027986,
+         {1: 22, 11: 43, 41: 48, 43: 18, 60: 14}),            # threshold sign test overflows
     ])
     def test_spikes(self, n, hi, spikes):
         counts = np.zeros(n)

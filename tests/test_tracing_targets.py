@@ -64,14 +64,16 @@ def test_traced_classify_counts_nodes_and_arcs():
     mask = rng.random((4, 12, 12)) < 0.7
     intensity = rng.uniform(0.0, 1.0, size=mask.shape)
     volume = MyocardiumVolume(intensity, mask, (1.25, 1.25, 8.0))
+    # Component modes about 0.02 apart: many links underflow to 0.
     params = RicianMixtureParams(alpha_r=0.12, sigma_r=0.10, a=-0.15,
-                                 alpha_g=0.09, sigma_g=0.08, mu=0.75)
-    config = GraphCutConfig(sigma=0.02)               # many links underflow to 0
+                                 alpha_g=0.09, sigma_g=0.08, mu=0.27)
+    config = GraphCutConfig()
+    sigma = config.resolved_sigma(params)
     n_pairs = n_links = 0
     for axis, dist in ((0, 8.0), (1, 1.25), (2, 1.25)):
         m, i = np.moveaxis(mask, axis, 0), np.moveaxis(intensity, axis, 0)
         both = m[:-1] & m[1:]
-        caps = interaction_potential(i[:-1][both], i[1:][both], 0.02, 1.25 / dist)
+        caps = interaction_potential(i[:-1][both], i[1:][both], sigma, 1.25 / dist)
         n_pairs += caps.size
         n_links += np.count_nonzero(caps)
     assert 0 < n_links < n_pairs
