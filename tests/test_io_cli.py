@@ -918,6 +918,11 @@ class TestCliFlags:
         ["normalize", "--data", "d.json", "--contours", "c.json", "--bins", "64"],
         ["normalize", "--data", "d.json", "--contours", "c.json", "--config", "x.json"],
         ["normalize", "--data", "d.json", "--contours", "c.json", "--gamma", "1"],
+        ["normalize", "--data", "d.json", "--contours", "c.json", "--epsilon", "0.01"],
+        ["normalize", "--data", "d.json", "--contours", "c.json", "--max-iter", "20"],
+        ["pipeline", "--data", "d.json", "--contours", "c.json", "--epsilon", "0.01"],
+        ["pipeline", "--data", "d.json", "--contours", "c.json", "--max-iter", "20"],
+        ["pipeline", "--data", "d.json", "--contours", "c.json", "--bins", "64"],
         ["classify", "--normalized", "n.json", "--params", "p.json", "--contours", "c.json",
          "--reference-angle", "10"],
         ["quantify", "--labeling", "lab.json", "--seed", "3"],

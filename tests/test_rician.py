@@ -466,6 +466,15 @@ class TestDegenerateCurves:
         counts[list(spikes)] = list(spikes.values())
         self.fit_or_typed_error(counts, hi)
 
+    @pytest.mark.parametrize("i", [0, 1, 3, 4], ids=["alpha_r", "sigma_r", "alpha_g", "sigma_g"])
+    def test_a_log_scale_past_float_range_is_a_fit_error(self, i):
+        theta = _pack(0.12, 0.10, -0.15, 0.09, 0.08, 0.75)
+        theta[i] = 1000.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="leaves float range"):
+                _unpack(theta)
+
     def test_seeded_noise_and_spikes(self):
         rng = np.random.default_rng(41)
         for i in range(8):
