@@ -7,7 +7,6 @@ reporting, validated against synthetic phantoms with known ground truth.
 
 from .aha import AhaConfig, assign_levels, assign_segments, quantify
 from .graphcut import (
-    GraphCutConfig,
     Labeling,
     MyocardiumVolume,
     classify,
@@ -37,8 +36,8 @@ __version__ = "0.1.0"
 # other name is imported from its module (``lgequant.geometry``, ...).
 __all__ = [
     "AhaConfig", "assign_levels", "assign_segments", "quantify",
-    "GraphCutConfig", "Labeling", "MyocardiumVolume", "classify", "data_cost_infarct",
-    "data_cost_normal", "energy", "interaction_potential",
+    "Labeling", "MyocardiumVolume", "classify", "data_cost_infarct", "data_cost_normal",
+    "energy", "interaction_potential",
     "lv_voxels",
     "PhantomConfig", "default_wedge_config", "generate",
     "PipelineConfig", "myocardium_volume", "run_pipeline",

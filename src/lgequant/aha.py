@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FINITE, EmptyMaskError, ParameterError, check_number
+from .errors import EmptyMaskError, ParameterError, check_number
 from .graphcut import Labeling, MyocardiumVolume
 
 SEGMENTS_PER_LEVEL = {"basal": (1, 6), "mid": (7, 12), "apical": (13, 16)}
+MAX_REFERENCE_ANGLE = 1e6     # degrees; its float spacing, ~1e-10 deg, leaves sectors true
 
 
 @dataclass
@@ -25,7 +26,9 @@ class AhaConfig:
     reference_angle_deg: float = 0.0
 
     def __post_init__(self):
-        check_number("reference angle", self.reference_angle_deg, **FINITE)
+        check_number("reference angle", self.reference_angle_deg,
+                     what=f"finite and within {MAX_REFERENCE_ANGLE:g} degrees of 0",
+                     ok=lambda v: abs(v) <= MAX_REFERENCE_ANGLE)
 
 
 @dataclass

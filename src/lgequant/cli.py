@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io as lio
 from .aha import assign_segments, quantify  # noqa: F401  (patched by benchmarks/tracing.py)
-from .errors import NON_NEGATIVE, DatasetFormatError, LgeQuantError, check_number
+from .errors import NON_NEGATIVE, DatasetFormatError, LgeQuantError, ParameterError, check_number
 from .graphcut import Labeling, MyocardiumVolume
 from .graphcut import classify  # noqa: F401  (patched by benchmarks/tracing.py)
 from .metrics import bland_altman, dice
@@ -61,6 +61,9 @@ def cmd_phantom(args) -> int:
     else:
         cfg = PhantomConfig(seed=args.seed, noise_sigma=args.noise_sigma)
     check_number("--max-shift-mm", args.max_shift_mm, **NON_NEGATIVE)
+    if not np.isfinite(2.0 * args.max_shift_mm):       # rng.uniform draws over the range
+        raise ParameterError(f"--max-shift-mm must be at most {sys.float_info.max / 2:g}, "
+                             f"got {args.max_shift_mm}")
     if args.max_shift_mm > 0:
         _validate(cfg)          # the shifts are drawn from the config's seed
         rng = np.random.default_rng(args.seed)

@@ -90,23 +90,21 @@ class Labeling:
         return (self.labels == 1) & self.mask
 
 
-@dataclass
-class GraphCutConfig:
-    lambda_: float = 1.0
+def check_lambda(lambda_) -> None:
+    """Raise ParameterError unless the data-term weight is a number in (0, MAX_LAMBDA]."""
+    check_number("lambda", lambda_, **POSITIVE)
+    if lambda_ > MAX_LAMBDA:
+        raise ParameterError(f"lambda must be at most {MAX_LAMBDA:g}, got {lambda_}")
 
-    def __post_init__(self):
-        check_number("lambda", self.lambda_, **POSITIVE)
-        if self.lambda_ > MAX_LAMBDA:
-            raise ParameterError(f"lambda must be at most {MAX_LAMBDA:g}, got {self.lambda_}")
 
-    def resolved_sigma(self, params: RicianMixtureParams) -> float:
-        """The interaction sigma: the gap between the fitted component modes."""
-        sigma = params.mu - params.rayleigh_mode
-        if sigma <= 0:
-            raise ParameterError("component modes do not straddle a positive range")
-        if not 0 < sigma * sigma < np.inf:      # interaction_potential divides by its square
-            raise ParameterError(f"sigma {sigma!r} squares outside float range")
-        return sigma
+def interaction_sigma(params: RicianMixtureParams) -> float:
+    """The interaction sigma: the gap between the fitted component modes."""
+    sigma = params.mu - params.rayleigh_mode
+    if sigma <= 0:
+        raise ParameterError("component modes do not straddle a positive range")
+    if not 0 < sigma * sigma < np.inf:      # interaction_potential divides by its square
+        raise ParameterError(f"sigma {sigma!r} squares outside float range")
+    return sigma
 
 
 def _neg_log(values: np.ndarray) -> np.ndarray:
@@ -139,7 +137,7 @@ def interaction_potential(i_p, i_q, sigma: float, w_dist: float = 1.0):
     return out if out.ndim else float(out)
 
 
-def _network(volume: MyocardiumVolume, params: RicianMixtureParams, config: GraphCutConfig):
+def _network(volume: MyocardiumVolume, params: RicianMixtureParams):
     """The MRF over the masked voxels as arrays: ``(d0, d1, p, q, caps)``.
 
     ``d0``/``d1`` are each masked voxel's costs of labels 0/1, in mask (flat)
@@ -150,7 +148,7 @@ def _network(volume: MyocardiumVolume, params: RicianMixtureParams, config: Grap
     so through-plane links are down-weighted by their larger distance. It is
     built in the volume's box, whose flat order is the grid's.
     """
-    sigma = config.resolved_sigma(params)
+    sigma = interaction_sigma(params)
     mask = volume.mask[volume.box]
     vals = volume.intensity[volume.box][mask]
     node = np.full(mask.shape, -1, dtype=np.int64)
@@ -171,17 +169,13 @@ def _network(volume: MyocardiumVolume, params: RicianMixtureParams, config: Grap
     return d0, d1, p, q, caps
 
 
-def energy(
-    volume: MyocardiumVolume,
-    labeling: Labeling,
-    params: RicianMixtureParams,
-    config: GraphCutConfig | None = None,
-) -> float:
-    """Total labeling energy: weighted data costs plus boundary penalties."""
-    config = config or GraphCutConfig()
-    d0, d1, p, q, caps = _network(volume, params, config)
+def energy(volume: MyocardiumVolume, labeling: Labeling, params: RicianMixtureParams,
+           lambda_: float = 1.0) -> float:
+    """Total labeling energy: ``lambda_``-weighted data costs plus boundary penalties."""
+    check_lambda(lambda_)
+    d0, d1, p, q, caps = _network(volume, params)
     lab = labeling.labels[volume.box][volume.mask[volume.box]]
-    data = config.lambda_ * float(np.sum(np.where(lab == 1, d1, d0)))
+    data = lambda_ * float(np.sum(np.where(lab == 1, d1, d0)))
     return data + float(caps[lab[p] != lab[q]].sum())
 
 
@@ -222,24 +216,21 @@ def _reduce(net, p, q, caps) -> tuple:
     return label, edges
 
 
-def classify(
-    volume: MyocardiumVolume,
-    params: RicianMixtureParams,
-    config: GraphCutConfig | None = None,
-) -> Labeling:
+def classify(volume: MyocardiumVolume, params: RicianMixtureParams,
+             lambda_: float = 1.0) -> Labeling:
     """Exact minimum-energy labeling via a single s/t minimum cut.
 
     Voxels whose label no cut can change are fixed first (``_reduce``); the
     cut runs on the rest. Ties are broken toward label 0 (the minimal source
-    side of the cut).
+    side of the cut). ``lambda_`` weighs the data costs against the penalties.
     """
-    config = config or GraphCutConfig()
+    check_lambda(lambda_)
     mask = volume.mask[volume.box]
     n = np.count_nonzero(mask)
     if n == 0:
         raise EmptyMaskError("myocardium mask is empty")
-    d0, d1, p, q, caps = _network(volume, params, config)
-    label, edges = _reduce(config.lambda_ * (d0 - d1), p, q, caps)
+    d0, d1, p, q, caps = _network(volume, params)
+    label, edges = _reduce(lambda_ * (d0 - d1), p, q, caps)
     free = label < 0
     n_free = int(free.sum())
     logger.info("graphcut: %d voxels, %d fixed to label 0, %d to label 1; "

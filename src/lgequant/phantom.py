@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataset import ContourSet, LgeDataset
 from .errors import (
-    COUNT, FINITE, NON_NEGATIVE, POSITIVE, GeometryError, ParameterError, check_number,
+    COUNT, FINITE, POSITIVE, GeometryError, ParameterError, check_number,
 )
 from .geometry import Roi, SliceImage, SlicePose
 from .raster import circle_polygon, contour_masks
@@ -62,6 +62,7 @@ INTENSITY_MYOCARDIUM = 0.30
 INTENSITY_BLOOD_POOL = 0.80
 INTENSITY_INFARCT = 0.75
 INTENSITY_SCALE = 2000.0
+MAX_NOISE_SIGMA = 1e6      # every pixel saturates far below; the magnitude overflows far above
 TEXTURE_SEED = 1234
 ROI_MARGIN_PX = 7
 EDGE_SOFTNESS_MM = 1.5     # one-sided blend width at tissue borders
@@ -110,7 +111,8 @@ def _listed(name: str, value, what: str, n: int | None = None, kind=object) -> t
 
 def _validate(cfg: PhantomConfig):
     check_number("seed", cfg.seed, **COUNT)
-    check_number("noise sigma", cfg.noise_sigma, **NON_NEGATIVE)
+    check_number("noise sigma", cfg.noise_sigma, ok=lambda v: 0 <= v <= MAX_NOISE_SIGMA,
+                 what=f"a finite non-negative number at most {MAX_NOISE_SIGMA:g}")
     for name in ("n_sa", "rows", "cols"):
         check_number(name, getattr(cfg, name), integral=True, what="a positive integer",
                      ok=lambda v: v >= 1)

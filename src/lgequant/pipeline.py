@@ -20,7 +20,7 @@ from . import io as lio
 from .aha import AhaConfig, assign_segments, quantify
 from .dataset import ContourSet, LgeDataset
 from .errors import LgeQuantError, ParameterError
-from .graphcut import GraphCutConfig, Labeling, MyocardiumVolume, classify
+from .graphcut import Labeling, MyocardiumVolume, check_lambda, classify, interaction_sigma
 from .metrics import dice
 from .normalize import iterate_normalization
 from .plots import bullseye_svg
@@ -51,11 +51,11 @@ class PipelineConfig:
             if not isinstance(self.skip_realign, bool):
                 raise ParameterError(f"skip_realign must be a bool, got {self.skip_realign!r}")
         with _stage("classify"):
-            self.graphcut()
+            check_lambda(self.lambda_)
         with _stage("postprocess"):
             check_min_volume(self.min_volume_mm3)
         with _stage("quantify"):
-            self.aha()
+            AhaConfig(self.reference_angle_deg)
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
@@ -68,12 +68,6 @@ class PipelineConfig:
         if unknown:
             raise LgeQuantError(f"unknown config keys: {sorted(unknown)}")
         return cls(**payload)
-
-    def graphcut(self) -> GraphCutConfig:
-        return GraphCutConfig(lambda_=self.lambda_)
-
-    def aha(self) -> AhaConfig:
-        return AhaConfig(self.reference_angle_deg)
 
 
 class PipelineStageError(LgeQuantError):
@@ -182,10 +176,9 @@ def params_from_report(path) -> RicianMixtureParams:
 def classify_stage(volume: MyocardiumVolume, params: RicianMixtureParams,
                    config: PipelineConfig) -> tuple:
     """Graph-cut classification; returns (raw labeling, report section)."""
-    gc_config = config.graphcut()
-    labeling = classify(volume, params, gc_config)
+    labeling = classify(volume, params, config.lambda_)
     return labeling, {
-        "sigma": gc_config.resolved_sigma(params),
+        "sigma": interaction_sigma(params),
         "lambda": config.lambda_,
         "raw_infarct_voxels": int(labeling.infarct_mask().sum()),
     }
@@ -212,7 +205,7 @@ def quantify_stage(labeling: Labeling, volume: MyocardiumVolume,
 
     Given ``out``, draws the segment percentages there as ``bullseye.svg``.
     """
-    segments = assign_segments(volume, config.aha())
+    segments = assign_segments(volume, AhaConfig(config.reference_angle_deg))
     quant = quantify(labeling, volume, segments)
     if out is not None:
         Path(out).mkdir(parents=True, exist_ok=True)

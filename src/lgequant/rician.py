@@ -154,10 +154,11 @@ def _pack(alpha_r, sigma_r, a, alpha_g, sigma_g, mu):
 def _unpack(theta) -> RicianMixtureParams:
     with np.errstate(over="ignore"):
         alpha_r, sigma_r, alpha_g, sigma_g = (float(np.exp(theta[i])) for i in (0, 1, 3, 4))
-    if not all(map(math.isfinite, (alpha_r, sigma_r, alpha_g, sigma_g))):
-        raise FitError("the fitted mixture leaves float range")
-    return RicianMixtureParams(alpha_r=alpha_r, sigma_r=sigma_r, a=float(theta[2]),
-                               alpha_g=alpha_g, sigma_g=sigma_g, mu=float(theta[5]))
+    try:        # the mixture refuses a value that is not finite or a scale squaring to 0 or inf
+        return RicianMixtureParams(alpha_r=alpha_r, sigma_r=sigma_r, a=float(theta[2]),
+                                   alpha_g=alpha_g, sigma_g=sigma_g, mu=float(theta[5]))
+    except ParameterError:
+        raise FitError("the fitted mixture leaves float range") from None
 
 
 def _rows(theta, x) -> list:
@@ -210,7 +211,10 @@ def _solve(x_data, y_data, x) -> tuple:
     f, jt = m[0] - y_data, np.array(m[1:])
     cost, nfev, d, delta, lam, first = float(f @ f), 1, None, 0.0, 0.0, True
     while nfev < MAX_NFEV:
-        a, g = jt @ jt.T, jt @ f
+        with np.errstate(all="ignore"):
+            a, g = jt @ jt.T, jt @ f
+        if not (np.isfinite(a).all() and np.isfinite(g).all()):
+            break                               # past float range: keep the last x
         norms = np.sqrt(a.diagonal())
         if d is None:
             d = np.where(norms > 0, norms, 1.0)
@@ -224,7 +228,8 @@ def _solve(x_data, y_data, x) -> tuple:
         except np.linalg.LinAlgError:           # singular: damped steps only
             gauss_newton = np.full(x.size, np.inf)
         while ratio < 1e-4 and nfev < MAX_NFEV:
-            q = math.hypot(*(d * gauss_newton).tolist())
+            with np.errstate(over="ignore"):   # a step past float range is as singular
+                q = math.hypot(*(d * gauss_newton).tolist())
             if q <= 1.1 * delta:
                 lam, p, jp = 0.0, gauss_newton, -float(g @ gauss_newton)
             else:

@@ -10,7 +10,7 @@ import pytest
 
 from lgequant.aha import AhaConfig, assign_segments, quantify
 from lgequant.cli import main
-from lgequant.graphcut import GraphCutConfig, classify
+from lgequant.graphcut import classify
 from lgequant.metrics import bland_altman, dice
 from lgequant.normalize import iterate_normalization
 from lgequant.phantom import PhantomConfig, default_wedge_config, generate
@@ -40,9 +40,9 @@ class TestCriterion1GraphCutExactness:
         t0 = time.monotonic()
         mismatches = 0
         for _ in range(100):
-            vol, params, config = random_instance(rng, max_voxels=16)
-            lab = classify(vol, params, config)
-            energies, coords = brute_force_energies(vol, params, config)
+            vol, params, lambda_ = random_instance(rng, max_voxels=16)
+            lab = classify(vol, params, lambda_)
+            energies, coords = brute_force_energies(vol, params, lambda_)
             if energies[labeling_index(lab, coords)] != energies.min():
                 mismatches += 1
         elapsed = time.monotonic() - t0

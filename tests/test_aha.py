@@ -4,9 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lgequant.aha import (
-    SEGMENTS_PER_LEVEL, AhaConfig, SegmentModel, assign_levels, assign_segments, quantify,
+    MAX_REFERENCE_ANGLE, SEGMENTS_PER_LEVEL, AhaConfig, SegmentModel, assign_levels,
+    assign_segments, quantify,
 )
-from lgequant.errors import EmptyMaskError
+from lgequant.errors import EmptyMaskError, ParameterError
 from lgequant.graphcut import Labeling, MyocardiumVolume
 from lgequant.phantom import default_wedge_config, generate
 from lgequant.pipeline import myocardium_volume
@@ -91,6 +92,20 @@ class TestAssignSegments:
         bad_mask[1] = False
         with pytest.raises(EmptyMaskError):
             assign_segments(MyocardiumVolume(vol.intensity, bad_mask, SPACING))
+
+
+class TestReferenceAngleBound:
+    """Past 1e6 degrees the float spacing of an angle skews the sectors, so it is refused."""
+
+    @pytest.mark.parametrize("angle", [MAX_REFERENCE_ANGLE, -MAX_REFERENCE_ANGLE])
+    def test_the_bound_is_accepted(self, angle):
+        assert AhaConfig(angle).reference_angle_deg == angle
+
+    @pytest.mark.parametrize("angle", [1e300, -1e300, 360.0 * 2 ** 50 + 30, 1e6 + 0.5])
+    def test_a_larger_angle_is_a_parameter_error(self, angle):
+        message = r"^reference angle must be finite and within 1e\+06 degrees of 0, got "
+        with pytest.raises(ParameterError, match=message):
+            AhaConfig(angle)
 
 
 class TestQuantify:

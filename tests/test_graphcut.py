@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import logging
 import re
@@ -10,16 +11,17 @@ from hypothesis import strategies as st
 from lgequant.errors import EmptyMaskError, ParameterError
 from lgequant.graphcut import (
     MAX_LAMBDA,
-    GraphCutConfig,
     Labeling,
     MyocardiumVolume,
     _network,
     _reduce,
+    check_lambda,
     classify,
     data_cost_infarct,
     data_cost_normal,
     energy,
     interaction_potential,
+    interaction_sigma,
 )
 from lgequant.maxflow import MaxFlowGraph
 from lgequant.phantom import default_wedge_config, generate
@@ -33,7 +35,7 @@ def make_params(**kw):
     return RicianMixtureParams(**base)
 
 
-def brute_force_energies(volume, params, config):
+def brute_force_energies(volume, params, lambda_=1.0):
     """Independent exhaustive energy table over all 2^N labelings.
 
     Pairs are enumerated with plain nested loops over the 6-neighborhood;
@@ -46,7 +48,7 @@ def brute_force_energies(volume, params, config):
     vals = np.array([volume.intensity[c] for c in coords])
     d1 = np.array([data_cost_infarct(v, params) for v in vals])
     d0 = np.array([data_cost_normal(v, params) for v in vals])
-    sigma = config.resolved_sigma(params)
+    sigma = interaction_sigma(params)
     d_row, d_col, d_thr = volume.spacing_mm
     pairs = []
     for (z, r, c) in coords:
@@ -58,7 +60,7 @@ def brute_force_energies(volume, params, config):
                 pairs.append((index[(z, r, c)], index[nb], v))
 
     bits = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
-    energies = config.lambda_ * (bits @ d1 + (1 - bits) @ d0)
+    energies = lambda_ * (bits @ d1 + (1 - bits) @ d0)
     for i, j, v in pairs:
         energies = energies + v * (bits[:, i] != bits[:, j])
     return energies, coords
@@ -88,8 +90,7 @@ def random_instance(rng, max_voxels=16):
         mu=rng.uniform(0.6, 0.9), sigma_g=rng.uniform(0.05, 0.12),
         alpha_r=rng.uniform(0.05, 0.2), alpha_g=rng.uniform(0.05, 0.2),
     )
-    config = GraphCutConfig(lambda_=float(rng.choice([0.5, 1.0, 2.0])))
-    return volume, params, config
+    return volume, params, float(rng.choice([0.5, 1.0, 2.0]))
 
 
 class TestDataCosts:
@@ -155,41 +156,40 @@ class TestClassify:
         intensity = np.array([[[0.95, 0.05]]])
         mask = np.ones((1, 1, 2), dtype=bool)
         vol = MyocardiumVolume(intensity, mask, (1.25, 1.25, 10.0))
-        config = GraphCutConfig()
-        lab = classify(vol, p, config)
+        lab = classify(vol, p)
         assert lab.labels[0, 0, 0] == 1 and lab.labels[0, 0, 1] == 0
-        energies, coords = brute_force_energies(vol, p, config)
+        energies, coords = brute_force_energies(vol, p)
         assert energies[labeling_index(lab, coords)] == energies.min()
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(2024)
         for _ in range(40):
-            vol, p, config = random_instance(rng)
-            lab = classify(vol, p, config)
-            energies, coords = brute_force_energies(vol, p, config)
+            vol, p, lambda_ = random_instance(rng)
+            lab = classify(vol, p, lambda_)
+            energies, coords = brute_force_energies(vol, p, lambda_)
             assert energies[labeling_index(lab, coords)] == energies.min()
 
     def test_module_energy_agrees_with_oracle_formula(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
-            vol, p, config = random_instance(rng)
-            lab = classify(vol, p, config)
-            energies, coords = brute_force_energies(vol, p, config)
+            vol, p, lambda_ = random_instance(rng)
+            lab = classify(vol, p, lambda_)
+            energies, coords = brute_force_energies(vol, p, lambda_)
             assert np.isclose(
-                energy(vol, lab, p, config), energies[labeling_index(lab, coords)],
+                energy(vol, lab, p, lambda_), energies[labeling_index(lab, coords)],
                 rtol=1e-12, atol=1e-12,
             )
 
     def test_energy_dominates_uniform_labelings(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            vol, p, config = random_instance(rng)
-            lab = classify(vol, p, config)
-            e = energy(vol, lab, p, config)
+            vol, p, lambda_ = random_instance(rng)
+            lab = classify(vol, p, lambda_)
+            e = energy(vol, lab, p, lambda_)
             zeros = Labeling(np.zeros(vol.mask.shape, dtype=np.uint8), vol.mask)
             ones = Labeling(vol.mask.astype(np.uint8), vol.mask)
-            assert e <= energy(vol, zeros, p, config) + 1e-12
-            assert e <= energy(vol, ones, p, config) + 1e-12
+            assert e <= energy(vol, zeros, p, lambda_) + 1e-12
+            assert e <= energy(vol, ones, p, lambda_) + 1e-12
 
     def test_forced_labels(self):
         p = make_params()
@@ -209,7 +209,7 @@ class TestClassify:
         rng = np.random.default_rng(5)
         for _ in range(5):
             vol, p, _ = random_instance(rng)
-            lab = classify(vol, p, GraphCutConfig(lambda_=1e6))
+            lab = classify(vol, p, 1e6)
             vals = vol.intensity[vol.mask]
             want = (
                 np.atleast_1d(data_cost_infarct(vals, p))
@@ -219,9 +219,9 @@ class TestClassify:
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
-        vol, p, config = random_instance(rng)
-        lab1 = classify(vol, p, config)
-        lab2 = classify(vol, p, config)
+        vol, p, lambda_ = random_instance(rng)
+        lab1 = classify(vol, p, lambda_)
+        lab2 = classify(vol, p, lambda_)
         assert np.array_equal(lab1.labels, lab2.labels)
 
     def test_empty_mask_rejected(self):
@@ -264,7 +264,7 @@ def solved_graphs(monkeypatch):
     return solved
 
 
-def per_voxel_mrf(volume, params, config):
+def per_voxel_mrf(volume, params, lambda_=1.0):
     """Each voxel's net cost and every positive-penalty link, one voxel at a time.
 
     Returns (net, links): ``net[i]`` is lambda * (d0 - d1) of voxel i in voxel
@@ -274,9 +274,9 @@ def per_voxel_mrf(volume, params, config):
     mask = volume.mask
     coords = [tuple(c) for c in np.argwhere(mask)]
     index = {c: i for i, c in enumerate(coords)}
-    net = [config.lambda_ * (data_cost_normal(volume.intensity[c], params)
-                             - data_cost_infarct(volume.intensity[c], params)) for c in coords]
-    sigma = config.resolved_sigma(params)
+    net = [lambda_ * (data_cost_normal(volume.intensity[c], params)
+                      - data_cost_infarct(volume.intensity[c], params)) for c in coords]
+    sigma = interaction_sigma(params)
     d_row, d_col, d_thr = volume.spacing_mm
     links = []
     for step, dist in (((1, 0, 0), d_thr), ((0, 1, 0), d_row), ((0, 0, 1), d_col)):
@@ -313,12 +313,12 @@ def arcs(net, links):
     return to, cap
 
 
-def per_voxel_arcs(volume, params, config):
+def per_voxel_arcs(volume, params, lambda_=1.0):
     """The full graph over every masked voxel, as (to, cap) arc lists."""
-    return arcs(*per_voxel_mrf(volume, params, config))
+    return arcs(*per_voxel_mrf(volume, params, lambda_))
 
 
-def per_voxel_reduction(volume, params, config):
+def per_voxel_reduction(volume, params, lambda_=1.0):
     """The residual graph classify hands to max-flow, one voxel at a time.
 
     A voxel whose |net| is strictly above the summed penalties of its links
@@ -328,7 +328,7 @@ def per_voxel_reduction(volume, params, config):
     voxel order. Returns (fixed, n_free, to, cap), ``fixed`` mapping voxel
     index to label.
     """
-    net, links = per_voxel_mrf(volume, params, config)
+    net, links = per_voxel_mrf(volume, params, lambda_)
     n_sum = [0.0] * len(net)
     for i, j, w in links:
         n_sum[i] += w
@@ -355,15 +355,14 @@ class TestNetwork:
     def test_arcs_in_per_voxel_order(self, monkeypatch, phantom_volume):
         volume, params = phantom_volume
         solved = solved_graphs(monkeypatch)
-        config = GraphCutConfig()
-        labeling = classify(volume, params, config)
+        labeling = classify(volume, params)
         ((n, graph_to, graph_cap), _), = solved
-        fixed, n_free, to, cap = per_voxel_reduction(volume, params, config)
+        fixed, n_free, to, cap = per_voxel_reduction(volume, params)
         n_voxels = int(volume.mask.sum())
         assert n == n_free == n_voxels - len(fixed) and 0 < n_free < n_voxels
         assert graph_to == to
         assert np.allclose(graph_cap, cap, rtol=1e-12, atol=0)   # scalar vs vector exp
-        _, full_side = solve_arcs(n_voxels, *per_voxel_arcs(volume, params, config))
+        _, full_side = solve_arcs(n_voxels, *per_voxel_arcs(volume, params))
         assert np.array_equal(labeling.labels[volume.mask], full_side)
 
     def test_cut_certificate_on_phantom(self, phantom_volume):
@@ -373,21 +372,19 @@ class TestNetwork:
         volume, params = phantom_volume
         vals = volume.intensity[volume.mask]
         for lambda_ in (0.5, 1.0, 2.0):
-            config = GraphCutConfig(lambda_=lambda_)
-            labeling = classify(volume, params, config)
-            flow, _ = solve_arcs(vals.size, *per_voxel_arcs(volume, params, config))
+            labeling = classify(volume, params, lambda_)
+            flow, _ = solve_arcs(vals.size, *per_voxel_arcs(volume, params, lambda_))
             floor = lambda_ * np.minimum(data_cost_normal(vals, params),
                                          data_cost_infarct(vals, params)).sum()
             assert flow > 1.0 and 0 < labeling.infarct_mask().sum() < vals.size
-            assert np.isclose(flow + floor, energy(volume, labeling, params, config),
+            assert np.isclose(flow + floor, energy(volume, labeling, params, lambda_),
                               rtol=1e-9, atol=0)
 
     def test_classify_logs_its_reduction(self, caplog, phantom_volume):
         volume, params = phantom_volume
-        config = GraphCutConfig()
         with caplog.at_level(logging.INFO, logger="lgequant.graphcut"):
-            classify(volume, params, config)
-        fixed, n_free, to, _ = per_voxel_reduction(volume, params, config)
+            classify(volume, params)
+        fixed, n_free, to, _ = per_voxel_reduction(volume, params)
         [line] = [r.getMessage() for r in caplog.records if r.name == "lgequant.graphcut"]
         counts = [int(x) for x in re.fullmatch(
             r"graphcut: (\d+) voxels, (\d+) fixed to label 0, (\d+) to label 1; "
@@ -492,22 +489,22 @@ class TestCutEqualsEnergy:
     @given(masked_volumes(), st.sampled_from([1.0, 0.1, 0.02]))
     def test_max_flow_equals_energy_of_classify(self, instance, lambda_):
         volume, params = instance
-        config = GraphCutConfig(lambda_=lambda_)
-        d0, d1, p, q, caps = _network(volume, params, config)
+        d0, d1, p, q, caps = _network(volume, params)
         flow, _ = unreduced_graph(lambda_ * (d0 - d1), p, q, caps).solve()
         floor = lambda_ * np.minimum(d0, d1).sum()
-        e = energy(volume, classify(volume, params, config), params, config)
+        e = energy(volume, classify(volume, params, lambda_), params, lambda_)
         assert flow > 0
         assert abs(flow - (e - floor)) <= 1e-9 * flow
 
 
-class TestConfigDefaults:
-    def test_lambda_default_is_one(self):
-        assert GraphCutConfig().lambda_ == 1.0
+class TestDefaults:
+    @pytest.mark.parametrize("func", [classify, energy])
+    def test_lambda_default_is_one(self, func):
+        assert inspect.signature(func).parameters["lambda_"].default == 1.0
 
     def test_sigma_is_the_mode_distance(self):
         p = make_params()
-        assert GraphCutConfig().resolved_sigma(p) == p.mu - (p.sigma_r - p.a)
+        assert interaction_sigma(p) == p.mu - (p.sigma_r - p.a)
 
 
 class TestLabelingType:
@@ -543,31 +540,38 @@ class TestLabelingType:
         assert labeling.labels.dtype == np.uint8 and labeling.labels.tolist() == [1, 0]
 
 
-class TestConfigRejects:
-    @pytest.mark.parametrize("kw", [
-        {"lambda_": float("inf")}, {"lambda_": float("nan")}, {"lambda_": -1.0},
-    ])
-    def test_non_finite_or_non_positive(self, kw):
-        with pytest.raises(ParameterError):
-            GraphCutConfig(**kw)
+class TestRejects:
+    @pytest.mark.parametrize("lambda_", [float("inf"), float("nan"), -1.0, 0.0, "1", True])
+    def test_non_finite_or_non_positive_lambda(self, lambda_):
+        with pytest.raises(ParameterError, match="^lambda must be"):
+            check_lambda(lambda_)
+
+    @pytest.mark.parametrize("lambda_", [-1.0, 1e308])
+    def test_classify_and_energy_check_lambda(self, lambda_):
+        vol = MyocardiumVolume(np.full((1, 1, 2), 0.5), np.ones((1, 1, 2), dtype=bool),
+                               (1.25, 1.25, 10.0))
+        with pytest.raises(ParameterError, match="^lambda must be"):
+            classify(vol, make_params(), lambda_)
+        with pytest.raises(ParameterError, match="^lambda must be"):
+            energy(vol, Labeling(np.zeros((1, 1, 2)), vol.mask), make_params(), lambda_)
 
     def test_modes_that_do_not_straddle(self):
         p = make_params()
         p.mu = p.rayleigh_mode - 0.1
-        with pytest.raises(ParameterError):
-            GraphCutConfig().resolved_sigma(p)
+        with pytest.raises(ParameterError, match="do not straddle"):
+            interaction_sigma(p)
 
     def test_lambda_above_its_bound(self):
-        GraphCutConfig(lambda_=MAX_LAMBDA)
+        check_lambda(MAX_LAMBDA)
         with pytest.raises(ParameterError, match=re.escape("lambda must be at most 1e+06")):
-            GraphCutConfig(lambda_=1e308)
+            check_lambda(1e308)
 
     @pytest.mark.parametrize("mixture", [
         {"mu": 1e308}, {"a": 1e308}, {"a": 0.10, "mu": 5e-324},
     ], ids=["mu_far_above", "a_far_above", "modes_5e-324_apart"])
     def test_a_sigma_whose_square_leaves_float_range(self, mixture):
         with pytest.raises(ParameterError, match="squares outside float range"):
-            GraphCutConfig().resolved_sigma(make_params(**mixture))
+            interaction_sigma(make_params(**mixture))
 
     @pytest.mark.parametrize("mixture", [{"alpha_g": 1e308}, {"alpha_r": 1e308}])
     def test_densities_past_float_range(self, mixture):

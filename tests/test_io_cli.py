@@ -726,6 +726,14 @@ class TestCliInputErrors:
         assert_cli_error(capsys, ["quantify", "--labeling", labeling, "--out", tmp_path / "q",
                                   "--reference-angle", "nan"], "reference angle must be finite")
 
+    def test_quantify_with_huge_reference_angle(self, tmp_path, capsys):
+        labeling = lio.save_labeling(np.zeros((3, 6, 6), np.uint8), np.ones((3, 6, 6), bool),
+                                     (1.0, 1.0, 5.0), tmp_path / "lab")
+        assert_cli_error(capsys, ["quantify", "--labeling", labeling, "--out", tmp_path / "q",
+                                  "--reference-angle", "1e300"],
+                         "[quantify] reference angle must be finite and within 1e+06 degrees")
+        assert not (tmp_path / "q").exists()
+
 
 class TestPhantomInputErrors:
     @pytest.mark.parametrize("flags, fragment", [
@@ -736,8 +744,11 @@ class TestPhantomInputErrors:
         (["--max-shift-mm", "inf"], "--max-shift-mm must be a finite non-negative number"),
         (["--max-shift-mm", "-2"], "--max-shift-mm must be a finite non-negative number"),
         (["--max-shift-mm", "nan"], "--max-shift-mm must be a finite non-negative number"),
+        (["--max-shift-mm", "1e308"], "--max-shift-mm must be at most 8.98847e+307"),
+        (["--noise-sigma", "1e308"], "noise sigma must be a finite non-negative number at most"),
     ], ids=["negative_seed", "negative_seed_shifted", "negative_noise", "nan_noise",
-            "inf_shift", "negative_shift", "nan_shift"])
+            "inf_shift", "negative_shift", "nan_shift", "shift_range_overflows",
+            "huge_noise"])
     def test_exits_1_with_one_error_line(self, tmp_path, capsys, flags, fragment):
         assert main(["phantom", "--out", str(tmp_path / "p"), *flags]) == 1
         err = capsys.readouterr().err

@@ -46,7 +46,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("seed", -1), ("seed", 1.5), ("noise_sigma", -1.0), ("noise_sigma", float("nan")),
-        ("noise_sigma", float("inf")),
+        ("noise_sigma", float("inf")), ("noise_sigma", 1e308),
     ])
     def test_rejects_bad_seed_and_noise(self, field, value):
         with pytest.raises(ParameterError, match=field.replace("_", " ")):

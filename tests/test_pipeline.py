@@ -26,7 +26,7 @@ from lgequant.pipeline import (
     run_pipeline,
 )
 from lgequant.aha import AhaConfig
-from lgequant.graphcut import GraphCutConfig
+from lgequant.graphcut import classify
 from lgequant.postprocess import run_postprocessing
 from lgequant.realign import DEFAULT_GAMMA, MAX_SWEEPS, MAX_SWEEPS_CAP
 
@@ -124,6 +124,7 @@ class TestConfigChecksAtConstruction:
         ("lambda_", "1", "classify"),
         ("min_volume_mm3", [1], "postprocess"),
         ("reference_angle_deg", None, "quantify"),
+        ("reference_angle_deg", 1e300, "quantify"),
     ])
     def test_bad_value_fails_at_construction(self, field, value, stage):
         with pytest.raises(PipelineStageError) as info:
@@ -187,7 +188,7 @@ class TestConfigDefaults:
         config = PipelineConfig()
         min_volume = inspect.signature(run_postprocessing).parameters["min_volume_mm3"]
         assert (config.gamma, config.realign_max_sweeps) == (DEFAULT_GAMMA, MAX_SWEEPS)
-        assert config.lambda_ == GraphCutConfig().lambda_
+        assert config.lambda_ == inspect.signature(classify).parameters["lambda_"].default
         assert config.reference_angle_deg == AhaConfig().reference_angle_deg
         assert config.min_volume_mm3 == min_volume.default
 

@@ -56,8 +56,8 @@ def test_traced_classify_counts_nodes_and_arcs():
     import numpy as np
     from test_graphcut import per_voxel_reduction
 
-    from lgequant.graphcut import (GraphCutConfig, MyocardiumVolume, classify,
-                                   interaction_potential)
+    from lgequant.graphcut import (MyocardiumVolume, classify, interaction_potential,
+                                   interaction_sigma)
     from lgequant.rician import RicianMixtureParams
 
     rng = np.random.default_rng(8)
@@ -67,8 +67,7 @@ def test_traced_classify_counts_nodes_and_arcs():
     # Component modes about 0.02 apart: many links underflow to 0.
     params = RicianMixtureParams(alpha_r=0.12, sigma_r=0.10, a=-0.15,
                                  alpha_g=0.09, sigma_g=0.08, mu=0.27)
-    config = GraphCutConfig()
-    sigma = config.resolved_sigma(params)
+    sigma = interaction_sigma(params)
     n_pairs = n_links = 0
     for axis, dist in ((0, 8.0), (1, 1.25), (2, 1.25)):
         m, i = np.moveaxis(mask, axis, 0), np.moveaxis(intensity, axis, 0)
@@ -79,7 +78,7 @@ def test_traced_classify_counts_nodes_and_arcs():
     assert 0 < n_links < n_pairs
     # The residual graph: free voxels, their nonzero folded t-links and the
     # live links between two free voxels.
-    _, n_free, to, _ = per_voxel_reduction(volume, params, config)
+    _, n_free, to, _ = per_voxel_reduction(volume, params)
     assert 0 < n_free < mask.sum()
 
     tracing = _load_tracing()
@@ -87,7 +86,7 @@ def test_traced_classify_counts_nodes_and_arcs():
     tracer.study = 0
     tracer.install()
     try:
-        classify(volume, params, config)
+        classify(volume, params)
     finally:
         tracer.uninstall()
     metrics = tracer.study_metrics(0)
