@@ -15,11 +15,9 @@ from lgequant import (
     default_wedge_config,
     find_threshold,
     fit_mixture,
-    gaussian_term,
     generate,
     lv_voxels,
     mixture,
-    rayleigh_shifted,
 )
 
 dataset, truth = generate(default_wedge_config(seed=5, noise_sigma=0.08))

@@ -25,9 +25,7 @@ from .rician import (
     build_relative_probability,
     find_threshold,
     fit_mixture,
-    gaussian_term,
     mixture,
-    rayleigh_shifted,
 )
 
 __version__ = "0.1.0"
@@ -44,5 +42,5 @@ __all__ = [
     "contour_masks",
     "AlignmentProblem", "optimize", "total_cost",
     "RicianMixtureParams", "build_relative_probability", "find_threshold", "fit_mixture",
-    "gaussian_term", "mixture", "rayleigh_shifted",
+    "mixture",
 ]

@@ -11,6 +11,16 @@ from .geometry import Roi, SliceImage
 from .raster import points_in_polygon
 
 
+def check_stack(slices, sa_rois) -> None:
+    """Raise ParameterError unless each slice is a SliceImage and each ROI a Roi or None."""
+    for s in slices:
+        if not isinstance(s, SliceImage):
+            raise ParameterError(f"slices must be SliceImage instances, got {type(s).__name__}")
+    for roi in sa_rois:
+        if roi is not None and not isinstance(roi, Roi):
+            raise ParameterError(f"sa_rois entries must be Roi or None, got {roi!r}")
+
+
 @dataclass
 class ContourSet:
     """Per-SA-slice endocardial and epicardial closed polygons (pixel coords).
@@ -62,12 +72,7 @@ class LgeDataset:
             raise ParameterError("one ROI entry per SA slice required")
         if not self.la_roles:
             self.la_roles = ["LA"] * len(self.la_slices)
-        for s in self.sa_slices + self.la_slices:
-            if not isinstance(s, SliceImage):
-                raise ParameterError("slices must be SliceImage instances")
-        for roi in self.sa_rois:
-            if roi is not None and not isinstance(roi, Roi):
-                raise ParameterError("sa_rois entries must be Roi or None")
+        check_stack(self.all_slices, self.sa_rois)
         # The SA stack is one volume: every slice has the same pixel grid.
         grids = {(s.pose.rows, s.pose.cols, s.pose.ps_row, s.pose.ps_col) for s in self.sa_slices}
         if len(grids) > 1:

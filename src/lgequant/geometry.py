@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import GeometryError, ParameterError, check_number
 
 PARALLEL_TOL = 1e-6        # |n_a x n_b| below this -> planes treated as parallel
 IN_PLANE_TOL = 1e-6        # mm, max distance of a line point to the slice plane
@@ -31,6 +31,14 @@ NEAR_PARALLEL_DEG = 1.0    # max angle between normals of a contiguous SA pair
 LATTICE_TOL = 1e-13
 _EDGE_EPS = 1e-9           # px, how far past the pixel-centre hull a sample stays valid
 MAX_REGION_SAMPLES = 1 << 22  # a larger paired-region grid means the slices lie far apart
+
+
+def _check_number(name: str, value, integral: bool = False) -> None:
+    """``errors.check_number``, raising GeometryError."""
+    try:
+        check_number(name, value, integral=integral)
+    except ParameterError as exc:
+        raise GeometryError(str(exc)) from None
 
 
 def orthonormal(iop_row: np.ndarray, iop_col: np.ndarray) -> bool:
@@ -55,9 +63,14 @@ class SlicePose:
     normal: np.ndarray = field(init=False, repr=False, compare=False)  # iop_row x iop_col, read-only
 
     def __post_init__(self):
-        object.__setattr__(self, "ipp", np.asarray(self.ipp, dtype=float).reshape(3))
-        object.__setattr__(self, "iop_row", np.asarray(self.iop_row, dtype=float).reshape(3))
-        object.__setattr__(self, "iop_col", np.asarray(self.iop_col, dtype=float).reshape(3))
+        for name in ("ipp", "iop_row", "iop_col"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, np.asarray(value, dtype=float).reshape(3))
+            except (TypeError, ValueError):
+                raise GeometryError(f"{name} must be three numbers, got {value!r}") from None
+        for name in ("ps_row", "ps_col", "rows", "cols"):
+            _check_number(name, getattr(self, name), integral=name in ("rows", "cols"))
         if not all(np.isfinite(v).all() for v in (self.ipp, self.iop_row, self.iop_col)):
             raise GeometryError("slice origin and orientation must be finite")
         if not (0 < self.ps_row < np.inf and 0 < self.ps_col < np.inf):
@@ -83,7 +96,10 @@ class SliceImage:
     pixels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=float))
+        try:
+            object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise GeometryError(f"pixel values must be numbers: {exc}") from None
         if self.pixels.shape != (self.pose.rows, self.pose.cols):
             raise GeometryError(
                 f"pixel array shape {self.pixels.shape} does not match pose "
@@ -107,6 +123,8 @@ class Roi:
     col_max: int
 
     def __post_init__(self):
+        for name in ("row_min", "row_max", "col_min", "col_max"):
+            _check_number(name, getattr(self, name), integral=True)
         if not (0 <= self.row_min <= self.row_max and 0 <= self.col_min <= self.col_max):
             raise GeometryError("ROI bounds must satisfy 0 <= min <= max")
 

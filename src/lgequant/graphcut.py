@@ -52,7 +52,11 @@ class MyocardiumVolume:
         if self.intensity.ndim != 3 or self.intensity.shape != self.mask.shape:
             raise ParameterError("intensity and mask must be matching 3D arrays")
         s = self.spacing_mm
-        if len(s) != 3 or not all(0 < v < np.inf for v in s) or max(s) > MAX_SPACING_RATIO * min(s):
+        if not isinstance(s, (tuple, list, np.ndarray)) or len(s) != 3:
+            raise ParameterError(f"spacing_mm must be three lengths, got {s!r}")
+        for v in s:
+            check_number("spacing_mm", v)
+        if not all(0 < v < np.inf for v in s) or max(s) > MAX_SPACING_RATIO * min(s):
             raise ParameterError(f"spacing_mm must be three positive lengths, none more than "
                                  f"{MAX_SPACING_RATIO:g} times another, got {s}")
         self.box = canvas(self.mask)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import check_stack
 from .errors import COUNT, NON_NEGATIVE, DegenerateInputError, ParameterError, check_number
 from .geometry import (
     LineSide,
@@ -203,21 +204,6 @@ class _RegionTerm:
                          "no-overlap", "constant-region") for ipps in trials]
 
 
-def intersecting_cost(a: SliceImage, b: SliceImage, roi: Roi | None = None) -> float:
-    """Dissimilarity of z-normalized profiles along the slices' intersection.
-
-    ``roi`` restricts sampling on slice ``a`` (the SA member of an SA-LA
-    pair); None uses the full overlap of both images. Degenerate pairs
-    (parallel planes, no overlap, constant profile) contribute 0.
-    """
-    return _intersecting_term(a, b, roi if roi is not None else full_image_roi(a.pose))[0]
-
-
-def contiguous_cost(a: SliceImage, roi_a: Roi, b: SliceImage, roi_b: Roi) -> float:
-    """Dissimilarity of z-normalized paired regions of adjacent SA slices."""
-    return _contiguous_term(a, roi_a, b, roi_b)[0]
-
-
 @dataclass
 class AlignmentProblem:
     """SA stack plus LA views with per-SA-slice ROIs and the contiguous weight.
@@ -235,6 +221,7 @@ class AlignmentProblem:
             raise ParameterError("need at least one SA slice")
         if len(self.sa_rois) != len(self.sa_slices):
             raise ParameterError("one ROI per SA slice required")
+        check_stack(self.slices, self.sa_rois)
         self.sa_rois = [roi if roi is not None else full_image_roi(s.pose)
                         for roi, s in zip(self.sa_rois, self.sa_slices)]
         check_gamma(self.gamma)
@@ -290,8 +277,8 @@ class CompiledProblem:
         if ipp_all is None:
             return list(self.origins)
         ipp_all = np.asarray(ipp_all, dtype=float)
-        if ipp_all.shape != (len(self.origins), 3):
-            raise ParameterError("ipp_all must provide one 3-vector per slice")
+        if ipp_all.shape != (len(self.origins), 3) or not np.isfinite(ipp_all).all():
+            raise ParameterError("ipp_all must provide one finite 3-vector per slice")
         return [o + (ipp_all[i] - o) for i, o in enumerate(self.origins)]
 
     def evaluate(self, trials, term_ids) -> list:
@@ -338,29 +325,25 @@ class CompiledProblem:
 
     def objective(self, trial, term_ids, live, phase: str) -> float:
         """Summed cost of ``term_ids`` at one trial, counted under ``phase``;
-        INFEASIBLE once a ``live`` term degenerates. One gather samples all its
-        intersecting terms; ``cheapest`` scores a batch of trials against it."""
+        INFEASIBLE once a ``live`` term degenerates. ``cheapest`` scores a batch
+        of trials against it."""
         self.evaluations[phase] += 1
-        lines = [ti for ti in term_ids if self.terms[ti].kind == "int"]
-        ahead = dict(zip(lines, self.evaluate([trial], lines)))
         value = 0.0
-        for ti in term_ids:
-            [(cost, reason)] = ahead.get(ti) or self.evaluate([trial], [ti])[0]
+        for ti, [(cost, reason)] in zip(term_ids, self.evaluate([trial], term_ids)):
             if reason is not None and live[ti]:
                 return INFEASIBLE
             value += cost
         return value
 
-    def cheapest(self, trials, term_ids, live, phase: str, total=None) -> int:
+    def cheapest(self, trials, term_ids, live, phase: str) -> int:
         """Index of the first strictly cheapest of ``trials`` under ``objective``.
 
-        Trial 0 is scored in full unless its ``total`` is given, the others term by
-        term, each dropped once its partial sum reaches trial 0's total: a term adds
-        a cost >= 0, which never lowers a rounded sum, so it could not win (ties go
-        to the first index; INFEASIBLE exceeds every feasible total)."""
-        bar = self.objective(trials[0], term_ids, live, phase) if total is None else total
-        self.evaluations[phase] += len(trials) - (total is None)
-        self.skipped[phase] += 0 if total is None else len(term_ids)
+        Trial 0 is scored in full, the others term by term, each dropped once its
+        partial sum reaches trial 0's total: a term adds a cost >= 0, which never
+        lowers a rounded sum, so it could not win (ties go to the first index;
+        INFEASIBLE exceeds every feasible total)."""
+        bar = self.objective(trials[0], term_ids, live, phase)
+        self.evaluations[phase] += len(trials) - 1
         values, pending = [bar] + [0.0] * (len(trials) - 1), list(range(1, len(trials)))
         for n, ti in enumerate(term_ids, 1):
             if not pending:
@@ -468,14 +451,6 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
         for ti, [(cost, reason)] in zip(term_ids, compiled.evaluate([current], term_ids)):
             term_costs[ti], term_reasons[ti] = cost, reason
 
-    def known(trial, term_ids):
-        """``objective`` at ``trial`` from the kept costs if it is the accepted pose, else None."""
-        if any(a.tobytes() != b.tobytes() for a, b in zip(trial, current)):
-            return None
-        if any(term_reasons[ti] is not None and live[ti] for ti in term_ids):
-            return INFEASIBLE
-        return sum((term_costs[ti] for ti in term_ids), 0.0)
-
     def nelder_mead(trial, term_ids, phase: str, x0, simplex, bounds=None):
         """(minimizer, its cost) of one Nelder-Mead search from ``simplex``."""
         from scipy.optimize import minimize
@@ -524,7 +499,7 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
                 if not amt_r == amt_c == amt_n == 0.0
             ]
             trials = [trial(x) for x in starts]
-            best = compiled.cheapest(trials, term_ids, live, "prescan", known(trials[0], term_ids))
+            best = compiled.cheapest(trials, term_ids, live, "prescan")
             if require_prescan_move and best == 0:
                 # Current position already wins the coarse grid: leave the
                 # fine placement to the full-objective sweeps, where the
@@ -560,8 +535,7 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
         normal = slices[anchor].pose.normal
         starts = [np.zeros(3)] + [amt * normal for amt in (-6.0, -3.0, 3.0, 6.0)]
         trials = [trial(v) for v in starts]
-        v0 = starts[compiled.cheapest(trials, anchor_terms, live, "regauge",
-                                      known(trials[0], anchor_terms))]
+        v0 = starts[compiled.cheapest(trials, anchor_terms, live, "regauge")]
         v, fun = nelder_mead(trial, anchor_terms, "regauge", v0,
                              np.vstack([v0, v0 + 1.5 * np.eye(3)]))
         moved = max(np.abs(deltas[i] + v).max() for i in range(n_slices) if i != anchor)
@@ -604,7 +578,7 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
 
     logger.info("realign: %d prescan, %d simplex and %d regauge cost evaluations",
                 *(compiled.evaluations[k] for k in ("prescan", "simplex", "regauge")))
-    logger.info("realign: the bound and kept totals skipped %d prescan and %d regauge scores",
+    logger.info("realign: the bound skipped %d prescan and %d regauge scores",
                 compiled.skipped["prescan"], compiled.skipped["regauge"])
     logger.info("realign: %d contiguous evaluations on the pixel lattice, %d by gather",
                 compiled.region_samples["lattice"], compiled.region_samples["gather"])

@@ -6,7 +6,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import time
 
 import numpy as np
-import pytest
 
 from lgequant.aha import AhaConfig, assign_segments, quantify
 from lgequant.cli import main

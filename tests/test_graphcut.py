@@ -1,5 +1,4 @@
 import inspect
-import itertools
 import logging
 import re
 
@@ -26,7 +25,7 @@ from lgequant.graphcut import (
 from lgequant.maxflow import MaxFlowGraph
 from lgequant.phantom import default_wedge_config, generate
 from lgequant.pipeline import myocardium_volume, normalize_stage
-from lgequant.rician import RicianMixtureParams, find_threshold, gaussian_term, rayleigh_shifted
+from lgequant.rician import RicianMixtureParams, find_threshold
 
 
 def make_params(**kw):

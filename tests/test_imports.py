@@ -1,9 +1,9 @@
 """What the package imports, and when.
 
-No module of the package imports a name it never uses. The only exception is
-an import marked ``# noqa: F401`` whose name the benchmark tracer patches on
-that module: the tracer wraps the function where its caller looks it up, so
-the import is there for the tracer alone.
+No module of the package, test or demo imports a name it never uses. The only
+exception is an import in the package marked ``# noqa: F401`` whose name the
+benchmark tracer patches on that module: the tracer wraps the function where
+its caller looks it up, so the import is there for the tracer alone.
 
 No module imports scipy when it is itself imported, so each CLI stage loads
 only the scipy it runs.
@@ -21,6 +21,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "lgequant").glob("*.py"))
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def _tracer_targets() -> set:
@@ -64,6 +65,11 @@ def test_module_uses_every_name_it_imports(path):
     unused = [(line, name) for line, name in unused_imports(source)
               if not ("# noqa: F401" in lines[line - 1] and (module, name) in targets)]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_test_or_demo_uses_every_name_it_imports(path):
+    assert unused_imports(path.read_text()) == []
 
 
 # --- scipy is imported where it is called ------------------------------------

@@ -24,8 +24,6 @@ from lgequant.realign import (
     _contiguous_term,
     _intersecting_term,
     cost_breakdown,
-    contiguous_cost,
-    intersecting_cost,
     optimize,
     total_cost,
 )
@@ -76,6 +74,19 @@ def build_problem(field=curved_field, n_sa=6, gamma=0.01):
     la = [sample_slice(la_pose("4c"), field), sample_slice(la_pose("2c"), field)]
     rois = [Roi(6, 25, 6, 25)] * n_sa
     return AlignmentProblem(sa_slices=sa, la_slices=la, sa_rois=rois, gamma=gamma)
+
+
+def intersecting_cost(a, b, roi=None):
+    """The one intersecting term of a problem of slice ``a`` and view ``b``,
+    ``roi`` (None: the full image) on ``a``."""
+    [record] = cost_breakdown(AlignmentProblem([a], [b], [roi]))
+    return record["cost"]
+
+
+def contiguous_cost(a, roi_a, b, roi_b):
+    """The one contiguous term of a problem of two SA slices, at weight 1."""
+    [record] = cost_breakdown(AlignmentProblem([a, b], [], [roi_a, roi_b], gamma=1.0))
+    return record["cost"]
 
 
 def compare(a, b):
@@ -542,8 +553,8 @@ def _per_term_objective(compiled, trials, term_ids, live):
 
 @pytest.mark.parametrize("build", [wedge_problem, oblique_problem, degenerate_problem])
 def test_objective_equals_the_per_term_loop(build):
-    """``CompiledProblem.objective`` equals one evaluation per term at one trial,
-    in value and region-path counts."""
+    """``CompiledProblem.objective`` equals one evaluation per term at one trial
+    in value, and scores each region term of ``ids`` once, on its own path."""
     problem = build()
     compiled = CompiledProblem(problem)
     live = _live(compiled)
@@ -551,14 +562,15 @@ def test_objective_equals_the_per_term_loop(build):
     values = []
     for i in (1, len(problem.sa_slices), len(problem.slices) - 1):     # SA and LA slices
         ids = _touching(compiled, i)
+        lattice = [compiled.terms[ti].pair.lattice for ti in ids
+                   if compiled.terms[ti].kind == "cnt"]
         trials, _ = _random_trials(problem, rng, 9)
         for trial in trials:
             before = dict(compiled.region_samples)
             got = compiled.objective(trial, ids, live, "simplex")
-            mid = dict(compiled.region_samples)
+            assert {k: v - before[k] for k, v in compiled.region_samples.items()} == \
+                {"lattice": sum(lattice), "gather": len(lattice) - sum(lattice)}
             assert [got] == _per_term_objective(compiled, [trial], ids, live)
-            assert {k: mid[k] - before[k] for k in mid} == \
-                {k: v - mid[k] for k, v in compiled.region_samples.items()}
             values.append(got)
     assert INFEASIBLE in values and min(values) < INFEASIBLE
 
@@ -573,10 +585,9 @@ def _touching(compiled, i) -> list:
     return [ti for ti, t in enumerate(compiled.terms) if i in (t.i, t.j)]
 
 
-def _unbounded_cheapest(compiled, trials, term_ids, live, phase, total=None):
+def _unbounded_cheapest(compiled, trials, term_ids, live, phase):
     """``CompiledProblem.cheapest`` without the bound: the arg-min of every trial
-    scored to its last term (or its first degenerate live one), a kept ``total``
-    of trial 0 ignored."""
+    scored to its last term (or its first degenerate live one)."""
     compiled.evaluations[phase] += len(trials)
     values = _per_term_objective(compiled, trials, term_ids, live)
     return min(range(len(values)), key=values.__getitem__)
@@ -638,60 +649,33 @@ def _same_results(a, b) -> bool:
 @pytest.mark.parametrize("build, bound", [(build_problem, None), (oblique_problem, None),
                                           (build_problem, 0.5)])
 def test_bounded_search_equals_the_unbounded_one(build, bound, monkeypatch):
-    """One sweep with the bound and without it gives equal results. So does one
-    that scores start 0 again instead of taking its kept total, and each kept
-    total is that score bit for bit, in the prescan and the regauge alike. A
-    0.5 mm translation bound clips some start 0 off the accepted pose."""
+    """One sweep with the bound and without it gives equal results. A 0.5 mm
+    translation bound clips some start 0 off the accepted pose."""
     if bound is not None:
         monkeypatch.setattr(realign, "TRANSLATION_BOUND_MM", bound)
     bounded = optimize(build(), max_sweeps=1)
-    cheapest, kept = CompiledProblem.cheapest, []
-
-    def rescored(self, trials, term_ids, live, phase, total=None):
-        if total is not None:
-            counts = dict(self.evaluations)
-            score = self.objective(trials[0], term_ids, live, phase)
-            self.evaluations.update(counts)
-            assert np.float64(total).tobytes() == np.float64(score).tobytes()
-            kept.append(phase)
-        return cheapest(self, trials, term_ids, live, phase)
-
-    monkeypatch.setattr(CompiledProblem, "cheapest", rescored)
-    assert _same_results(bounded, optimize(build(), max_sweeps=1))
-    assert {"prescan", "regauge"} <= set(kept)
     monkeypatch.setattr(CompiledProblem, "cheapest", _unbounded_cheapest)
     unbounded = optimize(build(), max_sweeps=1)
     assert _same_results(bounded, unbounded)
 
 
-@pytest.mark.parametrize("build, bound", [(build_problem, None), (wedge_problem, None),
-                                          (build_problem, 0.5)])
-def test_a_kept_start_0_is_not_scored_again(build, bound, monkeypatch):
-    """A prescan or regauge whose start 0 is the accepted pose takes its total
-    from the kept term costs: ``cheapest`` calls ``objective`` only for the
-    other starts 0, which a 0.5 mm translation bound makes by clipping."""
-    if bound is not None:
-        monkeypatch.setattr(realign, "TRANSLATION_BOUND_MM", bound)
-    objective, cheapest = CompiledProblem.objective, CompiledProblem.cheapest
-    inside, scored, rescans = [False], [0], []
+class TestProblemChecks:
+    def test_tuple_rois_rejected(self):
+        problem = build_problem()
+        with pytest.raises(ParameterError, match="sa_rois entries must be Roi or None"):
+            AlignmentProblem(problem.sa_slices, problem.la_slices, [(0, 5, 0, 5)] * 6)
 
-    def spied_objective(self, *args):
-        scored[0] += inside[0]
-        return objective(self, *args)
+    def test_an_array_in_place_of_a_slice_rejected(self):
+        problem = build_problem()
+        sa = list(problem.sa_slices)
+        sa[2] = sa[2].pixels
+        with pytest.raises(ParameterError, match="slices must be SliceImage instances"):
+            AlignmentProblem(sa, problem.la_slices, problem.sa_rois)
 
-    def spied_cheapest(self, trials, term_ids, live, phase, total=None):
-        rescans.append(total is None)
-        inside[0] = True
-        try:
-            return cheapest(self, trials, term_ids, live, phase, total)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(CompiledProblem, "objective", spied_objective)
-    monkeypatch.setattr(CompiledProblem, "cheapest", spied_cheapest)
-    optimize(build(), max_sweeps=1)
-    assert len(rescans) > sum(rescans) >= (bound is not None)
-    assert scored[0] == sum(rescans)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_origins_rejected(self, bad):
+        with pytest.raises(ParameterError, match="finite 3-vector"):
+            total_cost(build_problem(), np.full((8, 3), bad))
 
 
 class TestCompileChecks:
@@ -755,20 +739,20 @@ class TestCostEvaluations:
         assert any("cost evaluations" in m for m in messages)
         lattice, gather = _logged_counts(messages, "contiguous evaluations")
         assert gather == 0 < lattice
-        prescan_skipped, _ = _logged_counts(messages, "kept totals skipped")
+        prescan_skipped, _ = _logged_counts(messages, "the bound skipped")
         assert prescan_skipped > 0
 
     def test_the_bound_scores_fewer_terms_on_the_wedge(self, caplog, monkeypatch):
-        """On the test wedge, one sweep with the bound and the kept start-0
-        totals makes 0.60x the (term, trial) scores of one without them (5,964 of
-        9,886), with equal results, and the log names every score saved: no trial
+        """On the test wedge, one sweep with the bound makes 0.61x the (term,
+        trial) scores of one without it (6,018 of 9,886), with equal results,
+        and the log names every score saved: no trial
         the bound dropped would have degenerated later (one that did would have
         stopped early unbounded too)."""
         scores = _spy_term_scores(monkeypatch)
         with caplog.at_level(logging.INFO, logger="lgequant.realign"):
             bounded = optimize(wedge_problem(), max_sweeps=1)
         skipped = sum(_logged_counts([r.getMessage() for r in caplog.records],
-                                     "kept totals skipped"))
+                                     "the bound skipped"))
         with_bound, scores[0] = scores[0], 0
         monkeypatch.setattr(CompiledProblem, "cheapest", _unbounded_cheapest)
         unbounded = optimize(wedge_problem(), max_sweeps=1)
