@@ -96,6 +96,8 @@ class SliceImage:
     pixels: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.pose, SlicePose):
+            raise GeometryError(f"pose must be a SlicePose, got {type(self.pose).__name__}")
         try:
             object.__setattr__(self, "pixels", np.asarray(self.pixels, dtype=float))
         except (TypeError, ValueError) as exc:

@@ -47,8 +47,11 @@ class MyocardiumVolume:
     box: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.intensity = np.asarray(self.intensity, dtype=float)
-        self.mask = np.asarray(self.mask, dtype=bool)
+        try:
+            self.intensity = np.asarray(self.intensity, dtype=float)
+            self.mask = np.asarray(self.mask, dtype=bool)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"intensity and mask must be numeric arrays: {exc}") from None
         if self.intensity.ndim != 3 or self.intensity.shape != self.mask.shape:
             raise ParameterError("intensity and mask must be matching 3D arrays")
         s = self.spacing_mm

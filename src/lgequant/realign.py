@@ -34,6 +34,7 @@ from .geometry import (
     sample_line_values,
     sample_positions,
 )
+from .simplex import minimize
 
 logger = logging.getLogger(__name__)
 
@@ -50,14 +51,13 @@ MAX_SWEEPS = 50
 MAX_SWEEPS_CAP = 1000
 REL_TOL = 1e-6
 INFEASIBLE = 1e12          # objective value once a live term degenerates
-# Nelder-Mead settings of every simplex search the optimizer runs. scipy stops
-# a search once its simplex spans at most xatol mm in every coordinate and its
-# vertex costs differ by at most fatol, both at once. fatol is the accept
-# rule's 1e-4 gain floor on costs of order 1 (one slice's terms sum to 0.4-5
-# on the wedge phantom): a smaller gain is interpolation noise, and the rule
-# would reject the move anyway. xatol is 1/125 of the 1.25 mm phantom pixel,
-# far below what the cost can resolve. maxiter and maxfev only cap a search
-# that fails to settle.
+# Settings of every simplex search the optimizer runs (simplex.minimize). A
+# search stops once its simplex spans at most xatol mm in every coordinate and its
+# vertex costs differ by at most fatol, both at once. fatol is the accept rule's
+# 1e-4 gain floor on costs of order 1 (one slice's terms sum to 0.4-5 on the wedge
+# phantom): a smaller gain is interpolation noise the rule would reject anyway.
+# xatol is 1/125 of the 1.25 mm phantom pixel, far below what the cost resolves.
+# maxiter and maxfev only cap a search that fails to settle.
 _NELDER_MEAD_OPTIONS = {"xatol": 1e-2, "fatol": 1e-4, "maxiter": 130, "maxfev": 170}
 
 
@@ -451,14 +451,13 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
         for ti, [(cost, reason)] in zip(term_ids, compiled.evaluate([current], term_ids)):
             term_costs[ti], term_reasons[ti] = cost, reason
 
-    def nelder_mead(trial, term_ids, phase: str, x0, simplex, bounds=None):
+    def nelder_mead(trial, term_ids, phase: str, simplex, bounds=None):
         """(minimizer, its cost) of one Nelder-Mead search from ``simplex``."""
-        from scipy.optimize import minimize
-        res = minimize(lambda x: compiled.objective(trial(x), term_ids, live, phase), x0,
-                       method="Nelder-Mead", bounds=bounds,
-                       options={"initial_simplex": simplex, **_NELDER_MEAD_OPTIONS})
-        stops["tolerance" if res.status == 0 else "cap"] += 1   # else maxfev or maxiter
-        return np.asarray(res.x, dtype=float), res.fun
+        x, fun, _, status = minimize(
+            lambda x: compiled.objective(trial(x), term_ids, live, phase), simplex,
+            bounds=bounds, **_NELDER_MEAD_OPTIONS)
+        stops["tolerance" if status == 0 else "cap"] += 1   # else maxfev or maxiter
+        return x, fun
 
     def accept(who, term_ids, fun, step) -> bool:
         """Whether a move by ``step`` that brings ``term_ids`` to ``fun`` is taken.
@@ -507,7 +506,7 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
                 return
             x0 = starts[best]
         simplex = np.clip(np.vstack([x0, x0 + h * np.eye(3)]), -bound, bound)
-        x, fun = nelder_mead(trial, term_ids, "simplex", x0, simplex, [(-bound, bound)] * 3)
+        x, fun = nelder_mead(trial, term_ids, "simplex", simplex, (-bound, bound))
         if accept(int(i), term_ids, fun, x - deltas[i]):
             deltas[i] = x
             current[i] = origins[i] + deltas[i]
@@ -536,8 +535,7 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
         starts = [np.zeros(3)] + [amt * normal for amt in (-6.0, -3.0, 3.0, 6.0)]
         trials = [trial(v) for v in starts]
         v0 = starts[compiled.cheapest(trials, anchor_terms, live, "regauge")]
-        v, fun = nelder_mead(trial, anchor_terms, "regauge", v0,
-                             np.vstack([v0, v0 + 1.5 * np.eye(3)]))
+        v, fun = nelder_mead(trial, anchor_terms, "regauge", np.vstack([v0, v0 + 1.5 * np.eye(3)]))
         moved = max(np.abs(deltas[i] + v).max() for i in range(n_slices) if i != anchor)
         if moved <= bound and accept("gauge", anchor_terms, fun, v):
             for i in range(n_slices):

@@ -150,7 +150,12 @@ def stage_loads(tmp_path_factory):
     pairs = base / "pairs.csv"
     pairs.write_text("auto,manual\n1.0,2.0\n3.0,3.5\n5.0,4.0\n")
     return {
-        "phantom": _scipy_loaded("phantom", "--seed", 5, "--out", data),
+        "phantom": _scipy_loaded("phantom", "--seed", 5, "--max-shift-mm", 5, "--out", data),
+        "realign": _scipy_loaded("realign", "--data", data / "dataset.json",
+                                 "--out", base / "realigned"),
+        "pipeline": _scipy_loaded("pipeline", "--data", data / "dataset.json",
+                                  "--contours", data / "contours.json",
+                                  "--out", base / "pipeline"),
         "normalize": _scipy_loaded("normalize", "--data", data / "dataset.json",
                                    "--contours", data / "contours.json", "--out", norm),
         "classify": _scipy_loaded("classify", "--normalized", norm / "normalized.json",
@@ -171,10 +176,48 @@ def test_a_stage_that_fits_nothing_loads_no_scipy(stage_loads, stage):
 
 def test_normalize_loads_no_scipy(stage_loads):
     # The mixture fit and its threshold are the package's own Levenberg-Marquardt
-    # and regula falsi; only realign's Nelder-Mead still uses scipy.optimize.
+    # and regula falsi.
     assert stage_loads["normalize"] == set()
+
+
+def test_realign_loads_no_scipy(stage_loads):
+    # Its simplex searches are the package's own Nelder-Mead.
+    assert stage_loads["realign"] == set()
 
 
 def test_classify_loads_ndimage_and_not_optimize(stage_loads):
     assert "scipy.ndimage" in stage_loads["classify"]
     assert "scipy.optimize" not in stage_loads["classify"]
+
+
+def test_pipeline_loads_ndimage_and_not_optimize(stage_loads):
+    assert "scipy.ndimage" in stage_loads["pipeline"]
+    assert "scipy.optimize" not in stage_loads["pipeline"]
+
+
+def scipy_optimize_imports(source: str) -> list:
+    """Lines of ``source`` that import scipy.optimize or a name from it, wherever they are."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            names = []
+        if any(name.split(".")[:2] == ["scipy", "optimize"] for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_the_check_finds_a_scipy_optimize_import():
+    source = ("import scipy.optimize\nimport scipy.ndimage\nfrom scipy import optimize\n"
+              "from scipy import ndimage\ndef f():\n    from scipy.optimize import minimize\n"
+              "from .optimize import x\n")
+    assert scipy_optimize_imports(source) == [1, 3, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_never_imports_scipy_optimize(path):
+    # Its searches and fits are the package's own (README, Design decisions).
+    assert scipy_optimize_imports(path.read_text()) == []

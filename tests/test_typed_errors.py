@@ -52,6 +52,8 @@ _POSE = {"ipp": [0.0, 0.0, 0.0], "iop_row": [1.0, 0.0, 0.0], "iop_col": [0.0, 1.
     (lambda: SlicePose(**{**_POSE, "cols": True}), GeometryError, "cols must be an integer"),
     (lambda: SliceImage(SlicePose(**_POSE), [["a"] * 4] * 4), GeometryError,
      "pixel values must be numbers"),
+    (lambda: SliceImage(np.zeros(3), np.zeros((1, 1))), GeometryError,
+     "pose must be a SlicePose, got ndarray"),
     (lambda: Roi("a", 2, 0, 2), GeometryError, "row_min must be an integer"),
     (lambda: Roi(0.5, 2, 0, 2), GeometryError, "row_min must be an integer"),
     (lambda: Roi(0, 2, False, 2), GeometryError, "col_min must be an integer"),
@@ -59,8 +61,11 @@ _POSE = {"ipp": [0.0, 0.0, 0.0], "iop_row": [1.0, 0.0, 0.0], "iop_col": [0.0, 1.
      ParameterError, "spacing_mm must be a number"),
     (lambda: MyocardiumVolume(np.zeros((1, 1, 1)), np.ones((1, 1, 1), dtype=bool), 1.0),
      ParameterError, "spacing_mm must be three lengths"),
+    (lambda: MyocardiumVolume([["a"]], np.ones((1, 1, 1), dtype=bool), (1, 1, 1)),
+     ParameterError, "intensity and mask must be numeric arrays"),
 ], ids=["string_spacing", "string_ipp", "float_rows", "bool_cols", "string_pixels",
-        "string_roi", "float_roi", "bool_roi", "string_volume_spacing", "scalar_volume_spacing"])
+        "array_pose", "string_roi", "float_roi", "bool_roi", "string_volume_spacing",
+        "scalar_volume_spacing", "string_intensity"])
 def test_constructors_refuse_values_that_are_not_numbers(build, error, message):
     with pytest.raises(error, match=message):
         build()
