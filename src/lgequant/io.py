@@ -96,6 +96,15 @@ def _field(header: dict, key: str, path, kind=None, n: int | None = None):
     return items[0] if n is None else tuple(items)
 
 
+def _in_index_order(entries: list, what: str, path) -> list:
+    """``(index, ...)`` tuples sorted by index; the indices must be 0..n-1, each once."""
+    entries = sorted(entries, key=lambda entry: entry[0])
+    if [entry[0] for entry in entries] != list(range(len(entries))):
+        raise DatasetFormatError(f"{path}: {what} indices must be contiguous from 0, "
+                                 f"each 'index' once")
+    return entries
+
+
 def _write_raws(header: dict, path, **raws) -> Path:
     """Write the header at ``path``, then each ``key=(file name, array)`` beside it.
 
@@ -205,9 +214,7 @@ def load_dataset(manifest_path) -> LgeDataset:
             la.append((index, image, role))
     if not sa:
         raise DatasetFormatError("manifest lists no SA slices")
-    sa.sort(key=lambda t: t[0])
-    if [i for i, _, _ in sa] != list(range(len(sa))):
-        raise DatasetFormatError("SA indices must be contiguous from 0")
+    sa = _in_index_order(sa, "SA", manifest_path)
     la.sort(key=lambda t: t[0])
     return LgeDataset(sa_slices=[img for _, img, _ in sa], la_slices=[img for _, img, _ in la],
                       sa_rois=[roi for _, _, roi in sa], la_roles=[role for _, _, role in la],
@@ -229,10 +236,11 @@ def save_contours(contours: ContourSet, path) -> Path:
 
 def load_contours(path) -> ContourSet:
     """Read a contours file; ``ContourSet`` checks each polygon's shape."""
-    slices = sorted(_field(_read_header(path), "slices", path, list),
-                    key=lambda entry: _field(entry, "index", path, int))
-    return ContourSet(endo=[_field(entry, "endo", path) for entry in slices],
-                      epi=[_field(entry, "epi", path) for entry in slices])
+    slices = _in_index_order([(_field(entry, "index", path, int), entry)
+                              for entry in _field(_read_header(path), "slices", path, list)],
+                             "contour", path)
+    return ContourSet(endo=[_field(entry, "endo", path) for _, entry in slices],
+                      epi=[_field(entry, "epi", path) for _, entry in slices])
 
 
 def save_volume_f32(volume: np.ndarray, spacing_mm, path_base) -> Path:

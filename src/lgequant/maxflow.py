@@ -1,10 +1,15 @@
 """s/t maximum flow on sparse graphs by augmenting paths with tree reuse.
 
-The solver grows a source tree and a sink tree simultaneously, augments along
-the path found whenever the trees touch through a residual arc, and re-adopts
-orphaned subtrees instead of rebuilding the search trees from scratch, which
-suits grid graphs with short paths. After termination the minimum cut is read
-off as the set of nodes reachable from the source in the residual graph.
+The solver (Boykov and Kolmogorov, IEEE TPAMI 2004) grows a source tree and a
+sink tree simultaneously, augments along the path found whenever the trees
+touch through a residual arc, and re-adopts orphaned subtrees instead of
+rebuilding the search trees from scratch, which suits grid graphs with short
+paths. When it stops, its source tree is the cut: the nodes reachable from the
+source in the residual graph, the least source side of any minimum cut. Every
+tree arc keeps residual capacity (a saturated one orphans its child, and
+adoption runs to completion), and a source-tree node with a residual arc into
+a node that leaves the tree is made active again, so once no active node is
+left no residual arc leaves the source tree.
 """
 
 from __future__ import annotations
@@ -16,6 +21,10 @@ import numpy as np
 from .errors import DegenerateInputError, ParameterError
 
 FREE, SOURCE_TREE, SINK_TREE = 0, 1, 2
+# By tree, the xor that turns an arc a node of that tree lists into the arc flow
+# would cross: out of a source-tree node, into a sink-tree node. An arc seen
+# from its other end takes a further ``^ 1``; a free node turns no arcs.
+FLIP = (None, 0, 1)
 
 
 class MaxFlowGraph:
@@ -50,7 +59,7 @@ class MaxFlowGraph:
         s, t = self.source, self.sink
         n_total = self.n + 2
         tree = [FREE] * n_total
-        parent_arc = [-1] * n_total
+        parent_arc = [-1] * n_total     # the arc that carries flow between a node and its parent
         dist = [0] * n_total
         stamp = [0] * n_total
         tree[s], tree[t] = SOURCE_TREE, SINK_TREE
@@ -62,9 +71,7 @@ class MaxFlowGraph:
 
         def parent_of(x: int) -> int:
             pa = parent_arc[x]
-            if pa < 0:
-                return -1
-            return to[pa ^ 1] if tree[x] == SOURCE_TREE else to[pa]
+            return -1 if pa < 0 else to[pa ^ FLIP[tree[x]] ^ 1]
 
         def has_valid_root(v: int) -> bool:
             path = []
@@ -91,20 +98,19 @@ class MaxFlowGraph:
                 if tree[u] == FREE:
                     active.popleft()
                     continue
-                u_tree = tree[u]
+                u_tree, flip = tree[u], FLIP[tree[u]]
                 for arc in adj[u]:
-                    residual = cap[arc] if u_tree == SOURCE_TREE else cap[arc ^ 1]
-                    if residual <= 0.0:
+                    if cap[arc ^ flip] <= 0.0:
                         continue
                     v = to[arc]
                     if tree[v] == FREE:
                         tree[v] = u_tree
-                        parent_arc[v] = arc if u_tree == SOURCE_TREE else arc ^ 1
+                        parent_arc[v] = arc ^ flip
                         dist[v] = dist[u] + 1
                         stamp[v] = stamp[u]
                         active.append(v)
                     elif tree[v] != u_tree:
-                        return arc if u_tree == SOURCE_TREE else arc ^ 1
+                        return arc ^ flip
                 active.popleft()
             return -1
 
@@ -129,25 +135,19 @@ class MaxFlowGraph:
         def adopt():
             while orphans:
                 u = orphans.popleft()
-                u_tree = tree[u]
+                u_tree, back = tree[u], FLIP[tree[u]] ^ 1   # for arcs u lists toward a parent
                 best_arc = -1
                 best_dist = None
                 for arc in adj[u]:
                     v = to[arc]
-                    if tree[v] != u_tree:
-                        continue
-                    residual = cap[arc ^ 1] if u_tree == SOURCE_TREE else cap[arc]
-                    if residual <= 0.0:
-                        continue
-                    if not has_valid_root(v):
+                    if tree[v] != u_tree or cap[arc ^ back] <= 0.0 or not has_valid_root(v):
                         continue
                     if best_dist is None or dist[v] < best_dist:
                         best_dist = dist[v]
                         best_arc = arc
                 if best_arc >= 0:
-                    parent_arc[u] = best_arc ^ 1 if u_tree == SOURCE_TREE else best_arc
-                    v = to[best_arc]
-                    dist[u] = dist[v] + 1
+                    parent_arc[u] = best_arc ^ back
+                    dist[u] = dist[to[best_arc]] + 1
                     stamp[u] = time
                     continue
                 # no parent available: release u and destabilize its neighbors
@@ -155,8 +155,7 @@ class MaxFlowGraph:
                     v = to[arc]
                     if tree[v] != u_tree:
                         continue
-                    residual = cap[arc ^ 1] if u_tree == SOURCE_TREE else cap[arc]
-                    if residual > 0.0:
+                    if cap[arc ^ back] > 0.0:
                         active.append(v)
                     if parent_arc[v] >= 0 and parent_of(v) == u:
                         parent_arc[v] = -1
@@ -174,15 +173,4 @@ class MaxFlowGraph:
             guard -= 1
             if guard <= 0:
                 raise DegenerateInputError("max-flow did not terminate; capacities degenerate")
-
-        seen = bytearray(n_total)
-        seen[s] = 1
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for arc in adj[u]:
-                v = to[arc]
-                if cap[arc] > 0.0 and not seen[v]:
-                    seen[v] = 1
-                    queue.append(v)
-        return flow, np.frombuffer(seen, dtype=bool, count=self.n).copy()
+        return flow, np.array(tree[:self.n]) == SOURCE_TREE

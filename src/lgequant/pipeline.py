@@ -27,7 +27,8 @@ from .plots import bullseye_svg
 from .postprocess import check_min_volume, run_postprocessing
 from .raster import ContourMasks, canvas, contour_masks
 from .raster import polygon_mask  # noqa: F401  (patched by benchmarks/tracing.py)
-from .realign import AlignmentProblem, check_gamma, check_max_sweeps, optimize
+from .realign import (DEFAULT_GAMMA, MAX_SWEEPS, AlignmentProblem, check_gamma, check_max_sweeps,
+                      optimize)
 from .rician import RicianMixtureParams
 
 
@@ -35,11 +36,11 @@ from .rician import RicianMixtureParams
 class PipelineConfig:
     """Every tunable of the pipeline, with its default."""
 
-    gamma: float = 0.01                  # contiguous-cost weight
+    gamma: float = DEFAULT_GAMMA         # contiguous-cost weight
     lambda_: float = 1.0                 # graph-cut data-term weight
     min_volume_mm3: float = 100.0        # smallest infarct component kept
     reference_angle_deg: float = 0.0
-    realign_max_sweeps: int = 50
+    realign_max_sweeps: int = MAX_SWEEPS
     skip_realign: bool = False
 
     def __post_init__(self):

@@ -484,7 +484,7 @@ def optimize(problem: AlignmentProblem, max_sweeps: int = MAX_SWEEPS) -> Alignme
             ipps[i] = origins[i] + np.asarray(d, dtype=float).reshape(3)
             return ipps
 
-        x0 = np.clip(deltas[i], -bound + 1e-9, bound - 1e-9)
+        x0 = deltas[i]
         if prescan:
             # Coarse scan in the slice frame seeds the simplex search past
             # local minima of the interpolated profiles.

@@ -208,7 +208,13 @@ class TestLoaderProbes:
         (lambda payload: payload["slices"][0].update(index="0"), "'index' must be an integer"),
         (lambda payload: payload["slices"][0]["endo"].__setitem__(0, "x"),
          "contour vertices must be numbers"),
-    ], ids=["slice_without_index", "not_an_object", "string_index", "string_vertex"])
+        *((edit, "contour indices must be contiguous from 0, each 'index' once") for edit in (
+            lambda payload: payload["slices"][-1].update(index=len(payload["slices"]) + 3),
+            lambda payload: payload["slices"][4].update(index=3),
+            lambda payload: payload["slices"][0].update(index=-1),
+        )),
+    ], ids=["slice_without_index", "not_an_object", "string_index", "string_vertex",
+            "index_gap", "repeated_index", "negative_index"])
     def test_normalize_with_bad_contours(self, phantom_dir, tmp_path, capsys, edit, fragment):
         payload = json.loads((phantom_dir / "contours.json").read_text())
         payload = edit(payload) or payload
@@ -1056,8 +1062,10 @@ def must_fail(edit) -> bool:
 
     That is a raw file resized or removed; JSON text cut short; any edit of a
     header's format version; and a required key dropped, made null or an
-    object, or, for an index, made anything but an integer. (An SA slice
-    renamed may leave a valid dataset: ``test_an_sa_slice_renamed``.)
+    object, or, for an index, made anything but an integer; and a contour
+    index made any integer but its own slice number, which leaves a gap or a
+    repeat. (An SA slice renamed may leave a valid dataset:
+    ``test_an_sa_slice_renamed``.)
     """
     name, path, value = edit
     if path is None or path == "text" or path == ("version",):
@@ -1066,7 +1074,9 @@ def must_fail(edit) -> bool:
         return False
     if value is DROP or value is None or isinstance(value, dict):
         return True
-    return path[-1] == "index" and type(value) is not int
+    if path[-1] != "index":
+        return False
+    return type(value) is not int or (name == "contours.json" and value != path[1])
 
 
 def apply_stage_edit(study: Path, edit) -> None:
@@ -1193,10 +1203,17 @@ class TestStageInputEdits:
             assert_cli_error(capsys, argv, fragment)
 
     def test_contours_out_of_order_fit_without_a_warning(self, stage_study, tmp_path, capsys):
-        # Slice 0's contours move to the apex; the mixture solve then tries a step whose
-        # scale squares to 0, which it must reject without a numpy warning.
+        # Slice 0's contours move to the apex and every other slice's to the slice before
+        # it; the mixture solve then tries a step whose scale squares to 0, which it must
+        # reject without a numpy warning.
         study = Path(shutil.copytree(stage_study, tmp_path / "study"))
-        apply_stage_edit(study, ("contours.json", ("slices", 0, "index"), 10 ** 400))
+        contours = lio.load_contours(stage_study / "contours.json")
+        n = len(contours)
+        for k in range(n):
+            apply_stage_edit(study, ("contours.json", ("slices", k, "index"), (k - 1) % n))
+        moved = lio.load_contours(study / "contours.json")
+        for got, want in ((moved.endo, contours.endo), (moved.epi, contours.epi)):
+            assert len(got) == n and all(map(np.array_equal, got, want[1:] + want[:1]))
         assert main(stage_argv("normalize", study, tmp_path / "out")) == 0
         assert capsys.readouterr().err == ""
 

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,21 @@ def flow_graphs(draw):
     return n_nodes, tails, heads, caps, rev_caps
 
 
+def residual_reach(graph) -> np.ndarray:
+    """The nodes reachable from the source through arcs with capacity left, by BFS."""
+    out = [[] for _ in range(graph.n + 2)]
+    for arc, head in enumerate(graph._to):      # arc a runs _to[a ^ 1] -> _to[a]
+        if graph._cap[arc] > 0:
+            out[graph._to[arc ^ 1]].append(head)
+    seen, queue = {graph.source}, deque([graph.source])
+    while queue:
+        for v in out[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return np.isin(np.arange(graph.n), list(seen))
+
+
 class TestFlowCertificate:
     @settings(max_examples=60, deadline=None)
     @given(flow_graphs())
@@ -115,6 +132,8 @@ class TestFlowCertificate:
                - np.bincount(tails, arc_flow[0::2], n_nodes + 2))
         assert not net[:n_nodes].any()                  # conserved at every non-terminal
         assert net[n_nodes + 1] == flow == -net[n_nodes]
+        # The cut is the minimal source side, the one classify's tie rule relies on.
+        assert side.dtype == bool and np.array_equal(side, residual_reach(g))
 
 
 class TestConstructorRejects:
